@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -59,12 +60,15 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="closed-loop tracking of a trajectory")
     p_sim.add_argument("--traj", required=True, help="coefficient CSV to track")
+    p_sim.add_argument("--out-state", required=True)
+    p_sim.add_argument("--out-control", required=True)
     _sim_args(p_sim)
 
     p_track = sub.add_parser("track", help="plan a case and track it")
     p_track.add_argument("--case", required=True, choices=CASE_NAMES)
     p_track.add_argument("--out-dir", required=True)
     p_track.add_argument("--restarts", type=int)
+    p_track.add_argument("--seed", type=int, default=0, help="planner seed")
     _sim_args(p_track)
 
     p_met = sub.add_parser("metrics", help="tracking metrics from logs")
@@ -88,14 +92,25 @@ def _sim_args(p) -> None:
     p.add_argument("--duration", type=float)
     p.add_argument("--perturb", default="0,0,0",
                    help="initial position offset 'x,y,z' or scalar x-offset")
-    p.add_argument("--seed", type=int, default=0)
-    if p.prog.endswith("simulate"):
-        p.add_argument("--out-state", required=True)
-        p.add_argument("--out-control", required=True)
+
+
+def _attach_negative_perturb(argv: list[str]) -> list[str]:
+    """Rewrite '--perturb -0.1,0,0' as '--perturb=-0.1,0,0': argparse takes
+    a separate token with a leading minus for an option, not a value."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--perturb" and re.match(r"-[\d.]", token):
+            out[-1] = f"--perturb={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _parse_perturb(text: str) -> np.ndarray:
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise _UsageError(f"--perturb wants numbers, got {text!r}") from None
     if len(parts) == 1:
         return np.array([parts[0], 0.0, 0.0])
     if len(parts) != 3:
@@ -131,8 +146,10 @@ def _simulation_pieces(args):
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_perturb(argv))
         return _dispatch(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

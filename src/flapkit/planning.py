@@ -8,16 +8,29 @@ space.  Inequalities (speed limits, azimuth-rate limit, obstacle clearance)
 are enforced at sampled times through rectified residuals driven to zero by
 a monotone outer penalty schedule with an L-BFGS quasi-Newton inner solver.
 
+Every map from xi to what the penalized objective reads is linear and is
+precomputed once per plan: positions, velocities and accelerations at all
+samples come from one matrix product, the snap term is a quadratic in xi,
+and the gradient is assembled from the per-sample derivatives with one
+more product.  One evaluation therefore costs a fixed handful of small
+array operations whatever the number of active constraints.
+
+The planner works in coordinates relative to the start position, so a
+translated scenario presents the solver with the same numbers and yields
+the translated plan; the start is added back to the solution's constant
+coefficients.
+
 Planning uses slightly inflated obstacle radii and slightly tightened
 kinodynamic limits so that residuals checked between samples stay within
-tolerance; reported residuals are computed against the raw constraint set.
+tolerance; reported residuals are computed against the raw constraint set
+in the caller's coordinates.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -43,6 +56,9 @@ SPEED_FLOOR = 0.05
 
 _SOFTABS_EPS = 1e-8
 
+# (x, y) -> (y, -x) after a row swap: rotates horizontal vectors by -90 deg
+_FLIP = np.array([[1.0], [-1.0]])
+
 
 # ---------------------------------------------------------------------------
 # constraint data
@@ -63,10 +79,14 @@ class Sphere:
         if self.radius <= 0:
             raise InvalidInputError("obstacle radius must be positive")
 
+    @property
+    def reference(self) -> np.ndarray:
+        """Point that clearance is measured from."""
+        return np.zeros(3) if self.distance_from_origin else self.center
+
     def distance(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
-        ref = np.zeros(3) if self.distance_from_origin else self.center
-        return np.linalg.norm(points - ref, axis=1)
+        return np.linalg.norm(points - self.reference, axis=1)
 
     def label(self) -> str:
         c = ",".join(f"{x:.3g}" for x in self.center)
@@ -405,55 +425,72 @@ def constraint_residuals(
 
 
 class _PenaltyProblem:
-    """Objective + squared rectified penalties in reduced coordinates.
+    """Snap objective plus rho-weighted squared rectified penalties in the
+    reduced coordinates of the equality null space.
 
-    All basis matrices are precomputed on the planner sample grid; the
-    decision vector stacks the per-axis null-space coordinates.
+    The decision vector stacks the per-axis null-space coordinates,
+    X = xi.reshape(3, k), so the coefficients are C = c0 + X Z^T.  Setup
+    precomputes every linear map the objective reads: the reduced snap
+    quadratic f0 + <g0, X> + 1/2 <X H, X>, and the stacked sample basis
+    B = [b0; b1; b2; bv] with offsets S0, which gives positions,
+    velocities and accelerations at the sample times and velocities at the
+    path-length quadrature nodes as S = S0 + X B^T.
     """
 
-    def __init__(
-        self,
-        cons: ConstraintSet,
-        weights: ObjectiveWeights,
-        opts: PlanOptions,
-        c0: np.ndarray,  # (3, total)
-        z_basis: np.ndarray,  # (total, k)
-    ):
-        self.cons = cons
-        self.weights = weights
+    def __init__(self, cons: ConstraintSet, weights: ObjectiveWeights, opts: PlanOptions):
+        a_mat, _, _ = build_equality_system(cons, opts)
+        qp_traj, self.qp_residual = solve_qp_equality_full(cons, None, opts)
+        c0 = np.stack([
+            np.concatenate([seg.coeffs[axis] for seg in qp_traj.segments])
+            for axis in range(3)
+        ])
+        z_basis = scipy.linalg.null_space(a_mat)
         self.opts = opts
-        self.c0 = c0
-        self.z = z_basis
+        self.c0 = c0  # (3, total)
+        self.z = z_basis  # (total, k)
         self.k = z_basis.shape[1]
         self.n = opts.order + 1
 
         self.v_h = cons.v_h_max - opts.speed_margin
         self.v_v = cons.v_v_max - opts.speed_margin
         self.rate = cons.psi_rate_max - opts.rate_margin
-        self.radii = [ob.radius + opts.obstacle_margin for ob in cons.obstacles]
+        # every obstacle is a clearance ball in the axes it constrains:
+        # spheres in x-y-z, x-cylinders in y-z (their x offset is masked)
+        obstacles = cons.obstacles
+        self.ob_axes = np.array(
+            [[1.0, 1.0, 1.0] if isinstance(ob, Sphere) else [0.0, 1.0, 1.0] for ob in obstacles]
+        ).reshape(-1, 3, 1)
+        self.ob_ref = np.array(
+            [ob.reference if isinstance(ob, Sphere) else [0.0, *ob.center_yz] for ob in obstacles]
+        ).reshape(-1, 3, 1)
+        self.ob_radius = np.array(
+            [ob.radius + opts.obstacle_margin for ob in obstacles]
+        ).reshape(-1, 1)
 
-        duration = opts.segments * opts.T
-        self.tau = sample_times(duration, cons.sample_interval)
-        self.phi0 = self._basis(self.tau, 0)
-        self.phi1 = self._basis(self.tau, 1)
-        self.phi2 = self._basis(self.tau, 2)
-        self.b0 = self.phi0 @ z_basis
-        self.b1 = self.phi1 @ z_basis
-        self.b2 = self.phi2 @ z_basis
+        mu_p = weights.mu_p
+        q_blk = _snap_block(opts)
+        qz = q_blk @ z_basis
+        h = 2.0 * mu_p * (z_basis.T @ qz)
+        self.h = 0.5 * (h + h.T)
+        self.g0 = 2.0 * mu_p * (c0 @ qz)
+        self.f0 = mu_p * float(np.sum(c0 * (c0 @ q_blk)))
 
-        # Gauss-Legendre nodes per segment for the path-length term
-        nodes, wts = np.polynomial.legendre.leggauss(32)
-        node_list, w_list = [], []
-        for s in range(opts.segments):
-            node_list.append(s * opts.T + 0.5 * opts.T * (nodes + 1.0))
-            w_list.append(0.5 * opts.T * wts)
-        self.v_nodes = np.concatenate(node_list)
-        self.v_weights = np.concatenate(w_list)
-        self.phi_v = self._basis(self.v_nodes, 1)
-        self.bv = self.phi_v @ z_basis
-
-        q_seg = snap_gram_matrix(self.n, opts.T)
-        self.q_blk = scipy.linalg.block_diag(*[q_seg] * opts.segments)
+        # columns of S: [pos | vel | acc] at tau, then velocity at the
+        # Gauss-Legendre nodes of the path-length term
+        self.tau = sample_times(opts.segments * opts.T, cons.sample_interval)
+        rows = [self._basis(self.tau, order) for order in range(3)]
+        self.mu_v = weights.mu_v
+        if self.mu_v:
+            nodes, wts = np.polynomial.legendre.leggauss(32)
+            v_nodes = np.concatenate(
+                [s * opts.T + 0.5 * opts.T * (nodes + 1.0) for s in range(opts.segments)]
+            )
+            rows.append(self._basis(v_nodes, 1))
+            self.v_weights = self.mu_v * np.tile(0.5 * opts.T * wts, (3, opts.segments))
+        phi = np.vstack(rows)
+        self.b = phi @ z_basis
+        self.bt = np.ascontiguousarray(self.b.T)
+        self.s0 = c0 @ phi.T
 
     def _basis(self, times: np.ndarray, order: int) -> np.ndarray:
         total = self.opts.segments * self.n
@@ -466,131 +503,79 @@ class _PenaltyProblem:
             )
         return out
 
-    def split(self, xi: np.ndarray) -> np.ndarray:
-        return xi.reshape(3, self.k)
-
-    def coefficients(self, xi: np.ndarray) -> np.ndarray:
-        return self.c0 + self.split(xi) @ self.z.T
-
     def trajectory(self, xi: np.ndarray) -> PiecewiseTrajectory:
-        c = self.coefficients(xi)
+        c = self.c0 + xi.reshape(3, self.k) @ self.z.T
         segs = [
             PolySegment(c[:, s * self.n : (s + 1) * self.n], self.opts.T)
             for s in range(self.opts.segments)
         ]
         return PiecewiseTrajectory(segs)
 
-    # -- objective -----------------------------------------------------
+    def evaluate(self, xi: np.ndarray, rho: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """Objective + rho * penalty, its gradient, and the per-sample
+        rectified excesses: rows horizontal speed, vertical speed, azimuth
+        rate, then one per obstacle."""
+        x = xi.reshape(3, self.k)
+        m = self.tau.size
+        s = self.s0 + x @ self.bt
+        pos = s[:, :m]
+        vel_xy, vz = s[:2, m : 2 * m], s[2, m : 2 * m]
+        acc_xy = s[:2, 2 * m : 3 * m]
+        vx, vy = vel_xy
+        ax, ay = acc_xy
+        # d = d(penalty)/dS, scaled by rho before the path-length columns
+        d = np.zeros(s.shape)
+        excess = np.empty((3 + self.ob_radius.size, m))
 
-    def objective_and_grad(self, xi: np.ndarray) -> tuple[float, np.ndarray]:
-        c = self.coefficients(xi)
-        value = 0.0
-        grad = np.zeros((3, self.k))
-        for axis in range(3):
-            qc = self.q_blk @ c[axis]
-            value += self.weights.mu_p * float(c[axis] @ qc)
-            grad[axis] += 2.0 * self.weights.mu_p * (self.z.T @ qc)
-        if self.weights.mu_v > 0:
-            for axis in range(3):
-                v = self.phi_v @ c[axis]
-                soft = np.sqrt(v**2 + _SOFTABS_EPS**2)
-                value += self.weights.mu_v * float(self.v_weights @ soft)
-                grad[axis] += self.weights.mu_v * (
-                    self.bv.T @ (self.v_weights * v / soft)
-                )
-        return value, grad.ravel()
+        h = np.hypot(vx, vy)
+        g = np.maximum(h - self.v_h, 0.0, out=excess[0])
+        w_h = 2.0 * g / np.maximum(h, 1e-12)
 
-    # -- sampled inequality residuals -----------------------------------
+        g = np.maximum(np.abs(vz) - self.v_v, 0.0, out=excess[1])
+        d[2, m : 2 * m] = np.copysign(2.0 * g, vz)
 
-    def _sampled(self, xi: np.ndarray):
-        c = self.coefficients(xi)
-        pos = np.stack([self.phi0 @ c[a] for a in range(3)], axis=1)
-        vel = np.stack([self.phi1 @ c[a] for a in range(3)], axis=1)
-        acc = np.stack([self.phi2 @ c[a] for a in range(3)], axis=1)
-        return pos, vel, acc
-
-    def penalty_and_grad(self, xi: np.ndarray) -> tuple[float, np.ndarray, float, float]:
-        """Sum of squared rectified excesses, its gradient, and the worst
-        per-sample excess with its time."""
-        pos, vel, acc = self._sampled(xi)
-        value = 0.0
-        grad = np.zeros((3, self.k))
-        worst = 0.0
-        worst_t = 0.0
-
-        def track(excess: np.ndarray):
-            nonlocal worst, worst_t
-            if excess.size and excess.max() > worst:
-                worst = float(excess.max())
-                worst_t = float(self.tau[int(np.argmax(excess))])
-
-        # horizontal speed
-        h = np.hypot(vel[:, 0], vel[:, 1])
-        g = rec(h - self.v_h)
-        track(g)
-        value += float(g @ g)
-        active = g > 0
-        if np.any(active):
-            scale = 2.0 * g[active] / np.maximum(h[active], 1e-12)
-            grad[0] += self.b1[active].T @ (scale * vel[active, 0])
-            grad[1] += self.b1[active].T @ (scale * vel[active, 1])
-
-        # vertical speed
-        g = rec(np.abs(vel[:, 2]) - self.v_v)
-        track(g)
-        value += float(g @ g)
-        active = g > 0
-        if np.any(active):
-            grad[2] += self.b1[active].T @ (2.0 * g[active] * np.sign(vel[active, 2]))
-
-        # azimuth rate
-        num = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
-        u = vel[:, 0] ** 2 + vel[:, 1] ** 2
+        u = h * h
         den = np.maximum(u, SPEED_FLOOR**2)
-        rate = num / den
-        g = rec(np.abs(rate) - self.rate)
-        track(g)
-        value += float(g @ g)
-        active = g > 0
-        if np.any(active):
-            sgn_rate = np.sign(rate[active])
-            coef = 2.0 * g[active] * sgn_rate
-            inv_d = 1.0 / den[active]
-            # d|w/d| = sgn * (dw/d - w * du / d^2) with du = 0 when floored
-            floored = u[active] <= SPEED_FLOOR**2
-            ddu = np.where(floored, 0.0, num[active] / den[active] ** 2)
-            grad[0] += self.b1[active].T @ (coef * (acc[active, 1] * inv_d - 2 * vel[active, 0] * ddu))
-            grad[0] += self.b2[active].T @ (-coef * vel[active, 1] * inv_d)
-            grad[1] += self.b1[active].T @ (coef * (-acc[active, 0] * inv_d - 2 * vel[active, 1] * ddu))
-            grad[1] += self.b2[active].T @ (coef * vel[active, 0] * inv_d)
+        rate = (vx * ay - vy * ax) / den
+        g = np.maximum(np.abs(rate) - self.rate, 0.0, out=excess[2])
+        w = np.copysign(2.0 * g, rate) / den
+        # the rate's speed dependence vanishes where the floor holds
+        w_h -= 2.0 * w * rate * (u > SPEED_FLOOR**2)
+        d[:2, m : 2 * m] = w_h * vel_xy + w * (acc_xy[::-1] * _FLIP)
+        d[:2, 2 * m : 3 * m] = -w * (vel_xy[::-1] * _FLIP)
 
-        # obstacles
-        for obstacle, radius in zip(self.cons.obstacles, self.radii):
-            if isinstance(obstacle, Sphere):
-                ref = np.zeros(3) if obstacle.distance_from_origin else obstacle.center
-                delta = pos - ref
-                axes = (0, 1, 2)
-            else:
-                delta = np.column_stack([
-                    np.zeros(len(pos)), pos[:, 1] - obstacle.center_yz[0],
-                    pos[:, 2] - obstacle.center_yz[1],
-                ])
-                axes = (1, 2)
-            dist = np.maximum(np.linalg.norm(delta, axis=1), 1e-9)
-            g = rec(radius - dist)
-            track(g)
-            value += float(g @ g)
-            active = g > 0
-            if np.any(active):
-                coef = -2.0 * g[active] / dist[active]
-                for axis in axes:
-                    grad[axis] += self.b0[active].T @ (coef * delta[active, axis])
+        if self.ob_radius.size:
+            delta = (pos - self.ob_ref) * self.ob_axes  # (obstacles, 3, m)
+            dist = np.maximum(np.sqrt((delta * delta).sum(axis=1)), 1e-9)
+            g = np.maximum(self.ob_radius - dist, 0.0, out=excess[3:])
+            d[:, :m] = ((-2.0 * g / dist)[:, None, :] * delta).sum(axis=0)
 
-        return value, grad.ravel(), worst, worst_t
+        xh = x @ self.h
+        value = self.f0 + float(np.vdot(self.g0 + 0.5 * xh, x))
+        value += rho * float(np.vdot(excess, excess))
+        d *= rho
+        if self.mu_v:
+            v = s[:, 3 * m :]
+            soft = np.sqrt(v * v + _SOFTABS_EPS**2)
+            value += float(np.vdot(soft, self.v_weights))
+            d[:, 3 * m :] = v / soft * self.v_weights
+        grad = self.g0 + xh + d @ self.b
+        return value, grad.ravel(), excess
 
-    def max_excess(self, xi: np.ndarray) -> tuple[float, float]:
-        _, _, worst, worst_t = self.penalty_and_grad(xi)
-        return worst, worst_t
+    def value_and_grad(self, xi: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
+        """Penalized objective and gradient, the L-BFGS inner problem."""
+        value, grad, _ = self.evaluate(xi, rho)
+        return value, grad
+
+    def objective_and_excess(self, xi: np.ndarray) -> tuple[float, float, float]:
+        """Unpenalized objective, worst per-sample excess and its time
+        (0 when no sample exceeds)."""
+        value, _, excess = self.evaluate(xi, 0.0)
+        worst = float(excess.max()) if excess.size else 0.0
+        if worst <= 0.0:
+            return value, 0.0, 0.0
+        _, col = np.unravel_index(np.argmax(excess), excess.shape)
+        return value, worst, float(self.tau[col])
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +590,15 @@ class RestartResult:
     max_excess: float
     worst_time: float
     grad_norm: float
-    xi: np.ndarray
+    xi: np.ndarray  # reduced coordinates of the start-relative problem
 
 
 @dataclass
 class PlanReport:
     objective: float
     restart_index: int
+    # norm of the winning restart's last penalized L-BFGS gradient; not a
+    # first-order stationarity measure of the constrained problem
     kkt_grad_norm: float
     residuals: ResidualReport
     residuals_dense: ResidualReport
@@ -623,7 +610,7 @@ class PlanReport:
         lines = [
             f"objective          {self.objective:.6e}",
             f"winning restart    {self.restart_index}",
-            f"projected-grad norm {self.kkt_grad_norm:.3e}",
+            f"penalized-grad norm {self.kkt_grad_norm:.3e}",
             f"qp kkt residual    {self.qp_kkt_residual:.3e}",
             f"max equality residual   {self.residuals.max_equality:.3e}",
             f"max sampled aggregate   {self.residuals.max_aggregate:.3e}",
@@ -655,6 +642,27 @@ def _initial_guess(
     return draws.ravel()
 
 
+def _relative_to(cons: ConstraintSet, origin: np.ndarray) -> ConstraintSet:
+    """The constraint set in coordinates relative to ``origin``.  An
+    origin-referenced sphere becomes a plain sphere about the old origin."""
+    b = cons.boundary
+    return replace(
+        cons,
+        boundary=replace(
+            b, start_pos=b.start_pos - origin, end_pos=b.end_pos - origin
+        ),
+        waypoints=[
+            Waypoint(wp.segment, wp.t_local, wp.position - origin)
+            for wp in cons.waypoints
+        ],
+        obstacles=[
+            Sphere(ob.reference - origin, ob.radius) if isinstance(ob, Sphere)
+            else CylinderX(ob.center_yz - origin[1:], ob.radius)
+            for ob in cons.obstacles
+        ],
+    )
+
+
 def plan(
     cons: ConstraintSet,
     weights: ObjectiveWeights | None = None,
@@ -671,46 +679,34 @@ def plan(
     weights = weights or ObjectiveWeights()
     opts = opts or PlanOptions()
 
-    a_mat, _, _ = build_equality_system(cons, opts)
-    qp_traj, qp_residual = solve_qp_equality_full(cons, None, opts)
-    c0 = np.stack([
-        np.concatenate([seg.coeffs[axis] for seg in qp_traj.segments])
-        for axis in range(3)
-    ])
-    z_basis = scipy.linalg.null_space(a_mat)
-
-    problem = _PenaltyProblem(cons, weights, opts, c0, z_basis)
+    origin = cons.boundary.start_pos
+    local = _relative_to(cons, origin)
+    problem = _PenaltyProblem(local, weights, opts)
     results: list[RestartResult] = []
 
     for r_idx in range(max(opts.restarts, 1)):
-        if z_basis.shape[1] == 0:
+        if problem.k == 0:
             xi = np.zeros(0)
         elif r_idx == 0:
-            xi = np.zeros(3 * z_basis.shape[1])
+            xi = np.zeros(3 * problem.k)
         else:
             rng = np.random.default_rng([opts.seed, r_idx])
-            xi = _initial_guess(rng, cons, opts, z_basis)
+            xi = _initial_guess(rng, local, opts, problem.z)
 
         grad_norm = 0.0
         if xi.size:
             for rho in opts.rho_schedule:
-                def fun(x, rho=rho):
-                    obj, obj_grad = problem.objective_and_grad(x)
-                    pen, pen_grad, _, _ = problem.penalty_and_grad(x)
-                    return obj + rho * pen, obj_grad + rho * pen_grad
-
                 res = scipy.optimize.minimize(
-                    fun, xi, jac=True, method="L-BFGS-B",
+                    problem.value_and_grad, xi, args=(rho,), jac=True, method="L-BFGS-B",
                     options={"maxiter": opts.inner_maxiter, "ftol": 1e-14, "gtol": 1e-10},
                 )
                 xi = res.x
                 grad_norm = float(np.linalg.norm(res.jac))
-                worst, _ = problem.max_excess(xi)
+                _, worst, _ = problem.objective_and_excess(xi)
                 if worst <= opts.feas_tol:
                     break
 
-        obj, _ = problem.objective_and_grad(xi)
-        worst, worst_t = problem.max_excess(xi)
+        obj, worst, worst_t = problem.objective_and_excess(xi)
         results.append(RestartResult(r_idx, obj, worst, worst_t, grad_norm, xi.copy()))
 
     feasible = [r for r in results if r.max_excess <= opts.feas_tol]
@@ -723,6 +719,8 @@ def plan(
         )
     best = min(feasible, key=lambda r: (r.objective, r.index))
     traj = problem.trajectory(best.xi)
+    for seg in traj.segments:
+        seg.coeffs[:, 0] += origin
 
     residuals = constraint_residuals(traj, cons)
     dense_times = sample_times(traj.duration, cons.sample_interval / 10.0)
@@ -735,7 +733,7 @@ def plan(
         residuals_dense=residuals_dense,
         restarts=results,
         runtime_s=time.perf_counter() - t_start,
-        qp_kkt_residual=qp_residual,
+        qp_kkt_residual=problem.qp_residual,
     )
     return traj, report
 

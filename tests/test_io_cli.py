@@ -7,6 +7,7 @@ from flapkit.control import ControllerGains
 from flapkit.dynamics import FwavParams, VerticalLog, VerticalParams
 from flapkit.errors import InvalidInputError
 from flapkit.planning import case_library
+from flapkit.trajectory import PiecewiseTrajectory
 
 
 class TestKvFormat:
@@ -162,6 +163,39 @@ class TestCli:
         values = [float(x) for x in rows[1].split(",")[1:]]
         assert all(np.isfinite(values))
         assert max(values) > 0.0  # perturbed run has nonzero errors
+
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    @pytest.mark.parametrize("form", ["separate", "attached"])
+    def test_negative_perturbation(self, tmp_path, command, form):
+        perturb = (
+            ["--perturb", "-0.02,0,0.01"] if form == "separate"
+            else ["--perturb=-0.02,0,0.01"]
+        )
+        traj_csv = tmp_path / "traj.csv"
+        state_csv = tmp_path / "state.csv"
+        if command == "simulate":
+            assert main(["plan", "--scenario", "line", "--out", str(traj_csv)]) == 0
+            args = ["simulate", "--traj", str(traj_csv), "--out-state", str(state_csv),
+                    "--out-control", str(tmp_path / "control.csv")]
+        else:
+            args = ["track", "--case", "line", "--restarts", "1",
+                    "--out-dir", str(tmp_path)]
+        assert main([*args, *perturb, "--duration", "0.05"]) == 0
+        start = PiecewiseTrajectory.from_coeff_csv(traj_csv).eval(0.0)
+        log = kvio.load_state_log(state_csv)
+        assert np.allclose(log.positions[0], start + [-0.02, 0.0, 0.01], atol=1e-12)
+
+    def test_malformed_perturbation_is_usage_error(self, tmp_path):
+        assert main(["track", "--case", "line", "--perturb=-0.1,x,0",
+                     "--out-dir", str(tmp_path)]) == 1
+
+    def test_seed_only_on_track(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "--seed" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["track", "--help"])
+        assert "--seed" in capsys.readouterr().out
 
     def test_missing_file_exit_code(self):
         assert main(["plan", "--scenario", "no_such_file.kv",

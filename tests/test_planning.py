@@ -10,6 +10,7 @@ from flapkit.errors import (
     RankDeficientConstraintsError,
 )
 from flapkit.planning import (
+    SPEED_FLOOR,
     BoundaryConditions,
     ConstraintSet,
     CylinderX,
@@ -24,8 +25,14 @@ from flapkit.planning import (
     sample_times,
     solve_qp_equality,
     solve_qp_equality_full,
+    _PenaltyProblem,
 )
-from flapkit.trajectory import ObjectiveWeights, constant_trajectory, snap_objective
+from flapkit.trajectory import (
+    ObjectiveWeights,
+    constant_trajectory,
+    rec,
+    snap_objective,
+)
 
 
 def rest_to_rest(end, T=3.0, segments=1):
@@ -168,6 +175,82 @@ class TestAzimuthRate:
         assert azimuth_rate(vel, acc)[0] == pytest.approx(0.04)
 
 
+def every_family_constraints() -> ConstraintSet:
+    """Tight limits and obstacles about the start so that random reduced
+    coordinates activate every residual family; the nonzero start
+    acceleration puts the first samples below the azimuth speed floor."""
+    return ConstraintSet(
+        boundary=BoundaryConditions(
+            start_pos=[0.3, -0.2, 0.1], start_acc=[0.6, 0.3, 0.0],
+            end_pos=[1.3, 0.8, 0.6],
+        ),
+        obstacles=[
+            Sphere(center=[0.8, 0.3, 0.35], radius=0.3),
+            Sphere(center=[5.0, 5.0, 5.0], radius=0.6, distance_from_origin=True),
+            CylinderX(center_yz=[0.3, 0.4], radius=0.25),
+        ],
+        v_h_max=0.6,
+        v_v_max=0.3,
+        psi_rate_max=0.6,
+        sample_interval=0.02,
+    )
+
+
+def oracle_value(traj, cons, opts, weights, rho):
+    """Penalized objective recomputed from the trajectory at the sample
+    times with the margined limits, and the per-family activity."""
+    tau = sample_times(traj.duration, cons.sample_interval)
+    pos, vel, acc = (traj.eval_many(tau, order) for order in range(3))
+    rate = np.abs(azimuth_rate(vel, acc))
+    floored = np.hypot(vel[:, 0], vel[:, 1]) < SPEED_FLOOR
+    rate_excess = rec(rate - (cons.psi_rate_max - opts.rate_margin))
+    excess = {
+        "h_speed": rec(np.hypot(vel[:, 0], vel[:, 1]) - (cons.v_h_max - opts.speed_margin)),
+        "v_speed": rec(np.abs(vel[:, 2]) - (cons.v_v_max - opts.speed_margin)),
+        "rate_floored": rate_excess * floored,
+        "rate_unfloored": rate_excess * ~floored,
+    }
+    for j, ob in enumerate(cons.obstacles):
+        excess[f"obstacle{j}"] = rec(ob.radius + opts.obstacle_margin - ob.distance(pos))
+    penalty = sum(float(e @ e) for e in excess.values())
+    value = snap_objective(traj, weights) + rho * penalty
+    return value, {name: bool(np.any(e > 0)) for name, e in excess.items()}
+
+
+class TestPenaltyEvaluation:
+    @pytest.mark.parametrize("segments", [1, 2])
+    @pytest.mark.parametrize("mu_v", [0.0, 0.1])
+    def test_matches_recomputation_and_differences(self, segments, mu_v):
+        cons = every_family_constraints()
+        opts = PlanOptions(segments=segments, T=1.0)
+        weights = ObjectiveWeights(mu_p=1.0, mu_v=mu_v)
+        problem = _PenaltyProblem(cons, weights, opts)
+        rng = np.random.default_rng(segments * 10 + int(mu_v * 10))
+        active = {}
+        for _ in range(6):
+            xi = rng.normal(scale=2.0, size=3 * problem.k)
+            rho = 10.0 ** rng.integers(0, 5)
+            value, grad = problem.value_and_grad(xi, rho)
+            expected, flags = oracle_value(problem.trajectory(xi), cons, opts, weights, rho)
+            # the soft-abs path term exceeds |v| by at most 1e-8 per axis
+            assert value == pytest.approx(
+                expected, rel=1e-12, abs=3 * segments * opts.T * mu_v * 1e-8 + 1e-12
+            )
+            for name, flag in flags.items():
+                active[name] = active.get(name, False) or flag
+
+            fd = np.empty_like(xi)
+            for i in range(xi.size):
+                step = 1e-6 * max(1.0, abs(xi[i]))
+                up, down = xi.copy(), xi.copy()
+                up[i] += step
+                down[i] -= step
+                fd[i] = (
+                    problem.value_and_grad(up, rho)[0] - problem.value_and_grad(down, rho)[0]
+                ) / (2 * step)
+            assert np.allclose(grad, fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd)))
+        assert all(active.values()), active
+
 class TestPlan:
     def test_qp_equivalence_without_inequalities(self):
         cons = ConstraintSet(
@@ -217,6 +300,47 @@ class TestPlan:
         assert snap_objective(traj1, ObjectiveWeights()) == pytest.approx(
             snap_objective(traj2, ObjectiveWeights()), rel=1e-4
         )
+
+    def test_translation_equivariance_exact(self):
+        # restart 0 starts on the saddle through the sphere's center; with
+        # binary-exact shifts the start-relative inputs are bit-identical,
+        # so every shift leaves the saddle the same way
+        def scenario(shift):
+            return ConstraintSet(
+                boundary=BoundaryConditions(
+                    start_pos=shift, end_pos=shift + [1.0, 1.0, 1.0]
+                ),
+                obstacles=[
+                    Sphere(center=shift + [0.5, 0.5, 0.5], radius=0.3),
+                    CylinderX(center_yz=shift[1:] + [0.75, 0.5], radius=0.125),
+                ],
+                v_v_max=1.0,
+            )
+
+        def plan_positions(shift):
+            traj, _ = plan(scenario(shift), ObjectiveWeights(), PlanOptions(restarts=3, seed=2))
+            return traj.eval_many(np.linspace(0.0, traj.duration, 40), 0)
+
+        base = plan_positions(np.zeros(3))
+        for shift in ([2.0, -1.0, 0.5], [-0.75, 3.25, -8.0]):
+            shift = np.array(shift)
+            assert np.allclose(plan_positions(shift), base + shift, rtol=0, atol=1e-12)
+
+    def test_origin_referenced_sphere_stays_at_world_origin(self):
+        # planning relative to a start away from the origin must keep the
+        # clearance reference of a distance_from_origin sphere at the origin
+        def coeffs(sphere):
+            cons = ConstraintSet(
+                boundary=BoundaryConditions(
+                    start_pos=[0.5, -0.5, 0.0], end_pos=[-0.5, 0.5, 0.25]
+                ),
+                obstacles=[sphere],
+            )
+            traj, _ = plan(cons, ObjectiveWeights(), PlanOptions(restarts=2))
+            return traj.segments[0].coeffs
+
+        legacy = coeffs(Sphere(center=[3.0, 3.0, 3.0], radius=0.3, distance_from_origin=True))
+        assert np.array_equal(legacy, coeffs(Sphere(center=[0.0, 0.0, 0.0], radius=0.3)))
 
     def test_infeasible_reports_worst_residual(self):
         # sphere fully enclosing both endpoints cannot be escaped
