@@ -103,13 +103,6 @@ def quat_to_rot(q: UnitQuaternion) -> np.ndarray:
     return np.eye(3) + 2.0 * q.eta * s + 2.0 * (s @ s)
 
 
-def quat_derivative(q: UnitQuaternion, omega_body: np.ndarray) -> UnitQuaternion:
-    """Kinematics qdot = 0.5 * q (x) (0, omega_body).  Not normalized."""
-    omega_q = UnitQuaternion(0.0, np.asarray(omega_body, dtype=float))
-    d = q.multiply(omega_q)
-    return UnitQuaternion(0.5 * d.eta, 0.5 * d.epsilon)
-
-
 def reduced_attitude(q: UnitQuaternion) -> np.ndarray:
     """Yaw-invariant reduced attitude Gamma = R(q)^T e3."""
     return quat_to_rot(q).T @ E3

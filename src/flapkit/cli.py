@@ -128,7 +128,9 @@ def _load_scenario(source: str):
     return kvio.scenario_from_dict(data), name
 
 
-def _simulation_pieces(args):
+def _fly(args, traj, state_path, control_path):
+    """Closed-loop flight of traj under the command's options; writes the
+    state and control logs and reports divergence on stderr."""
     vparams = (
         kvio.vertical_params_from_dict(kvio.load_kv(args.params))
         if args.params and args.model == "vertical" else VerticalParams()
@@ -141,7 +143,16 @@ def _simulation_pieces(args):
         kvio.gains_from_dict(kvio.load_kv(args.gains))
         if args.gains else ControllerGains()
     )
-    return vparams, fparams, gains
+    result = run_closed_loop(
+        traj, model=args.model, vparams=vparams, fparams=fparams, gains=gains,
+        dt=args.dt, rate_hz=args.rate, duration=args.duration,
+        perturb_pos=_parse_perturb(args.perturb),
+    )
+    result.state_log.to_csv(state_path)
+    result.control_to_csv(control_path)
+    if result.diverged:
+        print(f"diverged at t={result.abort_time:.3f} s", file=sys.stderr)
+    return result
 
 
 def main(argv=None) -> int:
@@ -191,18 +202,8 @@ def _dispatch(args) -> int:
 
     if args.command == "simulate":
         traj = PiecewiseTrajectory.from_coeff_csv(args.traj)
-        vparams, fparams, gains = _simulation_pieces(args)
-        result = run_closed_loop(
-            traj, model=args.model, vparams=vparams, fparams=fparams, gains=gains,
-            dt=args.dt, rate_hz=args.rate, duration=args.duration,
-            perturb_pos=_parse_perturb(args.perturb),
-        )
-        result.state_log.to_csv(args.out_state)
-        result.control_to_csv(args.out_control)
-        if result.diverged:
-            print(f"diverged at t={result.abort_time:.3f} s", file=sys.stderr)
-            return EXIT_DIVERGED
-        return EXIT_OK
+        result = _fly(args, traj, args.out_state, args.out_control)
+        return EXIT_DIVERGED if result.diverged else EXIT_OK
 
     if args.command == "track":
         (cons, opts, weights), name = _load_scenario(args.case)
@@ -212,23 +213,14 @@ def _dispatch(args) -> int:
         traj, report = run_planner(cons, weights, opts)
         os.makedirs(args.out_dir, exist_ok=True)
         traj.to_coeff_csv(os.path.join(args.out_dir, "traj.csv"))
-        vparams, fparams, gains = _simulation_pieces(args)
-        result = run_closed_loop(
-            traj, model=args.model, vparams=vparams, fparams=fparams, gains=gains,
-            dt=args.dt, rate_hz=args.rate, duration=args.duration,
-            perturb_pos=_parse_perturb(args.perturb),
+        result = _fly(
+            args, traj, os.path.join(args.out_dir, "state.csv"),
+            os.path.join(args.out_dir, "control.csv"),
         )
-        result.state_log.to_csv(os.path.join(args.out_dir, "state.csv"))
-        result.control_to_csv(os.path.join(args.out_dir, "control.csv"))
         if result.diverged:
-            print(f"diverged at t={result.abort_time:.3f} s", file=sys.stderr)
             return EXIT_DIVERGED
-        positions = (
-            result.state_log.positions
-            if isinstance(result.state_log, VerticalLog)
-            else result.state_log.states[:, 0:3]
-        )
-        metrics = compute_metrics(positions, result.state_log.t, traj, case=name)
+        log = result.state_log
+        metrics = compute_metrics(log.positions, log.t, traj, case=name)
         metrics.to_csv(os.path.join(args.out_dir, "metrics.csv"))
         summary = "\n".join([
             report.summary(), metrics.summary(),
@@ -243,10 +235,7 @@ def _dispatch(args) -> int:
     if args.command == "metrics":
         traj = PiecewiseTrajectory.from_coeff_csv(args.traj)
         log = kvio.load_state_log(args.state)
-        positions = (
-            log.positions if isinstance(log, VerticalLog) else log.states[:, 0:3]
-        )
-        metrics = compute_metrics(positions, log.t, traj, case=args.case)
+        metrics = compute_metrics(log.positions, log.t, traj, case=args.case)
         if args.out:
             metrics.to_csv(args.out)
         print(metrics.summary())

@@ -14,8 +14,13 @@ with sign, and the deflection torque combines a velocity-induced and a
 flapping-induced gain on each axis.  sgn(0) is taken as 0 everywhere so that
 rest states are exact equilibria.
 
-Both right-hand sides are pure functions; the integrators are classical
-fixed-step RK4 with quaternion renormalization after every step.
+Each model has one implementation, a scalar right-hand side on the flat
+state vector (``full_rhs``: 16 floats, ``vertical_rhs``: 8) returning a
+tuple of floats.  The state and input dataclasses are views at the API
+boundary: the right-hand sides take a view or a flat vector and convert once
+on entry, and the public force/torque primitives evaluate the same scalar
+terms.  Integration is classical fixed-step RK4 on lists of floats
+(``rk4_flat``), with quaternion renormalization after every full-model step.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attitude import UnitQuaternion, quat_derivative, quat_to_rot, rotz
+from .attitude import UnitQuaternion
 from .errors import InvalidInputError, PropagationError
 
 FULL_LOG_HEADER = (
@@ -85,10 +90,21 @@ class FwavParams:
             raise InvalidInputError("inertia matrix must be positive definite")
         if min(self.k_d_x, self.k_d_y, self.k_d_z) < 0:
             raise InvalidInputError("drag coefficients must be non-negative")
+        self._inertia = (None,)
 
     @property
     def hover_frequency(self) -> float:
         return math.sqrt(self.m * self.g / self.k_tf)
+
+    def inertia(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """J and J^-1 as row-major 9-tuples.  The inverse is recomputed only
+        when the entries of J change, so an edited J is honoured."""
+        j = np.asarray(self.J, dtype=float)
+        key = j.tobytes()
+        if key != self._inertia[0]:
+            inv = np.linalg.inv(j)
+            self._inertia = (key, tuple(j.ravel().tolist()), tuple(inv.ravel().tolist()))
+        return self._inertia[1:]
 
 
 @dataclass
@@ -192,10 +208,6 @@ class VerticalState:
         self.p = np.asarray(self.p, dtype=float)
         self.vv = np.asarray(self.vv, dtype=float)
 
-    @property
-    def v_inertial(self) -> np.ndarray:
-        return rotz(self.psi) @ self.vv
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.p, self.vv, [self.psi, self.omega_psi]])
 
@@ -217,6 +229,69 @@ class VerticalInputs:
         self.gamma = np.asarray(self.gamma, dtype=float)
 
 
+@dataclass
+class ActuatorCommands:
+    """Commanded flapping frequency and deflections of the full model."""
+
+    f_flap_c: float = 0.0
+    theta_rud_c: float = 0.0
+    theta_ele_c: float = 0.0
+
+
+# ---------------------------------------------------------------------------
+# scalar terms, shared by the right-hand sides and the public primitives;
+# x * abs(x) is sgn(x) * x**2 with sgn(0) = 0
+# ---------------------------------------------------------------------------
+
+
+def _floats(state, view):
+    """The flat state of a view or of a float sequence."""
+    if isinstance(state, view):
+        state = state.as_vector()
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def _attitude(qw, qx, qy, qz, vx, vy, vz):
+    """Normalized quaternion, row-major R(q) (body to inertial) and body
+    velocity R^T v.  RK4 stage states carry small quaternion drift, so the
+    model is always evaluated on the unit sphere."""
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    if n == 0.0:
+        raise InvalidInputError("cannot normalize a zero quaternion")
+    qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
+    xx, yy, zz = qx * qx, qy * qy, qz * qz
+    xy, xz, yz = qx * qy, qx * qz, qy * qz
+    wx, wy, wz = qw * qx, qw * qy, qw * qz
+    r00, r01, r02 = 1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)
+    r10, r11, r12 = 2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)
+    r20, r21, r22 = 2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)
+    return (
+        (qw, qx, qy, qz),
+        (r00, r01, r02, r10, r11, r12, r20, r21, r22),
+        (r00 * vx + r10 * vy + r20 * vz, r01 * vx + r11 * vy + r21 * vz,
+         r02 * vx + r12 * vy + r22 * vz),
+    )
+
+
+def _drag(params, ux, uy, uz):
+    """Body-frame drag -k_d,i sgn(u_i) u_i^2."""
+    return (
+        -params.k_d_x * (ux * abs(ux)),
+        -params.k_d_y * (uy * abs(uy)),
+        -params.k_d_z * (uz * abs(uz)),
+    )
+
+
+def _deflection(params, ux, uz, f2, theta_rud, theta_ele):
+    """Body-frame deflection torque; see deflection_torque."""
+    sv = 0.0 if uz == 0.0 else math.copysign(ux * ux, uz)
+    return (
+        -(params.k_tau_x * sv + params.k_flap_x * f2) * theta_rud,
+        -(params.k_tau_y * sv + params.k_flap_y * f2) * theta_ele,
+        -(params.k_tau_z * sv + params.k_flap_z * f2) * theta_rud,
+    )
+
+
 # ---------------------------------------------------------------------------
 # force and torque primitives
 # ---------------------------------------------------------------------------
@@ -226,14 +301,12 @@ def thrust_magnitude(f_flap: float, params: FwavParams | VerticalParams) -> floa
     """Thrust k_tf * f^2 produced at flapping frequency f."""
     if f_flap < 0:
         raise InvalidInputError("flapping frequency must be non-negative")
-    return params.k_tf * f_flap**2
+    return params.k_tf * (f_flap * f_flap)
 
 
 def body_drag(v_body: np.ndarray, params: FwavParams) -> np.ndarray:
     """Componentwise quadratic drag -k_d,i sgn(v_i) v_i^2 in the body frame."""
-    v = np.asarray(v_body, dtype=float)
-    k = np.array([params.k_d_x, params.k_d_y, params.k_d_z])
-    return -k * sgn(v) * v**2
+    return np.array(_drag(params, *np.asarray(v_body, dtype=float).tolist()))
 
 
 def deflection_torque(state: FwavState, params: FwavParams) -> np.ndarray:
@@ -243,55 +316,9 @@ def deflection_torque(state: FwavState, params: FwavParams) -> np.ndarray:
     flapping-induced gain f^2; x/z rows are driven by the rudder, the y row
     by the elevator.
     """
-    v_body = quat_to_rot(state.q.normalized()).T @ state.v
-    sv = float(sgn(v_body[2])) * v_body[0] ** 2
-    f2 = state.f_flap**2
-    return np.array([
-        -(params.k_tau_x * sv + params.k_flap_x * f2) * state.theta_rud,
-        -(params.k_tau_y * sv + params.k_flap_y * f2) * state.theta_ele,
-        -(params.k_tau_z * sv + params.k_flap_z * f2) * state.theta_rud,
-    ])
-
-
-# ---------------------------------------------------------------------------
-# right-hand sides
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ActuatorCommands:
-    f_flap_c: float = 0.0
-    theta_rud_c: float = 0.0
-    theta_ele_c: float = 0.0
-
-
-def full_rhs(state: FwavState, cmd: ActuatorCommands, params: FwavParams) -> np.ndarray:
-    """Time derivative of the full state vector (16 numbers incl. quaternion)."""
-    y = state.as_vector()
-    if not np.all(np.isfinite(y)):
-        raise PropagationError("non-finite state", step=-1)
-
-    # RK4 stage states carry small quaternion drift; evaluate on the unit sphere
-    q = state.q.normalized()
-    rot = quat_to_rot(q)
-    v_body = rot.T @ state.v
-    force_body = body_drag(v_body, params)
-    force_body[2] += thrust_magnitude(max(state.f_flap, 0.0), params)
-
-    p_dot = state.v
-    v_dot = np.array([0.0, 0.0, -params.g]) + rot @ force_body / params.m
-    q_dot = quat_derivative(q, state.omega)
-    tau = deflection_torque(state, params)
-    omega_dot = np.linalg.solve(
-        params.J, tau - np.cross(state.omega, params.J @ state.omega)
-    )
-    f_dot = (cmd.f_flap_c - state.f_flap) / params.k_flap_c
-    rud_dot = (cmd.theta_rud_c - state.theta_rud) / params.k_rud_c
-    ele_dot = (cmd.theta_ele_c - state.theta_ele) / params.k_ele_c
-
-    return np.concatenate([
-        p_dot, v_dot, q_dot.as_array(), omega_dot, [f_dot, rud_dot, ele_dot]
-    ])
+    y = _floats(state, FwavState)
+    _, _, (ux, _, uz) = _attitude(*y[6:10], *y[3:6])
+    return np.array(_deflection(params, ux, uz, y[13] * y[13], y[14], y[15]))
 
 
 def yaw_acceleration(
@@ -307,58 +334,119 @@ def yaw_acceleration(
     tilt.  The quadratic yaw damping is applied in both modes; set
     vk_damp = 0 to recover the undamped explicit form.
     """
-    gx, gy, gz = inputs.gamma
-    f2 = inputs.f_flap**2
-    vvx, _, vvz = state.vv
-    if rudder_mode == "explicit-rudder":
-        rudder = -(
-            params.vk_tau_x * float(sgn(vvz)) * vvz**2 + params.vk_flap_x * f2 * gz
-        ) * inputs.theta_rud
-        vane = params.vk_gamma * gy * float(sgn(vvx)) * vvx**2
-        acc = rudder + vane
-    elif rudder_mode == "gamma-proxy":
-        gain = params.kbar_gamma * float(sgn(vvz)) * vvz**2 + params.kbar_flap_x * f2 * gz
-        acc = -gain * gy
+    return vertical_rhs(state, inputs, params, rudder_mode)[7]
+
+
+# ---------------------------------------------------------------------------
+# right-hand sides
+# ---------------------------------------------------------------------------
+
+
+def full_rhs(state, cmd, params: FwavParams) -> tuple[float, ...]:
+    """Time derivative of the full state (16 floats incl. quaternion).
+
+    ``state`` is an FwavState or a flat 16-vector; ``cmd`` is an
+    ActuatorCommands or a flat (f_flap_c, theta_rud_c, theta_ele_c).  The
+    quaternion is normalized before use.  Raises InvalidInputError for a
+    negative flapping frequency or a zero quaternion and PropagationError
+    for a non-finite state.
+    """
+    y = state if isinstance(state, (list, tuple)) else _floats(state, FwavState)
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, f, theta_rud, theta_ele = y
+    if isinstance(cmd, ActuatorCommands):
+        f_c, rud_c, ele_c = cmd.f_flap_c, cmd.theta_rud_c, cmd.theta_ele_c
     else:
-        raise InvalidInputError(f"unknown rudder mode {rudder_mode!r}")
-    return acc - params.vk_damp * float(sgn(state.omega_psi)) * state.omega_psi**2
+        f_c, rud_c, ele_c = cmd
+    if f < 0:
+        raise InvalidInputError("flapping frequency must be non-negative")
+    if not all(map(math.isfinite, y)):
+        raise PropagationError("non-finite state", step=-1)
+
+    (qw, qx, qy, qz), r, (ux, uy, uz) = _attitude(qw, qx, qy, qz, vx, vy, vz)
+    f2 = f * f
+    fx, fy, fz = _drag(params, ux, uy, uz)
+    fz += params.k_tf * f2
+    m = params.m
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+
+    # omega_dot = J^-1 (tau - omega x J omega)
+    (j00, j01, j02, j10, j11, j12, j20, j21, j22), jinv = params.inertia()
+    hx = j00 * wx + j01 * wy + j02 * wz
+    hy = j10 * wx + j11 * wy + j12 * wz
+    hz = j20 * wx + j21 * wy + j22 * wz
+    tx, ty, tz = _deflection(params, ux, uz, f2, theta_rud, theta_ele)
+    tx -= wy * hz - wz * hy
+    ty -= wz * hx - wx * hz
+    tz -= wx * hy - wy * hx
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = jinv
+
+    return (
+        vx, vy, vz,
+        (r00 * fx + r01 * fy + r02 * fz) / m,
+        (r10 * fx + r11 * fy + r12 * fz) / m,
+        (r20 * fx + r21 * fy + r22 * fz) / m - params.g,
+        # q_dot = q (x) (0, omega) / 2
+        -0.5 * (qx * wx + qy * wy + qz * wz),
+        0.5 * (qw * wx + qy * wz - qz * wy),
+        0.5 * (qw * wy + qz * wx - qx * wz),
+        0.5 * (qw * wz + qx * wy - qy * wx),
+        i00 * tx + i01 * ty + i02 * tz,
+        i10 * tx + i11 * ty + i12 * tz,
+        i20 * tx + i21 * ty + i22 * tz,
+        (f_c - f) / params.k_flap_c,
+        (rud_c - theta_rud) / params.k_rud_c,
+        (ele_c - theta_ele) / params.k_ele_c,
+    )
 
 
 def vertical_rhs(
-    state: VerticalState,
-    inputs: VerticalInputs,
+    state,
+    inputs,
     params: VerticalParams,
     rudder_mode: str = "gamma-proxy",
-) -> np.ndarray:
-    """Time derivative of the vertical-frame state vector.
+) -> tuple[float, ...]:
+    """Time derivative of the vertical-frame state (8 floats).
 
-    The thrust enters the forward/vertical rows as -k_tf f^2 Gx and
-    +k_tf f^2 Gz.  In "free" lateral mode the lateral row integrates the
-    relaxed non-holonomic dynamics vvy_dot = w_psi*vvx - (vk_d_y/m)*sgn*vvy^2;
-    in "constrained" mode (default) the lateral velocity is frozen, which is
+    ``state`` is a VerticalState or a flat 8-vector; ``inputs`` is a
+    VerticalInputs or a flat (gx, gy, gz, f_flap, theta_rud).  The thrust
+    enters the forward/vertical rows as -k_tf f^2 Gx and +k_tf f^2 Gz.  In
+    "free" lateral mode the lateral row integrates the relaxed
+    non-holonomic dynamics vvy_dot = w_psi*vvx - (vk_d_y/m)*sgn*vvy^2; in
+    "constrained" mode (default) the lateral velocity is frozen, which is
     the idealization the flatness construction assumes.
     """
-    gamma = inputs.gamma
-    if abs(np.linalg.norm(gamma) - 1.0) > 1e-6:
+    y = state if isinstance(state, (list, tuple)) else _floats(state, VerticalState)
+    _, _, _, vvx, vvy, vvz, psi, w = y
+    if isinstance(inputs, VerticalInputs):
+        (gx, gy, gz), f, theta_rud = inputs.gamma.tolist(), inputs.f_flap, inputs.theta_rud
+    else:
+        gx, gy, gz, f, theta_rud = inputs
+    if abs(math.sqrt(gx * gx + gy * gy + gz * gz) - 1.0) > 1e-6:
         raise InvalidInputError("reduced attitude input must be unit norm")
-    if inputs.f_flap < 0:
+    if f < 0:
         raise InvalidInputError("flapping frequency must be non-negative")
 
     m = params.m
-    f2 = inputs.f_flap**2
-    vvx, vvy, vvz = state.vv
-    w = state.omega_psi
-
-    p_dot = rotz(state.psi) @ state.vv
-    ax = -params.k_tf * f2 * gamma[0] / m - params.vk_d_x * float(sgn(vvx)) * vvx**2 / m - w * vvy
-    az = params.k_tf * f2 * gamma[2] / m - params.vk_d_z * float(sgn(vvz)) * vvz**2 / m - params.g
+    f2 = f * f
+    dx, dz = vvx * abs(vvx), vvz * abs(vvz)
+    ax = -params.k_tf * f2 * gx / m - params.vk_d_x * dx / m - w * vvy
     if params.lateral_mode == "constrained":
         ay = 0.0
     else:
-        ay = w * vvx - params.vk_drag_y * float(sgn(vvy)) * vvy**2 / m
-
-    w_dot = yaw_acceleration(state, inputs, params, rudder_mode)
-    return np.concatenate([p_dot, [ax, ay, az], [w, w_dot]])
+        ay = w * vvx - params.vk_drag_y * (vvy * abs(vvy)) / m
+    az = params.k_tf * f2 * gz / m - params.vk_d_z * dz / m - params.g
+    if rudder_mode == "gamma-proxy":
+        w_dot = -(params.kbar_gamma * dz + params.kbar_flap_x * f2 * gz) * gy
+    elif rudder_mode == "explicit-rudder":
+        w_dot = (
+            -(params.vk_tau_x * dz + params.vk_flap_x * f2 * gz) * theta_rud
+            + params.vk_gamma * gy * dx
+        )
+    else:
+        raise InvalidInputError(f"unknown rudder mode {rudder_mode!r}")
+    w_dot -= params.vk_damp * (w * abs(w))
+    c, s = math.cos(psi), math.sin(psi)
+    return c * vvx - s * vvy, s * vvx + c * vvy, vvz, ax, ay, az, w, w_dot
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +454,34 @@ def vertical_rhs(
 # ---------------------------------------------------------------------------
 
 
-def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_flat(rhs, y: list, dt: float, u0, um, u1, *args) -> list:
+    """One classical RK4 step of ``rhs(y, u, *args)`` on a list of floats.
+
+    The input is u0 on the first stage, um on the two midpoint stages and
+    u1 on the last.  Returns a new list.
+    """
+    h = 0.5 * dt
+    k1 = rhs(y, u0, *args)
+    k2 = rhs([a + h * b for a, b in zip(y, k1)], um, *args)
+    k3 = rhs([a + h * b for a, b in zip(y, k2)], um, *args)
+    k4 = rhs([a + dt * b for a, b in zip(y, k3)], u1, *args)
+    c = dt / 6.0
+    return [
+        a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ]
+
+
+def _stage_times(k: int, dt: float) -> tuple[float, float, float]:
+    """Start, midpoint and end times of step k."""
+    t = k * dt
+    return t, t + 0.5 * dt, t + dt
+
+
+def _step_count(dt: float, duration: float) -> int:
+    if dt <= 0 or duration < dt:
+        raise InvalidInputError("need dt > 0 and duration >= dt")
+    return int(round(duration / dt))
 
 
 def integrate(
@@ -379,42 +489,44 @@ def integrate(
     y0: np.ndarray,
     dt: float,
     duration: float,
-    post_step: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 over [0, duration], logging every step.
-
-    ``post_step`` may project the state after each step (quaternion
-    renormalization).  Aborts with PropagationError naming the step index
+    """Fixed-step RK4 of an array-valued field rhs(t, y) over [0, duration],
+    logging every step.  Aborts with PropagationError naming the step index
     when the state goes non-finite.
     """
-    if dt <= 0 or duration < dt:
-        raise InvalidInputError("need dt > 0 and duration >= dt")
-    n_steps = int(round(duration / dt))
-    y = np.asarray(y0, dtype=float).copy()
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, y.size))
-    times[0] = 0.0
+    return _integrate_flat(
+        lambda y, t: rhs(t, np.array(y)), (), y0, dt,
+        _step_count(dt, duration), lambda k: _stage_times(k, dt),
+    )
+
+
+def _integrate_flat(rhs, args, y0, dt, n_steps, stage_inputs, post_step=None):
+    """Fixed-step RK4 of rhs(y, u, *args) from t = 0, logging every step.
+
+    ``stage_inputs(k)`` gives the (start, midpoint, end) inputs of step k;
+    ``post_step`` may project the state in place after each step.
+    """
+    y = [float(v) for v in y0]
+    states = np.empty((n_steps + 1, len(y)))
     states[0] = y
     for k in range(n_steps):
-        t = k * dt
         try:
-            y = rk4_step(rhs, t, y, dt)
+            y = rk4_flat(rhs, y, dt, *stage_inputs(k), *args)
         except PropagationError as err:
             raise PropagationError("integration produced non-finite state", step=k + 1) from err
         if post_step is not None:
-            y = post_step(y)
-        if not np.all(np.isfinite(y)):
+            post_step(y)
+        if not all(map(math.isfinite, y)):
             raise PropagationError("integration produced non-finite state", step=k + 1)
-        times[k + 1] = (k + 1) * dt
         states[k + 1] = y
-    return times, states
+    return np.arange(n_steps + 1) * dt, states
 
 
-def _renormalize_quat(y: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(y[6:10])
+def _renormalize_quat(y: list) -> None:
+    """Project the quaternion of a flat full state onto the unit sphere."""
+    n = math.sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8] + y[9] * y[9])
     if n > 0:
-        y[6:10] /= n
-    return y
+        y[6:10] = [v / n for v in y[6:10]]
 
 
 @dataclass
@@ -424,8 +536,9 @@ class FullLog:
     t: np.ndarray
     states: np.ndarray  # columns: p(3) v(3) q(4) omega(3) f thrud thele
 
-    def state_at(self, index: int) -> FwavState:
-        return FwavState.from_vector(self.states[index])
+    @property
+    def positions(self) -> np.ndarray:
+        return self.states[:, 0:3]
 
     def to_csv(self, path) -> None:
         rows = np.column_stack([self.t, self.states])
@@ -440,19 +553,9 @@ class VerticalLog:
     states: np.ndarray  # columns: p(3) vv(3) psi omegapsi
     inputs: np.ndarray  # columns: gx gy gz fflap
 
-    def state_at(self, index: int) -> VerticalState:
-        return VerticalState.from_vector(self.states[index])
-
     @property
     def positions(self) -> np.ndarray:
         return self.states[:, 0:3]
-
-    @property
-    def v_inertial(self) -> np.ndarray:
-        psi = self.states[:, 6]
-        c, s = np.cos(psi), np.sin(psi)
-        vvx, vvy, vvz = self.states[:, 3], self.states[:, 4], self.states[:, 5]
-        return np.column_stack([c * vvx - s * vvy, s * vvx + c * vvy, vvz])
 
     def to_csv(self, path) -> None:
         rows = np.column_stack([self.t, self.states, self.inputs])
@@ -460,10 +563,12 @@ class VerticalLog:
 
 
 def _write_csv(path, header: str, rows: np.ndarray) -> None:
+    """Header line, then one line per row with every cell as %.12g."""
+    rows = np.asarray(rows)
+    line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+        fh.writelines(line % tuple(row.tolist()) for row in rows)
 
 
 def simulate_full(
@@ -475,10 +580,10 @@ def simulate_full(
 ) -> FullLog:
     """Integrate the full model under a commanded actuator schedule."""
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return full_rhs(FwavState.from_vector(y), commands(t), params)
-
-    t, states = integrate(rhs, state0.as_vector(), dt, duration, post_step=_renormalize_quat)
+    t, states = _integrate_flat(
+        full_rhs, (params,), _floats(state0, FwavState), dt, _step_count(dt, duration),
+        lambda k: tuple(map(commands, _stage_times(k, dt))), _renormalize_quat,
+    )
     return FullLog(t, states)
 
 
@@ -492,15 +597,11 @@ def simulate_vertical(
 ) -> VerticalLog:
     """Integrate the vertical-frame model under a reduced-attitude schedule."""
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return vertical_rhs(VerticalState.from_vector(y), inputs(t), params, rudder_mode)
-
-    t, states = integrate(rhs, state0.as_vector(), dt, duration)
-    applied = np.empty((t.size, 4))
-    for i, ti in enumerate(t):
-        u = inputs(ti)
-        applied[i, 0:3] = u.gamma
-        applied[i, 3] = u.f_flap
+    t, states = _integrate_flat(
+        vertical_rhs, (params, rudder_mode), _floats(state0, VerticalState), dt,
+        _step_count(dt, duration), lambda k: tuple(map(inputs, _stage_times(k, dt))),
+    )
+    applied = np.array([[*u.gamma, u.f_flap] for u in map(inputs, t)])
     return VerticalLog(t, states, applied)
 
 
@@ -516,8 +617,7 @@ def integrate_vertical_tabulated(
     """RK4 on the vertical model with inputs tabulated at half-step spacing.
 
     ``gamma_grid`` (2*n_steps+1, 3) and ``f_grid`` hold the inputs at times
-    k*dt/2, the exact abscissae RK4 stages use.  Scalar arithmetic keeps the
-    per-step cost low for the dt = 1e-4 consistency runs.  Equivalent to
+    k*dt/2, the exact abscissae RK4 stages use.  Equivalent to
     ``simulate_vertical`` with the same inputs (see the regression test).
     """
     if gamma_grid.shape[0] != f_grid.shape[0] or gamma_grid.shape[0] % 2 == 0:
@@ -527,63 +627,11 @@ def integrate_vertical_tabulated(
     n_steps = (gamma_grid.shape[0] - 1) // 2
     if theta_rud_grid is None:
         theta_rud_grid = np.zeros(gamma_grid.shape[0])
-    constrained = params.lateral_mode == "constrained"
-    proxy = rudder_mode == "gamma-proxy"
-    m, g_acc, k_tf = params.m, params.g, params.k_tf
-    kdx, kdy, kdz = params.vk_d_x, params.vk_d_y, params.vk_d_z
-
-    def deriv(y, gx, gy, gz, f2, th):
-        px, py, pz, vvx, vvy, vvz, psi, w = y
-        c, s = math.cos(psi), math.sin(psi)
-        sx = 0.0 if vvx == 0.0 else math.copysign(1.0, vvx)
-        sy = 0.0 if vvy == 0.0 else math.copysign(1.0, vvy)
-        sz = 0.0 if vvz == 0.0 else math.copysign(1.0, vvz)
-        sw = 0.0 if w == 0.0 else math.copysign(1.0, w)
-        ax = -k_tf * f2 * gx / m - kdx * sx * vvx * vvx / m - w * vvy
-        ay = 0.0 if constrained else w * vvx - kdy * sy * vvy * vvy / m
-        az = k_tf * f2 * gz / m - kdz * sz * vvz * vvz / m - g_acc
-        if proxy:
-            wdot = -(params.kbar_gamma * sz * vvz * vvz + params.kbar_flap_x * f2 * gz) * gy
-        else:
-            wdot = (
-                -(params.vk_tau_x * sz * vvz * vvz + params.vk_flap_x * f2 * gz) * th
-                + params.vk_gamma * gy * sx * vvx * vvx
-            )
-        wdot -= params.vk_damp * sw * w * w
-        return (
-            c * vvx - s * vvy, s * vvx + c * vvy, vvz, ax, ay, az, w, wdot,
-        )
-
-    y = tuple(float(v) for v in state0.as_vector())
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, 8))
-    times[0] = 0.0
-    states[0] = y
-
-    def stage(i):
-        gx, gy, gz = gamma_grid[i]
-        return float(gx), float(gy), float(gz), float(f_grid[i]) ** 2, float(theta_rud_grid[i])
-
-    for k in range(n_steps):
-        u0 = stage(2 * k)
-        um = stage(2 * k + 1)
-        u1 = stage(2 * k + 2)
-        k1 = deriv(y, *u0)
-        y2 = tuple(y[i] + 0.5 * dt * k1[i] for i in range(8))
-        k2 = deriv(y2, *um)
-        y3 = tuple(y[i] + 0.5 * dt * k2[i] for i in range(8))
-        k3 = deriv(y3, *um)
-        y4 = tuple(y[i] + dt * k3[i] for i in range(8))
-        k4 = deriv(y4, *u1)
-        y = tuple(
-            y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in range(8)
-        )
-        if not all(math.isfinite(v) for v in y):
-            raise PropagationError("integration produced non-finite state", step=k + 1)
-        times[k + 1] = (k + 1) * dt
-        states[k + 1] = y
-
+    u = np.column_stack([gamma_grid, f_grid, theta_rud_grid]).astype(float)
+    times, states = _integrate_flat(
+        vertical_rhs, (params, rudder_mode), _floats(state0, VerticalState), dt,
+        n_steps, lambda k: u[2 * k:2 * k + 3].tolist(),
+    )
     applied = np.column_stack([gamma_grid[::2], f_grid[::2]])
     return VerticalLog(times, states, applied)
 

@@ -80,14 +80,5 @@ class InsufficientExcitationError(FlapkitError):
     """Flight log does not excite the regressor enough for identification."""
 
 
-class DivergenceError(FlapkitError):
-    """Closed-loop state left the sane envelope; the run was aborted."""
-
-    def __init__(self, message: str, step: int, time: float):
-        super().__init__(f"{message} (step {step}, t={time:.3f} s)")
-        self.step = step
-        self.time = time
-
-
 class InconsistentDerivativeWarning(UserWarning):
     """Rdot*R^T has a non-negligible symmetric part."""

@@ -1,11 +1,18 @@
 """Closed-loop simulation harness.
 
 Wires a planned trajectory into the tracking controller against either
-dynamics model (controller ticks with zero-order hold between ticks), plus
-the two certification simulations used by the stability checks:
+dynamics model.  One loop flies both: the controller ticks every few plant
+steps with zero-order hold in between, and RK4 runs on the flat plant state.
+A small plant adapter supplies what differs between the models: the
+``Measurement`` built from the state, the plant inputs built from the
+controller output, the right-hand side, the post-step projection
+(quaternion renormalization) and the state log.
 
-* the ideal positional loop, where the acceleration expectation is enforced
-  exactly (the premise of the positional stability claim), and
+Also here are the certification simulations used by the stability checks:
+
+* the ideal vertical loop, where the acceleration expectation is enforced
+  exactly (the premise of the positional stability claim) and the heading
+  runs the hybrid law; the ideal positional loop is its positional part, and
 * the hybrid heading loop alone, for jump-decrease checks at hysteresis
   flips.
 """
@@ -17,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import recover_attitude, rotz, split_azimuth, quat_to_rot, wrap_angle
+from .attitude import (
+    UnitQuaternion,
+    quat_to_rot,
+    recover_attitude,
+    rotz,
+    split_azimuth,
+    tilt_quaternion,
+    wrap_angle,
+)
 from .control import (
     CONTROL_LOG_HEADER,
     ControllerGains,
@@ -31,16 +46,15 @@ from .control import (
     lyapunov_monitors,
 )
 from .dynamics import (
-    ActuatorCommands,
     FwavParams,
     FwavState,
     FullLog,
-    VerticalInputs,
     VerticalLog,
     VerticalParams,
     VerticalState,
     full_rhs,
-    rk4_step,
+    rk4_flat,
+    _stage_times,
     vertical_rhs,
     _renormalize_quat,
     _write_csv,
@@ -133,24 +147,22 @@ def run_closed_loop(
     controller = TrackingController(gains, vparams, rate_hz=rate_hz, initial_psi_d=psi0)
 
     if model == "vertical":
+        plant = _VerticalPlant(vparams)
         state = VerticalState(p=p0, vv=rotz(psi0).T @ v0, psi=psi0)
-        return _run_vertical(traj, controller, state, vparams, dt, n_steps, n_sub,
-                             divergence_radius)
-    if model == "full":
-        fparams = fparams or FwavParams()
+    elif model == "full":
+        plant = _FullPlant(fparams or FwavParams())
         state = FwavState(
             p=p0, v=v0,
             q=_quat_from_rotation(recover_attitude(E3, psi0)),
-            f_flap=fparams.hover_frequency,
+            f_flap=plant.params.hover_frequency,
         )
-        return _run_full(traj, controller, state, fparams, dt, n_steps, n_sub,
-                         divergence_radius)
-    raise InvalidInputError(f"unknown model {model!r}")
+    else:
+        raise InvalidInputError(f"unknown model {model!r}")
+    return _fly(traj, controller, plant, state.as_vector().tolist(), dt, n_steps, n_sub,
+                divergence_radius)
 
 
 def _quat_from_rotation(rot: np.ndarray):
-    from .attitude import UnitQuaternion, tilt_quaternion
-
     psi, gamma = split_azimuth(rot)
     half = psi / 2.0
     yaw_q = UnitQuaternion(math.cos(half), np.array([0.0, 0.0, math.sin(half)]))
@@ -162,122 +174,112 @@ def _reference(traj: PiecewiseTrajectory, t: float):
     return traj.eval(t_ref, 0), traj.eval(t_ref, 1)
 
 
-def _run_vertical(traj, controller, state, vparams, dt, n_steps, n_sub, radius):
-    t_log = np.empty(n_steps + 1)
-    s_log = np.empty((n_steps + 1, 8))
-    u_log = np.empty((n_steps + 1, 4))
+class _VerticalPlant:
+    """Vertical-frame model for the closed loop: inputs (gx, gy, gz, f_flap,
+    theta_rud); the log keeps the applied (gx, gy, gz, f_flap)."""
+
+    def __init__(self, params: VerticalParams):
+        self.params = params
+        self.hold = (0.0, 0.0, 1.0, params.hover_frequency, 0.0)
+
+    def measure(self, y, u) -> Measurement:
+        return Measurement(
+            p=np.array(y[0:3]), v=rotz(y[6]) @ np.array(y[3:6]), psi=y[6], omega_psi=y[7],
+            gamma=np.array(u[0:3]), omega=np.array([0.0, 0.0, y[7]]),
+        )
+
+    def inputs(self, out):
+        return (*out.gamma_cmd.tolist(), float(out.f_flap_cmd), 0.0)
+
+    def rhs(self, y, u):
+        return vertical_rhs(y, u, self.params)
+
+    def post_step(self, y):
+        pass
+
+    def log(self, t, states, applied):
+        return VerticalLog(t, states, np.array(applied)[:, 0:4])
+
+
+class _FullPlant:
+    """16-state model for the closed loop: inputs (f_flap_c, theta_rud_c,
+    theta_ele_c); the quaternion is renormalized after every step."""
+
+    def __init__(self, params: FwavParams):
+        self.params = params
+        self.hold = (params.hover_frequency, 0.0, 0.0)
+
+    def measure(self, y, u) -> Measurement:
+        rot = quat_to_rot(UnitQuaternion.from_array(y[6:10]).normalized())
+        psi, gamma = split_azimuth(rot)
+        omega = np.array(y[10:13])
+        return Measurement(
+            p=np.array(y[0:3]), v=np.array(y[3:6]), psi=psi,
+            omega_psi=float((rot @ omega)[2]), gamma=gamma, omega=omega,
+        )
+
+    def inputs(self, out):
+        return (
+            float(out.f_flap_cmd),
+            DEFLECTION_POLARITY * out.theta_rud_cmd,
+            DEFLECTION_POLARITY * out.theta_ele_cmd,
+        )
+
+    def rhs(self, y, u):
+        return full_rhs(y, u, self.params)
+
+    def post_step(self, y):
+        _renormalize_quat(y)
+
+    def log(self, t, states, applied):
+        return FullLog(t, states)
+
+
+def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopResult:
+    """The closed loop: controller ticks every n_sub plant steps, inputs held
+    in between, RK4 on the flat plant state.
+
+    A non-finite RK4 stage ends the run before the step is logged; a
+    position beyond ``radius`` or a non-finite state ends it after.
+    """
+    u = plant.hold
+    states = np.empty((n_steps + 1, len(y)))
+    states[0] = y
+    applied = [u]
     control_t, control_rows = [], []
     jump_times, sat_times = [], []
     diverged, abort_time = False, None
 
-    y = state.as_vector()
-    gamma_cmd = np.array([0.0, 0.0, 1.0])
-    f_cmd = vparams.hover_frequency
-    t_log[0] = 0.0
-    s_log[0] = y
-    u_log[0] = [*gamma_cmd, f_cmd]
-    last = 0
-
     for k in range(n_steps):
         t = k * dt
         if k % n_sub == 0:
-            st = VerticalState.from_vector(y)
             sigma_r, sigma_r_dot = _reference(traj, t)
-            meas = Measurement(
-                p=st.p, v=st.v_inertial, psi=st.psi, omega_psi=st.omega_psi,
-                gamma=gamma_cmd, omega=np.array([0.0, 0.0, st.omega_psi]),
-            )
-            out = controller.update(sigma_r, sigma_r_dot, meas)
-            gamma_cmd, f_cmd = out.gamma_cmd, out.f_flap_cmd
+            out = controller.update(sigma_r, sigma_r_dot, plant.measure(y, u))
+            u = plant.inputs(out)
             control_t.append(t)
             control_rows.append(out.log_row(t)[1:])
             if out.jumped:
                 jump_times.append(t)
             if out.ff_saturated:
                 sat_times.append(t)
-
-        inputs = VerticalInputs(gamma=gamma_cmd, f_flap=f_cmd)
-
-        def rhs(tt, yy):
-            return vertical_rhs(VerticalState.from_vector(yy), inputs, vparams)
-
-        y = rk4_step(rhs, t, y, dt)
-        t_log[k + 1] = (k + 1) * dt
-        s_log[k + 1] = y
-        u_log[k + 1] = [*gamma_cmd, f_cmd]
-        last = k + 1
-        if np.linalg.norm(y[0:3]) > radius or not np.all(np.isfinite(y)):
-            diverged, abort_time = True, (k + 1) * dt
-            break
-
-    n = last + 1
-    return ClosedLoopResult(
-        state_log=VerticalLog(t_log[:n], s_log[:n], u_log[:n]),
-        control_t=np.array(control_t),
-        control_rows=np.array(control_rows),
-        jump_times=jump_times,
-        ff_sat_times=sat_times,
-        diverged=diverged,
-        abort_time=abort_time,
-    )
-
-
-def _run_full(traj, controller, state, fparams, dt, n_steps, n_sub, radius):
-    t_log = np.empty(n_steps + 1)
-    s_log = np.empty((n_steps + 1, 16))
-    control_t, control_rows = [], []
-    jump_times, sat_times = [], []
-    diverged, abort_time = False, None
-
-    y = state.as_vector()
-    cmd = ActuatorCommands(f_flap_c=fparams.hover_frequency)
-    t_log[0] = 0.0
-    s_log[0] = y
-    last = 0
-
-    for k in range(n_steps):
-        t = k * dt
-        if k % n_sub == 0:
-            st = FwavState.from_vector(y)
-            rot = quat_to_rot(st.q.normalized())
-            psi, gamma = split_azimuth(rot)
-            sigma_r, sigma_r_dot = _reference(traj, t)
-            meas = Measurement(
-                p=st.p, v=st.v, psi=psi,
-                omega_psi=float((rot @ st.omega)[2]),
-                gamma=gamma, omega=st.omega,
-            )
-            out = controller.update(sigma_r, sigma_r_dot, meas)
-            cmd = ActuatorCommands(
-                f_flap_c=out.f_flap_cmd,
-                theta_rud_c=DEFLECTION_POLARITY * out.theta_rud_cmd,
-                theta_ele_c=DEFLECTION_POLARITY * out.theta_ele_cmd,
-            )
-            control_t.append(t)
-            control_rows.append(out.log_row(t)[1:])
-            if out.jumped:
-                jump_times.append(t)
-            if out.ff_saturated:
-                sat_times.append(t)
-
-        def rhs(tt, yy):
-            return full_rhs(FwavState.from_vector(yy), cmd, fparams)
-
         try:
-            y = _renormalize_quat(rk4_step(rhs, t, y, dt))
+            y = rk4_flat(plant.rhs, y, dt, u, u, u)
         except PropagationError:
             diverged, abort_time = True, (k + 1) * dt
             break
-        t_log[k + 1] = (k + 1) * dt
-        s_log[k + 1] = y
-        last = k + 1
-        if np.linalg.norm(y[0:3]) > radius or not np.all(np.isfinite(y)):
+        plant.post_step(y)
+        states[k + 1] = y
+        applied.append(u)
+        if (
+            math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) > radius
+            or not all(map(math.isfinite, y))
+        ):
             diverged, abort_time = True, (k + 1) * dt
             break
 
-    n = last + 1
+    n = len(applied)
     return ClosedLoopResult(
-        state_log=FullLog(t_log[:n], s_log[:n]),
+        state_log=plant.log(np.arange(n) * dt, states[:n], applied),
         control_t=np.array(control_t),
         control_rows=np.array(control_rows),
         jump_times=jump_times,
@@ -290,6 +292,23 @@ def _run_full(traj, controller, state, fparams, dt, n_steps, n_sub, radius):
 # ---------------------------------------------------------------------------
 # certification simulations
 # ---------------------------------------------------------------------------
+
+
+def _positional_law(gains: ControllerGains, reference, t: float, y):
+    """The ideal positional loop at time t for a flat state y = (p, v, ...).
+
+    Returns the errors e_p and e_v, the exactly enforced acceleration a_d
+    (analytic desired-velocity derivative, no filter) and the candidate V1.
+    """
+    kp, kv = gains.kp, gains.kv
+    p, v = np.array(y[0:3]), np.array(y[3:6])
+    sigma, sigma_dot, sigma_ddot = reference(t)
+    e_p = sigma - p
+    v_d_dot = sigma_ddot + kp / np.cosh(e_p) ** 2 * (sigma_dot - v)
+    e_v = sigma_dot + kp * np.tanh(e_p) - v
+    a_d = v_d_dot + kv / kp * np.tanh(e_p) + kv * np.tanh(e_v)
+    v1 = 0.5 * float(e_p @ (e_p / kp)) + 0.5 * float(e_v @ (e_v / kv))
+    return e_p, e_v, a_d, v1
 
 
 @dataclass
@@ -314,52 +333,22 @@ def simulate_ideal_positional(
     The desired-velocity derivative is evaluated analytically (no filter),
     so the candidate-function decrease holds to integration accuracy.  The
     reference defaults to hovering at the origin; otherwise pass a callable
-    t -> (sigma_r, sigma_r_dot, sigma_r_ddot).
+    t -> (sigma_r, sigma_r_dot, sigma_r_ddot).  The positional subsystem of
+    the ideal vertical loop does not depend on its heading, so this is that
+    loop with the heading at rest.
     """
-    kp, kv = gains.kp, gains.kv
-    if reference is None:
-        reference = lambda t: (np.zeros(3), np.zeros(3), np.zeros(3))
-
-    def rhs(t, y):
-        p, v = y[0:3], y[3:6]
-        sigma, sigma_dot, sigma_ddot = reference(t)
-        e_p = sigma - p
-        e_p_dot = sigma_dot - v
-        v_d_dot = sigma_ddot + kp / np.cosh(e_p) ** 2 * e_p_dot
-        e_v = sigma_dot + kp * np.tanh(e_p) - v
-        a_d = v_d_dot + kv / kp * np.tanh(e_p) + kv * np.tanh(e_v)
-        return np.concatenate([v, a_d])
-
-    n_steps = int(round(duration / dt))
-    y = np.concatenate([np.asarray(p0, dtype=float), np.asarray(v0, dtype=float)])
-    times, eps, evs, v1s = [0.0], [], [], []
-
-    def record(t, y):
-        sigma, sigma_dot, _ = reference(t)
-        e_p = sigma - y[0:3]
-        e_v = sigma_dot + kp * np.tanh(e_p) - y[3:6]
-        eps.append(e_p)
-        evs.append(e_v)
-        v1s.append(0.5 * float(e_p @ (e_p / kp)) + 0.5 * float(e_v @ (e_v / kv)))
-
-    record(0.0, y)
-    for k in range(n_steps):
-        y = rk4_step(rhs, k * dt, y, dt)
-        t = (k + 1) * dt
-        times.append(t)
-        record(t, y)
-        if stop_when_ep_below is not None and np.linalg.norm(eps[-1]) < stop_when_ep_below:
-            break
-
-    return IdealLoopResult(
-        t=np.array(times), e_p=np.array(eps), e_v=np.array(evs), V1=np.array(v1s)
+    res = simulate_ideal_vertical(
+        gains, p0, v0, reference=reference, dt=dt, duration=duration,
+        stop_when_ep_below=stop_when_ep_below,
     )
+    return IdealLoopResult(t=res.t, e_p=res.e_p, e_v=res.e_v, V1=res.V1)
 
 
 @dataclass
 class IdealVerticalResult:
     t: np.ndarray
     e_p: np.ndarray
+    e_v: np.ndarray
     V1: np.ndarray
     psi: np.ndarray
     omega_psi: np.ndarray
@@ -392,7 +381,6 @@ def simulate_ideal_vertical(
         l_gain = math.sqrt(gains.l_gamma_min * gains.l_gamma_max)
     if reference is None:
         reference = lambda t: (np.zeros(3), np.zeros(3), np.zeros(3))
-    kp, kv = gains.kp, gains.kv
     n_sub = max(int(round(1.0 / (rate_hz * dt))), 1)
     n_steps = int(round(duration / dt))
 
@@ -401,35 +389,25 @@ def simulate_ideal_vertical(
     gamma_yd = 0.0
     jump_count = 0
 
-    y = np.concatenate([
-        np.asarray(p0, dtype=float), np.asarray(v0, dtype=float), [psi0, omega0]
-    ])
+    y = [float(x) for x in (*p0, *v0, psi0, omega0)]
 
-    def rhs(t, state):
-        p, v = state[0:3], state[3:6]
-        sigma, sigma_dot, sigma_ddot = reference(t)
-        e_p = sigma - p
-        e_p_dot = sigma_dot - v
-        v_d_dot = sigma_ddot + kp / np.cosh(e_p) ** 2 * e_p_dot
-        e_v = sigma_dot + kp * np.tanh(e_p) - v
-        a_d = v_d_dot + kv / kp * np.tanh(e_p) + kv * np.tanh(e_v)
-        return np.concatenate([v, a_d, [state[7], -l_gain * gamma_yd]])
+    def rhs(y, t):
+        a_d = _positional_law(gains, reference, t, y)[2]
+        return [*y[3:6], *a_d, y[7], -l_gain * gamma_yd]
 
     times = [0.0]
-    eps, v1s, psis, omegas = [], [], [], []
+    eps, evs, v1s, psis, omegas = [], [], [], [], []
 
-    def record(t, state):
-        sigma, sigma_dot, _ = reference(t)
-        e_p = sigma - state[0:3]
-        e_v = sigma_dot + kp * np.tanh(e_p) - state[3:6]
+    def record(t, y):
+        e_p, e_v, _, v1 = _positional_law(gains, reference, t, y)
         eps.append(e_p)
-        v1s.append(0.5 * float(e_p @ (e_p / kp)) + 0.5 * float(e_v @ (e_v / kv)))
-        psis.append(state[6])
-        omegas.append(state[7])
+        evs.append(e_v)
+        v1s.append(v1)
+        psis.append(y[6])
+        omegas.append(y[7])
 
     record(0.0, y)
     for k in range(n_steps):
-        t = k * dt
         if k % n_sub == 0:
             delta_psi = wrap_angle(psi_d - y[6])
             h_new = hysteresis_update(h, delta_psi, gains.delta)
@@ -443,16 +421,20 @@ def simulate_ideal_vertical(
             gamma_yd = gamma_y_command(
                 omega_psi_d - y[7], delta_psi, h, float(wd_rate[0]), gains
             )
-        y = rk4_step(rhs, t, y, dt)
+        y = rk4_flat(rhs, y, dt, *_stage_times(k, dt))
         times.append((k + 1) * dt)
         record((k + 1) * dt, y)
         if stop_when_ep_below is not None and np.linalg.norm(eps[-1]) < stop_when_ep_below:
             break
 
     return IdealVerticalResult(
-        t=np.array(times), e_p=np.array(eps), V1=np.array(v1s),
+        t=np.array(times), e_p=np.array(eps), e_v=np.array(evs), V1=np.array(v1s),
         psi=np.array(psis), omega_psi=np.array(omegas), jump_count=jump_count,
     )
+
+
+def _heading_flow(y, gamma_yd: float, l_gain: float):
+    return y[1], -l_gain * gamma_yd
 
 
 @dataclass
@@ -541,12 +523,7 @@ def simulate_heading_loop(
             )
 
         # flow: psi' = w, w' = -l * gamma_yd (zero-order-hold input)
-        k1 = (w, -l_gain * gamma_yd)
-        k2 = (w + 0.5 * dt * k1[1], -l_gain * gamma_yd)
-        k3 = (w + 0.5 * dt * k2[1], -l_gain * gamma_yd)
-        k4 = (w + dt * k3[1], -l_gain * gamma_yd)
-        psi += dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        w += dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        psi, w = rk4_flat(_heading_flow, [psi, w], dt, gamma_yd, gamma_yd, gamma_yd, l_gain)
 
         t_next = (k + 1) * dt
         times.append(t_next)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flapkit.attitude import UnitQuaternion, quat_to_rot
+from flapkit.attitude import UnitQuaternion, quat_to_rot, rotz
 from flapkit.dynamics import (
     ActuatorCommands,
     FwavParams,
@@ -21,6 +23,8 @@ from flapkit.dynamics import (
     simulate_vertical,
     thrust_magnitude,
     vertical_rhs,
+    yaw_acceleration,
+    _write_csv,
 )
 from flapkit.errors import InvalidInputError, PropagationError
 
@@ -293,3 +297,288 @@ class TestParamValidation:
     def test_gain_bounds_ordering(self):
         with pytest.raises(InvalidInputError):
             VerticalParams(l_gamma_min=2.0, l_gamma_max=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the scalar core against the object-path formulas it replaced
+# ---------------------------------------------------------------------------
+
+HYPOTHESIS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def quat_derivative(q: UnitQuaternion, omega_body: np.ndarray) -> UnitQuaternion:
+    """Kinematics qdot = 0.5 * q (x) (0, omega_body).  Not normalized."""
+    d = q.multiply(UnitQuaternion(0.0, np.asarray(omega_body, dtype=float)))
+    return UnitQuaternion(0.5 * d.eta, 0.5 * d.epsilon)
+
+
+def oracle_full_rhs(state, cmd, params):
+    """Full-model derivative through UnitQuaternion, quat_to_rot,
+    quat_derivative, np.cross and np.linalg.solve, with sgn = np.sign."""
+    q = state.q.normalized()
+    rot = quat_to_rot(q)
+    v_body = rot.T @ state.v
+    k = np.array([params.k_d_x, params.k_d_y, params.k_d_z])
+    force_body = -k * np.sign(v_body) * v_body**2
+    force_body[2] += params.k_tf * state.f_flap**2
+    v_dot = np.array([0.0, 0.0, -params.g]) + rot @ force_body / params.m
+    q_dot = quat_derivative(q, state.omega)
+    sv = float(np.sign(v_body[2])) * v_body[0] ** 2
+    f2 = state.f_flap**2
+    tau = np.array([
+        -(params.k_tau_x * sv + params.k_flap_x * f2) * state.theta_rud,
+        -(params.k_tau_y * sv + params.k_flap_y * f2) * state.theta_ele,
+        -(params.k_tau_z * sv + params.k_flap_z * f2) * state.theta_rud,
+    ])
+    j_omega = params.J @ state.omega
+    omega_dot = np.linalg.solve(params.J, tau - np.cross(state.omega, j_omega))
+    lags = [
+        (cmd.f_flap_c - state.f_flap) / params.k_flap_c,
+        (cmd.theta_rud_c - state.theta_rud) / params.k_rud_c,
+        (cmd.theta_ele_c - state.theta_ele) / params.k_ele_c,
+    ]
+    derivative = np.concatenate([state.v, v_dot, q_dot.as_array(), omega_dot, lags])
+    # size of the terms each block sums, for a relative error measure;
+    # l1 norms, so that tiny components do not underflow when squared
+    l1 = lambda x: float(np.sum(np.abs(x)))
+    scales = [
+        l1(state.v),
+        params.g + l1(force_body) / params.m,
+        l1(state.omega),
+        np.max(np.sum(np.abs(np.linalg.inv(params.J)), axis=1))
+        * (l1(tau) + l1(state.omega) * l1(j_omega)),
+        max(abs(c) + abs(x) for c, x in zip(
+            (cmd.f_flap_c, cmd.theta_rud_c, cmd.theta_ele_c),
+            (state.f_flap, state.theta_rud, state.theta_ele),
+        )) / min(params.k_flap_c, params.k_rud_c, params.k_ele_c),
+    ]
+    return derivative, scales
+
+
+def oracle_vertical_rhs(state, inputs, params, rudder_mode):
+    """Vertical-model derivative through rotz and np.sign."""
+    gx, gy, gz = inputs.gamma
+    m = params.m
+    f2 = inputs.f_flap**2
+    vvx, vvy, vvz = state.vv
+    w = state.omega_psi
+    sx, sy, sz, sw = (float(np.sign(x)) for x in (vvx, vvy, vvz, w))
+    p_dot = rotz(state.psi) @ state.vv
+    ax = -params.k_tf * f2 * gx / m - params.vk_d_x * sx * vvx**2 / m - w * vvy
+    az = params.k_tf * f2 * gz / m - params.vk_d_z * sz * vvz**2 / m - params.g
+    if params.lateral_mode == "constrained":
+        ay = 0.0
+    else:
+        ay = w * vvx - params.vk_d_y * sy * vvy**2 / m
+    if rudder_mode == "explicit-rudder":
+        yaw_terms = [
+            (params.vk_tau_x * sz * vvz**2 + params.vk_flap_x * f2 * gz) * inputs.theta_rud,
+            params.vk_gamma * gy * sx * vvx**2,
+        ]
+        w_dot = -yaw_terms[0] + yaw_terms[1]
+    else:
+        yaw_terms = [(params.kbar_gamma * sz * vvz**2 + params.kbar_flap_x * f2 * gz) * gy]
+        w_dot = -yaw_terms[0]
+    yaw_terms.append(params.vk_damp * sw * w**2)
+    w_dot -= yaw_terms[-1]
+    derivative = np.concatenate([p_dot, [ax, ay, az], [w, w_dot]])
+    speed = float(np.sum(np.abs(state.vv)))
+    scales = [
+        speed,
+        (params.k_tf * f2 + max(params.vk_d_x, params.vk_d_y, params.vk_d_z) * speed * speed) / m
+        + params.g + abs(w) * speed,
+        abs(w),
+        sum(abs(x) for x in yaw_terms),
+    ]
+    return derivative, scales
+
+
+def assert_blocks_close(derivative, oracle, scales, blocks, rtol=1e-12):
+    """Each block agrees to rtol relative to the size of its terms; below
+    the normal range (tiny) floats carry no relative precision."""
+    derivative = np.asarray(derivative, dtype=float)
+    assert derivative.shape == oracle.shape
+    for (lo, hi), scale in zip(blocks, scales):
+        gap = np.max(np.abs(derivative[lo:hi] - oracle[lo:hi]))
+        assert gap <= rtol * scale + np.finfo(float).tiny, (lo, hi, gap, scale)
+
+
+FULL_BLOCKS = [(0, 3), (3, 6), (6, 10), (10, 13), (13, 16)]
+VERTICAL_BLOCKS = [(0, 3), (3, 6), (6, 7), (7, 8)]
+
+# exact zeros (both signs) in every component, otherwise moderate values
+component = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+quaternion = st.one_of(
+    # axis-aligned attitudes keep body-frame zeros exact
+    st.sampled_from([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.6, 0.8, 0.0, 0.0)]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: sum(x * x for x in q) > 1e-2),
+).flatmap(lambda q: st.floats(0.8, 1.25).map(lambda s: tuple(s * x for x in q)))
+inertia = st.sampled_from([
+    np.diag([8.0e-5, 6.0e-5, 9.0e-5]),
+    np.array([[8.0e-5, 1.0e-5, -2.0e-6], [1.0e-5, 6.0e-5, 3.0e-6], [-2.0e-6, 3.0e-6, 9.0e-5]]),
+])
+
+
+class TestScalarCoreOracle:
+    @HYPOTHESIS
+    @given(
+        v=st.tuples(component, component, component),
+        q=quaternion,
+        omega=st.tuples(component, component, component),
+        f=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+        deflections=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+        cmd=st.tuples(st.floats(0.0, 30.0), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+        J=inertia,
+    )
+    def test_full_rhs_matches_object_path(self, v, q, omega, f, deflections, cmd, J):
+        params = FwavParams(J=J)
+        state = FwavState(
+            p=np.array([0.3, -1.0, 2.0]), v=np.array(v),
+            q=UnitQuaternion(q[0], np.array(q[1:])), omega=np.array(omega),
+            f_flap=f, theta_rud=deflections[0], theta_ele=deflections[1],
+        )
+        oracle, scales = oracle_full_rhs(state, ActuatorCommands(*cmd), params)
+        assert_blocks_close(
+            full_rhs(state, ActuatorCommands(*cmd), params), oracle, scales, FULL_BLOCKS
+        )
+        assert_blocks_close(
+            full_rhs(state.as_vector(), cmd, params), oracle, scales, FULL_BLOCKS
+        )
+
+    @pytest.mark.parametrize("rudder_mode", ["gamma-proxy", "explicit-rudder"])
+    @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
+    @HYPOTHESIS
+    @given(
+        vv=st.tuples(component, component, component),
+        psi=st.floats(-4.0, 4.0),
+        w=component,
+        gamma=st.tuples(component, component, component).filter(
+            lambda g: sum(x * x for x in g) > 1e-2
+        ),
+        f=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+        theta_rud=st.floats(-0.5, 0.5),
+    )
+    def test_vertical_rhs_matches_object_path(
+        self, rudder_mode, lateral_mode, vv, psi, w, gamma, f, theta_rud
+    ):
+        params = VerticalParams(lateral_mode=lateral_mode)
+        gamma = np.array(gamma) / np.linalg.norm(gamma)
+        state = VerticalState(p=np.array([1.0, 2.0, -0.5]), vv=np.array(vv), psi=psi, omega_psi=w)
+        inputs = VerticalInputs(gamma=gamma, f_flap=f, theta_rud=theta_rud)
+        oracle, scales = oracle_vertical_rhs(state, inputs, params, rudder_mode)
+        assert_blocks_close(
+            vertical_rhs(state, inputs, params, rudder_mode), oracle, scales, VERTICAL_BLOCKS
+        )
+        flat_inputs = (*gamma.tolist(), f, theta_rud)
+        assert_blocks_close(
+            vertical_rhs(state.as_vector(), flat_inputs, params, rudder_mode),
+            oracle, scales, VERTICAL_BLOCKS,
+        )
+        assert yaw_acceleration(state, inputs, params, rudder_mode) == pytest.approx(
+            oracle[7], rel=0.0, abs=1e-12 * scales[3]
+        )
+
+    def test_primitives_share_the_core_terms(self, params):
+        state = FwavState(
+            v=np.array([0.7, -0.2, 0.4]), q=UnitQuaternion(0.9, np.array([0.1, -0.3, 0.2])),
+            f_flap=14.0, theta_rud=0.1, theta_ele=-0.05,
+        )
+        oracle, _ = oracle_full_rhs(state, ActuatorCommands(), params)
+        tau = deflection_torque(state, params)
+        omega_dot = np.linalg.solve(params.J, tau)  # omega = 0: no gyroscopic term
+        assert np.allclose(omega_dot, oracle[10:13], rtol=1e-12, atol=0.0)
+        assert np.array_equal(body_drag([0.0, -0.0, 2.0], params), [0.0, 0.0, -params.k_d_z * 4.0])
+
+
+def _flat_or_view(view, flat: bool):
+    return view.as_vector() if flat else view
+
+
+class TestScalarCoreErrors:
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_nonfinite_state(self, params, flat):
+        for bad in (np.nan, np.inf):
+            state = FwavState(v=np.array([0.0, bad, 0.0]))
+            with pytest.raises(PropagationError):
+                full_rhs(_flat_or_view(state, flat), ActuatorCommands(), params)
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_negative_flap_frequency(self, params, vparams, flat):
+        state = FwavState(f_flap=5.0)
+        state.f_flap = -1.0
+        with pytest.raises(InvalidInputError):
+            full_rhs(_flat_or_view(state, flat), ActuatorCommands(), params)
+        inputs = VerticalInputs(gamma=[0.0, 0.0, 1.0], f_flap=-1.0)
+        vinputs = (0.0, 0.0, 1.0, -1.0, 0.0) if flat else inputs
+        with pytest.raises(InvalidInputError):
+            vertical_rhs(_flat_or_view(VerticalState(), flat), vinputs, vparams)
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_zero_quaternion(self, params, flat):
+        state = FwavState(q=UnitQuaternion(0.0, np.zeros(3)))
+        with pytest.raises(InvalidInputError):
+            full_rhs(_flat_or_view(state, flat), ActuatorCommands(), params)
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_non_unit_gamma(self, vparams, flat):
+        inputs = (0.0, 0.0, 1.01, 10.0, 0.0) if flat else VerticalInputs(
+            gamma=[0.0, 0.0, 1.01], f_flap=10.0
+        )
+        with pytest.raises(InvalidInputError):
+            vertical_rhs(_flat_or_view(VerticalState(), flat), inputs, vparams)
+
+    def test_unknown_rudder_mode(self, vparams):
+        u = VerticalInputs(gamma=[0.0, 0.0, 1.0], f_flap=10.0)
+        with pytest.raises(InvalidInputError):
+            vertical_rhs(VerticalState(), u, vparams, rudder_mode="aileron")
+
+
+class TestInertia:
+    def test_changed_inertia_is_honoured(self):
+        params = FwavParams()
+        state = FwavState(omega=np.array([1.0, -2.0, 0.5]), f_flap=10.0,
+                          theta_rud=0.1, theta_ele=0.2, v=np.array([0.5, 0.0, 0.3]))
+        before = np.array(full_rhs(state, ActuatorCommands(), params))
+
+        params.J = np.diag([2.0e-4, 6.0e-5, 9.0e-5])  # reassigned
+        after = np.array(full_rhs(state, ActuatorCommands(), params))
+        oracle, _ = oracle_full_rhs(state, ActuatorCommands(), params)
+        assert not np.allclose(after[10:13], before[10:13])
+        assert np.allclose(after[10:13], oracle[10:13], rtol=1e-12, atol=0.0)
+
+        params.J[1, 1] = 3.0e-5  # edited in place
+        edited = np.array(full_rhs(state, ActuatorCommands(), params))
+        oracle, _ = oracle_full_rhs(state, ActuatorCommands(), params)
+        assert not np.allclose(edited[10:13], after[10:13])
+        assert np.allclose(edited[10:13], oracle[10:13], rtol=1e-12, atol=0.0)
+
+
+def _per_cell_csv(path, header, rows):
+    """The cell-by-cell writer the logs used before: one f-string per cell."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+
+
+class TestCsvBytes:
+    def test_special_values_byte_identical(self, tmp_path):
+        special = [0.0, -0.0, 1e-300, 5e-324, 1e17, -1e17, np.nan, np.inf, -np.inf,
+                   1.0 / 3.0, -2.5e-7, 123456789012.5, 0.1]
+        rng = np.random.default_rng(5)
+        rows = np.vstack([
+            np.array(special).reshape(1, -1),
+            rng.standard_normal((50, len(special))) * 10.0 ** rng.integers(-300, 300, (50, 1)),
+        ])
+        _write_csv(tmp_path / "new.csv", "h", rows)
+        _per_cell_csv(tmp_path / "old.csv", "h", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_numpy_scalar_rows_byte_identical(self, tmp_path):
+        rows = [
+            [np.float64(0.25), np.float32(0.1), np.float64(-0.0), 3],
+            [np.float32(1e17), np.float64(np.nan), np.float64(-np.inf), 10**17],
+        ]
+        _write_csv(tmp_path / "new.csv", "a,b,c,d", rows)
+        _per_cell_csv(tmp_path / "old.csv", "a,b,c,d", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import flapkit.simulate
 from flapkit.control import ControllerGains
 from flapkit.dynamics import (
     VerticalInputs,
@@ -66,6 +67,31 @@ class TestClosedLoop:
         assert not res.diverged
         assert np.max(np.linalg.norm(err, axis=1)) < 0.6
         assert abs(err[-1, 2]) < 0.05
+
+    @pytest.mark.parametrize(
+        "model, rhs_name", [("vertical", "vertical_rhs"), ("full", "full_rhs")]
+    )
+    def test_plant_rhs_looked_up_once_per_stage(self, monkeypatch, model, rhs_name):
+        # the closed loop reads the module global at call time, once per RK4
+        # stage, so a wrapper installed over it sees every evaluation
+        calls = {"vertical_rhs": 0, "full_rhs": 0}
+
+        def counting(name):
+            original = getattr(flapkit.simulate, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(flapkit.simulate, name, counting(name))
+        traj = constant_trajectory([0.0, 0.0, 0.5], T=0.25)
+        res = run_closed_loop(traj, model=model, duration=0.25, perturb_pos=(0.0, 0.0, 0.01))
+        steps = len(res.state_log.t) - 1
+        assert steps == 250 and not res.diverged
+        assert calls == {name: (4 * steps if name == rhs_name else 0) for name in calls}
 
     def test_unknown_model(self):
         traj = constant_trajectory([0, 0, 0], T=1.0)
