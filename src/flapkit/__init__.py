@@ -3,7 +3,6 @@ flapping-wing aerial vehicle."""
 
 from .attitude import (
     UnitQuaternion,
-    angular_velocity_from_rotation,
     quat_to_rot,
     recover_attitude,
     reduced_attitude,

@@ -16,12 +16,11 @@ is the tilt factor rebuilt from Gamma alone.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAttitudeError, InconsistentDerivativeWarning, InvalidInputError
+from .errors import DegenerateAttitudeError, InvalidInputError
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -84,11 +83,6 @@ def skew(v: np.ndarray) -> np.ndarray:
         [v[2], 0.0, -v[0]],
         [-v[1], v[0], 0.0],
     ])
-
-
-def unskew(mat: np.ndarray) -> np.ndarray:
-    """Vector of the antisymmetric part of ``mat``."""
-    return np.array([mat[2, 1], mat[0, 2], mat[1, 0]])
 
 
 def quat_to_rot(q: UnitQuaternion) -> np.ndarray:
@@ -160,23 +154,3 @@ def split_azimuth(rot: np.ndarray) -> tuple[float, np.ndarray]:
     rz = rot @ r_e.T
     psi = math.atan2(rz[1, 0], rz[0, 0])
     return wrap_angle(psi), gamma
-
-
-def angular_velocity_from_rotation(
-    rot: np.ndarray, rot_dot: np.ndarray, sym_tol: float = 1e-6
-) -> np.ndarray:
-    """Extract omega from [omega]x = Rdot R^T.
-
-    Warns when the symmetric part of Rdot R^T exceeds ``sym_tol``, which
-    indicates Rdot is not a consistent derivative of R.
-    """
-    w_mat = np.asarray(rot_dot, dtype=float) @ np.asarray(rot, dtype=float).T
-    sym = 0.5 * (w_mat + w_mat.T)
-    if np.max(np.abs(sym)) > sym_tol:
-        warnings.warn(
-            f"symmetric part of Rdot R^T reaches {np.max(np.abs(sym)):.2e}",
-            InconsistentDerivativeWarning,
-            stacklevel=2,
-        )
-    anti = 0.5 * (w_mat - w_mat.T)
-    return unskew(anti)

@@ -78,7 +78,3 @@ class DegenerateDecompositionError(FlapkitError):
 
 class InsufficientExcitationError(FlapkitError):
     """Flight log does not excite the regressor enough for identification."""
-
-
-class InconsistentDerivativeWarning(UserWarning):
-    """Rdot*R^T has a non-negligible symmetric part."""

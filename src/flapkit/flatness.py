@@ -1,19 +1,21 @@
 """Differential-flatness map: flat outputs -> states and physical inputs.
 
-Given a flat output sigma(t) = (x, y, z) with derivatives through 4th order,
-the chain recovers, in order:
+Given a flat output sigma(t) = (x, y, z) and its derivatives, one chain
+recovers, in order:
 
-1. the azimuth psi from the horizontal velocity direction, its rate and
-   acceleration analytically from the polynomial derivatives, and the
-   vertical-frame velocity/acceleration by exact differentiation of the
-   frame transform;
+1. the vertical frame: the azimuth psi from the horizontal velocity
+   direction (or an explicit constant-rate azimuth where the velocity does
+   not define it), its rate, and the vertical-frame velocity Rz(psi)^T v;
 2. the tilt components and flapping frequency by inverting the forward and
    vertical force rows together with the wind-vane yaw row, using the unit
    norm of the reduced attitude and f >= 0 to disambiguate;
-3. the full rotation R(t) = Rz(psi) R_e(Gamma), body rates by differencing
-   the analytically evaluated R(t), and the rudder/elevator deflections by
-   inverting the x- and y-rows of the torque model (the yaw row is treated
-   as negligible).
+3. the full rotation R(t) = Rz(psi) R_e(Gamma), exact body rates from the jet
+   of the tilt quaternion, and the rudder/elevator deflections by inverting
+   the x- and y-rows of the torque model (the yaw row is treated as
+   negligible).
+
+The chain runs on truncated Taylor jets (``Jet``) over a sample axis: one code
+path serves one sample and a whole time grid, and every derivative is exact.
 
 Everything below the azimuth floor ``V_EPS`` is degenerate: the heading is
 not defined by the velocity and the caller must supply it explicitly.
@@ -23,19 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
-from .attitude import (
-    angular_velocity_from_rotation,
-    recover_attitude,
-    rotz,
-    tilt_quaternion,
-    wrap_angle,
-)
-from .dynamics import FwavParams, VerticalParams, sgn
+from .attitude import ANTIPODAL_TOL
+from .dynamics import FULL_LOG_HEADER, FwavParams, VerticalParams, VerticalState, _write_csv
 from .errors import (
+    DegenerateAttitudeError,
     DegenerateHeadingError,
     InfeasibleHeadingAccelerationError,
     NegligibleThrustError,
@@ -45,6 +42,174 @@ from .trajectory import FlatSample, PiecewiseTrajectory
 
 V_EPS = 0.05  # m/s, horizontal-speed floor for a defined azimuth
 F_EPS = 1.0  # Hz, flapping-frequency validity floor
+_BLOCK = 4096  # samples per chain evaluation in tabulate (bounds its memory)
+
+
+class Jet:
+    """Truncated Taylor jet over a sample axis: ``c[k] = f^(k)(t) / k!``.
+
+    ``c`` has shape (K+1, N).  Binary operations truncate to the lower
+    order; ``d()`` is the derivative, one order lower.
+    """
+
+    __slots__ = ("c",)
+    __array_ufunc__ = None  # ndarray (op) Jet defers to the Jet operators
+
+    def __init__(self, c):
+        self.c = c
+
+    def _pair(self, other: "Jet"):
+        n = min(len(self.c), len(other.c))
+        return self.c[:n], other.c[:n]
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(np.add(*self._pair(other)))
+        c = self.c.copy()
+        c[0] += other
+        return Jet(c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.c)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.c * other)
+        a, b = self._pair(other)
+        out = a * b[0]
+        for i in range(1, len(a)):
+            out[i:] += a[:-i] * b[i]
+        return Jet(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.c / other)
+        a, b = self._pair(other)
+        q = np.empty(a.shape)
+        for k in range(len(q)):
+            q[k] = (a[k] - (b[k:0:-1] * q[:k]).sum(0)) / b[0]
+        return Jet(q)
+
+    def sqrt(self) -> "Jet":
+        a, s = self.c, np.empty(self.c.shape)
+        s[0] = np.sqrt(a[0])
+        for k in range(1, len(a)):
+            s[k] = (a[k] - (s[1:k] * s[k - 1 : 0 : -1]).sum(0)) / (2.0 * s[0])
+        return Jet(s)
+
+    def xabsx(self) -> "Jet":
+        """x|x| with sgn(0) = 0."""
+        return self * self * np.sign(self.c[0])
+
+    def d(self) -> "Jet":
+        return Jet(self.c[1:] * np.arange(1, len(self.c))[:, None])
+
+    def where(self, mask, other: float) -> "Jet":
+        return Jet(np.where(mask, self.c, other))
+
+
+def _velocity_jet(taylor: np.ndarray) -> list[Jet]:
+    """(vx, vy, vz) jets from position Taylor coefficients, shape (K+2, N, 3)."""
+    return [Jet(taylor[:, :, axis]).d() for axis in range(3)]
+
+
+def _wrap(angle):
+    """Wrap to (-pi, pi], as ``attitude.wrap_angle``, over arrays."""
+    a = np.arctan2(np.sin(angle), np.cos(angle))
+    return np.where(a <= -math.pi, math.pi, a)
+
+
+def _index(mask: np.ndarray):
+    """Index of the samples in ``mask``: None if none, a view if all."""
+    return None if not mask.any() else slice(None) if mask.all() else mask
+
+
+class _Frame(NamedTuple):
+    """Frame step of the chain: wrapped azimuth, then jets of vv and of the
+    azimuth rate, one order below the velocity jets."""
+
+    psi: np.ndarray
+    vv: list[Jet]
+    rate: Jet
+
+
+def _frame(v: list[Jet], explicit, psi, rate) -> _Frame:
+    """Vertical frame of velocity jets ``v``.
+
+    The azimuth is the velocity direction where ``explicit`` is False and
+    the explicit ramp psi + rate*(t - t_i) elsewhere (``rate`` 0 freezes the
+    frame); ``psi`` and ``rate`` are per-sample arrays.
+    """
+    vx, vy, vz = v
+    order, n = len(vx.c) - 1, vx.c.shape[1]
+    ang, c, s, w = np.empty(n), np.empty((order, n)), np.empty((order, n)), np.zeros((order, n))
+    on, ramp = _index(~explicit), _index(explicit)
+    if on is not None:
+        hx, hy = Jet(vx.c[:-1, on]), Jet(vy.c[:-1, on])
+        h2 = hx * hx + hy * hy
+        norm = h2.sqrt()
+        ang[on] = np.arctan2(hy.c[0], hx.c[0])
+        c[:, on], s[:, on] = (hx / norm).c, (hy / norm).c
+        w[:, on] = ((hx * Jet(vy.c[:, on]).d() - hy * Jet(vx.c[:, on]).d()) / h2).c
+    if ramp is not None:
+        ang[ramp], w[0, ramp] = psi[ramp], rate[ramp]
+        # cos + i sin of psi + r tau has Taylor coefficients e^(i psi) (i r)^k / k!
+        k = np.arange(order)[:, None]
+        z = np.exp(1j * psi[ramp]) * (1j * rate[ramp]) ** k / np.cumprod(np.maximum(k, 1), axis=0)
+        c[:, ramp], s[:, ramp] = z.real, z.imag
+    c, s = Jet(c), Jet(s)
+    return _Frame(_wrap(ang), [c * vx + s * vy, c * vy - s * vx, Jet(vz.c[:-1])], Jet(w))
+
+
+def _flat_frame(v: list[Jet], psi: float | None) -> _Frame:
+    """Frame step of ``flat_to_*``: the velocity azimuth, frozen at ``psi``
+    where the horizontal speed is below ``V_EPS``."""
+    speed = np.hypot(v[0].c[0], v[1].c[0])
+    slow = speed < V_EPS
+    if psi is None and slow.any():
+        raise DegenerateHeadingError(f"horizontal speed {np.min(speed):.4f} m/s below "
+                                     f"{V_EPS}; supply the azimuth explicitly")
+    return _frame(v, slow, np.full(slow.size, psi or 0.0), np.zeros(slow.size))
+
+
+def _inputs(frame: _Frame, params: VerticalParams, strict: bool):
+    """Force/tilt step of the chain: (Gamma jets, f^2 jet).
+
+    Inverts the forward/vertical force rows for f^2*Gx and f^2*Gz, the
+    wind-vane yaw row for Gy, then resolves f^2 from the unit-norm
+    condition with f >= 0.  Without wind-vane authority Gy is 0; with
+    ``strict`` a yaw acceleration demanded there is an error.
+    """
+    p = params
+    (vvx, vvy, vvz), w = frame.vv, frame.rate
+    vvx_abs = vvx.xabsx()  # vvx |vvx|
+    f2_gx = -(vvx.d() + vvx_abs * (p.vk_d_x / p.m) + w * vvy) * (p.m / p.k_tf)
+    f2_gz = (vvz.d() + vvz.xabsx() * (p.vk_d_z / p.m) + p.g) * (p.m / p.k_tf)
+    vane = vvx_abs * p.vk_gamma
+    demand = w.d() + w.xabsx() * p.vk_damp
+    authority = np.abs(vane.c[0]) >= p.vk_gamma * V_EPS**2
+    if strict and np.any(~authority & (np.abs(demand.c[0]) > 1e-9)):
+        raise InfeasibleHeadingAccelerationError("yaw acceleration demanded with no "
+                                                 "wind-vane authority")
+    gy = (demand / vane.where(authority, 1.0)).where(authority, 0.0)
+    if np.any(np.abs(gy.c[0]) > 1.0):
+        raise InfeasibleHeadingAccelerationError(f"|Gamma_y| = {np.max(np.abs(gy.c[0])):.3f}"
+                                                 " exceeds 1")
+    f2 = ((f2_gx * f2_gx + f2_gz * f2_gz) / (1.0 - gy * gy)).sqrt()
+    if np.any(f2.c[0] <= F_EPS**2):
+        raise NegligibleThrustError(f"recovered f^2 = {np.min(f2.c[0]):.3f} Hz^2 at or below"
+                                    f" the {F_EPS} Hz floor")
+    return [f2_gx / f2, gy, f2_gz / f2], f2
 
 
 @dataclass
@@ -57,16 +222,35 @@ class VerticalFlatState:
     vv_dot: np.ndarray
     omega_psi_dot: float
 
+    @classmethod
+    def _of(cls, frame: _Frame) -> "VerticalFlatState":
+        rate = frame.rate.c[:, 0]
+        return cls(
+            vv=np.array([j.c[0, 0] for j in frame.vv]), psi=float(frame.psi[0]),
+            omega_psi=float(rate[0]), vv_dot=np.array([j.d().c[0, 0] for j in frame.vv]),
+            omega_psi_dot=float(rate[1]),
+        )
+
+    def _frame(self) -> _Frame:
+        vv = [Jet(np.array([[x], [dx]])) for x, dx in zip(self.vv, self.vv_dot)]
+        rate = Jet(np.array([[self.omega_psi], [self.omega_psi_dot]]))
+        return _Frame(np.array([self.psi]), vv, rate)
+
 
 @dataclass
 class FlatInputs:
     gamma: np.ndarray
     f_flap: float
 
+    @classmethod
+    def _of(cls, gamma: list[Jet], f2: Jet) -> "FlatInputs":
+        return cls(np.array([g.c[0, 0] for g in gamma]), math.sqrt(f2.c[0, 0]))
+
 
 @dataclass
 class FlatStateResult:
-    """Full state and inputs recovered from the flat output at one instant."""
+    """Full state and inputs recovered from the flat output at one instant;
+    for an array of times every field gains a leading sample axis."""
 
     p: np.ndarray
     v: np.ndarray
@@ -75,6 +259,7 @@ class FlatStateResult:
     omega_psi: float
     vv: np.ndarray
     vv_dot: np.ndarray
+    quaternion: np.ndarray  # scalar-first yaw(psi) (x) tilt(Gamma)
     rotation: np.ndarray
     omega: np.ndarray  # body frame
     omega_dot: np.ndarray
@@ -84,92 +269,20 @@ class FlatStateResult:
     diagnostics: dict
 
 
-def _frame_spin(omega_psi: float) -> np.ndarray:
-    return np.array([[0.0, -omega_psi, 0.0], [omega_psi, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
-
-def flat_to_vertical(
-    sample: FlatSample,
-    params: VerticalParams,
-    psi: float | None = None,
-) -> VerticalFlatState:
+def flat_to_vertical(sample: FlatSample, params: VerticalParams,
+                     psi: float | None = None) -> VerticalFlatState:
     """Azimuth and vertical-frame velocity/acceleration of a flat sample.
 
     The azimuth is the horizontal velocity direction (psi = 0 points along
     +X).  Below the speed floor the azimuth is undefined and the caller must
     pass ``psi`` explicitly, which freezes the frame (zero azimuth rate).
     """
-    vel = sample.d1
-    acc = sample.d2
-    jerk = sample.d3
-    h2 = vel[0] ** 2 + vel[1] ** 2
-
-    if h2 < V_EPS**2:
-        if psi is None:
-            raise DegenerateHeadingError(
-                f"horizontal speed {math.sqrt(h2):.4f} m/s below {V_EPS}; "
-                "supply the azimuth explicitly"
-            )
-        psi_val, psi_dot, psi_ddot = float(psi), 0.0, 0.0
-    else:
-        psi_val = math.atan2(vel[1], vel[0])
-        num = vel[0] * acc[1] - vel[1] * acc[0]
-        psi_dot = num / h2
-        num_dot = vel[0] * jerk[1] - vel[1] * jerk[0]
-        h2_dot = 2.0 * (vel[0] * acc[0] + vel[1] * acc[1])
-        psi_ddot = (num_dot * h2 - num * h2_dot) / h2**2
-
-    rot_t = rotz(psi_val).T
-    vv = rot_t @ vel
-    vv_dot = rot_t @ acc - psi_dot * (_frame_spin(1.0) @ vv)
-    return VerticalFlatState(
-        vv=vv, psi=wrap_angle(psi_val), omega_psi=psi_dot, vv_dot=vv_dot,
-        omega_psi_dot=psi_ddot,
-    )
-
-
-def _force_rows(sample: FlatSample, params: VerticalParams, vert: VerticalFlatState):
-    """Forward/vertical force rows solved for f^2*Gx and f^2*Gz."""
-    m = params.m
-    vvx, vvy, vvz = vert.vv
-    w = vert.omega_psi
-    f2_gx = -(vert.vv_dot[0] + params.vk_d_x * float(sgn(vvx)) * vvx**2 / m + w * vvy) \
-        * m / params.k_tf
-    f2_gz = (vert.vv_dot[2] + params.vk_d_z * float(sgn(vvz)) * vvz**2 / m + params.g) \
-        * m / params.k_tf
-    return f2_gx, f2_gz
-
-
-def _vane_gain(params: VerticalParams, vvx: float) -> float:
-    return params.vk_gamma * float(sgn(vvx)) * vvx**2
-
-
-def _yaw_demand(params: VerticalParams, vert: VerticalFlatState) -> float:
-    w = vert.omega_psi
-    return vert.omega_psi_dot + params.vk_damp * float(sgn(w)) * w**2
-
-
-def _resolve_inputs(f2_gx: float, f2_gz: float, gy: float) -> FlatInputs:
-    """Flapping frequency and unit tilt from the recovered products."""
-    if abs(gy) > 1.0:
-        raise InfeasibleHeadingAccelerationError(
-            f"|Gamma_y| = {abs(gy):.3f} exceeds 1"
-        )
-    f4 = (f2_gx**2 + f2_gz**2) / (1.0 - gy**2)
-    f2 = math.sqrt(f4)
-    if f2 <= F_EPS**2:
-        raise NegligibleThrustError(
-            f"recovered f^2 = {f2:.3f} Hz^2 at or below the {F_EPS} Hz floor"
-        )
-    gamma = np.array([f2_gx / f2, gy, f2_gz / f2])
-    gamma /= np.linalg.norm(gamma)
-    return FlatInputs(gamma=gamma, f_flap=math.sqrt(f2))
+    taylor = np.array([sample.sigma, sample.d1, sample.d2 / 2, sample.d3 / 6])[:, None]
+    return VerticalFlatState._of(_flat_frame(_velocity_jet(taylor), psi))
 
 
 def flat_to_attitude_and_thrust(
-    sample: FlatSample,
-    params: VerticalParams,
-    psi: float | None = None,
+    sample: FlatSample, params: VerticalParams, psi: float | None = None,
     vertical: VerticalFlatState | None = None,
 ) -> tuple[FlatInputs, VerticalFlatState]:
     """Reduced attitude and flapping frequency for one flat sample.
@@ -178,137 +291,95 @@ def flat_to_attitude_and_thrust(
     wind-vane yaw row for Gy, then resolves f from the unit-norm condition
     with f >= 0.
     """
-    vert = vertical if vertical is not None else flat_to_vertical(sample, params, psi)
-    f2_gx, f2_gz = _force_rows(sample, params, vert)
-
-    # wind-vane yaw row solved for Gy; at negligible forward speed the gain
-    # vanishes and only a zero-rate demand is recoverable
-    vane_gain = _vane_gain(params, vert.vv[0])
-    yaw_demand = _yaw_demand(params, vert)
-    if abs(vane_gain) < params.vk_gamma * V_EPS**2:
-        if abs(yaw_demand) > 1e-9:
-            raise InfeasibleHeadingAccelerationError(
-                "yaw acceleration demanded with no wind-vane authority"
-            )
-        gy = 0.0
-    else:
-        gy = yaw_demand / vane_gain
-    return _resolve_inputs(f2_gx, f2_gz, gy), vert
+    if vertical is None:
+        vertical = flat_to_vertical(sample, params, psi)
+    return FlatInputs._of(*_inputs(vertical._frame(), params, strict=True)), vertical
 
 
-def flat_to_full(
-    sample_fn: Callable[[float], FlatSample],
-    t: float,
-    vparams: VerticalParams,
-    fparams: FwavParams,
-    psi: float | None = None,
-    prev_q=None,
-    h: float = 1e-4,
-) -> FlatStateResult:
-    """Full state and all three inputs at time t of a flat trajectory.
+def flat_to_full(traj: PiecewiseTrajectory, t, vparams: VerticalParams, fparams: FwavParams,
+                 psi: float | None = None, prev_q=None) -> FlatStateResult:
+    """Full state and all three inputs of a flat trajectory at t.
 
-    ``sample_fn`` must evaluate the flat output at arbitrary times near t;
-    body rates come from differencing the analytically evaluated rotation.
-    The tilt-quaternion sign follows the previous quaternion when given
-    (dot-product continuity test), else +1.
+    ``t`` is one time or an array of times.  The chain runs on velocity jets
+    of order 4 (sigma derivatives 1-5), so the body rate
+    omega = psi' Gamma + 2 vec(conj(q_e) (x) q_e') of the tilt quaternion q_e
+    and its derivative are exact.  The tilt-quaternion sign follows the
+    previous quaternion when given (dot-product continuity test), else +1.
     """
-    sample = sample_fn(t)
-    inputs, vert = flat_to_attitude_and_thrust(sample, vparams, psi)
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    taylor = traj.taylor(times, 5)
+    v = _velocity_jet(taylor)
+    frame = _flat_frame(v, psi)
+    (gx, gy, gz), f2 = _inputs(frame, vparams, strict=True)
 
-    def rotation_at(t_eval: float) -> np.ndarray:
-        s = sample_fn(t_eval)
-        u, v = flat_to_attitude_and_thrust(s, vparams, psi)
-        return recover_attitude(u.gamma, v.psi)
+    # tilt quaternion q_e = (1 + Gz, Gy, -Gx, 0) / sqrt(2 (1 + Gz)), body rates
+    lift = gz + 1.0
+    if np.any(lift.c[0] < ANTIPODAL_TOL):
+        raise DegenerateAttitudeError("reduced attitude antipodal to +Z")
+    norm = (lift * 2.0).sqrt()
+    eta, e1, e2 = lift / norm, gy / norm, -gx / norm
+    w = frame.rate
+    omega = [
+        w * gx + (eta * e1.d() - eta.d() * e1) * 2.0,
+        w * gy + (eta * e2.d() - eta.d() * e2) * 2.0,
+        w * gz - (e1 * e2.d() - e2 * e1.d()) * 2.0,
+    ]
+    om = np.stack([o.c[0] for o in omega], axis=1)
+    om_dot = np.stack([o.c[1] for o in omega], axis=1)
 
-    rots = [rotation_at(t + k * h) for k in (-2, -1, 0, 1, 2)]
-    rot = rots[2]
-
-    def body_rate(r_mid, r_minus, r_plus) -> np.ndarray:
-        r_dot = (r_plus - r_minus) / (2.0 * h)
-        omega_spatial = angular_velocity_from_rotation(r_mid, r_dot, sym_tol=np.inf)
-        return r_mid.T @ omega_spatial
-
-    omega = body_rate(rots[2], rots[1], rots[3])
-    omega_minus = body_rate(rots[1], rots[0], rots[2])
-    omega_plus = body_rate(rots[3], rots[2], rots[4])
-    omega_dot = (omega_plus - omega_minus) / (2.0 * h)
+    # q = yaw(psi) (x) q_e and R = (2 qw^2 - 1) I + 2 eps eps^T + 2 qw [eps]x
+    ch, sh = np.cos(frame.psi / 2.0), np.sin(frame.psi / 2.0)
+    eta0, e10, e20 = eta.c[0], e1.c[0], e2.c[0]
+    q = np.stack([ch * eta0, ch * e10 - sh * e20, ch * e20 + sh * e10, sh * eta0], axis=1)
+    qw, eps = q[:, 0, None, None], q[:, 1:]
+    rot = ((2.0 * qw * qw - 1.0) * np.eye(3) + 2.0 * eps[:, :, None] * eps[:, None, :]
+           + 2.0 * qw * np.cross(np.eye(3), eps[:, None, :]))
 
     # torque inversion: x-row gives the rudder, y-row the elevator
-    tau = fparams.J @ omega_dot + np.cross(omega, fparams.J @ omega)
-    v_body = rot.T @ sample.d1
-    sv = float(sgn(v_body[2])) * v_body[0] ** 2
-    f2 = inputs.f_flap**2
-    gain_x = fparams.k_tau_x * sv + fparams.k_flap_x * f2
-    gain_y = fparams.k_tau_y * sv + fparams.k_flap_y * f2
-    if abs(gain_x) < 1e-12 or abs(gain_y) < 1e-12:
+    J = fparams.J
+    tau = om_dot @ J.T + np.cross(om, om @ J.T)
+    vel = np.stack([j.c[0] for j in v], axis=1)
+    v_body = np.einsum("nji,nj->ni", rot, vel)
+    sv = np.sign(v_body[:, 2]) * v_body[:, 0] ** 2
+    gain_x = fparams.k_tau_x * sv + fparams.k_flap_x * f2.c[0]
+    gain_y = fparams.k_tau_y * sv + fparams.k_flap_y * f2.c[0]
+    if np.any(np.abs(gain_x) < 1e-12) or np.any(np.abs(gain_y) < 1e-12):
         raise UnrecoverableDeflectionError("deflection torque gain vanished")
-    theta_rud = -tau[0] / gain_x
-    theta_ele = -tau[1] / gain_y
 
-    s_e = 1
-    if prev_q is not None:
-        q_plus = tilt_quaternion(inputs.gamma, 1)
-        if float(q_plus.as_array() @ prev_q.as_array()) < 0.0:
-            s_e = -1
-
-    return FlatStateResult(
-        p=sample.sigma,
-        v=sample.d1,
-        gamma=inputs.gamma,
-        psi=vert.psi,
-        omega_psi=vert.omega_psi,
-        vv=vert.vv,
-        vv_dot=vert.vv_dot,
-        rotation=rot,
-        omega=omega,
-        omega_dot=omega_dot,
-        f_flap=inputs.f_flap,
-        theta_rud=theta_rud,
-        theta_ele=theta_ele,
-        diagnostics={
-            "s_e": s_e,
-            "f_squared": f2,
-            "one_minus_gamma_y_sq": 1.0 - inputs.gamma[1] ** 2,
-        },
+    gamma = np.stack([gx.c[0], gy.c[0], gz.c[0]], axis=1)
+    s_e = np.ones(times.size, dtype=int)
+    if prev_q is not None:  # q_e has no z part
+        s_e[np.stack([eta0, e10, e20], axis=1) @ prev_q.as_array()[:3] < 0.0] = -1
+    fields = dict(
+        p=taylor[0], v=vel, gamma=gamma, psi=frame.psi, omega_psi=w.c[0],
+        vv=np.stack([j.c[0] for j in frame.vv], axis=1),
+        vv_dot=np.stack([j.d().c[0] for j in frame.vv], axis=1),
+        quaternion=q, rotation=rot, omega=om, omega_dot=om_dot, f_flap=np.sqrt(f2.c[0]),
+        theta_rud=-tau[:, 0] / gain_x, theta_ele=-tau[:, 1] / gain_y,
+        s_e=s_e, f_squared=f2.c[0], one_minus_gamma_y_sq=1.0 - gamma[:, 1] ** 2,
     )
+    if np.ndim(t) == 0:
+        fields = {key: value[0] for key, value in fields.items()}
+    diagnostics = {key: fields.pop(key) for key in ("s_e", "f_squared", "one_minus_gamma_y_sq")}
+    return FlatStateResult(**fields, diagnostics=diagnostics)
 
 
-def dump_flat_states(
-    traj: PiecewiseTrajectory,
-    vparams: VerticalParams,
-    fparams: FwavParams,
-    path,
-    dt: float = 0.01,
-) -> int:
+def dump_flat_states(traj: PiecewiseTrajectory, vparams: VerticalParams, fparams: FwavParams,
+                     path, dt: float = 0.01) -> int:
     """Write recovered full states along a trajectory to CSV.
 
     Uses the dynamics state-log schema extended with the azimuth, azimuth
     rate, and reduced-attitude columns.  Rows cover the span where the
     azimuth is defined by the velocity; returns the number of rows written.
     """
-    from .attitude import split_azimuth, tilt_quaternion, UnitQuaternion
-    from .dynamics import FULL_LOG_HEADER
-
     sched = FlatInputSchedule(traj, vparams)
-    h = 1e-4
-    times = np.arange(sched.t_lo + 2 * h, sched.t_hi - 2 * h, dt)
-    rows = []
-    for t in times:
-        r = flat_to_full(sched.sample, float(t), vparams, fparams)
-        psi, gamma = split_azimuth(r.rotation)
-        half = psi / 2.0
-        yaw_q = UnitQuaternion(math.cos(half), np.array([0.0, 0.0, math.sin(half)]))
-        q = yaw_q.multiply(tilt_quaternion(gamma)).normalized()
-        rows.append([
-            t, *r.p, *r.v, *q.as_array(), *r.omega,
-            r.f_flap, r.theta_rud, r.theta_ele,
-            r.psi, r.omega_psi, *r.gamma,
-        ])
-    header = FULL_LOG_HEADER + ",psi,omegapsi,gx,gy,gz"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+    times = np.arange(sched.t_lo, sched.t_hi, dt)
+    r = flat_to_full(traj, times, vparams, fparams)
+    rows = np.column_stack([
+        times, r.p, r.v, r.quaternion, r.omega, r.f_flap, r.theta_rud, r.theta_ele,
+        r.psi, r.omega_psi, r.gamma,
+    ])
+    _write_csv(path, FULL_LOG_HEADER + ",psi,omegapsi,gx,gy,gz", rows)
     return len(rows)
 
 
@@ -328,13 +399,8 @@ class FlatInputSchedule:
     dynamically significant and no explicit-azimuth policy is faithful.
     """
 
-    def __init__(
-        self,
-        traj: PiecewiseTrajectory,
-        params: VerticalParams,
-        min_speed: float = 0.3,
-        scan_dt: float = 1e-3,
-    ):
+    def __init__(self, traj: PiecewiseTrajectory, params: VerticalParams,
+                 min_speed: float = 0.3, scan_dt: float = 1e-3):
         self.traj = traj
         self.params = params
         self.min_speed = max(min_speed, V_EPS)
@@ -355,117 +421,39 @@ class FlatInputSchedule:
             )
         self.t_lo = float(grid[first])
         self.t_hi = float(grid[last])
-        lo = flat_to_vertical(self.traj.flat_sample(self.t_lo), params)
-        hi = flat_to_vertical(self.traj.flat_sample(self.t_hi), params)
-        self._psi_lo, self._rate_lo = lo.psi, lo.omega_psi
-        self._psi_hi, self._rate_hi = hi.psi, hi.omega_psi
+        ends = _flat_frame(_velocity_jet(traj.taylor(np.array([self.t_lo, self.t_hi]), 2)), None)
+        self._psi_lo, self._psi_hi = ends.psi
+        self._rate_lo, self._rate_hi = ends.rate.c[0]
 
-    def sample(self, t: float) -> FlatSample:
-        return self.traj.flat_sample(min(max(t, 0.0), self.traj.duration))
-
-    def _ramp(self, t: float) -> tuple[float, float]:
-        """Explicit azimuth and rate on the degenerate windows."""
-        if t < self.t_lo:
-            return self._psi_lo - self._rate_lo * (self.t_lo - t), self._rate_lo
-        return self._psi_hi + self._rate_hi * (t - self.t_hi), self._rate_hi
+    def _frame(self, times: np.ndarray) -> _Frame:
+        """Frame step at ``times`` (velocity jets of order 2): the velocity
+        azimuth on [t_lo, t_hi], the ramps outside; samples are clamped to
+        the trajectory."""
+        lead, trail = times < self.t_lo, times > self.t_hi
+        psi = np.where(lead, self._psi_lo - self._rate_lo * (self.t_lo - times),
+                       self._psi_hi + self._rate_hi * (times - self.t_hi))
+        rate = np.where(lead, self._rate_lo, self._rate_hi)
+        v = _velocity_jet(self.traj.taylor(np.clip(times, 0.0, self.traj.duration), 3))
+        return _frame(v, lead | trail, psi, rate)
 
     def vertical_state_of(self, t: float) -> VerticalFlatState:
-        sample = self.sample(t)
-        if self.t_lo <= t <= self.t_hi:
-            return flat_to_vertical(sample, self.params)
-        psi, rate = self._ramp(t)
-        rot_t = rotz(psi).T
-        vv = rot_t @ sample.d1
-        return VerticalFlatState(
-            vv=vv,
-            psi=wrap_angle(psi),
-            omega_psi=rate,
-            vv_dot=rot_t @ sample.d2 - rate * (_frame_spin(1.0) @ vv),
-            omega_psi_dot=0.0,
-        )
+        return VerticalFlatState._of(self._frame(np.array([float(t)])))
 
     def inputs(self, t: float) -> FlatInputs:
-        sample = self.sample(t)
-        vert = self.vertical_state_of(t)
-        if self.t_lo <= t <= self.t_hi:
-            u, _ = flat_to_attitude_and_thrust(sample, self.params, vertical=vert)
-            return u
-        # degenerate window: lateral tilt only cancels yaw damping so the
-        # frame rate stays at the ramp rate; no authority means no tilt
-        f2_gx, f2_gz = _force_rows(sample, self.params, vert)
-        vane = _vane_gain(self.params, vert.vv[0])
-        demand = _yaw_demand(self.params, vert)
-        gy = demand / vane if abs(vane) >= self.params.vk_gamma * V_EPS**2 else 0.0
-        return _resolve_inputs(f2_gx, f2_gz, gy)
+        return FlatInputs._of(*_inputs(self._frame(np.array([float(t)])), self.params, False))
 
-    def initial_vertical_state(self):
-        from .dynamics import VerticalState
-
+    def initial_vertical_state(self) -> VerticalState:
         vert = self.vertical_state_of(0.0)
-        sample = self.sample(0.0)
-        return VerticalState(
-            p=sample.sigma.copy(),
-            vv=vert.vv.copy(),
-            psi=vert.psi,
-            omega_psi=vert.omega_psi,
-        )
+        return VerticalState(self.traj.eval(0.0, 0), vert.vv, vert.psi, vert.omega_psi)
 
     def tabulate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (gamma, f_flap) over a time grid.
-
-        Same chain as ``inputs`` evaluated with array arithmetic; used to
-        precompute dense input schedules for fixed-step integration.
-        """
+        """(gamma, f_flap) over a time grid: ``inputs`` at every time, with
+        the chain evaluated on ``_BLOCK`` samples at once."""
         times = np.asarray(times, dtype=float)
-        vel = self.traj.eval_many(times, 1)
-        acc = self.traj.eval_many(times, 2)
-        jerk = self.traj.eval_many(times, 3)
-        n = times.size
-        inside = (times >= self.t_lo) & (times <= self.t_hi)
-
-        psi = np.empty(n)
-        rate = np.empty(n)
-        rate_dot = np.zeros(n)
-        h2 = vel[:, 0] ** 2 + vel[:, 1] ** 2
-        psi[inside] = np.arctan2(vel[inside, 1], vel[inside, 0])
-        num = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
-        rate[inside] = num[inside] / h2[inside]
-        num_dot = vel[:, 0] * jerk[:, 1] - vel[:, 1] * jerk[:, 0]
-        h2_dot = 2.0 * (vel[:, 0] * acc[:, 0] + vel[:, 1] * acc[:, 1])
-        rate_dot[inside] = (
-            num_dot[inside] * h2[inside] - num[inside] * h2_dot[inside]
-        ) / h2[inside] ** 2
-
-        lead = times < self.t_lo
-        psi[lead] = self._psi_lo - self._rate_lo * (self.t_lo - times[lead])
-        rate[lead] = self._rate_lo
-        trail = times > self.t_hi
-        psi[trail] = self._psi_hi + self._rate_hi * (times[trail] - self.t_hi)
-        rate[trail] = self._rate_hi
-
-        c, s = np.cos(psi), np.sin(psi)
-        vvx = c * vel[:, 0] + s * vel[:, 1]
-        vvy = -s * vel[:, 0] + c * vel[:, 1]
-        vvz = vel[:, 2]
-        avx = c * acc[:, 0] + s * acc[:, 1] + rate * vvy
-        avz = acc[:, 2]
-
-        m, k_tf = self.params.m, self.params.k_tf
-        f2_gx = -(avx + self.params.vk_d_x * np.sign(vvx) * vvx**2 / m + rate * vvy) * m / k_tf
-        f2_gz = (avz + self.params.vk_d_z * np.sign(vvz) * vvz**2 / m + self.params.g) * m / k_tf
-
-        vane = self.params.vk_gamma * np.sign(vvx) * vvx**2
-        demand = rate_dot + self.params.vk_damp * np.sign(rate) * rate**2
-        authority = np.abs(vane) >= self.params.vk_gamma * V_EPS**2
-        gy = np.where(authority, demand / np.where(authority, vane, 1.0), 0.0)
-        if np.any(np.abs(gy) > 1.0):
-            worst = float(np.max(np.abs(gy)))
-            raise InfeasibleHeadingAccelerationError(
-                f"|Gamma_y| reaches {worst:.3f} along the schedule"
-            )
-        f2 = np.sqrt((f2_gx**2 + f2_gz**2) / (1.0 - gy**2))
-        if np.any(f2 <= F_EPS**2):
-            raise NegligibleThrustError("schedule dips below the frequency floor")
-        gamma = np.column_stack([f2_gx / f2, gy, f2_gz / f2])
-        gamma /= np.linalg.norm(gamma, axis=1, keepdims=True)
-        return gamma, np.sqrt(f2)
+        gamma, f_flap = np.empty((times.size, 3)), np.empty(times.size)
+        for lo in range(0, times.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            g, f2 = _inputs(self._frame(times[block]), self.params, strict=False)
+            gamma[block] = np.stack([gi.c[0] for gi in g], axis=1)
+            f_flap[block] = np.sqrt(f2.c[0])
+        return gamma, f_flap

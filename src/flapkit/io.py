@@ -7,6 +7,7 @@ arrays) with bare strings allowed; ``#`` starts a comment.  Repeated keys
 
 from __future__ import annotations
 
+import difflib
 import json
 
 import numpy as np
@@ -72,6 +73,15 @@ def dump_kv(path, pairs, comment: str | None = None) -> None:
         fh.write(format_kv(pairs, comment))
 
 
+def _check_keys(data: dict, schema: str, known) -> None:
+    """Reject any key outside a schema, naming the nearest valid key."""
+    for key in data:
+        if key not in known:
+            near = difflib.get_close_matches(key, sorted(known), n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise InvalidInputError(f"unknown {schema} key {key!r}{hint}")
+
+
 # ---------------------------------------------------------------------------
 # parameter and gain files
 # ---------------------------------------------------------------------------
@@ -92,7 +102,11 @@ def fwav_params_to_pairs(params: FwavParams) -> list:
     return pairs
 
 
+_J_KEYS = [f"j{row}{col}" for i, row in enumerate("xyz") for col in "xyz"[i:]]
+
+
 def fwav_params_from_dict(data: dict) -> FwavParams:
+    _check_keys(data, "full-model parameter", {*_FWAV_SCALARS, *_J_KEYS})
     kwargs = {name: float(data[name]) for name in _FWAV_SCALARS if name in data}
     j_mat = np.array(FwavParams().J)
     for i, row in enumerate("xyz"):
@@ -116,6 +130,7 @@ def vertical_params_to_pairs(params: VerticalParams) -> list:
 
 
 def vertical_params_from_dict(data: dict) -> VerticalParams:
+    _check_keys(data, "vertical-model parameter", {*_VERTICAL_SCALARS, "lateral_mode"})
     kwargs = {name: float(data[name]) for name in _VERTICAL_SCALARS if name in data}
     if "lateral_mode" in data:
         kwargs["lateral_mode"] = str(data["lateral_mode"])
@@ -136,6 +151,7 @@ def gains_to_pairs(gains: ControllerGains) -> list:
 
 
 def gains_from_dict(data: dict) -> ControllerGains:
+    _check_keys(data, "gain", {*_GAIN_SCALARS, "kp", "kv"})
     kwargs = {name: float(data[name]) for name in _GAIN_SCALARS if name in data}
     for vec in ("kp", "kv"):
         if vec in data:
@@ -181,7 +197,15 @@ def scenario_to_pairs(
     return pairs
 
 
+_SCENARIO_KEYS = {
+    "name", "segments", "order", "segment_duration", "restarts", "seed", "mu_p", "mu_v",
+    "start_pos", "start_vel", "start_acc", "end_pos", "end_vel", "end_acc",
+    "v_h_max", "v_v_max", "psi_rate_max", "sample_interval", *_REPEATED_KEYS,
+}
+
+
 def scenario_from_dict(data: dict):
+    _check_keys(data, "scenario", _SCENARIO_KEYS)
     boundary = BoundaryConditions(
         start_pos=data.get("start_pos", [0, 0, 0]),
         start_vel=data.get("start_vel", [0, 0, 0]),

@@ -12,6 +12,7 @@ objective has no closed form and uses fixed-order Gauss-Legendre quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -35,13 +36,14 @@ def falling_factorial(i: int, r: int) -> float:
 
 
 def polyval_derivative(coeffs: np.ndarray, t, order: int = 0):
-    """Evaluate the order-th derivative of sum_i c_i t^i at t."""
+    """Evaluate the order-th derivative of sum_i c_i t^i at t (per row of a 2-D coeffs)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    n = coeffs.size
+    n = coeffs.shape[-1]
     if order >= n:
-        return np.zeros_like(np.asarray(t, dtype=float))
-    d = np.array([coeffs[i] * falling_factorial(i, order) for i in range(order, n)])
-    return np.polynomial.polynomial.polyval(t, d)
+        return np.zeros(coeffs.shape[:-1] + np.shape(t))
+    powers = np.arange(order, n)
+    scale = np.prod(powers[:, None] - np.arange(order), axis=1)  # i (i-1) ... (i-order+1)
+    return np.polynomial.polynomial.polyval(t, (coeffs[..., order:] * scale).T)
 
 
 def derivative_row(n_coeffs: int, t: float, order: int) -> np.ndarray:
@@ -84,9 +86,7 @@ class PolySegment:
         return self.coeffs.shape[1] - 1
 
     def eval(self, t_local, order: int = 0) -> np.ndarray:
-        return np.stack(
-            [polyval_derivative(self.coeffs[axis], t_local, order) for axis in range(3)]
-        )
+        return polyval_derivative(self.coeffs, t_local, order)
 
     def snap_integral(self) -> float:
         q = snap_gram_matrix(self.coeffs.shape[1], self.T)
@@ -147,8 +147,20 @@ class PiecewiseTrajectory:
         """Vectorized evaluation at many times, shape (len(times), 3)."""
         times = np.asarray(list(times) if not isinstance(times, np.ndarray) else times,
                            dtype=float)
+        return self._per_segment(times, lambda seg, t: seg.eval(t, order).T, (3,))
+
+    def taylor(self, times: np.ndarray, order: int) -> np.ndarray:
+        """sigma^(k)(t)/k! for k = 0..order at many times, shape (order+1, N, 3)."""
+        return self._per_segment(np.asarray(times, dtype=float), lambda seg, t: np.stack(
+            [seg.eval(t, k).T / math.factorial(k) for k in range(order + 1)], axis=1,
+        ), (order + 1, 3)).transpose(1, 0, 2)
+
+    def _per_segment(self, times: np.ndarray, fn, shape: tuple) -> np.ndarray:
+        """fn(segment, local times) on the samples of each segment, stacked
+        along a leading sample axis of an array of the given trailing shape."""
+        out = np.empty((times.size, *shape))
         if times.size == 0:
-            return np.zeros((0, 3))
+            return out
         if np.min(times) < -1e-12 or np.max(times) > self.duration + 1e-12:
             raise TrajectoryDomainError("evaluation times outside [0, M*T]")
         clipped = np.clip(times, 0.0, self.duration)
@@ -157,16 +169,16 @@ class PiecewiseTrajectory:
         at_junction = (seg_idx < self.M - 1) & (np.abs(t_local - self.T) < 1e-12)
         seg_idx[at_junction] += 1
         t_local[at_junction] = 0.0
-        out = np.empty((times.size, 3))
-        for s in np.unique(seg_idx):
-            mask = seg_idx == s
-            out[mask] = self.segments[s].eval(t_local[mask], order).T
+        segments = np.unique(seg_idx)
+        for s in segments:
+            mask = seg_idx == s if len(segments) > 1 else slice(None)
+            out[mask] = fn(self.segments[s], t_local[mask])
         return out
 
     def flat_sample(self, t: float) -> "FlatSample":
         idx, t_local = self.locate(t)
         seg = self.segments[idx]
-        vals = [seg.eval(t_local, order) for order in range(5)]
+        vals = [seg.eval(t_local, order) for order in range(4)]
         return FlatSample(*vals)
 
     def continuity_residuals(self) -> np.ndarray:
@@ -225,16 +237,15 @@ class PiecewiseTrajectory:
 
 @dataclass
 class FlatSample:
-    """Flat output and its derivatives up to 4th order at one instant."""
+    """Flat output and its derivatives up to 3rd order at one instant."""
 
     sigma: np.ndarray
     d1: np.ndarray = field(default_factory=lambda: np.zeros(3))
     d2: np.ndarray = field(default_factory=lambda: np.zeros(3))
     d3: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    d4: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        for name in ("sigma", "d1", "d2", "d3", "d4"):
+        for name in ("sigma", "d1", "d2", "d3"):
             value = np.asarray(getattr(self, name), dtype=float)
             if value.shape != (3,):
                 raise InvalidInputError(f"{name} must be a 3-vector")

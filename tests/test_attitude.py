@@ -5,7 +5,6 @@ import pytest
 
 from flapkit.attitude import (
     UnitQuaternion,
-    angular_velocity_from_rotation,
     quat_to_rot,
     recover_attitude,
     reduced_attitude,
@@ -17,7 +16,6 @@ from flapkit.attitude import (
 )
 from flapkit.errors import (
     DegenerateAttitudeError,
-    InconsistentDerivativeWarning,
     InvalidInputError,
 )
 
@@ -145,28 +143,6 @@ class TestSplitAzimuth:
             psi_out, g_out = split_azimuth(recover_attitude(g, psi))
             assert abs(wrap_angle(psi_out - psi)) < 1e-9
             assert np.allclose(g_out, g, atol=1e-9)
-
-
-class TestAngularVelocity:
-    def test_zero_derivative(self):
-        assert np.allclose(angular_velocity_from_rotation(np.eye(3), np.zeros((3, 3))), 0.0)
-
-    def test_constant_rate(self):
-        assert np.allclose(
-            angular_velocity_from_rotation(np.eye(3), skew([0.0, 0.0, 2.0])), [0, 0, 2]
-        )
-
-    def test_finite_difference_yaw_ramp(self):
-        # psi(t) = t so omega should be [0, 0, 1]
-        h = 1e-6
-        t = 0.4
-        r_dot = (rotz(t + h) - rotz(t - h)) / (2 * h)
-        omega = angular_velocity_from_rotation(rotz(t), r_dot)
-        assert np.allclose(omega, [0.0, 0.0, 1.0], atol=1e-4)
-
-    def test_warns_on_inconsistent_derivative(self):
-        with pytest.warns(InconsistentDerivativeWarning):
-            angular_velocity_from_rotation(np.eye(3), np.eye(3))
 
 
 class TestWrapAngle:

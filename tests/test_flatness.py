@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flapkit.attitude import rotz, wrap_angle
+from flapkit.attitude import recover_attitude, rotz, wrap_angle
 from flapkit.dynamics import (
     ActuatorCommands,
     FwavParams,
@@ -18,14 +21,16 @@ from flapkit.errors import (
     DegenerateHeadingError,
     InfeasibleHeadingAccelerationError,
     NegligibleThrustError,
+    UnrecoverableDeflectionError,
 )
 from flapkit.flatness import (
     FlatInputSchedule,
+    VerticalFlatState,
     flat_to_attitude_and_thrust,
     flat_to_full,
     flat_to_vertical,
 )
-from flapkit.trajectory import FlatSample, single_segment
+from flapkit.trajectory import FlatSample, constant_trajectory, single_segment
 
 
 @pytest.fixture
@@ -165,7 +170,7 @@ def smooth_forward_trajectory(T=1.5, heading=0.0):
 class TestFlatToFull:
     def test_hover_like_slow_cruise_small_deflections(self, vparams):
         traj = smooth_forward_trajectory()
-        result = flat_to_full(traj.flat_sample, 0.7, vparams, FwavParams())
+        result = flat_to_full(traj, 0.7, vparams, FwavParams())
         assert abs(result.theta_rud) < 0.05
         assert np.linalg.norm(result.omega) < 0.5
         assert result.f_flap > 10.0
@@ -173,7 +178,7 @@ class TestFlatToFull:
     def test_planar_climb_zero_rudder(self, vparams):
         # x-z plane motion: roll/yaw symmetric, rudder stays zero
         traj = smooth_forward_trajectory(heading=0.0)
-        result = flat_to_full(traj.flat_sample, 0.6, vparams, FwavParams())
+        result = flat_to_full(traj, 0.6, vparams, FwavParams())
         assert result.theta_rud == pytest.approx(0.0, abs=1e-8)
         assert result.omega[0] == pytest.approx(0.0, abs=1e-6)
         assert result.omega[2] == pytest.approx(0.0, abs=1e-6)
@@ -184,7 +189,7 @@ class TestFlatToFull:
         coeffs = np.zeros((3, 7))
         coeffs[2] = [0.0, 0.0, 0.3, -0.05, 0.0, 0.0, 0.0]
         traj = single_segment(coeffs, 2.0)
-        result = flat_to_full(traj.flat_sample, 1.0, vparams, FwavParams(), psi=0.0)
+        result = flat_to_full(traj, 1.0, vparams, FwavParams(), psi=0.0)
         assert np.allclose(result.gamma, [0, 0, 1], atol=1e-9)
         assert result.theta_rud == pytest.approx(0.0, abs=1e-9)
         assert result.theta_ele == pytest.approx(0.0, abs=1e-9)
@@ -195,21 +200,15 @@ class TestFlatToFull:
         # position must reproduce the flat output within 2 cm
         fparams = FwavParams(k_flap_c=1e-3, k_rud_c=1e-3, k_ele_c=1e-3)
         traj = smooth_forward_trajectory()
-        seg = traj.segments[0]
 
-        def sample_fn(t):
-            # polynomial extrapolates smoothly past the segment ends, which
-            # the derivative stencil needs at the boundaries
-            return FlatSample(*[seg.eval(t, order) for order in range(5)])
-
-        r0 = flat_to_full(sample_fn, 0.0, vparams, fparams)
+        r0 = flat_to_full(traj, 0.0, vparams, fparams)
 
         samples = {}
 
         def commands(t):
             key = round(t, 6)
             if key not in samples:
-                r = flat_to_full(sample_fn, t, vparams, fparams)
+                r = flat_to_full(traj, t, vparams, fparams)
                 samples[key] = ActuatorCommands(r.f_flap, r.theta_rud, r.theta_ele)
             return samples[key]
 
@@ -226,13 +225,13 @@ class TestFlatToFull:
 
     def test_quaternion_sign_continuity(self, vparams):
         traj = smooth_forward_trajectory()
-        r = flat_to_full(traj.flat_sample, 0.5, vparams, FwavParams())
+        r = flat_to_full(traj, 0.5, vparams, FwavParams())
         # a previous quaternion near the negated tilt selects s_e = -1
         from flapkit.attitude import tilt_quaternion
 
         q_prev = tilt_quaternion(r.gamma, -1)
         r2 = flat_to_full(
-            traj.flat_sample, 0.5, vparams, FwavParams(), prev_q=q_prev
+            traj, 0.5, vparams, FwavParams(), prev_q=q_prev
         )
         assert r2.diagnostics["s_e"] == -1
 
@@ -299,3 +298,301 @@ class TestRoundTripProperty:
             state0, vparams, inputs, rudder_mode=rudder_mode, dt=dt, duration=0.5,
         )
         assert np.max(np.abs(fast.states - slow.states)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one chain over jets: oracles and equivalences
+# ---------------------------------------------------------------------------
+
+HYPOTHESIS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+T_SYM = sp.Symbol("t", real=True)
+DIGITS = 40
+
+
+def _derivs(expr, known, order):
+    """expr and its first ``order`` t-derivatives at t0 by symbolic
+    differentiation; ``known`` maps functions of t to [value, d1, d2, ...]."""
+    table = {}
+    for f, vals in known.items():
+        table[f] = vals[0]
+        for k in range(1, len(vals)):
+            table[f.diff(T_SYM, k)] = vals[k]
+    out = []
+    for _ in range(order + 1):
+        out.append(sp.N(expr.xreplace(table), DIGITS))
+        expr = expr.diff(T_SYM)
+    return out
+
+
+def symbolic_flat_state(coeffs, t0, vp):
+    """Gamma, f, psi', omega and omega' at t0 by symbolic differentiation.
+
+    Each stage is written in unknown functions of t and differentiated by
+    sympy; the values of those functions and their derivatives at t0 come
+    from the stage before (40 digits).  The rotation is
+    R(t) = Rz(psi(t)) Re(Gamma(t)) with Re the tilt factor of
+    ``attitude.recover_attitude``, and omega = vee(R^T R').
+    """
+    fn = lambda name: sp.Function(name)(T_SYM)  # noqa: E731
+    d = lambda f: f.diff(T_SYM)  # noqa: E731
+    t0 = sp.Rational(str(t0))
+    polys = [sum(sp.Rational(str(c)) * T_SYM**i for i, c in enumerate(row)) for row in coeffs]
+    vx, vy, vz = fn("vx"), fn("vy"), fn("vz")
+    known = {f: [sp.Float(p.diff(T_SYM, k + 1).subs(T_SYM, t0), DIGITS) for k in range(5)]
+             for f, p in zip((vx, vy, vz), polys)}
+    m, ktf, kdx, kdz, kg, kdamp, g = (sp.Rational(str(v)) for v in (
+        vp.m, vp.k_tf, vp.vk_d_x, vp.vk_d_z, vp.vk_gamma, vp.vk_damp, vp.g))
+    c, s, rate, vvx, vvy = (fn(n) for n in ("c", "s", "rate", "vvx", "vvy"))
+    h = sp.sqrt(vx**2 + vy**2)
+    known[c] = _derivs(vx / h, known, 3)
+    known[s] = _derivs(vy / h, known, 3)
+    known[rate] = _derivs((vx * d(vy) - vy * d(vx)) / h**2, known, 3)
+    known[vvx] = _derivs(c * vx + s * vy, known, 3)
+    known[vvy] = _derivs(c * vy - s * vx, known, 3)
+    # x|x| = sgn(x(t0)) x^2 near t0 when x(t0) != 0
+    sgn = {f: int(sp.sign(known[f][0])) for f in (vvx, vz, rate)}
+    assert all(sgn.values())
+    A, B, gx, gy, gz, f2 = (fn(n) for n in ("A", "B", "gx", "gy", "gz", "f2"))
+    known[A] = _derivs(-(d(vvx) + kdx / m * sgn[vvx] * vvx**2 + rate * vvy) * m / ktf, known, 2)
+    known[B] = _derivs((d(vz) + kdz / m * sgn[vz] * vz**2 + g) * m / ktf, known, 2)
+    known[gy] = _derivs((d(rate) + kdamp * sgn[rate] * rate**2) / (kg * sgn[vvx] * vvx**2),
+                        known, 2)
+    known[f2] = _derivs(sp.sqrt((A**2 + B**2) / (1 - gy**2)), known, 2)
+    known[gx] = _derivs(A / f2, known, 2)
+    known[gz] = _derivs(B / f2, known, 2)
+    w = 1 + gz
+    n = sp.sqrt(2 * w)
+    eta, e1, e2 = w / n, gy / n, -gx / n
+    ex = sp.Matrix([[0, 0, e2], [0, 0, -e1], [-e2, e1, 0]])
+    rot = sp.Matrix([[c, -s, 0], [s, c, 0], [0, 0, 1]]) * (sp.eye(3) + 2 * eta * ex + 2 * ex * ex)
+    W = rot.T * rot.diff(T_SYM)
+    omega = [_derivs(e, known, 1) for e in (W[2, 1], W[0, 2], W[1, 0])]
+    values = {
+        "gamma": [known[q][0] for q in (gx, gy, gz)],
+        "f_flap": sp.sqrt(known[f2][0]),
+        "omega_psi": known[rate][0],
+        "omega": [o[0] for o in omega],
+        "omega_dot": [o[1] for o in omega],
+    }
+    return {key: np.array(val, dtype=float) for key, val in values.items()}
+
+
+def climbing_turn():
+    coeffs = np.zeros((3, 7))
+    coeffs[0] = [0.0, 0.55, 0.08, -0.03, 0.004, 0.0, 0.0]
+    coeffs[1] = [0.0, 0.2, -0.1, 0.05, 0.0, -0.002, 0.0005]
+    coeffs[2] = [0.0, 0.1, 0.05, -0.02, 0.0, 0.0, 0.0]
+    return coeffs
+
+
+def descending_turn():
+    # heading in the third quadrant, sinking, turning the other way
+    coeffs = np.zeros((3, 7))
+    coeffs[0] = [0.3, -0.45, -0.06, 0.02, 0.0, 0.001, 0.0]
+    coeffs[1] = [-0.2, -0.35, 0.12, -0.04, 0.003, 0.0, -0.0004]
+    coeffs[2] = [1.0, -0.12, 0.03, 0.01, -0.002, 0.0, 0.0]
+    return coeffs
+
+
+class TestSymbolicOracle:
+    @pytest.mark.parametrize("make", [climbing_turn, descending_turn])
+    def test_jets_match_symbolic_differentiation(self, vparams, make):
+        coeffs = make()
+        traj = single_segment(coeffs, 1.5)
+        for t0 in (0.35, 1.1):
+            ref = symbolic_flat_state(coeffs, t0, vparams)
+            result = flat_to_full(traj, t0, vparams, FwavParams())
+            for key, expected in ref.items():
+                got = np.asarray(getattr(result, key))
+                err = np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected)))
+                assert err <= 1e-12, (key, t0, got, expected)
+            assert np.linalg.norm(ref["omega_dot"]) > 0.1  # not a trivial check
+
+
+def finite_difference_state(traj, t, vparams, fparams, h=1e-4):
+    """The former flat_to_full: body rates and their derivative from a
+    5-point stencil of the analytically evaluated rotation R(t)."""
+
+    def rotation_at(t_eval):
+        u, v = flat_to_attitude_and_thrust(traj.flat_sample(t_eval), vparams)
+        return recover_attitude(u.gamma, v.psi)
+
+    rots = [rotation_at(t + k * h) for k in (-2, -1, 0, 1, 2)]
+
+    def body_rate(r_mid, r_minus, r_plus):
+        w_mat = (r_plus - r_minus) / (2.0 * h) @ r_mid.T
+        anti = 0.5 * (w_mat - w_mat.T)
+        return r_mid.T @ np.array([anti[2, 1], anti[0, 2], anti[1, 0]])
+
+    omega = body_rate(rots[2], rots[1], rots[3])
+    omega_dot = (body_rate(rots[3], rots[2], rots[4]) - body_rate(rots[1], rots[0], rots[2])) / (
+        2.0 * h
+    )
+    inputs, _ = flat_to_attitude_and_thrust(traj.flat_sample(t), vparams)
+    tau = fparams.J @ omega_dot + np.cross(omega, fparams.J @ omega)
+    v_body = rots[2].T @ traj.eval(t, 1)
+    sv = float(np.sign(v_body[2])) * v_body[0] ** 2
+    f2 = inputs.f_flap**2
+    theta_rud = -tau[0] / (fparams.k_tau_x * sv + fparams.k_flap_x * f2)
+    theta_ele = -tau[1] / (fparams.k_tau_y * sv + fparams.k_flap_y * f2)
+    return rots[2], omega, omega_dot, theta_rud, theta_ele
+
+
+class TestFiniteDifferenceAgreement:
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_exact_rates_match_former_stencil(self, vparams, which, case_a, case_b):
+        traj = (case_a if which == "a" else case_b).traj
+        fparams = FwavParams()
+        sched = FlatInputSchedule(traj, vparams)
+        times = np.linspace(sched.t_lo, sched.t_hi, 27)[1:-1]
+        # the stencil needs a smooth flat output across t +- 2h
+        junctions = traj.T * np.arange(1, traj.M)
+        times = [t for t in times if np.all(np.abs(t - junctions) > 1e-3)]
+        batch = flat_to_full(traj, np.array(times), vparams, fparams)
+        for i, t in enumerate(times):
+            rot, omega, omega_dot, theta_rud, theta_ele = finite_difference_state(
+                traj, t, vparams, fparams
+            )
+            assert np.max(np.abs(batch.rotation[i] - rot)) < 1e-12
+            assert np.linalg.norm(batch.omega[i] - omega) <= 1e-6 * max(
+                1.0, np.linalg.norm(omega))
+            assert np.linalg.norm(batch.omega_dot[i] - omega_dot) <= 1e-5 * max(
+                1.0, np.linalg.norm(omega_dot))
+            assert abs(batch.theta_rud[i] - theta_rud) <= 1e-6
+            assert abs(batch.theta_ele[i] - theta_ele) <= 1e-6
+
+
+@st.composite
+def feasible_polynomials(draw):
+    """Start-from-rest climbing turns: slow launch (ramp window), then
+    forward flight above the schedule's speed floor."""
+    heading = draw(st.floats(-math.pi, math.pi))
+    along = [0.0, 0.0, draw(st.floats(0.2, 0.4)), draw(st.floats(-0.05, 0.0))]
+    lateral = [0.0, 0.0, 0.0, draw(st.floats(-0.02, 0.02))]
+    climb = [0.0, 0.0, draw(st.floats(-0.05, 0.05)), draw(st.floats(-0.01, 0.01))]
+    c, s = math.cos(heading), math.sin(heading)
+    coeffs = np.zeros((3, 7))
+    coeffs[0, :4] = [c * a - s * b for a, b in zip(along, lateral)]
+    coeffs[1, :4] = [s * a + c * b for a, b in zip(along, lateral)]
+    coeffs[2, :4] = climb
+    return single_segment(coeffs, 1.5)
+
+
+class TestBatchedEqualsPerSample:
+    @HYPOTHESIS
+    @given(traj=feasible_polynomials(), psi=st.floats(-math.pi, math.pi))
+    def test_flat_to_full(self, traj, psi):
+        # t = 0 is at rest, so the batch mixes the frozen explicit azimuth
+        # with the velocity azimuth
+        times = np.linspace(0.0, traj.duration, 9)
+        vparams, fparams = VerticalParams(), FwavParams()
+        batch = flat_to_full(traj, times, vparams, fparams, psi=psi)
+        for i, t in enumerate(times):
+            one = flat_to_full(traj, float(t), vparams, fparams, psi=psi)
+            for key in ("p", "v", "gamma", "psi", "omega_psi", "vv", "vv_dot", "quaternion",
+                        "rotation", "omega", "omega_dot", "f_flap", "theta_rud", "theta_ele"):
+                np.testing.assert_allclose(
+                    getattr(batch, key)[i], getattr(one, key), rtol=1e-13, atol=1e-13,
+                    err_msg=key,
+                )
+
+    @HYPOTHESIS
+    @given(traj=feasible_polynomials())
+    def test_tabulate(self, traj):
+        sched = FlatInputSchedule(traj, VerticalParams())
+        assert sched.t_lo > 0.0  # the launch window uses the ramp
+        grid = np.linspace(0.0, traj.duration, 5001)  # more than one block
+        gamma, f_flap = sched.tabulate(grid)
+        lo = int(np.searchsorted(grid, sched.t_lo))
+        for i in sorted({0, 1, lo - 1, lo, 2500, 4095, 4096, 4097, 5000}):
+            u = sched.inputs(float(grid[i]))
+            np.testing.assert_allclose(gamma[i], u.gamma, rtol=0, atol=1e-12)
+            assert f_flap[i] == pytest.approx(u.f_flap, abs=1e-12)
+
+
+class TestRampWindow:
+    def test_ramp_kinematics_match_closed_form(self, vparams, case_a):
+        # explicit azimuth psi0 + r (t - t0): vv_dot = Rz^T a - r e3 x vv
+        sched = FlatInputSchedule(case_a.traj, vparams)
+        lo = flat_to_vertical(case_a.traj.flat_sample(sched.t_lo), vparams)
+        hi = flat_to_vertical(case_a.traj.flat_sample(sched.t_hi), vparams)
+        for t in (0.0, 0.5 * sched.t_lo, sched.t_hi + 0.5 * (case_a.traj.duration - sched.t_hi)):
+            vert = sched.vertical_state_of(t)
+            sample = case_a.traj.flat_sample(t)
+            if t < sched.t_lo:
+                psi, rate = lo.psi - lo.omega_psi * (sched.t_lo - t), lo.omega_psi
+            else:
+                psi, rate = hi.psi + hi.omega_psi * (t - sched.t_hi), hi.omega_psi
+            assert vert.omega_psi == rate
+            rot_t = rotz(psi).T
+            vv = rot_t @ sample.d1
+            assert abs(wrap_angle(vert.psi - psi)) < 1e-12
+            np.testing.assert_allclose(vert.vv, vv, atol=1e-12)
+            np.testing.assert_allclose(
+                vert.vv_dot, rot_t @ sample.d2 - rate * np.array([-vv[1], vv[0], 0.0]),
+                atol=1e-12,
+            )
+            assert vert.omega_psi_dot == 0.0
+
+
+class TestErrorParity:
+    def test_hover_without_azimuth(self, vparams):
+        with pytest.raises(DegenerateHeadingError):
+            flat_to_attitude_and_thrust(hover_sample(), vparams)
+        with pytest.raises(DegenerateHeadingError):
+            flat_to_full(constant_trajectory([0.0, 0.0, 1.0]), 0.5, vparams, FwavParams())
+        # one slow sample in a batch is enough
+        traj = smooth_forward_trajectory()
+        coeffs = traj.segments[0].coeffs.copy()
+        coeffs[:, 1] = 0.0  # starts at rest
+        with pytest.raises(DegenerateHeadingError):
+            flat_to_full(single_segment(coeffs, 1.5), np.array([0.0, 1.0]), vparams,
+                         FwavParams())
+
+    def test_lateral_tilt_beyond_one(self, vparams):
+        s = FlatSample(sigma=[0, 0, 0], d1=[0.06, 0.0, 0.0], d2=[0.0, 1.0, 0.0])
+        with pytest.raises(InfeasibleHeadingAccelerationError, match="exceeds 1"):
+            flat_to_attitude_and_thrust(s, vparams)
+        # the same sample in the middle of a trajectory, batched
+        coeffs = np.zeros((3, 7))
+        coeffs[0, 1], coeffs[1, 2] = 0.06, 0.5
+        with pytest.raises(InfeasibleHeadingAccelerationError):
+            flat_to_full(single_segment(coeffs, 1.0), np.array([0.0, 0.5]), vparams,
+                         FwavParams())
+
+    def test_frequency_floor(self, vparams):
+        s = FlatSample(sigma=[0, 0, 0], d2=[0.0, 0.0, -vparams.g])
+        with pytest.raises(NegligibleThrustError):
+            flat_to_attitude_and_thrust(s, vparams, psi=0.0)
+        coeffs = np.zeros((3, 7))
+        coeffs[0, 1], coeffs[2, 2] = 0.06, -vparams.g / 2  # free fall, slow forward drift
+        with pytest.raises(NegligibleThrustError):
+            flat_to_full(single_segment(coeffs, 1.0), 0.0, vparams, FwavParams())
+
+    def test_yaw_demand_without_vane_authority(self, vparams):
+        vert = VerticalFlatState(
+            vv=np.array([0.01, 0.0, 0.0]), psi=0.0, omega_psi=0.0,
+            vv_dot=np.zeros(3), omega_psi_dot=1.0,
+        )
+        with pytest.raises(InfeasibleHeadingAccelerationError, match="authority"):
+            flat_to_attitude_and_thrust(hover_sample(), vparams, vertical=vert)
+        # no demand, no authority: the lateral tilt is zero
+        vert.omega_psi_dot = 0.0
+        u, _ = flat_to_attitude_and_thrust(hover_sample(), vparams, vertical=vert)
+        assert u.gamma[1] == 0.0
+
+    def test_vanishing_deflection_gain(self, vparams):
+        traj = smooth_forward_trajectory()
+        with pytest.raises(UnrecoverableDeflectionError):
+            flat_to_full(traj, 0.7, vparams, FwavParams(k_tau_x=0.0, k_flap_x=0.0))
+        with pytest.raises(UnrecoverableDeflectionError):
+            flat_to_full(traj, np.array([0.2, 0.7]), vparams,
+                         FwavParams(k_tau_y=0.0, k_flap_y=0.0))
+        # without the flapping term the gain vanishes only where the body
+        # is at rest: one such sample in a batch is enough
+        coeffs = traj.segments[0].coeffs.copy()
+        coeffs[:, 1] = 0.0
+        with pytest.raises(UnrecoverableDeflectionError):
+            flat_to_full(single_segment(coeffs, 1.5), np.array([0.0, 1.0]), vparams,
+                         FwavParams(k_flap_x=0.0), psi=0.0)

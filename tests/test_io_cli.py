@@ -7,7 +7,7 @@ from flapkit.control import ControllerGains
 from flapkit.dynamics import FwavParams, VerticalLog, VerticalParams
 from flapkit.errors import InvalidInputError
 from flapkit.planning import case_library
-from flapkit.trajectory import PiecewiseTrajectory
+from flapkit.trajectory import PiecewiseTrajectory, constant_trajectory
 
 
 class TestKvFormat:
@@ -79,6 +79,48 @@ class TestParamFiles:
         ]:
             text = resources.files("flapkit").joinpath(f"data/{name}").read_text()
             loader(kvio.parse_kv(text))
+
+
+class TestStrictKeys:
+    @pytest.mark.parametrize("loader,typo,nearest", [
+        (kvio.fwav_params_from_dict, "k_tau_xx", "k_tau_x"),
+        (kvio.fwav_params_from_dict, "jzzz", "jzz"),
+        (kvio.vertical_params_from_dict, "vk_gama", "vk_gamma"),
+        (kvio.vertical_params_from_dict, "lateral_mod", "lateral_mode"),
+        (kvio.gains_from_dict, "k_omga", "k_omega"),
+        (kvio.scenario_from_dict, "segmnets", "segments"),
+        (kvio.scenario_from_dict, "v_hmax", "v_h_max"),
+    ])
+    def test_typo_names_the_nearest_key(self, loader, typo, nearest):
+        with pytest.raises(InvalidInputError, match=f"{typo!r}.*{nearest!r}"):
+            loader({typo: 1.0})
+
+    def test_key_of_another_schema_rejected(self):
+        from importlib import resources
+
+        text = resources.files("flapkit").joinpath("data/default_full_params.kv").read_text()
+        with pytest.raises(InvalidInputError, match="'k_d_x'.*'vk_d_x'"):
+            kvio.vertical_params_from_dict(kvio.parse_kv(text))
+
+    def test_scenario_name_accepted(self):
+        kvio.scenario_from_dict({"name": "custom", "segments": 1})
+
+    def test_cli_typo_exits_1_with_message(self, tmp_path, capsys):
+        scenario = tmp_path / "typo.kv"
+        scenario.write_text("segmnets = 3\n")
+        assert main(["plan", "--scenario", str(scenario), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "'segmnets'" in capsys.readouterr().err
+        traj_csv = tmp_path / "hover.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj_csv)
+        full_params = tmp_path / "full.kv"
+        kvio.dump_kv(full_params, kvio.fwav_params_to_pairs(FwavParams()))
+        assert main([
+            "simulate", "--traj", str(traj_csv), "--model", "vertical",
+            "--params", str(full_params),
+            "--out-state", str(tmp_path / "s.csv"), "--out-control", str(tmp_path / "c.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "'k_d_x'" in err and "'vk_d_x'" in err
 
 
 class TestScenarioFiles:

@@ -9,6 +9,7 @@ from flapkit.trajectory import (
     PiecewiseTrajectory,
     PolySegment,
     constant_trajectory,
+    falling_factorial,
     polyval_derivative,
     rec,
     single_segment,
@@ -63,6 +64,50 @@ class TestEval:
             batch = traj.eval_many(times, order)
             single = np.array([traj.eval(float(t), order) for t in times])
             assert np.allclose(batch, single, atol=1e-12)
+
+
+def per_coefficient_polyval_derivative(coeffs, t, order):
+    """The former polyval_derivative: one falling_factorial call per coefficient."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = coeffs.size
+    if order >= n:
+        return np.zeros_like(np.asarray(t, dtype=float))
+    d = np.array([coeffs[i] * falling_factorial(i, order) for i in range(order, n)])
+    return np.polynomial.polynomial.polyval(t, d)
+
+
+class TestEvalBitIdentity:
+    def test_matches_per_axis_formula(self):
+        rng = np.random.default_rng(41)
+        seg = PolySegment(rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-3, 3, (3, 7)), 1.7)
+        points = [0.0, 1e-9, 0.3, 1.7, 2.5, -0.4]
+        grids = [np.linspace(0.0, 1.7, 11), np.array([0.25]), np.zeros((2, 3)) + 0.6]
+        for order in range(0, 9):  # orders past the degree evaluate to zeros
+            for t in points + grids:
+                old = np.stack([
+                    per_coefficient_polyval_derivative(seg.coeffs[axis], t, order)
+                    for axis in range(3)
+                ])
+                new = seg.eval(t, order)
+                assert new.shape == old.shape and new.dtype == old.dtype
+                assert np.array_equal(new, old), (order, t)
+                for axis in range(3):
+                    one = polyval_derivative(seg.coeffs[axis], t, order)
+                    assert np.shape(one) == np.shape(old[axis])
+                    assert np.array_equal(one, old[axis])
+
+    def test_taylor_coefficients(self):
+        traj = PiecewiseTrajectory([
+            PolySegment(np.arange(21.0).reshape(3, 7) / 7.0, 1.5),
+            PolySegment(-np.arange(21.0).reshape(3, 7) / 9.0, 1.5),
+        ])
+        times = np.array([0.0, 0.7, 1.5, 2.9, 3.0])
+        taylor = traj.taylor(times, 5)
+        assert taylor.shape == (6, 5, 3)
+        for k, fact in enumerate([1, 1, 2, 6, 24, 120]):
+            pointwise = np.array([traj.eval(t, k) for t in times])
+            assert np.array_equal(taylor[k], pointwise / fact)
+            assert np.array_equal(traj.eval_many(times, k), pointwise)
 
 
 class TestSnapObjective:
