@@ -102,10 +102,6 @@ def reduced_attitude(q: UnitQuaternion) -> np.ndarray:
     return quat_to_rot(q).T @ E3
 
 
-def reduced_attitude_from_rot(rot: np.ndarray) -> np.ndarray:
-    return np.asarray(rot, dtype=float).T @ E3
-
-
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     a = math.atan2(math.sin(angle), math.cos(angle))

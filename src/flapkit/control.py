@@ -5,8 +5,14 @@ acceleration into azimuth / forward tilt / thrust, a hybrid hysteretic
 heading loop with a robust sign term, and the simplified proportional inner
 attitude laws for rudder and elevator.  Derivative signals (vdot_d, psid_dot,
 omega_psid_dot) come from second-order low-pass command filters; the
-omega_psid filter is reset whenever the hysteresis logic jumps so the jump
-does not differentiate into a spike.
+omega_psid filter is reset whenever the hysteresis logic jumps or the command
+jumps, so neither differentiates into a spike.
+
+``HybridHeading.tick`` is the hybrid heading law: the controller and both
+certification simulations in ``simulate`` run it, so the certified law is
+the flown law.  Those simulations also take the positional law
+(``desired_velocity``, ``desired_acceleration``) and its candidate V1
+(``candidate_v1``) from here.
 
 The controller is a deterministic state machine: one ``update`` per tick,
 all state lives in ``ControllerState``.
@@ -284,6 +290,11 @@ def heading_stability_margin(gains: ControllerGains) -> HeadingMargin:
     )
 
 
+def candidate_v1(e_p, e_v, gains: ControllerGains) -> float:
+    """Positional candidate V1 = 1/2 e_p' Kp^-1 e_p + 1/2 e_v' Kv^-1 e_v."""
+    return 0.5 * float(e_p @ (e_p / gains.kp)) + 0.5 * float(e_v @ (e_v / gains.kv))
+
+
 @dataclass
 class LyapunovReport:
     V1: float
@@ -308,7 +319,7 @@ def lyapunov_monitors(
     evaluated at the hysteresis boundary.
     """
     e_p, e_v = errors.e_p, errors.e_v
-    v1 = 0.5 * float(e_p @ (e_p / gains.kp)) + 0.5 * float(e_v @ (e_v / gains.kv))
+    v1 = candidate_v1(e_p, e_v, gains)
     v1_dot = -float(e_p @ np.tanh(e_p)) - float(e_v @ np.tanh(e_v))
 
     s = math.sin(errors.delta_psi)
@@ -327,6 +338,57 @@ def lyapunov_monitors(
         - 2.0 / gains.k_psi * math.sqrt(1.0 - root)
     )
     return LyapunovReport(v1, v1_dot, v2, flow_bound, jump_delta)
+
+
+@dataclass
+class HeadingTick:
+    """One tick of the hybrid heading law; gamma_yd is unclipped."""
+
+    h_before: int
+    h_psi: int
+    jumped: bool
+    omega_psi_d: float
+    e_omega_psi: float
+    gamma_yd: float
+
+
+class HybridHeading:
+    """The hybrid heading law, one tick at a time.
+
+    Owns the hysteresis logic variable h, the omega_psi_d command filter and
+    the last command.  The filter is reset at a hysteresis jump (h flips
+    with cos(delta_psi) <= 0) and at a command jump (|change of
+    omega_psi_d| > OMEGA_PSI_D_JUMP between ticks).
+    """
+
+    def __init__(self, gains: ControllerGains, dt: float):
+        self.gains = gains
+        self.h_psi = 1
+        self._wd_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, dt, 1)
+        self._last_omega_psi_d: float | None = None
+
+    def tick(self, delta_psi: float, psi_d_rate: float, omega_psi: float) -> HeadingTick:
+        g = self.gains
+        h_before = self.h_psi
+        h = hysteresis_update(h_before, delta_psi, g.delta)
+        jumped = h != h_before and math.cos(delta_psi) <= 0.0
+        self.h_psi = h
+
+        omega_psi_d = heading_rate_command(
+            delta_psi, psi_d_rate, h, g.k_psi, g.psi_rate_ff_cap
+        )
+        command_jumped = (
+            self._last_omega_psi_d is not None
+            and abs(omega_psi_d - self._last_omega_psi_d) > OMEGA_PSI_D_JUMP
+        )
+        if jumped or command_jumped:
+            self._wd_filter.reset(omega_psi_d)
+        _, wd_rate = self._wd_filter.update(omega_psi_d)
+        self._last_omega_psi_d = omega_psi_d
+
+        e_omega_psi = omega_psi_d - omega_psi
+        gamma_yd = gamma_y_command(e_omega_psi, delta_psi, h, float(wd_rate[0]), g)
+        return HeadingTick(h_before, h, jumped, omega_psi_d, e_omega_psi, gamma_yd)
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +441,14 @@ class ControllerOutput:
 
 @dataclass
 class ControllerState:
-    """Mutable controller memory: the hysteresis logic variable, the three
-    command filters, the unwrap-tracked azimuth command, the last heading
-    rate command (jump detection), and the held decomposition."""
+    """Mutable controller memory: the hybrid heading law, the desired-velocity
+    and azimuth command filters, the unwrap-tracked azimuth command, and the
+    held decomposition."""
 
-    h_psi: int
+    heading: HybridHeading
     vd_filter: SecondOrderFilter
     psid_filter: SecondOrderFilter
-    wd_filter: SecondOrderFilter
     psi_d_cont: float
-    last_omega_psi_d: float | None
     held: Decomposition
 
 
@@ -410,12 +470,10 @@ class TrackingController:
         self.dt = 1.0 / rate_hz
         self.psi_d_floor = psi_d_floor
         self.state = ControllerState(
-            h_psi=1,
+            heading=HybridHeading(gains, self.dt),
             vd_filter=SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt, 3),
             psid_filter=SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt, 1),
-            wd_filter=SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt, 1),
             psi_d_cont=initial_psi_d,
-            last_omega_psi_d=None,
             held=Decomposition(
                 psi_d=initial_psi_d, f_flap_cmd=params.hover_frequency,
                 gamma_xd=0.0, gamma_zd=1.0,
@@ -424,7 +482,7 @@ class TrackingController:
 
     @property
     def h_psi(self) -> int:
-        return self.state.h_psi
+        return self.state.heading.h_psi
 
     def update(self, sigma_r, sigma_r_dot, meas: Measurement) -> ControllerOutput:
         g = self.gains
@@ -458,34 +516,18 @@ class TrackingController:
         _, psi_d_rate = st.psid_filter.update(st.psi_d_cont)
         psi_d_rate = float(psi_d_rate[0])
         ff_saturated = abs(psi_d_rate) > g.psi_rate_ff_cap
-        h_new = hysteresis_update(st.h_psi, delta_psi, g.delta)
-        jumped = h_new != st.h_psi and math.cos(delta_psi) <= 0.0
-        st.h_psi = h_new
-
-        omega_psi_d = heading_rate_command(
-            delta_psi, psi_d_rate, h_new, g.k_psi, g.psi_rate_ff_cap
-        )
-        command_jumped = (
-            st.last_omega_psi_d is not None
-            and abs(omega_psi_d - st.last_omega_psi_d) > OMEGA_PSI_D_JUMP
-        )
-        if jumped or command_jumped:
-            st.wd_filter.reset(omega_psi_d)
-        _, wd_rate = st.wd_filter.update(omega_psi_d)
-        wd_rate = float(wd_rate[0])
-        st.last_omega_psi_d = omega_psi_d
+        heading = st.heading.tick(delta_psi, psi_d_rate, meas.omega_psi)
 
         errors.delta_psi = delta_psi
         errors.e_psi = azimuth_error(delta_psi)
-        errors.e_omega_psi = omega_psi_d - meas.omega_psi
+        errors.e_omega_psi = heading.e_omega_psi
 
-        gamma_yd = gamma_y_command(errors.e_omega_psi, delta_psi, h_new, wd_rate, g)
-        gamma_yd = min(max(gamma_yd, -g.gamma_yd_limit), g.gamma_yd_limit)
+        gamma_yd = min(max(heading.gamma_yd, -g.gamma_yd_limit), g.gamma_yd_limit)
         gamma_p = compose_reduced_attitude(dec.gamma_xd, gamma_yd, dec.gamma_zd)
         theta_rud, theta_ele = inner_attitude(gamma_p, meas.gamma, meas.omega, g)
 
         monitors = lyapunov_monitors(
-            errors, h_new, g, psi_d_dot=psi_d_rate, omega_psi=meas.omega_psi
+            errors, heading.h_psi, g, psi_d_dot=psi_d_rate, omega_psi=meas.omega_psi
         )
         return ControllerOutput(
             gamma_cmd=gamma_p,
@@ -495,9 +537,9 @@ class TrackingController:
             theta_ele_cmd=theta_ele,
             errors=errors,
             monitors=monitors,
-            h_psi=h_new,
-            omega_psi_d=omega_psi_d,
+            h_psi=heading.h_psi,
+            omega_psi_d=heading.omega_psi_d,
             psi_d=dec.psi_d,
-            jumped=jumped,
+            jumped=heading.jumped,
             ff_saturated=ff_saturated,
         )

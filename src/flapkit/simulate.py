@@ -12,9 +12,13 @@ Also here are the certification simulations used by the stability checks:
 
 * the ideal vertical loop, where the acceleration expectation is enforced
   exactly (the premise of the positional stability claim) and the heading
-  runs the hybrid law; the ideal positional loop is its positional part, and
+  runs the hybrid law, and
 * the hybrid heading loop alone, for jump-decrease checks at hysteresis
   flips.
+
+Both run the controller's own heading tick (``HybridHeading``) and its
+positional law and candidate V1, with the unclipped lateral-tilt command
+applied directly (the ideal inner loop).
 """
 
 from __future__ import annotations
@@ -24,25 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import (
-    UnitQuaternion,
-    quat_to_rot,
-    recover_attitude,
-    rotz,
-    split_azimuth,
-    tilt_quaternion,
-    wrap_angle,
-)
+from .attitude import UnitQuaternion, quat_to_rot, rotz, split_azimuth, wrap_angle
 from .control import (
     CONTROL_LOG_HEADER,
     ControllerGains,
+    HybridHeading,
     Measurement,
-    SecondOrderFilter,
     TrackingController,
     TrackingErrors,
-    gamma_y_command,
+    candidate_v1,
+    desired_acceleration,
+    desired_velocity,
     heading_rate_command,
-    hysteresis_update,
     lyapunov_monitors,
 )
 from .dynamics import (
@@ -62,8 +59,6 @@ from .dynamics import (
 from .errors import InvalidInputError, PropagationError
 from .flatness import V_EPS
 from .trajectory import PiecewiseTrajectory
-
-E3 = np.array([0.0, 0.0, 1.0])
 
 # The deflection-torque model produces torque opposite the deflection sign,
 # while the inner attitude law assumes torque along its command.  The full-
@@ -151,22 +146,16 @@ def run_closed_loop(
         state = VerticalState(p=p0, vv=rotz(psi0).T @ v0, psi=psi0)
     elif model == "full":
         plant = _FullPlant(fparams or FwavParams())
+        half = psi0 / 2.0  # level attitude at the reference heading: pure yaw
         state = FwavState(
             p=p0, v=v0,
-            q=_quat_from_rotation(recover_attitude(E3, psi0)),
+            q=UnitQuaternion(math.cos(half), np.array([0.0, 0.0, math.sin(half)])),
             f_flap=plant.params.hover_frequency,
         )
     else:
         raise InvalidInputError(f"unknown model {model!r}")
     return _fly(traj, controller, plant, state.as_vector().tolist(), dt, n_steps, n_sub,
                 divergence_radius)
-
-
-def _quat_from_rotation(rot: np.ndarray):
-    psi, gamma = split_azimuth(rot)
-    half = psi / 2.0
-    yaw_q = UnitQuaternion(math.cos(half), np.array([0.0, 0.0, math.sin(half)]))
-    return yaw_q.multiply(tilt_quaternion(gamma)).normalized()
 
 
 def _reference(traj: PiecewiseTrajectory, t: float):
@@ -295,7 +284,7 @@ def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopRe
 
 
 def _positional_law(gains: ControllerGains, reference, t: float, y):
-    """The ideal positional loop at time t for a flat state y = (p, v, ...).
+    """Ideal-loop positional law at time t for a flat state y = (p, v, ...).
 
     Returns the errors e_p and e_v, the exactly enforced acceleration a_d
     (analytic desired-velocity derivative, no filter) and the candidate V1.
@@ -305,43 +294,9 @@ def _positional_law(gains: ControllerGains, reference, t: float, y):
     sigma, sigma_dot, sigma_ddot = reference(t)
     e_p = sigma - p
     v_d_dot = sigma_ddot + kp / np.cosh(e_p) ** 2 * (sigma_dot - v)
-    e_v = sigma_dot + kp * np.tanh(e_p) - v
-    a_d = v_d_dot + kv / kp * np.tanh(e_p) + kv * np.tanh(e_v)
-    v1 = 0.5 * float(e_p @ (e_p / kp)) + 0.5 * float(e_v @ (e_v / kv))
-    return e_p, e_v, a_d, v1
-
-
-@dataclass
-class IdealLoopResult:
-    t: np.ndarray
-    e_p: np.ndarray
-    e_v: np.ndarray
-    V1: np.ndarray
-
-
-def simulate_ideal_positional(
-    gains: ControllerGains,
-    p0,
-    v0,
-    reference=None,
-    dt: float = 2e-3,
-    duration: float = 20.0,
-    stop_when_ep_below: float | None = None,
-) -> IdealLoopResult:
-    """Positional loop with the acceleration expectation enforced exactly.
-
-    The desired-velocity derivative is evaluated analytically (no filter),
-    so the candidate-function decrease holds to integration accuracy.  The
-    reference defaults to hovering at the origin; otherwise pass a callable
-    t -> (sigma_r, sigma_r_dot, sigma_r_ddot).  The positional subsystem of
-    the ideal vertical loop does not depend on its heading, so this is that
-    loop with the heading at rest.
-    """
-    res = simulate_ideal_vertical(
-        gains, p0, v0, reference=reference, dt=dt, duration=duration,
-        stop_when_ep_below=stop_when_ep_below,
-    )
-    return IdealLoopResult(t=res.t, e_p=res.e_p, e_v=res.e_v, V1=res.V1)
+    e_v = desired_velocity(sigma_dot, e_p, kp) - v
+    a_d = desired_acceleration(v_d_dot, e_p, e_v, kp, kv)
+    return e_p, e_v, a_d, candidate_v1(e_p, e_v, gains)
 
 
 @dataclass
@@ -372,10 +327,13 @@ def simulate_ideal_vertical(
     """Vertical-model closed loop with the ideal inner loop.
 
     Positional subsystem evolves under the exactly-enforced acceleration
-    expectation (analytic desired-velocity derivative); the heading
-    subsystem runs the hybrid law against the lumped yaw gain with the
-    lateral tilt applied directly.  The reference defaults to hovering at
-    the origin with a fixed desired azimuth.
+    expectation (analytic desired-velocity derivative, no filter), so the
+    V1 decrease holds to integration accuracy; the heading subsystem runs
+    the controller's heading tick against the lumped yaw gain with the
+    unclipped lateral tilt applied directly.  The reference defaults to
+    hovering at the origin with a fixed desired azimuth; otherwise pass a
+    callable t -> (sigma_r, sigma_r_dot, sigma_r_ddot).  The positional
+    subsystem does not depend on the heading.
     """
     if l_gain is None:
         l_gain = math.sqrt(gains.l_gamma_min * gains.l_gamma_max)
@@ -384,8 +342,7 @@ def simulate_ideal_vertical(
     n_sub = max(int(round(1.0 / (rate_hz * dt))), 1)
     n_steps = int(round(duration / dt))
 
-    h = 1
-    wd_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, 1.0 / rate_hz, 1)
+    heading = HybridHeading(gains, 1.0 / rate_hz)
     gamma_yd = 0.0
     jump_count = 0
 
@@ -409,18 +366,9 @@ def simulate_ideal_vertical(
     record(0.0, y)
     for k in range(n_steps):
         if k % n_sub == 0:
-            delta_psi = wrap_angle(psi_d - y[6])
-            h_new = hysteresis_update(h, delta_psi, gains.delta)
-            if h_new != h and math.cos(delta_psi) <= 0.0:
-                jump_count += 1
-            h = h_new
-            omega_psi_d = heading_rate_command(
-                delta_psi, 0.0, h, gains.k_psi, gains.psi_rate_ff_cap
-            )
-            _, wd_rate = wd_filter.update(omega_psi_d)
-            gamma_yd = gamma_y_command(
-                omega_psi_d - y[7], delta_psi, h, float(wd_rate[0]), gains
-            )
+            tick = heading.tick(wrap_angle(psi_d - y[6]), 0.0, y[7])
+            jump_count += tick.jumped
+            gamma_yd = tick.gamma_yd
         y = rk4_flat(rhs, y, dt, *_stage_times(k, dt))
         times.append((k + 1) * dt)
         record((k + 1) * dt, y)
@@ -477,50 +425,35 @@ def simulate_heading_loop(
     n_sub = max(int(round(1.0 / (rate_hz * dt))), 1)
     n_steps = int(round(duration / dt))
 
-    h = 1
-    wd_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, 1.0 / rate_hz, 1)
+    heading = HybridHeading(gains, 1.0 / rate_hz)
     gamma_yd = 0.0
     psi, w = float(psi0), float(omega0)
     times, psis, ws, dpsis, v2s = [0.0], [psi], [w], [], []
     jumps: list[HeadingJumpEvent] = []
 
-    def v2_of(h_val, delta_psi, omega_psi_d, omega_psi):
+    def v2_of(h_val, delta_psi, omega_psi):
+        omega_psi_d = heading_rate_command(
+            delta_psi, 0.0, h_val, gains.k_psi, gains.psi_rate_ff_cap
+        )
         errors = TrackingErrors(delta_psi=delta_psi, e_omega_psi=omega_psi_d - omega_psi)
         return lyapunov_monitors(errors, h_val, gains, omega_psi=omega_psi).V2
 
     dpsis.append(wrap_angle(psi_d_fn(0.0) - psi))
-    v2s.append(v2_of(h, dpsis[0], heading_rate_command(dpsis[0], 0.0, h, gains.k_psi,
-                                                       gains.psi_rate_ff_cap), w))
+    v2s.append(v2_of(heading.h_psi, dpsis[0], w))
 
     for k in range(n_steps):
         t = k * dt
         if k % n_sub == 0:
-            psi_d = psi_d_fn(t)
-            delta_psi = wrap_angle(psi_d - psi)
-            h_new = hysteresis_update(h, delta_psi, gains.delta)
-            if h_new != h and math.cos(delta_psi) <= 0.0:
-                w_d_before = heading_rate_command(
-                    delta_psi, 0.0, h, gains.k_psi, gains.psi_rate_ff_cap
-                )
-                w_d_after = heading_rate_command(
-                    delta_psi, 0.0, h_new, gains.k_psi, gains.psi_rate_ff_cap
-                )
+            delta_psi = wrap_angle(psi_d_fn(t) - psi)
+            tick = heading.tick(delta_psi, 0.0, w)
+            if tick.jumped:
                 jumps.append(HeadingJumpEvent(
                     t=t,
-                    v2_before=v2_of(h, delta_psi, w_d_before, w),
-                    v2_after=v2_of(h_new, delta_psi, w_d_after, w),
+                    v2_before=v2_of(tick.h_before, delta_psi, w),
+                    v2_after=v2_of(tick.h_psi, delta_psi, w),
                     omega_psi=w,
                 ))
-            h = h_new
-            omega_psi_d = heading_rate_command(
-                delta_psi, 0.0, h, gains.k_psi, gains.psi_rate_ff_cap
-            )
-            if jumps and jumps[-1].t == t:
-                wd_filter.reset(omega_psi_d)
-            _, wd_rate = wd_filter.update(omega_psi_d)
-            gamma_yd = gamma_y_command(
-                omega_psi_d - w, delta_psi, h, float(wd_rate[0]), gains
-            )
+            gamma_yd = tick.gamma_yd
 
         # flow: psi' = w, w' = -l * gamma_yd (zero-order-hold input)
         psi, w = rk4_flat(_heading_flow, [psi, w], dt, gamma_yd, gamma_yd, gamma_yd, l_gain)
@@ -531,9 +464,7 @@ def simulate_heading_loop(
         ws.append(w)
         delta_psi = wrap_angle(psi_d_fn(t_next) - psi)
         dpsis.append(delta_psi)
-        omega_psi_d = heading_rate_command(delta_psi, 0.0, h, gains.k_psi,
-                                           gains.psi_rate_ff_cap)
-        v2s.append(v2_of(h, delta_psi, omega_psi_d, w))
+        v2s.append(v2_of(heading.h_psi, delta_psi, w))
 
     return HeadingLoopResult(
         t=np.array(times), psi=np.array(psis), omega_psi=np.array(ws),

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flapkit.control import (
+    OMEGA_PSI_D_JUMP,
     ControllerGains,
+    HybridHeading,
     Measurement,
     SecondOrderFilter,
     TrackingController,
@@ -24,7 +28,7 @@ from flapkit.control import (
 )
 from flapkit.dynamics import VerticalParams
 from flapkit.errors import DegenerateDecompositionError, InvalidInputError
-from flapkit.simulate import simulate_ideal_positional
+from flapkit.simulate import simulate_ideal_vertical
 
 
 @pytest.fixture
@@ -226,6 +230,84 @@ class TestGammaYCommand:
                 assert np.sign(base) == np.sign(scaled)
 
 
+class _HeadingBlockReference:
+    """The heading block of ``TrackingController.update`` as it stood before
+    the law moved into ``HybridHeading``: the reference the tick must match
+    bit for bit."""
+
+    def __init__(self, gains, dt):
+        self.gains = gains
+        self.h_psi = 1
+        self.wd_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, dt, 1)
+        self.last_omega_psi_d = None
+
+    def step(self, delta_psi, psi_d_rate, omega_psi):
+        g = self.gains
+        h_before = self.h_psi
+        h_new = hysteresis_update(self.h_psi, delta_psi, g.delta)
+        jumped = h_new != self.h_psi and math.cos(delta_psi) <= 0.0
+        self.h_psi = h_new
+
+        omega_psi_d = heading_rate_command(
+            delta_psi, psi_d_rate, h_new, g.k_psi, g.psi_rate_ff_cap
+        )
+        command_jumped = (
+            self.last_omega_psi_d is not None
+            and abs(omega_psi_d - self.last_omega_psi_d) > OMEGA_PSI_D_JUMP
+        )
+        if jumped or command_jumped:
+            self.wd_filter.reset(omega_psi_d)
+        _, wd_rate = self.wd_filter.update(omega_psi_d)
+        wd_rate = float(wd_rate[0])
+        self.last_omega_psi_d = omega_psi_d
+
+        e_omega_psi = omega_psi_d - omega_psi
+        gamma_yd = gamma_y_command(e_omega_psi, delta_psi, h_new, wd_rate, g)
+        return h_before, h_new, jumped, omega_psi_d, e_omega_psi, gamma_yd
+
+
+_ANGLE = st.floats(-math.pi, math.pi)
+_NEAR_ANTIPODE = st.floats(math.pi - 0.3, math.pi) | st.floats(-math.pi, -math.pi + 0.3)
+_TICK = st.tuples(
+    _ANGLE | _NEAR_ANTIPODE,
+    st.just(0.0) | st.floats(-3.0, 3.0),
+    st.floats(-15.0, 15.0),
+)
+# crossing the antipode from +pi - 0.2 to -pi + 0.2 flips h (a jump and a
+# command jump), then a step of the azimuth-rate feedforward by 1.5 rad/s
+# at a fixed error is a command jump without a hysteresis jump
+_CRAFTED = [
+    (math.pi - 0.2, 0.0, 0.0),
+    (-math.pi + 0.2, 0.0, 1.0),
+    (-math.pi + 0.4, 0.0, 1.0),
+    (-math.pi + 0.4, 1.5, 1.0),
+    (0.3, 1.5, -2.0),
+    (-0.3, -1.5, 2.0),
+]
+
+
+class TestHybridHeading:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(ticks=st.lists(_TICK, min_size=1, max_size=60))
+    @example(ticks=_CRAFTED)
+    def test_tick_matches_former_controller_block(self, ticks):
+        gains = ControllerGains()
+        law = HybridHeading(gains, 0.01)
+        ref = _HeadingBlockReference(gains, 0.01)
+        for delta_psi, psi_d_rate, omega_psi in ticks:
+            t = law.tick(delta_psi, psi_d_rate, omega_psi)
+            got = (t.h_before, t.h_psi, t.jumped, t.omega_psi_d, t.e_omega_psi, t.gamma_yd)
+            assert got == ref.step(delta_psi, psi_d_rate, omega_psi)
+            assert law.h_psi == ref.h_psi
+
+    def test_crafted_sequence_jumps(self):
+        law = HybridHeading(ControllerGains(), 0.01)
+        ticks = [law.tick(*x) for x in _CRAFTED]
+        assert [t.jumped for t in ticks] == [False, True, False, False, False, False]
+        steps = [abs(b.omega_psi_d - a.omega_psi_d) for a, b in zip(ticks, ticks[1:])]
+        assert steps[0] > OMEGA_PSI_D_JUMP and steps[2] > OMEGA_PSI_D_JUMP
+
+
 class TestComposeReducedAttitude:
     def test_examples(self):
         assert np.allclose(compose_reduced_attitude(0, 0, 1), [0, 0, 1])
@@ -364,7 +446,7 @@ class TestLyapunovMonitors:
         # finite-difference oracle at dt = 1e-4 against the closed form;
         # modest offsets keep the cubic tanh mismatch of the enforced
         # expectation below the stated tolerance
-        res = simulate_ideal_positional(
+        res = simulate_ideal_vertical(
             gains, p0=[0.12, -0.08, 0.05], v0=[0.05, 0, 0], dt=1e-4, duration=0.5
         )
         v1_dot_fd = np.gradient(res.V1, res.t)

@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flapkit.attitude import recover_attitude, rotz, wrap_angle
+from flapkit.attitude import UnitQuaternion, recover_attitude, rotz, wrap_angle
 from flapkit.dynamics import (
     ActuatorCommands,
     FwavParams,
@@ -212,10 +212,8 @@ class TestFlatToFull:
                 samples[key] = ActuatorCommands(r.f_flap, r.theta_rud, r.theta_ele)
             return samples[key]
 
-        from flapkit.simulate import _quat_from_rotation
-
         state0 = FwavState(
-            p=r0.p, v=r0.v, q=_quat_from_rotation(r0.rotation), omega=r0.omega,
+            p=r0.p, v=r0.v, q=UnitQuaternion.from_array(r0.quaternion), omega=r0.omega,
             f_flap=r0.f_flap, theta_rud=r0.theta_rud, theta_ele=r0.theta_ele,
         )
         log = simulate_full(state0, fparams, commands, dt=1e-3, duration=traj.duration)

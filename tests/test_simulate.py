@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flapkit.simulate
+from flapkit.attitude import wrap_angle
 from flapkit.control import ControllerGains
 from flapkit.dynamics import (
     VerticalInputs,
@@ -147,6 +148,20 @@ class TestIdealVertical:
         assert np.all(np.diff(res.V1) <= 1e-6)
         assert np.linalg.norm(res.e_p[-1]) < 1e-3
         assert res.t[-1] < 20.0
+
+    def test_heading_jumps_and_converges(self):
+        # psi0 = 3.0 starts deep on the wrong side (a jump at the first
+        # tick); omega0 = 12 then spins the heading through the antipode
+        # again, which is a second, mid-run jump
+        res = simulate_ideal_vertical(
+            ControllerGains(), p0=[0.2, -0.1, 0.05], v0=[0, 0, 0],
+            psi0=3.0, omega0=12.0, duration=10.0,
+        )
+        assert res.jump_count == 2
+        assert res.psi.max() > math.pi  # through the antipode mid-run
+        assert abs(wrap_angle(res.psi[-1])) < 1e-3
+        assert abs(res.omega_psi[-1]) < 1e-3
+        assert np.all(np.diff(res.V1) <= 1e-6)
 
 
 class TestHeadingLoop:
