@@ -129,7 +129,7 @@ def tilt_quaternion(gamma: np.ndarray, sign: int = 1) -> UnitQuaternion:
     w = float(gamma @ E3) + 1.0
     if w < ANTIPODAL_TOL:
         raise DegenerateAttitudeError("reduced attitude antipodal to +Z")
-    q_er = UnitQuaternion(sign * w, sign * np.cross(gamma, E3))
+    q_er = UnitQuaternion(sign * w, sign * np.array([gamma[1], -gamma[0], 0.0]))  # Gamma x e3
     return q_er.normalized()
 
 

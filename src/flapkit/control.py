@@ -11,11 +11,11 @@ jumps, so neither differentiates into a spike.
 ``HybridHeading.tick`` is the hybrid heading law: the controller and both
 certification simulations in ``simulate`` run it, so the certified law is
 the flown law.  Those simulations also take the positional law
-(``desired_velocity``, ``desired_acceleration``) and its candidate V1
-(``candidate_v1``) from here.
+(``desired_velocity``, ``desired_acceleration``) and the candidate functions
+(``candidate_v1``, ``candidate_v2``) from here.
 
-The controller is a deterministic state machine: one ``update`` per tick,
-all state lives in ``ControllerState``.
+The controller is a deterministic state machine: one ``update`` per tick
+on floats, all state on the ``TrackingController``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .attitude import rotz, wrap_angle
-from .dynamics import VerticalParams, sgn
+from .attitude import wrap_angle
+from .dynamics import VerticalParams
 from .errors import DegenerateDecompositionError, InvalidInputError
 
 A_EPS = 0.1  # m/s^2, decomposition floor on the combined acceleration demand
@@ -79,58 +79,71 @@ class ControllerGains:
             raise InvalidInputError("filter damping must be in (0, 2]")
 
 
+def _floats(x) -> tuple:
+    """A float or a sequence of floats as a tuple of floats."""
+    return (float(x),) if isinstance(x, (int, float)) else tuple(map(float, x))
+
+
+def _sign(x: float) -> float:
+    """Signum with sgn(0) = 0, on floats."""
+    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0
+
+
+def _xp(x):
+    """numpy for an array, math for a float (sin, cos and sqrt of either)."""
+    return np if isinstance(x, np.ndarray) else math
+
+
 class SecondOrderFilter:
     """Critically-configurable low-pass used to generate derivative signals.
 
     Discrete update is the exact zero-order-hold discretization of
-    x'' = wn^2 (u - x) - 2 zeta wn x'.  ``reset`` snaps the state to the
-    input with zero rate (used at declared jumps of the input).
+    x'' = wn^2 (u - x) - 2 zeta wn x', on floats.  ``reset`` snaps the state
+    to the input with zero rate (used at declared jumps of the input).
     """
 
     def __init__(self, wn: float, zeta: float, dt: float, channels: int = 1):
-        a = np.array([[0.0, 1.0], [-wn**2, -2.0 * zeta * wn]])
-        b = np.array([[0.0], [wn**2]])
-        block = np.zeros((3, 3))
-        block[:2, :2] = a * dt
-        block[:2, 2:] = b * dt
-        expm = scipy.linalg.expm(block)
-        self.ad = expm[:2, :2]
-        self.bd = expm[:2, 2]
-        self.state = np.zeros((channels, 2))
+        # [[A, B], [0, 0]] dt with A = [[0, 1], [-wn^2, -2 zeta wn]], B = [0, wn^2]
+        expm = scipy.linalg.expm(
+            np.array([[0.0, 1.0, 0.0], [-wn**2, -2.0 * zeta * wn, wn**2], [0.0, 0.0, 0.0]]) * dt
+        )
+        self.ad = tuple(map(tuple, expm[:2, :2].tolist()))
+        self.bd = tuple(expm[:2, 2].tolist())
+        self.value = self.rate = (0.0,) * channels
         self._primed = False
 
     def reset(self, u) -> None:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        self.state[:, 0] = u
-        self.state[:, 1] = 0.0
+        self.value = _floats(u)
+        self.rate = (0.0,) * len(self.value)
         self._primed = True
 
-    def update(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """Advance one tick; returns (filtered value, filtered derivative)."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+    def update(self, u) -> tuple[tuple, tuple]:
+        """Advance one tick; returns (filtered values, filtered derivatives)."""
         if not self._primed:
             self.reset(u)
-            return self.state[:, 0].copy(), self.state[:, 1].copy()
-        self.state = self.state @ self.ad.T + np.outer(u, self.bd)
-        return self.state[:, 0].copy(), self.state[:, 1].copy()
+            return self.value, self.rate
+        (a00, a01), (a10, a11) = self.ad
+        b0, b1 = self.bd
+        self.value, self.rate = zip(*[
+            (x * a00 + r * a01 + w * b0, x * a10 + r * a11 + w * b1)
+            for x, r, w in zip(self.value, self.rate, _floats(u))
+        ])
+        return self.value, self.rate
 
 
 @dataclass
 class TrackingErrors:
-    e_p: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    e_v: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    e_p: tuple = (0.0, 0.0, 0.0)
+    e_v: tuple = (0.0, 0.0, 0.0)
     delta_psi: float = 0.0
-    e_psi: float = 0.0
     e_omega_psi: float = 0.0
 
 
 def position_errors(p, v, sigma_r, sigma_r_dot, v_d) -> TrackingErrors:
     """Positional error part: e_p = p_d - p, e_v = v_d - v."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
     return TrackingErrors(
-        e_p=np.asarray(sigma_r, dtype=float) - p,
-        e_v=np.asarray(v_d, dtype=float) - v,
+        e_p=tuple(a - b for a, b in zip(sigma_r, p)),
+        e_v=tuple(a - b for a, b in zip(v_d, v)),
     )
 
 
@@ -139,19 +152,16 @@ def azimuth_error(delta_psi: float) -> float:
     return math.sqrt(2.0) - math.sqrt(max(1.0 + math.cos(delta_psi), 0.0))
 
 
-def desired_velocity(sigma_r_dot, e_p, kp) -> np.ndarray:
+def desired_velocity(sigma_r_dot, e_p, kp) -> tuple:
     """v_d = reference velocity plus tanh-saturated position feedback."""
-    return np.asarray(sigma_r_dot, dtype=float) + np.asarray(kp) * np.tanh(e_p)
+    return tuple(s + k * math.tanh(e) for s, e, k in zip(sigma_r_dot, e_p, kp))
 
 
-def desired_acceleration(v_d_dot, e_p, e_v, kp, kv) -> np.ndarray:
+def desired_acceleration(v_d_dot, e_p, e_v, kp, kv) -> tuple:
     """a_d = vdot_d + Kv Kp^-1 tanh(e_p) + Kv tanh(e_v)."""
-    kp = np.asarray(kp, dtype=float)
-    kv = np.asarray(kv, dtype=float)
-    return (
-        np.asarray(v_d_dot, dtype=float)
-        + kv / kp * np.tanh(e_p)
-        + kv * np.tanh(e_v)
+    return tuple(
+        a + k_v / k_p * math.tanh(ep) + k_v * math.tanh(ev)
+        for a, ep, ev, k_p, k_v in zip(v_d_dot, e_p, e_v, kp, kv)
     )
 
 
@@ -176,19 +186,18 @@ def decompose(
     actual frame and stays ungated.  Raises DegenerateDecompositionError
     below the A_EPS floor; the caller holds the previous outputs there.
     """
-    a_d = np.asarray(a_d, dtype=float)
+    ax, ay, az = a_d
     vvx = float(vv[0])
-    v_cx = forward_gate * math.hypot(a_d[0], a_d[1]) \
-        + params.vk_d_x * float(sgn(vvx)) * vvx**2 / params.m
-    v_cz = a_d[2] + params.g
+    v_cx = forward_gate * math.hypot(ax, ay) \
+        + params.vk_d_x * _sign(vvx) * vvx**2 / params.m
+    v_cz = az + params.g
     norm = math.hypot(v_cx, v_cz)
     if norm <= A_EPS:
         raise DegenerateDecompositionError(
             f"combined acceleration {norm:.4f} m/s^2 at or below {A_EPS}"
         )
-    psi_d = math.atan2(a_d[1], a_d[0])
     return Decomposition(
-        psi_d=psi_d,
+        psi_d=math.atan2(ay, ax),
         f_flap_cmd=math.sqrt(params.m * norm / params.k_tf),
         gamma_xd=-v_cx / norm,
         gamma_zd=v_cz / norm,
@@ -199,9 +208,11 @@ def heading_rate_command(
     delta_psi: float, psi_d_dot: float, h_psi: int, k_psi: float,
     psi_rate_ff_cap: float,
 ) -> float:
-    """omega_psi_d = saturated feedforward + k_psi h sqrt(1 - cos(delta))."""
+    """omega_psi_d = saturated feedforward + k_psi h sqrt(1 - cos(delta)),
+    on floats or elementwise on arrays of delta_psi and h_psi."""
+    xp = _xp(delta_psi)
     ff = min(max(psi_d_dot, -psi_rate_ff_cap), psi_rate_ff_cap)
-    return ff + k_psi * h_psi * math.sqrt(max(1.0 - math.cos(delta_psi), 0.0))
+    return ff + k_psi * h_psi * xp.sqrt(abs(1.0 - xp.cos(delta_psi)))
 
 
 def hysteresis_update(h_psi: int, delta_psi: float, delta: float) -> int:
@@ -233,28 +244,27 @@ def gamma_y_command(
         + omega_psi_d_dot
     gain_gap = gains.k_omega / gains.l_gamma_min - gains.k_omega / gains.l_gamma_max
     return (
-        -gain_gap * float(sgn(e_omega_psi)) * abs(ff)
+        -gain_gap * _sign(e_omega_psi) * abs(ff)
         - gains.k_omega / gains.l_gamma_max * ff
         - gains.k_omega * e_omega_psi
     )
 
 
-def compose_reduced_attitude(gamma_xd: float, gamma_yd: float, gamma_zd: float) -> np.ndarray:
+def compose_reduced_attitude(gamma_xd: float, gamma_yd: float, gamma_zd: float) -> tuple:
     """Unit-normalize the three tilt demands into a reduced attitude."""
-    g = np.array([gamma_xd, gamma_yd, gamma_zd], dtype=float)
-    n = np.linalg.norm(g)
+    n = math.sqrt(gamma_xd * gamma_xd + gamma_yd * gamma_yd + gamma_zd * gamma_zd)
     if n == 0.0:
         raise InvalidInputError("cannot normalize a zero tilt demand")
-    return g / n
+    return gamma_xd / n, gamma_yd / n, gamma_zd / n
 
 
 def inner_attitude(gamma_p, gamma, omega, gains: ControllerGains) -> tuple[float, float]:
     """Simplified proportional attitude laws for rudder and elevator."""
-    gp = np.asarray(gamma_p, dtype=float)
-    g = np.asarray(gamma, dtype=float)
-    theta_rud = gains.k_rud * (gp[1] * g[2] - gp[2] * g[1]) - gains.k_omega_x * omega[0]
-    theta_ele = gains.k_ele * (gp[2] * g[0] - gp[0] * g[2]) - gains.k_omega_y * omega[1]
-    return float(theta_rud), float(theta_ele)
+    gp0, gp1, gp2 = gamma_p
+    g0, g1, g2 = gamma
+    theta_rud = gains.k_rud * (gp1 * g2 - gp2 * g1) - gains.k_omega_x * omega[0]
+    theta_ele = gains.k_ele * (gp2 * g0 - gp0 * g2) - gains.k_omega_y * omega[1]
+    return theta_rud, theta_ele
 
 
 @dataclass
@@ -292,7 +302,23 @@ def heading_stability_margin(gains: ControllerGains) -> HeadingMargin:
 
 def candidate_v1(e_p, e_v, gains: ControllerGains) -> float:
     """Positional candidate V1 = 1/2 e_p' Kp^-1 e_p + 1/2 e_v' Kv^-1 e_v."""
-    return 0.5 * float(e_p @ (e_p / gains.kp)) + 0.5 * float(e_v @ (e_v / gains.kv))
+    return (
+        0.5 * sum(e * (e / k) for e, k in zip(e_p, gains.kp.tolist()))
+        + 0.5 * sum(e * (e / k) for e, k in zip(e_v, gains.kv.tolist()))
+    )
+
+
+def candidate_v2(delta_psi, e_omega_psi, h_psi, gains: ControllerGains):
+    """Hysteretic heading candidate V2 = (sqrt(2) - h sel sqrt(1 + cos(delta_psi)))
+    / k_psi + e_omega_psi^2 / (2 k_omega), sel = sgn(sin(delta_psi)) or, at
+    sin = 0, the current h (the minimum when aligned); floats or arrays."""
+    xp = _xp(delta_psi)
+    s = xp.sin(delta_psi)
+    sel = 1.0 * (s > 0.0) - 1.0 * (s < 0.0) + h_psi * (s == 0.0)
+    return (
+        (math.sqrt(2.0) - h_psi * sel * xp.sqrt(abs(1.0 + xp.cos(delta_psi)))) / gains.k_psi
+        + 0.5 * e_omega_psi**2 / gains.k_omega
+    )
 
 
 @dataclass
@@ -311,24 +337,15 @@ def lyapunov_monitors(
     psi_d_dot: float = 0.0,
     omega_psi: float = 0.0,
 ) -> LyapunovReport:
-    """Numeric stability monitors for the two candidate functions.
-
-    V2 uses the hysteretic form; the set-valued sign at sin(delta_psi) = 0
-    selects the current h so the candidate sits at its minimum when
-    aligned.  jump_delta is the worst-case candidate change of a logic jump
-    evaluated at the hysteresis boundary.
+    """Numeric stability monitors for the two candidate functions, on
+    demand (the tick logs V1 and V2 alone).  jump_delta is the worst-case
+    candidate change of a logic jump evaluated at the hysteresis boundary.
     """
     e_p, e_v = errors.e_p, errors.e_v
     v1 = candidate_v1(e_p, e_v, gains)
-    v1_dot = -float(e_p @ np.tanh(e_p)) - float(e_v @ np.tanh(e_v))
-
-    s = math.sin(errors.delta_psi)
+    v1_dot = -sum(e * math.tanh(e) for e in e_p) - sum(e * math.tanh(e) for e in e_v)
+    v2 = candidate_v2(errors.delta_psi, errors.e_omega_psi, h_psi, gains)
     c = math.cos(errors.delta_psi)
-    sel = float(sgn(s)) if s != 0.0 else float(h_psi)
-    v2 = (
-        (math.sqrt(2.0) - h_psi * sel * math.sqrt(max(1.0 + c, 0.0))) / gains.k_psi
-        + 0.5 * errors.e_omega_psi**2 / gains.k_omega
-    )
     flow_bound = -0.5 * (1.0 - c) ** 2 - errors.e_omega_psi**2
 
     root = math.sqrt(1.0 - gains.delta**2)
@@ -383,11 +400,11 @@ class HybridHeading:
         )
         if jumped or command_jumped:
             self._wd_filter.reset(omega_psi_d)
-        _, wd_rate = self._wd_filter.update(omega_psi_d)
+        _, (wd_rate,) = self._wd_filter.update(omega_psi_d)
         self._last_omega_psi_d = omega_psi_d
 
         e_omega_psi = omega_psi_d - omega_psi
-        gamma_yd = gamma_y_command(e_omega_psi, delta_psi, h, float(wd_rate[0]), g)
+        gamma_yd = gamma_y_command(e_omega_psi, delta_psi, h, wd_rate, g)
         return HeadingTick(h_before, h, jumped, omega_psi_d, e_omega_psi, gamma_yd)
 
 
@@ -398,35 +415,33 @@ class HybridHeading:
 
 @dataclass
 class Measurement:
-    """Controller inputs at one tick; omega is the body rate (for vertical
-    runs pass [0, 0, omega_psi])."""
+    """Controller inputs at one tick, held as floats and 3-tuples; omega is
+    the body rate (for vertical runs pass [0, 0, omega_psi])."""
 
-    p: np.ndarray
-    v: np.ndarray
+    p: tuple
+    v: tuple
     psi: float
     omega_psi: float
-    gamma: np.ndarray
-    omega: np.ndarray
+    gamma: tuple
+    omega: tuple
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
+        fields = (self.p, self.v, self.gamma, self.omega)
+        self.p, self.v, self.gamma, self.omega = map(_floats, fields)
 
 
 @dataclass
 class ControllerOutput:
-    gamma_cmd: np.ndarray
+    gamma_cmd: tuple
     gamma_yd: float
     f_flap_cmd: float
     theta_rud_cmd: float
     theta_ele_cmd: float
     errors: TrackingErrors
-    monitors: LyapunovReport
+    V1: float
+    V2: float
     h_psi: int
     omega_psi_d: float
-    psi_d: float
     jumped: bool
     ff_saturated: bool
 
@@ -435,25 +450,14 @@ class ControllerOutput:
         return [
             t, *e.e_p, *e.e_v, e.delta_psi, self.h_psi, self.omega_psi_d,
             self.gamma_yd, self.f_flap_cmd, self.theta_rud_cmd,
-            self.theta_ele_cmd, self.monitors.V1, self.monitors.V2,
+            self.theta_ele_cmd, self.V1, self.V2,
         ]
 
 
-@dataclass
-class ControllerState:
-    """Mutable controller memory: the hybrid heading law, the desired-velocity
-    and azimuth command filters, the unwrap-tracked azimuth command, and the
-    held decomposition."""
-
-    heading: HybridHeading
-    vd_filter: SecondOrderFilter
-    psid_filter: SecondOrderFilter
-    psi_d_cont: float
-    held: Decomposition
-
-
 class TrackingController:
-    """One-tick-at-a-time cascaded controller around the vertical frame."""
+    """One-tick-at-a-time cascaded controller around the vertical frame; its
+    memory is the heading law, the desired-velocity and azimuth command
+    filters, the unwrap-tracked azimuth command and the held decomposition."""
 
     def __init__(
         self,
@@ -469,33 +473,32 @@ class TrackingController:
         self.params = params
         self.dt = 1.0 / rate_hz
         self.psi_d_floor = psi_d_floor
-        self.state = ControllerState(
-            heading=HybridHeading(gains, self.dt),
-            vd_filter=SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt, 3),
-            psid_filter=SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt, 1),
-            psi_d_cont=initial_psi_d,
-            held=Decomposition(
-                psi_d=initial_psi_d, f_flap_cmd=params.hover_frequency,
-                gamma_xd=0.0, gamma_zd=1.0,
-            ),
-        )
+        self.heading = HybridHeading(gains, self.dt)
+        self.vd_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt, 3)
+        self.psid_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt, 1)
+        self.psi_d_cont = initial_psi_d
+        self.held = Decomposition(initial_psi_d, params.hover_frequency, 0.0, 1.0)
 
     @property
     def h_psi(self) -> int:
-        return self.state.heading.h_psi
+        return self.heading.h_psi
 
     def update(self, sigma_r, sigma_r_dot, meas: Measurement) -> ControllerOutput:
+        """One tick on floats: what the control log reads, no monitors."""
         g = self.gains
-        st = self.state
-        v_d = desired_velocity(sigma_r_dot, np.asarray(sigma_r) - meas.p, g.kp)
+        kp = g.kp.tolist()
+        v_d = desired_velocity(sigma_r_dot, [a - b for a, b in zip(sigma_r, meas.p)], kp)
         errors = position_errors(meas.p, meas.v, sigma_r, sigma_r_dot, v_d)
-        _, v_d_dot = st.vd_filter.update(v_d)
-        a_d = desired_acceleration(v_d_dot, errors.e_p, errors.e_v, g.kp, g.kv)
+        _, v_d_dot = self.vd_filter.update(v_d)
+        a_d = desired_acceleration(v_d_dot, errors.e_p, errors.e_v, kp, g.kv.tolist())
 
-        vv = rotz(meas.psi).T @ meas.v
+        # measured velocity in the vertical frame: R_z(psi)^T v
+        c, s = math.cos(meas.psi), math.sin(meas.psi)
+        vx, vy, vz = meas.v
+        vv = (c * vx + s * vy, c * vy - s * vx, vz)
         if math.hypot(a_d[0], a_d[1]) < self.psi_d_floor:
             # horizontal demand too weak to define an azimuth: hold it
-            psi_d = st.held.psi_d
+            psi_d = self.held.psi_d
         else:
             psi_d = math.atan2(a_d[1], a_d[0])
         delta_psi = wrap_angle(psi_d - meas.psi)
@@ -506,29 +509,24 @@ class TrackingController:
             gate = math.cos(delta_psi)
             dec = decompose(a_d, vv, self.params, forward_gate=gate)
             dec = Decomposition(psi_d, dec.f_flap_cmd, dec.gamma_xd, dec.gamma_zd)
-            st.held = dec
+            self.held = dec
         except DegenerateDecompositionError:
-            dec = st.held
+            dec = self.held
             delta_psi = wrap_angle(dec.psi_d - meas.psi)
 
         # continuous (unwrap-tracked) psi_d into the derivative filter
-        st.psi_d_cont += wrap_angle(dec.psi_d - st.psi_d_cont)
-        _, psi_d_rate = st.psid_filter.update(st.psi_d_cont)
-        psi_d_rate = float(psi_d_rate[0])
+        self.psi_d_cont += wrap_angle(dec.psi_d - self.psi_d_cont)
+        _, (psi_d_rate,) = self.psid_filter.update(self.psi_d_cont)
         ff_saturated = abs(psi_d_rate) > g.psi_rate_ff_cap
-        heading = st.heading.tick(delta_psi, psi_d_rate, meas.omega_psi)
+        heading = self.heading.tick(delta_psi, psi_d_rate, meas.omega_psi)
 
         errors.delta_psi = delta_psi
-        errors.e_psi = azimuth_error(delta_psi)
         errors.e_omega_psi = heading.e_omega_psi
 
         gamma_yd = min(max(heading.gamma_yd, -g.gamma_yd_limit), g.gamma_yd_limit)
         gamma_p = compose_reduced_attitude(dec.gamma_xd, gamma_yd, dec.gamma_zd)
         theta_rud, theta_ele = inner_attitude(gamma_p, meas.gamma, meas.omega, g)
 
-        monitors = lyapunov_monitors(
-            errors, heading.h_psi, g, psi_d_dot=psi_d_rate, omega_psi=meas.omega_psi
-        )
         return ControllerOutput(
             gamma_cmd=gamma_p,
             gamma_yd=gamma_yd,
@@ -536,10 +534,10 @@ class TrackingController:
             theta_rud_cmd=theta_rud,
             theta_ele_cmd=theta_ele,
             errors=errors,
-            monitors=monitors,
+            V1=candidate_v1(errors.e_p, errors.e_v, g),
+            V2=candidate_v2(delta_psi, heading.e_omega_psi, heading.h_psi, g),
             h_psi=heading.h_psi,
             omega_psi_d=heading.omega_psi_d,
-            psi_d=dec.psi_d,
             jumped=heading.jumped,
             ff_saturated=ff_saturated,
         )

@@ -42,11 +42,6 @@ VERTICAL_LOG_HEADER = "t,px,py,pz,vvx,vvy,vvz,psi,omegapsi,gx,gy,gz,fflap"
 GRAVITY = 9.81
 
 
-def sgn(x):
-    """Signum with sgn(0) = 0 (continuous extension at rest)."""
-    return np.sign(x)
-
-
 # ---------------------------------------------------------------------------
 # parameter and state containers
 # ---------------------------------------------------------------------------
@@ -132,15 +127,6 @@ class FwavState:
             [self.f_flap, self.theta_rud, self.theta_ele],
         ])
 
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "FwavState":
-        return cls(
-            p=y[0:3].copy(), v=y[3:6].copy(),
-            q=UnitQuaternion.from_array(y[6:10]),
-            omega=y[10:13].copy(),
-            f_flap=float(y[13]), theta_rud=float(y[14]), theta_ele=float(y[15]),
-        )
-
 
 @dataclass
 class VerticalParams:
@@ -210,10 +196,6 @@ class VerticalState:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.p, self.vv, [self.psi, self.omega_psi]])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "VerticalState":
-        return cls(p=y[0:3].copy(), vv=y[3:6].copy(), psi=float(y[6]), omega_psi=float(y[7]))
 
 
 @dataclass

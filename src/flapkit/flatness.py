@@ -119,8 +119,10 @@ class Jet:
 
 
 def _velocity_jet(taylor: np.ndarray) -> list[Jet]:
-    """(vx, vy, vz) jets from position Taylor coefficients, shape (K+2, N, 3)."""
-    return [Jet(taylor[:, :, axis]).d() for axis in range(3)]
+    """(vx, vy, vz) jets of order K from the position's Taylor coefficients
+    of orders 1..K+1, shape (K+1, N, 3)."""
+    scale = np.arange(1, len(taylor) + 1)[:, None]
+    return [Jet(taylor[:, :, axis] * scale) for axis in range(3)]
 
 
 def _wrap(angle):
@@ -277,7 +279,7 @@ def flat_to_vertical(sample: FlatSample, params: VerticalParams,
     +X).  Below the speed floor the azimuth is undefined and the caller must
     pass ``psi`` explicitly, which freezes the frame (zero azimuth rate).
     """
-    taylor = np.array([sample.sigma, sample.d1, sample.d2 / 2, sample.d3 / 6])[:, None]
+    taylor = np.array([sample.d1, sample.d2 / 2, sample.d3 / 6])[:, None]
     return VerticalFlatState._of(_flat_frame(_velocity_jet(taylor), psi))
 
 
@@ -308,7 +310,7 @@ def flat_to_full(traj: PiecewiseTrajectory, t, vparams: VerticalParams, fparams:
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     taylor = traj.taylor(times, 5)
-    v = _velocity_jet(taylor)
+    v = _velocity_jet(taylor[1:])
     frame = _flat_frame(v, psi)
     (gx, gy, gz), f2 = _inputs(frame, vparams, strict=True)
 
@@ -421,7 +423,8 @@ class FlatInputSchedule:
             )
         self.t_lo = float(grid[first])
         self.t_hi = float(grid[last])
-        ends = _flat_frame(_velocity_jet(traj.taylor(np.array([self.t_lo, self.t_hi]), 2)), None)
+        ends = traj.taylor(np.array([self.t_lo, self.t_hi]), 2, first=1)
+        ends = _flat_frame(_velocity_jet(ends), None)
         self._psi_lo, self._psi_hi = ends.psi
         self._rate_lo, self._rate_hi = ends.rate.c[0]
 
@@ -433,7 +436,7 @@ class FlatInputSchedule:
         psi = np.where(lead, self._psi_lo - self._rate_lo * (self.t_lo - times),
                        self._psi_hi + self._rate_hi * (times - self.t_hi))
         rate = np.where(lead, self._rate_lo, self._rate_hi)
-        v = _velocity_jet(self.traj.taylor(np.clip(times, 0.0, self.traj.duration), 3))
+        v = _velocity_jet(self.traj.taylor(np.clip(times, 0.0, self.traj.duration), 3, first=1))
         return _frame(v, lead | trail, psi, rate)
 
     def vertical_state_of(self, t: float) -> VerticalFlatState:

@@ -503,8 +503,10 @@ class _PenaltyProblem:
             )
         return out
 
-    def trajectory(self, xi: np.ndarray) -> PiecewiseTrajectory:
+    def trajectory(self, xi: np.ndarray, origin=(0.0, 0.0, 0.0)) -> PiecewiseTrajectory:
+        """The trajectory of the reduced coordinates xi, moved by origin."""
         c = self.c0 + xi.reshape(3, self.k) @ self.z.T
+        c[:, :: self.n] += np.reshape(origin, (3, 1))
         segs = [
             PolySegment(c[:, s * self.n : (s + 1) * self.n], self.opts.T)
             for s in range(self.opts.segments)
@@ -718,9 +720,7 @@ def plan(
             worst_restart.worst_time,
         )
     best = min(feasible, key=lambda r: (r.objective, r.index))
-    traj = problem.trajectory(best.xi)
-    for seg in traj.segments:
-        seg.coeffs[:, 0] += origin
+    traj = problem.trajectory(best.xi, origin)
 
     residuals = constraint_residuals(traj, cons)
     dense_times = sample_times(traj.duration, cons.sample_interval / 10.0)

@@ -16,9 +16,9 @@ Also here are the certification simulations used by the stability checks:
 * the hybrid heading loop alone, for jump-decrease checks at hysteresis
   flips.
 
-Both run the controller's own heading tick (``HybridHeading``) and its
-positional law and candidate V1, with the unclipped lateral-tilt command
-applied directly (the ideal inner loop).
+Both run the controller's own heading tick (``HybridHeading``), positional
+law and candidate functions V1 and V2, with the unclipped lateral-tilt
+command applied directly (the ideal inner loop).
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ from .control import (
     HybridHeading,
     Measurement,
     TrackingController,
-    TrackingErrors,
     candidate_v1,
+    candidate_v2,
     desired_acceleration,
     desired_velocity,
     heading_rate_command,
-    lyapunov_monitors,
 )
 from .dynamics import (
     FwavParams,
@@ -160,7 +159,7 @@ def run_closed_loop(
 
 def _reference(traj: PiecewiseTrajectory, t: float):
     t_ref = min(t, traj.duration)
-    return traj.eval(t_ref, 0), traj.eval(t_ref, 1)
+    return traj.eval(t_ref, 0).tolist(), traj.eval(t_ref, 1).tolist()
 
 
 class _VerticalPlant:
@@ -172,13 +171,15 @@ class _VerticalPlant:
         self.hold = (0.0, 0.0, 1.0, params.hover_frequency, 0.0)
 
     def measure(self, y, u) -> Measurement:
+        # inertial velocity R_z(psi) vv
+        c, s = math.cos(y[6]), math.sin(y[6])
         return Measurement(
-            p=np.array(y[0:3]), v=rotz(y[6]) @ np.array(y[3:6]), psi=y[6], omega_psi=y[7],
-            gamma=np.array(u[0:3]), omega=np.array([0.0, 0.0, y[7]]),
+            p=y[0:3], v=(c * y[3] - s * y[4], s * y[3] + c * y[4], y[5]), psi=y[6],
+            omega_psi=y[7], gamma=u[0:3], omega=(0.0, 0.0, y[7]),
         )
 
     def inputs(self, out):
-        return (*out.gamma_cmd.tolist(), float(out.f_flap_cmd), 0.0)
+        return (*out.gamma_cmd, out.f_flap_cmd, 0.0)
 
     def rhs(self, y, u):
         return vertical_rhs(y, u, self.params)
@@ -201,18 +202,14 @@ class _FullPlant:
     def measure(self, y, u) -> Measurement:
         rot = quat_to_rot(UnitQuaternion.from_array(y[6:10]).normalized())
         psi, gamma = split_azimuth(rot)
-        omega = np.array(y[10:13])
         return Measurement(
-            p=np.array(y[0:3]), v=np.array(y[3:6]), psi=psi,
-            omega_psi=float((rot @ omega)[2]), gamma=gamma, omega=omega,
+            p=y[0:3], v=y[3:6], psi=psi, omega_psi=float((rot @ y[10:13])[2]),
+            gamma=gamma, omega=y[10:13],
         )
 
     def inputs(self, out):
-        return (
-            float(out.f_flap_cmd),
-            DEFLECTION_POLARITY * out.theta_rud_cmd,
-            DEFLECTION_POLARITY * out.theta_ele_cmd,
-        )
+        polarity = DEFLECTION_POLARITY
+        return out.f_flap_cmd, polarity * out.theta_rud_cmd, polarity * out.theta_ele_cmd
 
     def rhs(self, y, u):
         return full_rhs(y, u, self.params)
@@ -289,12 +286,13 @@ def _positional_law(gains: ControllerGains, reference, t: float, y):
     Returns the errors e_p and e_v, the exactly enforced acceleration a_d
     (analytic desired-velocity derivative, no filter) and the candidate V1.
     """
-    kp, kv = gains.kp, gains.kv
-    p, v = np.array(y[0:3]), np.array(y[3:6])
+    kp, kv = gains.kp.tolist(), gains.kv.tolist()
+    p, v = y[0:3], y[3:6]
     sigma, sigma_dot, sigma_ddot = reference(t)
-    e_p = sigma - p
-    v_d_dot = sigma_ddot + kp / np.cosh(e_p) ** 2 * (sigma_dot - v)
-    e_v = desired_velocity(sigma_dot, e_p, kp) - v
+    e_p = [a - b for a, b in zip(sigma, p)]
+    v_d_dot = [a + k / math.cosh(e) ** 2 * (b - c)
+               for a, k, e, b, c in zip(sigma_ddot, kp, e_p, sigma_dot, v)]
+    e_v = [a - b for a, b in zip(desired_velocity(sigma_dot, e_p, kp), v)]
     a_d = desired_acceleration(v_d_dot, e_p, e_v, kp, kv)
     return e_p, e_v, a_d, candidate_v1(e_p, e_v, gains)
 
@@ -338,7 +336,7 @@ def simulate_ideal_vertical(
     if l_gain is None:
         l_gain = math.sqrt(gains.l_gamma_min * gains.l_gamma_max)
     if reference is None:
-        reference = lambda t: (np.zeros(3), np.zeros(3), np.zeros(3))
+        reference = lambda t: ((0.0, 0.0, 0.0),) * 3
     n_sub = max(int(round(1.0 / (rate_hz * dt))), 1)
     n_steps = int(round(duration / dt))
 
@@ -347,16 +345,21 @@ def simulate_ideal_vertical(
     jump_count = 0
 
     y = [float(x) for x in (*p0, *v0, psi0, omega0)]
+    last = [None, None, None]  # t, y, law: the next step's first stage reuses a record's law
+
+    def law(t, y):
+        if last[1] is not y or last[0] != t:
+            last[:] = t, y, _positional_law(gains, reference, t, y)
+        return last[2]
 
     def rhs(y, t):
-        a_d = _positional_law(gains, reference, t, y)[2]
+        a_d = law(t, y)[2]
         return [*y[3:6], *a_d, y[7], -l_gain * gamma_yd]
 
-    times = [0.0]
     eps, evs, v1s, psis, omegas = [], [], [], [], []
 
     def record(t, y):
-        e_p, e_v, _, v1 = _positional_law(gains, reference, t, y)
+        e_p, e_v, _, v1 = law(t, y)
         eps.append(e_p)
         evs.append(e_v)
         v1s.append(v1)
@@ -370,13 +373,12 @@ def simulate_ideal_vertical(
             jump_count += tick.jumped
             gamma_yd = tick.gamma_yd
         y = rk4_flat(rhs, y, dt, *_stage_times(k, dt))
-        times.append((k + 1) * dt)
         record((k + 1) * dt, y)
         if stop_when_ep_below is not None and np.linalg.norm(eps[-1]) < stop_when_ep_below:
             break
 
     return IdealVerticalResult(
-        t=np.array(times), e_p=np.array(eps), e_v=np.array(evs), V1=np.array(v1s),
+        t=np.arange(len(eps)) * dt, e_p=np.array(eps), e_v=np.array(evs), V1=np.array(v1s),
         psi=np.array(psis), omega_psi=np.array(omegas), jump_count=jump_count,
     )
 
@@ -428,18 +430,12 @@ def simulate_heading_loop(
     heading = HybridHeading(gains, 1.0 / rate_hz)
     gamma_yd = 0.0
     psi, w = float(psi0), float(omega0)
-    times, psis, ws, dpsis, v2s = [0.0], [psi], [w], [], []
+    psis, ws, dpsis, hs = [psi], [w], [wrap_angle(psi_d_fn(0.0) - psi)], [heading.h_psi]
     jumps: list[HeadingJumpEvent] = []
 
-    def v2_of(h_val, delta_psi, omega_psi):
-        omega_psi_d = heading_rate_command(
-            delta_psi, 0.0, h_val, gains.k_psi, gains.psi_rate_ff_cap
-        )
-        errors = TrackingErrors(delta_psi=delta_psi, e_omega_psi=omega_psi_d - omega_psi)
-        return lyapunov_monitors(errors, h_val, gains, omega_psi=omega_psi).V2
-
-    dpsis.append(wrap_angle(psi_d_fn(0.0) - psi))
-    v2s.append(v2_of(heading.h_psi, dpsis[0], w))
+    def v2_of(h, delta_psi, omega_psi):  # on floats at a jump, on the arrays of the log
+        w_d = heading_rate_command(delta_psi, 0.0, h, gains.k_psi, gains.psi_rate_ff_cap)
+        return candidate_v2(delta_psi, w_d - omega_psi, h, gains)
 
     for k in range(n_steps):
         t = k * dt
@@ -458,15 +454,13 @@ def simulate_heading_loop(
         # flow: psi' = w, w' = -l * gamma_yd (zero-order-hold input)
         psi, w = rk4_flat(_heading_flow, [psi, w], dt, gamma_yd, gamma_yd, gamma_yd, l_gain)
 
-        t_next = (k + 1) * dt
-        times.append(t_next)
         psis.append(psi)
         ws.append(w)
-        delta_psi = wrap_angle(psi_d_fn(t_next) - psi)
-        dpsis.append(delta_psi)
-        v2s.append(v2_of(heading.h_psi, delta_psi, w))
+        dpsis.append(wrap_angle(psi_d_fn((k + 1) * dt) - psi))
+        hs.append(heading.h_psi)
 
+    omega_psi, delta_psi = np.array(ws), np.array(dpsis)
     return HeadingLoopResult(
-        t=np.array(times), psi=np.array(psis), omega_psi=np.array(ws),
-        delta_psi=np.array(dpsis), V2=np.array(v2s), jumps=jumps,
+        t=np.arange(n_steps + 1) * dt, psi=np.array(psis), omega_psi=omega_psi,
+        delta_psi=delta_psi, V2=v2_of(np.array(hs), delta_psi, omega_psi), jumps=jumps,
     )

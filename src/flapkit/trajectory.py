@@ -35,15 +35,22 @@ def falling_factorial(i: int, r: int) -> float:
     return out
 
 
-def polyval_derivative(coeffs: np.ndarray, t, order: int = 0):
-    """Evaluate the order-th derivative of sum_i c_i t^i at t (per row of a 2-D coeffs)."""
-    coeffs = np.asarray(coeffs, dtype=float)
+def _derivative_rows(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients of the order-th derivative, ascending powers along the
+    last axis: coeffs[..., order:] scaled by i (i-1) ... (i-order+1).  Past
+    the degree the derivative is one zero coefficient."""
     n = coeffs.shape[-1]
     if order >= n:
-        return np.zeros(coeffs.shape[:-1] + np.shape(t))
+        return np.zeros(coeffs.shape[:-1] + (1,))
     powers = np.arange(order, n)
     scale = np.prod(powers[:, None] - np.arange(order), axis=1)  # i (i-1) ... (i-order+1)
-    return np.polynomial.polynomial.polyval(t, (coeffs[..., order:] * scale).T)
+    return coeffs[..., order:] * scale
+
+
+def polyval_derivative(coeffs: np.ndarray, t, order: int = 0):
+    """Evaluate the order-th derivative of sum_i c_i t^i at t (per row of a 2-D coeffs)."""
+    rows = _derivative_rows(np.asarray(coeffs, dtype=float), order)
+    return np.polynomial.polynomial.polyval(t, rows.T)
 
 
 def derivative_row(n_coeffs: int, t: float, order: int) -> np.ndarray:
@@ -69,10 +76,15 @@ def snap_gram_matrix(n_coeffs: int, T: float) -> np.ndarray:
 @dataclass
 class PolySegment:
     """One polynomial segment: coeffs shape (3, N+1), ascending powers, local
-    time in (0, T]."""
+    time in (0, T].
+
+    The coefficients are not mutated after construction: the derivative
+    tables that every evaluation reads are built from them once per order.
+    """
 
     coeffs: np.ndarray
     T: float
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
@@ -85,8 +97,17 @@ class PolySegment:
     def order(self) -> int:
         return self.coeffs.shape[1] - 1
 
+    def _table(self, order: int) -> tuple[np.ndarray, tuple]:
+        """The order-th derivative's coefficient rows, shape (3, m), and as
+        (x, y, z) float triples from the highest power down; built once."""
+        table = self._tables.get(order)
+        if table is None:
+            rows = _derivative_rows(self.coeffs, order)
+            table = self._tables[order] = (rows, tuple(map(tuple, rows.T[::-1].tolist())))
+        return table
+
     def eval(self, t_local, order: int = 0) -> np.ndarray:
-        return polyval_derivative(self.coeffs, t_local, order)
+        return np.polynomial.polynomial.polyval(t_local, self._table(order)[0].T)
 
     def snap_integral(self) -> float:
         q = snap_gram_matrix(self.coeffs.shape[1], self.T)
@@ -140,8 +161,14 @@ class PiecewiseTrajectory:
         return idx, t_local
 
     def eval(self, t: float, order: int = 0) -> np.ndarray:
-        idx, t_local = self.locate(t)
-        return self.segments[idx].eval(t_local, order)
+        """The order-th derivative at one time, by Horner's rule on floats in
+        ``polyval``'s operation order: the bits of ``eval_many``."""
+        idx, t = self.locate(float(t))
+        cols = self.segments[idx]._table(order)[1]
+        x, y, z = (c + t * 0 for c in cols[0])
+        for cx, cy, cz in cols[1:]:
+            x, y, z = cx + x * t, cy + y * t, cz + z * t
+        return np.array((x, y, z))
 
     def eval_many(self, times: Iterable[float], order: int = 0) -> np.ndarray:
         """Vectorized evaluation at many times, shape (len(times), 3)."""
@@ -149,11 +176,13 @@ class PiecewiseTrajectory:
                            dtype=float)
         return self._per_segment(times, lambda seg, t: seg.eval(t, order).T, (3,))
 
-    def taylor(self, times: np.ndarray, order: int) -> np.ndarray:
-        """sigma^(k)(t)/k! for k = 0..order at many times, shape (order+1, N, 3)."""
+    def taylor(self, times: np.ndarray, order: int, first: int = 0) -> np.ndarray:
+        """sigma^(k)(t)/k! for k = first..order at many times, shape
+        (order+1-first, N, 3)."""
+        ks = range(first, order + 1)
         return self._per_segment(np.asarray(times, dtype=float), lambda seg, t: np.stack(
-            [seg.eval(t, k).T / math.factorial(k) for k in range(order + 1)], axis=1,
-        ), (order + 1, 3)).transpose(1, 0, 2)
+            [seg.eval(t, k).T / math.factorial(k) for k in ks], axis=1,
+        ), (len(ks), 3)).transpose(1, 0, 2)
 
     def _per_segment(self, times: np.ndarray, fn, shape: tuple) -> np.ndarray:
         """fn(segment, local times) on the samples of each segment, stacked
@@ -176,20 +205,14 @@ class PiecewiseTrajectory:
         return out
 
     def flat_sample(self, t: float) -> "FlatSample":
-        idx, t_local = self.locate(t)
-        seg = self.segments[idx]
-        vals = [seg.eval(t_local, order) for order in range(4)]
-        return FlatSample(*vals)
+        return FlatSample(*(self.eval(t, order) for order in range(4)))
 
     def continuity_residuals(self) -> np.ndarray:
         """|junction mismatch| for derivative orders 0..3, shape (M-1, 4)."""
-        out = np.zeros((self.M - 1, 4))
-        for j in range(self.M - 1):
-            for order in range(4):
-                left = self.segments[j].eval(self.T, order)
-                right = self.segments[j + 1].eval(0.0, order)
-                out[j, order] = float(np.max(np.abs(left - right)))
-        return out
+        return np.array([
+            [np.max(np.abs(left.eval(self.T, k) - right.eval(0.0, k))) for k in range(4)]
+            for left, right in zip(self.segments, self.segments[1:])
+        ]).reshape(self.M - 1, 4)
 
     def to_coeff_csv(self, path) -> None:
         n = self.segments[0].coeffs.shape[1]

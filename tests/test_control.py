@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flapkit.control
 from flapkit.control import (
     OMEGA_PSI_D_JUMP,
     ControllerGains,
@@ -28,7 +29,8 @@ from flapkit.control import (
 )
 from flapkit.dynamics import VerticalParams
 from flapkit.errors import DegenerateDecompositionError, InvalidInputError
-from flapkit.simulate import simulate_ideal_vertical
+from flapkit.simulate import run_closed_loop, simulate_heading_loop, simulate_ideal_vertical
+from flapkit.trajectory import single_segment
 
 
 @pytest.fixture
@@ -370,6 +372,47 @@ class TestCommandFilter:
         assert np.allclose(rate, 0.0)
 
 
+class TestFloatLawsAgainstArrayForms:
+    """The tick runs on floats; its former numpy forms are the reference.
+    Only the rounding differs (tanh, the filter's products and sums), so
+    the values agree to a few ulps: 1e-13 absolute on values of order 1-10."""
+
+    TOL = dict(rtol=1e-13, atol=1e-13)
+
+    def test_filter_matches_matrix_update(self):
+        rng = np.random.default_rng(21)
+        f = SecondOrderFilter(wn=20.0, zeta=1.0, dt=0.01, channels=3)
+        ad, bd = np.array(f.ad), np.array(f.bd)
+        state = None
+        for k in range(300):
+            u = rng.standard_normal(3) * 5.0
+            if k == 150:  # a reset mid-run: value snaps to the input, rate to 0
+                f.reset(u)
+                state = np.column_stack([u, np.zeros(3)])
+            value, rate = f.update(u)
+            state = (np.column_stack([u, np.zeros(3)]) if state is None
+                     else state @ ad.T + np.outer(u, bd))
+            np.testing.assert_allclose(np.column_stack([value, rate]), state, **self.TOL)
+
+    def test_position_law_matches_array_form(self, gains):
+        rng = np.random.default_rng(22)
+        kp, kv = gains.kp.tolist(), gains.kv.tolist()
+        for _ in range(300):
+            sd, vdd, e_p, e_v = rng.standard_normal((4, 3)) * 3.0
+            np.testing.assert_allclose(
+                desired_velocity(sd.tolist(), e_p.tolist(), kp), sd + gains.kp * np.tanh(e_p),
+                **self.TOL,
+            )
+            np.testing.assert_allclose(
+                desired_acceleration(vdd.tolist(), e_p.tolist(), e_v.tolist(), kp, kv),
+                vdd + gains.kv / gains.kp * np.tanh(e_p) + gains.kv * np.tanh(e_v),
+                **self.TOL,
+            )
+            assert lyapunov_monitors(TrackingErrors(e_p.tolist(), e_v.tolist()), 1, gains).V1 \
+                == pytest.approx(0.5 * e_p @ (e_p / gains.kp) + 0.5 * e_v @ (e_v / gains.kv),
+                                 rel=1e-14)
+
+
 class TestInnerAttitude:
     def test_aligned_zero(self, gains):
         g = np.array([0.1, 0.0, math.sqrt(1 - 0.01)])
@@ -499,3 +542,29 @@ class TestTrackingControllerTick:
         row = out.log_row(1.25)
         assert len(row) == 16
         assert row[0] == 1.25
+
+    def test_flight_loops_skip_the_stability_monitors(self, monkeypatch, gains, vparams):
+        # the tick logs V1 and V2 through the candidate functions alone; the
+        # full monitors are computed on demand, never in a flight loop
+        monitors = flapkit.control.lyapunov_monitors
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lyapunov_monitors called in a flight loop")
+
+        monkeypatch.setattr(flapkit.control, "lyapunov_monitors", forbidden)
+        coeffs = np.zeros((3, 7))
+        coeffs[:, 1] = [0.4, 0.3, 0.05]  # a straight, slowly climbing line
+        res = run_closed_loop(single_segment(coeffs, 2.0), perturb_pos=(0.05, -0.1, 0.02))
+        assert len(res.control_rows) == 200 and not res.diverged
+        simulate_heading_loop(gains, lambda t: 2.5, psi0=-0.5, omega0=3.0, duration=1.0)
+        simulate_ideal_vertical(gains, p0=[0.1, 0.0, 0.0], v0=[0, 0, 0], psi0=3.0, duration=1.0)
+
+        ctrl = TrackingController(gains, vparams)
+        meas = Measurement(
+            p=[0.1, -0.2, 0.05], v=[0.3, 0.1, 0.0], psi=2.5, omega_psi=-1.0,
+            gamma=[0.0, 0.0, 1.0], omega=[0.0, 0.0, -1.0],
+        )
+        for sigma_r in ([1.0, 0.0, 0.0], [0.9, 0.2, 0.1], [-0.5, -0.5, 0.0]):
+            out = ctrl.update(sigma_r, [0.5, 0.0, 0.0], meas)
+            rep = monitors(out.errors, out.h_psi, gains)
+            assert (out.V1, out.V2) == (rep.V1, rep.V2)

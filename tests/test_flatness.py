@@ -203,20 +203,23 @@ class TestFlatToFull:
 
         r0 = flat_to_full(traj, 0.0, vparams, fparams)
 
-        samples = {}
+        # every RK4 stage time of the flight (steps and midpoints), in one call
+        dt = 1e-3
+        grid = np.minimum(np.arange(2 * round(traj.duration / dt) + 1) * dt / 2, traj.duration)
+        r = flat_to_full(traj, grid, vparams, fparams)
+        samples = {
+            round(t, 6): ActuatorCommands(f, rud, ele)
+            for t, f, rud, ele in zip(grid.tolist(), r.f_flap, r.theta_rud, r.theta_ele)
+        }
 
         def commands(t):
-            key = round(t, 6)
-            if key not in samples:
-                r = flat_to_full(traj, t, vparams, fparams)
-                samples[key] = ActuatorCommands(r.f_flap, r.theta_rud, r.theta_ele)
-            return samples[key]
+            return samples[round(t, 6)]
 
         state0 = FwavState(
             p=r0.p, v=r0.v, q=UnitQuaternion.from_array(r0.quaternion), omega=r0.omega,
             f_flap=r0.f_flap, theta_rud=r0.theta_rud, theta_ele=r0.theta_ele,
         )
-        log = simulate_full(state0, fparams, commands, dt=1e-3, duration=traj.duration)
+        log = simulate_full(state0, fparams, commands, dt=dt, duration=traj.duration)
         ref = traj.eval_many(log.t, 0)
         dev = np.linalg.norm(log.states[:, 0:3] - ref, axis=1)
         assert dev.max() < 0.02

@@ -1,0 +1,119 @@
+"""Two closed-loop flights pinned to 1e-9 against values recorded at commit
+0212c85, where the controller tick and the reference ran on small numpy
+arrays.  The tick now runs on floats (tanh, the filter products and the
+3-element sums round differently), which moves these flights by ~1e-12.
+
+The table was printed by
+
+    PYTHONPATH=src python tests/test_pinned_flights.py
+
+run in a checkout of that commit: it plans both cases, flies them, and
+prints ``record()``.
+"""
+
+import numpy as np
+import pytest
+
+from flapkit.simulate import run_closed_loop
+
+TOL = 1e-9
+
+# (case, model, start offset); the controller and plant run at their defaults
+FLIGHTS = {
+    "c_vertical": ("c", "vertical", (0.03, -0.02, 0.04)),
+    "line_full": ("line", "full", (0.0, 0.0, 0.02)),
+}
+
+
+def summary(result) -> dict:
+    """Final state, max |x| and RMS of every control-log column, and the
+    discrete-event counts of one flight."""
+    rows = result.control_rows
+    return {
+        "final_state": result.state_log.states[-1].tolist(),
+        "control_max_abs": np.max(np.abs(rows), axis=0).tolist(),
+        "control_rms": np.sqrt(np.mean(rows**2, axis=0)).tolist(),
+        "jumps": len(result.jump_times),
+        "ff_saturations": len(result.ff_sat_times),
+    }
+
+
+def record() -> dict:
+    from flapkit.planning import case_library, plan
+
+    out = {}
+    for key, (case, model, offset) in FLIGHTS.items():
+        cons, opts, weights = case_library(case)
+        traj, _ = plan(cons, weights, opts)
+        out[key] = summary(run_closed_loop(traj, model=model, perturb_pos=offset))
+    return out
+
+
+PINNED = {
+    "c_vertical": {
+        "final_state": [
+            1.5587281436587967, -0.13499069637236452, -0.02370009224612583,
+            -0.15557622426055456, 9.517415615678218e-20, -0.00010116064077307914,
+            -12.566330792504983, 0.4686860058804542,
+        ],
+        "control_max_abs": [
+            0.38410936137679635, 0.38803889717620776, 0.04, 0.8307328185309288,
+            0.7396940307412225, 0.0641666309166811, 3.141071152613575, 1.0,
+            4.121312616662697, 0.2, 15.758080747191556, 0.30765802027012457,
+            0.010019392962532249, 0.3434891430168766, 6.502751230880596,
+        ],
+        "control_rms": [
+            0.1278572403127204, 0.1780551522874317, 0.021566286441117567,
+            0.23965060225620727, 0.2780312959029325, 0.02485393952835495,
+            1.9956416721408698, 1.0, 2.0175777968873145, 0.1921864874756065,
+            15.354436973774861, 0.08645298450544725, 0.0027085307741997367,
+            0.1038670875999037, 1.3819731055919047,
+        ],
+        "jumps": 6,
+        "ff_saturations": 106,
+    },
+    "line_full": {
+        "final_state": [
+            1.5078750960455198, 0.03758014812262845, -0.027304195091407513,
+            0.4953152200444898, -0.7165717882734363, 0.023692995219965093,
+            0.9940138001215234, 0.10883442438451586, 0.006392847505106034,
+            0.007124937728544773, 0.24280861657681144, 0.020963213225647797,
+            0.019251972912149088, 15.26208621085524, 0.03858389668310073,
+            -0.000945495218162242,
+        ],
+        "control_max_abs": [
+            0.008718523471175077, 0.20506742985475632, 0.02909725953658631,
+            0.02218356670417898, 0.6925545790848815, 0.08535966702537101,
+            3.141592653589793, 1.0, 4.121320343559643, 0.2, 15.459041661465779,
+            0.3904840317790706, 0.012438850694851586, 0.13038364529007063,
+            5.2469279841452545,
+        ],
+        "control_rms": [
+            0.005670137808890553, 0.07827277024860328, 0.012666472397195972,
+            0.010389119208008342, 0.24445513186651396, 0.028219510912741677,
+            1.2700312344272662, 1.0, 0.924299329635297, 0.1317796871118282,
+            15.149199797741227, 0.09691886911269854, 0.003029137630023191,
+            0.0395301128285114, 0.9255525934672433,
+        ],
+        "jumps": 2,
+        "ff_saturations": 74,
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(FLIGHTS))
+def test_flight_matches_recorded_values(request, key):
+    case, model, offset = FLIGHTS[key]
+    traj = request.getfixturevalue(f"case_{case}").traj
+    got = summary(run_closed_loop(traj, model=model, perturb_pos=offset))
+    want = PINNED[key]
+    assert got["jumps"] == want["jumps"]
+    assert got["ff_saturations"] == want["ff_saturations"]
+    for field in ("final_state", "control_max_abs", "control_rms"):
+        np.testing.assert_allclose(got[field], want[field], rtol=0.0, atol=TOL, err_msg=field)
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint(record(), width=100)

@@ -163,6 +163,23 @@ class TestIdealVertical:
         assert abs(res.omega_psi[-1]) < 1e-3
         assert np.all(np.diff(res.V1) <= 1e-6)
 
+    def test_recorded_law_reused_by_the_next_stage(self, monkeypatch):
+        # the law at a recorded state is the first RK4 stage of the next
+        # step: 4 evaluations per step plus the initial record, not 5
+        law = flapkit.simulate._positional_law
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return law(*args)
+
+        monkeypatch.setattr(flapkit.simulate, "_positional_law", counting)
+        res = simulate_ideal_vertical(
+            ControllerGains(), p0=[0.2, -0.1, 0.05], v0=[0, 0, 0], duration=0.1
+        )
+        assert len(res.t) == 51
+        assert len(calls) == 4 * 50 + 1
+
 
 class TestHeadingLoop:
     def test_flow_bound_respected_with_unit_rate_gain(self):

@@ -110,6 +110,43 @@ class TestEvalBitIdentity:
             assert np.array_equal(traj.eval_many(times, k), pointwise)
 
 
+class TestScalarEval:
+    def test_scalar_eval_equals_eval_many_bitwise(self):
+        rng = np.random.default_rng(43)
+        segs = [
+            PolySegment(rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-3, 3, (3, 7)), 1.3)
+            for _ in range(4)
+        ]
+        traj = PiecewiseTrajectory(segs)
+        junctions = np.arange(traj.M + 1) * traj.T  # both ends included
+        times = np.concatenate([
+            rng.uniform(0.0, traj.duration, 300),
+            junctions,
+            junctions[1:-1] - 5e-13,  # within the junction tolerance: later segment
+            [1e-13, traj.duration - 1e-13],
+        ])
+        for order in (0, 1, 2, 3, 4, 7, 8, 11):  # degree 6: orders >= 7 are zeros
+            batch = traj.eval_many(times, order)
+            single = np.array([traj.eval(t, order) for t in times.tolist()])
+            assert single.shape == batch.shape == (times.size, 3)
+            assert np.array_equal(single, batch), order
+            if order > 6:
+                assert not np.any(single)
+        for t in times[::10].tolist():
+            sample = traj.flat_sample(t)
+            for order, value in enumerate((sample.sigma, sample.d1, sample.d2, sample.d3)):
+                assert np.array_equal(value, traj.eval(t, order))
+
+    def test_taylor_from_a_later_order(self):
+        traj = PiecewiseTrajectory([
+            PolySegment(np.arange(21.0).reshape(3, 7) / 7.0, 1.5),
+            PolySegment(-np.arange(21.0).reshape(3, 7) / 9.0, 1.5),
+        ])
+        times = np.array([0.0, 0.7, 1.5, 2.9, 3.0])
+        assert np.array_equal(traj.taylor(times, 4, first=1), traj.taylor(times, 4)[1:])
+        assert traj.taylor(times, 4, first=2).shape == (3, 5, 3)
+
+
 class TestSnapObjective:
     def test_cubic_has_zero_snap(self):
         traj = axis_poly([0.5, 1.0, -2.0, 0.7])
