@@ -424,6 +424,13 @@ def constraint_residuals(
 # ---------------------------------------------------------------------------
 
 
+# L-BFGS tolerances: a rho stage that cannot end its restart stops early
+# (the next stage moves its point anyway); the stage that ends a restart is
+# continued from its point to the tight set
+_STAGE_TOL = {"ftol": 1e-7, "gtol": 1e-5}
+_FINAL_TOL = {"ftol": 1e-14, "gtol": 1e-10}
+
+
 class _PenaltyProblem:
     """Snap objective plus rho-weighted squared rectified penalties in the
     reduced coordinates of the equality null space.
@@ -569,15 +576,22 @@ class _PenaltyProblem:
         value, grad, _ = self.evaluate(xi, rho)
         return value, grad
 
-    def objective_and_excess(self, xi: np.ndarray) -> tuple[float, float, float]:
-        """Unpenalized objective, worst per-sample excess and its time
-        (0 when no sample exceeds)."""
-        value, _, excess = self.evaluate(xi, 0.0)
+    def worst_excess(self, xi: np.ndarray) -> float:
+        """Worst per-sample excess, 0 when no sample exceeds."""
+        excess = self.evaluate(xi, 0.0)[2]
+        return float(excess.max()) if excess.size else 0.0
+
+    def restart_result(self, index: int, xi: np.ndarray, rho: float) -> "RestartResult":
+        """The restart's objective, worst excess and its time (0 when no
+        sample exceeds), and its first-order measures at stage rho."""
+        value, grad_f, excess = self.evaluate(xi, 0.0)
+        grad_q = self.evaluate(xi, rho)[1]
         worst = float(excess.max()) if excess.size else 0.0
-        if worst <= 0.0:
-            return value, 0.0, 0.0
-        _, col = np.unravel_index(np.argmax(excess), excess.shape)
-        return value, worst, float(self.tau[col])
+        worst_t = float(self.tau[np.argmax(excess) % self.tau.size]) if worst > 0.0 else 0.0
+        stationarity = float(np.linalg.norm(grad_q)) / max(1.0, float(np.linalg.norm(grad_f)))
+        return RestartResult(
+            index, value, worst, worst_t, rho, stationarity, 2.0 * rho * worst**2, xi.copy()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +601,19 @@ class _PenaltyProblem:
 
 @dataclass
 class RestartResult:
+    """One restart's end point.  With the penalty's implied multipliers
+    lambda_i = 2 rho excess_i, the penalized gradient is the Lagrangian
+    gradient grad f + sum_i lambda_i grad c_i, so ``stationarity`` is its
+    norm relative to max(1, |grad f|), and ``complementarity`` is the
+    largest lambda_i * excess_i, 2 rho max(excess)^2."""
+
     index: int
     objective: float
     max_excess: float
     worst_time: float
-    grad_norm: float
+    rho: float  # the stage the restart ended at (0 when nothing was solved)
+    stationarity: float
+    complementarity: float
     xi: np.ndarray  # reduced coordinates of the start-relative problem
 
 
@@ -599,9 +621,8 @@ class RestartResult:
 class PlanReport:
     objective: float
     restart_index: int
-    # norm of the winning restart's last penalized L-BFGS gradient; not a
-    # first-order stationarity measure of the constrained problem
-    kkt_grad_norm: float
+    stationarity: float  # the winning restart's first-order measures
+    complementarity: float
     residuals: ResidualReport
     residuals_dense: ResidualReport
     restarts: list[RestartResult]
@@ -612,7 +633,8 @@ class PlanReport:
         lines = [
             f"objective          {self.objective:.6e}",
             f"winning restart    {self.restart_index}",
-            f"penalized-grad norm {self.kkt_grad_norm:.3e}",
+            f"stationarity (rel) {self.stationarity:.3e}",
+            f"complementarity    {self.complementarity:.3e}",
             f"qp kkt residual    {self.qp_kkt_residual:.3e}",
             f"max equality residual   {self.residuals.max_equality:.3e}",
             f"max sampled aggregate   {self.residuals.max_aggregate:.3e}",
@@ -673,9 +695,14 @@ def plan(
     """Multi-start penalty minimization of the snap objective.
 
     Restart 0 starts from the equality-QP minimizer; the rest start from
-    seeded random coefficient draws.  Returns the feasible restart with the
-    lowest objective (ties broken by restart index) or raises
-    PlanInfeasibleError with the worst residual and its sample time.
+    seeded random coefficient draws.  Each restart runs the rho schedule
+    with inexact stages: L-BFGS stops each stage at a loose tolerance.  A
+    stage whose point is feasible, or the last stage, is then continued to
+    the tight tolerance, and the restart ends there if the finished point is
+    feasible; so every restart reports a tightly solved point of the stage
+    it stopped at.  Returns the feasible restart with the lowest objective
+    (ties broken by restart index) or raises PlanInfeasibleError with the
+    worst residual and its sample time.
     """
     t_start = time.perf_counter()
     weights = weights or ObjectiveWeights()
@@ -686,6 +713,12 @@ def plan(
     problem = _PenaltyProblem(local, weights, opts)
     results: list[RestartResult] = []
 
+    def solve(xi, rho, tol):
+        return scipy.optimize.minimize(
+            problem.value_and_grad, xi, args=(rho,), jac=True, method="L-BFGS-B",
+            options={"maxiter": opts.inner_maxiter, **tol},
+        ).x
+
     for r_idx in range(max(opts.restarts, 1)):
         if problem.k == 0:
             xi = np.zeros(0)
@@ -695,21 +728,15 @@ def plan(
             rng = np.random.default_rng([opts.seed, r_idx])
             xi = _initial_guess(rng, local, opts, problem.z)
 
-        grad_norm = 0.0
-        if xi.size:
-            for rho in opts.rho_schedule:
-                res = scipy.optimize.minimize(
-                    problem.value_and_grad, xi, args=(rho,), jac=True, method="L-BFGS-B",
-                    options={"maxiter": opts.inner_maxiter, "ftol": 1e-14, "gtol": 1e-10},
-                )
-                xi = res.x
-                grad_norm = float(np.linalg.norm(res.jac))
-                _, worst, _ = problem.objective_and_excess(xi)
-                if worst <= opts.feas_tol:
+        rho = 0.0
+        for stage, rho in enumerate(opts.rho_schedule if xi.size else ()):
+            xi = solve(xi, rho, _STAGE_TOL)
+            last = stage == len(opts.rho_schedule) - 1
+            if last or problem.worst_excess(xi) <= opts.feas_tol:
+                xi = solve(xi, rho, _FINAL_TOL)
+                if problem.worst_excess(xi) <= opts.feas_tol:
                     break
-
-        obj, worst, worst_t = problem.objective_and_excess(xi)
-        results.append(RestartResult(r_idx, obj, worst, worst_t, grad_norm, xi.copy()))
+        results.append(problem.restart_result(r_idx, xi, rho))
 
     feasible = [r for r in results if r.max_excess <= opts.feas_tol]
     if not feasible:
@@ -728,7 +755,8 @@ def plan(
     report = PlanReport(
         objective=best.objective,
         restart_index=best.index,
-        kkt_grad_norm=best.grad_norm,
+        stationarity=best.stationarity,
+        complementarity=best.complementarity,
         residuals=residuals,
         residuals_dense=residuals_dense,
         restarts=results,

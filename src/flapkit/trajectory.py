@@ -123,9 +123,16 @@ class PolySegment:
 
 @dataclass
 class PiecewiseTrajectory:
-    """Multi-segment polynomial flat output sigma(t) over [0, M*T]."""
+    """Multi-segment polynomial flat output sigma(t) over [0, M*T].
+
+    The segments are not replaced after construction: the segment count M,
+    the common segment duration T and the total duration are fixed then.
+    """
 
     segments: list[PolySegment]
+    M: int = field(init=False, repr=False, compare=False)
+    T: float = field(init=False, repr=False, compare=False)
+    duration: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -133,30 +140,20 @@ class PiecewiseTrajectory:
         durations = {seg.T for seg in self.segments}
         if len(durations) != 1:
             raise InvalidInputError("segments must share one duration")
-
-    @property
-    def M(self) -> int:
-        return len(self.segments)
-
-    @property
-    def T(self) -> float:
-        return self.segments[0].T
-
-    @property
-    def duration(self) -> float:
-        return self.M * self.T
+        self.M = len(self.segments)
+        self.T = self.segments[0].T
+        self.duration = self.M * self.T
 
     def locate(self, t: float) -> tuple[int, float]:
         """Segment index and local time; junctions resolve to the later
         segment at local time 0."""
-        if t < -1e-12 or t > self.duration + 1e-12:
-            raise TrajectoryDomainError(
-                f"t={t:.6f} outside [0, {self.duration:.6f}]"
-            )
-        t = min(max(t, 0.0), self.duration)
-        idx = min(int(t / self.T), self.M - 1)
-        t_local = t - idx * self.T
-        if idx < self.M - 1 and abs(t_local - self.T) < 1e-12:
+        duration, T, last = self.duration, self.T, self.M - 1
+        if t < -1e-12 or t > duration + 1e-12:
+            raise TrajectoryDomainError(f"t={t:.6f} outside [0, {duration:.6f}]")
+        t = min(max(t, 0.0), duration)
+        idx = min(int(t / T), last)
+        t_local = t - idx * T
+        if idx < last and abs(t_local - T) < 1e-12:
             return idx + 1, 0.0
         return idx, t_local
 

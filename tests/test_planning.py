@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
+from flapkit.dynamics import VerticalParams
 from flapkit.errors import (
     InvalidInputError,
     PlanInfeasibleError,
     RankDeficientConstraintsError,
 )
+from flapkit.flatness import FlatInputSchedule
 from flapkit.planning import (
     SPEED_FLOOR,
     BoundaryConditions,
@@ -25,7 +28,10 @@ from flapkit.planning import (
     sample_times,
     solve_qp_equality,
     solve_qp_equality_full,
+    _FINAL_TOL,
+    _STAGE_TOL,
     _PenaltyProblem,
+    _relative_to,
 )
 from flapkit.trajectory import (
     ObjectiveWeights,
@@ -435,6 +441,114 @@ class TestPlannedCases:
         assert np.any(np.abs(peak_times - 3.0) < 0.5) or np.any(
             np.abs(peak_times - 6.0) < 0.5
         )
+
+
+# case a's planar detour over the sphere; the sideways swerve basin is at
+# 549.0655 and its flat inputs demand |Gamma_y| > 1
+CASE_A_PLANAR_BELOW = 549.063
+CASE_B_OBJECTIVE = 3.0547072
+
+
+def check_case_plan(name, traj, report):
+    """The winner is in the case's known basin: for a, the planar detour
+    with trackable flat inputs; for b, the single basin at 3.0547072."""
+    if name == "a":
+        assert report.objective < CASE_A_PLANAR_BELOW
+        grid = np.minimum(np.arange(0.0, traj.duration + 5e-4, 1e-3), traj.duration)
+        FlatInputSchedule(traj, VerticalParams()).tabulate(grid)
+    else:
+        assert report.objective == pytest.approx(CASE_B_OBJECTIVE, rel=1e-6)
+
+
+def plan_case(name, seed):
+    cons, opts, weights = case_library(name)
+    opts.seed = seed
+    return plan(cons, weights, opts)
+
+
+@pytest.fixture(scope="module")
+def recorded_plans():
+    """Cases a and b planned at seed 3 (the fixtures plan seed 0), with the
+    rho and L-BFGS options of every inner solve, split by restart."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        solves, restarts = [], []
+        minimize, finish = scipy.optimize.minimize, _PenaltyProblem.restart_result
+
+        def record_minimize(fun, x0, args=(), **kw):
+            solves.append((args[0], kw["options"]))
+            return minimize(fun, x0, args=args, **kw)
+
+        def record_restart(self, index, xi, rho):
+            restarts.append(solves[:])
+            solves.clear()
+            return finish(self, index, xi, rho)
+
+        mp.setattr(scipy.optimize, "minimize", record_minimize)
+        mp.setattr(_PenaltyProblem, "restart_result", record_restart)
+        for name in ("a", "b"):
+            traj, report = plan_case(name, 3)
+            out[name] = traj, report, restarts[:]
+            restarts.clear()
+    return out
+
+
+class TestInexactStages:
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_winner_basin_at_another_seed(self, recorded_plans, name):
+        traj, report, _ = recorded_plans[name]
+        check_case_plan(name, traj, report)
+
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_only_the_stage_that_ends_a_restart_is_solved_tight(self, recorded_plans, name):
+        _, report, restarts = recorded_plans[name]
+        assert len(restarts) == len(report.restarts) == 16
+        # the finish is solved to the tolerances every stage used before
+        assert _FINAL_TOL == {"ftol": 1e-14, "gtol": 1e-10}
+        assert all(_STAGE_TOL[key] > _FINAL_TOL[key] for key in _FINAL_TOL)
+        loose, tight = {"maxiter": 200, **_STAGE_TOL}, {"maxiter": 200, **_FINAL_TOL}
+        # no restart here has a feasible stage whose tight finish turns
+        # infeasible, so the finish is the one tight solve of each restart
+        for result, solves in zip(report.restarts, restarts):
+            rhos, options = zip(*solves)
+            assert list(options) == [loose] * (len(solves) - 1) + [tight]
+            # the finish continues the stage that ends the restart
+            assert rhos[-1] == rhos[-2] == result.rho
+
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_every_restart_reports_first_order_measures(self, recorded_plans, name):
+        cons, opts, weights = case_library(name)
+        problem = _PenaltyProblem(_relative_to(cons, cons.boundary.start_pos), weights, opts)
+        _, report, _ = recorded_plans[name]
+        for r in report.restarts:
+            assert r.rho in opts.rho_schedule
+            _, grad_f, _ = problem.evaluate(r.xi, 0.0)
+            _, grad_q, _ = problem.evaluate(r.xi, r.rho)
+            assert r.stationarity == pytest.approx(
+                np.linalg.norm(grad_q) / max(1.0, np.linalg.norm(grad_f)), rel=1e-12
+            )
+            assert r.complementarity == pytest.approx(2.0 * r.rho * r.max_excess**2, rel=1e-12)
+        best = report.restarts[report.restart_index]
+        assert (report.stationarity, report.complementarity) == (
+            best.stationarity, best.complementarity
+        )
+
+    def test_case_a_winner_is_stationary(self, case_a):
+        # measured 1.8e-11 at seed 0 (9.5e-6 with every stage solved tight);
+        # pinned with a 50x margin
+        assert case_a.report.stationarity < 1e-9
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_seed_sweep_keeps_the_basins(name):
+    """Seeds 0-19 (pytest -m slow): the winner stays in its basin, and at
+    least 8 of the 16 restarts end feasible."""
+    for seed in range(20):
+        traj, report = plan_case(name, seed)
+        check_case_plan(name, traj, report)
+        feasible = sum(r.max_excess <= PlanOptions().feas_tol for r in report.restarts)
+        assert feasible >= 8, (seed, feasible)
 
 
 class TestObstacles:
