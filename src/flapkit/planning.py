@@ -12,8 +12,11 @@ Every map from xi to what the penalized objective reads is linear and is
 precomputed once per plan: positions, velocities and accelerations at all
 samples come from one matrix product, the snap term is a quadratic in xi,
 and the gradient is assembled from the per-sample derivatives with one
-more product.  One evaluation therefore costs a fixed handful of small
-array operations whatever the number of active constraints.
+more product.  One evaluation computes every constraint family's values
+and builds the gradient block of a family only when one of its samples is
+active, so its cost grows with the number of active families, not of
+active samples.  L-BFGS reads the value and the gradient at a point from
+one cached evaluation.
 
 The planner works in coordinates relative to the start position, so a
 translated scenario presents the solver with the same numbers and yields
@@ -498,6 +501,8 @@ class _PenaltyProblem:
         self.b = phi @ z_basis
         self.bt = np.ascontiguousarray(self.b.T)
         self.s0 = c0 @ phi.T
+        # one-entry cache of evaluate(): (point bytes, rho) and the result
+        self._key = self._last = None
 
     def _basis(self, times: np.ndarray, order: int) -> np.ndarray:
         total = self.opts.segments * self.n
@@ -523,7 +528,9 @@ class _PenaltyProblem:
     def evaluate(self, xi: np.ndarray, rho: float) -> tuple[float, np.ndarray, np.ndarray]:
         """Objective + rho * penalty, its gradient, and the per-sample
         rectified excesses: rows horizontal speed, vertical speed, azimuth
-        rate, then one per obstacle."""
+        rate, then one per obstacle.  Every family's excess is computed, but
+        a family's gradient block, zero where no sample is active, is built
+        only when one is."""
         x = xi.reshape(3, self.k)
         m = self.tau.size
         s = self.s0 + x @ self.bt
@@ -537,27 +544,30 @@ class _PenaltyProblem:
         excess = np.empty((3 + self.ob_radius.size, m))
 
         h = np.hypot(vx, vy)
-        g = np.maximum(h - self.v_h, 0.0, out=excess[0])
-        w_h = 2.0 * g / np.maximum(h, 1e-12)
-
-        g = np.maximum(np.abs(vz) - self.v_v, 0.0, out=excess[1])
-        d[2, m : 2 * m] = np.copysign(2.0 * g, vz)
-
+        g_h = np.maximum(h - self.v_h, 0.0, out=excess[0])
+        g_v = np.maximum(np.abs(vz) - self.v_v, 0.0, out=excess[1])
         u = h * h
         den = np.maximum(u, SPEED_FLOOR**2)
         rate = (vx * ay - vy * ax) / den
-        g = np.maximum(np.abs(rate) - self.rate, 0.0, out=excess[2])
-        w = np.copysign(2.0 * g, rate) / den
-        # the rate's speed dependence vanishes where the floor holds
-        w_h -= 2.0 * w * rate * (u > SPEED_FLOOR**2)
-        d[:2, m : 2 * m] = w_h * vel_xy + w * (acc_xy[::-1] * _FLIP)
-        d[:2, 2 * m : 3 * m] = -w * (vel_xy[::-1] * _FLIP)
+        g_r = np.maximum(np.abs(rate) - self.rate, 0.0, out=excess[2])
+        live_h, live_v, live_r = excess[:3].any(axis=1).tolist()
+
+        if live_v:
+            d[2, m : 2 * m] = np.copysign(2.0 * g_v, vz)
+        if live_h or live_r:
+            w_h = 2.0 * g_h / np.maximum(h, 1e-12)
+            w = np.copysign(2.0 * g_r, rate) / den
+            # the rate's speed dependence vanishes where the floor holds
+            w_h -= 2.0 * w * rate * (u > SPEED_FLOOR**2)
+            d[:2, m : 2 * m] = w_h * vel_xy + w * (acc_xy[::-1] * _FLIP)
+            d[:2, 2 * m : 3 * m] = -w * (vel_xy[::-1] * _FLIP)
 
         if self.ob_radius.size:
             delta = (pos - self.ob_ref) * self.ob_axes  # (obstacles, 3, m)
             dist = np.maximum(np.sqrt((delta * delta).sum(axis=1)), 1e-9)
             g = np.maximum(self.ob_radius - dist, 0.0, out=excess[3:])
-            d[:, :m] = ((-2.0 * g / dist)[:, None, :] * delta).sum(axis=0)
+            if g.any():
+                d[:, :m] = ((-2.0 * g / dist)[:, None, :] * delta).sum(axis=0)
 
         xh = x @ self.h
         value = self.f0 + float(np.vdot(self.g0 + 0.5 * xh, x))
@@ -572,13 +582,37 @@ class _PenaltyProblem:
         return value, grad.ravel(), excess
 
     def value_and_grad(self, xi: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
-        """Penalized objective and gradient, the L-BFGS inner problem."""
+        """Penalized objective and gradient, evaluated afresh."""
         value, grad, _ = self.evaluate(xi, rho)
         return value, grad
 
+    def _cached(self, xi: np.ndarray, rho: float) -> tuple[float, np.ndarray, np.ndarray]:
+        # rho is part of the key: one point is read at several rho (each
+        # stage starts at the point the previous stage returned)
+        key = (xi.tobytes(), rho)
+        if key != self._key:
+            self._key, self._last = key, self.evaluate(xi, rho)
+        return self._last
+
+    def _forget(self) -> None:
+        self._key = self._last = None
+
+    def value(self, xi: np.ndarray, rho: float) -> float:
+        """Penalized objective, the L-BFGS inner problem.  ``value`` and
+        ``gradient`` read one cached evaluation per (point, rho)."""
+        return self._cached(xi, rho)[0]
+
+    def gradient(self, xi: np.ndarray, rho: float) -> np.ndarray:
+        """Gradient of ``value``, from the same cached evaluation."""
+        return self._cached(xi, rho)[1]
+
     def worst_excess(self, xi: np.ndarray) -> float:
-        """Worst per-sample excess, 0 when no sample exceeds."""
-        excess = self.evaluate(xi, 0.0)[2]
+        """Worst per-sample excess, 0 when no sample exceeds.  The excess
+        does not depend on rho, so a cached evaluation at xi is read."""
+        if self._key is not None and self._key[0] == xi.tobytes():
+            excess = self._last[2]
+        else:
+            excess = self.evaluate(xi, 0.0)[2]
         return float(excess.max()) if excess.size else 0.0
 
     def restart_result(self, index: int, xi: np.ndarray, rho: float) -> "RestartResult":
@@ -714,8 +748,11 @@ def plan(
     results: list[RestartResult] = []
 
     def solve(xi, rho, tol):
+        # a solve evaluates every point it visits, its start included, so
+        # the solver's nfev counts the evaluations it cost
+        problem._forget()
         return scipy.optimize.minimize(
-            problem.value_and_grad, xi, args=(rho,), jac=True, method="L-BFGS-B",
+            problem.value, xi, args=(rho,), jac=problem.gradient, method="L-BFGS-B",
             options={"maxiter": opts.inner_maxiter, **tol},
         ).x
 

@@ -421,6 +421,10 @@ def simulate_heading_loop(
     loop of the heading analysis); the control gain l defaults to the
     geometric mean of its bounds.  Records the candidate function before
     and after every hysteresis jump.
+
+    Every tick passes psi_d' = 0 to ``HybridHeading.tick``, and V2 is
+    evaluated with psi_d' = 0 too: the loop certifies a constant reference.
+    A moving ``psi_d_fn`` is flown without its rate feedforward.
     """
     if l_gain is None:
         l_gain = math.sqrt(gains.l_gamma_min * gains.l_gamma_max)

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flapkit.dynamics import VerticalParams
 from flapkit.errors import (
@@ -202,9 +205,10 @@ def every_family_constraints() -> ConstraintSet:
     )
 
 
-def oracle_value(traj, cons, opts, weights, rho):
-    """Penalized objective recomputed from the trajectory at the sample
-    times with the margined limits, and the per-family activity."""
+def oracle_excess(traj, cons, opts):
+    """Rectified residuals recomputed from the trajectory at the sample
+    times with the margined limits, one array per family; the azimuth rate
+    is split where the speed floor holds and where it does not."""
     tau = sample_times(traj.duration, cons.sample_interval)
     pos, vel, acc = (traj.eval_many(tau, order) for order in range(3))
     rate = np.abs(azimuth_rate(vel, acc))
@@ -218,9 +222,64 @@ def oracle_value(traj, cons, opts, weights, rho):
     }
     for j, ob in enumerate(cons.obstacles):
         excess[f"obstacle{j}"] = rec(ob.radius + opts.obstacle_margin - ob.distance(pos))
+    return excess
+
+
+def oracle_value(traj, cons, opts, weights, rho):
+    """Penalized objective recomputed from the trajectory at the sample
+    times with the margined limits, and the per-family activity."""
+    excess = oracle_excess(traj, cons, opts)
     penalty = sum(float(e @ e) for e in excess.values())
     value = snap_objective(traj, weights) + rho * penalty
     return value, {name: bool(np.any(e > 0)) for name, e in excess.items()}
+
+
+FAMILIES = ("h_speed", "v_speed", "rate", "obstacle0", "obstacle1", "obstacle2")
+LIVE_SETS = (
+    [frozenset(FAMILIES) - {name} for name in FAMILIES]
+    + [frozenset({name}) for name in FAMILIES]
+    + [frozenset()]
+)
+
+
+def live_set_id(live) -> str:
+    if not live:
+        return "none"
+    if len(live) == 1:
+        return f"only_{next(iter(live))}"
+    return "all_but_" + "".join(set(FAMILIES) - live)
+
+
+def live_families_constraints(live) -> ConstraintSet:
+    """every_family_constraints() with the families outside ``live`` out of
+    reach: their limits raised to 1e6, their obstacles moved 1 km away."""
+    cons = every_family_constraints()
+
+    def far(ob):
+        if isinstance(ob, Sphere):
+            return Sphere(center=[1e3, 1e3, 1e3], radius=ob.radius)
+        return CylinderX(center_yz=[1e3, 1e3], radius=ob.radius)
+
+    return replace(
+        cons,
+        v_h_max=cons.v_h_max if "h_speed" in live else 1e6,
+        v_v_max=cons.v_v_max if "v_speed" in live else 1e6,
+        psi_rate_max=cons.psi_rate_max if "rate" in live else 1e6,
+        obstacles=[
+            ob if f"obstacle{j}" in live else far(ob) for j, ob in enumerate(cons.obstacles)
+        ],
+    )
+
+
+def central_differences(problem, xi, rho) -> np.ndarray:
+    fd = np.empty_like(xi)
+    for i in range(xi.size):
+        step = 1e-6 * max(1.0, abs(xi[i]))
+        up, down = xi.copy(), xi.copy()
+        up[i] += step
+        down[i] -= step
+        fd[i] = (problem.evaluate(up, rho)[0] - problem.evaluate(down, rho)[0]) / (2 * step)
+    return fd
 
 
 class TestPenaltyEvaluation:
@@ -256,6 +315,103 @@ class TestPenaltyEvaluation:
                 ) / (2 * step)
             assert np.allclose(grad, fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd)))
         assert all(active.values()), active
+
+    @pytest.mark.parametrize("live", LIVE_SETS, ids=live_set_id)
+    def test_families_active_in_turn(self, live):
+        # evaluate() builds a family's gradient block only where one of
+        # its samples is active: each family, and each obstacle, inactive
+        # in turn; one family alone active; none active
+        cons = live_families_constraints(live)
+        opts = PlanOptions(segments=2, T=1.0)
+        weights = ObjectiveWeights(mu_p=1.0, mu_v=0.0)
+        problem = _PenaltyProblem(cons, weights, opts)
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(500):
+            # random points at several scales, kept where exactly the live
+            # families have an active sample
+            xi = rng.normal(scale=rng.choice([0.3, 1.0, 3.0]), size=3 * problem.k)
+            rho = 10.0 ** rng.integers(0, 5)
+            traj = problem.trajectory(xi)
+            expected, flags = oracle_value(traj, cons, opts, weights, rho)
+            active = {"rate" if name.startswith("rate") else name for name, f in flags.items() if f}
+            if active != live:
+                continue
+            checked += 1
+            value, grad, excess = problem.evaluate(xi, rho)
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+            oracle = oracle_excess(traj, cons, opts)
+            rows = [oracle["h_speed"], oracle["v_speed"]]
+            rows.append(oracle["rate_floored"] + oracle["rate_unfloored"])
+            rows += [oracle[f"obstacle{j}"] for j in range(len(cons.obstacles))]
+            assert excess.shape == (len(rows), rows[0].size)
+            for row, want in zip(excess, rows):
+                np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
+
+            fd = central_differences(problem, xi, rho)
+            assert np.allclose(grad, fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd)))
+            # the solver's reads return this same evaluation
+            assert problem.value(xi, rho) == value
+            assert np.array_equal(problem.gradient(xi, rho), grad)
+            assert problem.worst_excess(xi) == excess.max()
+            if checked == 3:
+                break
+        assert checked == 3
+
+    def test_cached_reads_key_on_point_and_rho(self):
+        cons = every_family_constraints()
+        problem = _PenaltyProblem(cons, ObjectiveWeights(), PlanOptions(segments=2, T=1.0))
+        rng = np.random.default_rng(3)
+        xi = rng.normal(scale=2.0, size=3 * problem.k)
+        other = rng.normal(scale=2.0, size=3 * problem.k)
+        # a stage starts where the previous rho stage stopped: the same point
+        # read at another rho must not return the cached value
+        for point, rho in ((xi, 1.0), (xi, 1e3), (other, 1e3), (xi, 1e3), (xi, 1.0)):
+            value, grad, excess = problem.evaluate(point, rho)
+            assert problem.value(point, rho) == value
+            assert np.array_equal(problem.gradient(point, rho), grad)
+            assert problem.worst_excess(point) == excess.max()
+
+
+HYPOTHESIS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def vectors(bound):
+    return st.lists(st.floats(-bound, bound), min_size=3, max_size=3)
+
+
+@st.composite
+def equality_problems(draw):
+    """Random boundary states, 1-3 segments of random duration, and at most
+    one waypoint strictly inside each segment."""
+    opts = PlanOptions(segments=draw(st.integers(1, 3)), T=draw(st.floats(0.5, 3.0)))
+    boundary = BoundaryConditions(
+        start_pos=draw(vectors(2.0)), start_vel=draw(vectors(1.0)),
+        start_acc=draw(vectors(1.0)), end_pos=draw(vectors(2.0)),
+        end_vel=draw(vectors(1.0)), end_acc=draw(vectors(1.0)),
+    )
+    waypoints = [
+        Waypoint(seg, draw(st.floats(0.05, 0.95)) * opts.T, draw(vectors(2.0)))
+        for seg in range(opts.segments)
+        if draw(st.booleans())
+    ]
+    return ConstraintSet(boundary=boundary, waypoints=waypoints), opts
+
+
+class TestEqualityProperties:
+    @HYPOTHESIS
+    @given(problem=equality_problems(), data=st.data())
+    def test_equality_rows_hold(self, problem, data):
+        cons, opts = problem
+        qp = solve_qp_equality(cons, None, opts)
+        assert constraint_residuals(qp, cons).max_equality <= 1e-9
+        # the null-space map the penalty reads keeps every equality row
+        penalty = _PenaltyProblem(cons, ObjectiveWeights(), opts)
+        size = 3 * penalty.k
+        xi = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=size, max_size=size)))
+        assert constraint_residuals(penalty.trajectory(xi), cons).max_equality <= 1e-8
+
 
 class TestPlan:
     def test_qp_equivalence_without_inequalities(self):
@@ -532,6 +688,32 @@ class TestInexactStages:
         assert (report.stationarity, report.complementarity) == (
             best.stationarity, best.complementarity
         )
+
+    def test_each_point_is_evaluated_once(self):
+        # L-BFGS-B asks for the value and the gradient at every point; both
+        # must come from one evaluation, and nfev must count them all
+        solves, calls = [], [0]
+        with pytest.MonkeyPatch.context() as mp:
+            minimize, evaluate = scipy.optimize.minimize, _PenaltyProblem.evaluate
+
+            def count_evaluate(self, xi, rho):
+                calls[0] += 1
+                return evaluate(self, xi, rho)
+
+            def record_minimize(*args, **kw):
+                before = calls[0]
+                res = minimize(*args, **kw)
+                solves.append((calls[0] - before, res.nfev))
+                return res
+
+            mp.setattr(_PenaltyProblem, "evaluate", count_evaluate)
+            mp.setattr(scipy.optimize, "minimize", record_minimize)
+            cons, opts, weights = case_library("a")
+            opts.restarts = 4
+            plan(cons, weights, opts)
+        assert len(solves) >= 2 * opts.restarts
+        counts, nfevs = zip(*solves)
+        assert counts == nfevs
 
     def test_case_a_winner_is_stationary(self, case_a):
         # measured 1.8e-11 at seed 0 (9.5e-6 with every stage solved tight);
