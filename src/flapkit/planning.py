@@ -12,21 +12,20 @@ Every map from xi to what the penalized objective reads is linear and is
 precomputed once per plan: positions, velocities and accelerations at all
 samples come from one matrix product, the snap term is a quadratic in xi,
 and the gradient is assembled from the per-sample derivatives with one
-more product.  One evaluation computes every constraint family's values
-and builds the gradient block of a family only when one of its samples is
-active, so its cost grows with the number of active families, not of
-active samples.  L-BFGS reads the value and the gradient at a point from
-one cached evaluation.
+more product.  One evaluation builds the gradient block of a constraint
+family only when one of its samples is active, and L-BFGS reads the value
+and the gradient at a point from one cached evaluation.
 
 The planner works in coordinates relative to the start position, so a
 translated scenario presents the solver with the same numbers and yields
 the translated plan; the start is added back to the solution's constant
 coefficients.
 
-Planning uses slightly inflated obstacle radii and slightly tightened
-kinodynamic limits so that residuals checked between samples stay within
-tolerance; reported residuals are computed against the raw constraint set
-in the caller's coordinates.
+The inequalities are one law over arrays of sampled positions, velocities
+and accelerations.  The penalty reads it with slightly inflated obstacle
+radii and slightly tightened kinodynamic limits, so that residuals checked
+between samples stay within tolerance; the residual report reads it on the
+raw constraint set in the caller's coordinates.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .trajectory import (
     PiecewiseTrajectory,
     PolySegment,
     derivative_row,
-    rec,
     snap_gram_matrix,
 )
 
@@ -68,14 +66,29 @@ _FLIP = np.array([[1.0], [-1.0]])
 # ---------------------------------------------------------------------------
 
 
+def _offsets(pos: np.ndarray, ref: np.ndarray, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of positions (3, m) from ``ref`` over ``axes`` (both
+    (..., 3, 1)), and their lengths."""
+    delta = (pos - ref) * axes
+    return delta, np.sqrt((delta * delta).sum(axis=-2))
+
+
+class _Obstacle:
+    """A clearance ball: distance is measured from ``reference`` over the ``axes`` set to 1."""
+
+    def distance(self, points: np.ndarray) -> np.ndarray:
+        return _offsets(np.atleast_2d(points).T, self.reference[:, None], self.axes[:, None])[1]
+
+
 @dataclass
-class Sphere:
+class Sphere(_Obstacle):
     """Ball obstacle.  ``distance_from_origin`` reproduces the legacy
     residual that measures clearance from the origin instead of the center."""
 
     center: np.ndarray
     radius: float
     distance_from_origin: bool = False
+    axes = np.array([1.0, 1.0, 1.0])
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -87,34 +100,24 @@ class Sphere:
         """Point that clearance is measured from."""
         return np.zeros(3) if self.distance_from_origin else self.center
 
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.linalg.norm(points - self.reference, axis=1)
-
-    def label(self) -> str:
-        c = ",".join(f"{x:.3g}" for x in self.center)
-        return f"sphere[{c}]r{self.radius:.3g}"
-
 
 @dataclass
-class CylinderX:
+class CylinderX(_Obstacle):
     """Cylinder along the inertial X axis, unbounded, located in the Y-Z plane."""
 
     center_yz: np.ndarray
     radius: float
+    axes = np.array([0.0, 1.0, 1.0])
 
     def __post_init__(self):
         self.center_yz = np.asarray(self.center_yz, dtype=float)
         if self.radius <= 0:
             raise InvalidInputError("obstacle radius must be positive")
 
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.linalg.norm(points[:, 1:3] - self.center_yz, axis=1)
-
-    def label(self) -> str:
-        c = ",".join(f"{x:.3g}" for x in self.center_yz)
-        return f"cylinder_x[{c}]r{self.radius:.3g}"
+    @property
+    def reference(self) -> np.ndarray:
+        """A point of the axis; its x is masked by ``axes``."""
+        return np.array([0.0, *self.center_yz])
 
 
 @dataclass
@@ -328,7 +331,11 @@ def solve_qp_equality_full(
 @dataclass
 class ResidualReport:
     """Named constraint residuals; everything is zero iff the trajectory
-    satisfies the constraint set at the sampled times."""
+    satisfies the constraint set at the sampled times.  The inequality
+    fields are the row sums and the largest entry of the penalty's excess
+    table on the raw limits (obstacle distances floored at 1e-9 m, as in
+    the penalty); ``worst_sample_time`` is that entry's sample time, 0 when
+    no sample exceeds."""
 
     boundary: np.ndarray
     waypoints: np.ndarray
@@ -369,6 +376,56 @@ def azimuth_rate(vel: np.ndarray, acc: np.ndarray, floor: float = SPEED_FLOOR) -
     return num / den
 
 
+class _SampledLaw:
+    """The sampled inequality constraints (horizontal speed, vertical speed,
+    azimuth rate, obstacle clearance) with the limits tightened and the
+    obstacle radii inflated by the margins."""
+
+    def __init__(self, cons: ConstraintSet, speed_margin=0.0, rate_margin=0.0,
+                 obstacle_margin=0.0):
+        self.limits = np.reshape([
+            cons.v_h_max - speed_margin, cons.v_v_max - speed_margin,
+            cons.psi_rate_max - rate_margin,
+        ], (3, 1))
+        obstacles = cons.obstacles
+        self.rows = 3 + len(obstacles)
+        self.ob_axes = np.reshape([ob.axes for ob in obstacles], (-1, 3, 1))
+        self.ob_ref = np.reshape([ob.reference for ob in obstacles], (-1, 3, 1))
+        self.ob_radius = np.reshape([ob.radius + obstacle_margin for ob in obstacles], (-1, 1))
+
+    def excess(self, pos: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> tuple:
+        """The rectified excess table of samples (3, m), rows horizontal
+        speed, vertical speed, azimuth rate, then one per obstacle, and what
+        the gradient reads: h = |v_xy|, u = h^2, the floored denominator,
+        the rate, the offsets (obstacles, 3, m) and the distances floored
+        at 1e-9 (both None without obstacles)."""
+        vx, vy, vz = vel
+        table = np.empty((self.rows, vx.size))
+        h = np.hypot(vx, vy)
+        u = h * h
+        den = np.maximum(u, SPEED_FLOOR**2)
+        rate = (vx * acc[1] - vy * acc[0]) / den
+        table[0] = h
+        np.abs(vz, out=table[1])
+        np.abs(rate, out=table[2])
+        table[:3] -= self.limits
+        delta = dist = None
+        if self.rows > 3:
+            delta, dist = _offsets(pos, self.ob_ref, self.ob_axes)
+            dist = np.maximum(dist, 1e-9)
+            np.subtract(self.ob_radius, dist, out=table[3:])
+        np.maximum(table, 0.0, out=table)
+        return table, h, u, den, rate, delta, dist
+
+
+def _worst(excess: np.ndarray, times: np.ndarray) -> tuple[float, float]:
+    """The largest excess and its sample time, (0, 0) when none exceeds."""
+    i = int(excess.argmax()) if excess.size else 0
+    if excess.size and excess.flat[i] > 0.0:
+        return float(excess.flat[i]), float(times[i % times.size])
+    return 0.0, 0.0
+
+
 def constraint_residuals(
     traj: PiecewiseTrajectory,
     cons: ConstraintSet,
@@ -377,45 +434,21 @@ def constraint_residuals(
     """Equality residuals plus rectified-aggregate inequality residuals."""
     opts = PlanOptions(segments=traj.M, order=traj.segments[0].order, T=traj.T)
     a_mat, b_mat, labels = build_equality_system(cons, opts)
-    stacked = np.stack([
-        np.concatenate([seg.coeffs[axis] for seg in traj.segments]) for axis in range(3)
-    ])
+    stacked = np.concatenate([seg.coeffs for seg in traj.segments], axis=1)
     eq = np.stack([a_mat @ stacked[axis] - b_mat[:, axis] for axis in range(3)], axis=1)
-    n_boundary = 6
-    n_wp = len(cons.waypoints)
-    boundary = eq[:n_boundary]
-    waypoints = eq[n_boundary : n_boundary + n_wp]
-    continuity = traj.continuity_residuals()
-
     if times is None:
         times = sample_times(traj.duration, cons.sample_interval)
-    pos = traj.eval_many(times, 0)
-    vel = traj.eval_many(times, 1)
-    acc = traj.eval_many(times, 2)
-
-    h_excess = rec(np.hypot(vel[:, 0], vel[:, 1]) - cons.v_h_max)
-    v_excess = rec(np.abs(vel[:, 2]) - cons.v_v_max)
-    rate_excess = rec(np.abs(azimuth_rate(vel, acc)) - cons.psi_rate_max)
-    per_sample = np.stack([h_excess, v_excess, rate_excess])
-
-    obstacle_aggs = []
-    for obstacle in cons.obstacles:
-        pen = rec(obstacle.radius - obstacle.distance(pos))
-        obstacle_aggs.append(float(np.sum(pen)))
-        per_sample = np.vstack([per_sample, pen])
-
-    worst_idx = np.unravel_index(np.argmax(per_sample), per_sample.shape)
-    worst_val = float(per_sample[worst_idx])
-    worst_time = float(times[worst_idx[1]]) if times.size else 0.0
-
+    excess = _SampledLaw(cons).excess(*(traj.eval_many(times, k).T for k in range(3)))[0]
+    sums = excess.sum(axis=1).tolist()
+    worst_val, worst_time = _worst(excess, times)
     return ResidualReport(
-        boundary=boundary,
-        waypoints=waypoints,
-        continuity=continuity,
-        h_speed=float(np.sum(h_excess)),
-        v_speed=float(np.sum(v_excess)),
-        psi_rate=float(np.sum(rate_excess)),
-        obstacles=obstacle_aggs,
+        boundary=eq[:6],
+        waypoints=eq[6 : 6 + len(cons.waypoints)],
+        continuity=traj.continuity_residuals(),
+        h_speed=sums[0],
+        v_speed=sums[1],
+        psi_rate=sums[2],
+        obstacles=sums[3:],
         sample_t=times,
         worst_sample_residual=worst_val,
         worst_sample_time=worst_time,
@@ -450,10 +483,7 @@ class _PenaltyProblem:
     def __init__(self, cons: ConstraintSet, weights: ObjectiveWeights, opts: PlanOptions):
         a_mat, _, _ = build_equality_system(cons, opts)
         qp_traj, self.qp_residual = solve_qp_equality_full(cons, None, opts)
-        c0 = np.stack([
-            np.concatenate([seg.coeffs[axis] for seg in qp_traj.segments])
-            for axis in range(3)
-        ])
+        c0 = np.concatenate([seg.coeffs for seg in qp_traj.segments], axis=1)
         z_basis = scipy.linalg.null_space(a_mat)
         self.opts = opts
         self.c0 = c0  # (3, total)
@@ -461,21 +491,7 @@ class _PenaltyProblem:
         self.k = z_basis.shape[1]
         self.n = opts.order + 1
 
-        self.v_h = cons.v_h_max - opts.speed_margin
-        self.v_v = cons.v_v_max - opts.speed_margin
-        self.rate = cons.psi_rate_max - opts.rate_margin
-        # every obstacle is a clearance ball in the axes it constrains:
-        # spheres in x-y-z, x-cylinders in y-z (their x offset is masked)
-        obstacles = cons.obstacles
-        self.ob_axes = np.array(
-            [[1.0, 1.0, 1.0] if isinstance(ob, Sphere) else [0.0, 1.0, 1.0] for ob in obstacles]
-        ).reshape(-1, 3, 1)
-        self.ob_ref = np.array(
-            [ob.reference if isinstance(ob, Sphere) else [0.0, *ob.center_yz] for ob in obstacles]
-        ).reshape(-1, 3, 1)
-        self.ob_radius = np.array(
-            [ob.radius + opts.obstacle_margin for ob in obstacles]
-        ).reshape(-1, 1)
+        self.law = _SampledLaw(cons, opts.speed_margin, opts.rate_margin, opts.obstacle_margin)
 
         mu_p = weights.mu_p
         q_blk = _snap_block(opts)
@@ -526,48 +542,29 @@ class _PenaltyProblem:
         return PiecewiseTrajectory(segs)
 
     def evaluate(self, xi: np.ndarray, rho: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """Objective + rho * penalty, its gradient, and the per-sample
-        rectified excesses: rows horizontal speed, vertical speed, azimuth
-        rate, then one per obstacle.  Every family's excess is computed, but
-        a family's gradient block, zero where no sample is active, is built
-        only when one is."""
+        """Objective + rho * penalty, its gradient, and the law's excess
+        table.  A family's gradient block, zero where no sample is active,
+        is built only when one is."""
         x = xi.reshape(3, self.k)
         m = self.tau.size
         s = self.s0 + x @ self.bt
-        pos = s[:, :m]
-        vel_xy, vz = s[:2, m : 2 * m], s[2, m : 2 * m]
-        acc_xy = s[:2, 2 * m : 3 * m]
-        vx, vy = vel_xy
-        ax, ay = acc_xy
+        pos, vel, acc = s[:, :m], s[:, m : 2 * m], s[:, 2 * m : 3 * m]
+        excess, h, u, den, rate, delta, dist = self.law.excess(pos, vel, acc)
+        live_h, live_v, live_r = map(np.count_nonzero, excess[:3])
         # d = d(penalty)/dS, scaled by rho before the path-length columns
         d = np.zeros(s.shape)
-        excess = np.empty((3 + self.ob_radius.size, m))
-
-        h = np.hypot(vx, vy)
-        g_h = np.maximum(h - self.v_h, 0.0, out=excess[0])
-        g_v = np.maximum(np.abs(vz) - self.v_v, 0.0, out=excess[1])
-        u = h * h
-        den = np.maximum(u, SPEED_FLOOR**2)
-        rate = (vx * ay - vy * ax) / den
-        g_r = np.maximum(np.abs(rate) - self.rate, 0.0, out=excess[2])
-        live_h, live_v, live_r = excess[:3].any(axis=1).tolist()
-
         if live_v:
-            d[2, m : 2 * m] = np.copysign(2.0 * g_v, vz)
+            d[2, m : 2 * m] = np.copysign(2.0 * excess[1], vel[2])
         if live_h or live_r:
-            w_h = 2.0 * g_h / np.maximum(h, 1e-12)
-            w = np.copysign(2.0 * g_r, rate) / den
+            w_h = 2.0 * excess[0] / np.maximum(h, 1e-12)
+            w = np.copysign(2.0 * excess[2], rate) / den
             # the rate's speed dependence vanishes where the floor holds
             w_h -= 2.0 * w * rate * (u > SPEED_FLOOR**2)
-            d[:2, m : 2 * m] = w_h * vel_xy + w * (acc_xy[::-1] * _FLIP)
-            d[:2, 2 * m : 3 * m] = -w * (vel_xy[::-1] * _FLIP)
-
-        if self.ob_radius.size:
-            delta = (pos - self.ob_ref) * self.ob_axes  # (obstacles, 3, m)
-            dist = np.maximum(np.sqrt((delta * delta).sum(axis=1)), 1e-9)
-            g = np.maximum(self.ob_radius - dist, 0.0, out=excess[3:])
-            if g.any():
-                d[:, :m] = ((-2.0 * g / dist)[:, None, :] * delta).sum(axis=0)
+            d[:2, m : 2 * m] = w_h * vel[:2] + w * (acc[1::-1] * _FLIP)
+            d[:2, 2 * m : 3 * m] = -w * (vel[1::-1] * _FLIP)
+        g = excess[3:]
+        if np.count_nonzero(g):
+            d[:, :m] = ((-2.0 * g / dist)[:, None, :] * delta).sum(axis=0)
 
         xh = x @ self.h
         value = self.f0 + float(np.vdot(self.g0 + 0.5 * xh, x))
@@ -613,15 +610,14 @@ class _PenaltyProblem:
             excess = self._last[2]
         else:
             excess = self.evaluate(xi, 0.0)[2]
-        return float(excess.max()) if excess.size else 0.0
+        return _worst(excess, self.tau)[0]
 
     def restart_result(self, index: int, xi: np.ndarray, rho: float) -> "RestartResult":
         """The restart's objective, worst excess and its time (0 when no
         sample exceeds), and its first-order measures at stage rho."""
         value, grad_f, excess = self.evaluate(xi, 0.0)
         grad_q = self.evaluate(xi, rho)[1]
-        worst = float(excess.max()) if excess.size else 0.0
-        worst_t = float(self.tau[np.argmax(excess) % self.tau.size]) if worst > 0.0 else 0.0
+        worst, worst_t = _worst(excess, self.tau)
         stationarity = float(np.linalg.norm(grad_q)) / max(1.0, float(np.linalg.norm(grad_f)))
         return RestartResult(
             index, value, worst, worst_t, rho, stationarity, 2.0 * rho * worst**2, xi.copy()
@@ -742,6 +738,9 @@ def plan(
     weights = weights or ObjectiveWeights()
     opts = opts or PlanOptions()
 
+    if not sample_times(opts.segments * opts.T, cons.sample_interval).size:
+        raise InvalidInputError(f"sample interval {cons.sample_interval:g} s leaves no sample "
+                                f"inside (0, {opts.segments * opts.T:g} s) to enforce limits at")
     origin = cons.boundary.start_pos
     local = _relative_to(cons, origin)
     problem = _PenaltyProblem(local, weights, opts)

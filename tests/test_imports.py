@@ -1,6 +1,8 @@
-"""Every import in a flapkit module is used.
+"""Every import in a flapkit module is used, and every private
+module-level name is read somewhere in the package.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the import check: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -27,6 +29,34 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants defined in
+    ``sources`` (module name -> source) that no module reads: a name counts
+    as read where it is loaded, taken as an attribute or imported."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{name} ({where})" for name, where in defined.items() if name not in read]
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -45,3 +75,24 @@ def test_detects_unused_names():
         "x = np.zeros(3) * pi\n"
     )
     assert unused_imports(source) == ["os (line 2)", "full_turn (line 4)"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_detects_unreferenced_private_names():
+    sources = {
+        "a.py": (
+            "_LIMIT = 1.0\n"
+            "_A, _B = 1, 2\n"
+            "__all__ = []\n"
+            "def _used(): return _LIMIT + _A\n"
+            "def _dead(): return _used()\n"
+            "class _Base: pass\n"
+            "class _Orphan(_Base): pass\n"
+        ),
+        "b.py": "from .a import _Orphan\n",
+    }
+    assert unreferenced_private_names(sources) == ["_B (a.py:2)", "_dead (a.py:5)"]

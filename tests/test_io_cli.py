@@ -194,6 +194,12 @@ class TestCli:
         assert main(["plan", "--scenario", str(scen),
                      "--out", str(tmp_path / "t.csv")]) == 0
 
+    def test_plan_without_samples_exits_1(self, tmp_path, capsys):
+        scenario = tmp_path / "sparse.kv"
+        scenario.write_text("end_pos = [1, 0, 0]\nsample_interval = 5.0\nrestarts = 2\n")
+        assert main(["plan", "--scenario", str(scenario), "--out", str(tmp_path / "t.csv")]) == 1
+        assert "leaves no sample" in capsys.readouterr().err
+
     def test_track_with_perturbation_smoke(self, tmp_path):
         out_dir = tmp_path / "run"
         code = main([

@@ -34,7 +34,9 @@ from flapkit.planning import (
     _FINAL_TOL,
     _STAGE_TOL,
     _PenaltyProblem,
+    _SampledLaw,
     _relative_to,
+    _worst,
 )
 from flapkit.trajectory import (
     ObjectiveWeights,
@@ -372,6 +374,65 @@ class TestPenaltyEvaluation:
             assert problem.value(point, rho) == value
             assert np.array_equal(problem.gradient(point, rho), grad)
             assert problem.worst_excess(point) == excess.max()
+
+
+class TestOneLaw:
+    """The penalty and the residual report read one sampled-constraint law."""
+
+    @pytest.mark.parametrize("segments", [1, 2])
+    def test_penalty_rows_are_the_report(self, segments):
+        # with zero margins the penalty's excess table, sampled through
+        # S0 + X B^T, sums to the report's fields, sampled by Horner's rule
+        cons = every_family_constraints()
+        opts = PlanOptions(
+            segments=segments, T=1.0, speed_margin=0.0, rate_margin=0.0, obstacle_margin=0.0
+        )
+        problem = _PenaltyProblem(cons, ObjectiveWeights(), opts)
+        rng = np.random.default_rng(segments)
+        for _ in range(8):
+            xi = rng.normal(scale=rng.choice([0.3, 1.0, 3.0]), size=3 * problem.k)
+            sums = problem.evaluate(xi, 0.0)[2].sum(axis=1)
+            report = constraint_residuals(problem.trajectory(xi), cons)
+            fields = [report.h_speed, report.v_speed, report.psi_rate, *report.obstacles]
+            assert fields == pytest.approx(sums.tolist(), rel=1e-12, abs=1e-12)
+
+    def test_obstacle_distance_is_the_law_distance(self):
+        cons = every_family_constraints()
+        problem = _PenaltyProblem(cons, ObjectiveWeights(), PlanOptions(segments=2, T=1.0))
+        traj = problem.trajectory(np.random.default_rng(5).normal(size=3 * problem.k))
+        samples = [traj.eval_many(problem.tau, k) for k in range(3)]
+        dist = _SampledLaw(cons).excess(*(x.T for x in samples))[6]
+        for ob, row in zip(cons.obstacles, dist):
+            assert row.min() > 1e-9
+            np.testing.assert_array_equal(ob.distance(samples[0]), row)
+
+    def test_feasible_worst_sample_time_is_zero(self, case_line):
+        report = case_line.report.residuals
+        assert report.max_aggregate == 0.0
+        assert (report.worst_sample_residual, report.worst_sample_time) == (0.0, 0.0)
+
+
+class TestEmptySampleGrid:
+    def cons(self):
+        return ConstraintSet(
+            boundary=BoundaryConditions(end_pos=[1.0, 0.0, 0.0]), sample_interval=5.0
+        )
+
+    def test_worst_of_an_empty_table(self):
+        assert _worst(np.empty((4, 0)), np.empty(0)) == (0.0, 0.0)
+
+    def test_residuals_on_an_empty_grid(self):
+        report = constraint_residuals(solve_qp_equality(self.cons()), self.cons())
+        assert report.sample_t.size == 0
+        assert report.max_aggregate == 0.0
+        assert (report.worst_sample_residual, report.worst_sample_time) == (0.0, 0.0)
+
+    def test_plan_rejects_it_before_the_first_restart(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: solves.append(a))
+        with pytest.raises(InvalidInputError, match="sample interval 5 s leaves no sample"):
+            plan(self.cons(), ObjectiveWeights(), PlanOptions(restarts=2))
+        assert solves == []
 
 
 HYPOTHESIS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
