@@ -21,6 +21,16 @@ boundary: the right-hand sides take a view or a flat vector and convert once
 on entry, and the public force/torque primitives evaluate the same scalar
 terms.  Integration is classical fixed-step RK4 on lists of floats
 (``rk4_flat``), with quaternion renormalization after every full-model step.
+
+The vertical-frame equations are written once, in ``_vertical_law``, on
+floats whose inputs are already checked; ``vertical_rhs`` parses and checks
+its arguments and calls it.  The open-loop replay of a tabulated input
+schedule (``integrate_vertical_tabulated``, ~10^5 steps at dt = 1e-4) has
+its own step: ``rk4_flat`` on ``vertical_rhs`` unrolled on scalars, with the
+table checked a block at a time with numpy, because building stage lists
+and re-checking every stage's inputs were most of its cost.  It keeps every
+floating-point operation of ``rk4_flat``, so both paths log the same
+states bit for bit.
 """
 
 from __future__ import annotations
@@ -381,6 +391,10 @@ def full_rhs(state, cmd, params: FwavParams) -> tuple[float, ...]:
     )
 
 
+_NON_UNIT_GAMMA = "reduced attitude input must be unit norm"
+_NEGATIVE_FLAP = "flapping frequency must be non-negative"
+
+
 def vertical_rhs(
     state,
     inputs,
@@ -404,28 +418,43 @@ def vertical_rhs(
     else:
         gx, gy, gz, f, theta_rud = inputs
     if abs(math.sqrt(gx * gx + gy * gy + gz * gz) - 1.0) > 1e-6:
-        raise InvalidInputError("reduced attitude input must be unit norm")
+        raise InvalidInputError(_NON_UNIT_GAMMA)
     if f < 0:
-        raise InvalidInputError("flapping frequency must be non-negative")
+        raise InvalidInputError(_NEGATIVE_FLAP)
+    return _vertical_law(
+        params, _explicit_rudder(rudder_mode), vvx, vvy, vvz, psi, w, gx, gy, gz, f, theta_rud,
+    )
 
+
+def _explicit_rudder(rudder_mode: str) -> bool:
+    """True for "explicit-rudder", False for "gamma-proxy"."""
+    if rudder_mode == "explicit-rudder":
+        return True
+    if rudder_mode == "gamma-proxy":
+        return False
+    raise InvalidInputError(f"unknown rudder mode {rudder_mode!r}")
+
+
+def _vertical_law(params, explicit, vvx, vvy, vvz, psi, w, gx, gy, gz, f, theta_rud):
+    """The vertical-frame equations on floats, inputs already validated;
+    position is not an argument because no row depends on it."""
     m = params.m
     f2 = f * f
+    thrust = params.k_tf * f2
     dx, dz = vvx * abs(vvx), vvz * abs(vvz)
-    ax = -params.k_tf * f2 * gx / m - params.vk_d_x * dx / m - w * vvy
+    ax = -thrust * gx / m - params.vk_d_x * dx / m - w * vvy
     if params.lateral_mode == "constrained":
         ay = 0.0
     else:
         ay = w * vvx - params.vk_drag_y * (vvy * abs(vvy)) / m
-    az = params.k_tf * f2 * gz / m - params.vk_d_z * dz / m - params.g
-    if rudder_mode == "gamma-proxy":
-        w_dot = -(params.kbar_gamma * dz + params.kbar_flap_x * f2 * gz) * gy
-    elif rudder_mode == "explicit-rudder":
+    az = thrust * gz / m - params.vk_d_z * dz / m - params.g
+    if explicit:
         w_dot = (
             -(params.vk_tau_x * dz + params.vk_flap_x * f2 * gz) * theta_rud
             + params.vk_gamma * gy * dx
         )
     else:
-        raise InvalidInputError(f"unknown rudder mode {rudder_mode!r}")
+        w_dot = -(params.kbar_gamma * dz + params.kbar_flap_x * f2 * gz) * gy
     w_dot -= params.vk_damp * (w * abs(w))
     c, s = math.cos(psi), math.sin(psi)
     return c * vvx - s * vvy, s * vvx + c * vvy, vvz, ax, ay, az, w, w_dot
@@ -587,6 +616,9 @@ def simulate_vertical(
     return VerticalLog(t, states, applied)
 
 
+_TABLE_BLOCK = 1024  # steps of the input table checked at once
+
+
 def integrate_vertical_tabulated(
     state0: VerticalState,
     params: VerticalParams,
@@ -599,23 +631,75 @@ def integrate_vertical_tabulated(
     """RK4 on the vertical model with inputs tabulated at half-step spacing.
 
     ``gamma_grid`` (2*n_steps+1, 3) and ``f_grid`` hold the inputs at times
-    k*dt/2, the exact abscissae RK4 stages use.  Equivalent to
-    ``simulate_vertical`` with the same inputs (see the regression test).
+    k*dt/2, the exact abscissae RK4 stages use.  The step is ``rk4_flat`` on
+    ``vertical_rhs`` unrolled on scalars: the rudder mode is resolved once,
+    the table is checked with ``vertical_rhs``'s predicates one block of
+    steps at a time, and the stage states carry no position, which no row
+    reads.  Every operation of ``rk4_flat`` is kept in its order, so the log
+    equals ``simulate_vertical``'s with the same inputs bit for bit, and an
+    invalid sample or a non-finite state raises at the step where
+    ``simulate_vertical`` would.
     """
     if gamma_grid.shape[0] != f_grid.shape[0] or gamma_grid.shape[0] % 2 == 0:
         raise InvalidInputError("need an odd number of half-step input samples")
-    if rudder_mode not in ("gamma-proxy", "explicit-rudder"):
-        raise InvalidInputError(f"unknown rudder mode {rudder_mode!r}")
+    explicit = _explicit_rudder(rudder_mode)
     n_steps = (gamma_grid.shape[0] - 1) // 2
     if theta_rud_grid is None:
         theta_rud_grid = np.zeros(gamma_grid.shape[0])
     u = np.column_stack([gamma_grid, f_grid, theta_rud_grid]).astype(float)
-    times, states = _integrate_flat(
-        vertical_rhs, (params, rudder_mode), _floats(state0, VerticalState), dt,
-        n_steps, lambda k: u[2 * k:2 * k + 3].tolist(),
-    )
+    y = [float(v) for v in _floats(state0, VerticalState)]
+    states = np.empty((n_steps + 1, 8))
+    states[0] = y
+    px, py, pz, vvx, vvy, vvz, psi, w = y
+    h, c, law, isfinite = 0.5 * dt, dt / 6.0, _vertical_law, math.isfinite
+    for start in range(0, n_steps, _TABLE_BLOCK):
+        stop = min(start + _TABLE_BLOCK, n_steps)
+        block = u[2 * start:2 * stop + 1]
+        bad_gamma, bad_f = _invalid_samples(block)
+        bad = np.flatnonzero(bad_gamma | bad_f)
+        if bad.size:
+            # sample j of the block is first read in step start + max(j - 1, 0) // 2
+            stop = start + max(int(bad[0]) - 1, 0) // 2
+        rows = block[:2 * (stop - start) + 1].tolist()
+        gx, gy, gz, f, rud = rows[0]
+        for k, (gxm, gym, gzm, fm, rudm), end in zip(range(start, stop), rows[1::2], rows[2::2]):
+            dpx1, dpy1, dpz1, a1, b1, c1, d1, e1 = law(
+                params, explicit, vvx, vvy, vvz, psi, w, gx, gy, gz, f, rud)
+            dpx2, dpy2, dpz2, a2, b2, c2, d2, e2 = law(
+                params, explicit, vvx + h * a1, vvy + h * b1, vvz + h * c1,
+                psi + h * d1, w + h * e1, gxm, gym, gzm, fm, rudm)
+            dpx3, dpy3, dpz3, a3, b3, c3, d3, e3 = law(
+                params, explicit, vvx + h * a2, vvy + h * b2, vvz + h * c2,
+                psi + h * d2, w + h * e2, gxm, gym, gzm, fm, rudm)
+            gx, gy, gz, f, rud = end
+            dpx4, dpy4, dpz4, a4, b4, c4, d4, e4 = law(
+                params, explicit, vvx + dt * a3, vvy + dt * b3, vvz + dt * c3,
+                psi + dt * d3, w + dt * e3, gx, gy, gz, f, rud)
+            px = px + c * (dpx1 + 2.0 * dpx2 + 2.0 * dpx3 + dpx4)
+            py = py + c * (dpy1 + 2.0 * dpy2 + 2.0 * dpy3 + dpy4)
+            pz = pz + c * (dpz1 + 2.0 * dpz2 + 2.0 * dpz3 + dpz4)
+            vvx = vvx + c * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            vvy = vvy + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            vvz = vvz + c * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            psi = psi + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            w = w + c * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+            y = px, py, pz, vvx, vvy, vvz, psi, w
+            # a finite sum has only finite terms; an overflowing one is rechecked
+            if not isfinite(px + py + pz + vvx + vvy + vvz + psi + w) and not all(map(isfinite, y)):
+                raise PropagationError("integration produced non-finite state", step=k + 1)
+            states[k + 1] = y
+        if bad.size:
+            j = int(bad[0])
+            raise InvalidInputError(_NON_UNIT_GAMMA if bad_gamma[j] else _NEGATIVE_FLAP)
     applied = np.column_stack([gamma_grid[::2], f_grid[::2]])
-    return VerticalLog(times, states, applied)
+    return VerticalLog(np.arange(n_steps + 1) * dt, states, applied)
+
+
+def _invalid_samples(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``vertical_rhs``'s input checks on the rows (gx, gy, gz, f, theta_rud)
+    of a table: masks of the non-unit reduced attitudes and negative f."""
+    gx, gy, gz, f = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
+    return np.abs(np.sqrt(gx * gx + gy * gy + gz * gz) - 1.0) > 1e-6, f < 0
 
 
 def hover_state(params: FwavParams) -> FwavState:

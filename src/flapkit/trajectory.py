@@ -286,11 +286,6 @@ class ObjectiveWeights:
             raise InvalidInputError("need mu_p > 0 and mu_v >= 0")
 
 
-def rec(x):
-    """Rectifier max(x, 0); equality aggregate of a sampled inequality."""
-    return np.maximum(x, 0.0)
-
-
 def snap_objective(traj: PiecewiseTrajectory, weights: ObjectiveWeights) -> float:
     """mu_p * closed-form snap integral + mu_v * quadrature path-length term."""
     total = weights.mu_p * sum(seg.snap_integral() for seg in traj.segments)

@@ -18,6 +18,7 @@ from flapkit.dynamics import (
     full_rhs,
     hover_state,
     integrate,
+    integrate_vertical_tabulated,
     matched_vertical_params,
     simulate_full,
     simulate_vertical,
@@ -531,6 +532,55 @@ class TestScalarCoreErrors:
         u = VerticalInputs(gamma=[0.0, 0.0, 1.0], f_flap=10.0)
         with pytest.raises(InvalidInputError):
             vertical_rhs(VerticalState(), u, vparams, rudder_mode="aileron")
+
+
+def _hover_table(vparams, n_steps):
+    """Half-step input table of n_steps steps holding the hover inputs."""
+    gamma = np.tile([0.0, 0.0, 1.0], (2 * n_steps + 1, 1))
+    return gamma, np.full(2 * n_steps + 1, vparams.hover_frequency)
+
+
+class TestTabulatedErrors:
+    """The tabulated path checks its table a block of 1,024 steps at a time;
+    samples past the first block must still be caught."""
+
+    N_STEPS = 1500
+
+    def run(self, vparams, gamma, f, rudder_mode="explicit-rudder"):
+        return integrate_vertical_tabulated(
+            VerticalState(), vparams, gamma, f, 1e-3, rudder_mode=rudder_mode,
+        )
+
+    def test_even_length_table(self, vparams):
+        gamma, f = _hover_table(vparams, 10)
+        with pytest.raises(InvalidInputError, match="odd number"):
+            self.run(vparams, gamma[:-1], f[:-1])
+
+    def test_unknown_rudder_mode(self, vparams):
+        gamma, f = _hover_table(vparams, 10)
+        with pytest.raises(InvalidInputError, match="unknown rudder mode"):
+            self.run(vparams, gamma, f, rudder_mode="aileron")
+
+    def test_non_unit_gamma_after_first_block(self, vparams):
+        gamma, f = _hover_table(vparams, self.N_STEPS)
+        gamma[2 * 1024 + 101] = [0.0, 0.0, 1.01]
+        with pytest.raises(InvalidInputError, match="unit norm"):
+            self.run(vparams, gamma, f)
+
+    def test_negative_f_after_first_block(self, vparams):
+        gamma, f = _hover_table(vparams, self.N_STEPS)
+        f[2 * 1024 + 500] = -1.0
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            self.run(vparams, gamma, f)
+
+    def test_overflowing_f_names_the_step(self, vparams):
+        # samples up to 2k are flyable; step k reads sample 2k + 1 first
+        k = 1100
+        gamma, _ = _hover_table(vparams, self.N_STEPS)
+        f = np.where(np.arange(len(gamma)) <= 2 * k, 14.0, 1e200)
+        with pytest.raises(PropagationError) as err:
+            self.run(vparams, gamma, f)
+        assert err.value.step == k + 1
 
 
 class TestInertia:

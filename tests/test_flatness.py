@@ -278,27 +278,41 @@ class TestRoundTripProperty:
     @pytest.mark.parametrize("rudder_mode", ["explicit-rudder", "gamma-proxy"])
     @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
     def test_integrator_fast_path_matches_generic(self, rudder_mode, lateral_mode):
-        vparams = VerticalParams(lateral_mode=lateral_mode)
-        traj = smooth_forward_trajectory()
-        sched = FlatInputSchedule(traj, vparams, min_speed=0.3)
-        dt = 1e-3
-        n = int(round(0.5 / dt))
-        grid = np.minimum(np.arange(2 * n + 1) * dt / 2, traj.duration)
-        gam, f = sched.tabulate(grid)
-        state0 = sched.initial_vertical_state()
-        state0.vv[1] = 0.05  # exercise the lateral row
-        fast = integrate_vertical_tabulated(
-            state0, vparams, gam, f, dt, rudder_mode=rudder_mode,
-        )
+        _assert_fast_path_equals_generic(rudder_mode, lateral_mode, with_rudder=False)
 
-        def inputs(t):
-            idx = min(int(round(2 * t / dt)), len(grid) - 1)
-            return VerticalInputs(gamma=gam[idx], f_flap=float(f[idx]))
+    @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
+    def test_integrator_fast_path_matches_generic_with_rudder(self, lateral_mode):
+        _assert_fast_path_equals_generic("explicit-rudder", lateral_mode, with_rudder=True)
 
-        slow = simulate_vertical(
-            state0, vparams, inputs, rudder_mode=rudder_mode, dt=dt, duration=0.5,
-        )
-        assert np.max(np.abs(fast.states - slow.states)) < 1e-12
+
+def _assert_fast_path_equals_generic(rudder_mode, lateral_mode, with_rudder):
+    """integrate_vertical_tabulated and simulate_vertical fed the same table
+    give the same log bit for bit."""
+    vparams = VerticalParams(lateral_mode=lateral_mode)
+    traj = smooth_forward_trajectory()
+    sched = FlatInputSchedule(traj, vparams, min_speed=0.3)
+    dt = 1e-3
+    n = int(round(0.5 / dt))
+    grid = np.minimum(np.arange(2 * n + 1) * dt / 2, traj.duration)
+    gam, f = sched.tabulate(grid)
+    rud = 0.05 * np.sin(7.0 * grid) if with_rudder else np.zeros(len(grid))
+    state0 = sched.initial_vertical_state()
+    state0.vv[1] = 0.05  # exercise the lateral row
+    fast = integrate_vertical_tabulated(
+        state0, vparams, gam, f, dt, rudder_mode=rudder_mode,
+        theta_rud_grid=rud if with_rudder else None,
+    )
+
+    def inputs(t):
+        idx = min(int(round(2 * t / dt)), len(grid) - 1)
+        return VerticalInputs(gamma=gam[idx], f_flap=float(f[idx]), theta_rud=float(rud[idx]))
+
+    slow = simulate_vertical(
+        state0, vparams, inputs, rudder_mode=rudder_mode, dt=dt, duration=0.5,
+    )
+    assert np.array_equal(fast.t, slow.t)
+    assert np.array_equal(fast.states, slow.states)
+    assert np.array_equal(fast.inputs, slow.inputs)
 
 
 # ---------------------------------------------------------------------------

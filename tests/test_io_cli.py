@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flapkit import io as kvio
 from flapkit.cli import main
@@ -60,6 +64,35 @@ class TestParamFiles:
         back = kvio.vertical_params_from_dict(kvio.load_kv(path))
         assert back.vk_gamma == 17.5
         assert back.lateral_mode == "free"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        positive=st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=5, max_size=5,
+        ),
+        coeffs=st.lists(
+            st.floats(min_value=0.0, allow_infinity=False), min_size=9, max_size=9,
+        ),
+        lateral_mode=st.sampled_from(["constrained", "free"]),
+    )
+    def test_vertical_params_kv_round_trip_bit_exact(self, positive, coeffs, lateral_mode):
+        m, g, k_tf, l_a, l_b = positive
+        params = VerticalParams(
+            m=m, g=g, k_tf=k_tf, l_gamma_min=min(l_a, l_b), l_gamma_max=max(l_a, l_b),
+            lateral_mode=lateral_mode,
+            **dict(zip(
+                ["vk_d_x", "vk_d_y", "vk_d_z", "vk_gamma", "vk_damp", "vk_tau_x",
+                 "vk_flap_x", "kbar_gamma", "kbar_flap_x"], coeffs,
+            )),
+        )
+        text = kvio.format_kv(kvio.vertical_params_to_pairs(params))
+        back = kvio.vertical_params_from_dict(kvio.parse_kv(text))
+        assert back.lateral_mode == lateral_mode
+        for fld in dataclasses.fields(VerticalParams):
+            if fld.name != "lateral_mode":
+                want, got = getattr(params, fld.name), getattr(back, fld.name)
+                assert float(got).hex() == float(want).hex(), fld.name
 
     def test_gains_round_trip(self, tmp_path):
         gains = ControllerGains(k_psi=0.9, kp=np.array([0.5, 0.6, 0.7]))

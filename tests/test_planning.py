@@ -41,7 +41,6 @@ from flapkit.planning import (
 from flapkit.trajectory import (
     ObjectiveWeights,
     constant_trajectory,
-    rec,
     snap_objective,
 )
 
@@ -205,6 +204,11 @@ def every_family_constraints() -> ConstraintSet:
         psi_rate_max=0.6,
         sample_interval=0.02,
     )
+
+
+def rec(x):
+    """Rectifier max(x, 0)."""
+    return np.maximum(x, 0.0)
 
 
 def oracle_excess(traj, cons, opts):

@@ -11,7 +11,6 @@ from flapkit.trajectory import (
     constant_trajectory,
     falling_factorial,
     polyval_derivative,
-    rec,
     single_segment,
     snap_gram_matrix,
     snap_objective,
@@ -186,15 +185,6 @@ class TestSnapObjective:
         q = snap_gram_matrix(7, 2.0)
         assert np.allclose(q[:4, :], 0.0)
         assert np.allclose(q[:, :4], 0.0)
-
-
-class TestRec:
-    @pytest.mark.parametrize("x,expected", [(-1.0, 0.0), (2.0, 2.0), (0.0, 0.0)])
-    def test_scalar(self, x, expected):
-        assert rec(x) == expected
-
-    def test_vectorized(self):
-        assert np.allclose(rec(np.array([-3.0, 0.0, 0.25])), [0.0, 0.0, 0.25])
 
 
 class TestCsv:
