@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .attitude import wrap_angle
 from .dynamics import VerticalParams
@@ -98,17 +97,33 @@ class SecondOrderFilter:
     """Critically-configurable low-pass used to generate derivative signals.
 
     Discrete update is the exact zero-order-hold discretization of
-    x'' = wn^2 (u - x) - 2 zeta wn x', on floats.  ``reset`` snaps the state
-    to the input with zero rate (used at declared jumps of the input).
+    x'' = wn^2 (u - x) - 2 zeta wn x', on floats.  With A the system matrix,
+    a = -zeta wn its eigenvalues' real part and mu^2 = wn^2 (zeta^2 - 1),
+    e^{A dt} = e^{a dt} (C I + S (A - a I)) in closed form: C = cosh(mu dt)
+    and S = sinh(mu dt)/mu when over-damped, C = cos(|mu| dt) and
+    S = sin(|mu| dt)/|mu| when under-damped, C = 1 and S = dt when
+    critically damped.  A constant input is a fixed point (x = u, x' = 0),
+    which gives the input column.  ``reset`` snaps the state to the input
+    with zero rate (used at declared jumps of the input).
     """
 
     def __init__(self, wn: float, zeta: float, dt: float, channels: int = 1):
-        # [[A, B], [0, 0]] dt with A = [[0, 1], [-wn^2, -2 zeta wn]], B = [0, wn^2]
-        expm = scipy.linalg.expm(
-            np.array([[0.0, 1.0, 0.0], [-wn**2, -2.0 * zeta * wn, wn**2], [0.0, 0.0, 0.0]]) * dt
-        )
-        self.ad = tuple(map(tuple, expm[:2, :2].tolist()))
-        self.bd = tuple(expm[:2, 2].tolist())
+        a = -zeta * wn
+        mu2 = wn * wn * (zeta * zeta - 1.0)
+        if mu2 > 0.0:
+            mu = math.sqrt(mu2)
+            c, s = math.cosh(mu * dt), math.sinh(mu * dt) / mu
+        elif mu2 < 0.0:
+            mu = math.sqrt(-mu2)
+            c, s = math.cos(mu * dt), math.sin(mu * dt) / mu
+        else:
+            c, s = 1.0, dt
+        decay = math.exp(a * dt)
+        # A - a I = [[-a, 1], [-wn^2, a]]
+        a00, a01 = decay * (c - s * a), decay * s
+        a10, a11 = -decay * s * wn * wn, decay * (c + s * a)
+        self.ad = ((a00, a01), (a10, a11))
+        self.bd = (1.0 - a00, -a10)
         self.value = self.rate = (0.0,) * channels
         self._primed = False
 
@@ -145,11 +160,6 @@ def position_errors(p, v, sigma_r, sigma_r_dot, v_d) -> TrackingErrors:
         e_p=tuple(a - b for a, b in zip(sigma_r, p)),
         e_v=tuple(a - b for a, b in zip(v_d, v)),
     )
-
-
-def azimuth_error(delta_psi: float) -> float:
-    """e_psi = sqrt(2) - sqrt(1 + cos(delta_psi)), zero iff aligned."""
-    return math.sqrt(2.0) - math.sqrt(max(1.0 + math.cos(delta_psi), 0.0))
 
 
 def desired_velocity(sigma_r_dot, e_p, kp) -> tuple:

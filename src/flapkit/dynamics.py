@@ -313,22 +313,6 @@ def deflection_torque(state: FwavState, params: FwavParams) -> np.ndarray:
     return np.array(_deflection(params, ux, uz, y[13] * y[13], y[14], y[15]))
 
 
-def yaw_acceleration(
-    state: VerticalState,
-    inputs: VerticalInputs,
-    params: VerticalParams,
-    rudder_mode: str,
-) -> float:
-    """Azimuth angular acceleration for the selected yaw-torque model.
-
-    "explicit-rudder" uses the rudder-deflection torque plus the wind-vane
-    term; "gamma-proxy" uses the lumped torque proportional to the lateral
-    tilt.  The quadratic yaw damping is applied in both modes; set
-    vk_damp = 0 to recover the undamped explicit form.
-    """
-    return vertical_rhs(state, inputs, params, rudder_mode)[7]
-
-
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
@@ -633,20 +617,20 @@ def integrate_vertical_tabulated(
     ``gamma_grid`` (2*n_steps+1, 3) and ``f_grid`` hold the inputs at times
     k*dt/2, the exact abscissae RK4 stages use.  The step is ``rk4_flat`` on
     ``vertical_rhs`` unrolled on scalars: the rudder mode is resolved once,
-    the table is checked with ``vertical_rhs``'s predicates one block of
-    steps at a time, and the stage states carry no position, which no row
-    reads.  Every operation of ``rk4_flat`` is kept in its order, so the log
-    equals ``simulate_vertical``'s with the same inputs bit for bit, and an
-    invalid sample or a non-finite state raises at the step where
+    the table is read from the grids and checked with ``vertical_rhs``'s
+    predicates one block of steps at a time (no copy of the whole table),
+    and the stage states carry no position, which no row reads.  Every
+    operation of ``rk4_flat`` is kept in its order, so the log equals
+    ``simulate_vertical``'s with the same inputs bit for bit, and an invalid
+    sample or a non-finite state raises at the step where
     ``simulate_vertical`` would.
     """
     if gamma_grid.shape[0] != f_grid.shape[0] or gamma_grid.shape[0] % 2 == 0:
         raise InvalidInputError("need an odd number of half-step input samples")
+    if theta_rud_grid is not None and np.shape(theta_rud_grid)[:1] != gamma_grid.shape[:1]:
+        raise InvalidInputError("theta_rud_grid needs one sample per half-step input sample")
     explicit = _explicit_rudder(rudder_mode)
     n_steps = (gamma_grid.shape[0] - 1) // 2
-    if theta_rud_grid is None:
-        theta_rud_grid = np.zeros(gamma_grid.shape[0])
-    u = np.column_stack([gamma_grid, f_grid, theta_rud_grid]).astype(float)
     y = [float(v) for v in _floats(state0, VerticalState)]
     states = np.empty((n_steps + 1, 8))
     states[0] = y
@@ -654,7 +638,9 @@ def integrate_vertical_tabulated(
     h, c, law, isfinite = 0.5 * dt, dt / 6.0, _vertical_law, math.isfinite
     for start in range(0, n_steps, _TABLE_BLOCK):
         stop = min(start + _TABLE_BLOCK, n_steps)
-        block = u[2 * start:2 * stop + 1]
+        lo, hi = 2 * start, 2 * stop + 1
+        rud = np.zeros(hi - lo) if theta_rud_grid is None else theta_rud_grid[lo:hi]
+        block = np.column_stack([gamma_grid[lo:hi], f_grid[lo:hi], rud]).astype(float)
         bad_gamma, bad_f = _invalid_samples(block)
         bad = np.flatnonzero(bad_gamma | bad_f)
         if bad.size:

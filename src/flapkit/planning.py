@@ -35,8 +35,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     InvalidInputError,
@@ -248,7 +246,10 @@ def build_equality_system(
 
 
 def _dependent_rows(a_mat: np.ndarray, labels: list[str]) -> list[str]:
-    """Labels of rows outside a maximal independent set (QR pivoting)."""
+    """Labels of rows outside a maximal independent set (QR pivoting:
+    numpy has no column-pivoted QR, and LAPACK's pivot order names the rows)."""
+    import scipy.linalg
+
     _, r, piv = scipy.linalg.qr(a_mat.T, pivoting=True, mode="economic")
     diag = np.abs(np.diag(r))
     tol = max(a_mat.shape) * np.finfo(float).eps * (diag[0] if diag.size else 1.0)
@@ -258,7 +259,22 @@ def _dependent_rows(a_mat: np.ndarray, labels: list[str]) -> list[str]:
 
 def _snap_block(opts: PlanOptions) -> np.ndarray:
     q_seg = snap_gram_matrix(opts.order + 1, opts.T)
-    return scipy.linalg.block_diag(*[q_seg] * opts.segments)
+    n = q_seg.shape[0]
+    q_blk = np.zeros((opts.segments * n, opts.segments * n))
+    for j in range(opts.segments):
+        q_blk[j * n:(j + 1) * n, j * n:(j + 1) * n] = q_seg
+    return q_blk
+
+
+def _null_space(a_mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of ``a_mat`` from its full SVD,
+    with the rank rule of ``scipy.linalg.null_space``.  The basis is a view
+    of the Fortran-ordered right singular vectors, the layout scipy returns:
+    the BLAS products that read it round by layout, so plans stay the same
+    to the bit."""
+    _, s, vh = np.linalg.svd(a_mat, full_matrices=True)
+    tol = max(a_mat.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    return np.asfortranarray(vh)[int(np.sum(s > tol)):].T
 
 
 def _solve_kkt(q_mat: np.ndarray, a_mat: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -364,16 +380,6 @@ class ResidualReport:
 
     def all_within(self, eq_tol: float = 1e-8, ineq_tol: float = 1e-6) -> bool:
         return self.max_equality <= eq_tol and self.max_aggregate <= ineq_tol
-
-
-def azimuth_rate(vel: np.ndarray, acc: np.ndarray, floor: float = SPEED_FLOOR) -> np.ndarray:
-    """Rate of the horizontal velocity azimuth, floored below the speed
-    floor where the heading is undefined."""
-    vel = np.atleast_2d(vel)
-    acc = np.atleast_2d(acc)
-    num = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
-    den = np.maximum(vel[:, 0] ** 2 + vel[:, 1] ** 2, floor**2)
-    return num / den
 
 
 class _SampledLaw:
@@ -484,7 +490,7 @@ class _PenaltyProblem:
         a_mat, _, _ = build_equality_system(cons, opts)
         qp_traj, self.qp_residual = solve_qp_equality_full(cons, None, opts)
         c0 = np.concatenate([seg.coeffs for seg in qp_traj.segments], axis=1)
-        z_basis = scipy.linalg.null_space(a_mat)
+        z_basis = _null_space(a_mat)
         self.opts = opts
         self.c0 = c0  # (3, total)
         self.z = z_basis  # (total, k)
@@ -734,6 +740,8 @@ def plan(
     (ties broken by restart index) or raises PlanInfeasibleError with the
     worst residual and its sample time.
     """
+    import scipy.optimize  # minimize is looked up at each solve, so a wrapper on it is called
+
     t_start = time.perf_counter()
     weights = weights or ObjectiveWeights()
     opts = opts or PlanOptions()

@@ -47,12 +47,6 @@ def _derivative_rows(coeffs: np.ndarray, order: int) -> np.ndarray:
     return coeffs[..., order:] * scale
 
 
-def polyval_derivative(coeffs: np.ndarray, t, order: int = 0):
-    """Evaluate the order-th derivative of sum_i c_i t^i at t (per row of a 2-D coeffs)."""
-    rows = _derivative_rows(np.asarray(coeffs, dtype=float), order)
-    return np.polynomial.polynomial.polyval(t, rows.T)
-
-
 def derivative_row(n_coeffs: int, t: float, order: int) -> np.ndarray:
     """Row r with r @ c = d^order/dt^order sum_i c_i t^i."""
     row = np.zeros(n_coeffs)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from flapkit.control import (
     SecondOrderFilter,
     TrackingController,
     TrackingErrors,
-    azimuth_error,
     compose_reduced_attitude,
     decompose,
     desired_acceleration,
@@ -52,16 +52,6 @@ class TestErrors:
         # vehicle one meter past the reference: e_p = p_d - p = -1
         e = position_errors([1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0])
         assert np.allclose(e.e_p, [-1, 0, 0])
-
-    def test_azimuth_error_at_pi(self):
-        assert azimuth_error(math.pi) == pytest.approx(math.sqrt(2.0))
-
-    def test_azimuth_error_bounds(self):
-        rng = np.random.default_rng(1)
-        for d in rng.uniform(-math.pi, math.pi, 200):
-            e = azimuth_error(d)
-            assert 0.0 <= e <= math.sqrt(2.0) + 1e-12
-        assert azimuth_error(0.0) == 0.0
 
 
 class TestDesiredVelocity:
@@ -370,6 +360,23 @@ class TestCommandFilter:
         val, rate = f.update([1.0, -2.0, 3.0])
         assert np.allclose(val, [1.0, -2.0, 3.0])
         assert np.allclose(rate, 0.0)
+
+    def test_closed_form_zoh_matches_expm(self):
+        """The closed-form discretization against scipy's expm of the
+        augmented matrix [[A, B], [0, 0]] dt, in every damping regime and
+        within a hair of critical damping: 1e-12 relative to max(1, |x|)."""
+        near_critical = [1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-6, 1.0 + 1e-6]
+        zetas = np.concatenate([np.linspace(0.01, 2.0, 199), near_critical, [1e-3]])
+        for wn in (1.0, 5.0, 20.0, 60.0, 200.0):
+            for dt in (1e-4, 1e-3, 0.01, 0.02):
+                for zeta in zetas:
+                    aug = np.array([[0.0, 1.0, 0.0], [-wn**2, -2.0 * zeta * wn, wn**2],
+                                    [0.0, 0.0, 0.0]]) * dt
+                    want = scipy.linalg.expm(aug)[:2]
+                    f = SecondOrderFilter(wn, zeta, dt)
+                    got = np.column_stack([np.array(f.ad), np.array(f.bd)])
+                    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+                    assert err.max() <= 1e-12, (wn, dt, zeta, err.max())
 
 
 class TestFloatLawsAgainstArrayForms:

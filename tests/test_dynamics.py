@@ -24,7 +24,6 @@ from flapkit.dynamics import (
     simulate_vertical,
     thrust_magnitude,
     vertical_rhs,
-    yaw_acceleration,
     _write_csv,
 )
 from flapkit.errors import InvalidInputError, PropagationError
@@ -475,9 +474,6 @@ class TestScalarCoreOracle:
             vertical_rhs(state.as_vector(), flat_inputs, params, rudder_mode),
             oracle, scales, VERTICAL_BLOCKS,
         )
-        assert yaw_acceleration(state, inputs, params, rudder_mode) == pytest.approx(
-            oracle[7], rel=0.0, abs=1e-12 * scales[3]
-        )
 
     def test_primitives_share_the_core_terms(self, params):
         state = FwavState(
@@ -581,6 +577,35 @@ class TestTabulatedErrors:
         with pytest.raises(PropagationError) as err:
             self.run(vparams, gamma, f)
         assert err.value.step == k + 1
+
+    @pytest.mark.parametrize("delta", [-1, 1, -2])
+    def test_rudder_table_length_mismatch_is_named(self, vparams, delta):
+        gamma, f = _hover_table(vparams, 10)
+        rud = np.zeros(len(gamma) + delta)
+        with pytest.raises(InvalidInputError, match="theta_rud_grid"):
+            integrate_vertical_tabulated(VerticalState(), vparams, gamma, f, 1e-3,
+                                         rudder_mode="explicit-rudder", theta_rud_grid=rud)
+
+    def test_rudder_table_read_across_blocks(self, vparams):
+        """A rudder table over three blocks drives the replay exactly as
+        ``simulate_vertical`` fed the same samples."""
+        dt, n = 1e-3, 2500
+        gamma, f = _hover_table(vparams, n)
+        grid = np.arange(2 * n + 1) * dt / 2
+        f = f + 0.5 * np.sin(3.0 * grid)
+        rud = 0.05 * np.sin(7.0 * grid)
+        fast = integrate_vertical_tabulated(VerticalState(), vparams, gamma, f, dt,
+                                            rudder_mode="explicit-rudder", theta_rud_grid=rud)
+
+        def inputs(t):
+            idx = min(int(round(2 * t / dt)), len(grid) - 1)
+            return VerticalInputs(gamma=gamma[idx], f_flap=float(f[idx]), theta_rud=float(rud[idx]))
+
+        slow = simulate_vertical(VerticalState(), vparams, inputs, rudder_mode="explicit-rudder",
+                                 dt=dt, duration=n * dt)
+        assert fast.states.shape == (n + 1, 8)
+        assert np.array_equal(fast.t, slow.t)
+        assert np.array_equal(fast.states, slow.states)
 
 
 class TestInertia:

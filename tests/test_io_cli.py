@@ -10,8 +10,16 @@ from flapkit.cli import main
 from flapkit.control import ControllerGains
 from flapkit.dynamics import FwavParams, VerticalLog, VerticalParams
 from flapkit.errors import InvalidInputError
-from flapkit.planning import case_library
-from flapkit.trajectory import PiecewiseTrajectory, constant_trajectory
+from flapkit.planning import (
+    BoundaryConditions,
+    ConstraintSet,
+    CylinderX,
+    PlanOptions,
+    Sphere,
+    Waypoint,
+    case_library,
+)
+from flapkit.trajectory import ObjectiveWeights, PiecewiseTrajectory, constant_trajectory
 
 
 class TestKvFormat:
@@ -45,6 +53,18 @@ class TestKvFormat:
         kvio.dump_kv(path, pairs, comment="round trip")
         data = kvio.load_kv(path)
         assert data == {"alpha": 1.5, "vec": [1, 2, 3], "mode": "fast"}
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VECTOR = st.lists(FINITE, min_size=3, max_size=3)
+
+
+def assert_bit_exact(got, want, name):
+    """Equal float for float, to the bit (sign of zero included)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, name
+    assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()], name
 
 
 class TestParamFiles:
@@ -93,6 +113,51 @@ class TestParamFiles:
             if fld.name != "lateral_mode":
                 want, got = getattr(params, fld.name), getattr(back, fld.name)
                 assert float(got).hex() == float(want).hex(), fld.name
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        positive=st.lists(POSITIVE, min_size=6, max_size=6),
+        drag=st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=3, max_size=3),
+        signed=st.lists(FINITE, min_size=6, max_size=6),
+        diag=st.lists(st.floats(1e-8, 1e3), min_size=3, max_size=3),
+        off=st.lists(st.floats(-0.49, 0.49), min_size=3, max_size=3),
+    )
+    def test_fwav_params_kv_round_trip_bit_exact(self, positive, drag, signed, diag, off):
+        # off-diagonals below half the smaller diagonal: J stays positive definite
+        j_mat = np.diag(diag)
+        for (i, j), frac in zip([(0, 1), (0, 2), (1, 2)], off):
+            j_mat[i, j] = j_mat[j, i] = frac * min(diag[i], diag[j])
+        params = FwavParams(
+            J=j_mat,
+            **dict(zip(["m", "g", "k_tf", "k_flap_c", "k_rud_c", "k_ele_c"], positive)),
+            **dict(zip(["k_d_x", "k_d_y", "k_d_z"], drag)),
+            **dict(zip(["k_tau_x", "k_tau_y", "k_tau_z", "k_flap_x", "k_flap_y", "k_flap_z"],
+                       signed)),
+        )
+        back = kvio.fwav_params_from_dict(kvio.parse_kv(
+            kvio.format_kv(kvio.fwav_params_to_pairs(params))))
+        for fld in dataclasses.fields(FwavParams):
+            assert_bit_exact(getattr(back, fld.name), getattr(params, fld.name), fld.name)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        kp=st.lists(POSITIVE, min_size=3, max_size=3),
+        kv=st.lists(POSITIVE, min_size=3, max_size=3),
+        positive=st.lists(POSITIVE, min_size=9, max_size=9),
+        delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        l_gamma=st.lists(POSITIVE, min_size=2, max_size=2),
+        zeta=st.floats(0.0, 2.0, exclude_min=True),
+    )
+    def test_gains_kv_round_trip_bit_exact(self, kp, kv, positive, delta, l_gamma, zeta):
+        gains = ControllerGains(
+            kp=np.array(kp), kv=np.array(kv), delta=delta, filter_zeta=zeta,
+            l_gamma_min=min(l_gamma), l_gamma_max=max(l_gamma),
+            **dict(zip(["k_psi", "k_omega", "k_rud", "k_ele", "k_omega_x", "k_omega_y",
+                        "filter_wn", "psi_rate_ff_cap", "gamma_yd_limit"], positive)),
+        )
+        back = kvio.gains_from_dict(kvio.parse_kv(kvio.format_kv(kvio.gains_to_pairs(gains))))
+        for fld in dataclasses.fields(ControllerGains):
+            assert_bit_exact(getattr(back, fld.name), getattr(gains, fld.name), fld.name)
 
     def test_gains_round_trip(self, tmp_path):
         gains = ControllerGains(k_psi=0.9, kp=np.array([0.5, 0.6, 0.7]))
@@ -171,6 +236,59 @@ class TestScenarioFiles:
         for w1, w2 in zip(cons.waypoints, cons2.waypoints):
             assert w1.segment == w2.segment
             assert np.allclose(w1.position, w2.position)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_scenario_kv_round_trip_bit_exact(self, data):
+        segments = data.draw(st.integers(1, 6))
+        opts = PlanOptions(
+            segments=segments, order=data.draw(st.integers(4, 10)), T=data.draw(POSITIVE),
+            restarts=data.draw(st.integers(1, 64)), seed=data.draw(st.integers(0, 2**32 - 1)),
+        )
+        weights = ObjectiveWeights(mu_p=data.draw(POSITIVE),
+                                   mu_v=data.draw(st.floats(0.0, allow_infinity=False)))
+        boundary = BoundaryConditions(**{
+            name: data.draw(VECTOR) for name in
+            ("start_pos", "start_vel", "start_acc", "end_pos", "end_vel", "end_acc")
+        })
+        waypoints = [
+            Waypoint(data.draw(st.integers(0, segments - 1)), data.draw(FINITE), data.draw(VECTOR))
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+        # the file lists spheres before cylinders, so draw them in that order
+        obstacles = [Sphere(data.draw(VECTOR), data.draw(POSITIVE))
+                     for _ in range(data.draw(st.integers(0, 2)))]
+        obstacles += [CylinderX(data.draw(st.lists(FINITE, min_size=2, max_size=2)),
+                                data.draw(POSITIVE))
+                      for _ in range(data.draw(st.integers(0, 2)))]
+        limits = data.draw(st.lists(POSITIVE, min_size=4, max_size=4))
+        cons = ConstraintSet(
+            boundary=boundary, waypoints=waypoints, obstacles=obstacles,
+            **dict(zip(["v_h_max", "v_v_max", "psi_rate_max", "sample_interval"], limits)),
+        )
+        text = kvio.format_kv(kvio.scenario_to_pairs(cons, opts, weights))
+        cons2, opts2, weights2 = kvio.scenario_from_dict(kvio.parse_kv(text))
+
+        for name in ("segments", "order", "restarts", "seed"):
+            assert getattr(opts2, name) == getattr(opts, name), name
+        assert_bit_exact(opts2.T, opts.T, "T")
+        for name in ("mu_p", "mu_v"):
+            assert_bit_exact(getattr(weights2, name), getattr(weights, name), name)
+        for fld in dataclasses.fields(BoundaryConditions):
+            assert_bit_exact(getattr(cons2.boundary, fld.name), getattr(boundary, fld.name),
+                             fld.name)
+        for name in ("v_h_max", "v_v_max", "psi_rate_max", "sample_interval"):
+            assert_bit_exact(getattr(cons2, name), getattr(cons, name), name)
+        assert len(cons2.waypoints) == len(waypoints)
+        for w1, w2 in zip(waypoints, cons2.waypoints):
+            assert w2.segment == w1.segment
+            assert_bit_exact(w2.t_local, w1.t_local, "t_local")
+            assert_bit_exact(w2.position, w1.position, "waypoint position")
+        assert [type(ob) for ob in cons2.obstacles] == [type(ob) for ob in obstacles]
+        for o1, o2 in zip(obstacles, cons2.obstacles):
+            where = "center" if isinstance(o1, Sphere) else "center_yz"
+            assert_bit_exact(getattr(o2, where), getattr(o1, where), where)
+            assert_bit_exact(o2.radius, o1.radius, "radius")
 
 
 class TestCli:

@@ -23,7 +23,6 @@ from flapkit.planning import (
     PlanOptions,
     Sphere,
     Waypoint,
-    azimuth_rate,
     build_equality_system,
     case_library,
     constraint_residuals,
@@ -127,6 +126,31 @@ class TestQpOracle:
             solve_qp_equality(cons, ObjectiveWeights(mu_p=1.0, mu_v=0.1), opts)
 
 
+class TestNumpyKernelsMatchScipy:
+    """The planner's numpy null space and block-diagonal snap matrix equal
+    scipy's bit for bit, so plans do not move."""
+
+    @pytest.mark.parametrize("case", ["a", "b", "c", "line"])
+    def test_null_space(self, case):
+        from flapkit.planning import _null_space
+
+        cons, opts, _ = case_library(case)
+        a_mat, _, _ = build_equality_system(cons, opts)
+        got, want = _null_space(a_mat), scipy.linalg.null_space(a_mat)
+        assert np.array_equal(got, want)
+        # the layout too: the BLAS products that read the basis round by it
+        assert got.strides == want.strides
+
+    @pytest.mark.parametrize("segments", [1, 2, 3, 5])
+    def test_snap_block(self, segments):
+        from flapkit.planning import _snap_block
+        from flapkit.trajectory import snap_gram_matrix
+
+        opts = PlanOptions(segments=segments, order=6, T=1.7)
+        want = scipy.linalg.block_diag(*[snap_gram_matrix(7, 1.7)] * segments)
+        assert np.array_equal(_snap_block(opts), want)
+
+
 class TestConstraintResiduals:
     def test_stationary_trajectory_all_zero(self):
         traj = constant_trajectory([5.0, 5.0, 5.0], T=3.0)
@@ -168,6 +192,16 @@ class TestConstraintResiduals:
         report = constraint_residuals(traj, cons)
         assert report.h_speed == pytest.approx(19 * 0.5)
         assert report.v_speed == 0.0
+
+
+def azimuth_rate(vel, acc, floor=SPEED_FLOOR):
+    """Oracle: rate of the horizontal velocity azimuth, with the squared
+    horizontal speed floored at floor^2 where the heading is undefined."""
+    vel = np.atleast_2d(vel)
+    acc = np.atleast_2d(acc)
+    num = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
+    den = np.maximum(vel[:, 0] ** 2 + vel[:, 1] ** 2, floor**2)
+    return num / den
 
 
 class TestAzimuthRate:
