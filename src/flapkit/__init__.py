@@ -37,18 +37,12 @@ from .dynamics import (
     body_drag,
     deflection_torque,
     full_rhs,
-    integrate,
     simulate_full,
     simulate_vertical,
     thrust_magnitude,
     vertical_rhs,
 )
-from .flatness import (
-    FlatInputSchedule,
-    flat_to_attitude_and_thrust,
-    flat_to_full,
-    flat_to_vertical,
-)
+from .flatness import FlatInputSchedule, flat_to_full
 from .identify import identify_drag, identify_drag_from_log
 from .metrics import MetricsReport, compute_metrics, reference_tracking_errors
 from .planning import (

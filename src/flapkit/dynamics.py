@@ -181,11 +181,6 @@ class VerticalParams:
         if self.lateral_mode not in ("constrained", "free"):
             raise InvalidInputError("lateral_mode must be 'constrained' or 'free'")
 
-    # the relaxed lateral row reuses the lateral drag coefficient
-    @property
-    def vk_drag_y(self) -> float:
-        return self.vk_d_y
-
     @property
     def hover_frequency(self) -> float:
         return math.sqrt(self.m * self.g / self.k_tf)
@@ -430,7 +425,7 @@ def _vertical_law(params, explicit, vvx, vvy, vvz, psi, w, gx, gy, gz, f, theta_
     if params.lateral_mode == "constrained":
         ay = 0.0
     else:
-        ay = w * vvx - params.vk_drag_y * (vvy * abs(vvy)) / m
+        ay = w * vvx - params.vk_d_y * (vvy * abs(vvy)) / m
     az = thrust * gz / m - params.vk_d_z * dz / m - params.g
     if explicit:
         w_dot = (
@@ -477,22 +472,6 @@ def _step_count(dt: float, duration: float) -> int:
     if dt <= 0 or duration < dt:
         raise InvalidInputError("need dt > 0 and duration >= dt")
     return int(round(duration / dt))
-
-
-def integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    dt: float,
-    duration: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 of an array-valued field rhs(t, y) over [0, duration],
-    logging every step.  Aborts with PropagationError naming the step index
-    when the state goes non-finite.
-    """
-    return _integrate_flat(
-        lambda y, t: rhs(t, np.array(y)), (), y0, dt,
-        _step_count(dt, duration), lambda k: _stage_times(k, dt),
-    )
 
 
 def _integrate_flat(rhs, args, y0, dt, n_steps, stage_inputs, post_step=None):

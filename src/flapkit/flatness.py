@@ -14,8 +14,12 @@ recovers, in order:
    the x- and y-rows of the torque model (the yaw row is treated as
    negligible).
 
-The chain runs on truncated Taylor jets (``Jet``) over a sample axis: one code
-path serves one sample and a whole time grid, and every derivative is exact.
+The chain runs on truncated Taylor jets (``Jet``) over a sample axis, so one
+code path serves one time and a whole time grid, and every derivative is
+exact.  It has two entry points: ``flat_to_full`` (one time or an array of
+times) for the full state and all three inputs, and
+``FlatInputSchedule.tabulate`` for the reduced attitude and flapping frequency
+over a replay grid.
 
 Everything below the azimuth floor ``V_EPS`` is degenerate: the heading is
 not defined by the velocity and the caller must supply it explicitly.
@@ -38,7 +42,7 @@ from .errors import (
     NegligibleThrustError,
     UnrecoverableDeflectionError,
 )
-from .trajectory import FlatSample, PiecewiseTrajectory
+from .trajectory import PiecewiseTrajectory
 
 V_EPS = 0.05  # m/s, horizontal-speed floor for a defined azimuth
 F_EPS = 1.0  # Hz, flapping-frequency validity floor
@@ -174,7 +178,7 @@ def _frame(v: list[Jet], explicit, psi, rate) -> _Frame:
 
 
 def _flat_frame(v: list[Jet], psi: float | None) -> _Frame:
-    """Frame step of ``flat_to_*``: the velocity azimuth, frozen at ``psi``
+    """Frame step of ``flat_to_full``: the velocity azimuth, frozen at ``psi``
     where the horizontal speed is below ``V_EPS``."""
     speed = np.hypot(v[0].c[0], v[1].c[0])
     slow = speed < V_EPS
@@ -184,13 +188,12 @@ def _flat_frame(v: list[Jet], psi: float | None) -> _Frame:
     return _frame(v, slow, np.full(slow.size, psi or 0.0), np.zeros(slow.size))
 
 
-def _inputs(frame: _Frame, params: VerticalParams, strict: bool):
+def _inputs(frame: _Frame, params: VerticalParams):
     """Force/tilt step of the chain: (Gamma jets, f^2 jet).
 
     Inverts the forward/vertical force rows for f^2*Gx and f^2*Gz, the
     wind-vane yaw row for Gy, then resolves f^2 from the unit-norm
-    condition with f >= 0.  Without wind-vane authority Gy is 0; with
-    ``strict`` a yaw acceleration demanded there is an error.
+    condition with f >= 0.  Without wind-vane authority Gy is 0.
     """
     p = params
     (vvx, vvy, vvz), w = frame.vv, frame.rate
@@ -200,9 +203,6 @@ def _inputs(frame: _Frame, params: VerticalParams, strict: bool):
     vane = vvx_abs * p.vk_gamma
     demand = w.d() + w.xabsx() * p.vk_damp
     authority = np.abs(vane.c[0]) >= p.vk_gamma * V_EPS**2
-    if strict and np.any(~authority & (np.abs(demand.c[0]) > 1e-9)):
-        raise InfeasibleHeadingAccelerationError("yaw acceleration demanded with no "
-                                                 "wind-vane authority")
     gy = (demand / vane.where(authority, 1.0)).where(authority, 0.0)
     if np.any(np.abs(gy.c[0]) > 1.0):
         raise InfeasibleHeadingAccelerationError(f"|Gamma_y| = {np.max(np.abs(gy.c[0])):.3f}"
@@ -212,41 +212,6 @@ def _inputs(frame: _Frame, params: VerticalParams, strict: bool):
         raise NegligibleThrustError(f"recovered f^2 = {np.min(f2.c[0]):.3f} Hz^2 at or below"
                                     f" the {F_EPS} Hz floor")
     return [f2_gx / f2, gy, f2_gz / f2], f2
-
-
-@dataclass
-class VerticalFlatState:
-    """Vertical-frame kinematics recovered from one flat sample."""
-
-    vv: np.ndarray
-    psi: float
-    omega_psi: float
-    vv_dot: np.ndarray
-    omega_psi_dot: float
-
-    @classmethod
-    def _of(cls, frame: _Frame) -> "VerticalFlatState":
-        rate = frame.rate.c[:, 0]
-        return cls(
-            vv=np.array([j.c[0, 0] for j in frame.vv]), psi=float(frame.psi[0]),
-            omega_psi=float(rate[0]), vv_dot=np.array([j.d().c[0, 0] for j in frame.vv]),
-            omega_psi_dot=float(rate[1]),
-        )
-
-    def _frame(self) -> _Frame:
-        vv = [Jet(np.array([[x], [dx]])) for x, dx in zip(self.vv, self.vv_dot)]
-        rate = Jet(np.array([[self.omega_psi], [self.omega_psi_dot]]))
-        return _Frame(np.array([self.psi]), vv, rate)
-
-
-@dataclass
-class FlatInputs:
-    gamma: np.ndarray
-    f_flap: float
-
-    @classmethod
-    def _of(cls, gamma: list[Jet], f2: Jet) -> "FlatInputs":
-        return cls(np.array([g.c[0, 0] for g in gamma]), math.sqrt(f2.c[0, 0]))
 
 
 @dataclass
@@ -271,33 +236,6 @@ class FlatStateResult:
     diagnostics: dict
 
 
-def flat_to_vertical(sample: FlatSample, params: VerticalParams,
-                     psi: float | None = None) -> VerticalFlatState:
-    """Azimuth and vertical-frame velocity/acceleration of a flat sample.
-
-    The azimuth is the horizontal velocity direction (psi = 0 points along
-    +X).  Below the speed floor the azimuth is undefined and the caller must
-    pass ``psi`` explicitly, which freezes the frame (zero azimuth rate).
-    """
-    taylor = np.array([sample.d1, sample.d2 / 2, sample.d3 / 6])[:, None]
-    return VerticalFlatState._of(_flat_frame(_velocity_jet(taylor), psi))
-
-
-def flat_to_attitude_and_thrust(
-    sample: FlatSample, params: VerticalParams, psi: float | None = None,
-    vertical: VerticalFlatState | None = None,
-) -> tuple[FlatInputs, VerticalFlatState]:
-    """Reduced attitude and flapping frequency for one flat sample.
-
-    Inverts the forward/vertical force rows for f^2*Gx and f^2*Gz, the
-    wind-vane yaw row for Gy, then resolves f from the unit-norm condition
-    with f >= 0.
-    """
-    if vertical is None:
-        vertical = flat_to_vertical(sample, params, psi)
-    return FlatInputs._of(*_inputs(vertical._frame(), params, strict=True)), vertical
-
-
 def flat_to_full(traj: PiecewiseTrajectory, t, vparams: VerticalParams, fparams: FwavParams,
                  psi: float | None = None, prev_q=None) -> FlatStateResult:
     """Full state and all three inputs of a flat trajectory at t.
@@ -312,7 +250,7 @@ def flat_to_full(traj: PiecewiseTrajectory, t, vparams: VerticalParams, fparams:
     taylor = traj.taylor(times, 5)
     v = _velocity_jet(taylor[1:])
     frame = _flat_frame(v, psi)
-    (gx, gy, gz), f2 = _inputs(frame, vparams, strict=True)
+    (gx, gy, gz), f2 = _inputs(frame, vparams)
 
     # tilt quaternion q_e = (1 + Gz, Gy, -Gx, 0) / sqrt(2 (1 + Gz)), body rates
     lift = gz + 1.0
@@ -439,24 +377,19 @@ class FlatInputSchedule:
         v = _velocity_jet(self.traj.taylor(np.clip(times, 0.0, self.traj.duration), 3, first=1))
         return _frame(v, lead | trail, psi, rate)
 
-    def vertical_state_of(self, t: float) -> VerticalFlatState:
-        return VerticalFlatState._of(self._frame(np.array([float(t)])))
-
-    def inputs(self, t: float) -> FlatInputs:
-        return FlatInputs._of(*_inputs(self._frame(np.array([float(t)])), self.params, False))
-
     def initial_vertical_state(self) -> VerticalState:
-        vert = self.vertical_state_of(0.0)
-        return VerticalState(self.traj.eval(0.0, 0), vert.vv, vert.psi, vert.omega_psi)
+        frame = self._frame(np.array([0.0]))
+        return VerticalState(self.traj.eval(0.0, 0), np.array([j.c[0, 0] for j in frame.vv]),
+                             float(frame.psi[0]), float(frame.rate.c[0, 0]))
 
     def tabulate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, f_flap) over a time grid: ``inputs`` at every time, with
-        the chain evaluated on ``_BLOCK`` samples at once."""
+        """(gamma, f_flap) at each of ``times``, shape (N, 3) and (N,); the
+        chain runs on ``_BLOCK`` samples at once."""
         times = np.asarray(times, dtype=float)
         gamma, f_flap = np.empty((times.size, 3)), np.empty(times.size)
         for lo in range(0, times.size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
-            g, f2 = _inputs(self._frame(times[block]), self.params, strict=False)
+            g, f2 = _inputs(self._frame(times[block]), self.params)
             gamma[block] = np.stack([gi.c[0] for gi in g], axis=1)
             f_flap[block] = np.sqrt(f2.c[0])
         return gamma, f_flap

@@ -80,12 +80,10 @@ class _Obstacle:
 
 @dataclass
 class Sphere(_Obstacle):
-    """Ball obstacle.  ``distance_from_origin`` reproduces the legacy
-    residual that measures clearance from the origin instead of the center."""
+    """Ball obstacle: clearance is measured from the center."""
 
     center: np.ndarray
     radius: float
-    distance_from_origin: bool = False
     axes = np.array([1.0, 1.0, 1.0])
 
     def __post_init__(self):
@@ -96,7 +94,7 @@ class Sphere(_Obstacle):
     @property
     def reference(self) -> np.ndarray:
         """Point that clearance is measured from."""
-        return np.zeros(3) if self.distance_from_origin else self.center
+        return self.center
 
 
 @dataclass
@@ -703,8 +701,8 @@ def _initial_guess(
 
 
 def _relative_to(cons: ConstraintSet, origin: np.ndarray) -> ConstraintSet:
-    """The constraint set in coordinates relative to ``origin``.  An
-    origin-referenced sphere becomes a plain sphere about the old origin."""
+    """The constraint set in coordinates relative to ``origin``: every
+    position, waypoint and obstacle center is shifted by -origin."""
     b = cons.boundary
     return replace(
         cons,
@@ -716,7 +714,7 @@ def _relative_to(cons: ConstraintSet, origin: np.ndarray) -> ConstraintSet:
             for wp in cons.waypoints
         ],
         obstacles=[
-            Sphere(ob.reference - origin, ob.radius) if isinstance(ob, Sphere)
+            Sphere(ob.center - origin, ob.radius) if isinstance(ob, Sphere)
             else CylinderX(ob.center_yz - origin[1:], ob.radius)
             for ob in cons.obstacles
         ],

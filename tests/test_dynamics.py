@@ -17,7 +17,7 @@ from flapkit.dynamics import (
     deflection_torque,
     full_rhs,
     hover_state,
-    integrate,
+    _integrate_flat,
     integrate_vertical_tabulated,
     matched_vertical_params,
     simulate_full,
@@ -161,13 +161,14 @@ class TestVerticalRhs:
         p = VerticalParams(lateral_mode="free")
         s = VerticalState(vv=np.array([1.0, 0.2, 0.0]), omega_psi=0.3)
         d = vertical_rhs(s, VerticalInputs(gamma=[0, 0, 1], f_flap=p.hover_frequency), p)
-        expected = 0.3 * 1.0 - p.vk_drag_y * 0.04 / p.m
+        expected = 0.3 * 1.0 - p.vk_d_y * 0.04 / p.m
         assert d[4] == pytest.approx(expected)
 
 
 class TestIntegrate:
     def test_zero_field_constant_state(self):
-        t, y = integrate(lambda t, y: np.zeros_like(y), np.array([1.0, -2.0]), 0.01, 0.5)
+        t, y = _integrate_flat(lambda y, u: [0.0] * len(y), (), [1.0, -2.0], 0.01, 50,
+                               lambda k: (None, None, None))
         assert np.allclose(y, [1.0, -2.0])
         assert t[-1] == pytest.approx(0.5)
 
@@ -210,9 +211,13 @@ class TestIntegrate:
             simulate_full(FwavState(), params, cmd, dt=1e-3, duration=0.2)
         assert err.value.step > 0
 
-    def test_bad_step_arguments(self):
+    def test_bad_step_arguments(self, params, vparams):
         with pytest.raises(InvalidInputError):
-            integrate(lambda t, y: y, np.zeros(2), -1e-3, 1.0)
+            simulate_vertical(VerticalState(), vparams, lambda t: VerticalInputs([0, 0, 1], 10.0),
+                              dt=-1e-3, duration=1.0)
+        with pytest.raises(InvalidInputError):
+            simulate_full(FwavState(), params, lambda t: ActuatorCommands(),
+                          dt=-1e-3, duration=1.0)
 
 
 class TestModelInvariants:

@@ -23,14 +23,8 @@ from flapkit.errors import (
     NegligibleThrustError,
     UnrecoverableDeflectionError,
 )
-from flapkit.flatness import (
-    FlatInputSchedule,
-    VerticalFlatState,
-    flat_to_attitude_and_thrust,
-    flat_to_full,
-    flat_to_vertical,
-)
-from flapkit.trajectory import FlatSample, constant_trajectory, single_segment
+from flapkit.flatness import FlatInputSchedule, flat_to_full
+from flapkit.trajectory import constant_trajectory, single_segment
 
 
 @pytest.fixture
@@ -38,14 +32,37 @@ def vparams():
     return VerticalParams()
 
 
-def hover_sample():
-    return FlatSample(sigma=[0.0, 0.0, 1.0])
+def flat_point(sigma, d1=(0.0, 0.0, 0.0), d2=(0.0, 0.0, 0.0), d3=(0.0, 0.0, 0.0)):
+    """Degree-6 one-segment trajectory whose flat output and first three
+    derivatives at t = 0 are sigma, d1, d2, d3: its Taylor coefficients there
+    are (sigma, d1, d2/2, d3/6) and the higher ones are zero."""
+    coeffs = np.zeros((3, 7))
+    coeffs[:, :4] = np.column_stack([sigma, d1, np.divide(d2, 2), np.divide(d3, 6)])
+    return single_segment(coeffs, 1.0)
+
+
+def at_point(vparams, *derivs, psi=None):
+    """flat_to_full at t = 0 of ``flat_point(*derivs)``."""
+    return flat_to_full(flat_point(*derivs), 0.0, vparams, FwavParams(), psi=psi)
+
+
+def yaw_acceleration(r, vp):
+    """omega_psi' recovered from Gamma_y by the wind-vane yaw row
+    Gamma_y k_gamma vvx|vvx| = omega_psi' + k_damp omega_psi|omega_psi|."""
+    vvx, w = r.vv[0], r.omega_psi
+    return r.gamma[1] * vp.vk_gamma * vvx * abs(vvx) - vp.vk_damp * w * abs(w)
+
+
+HOVER = [0.0, 0.0, 1.0]
+# f^2 = 0 exactly: the sqrt recurrence divides 0/0 above order 0 before the floor raises
+ZERO_THRUST = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 
 
 class TestFlatToVertical:
+    """The frame step of the chain, read through ``flat_to_full`` at one time."""
+
     def test_straight_line(self, vparams):
-        s = FlatSample(sigma=[0, 0, 0], d1=[1.0, 0.0, 0.0])
-        v = flat_to_vertical(s, vparams)
+        v = at_point(vparams, [0, 0, 0], [1.0, 0.0, 0.0])
         assert v.psi == pytest.approx(0.0)
         assert np.allclose(v.vv, [1.0, 0.0, 0.0])
         assert v.omega_psi == pytest.approx(0.0)
@@ -53,31 +70,34 @@ class TestFlatToVertical:
     def test_analytic_circle(self, vparams):
         # x = cos t, y = sin t: the azimuth rotates at exactly 1 rad/s
         for t in [0.0, 0.7, 2.0, 4.5]:
-            s = FlatSample(
-                sigma=[math.cos(t), math.sin(t), 0.0],
-                d1=[-math.sin(t), math.cos(t), 0.0],
-                d2=[-math.cos(t), -math.sin(t), 0.0],
-                d3=[math.sin(t), -math.cos(t), 0.0],
+            v = at_point(
+                vparams,
+                [math.cos(t), math.sin(t), 0.0],
+                [-math.sin(t), math.cos(t), 0.0],
+                [-math.cos(t), -math.sin(t), 0.0],
+                [math.sin(t), -math.cos(t), 0.0],
             )
-            v = flat_to_vertical(s, vparams)
             assert v.omega_psi == pytest.approx(1.0, abs=1e-9)
-            assert v.omega_psi_dot == pytest.approx(0.0, abs=1e-9)
+            assert yaw_acceleration(v, vparams) == pytest.approx(0.0, abs=1e-9)
             assert v.vv[0] == pytest.approx(1.0, abs=1e-9)
             assert v.vv[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_vertical_climb_degenerate(self, vparams):
-        s = FlatSample(sigma=[0, 0, 0], d1=[0.0, 0.0, 0.5])
+        climb = ([0, 0, 0], [0.0, 0.0, 0.5])
         with pytest.raises(DegenerateHeadingError):
-            flat_to_vertical(s, vparams)
+            at_point(vparams, *climb)
         # explicit azimuth makes it well-defined
-        v = flat_to_vertical(s, vparams, psi=0.3)
+        v = at_point(vparams, *climb, psi=0.3)
         assert v.psi == pytest.approx(0.3)
         assert v.omega_psi == 0.0
 
 
 class TestFlatToAttitudeAndThrust:
+    """The force/tilt step of the chain, read through ``flat_to_full`` at one
+    time."""
+
     def test_hover(self, vparams):
-        u, _ = flat_to_attitude_and_thrust(hover_sample(), vparams, psi=0.0)
+        u = at_point(vparams, HOVER, psi=0.0)
         assert np.allclose(u.gamma, [0, 0, 1], atol=1e-12)
         assert u.f_flap == pytest.approx(vparams.hover_frequency)
 
@@ -85,8 +105,7 @@ class TestFlatToAttitudeAndThrust:
         # closed-form force balance: -Gx/Gz = v_cx / v_cz with
         # v_cx = vk_d_x V^2 / m and v_cz = g
         V = 1.0
-        s = FlatSample(sigma=[0, 0, 0], d1=[V, 0.0, 0.0])
-        u, _ = flat_to_attitude_and_thrust(s, vparams)
+        u = at_point(vparams, [0, 0, 0], [V, 0.0, 0.0])
         v_cx = vparams.vk_d_x * V**2 / vparams.m
         assert u.gamma[1] == pytest.approx(0.0, abs=1e-12)
         assert -u.gamma[0] / u.gamma[2] == pytest.approx(v_cx / vparams.g)
@@ -96,61 +115,51 @@ class TestFlatToAttitudeAndThrust:
         w, V = 0.8, 1.2
         t = 0.4
         r = V / w
-        s = FlatSample(
-            sigma=[r * math.sin(w * t), -r * math.cos(w * t), 0.0],
-            d1=[V * math.cos(w * t), V * math.sin(w * t), 0.0],
-            d2=[-V * w * math.sin(w * t), V * w * math.cos(w * t), 0.0],
-            d3=[-V * w**2 * math.cos(w * t), -V * w**2 * math.sin(w * t), 0.0],
+        u = at_point(
+            vparams,
+            [r * math.sin(w * t), -r * math.cos(w * t), 0.0],
+            [V * math.cos(w * t), V * math.sin(w * t), 0.0],
+            [-V * w * math.sin(w * t), V * w * math.cos(w * t), 0.0],
+            [-V * w**2 * math.cos(w * t), -V * w**2 * math.sin(w * t), 0.0],
         )
-        u, vert = flat_to_attitude_and_thrust(s, vparams)
-        assert vert.omega_psi == pytest.approx(w, abs=1e-9)
+        assert u.omega_psi == pytest.approx(w, abs=1e-9)
         expected = vparams.vk_damp * w**2 / (vparams.vk_gamma * V**2)
         assert u.gamma[1] == pytest.approx(expected, rel=1e-9)
 
     def test_infeasible_lateral_tilt(self, vparams):
         # tiny forward speed with a hard yaw acceleration demand
-        s = FlatSample(
-            sigma=[0, 0, 0],
-            d1=[0.06, 0.0, 0.0],
-            d2=[0.0, 1.0, 0.0],
-            d3=[0.0, 0.0, 0.0],
-        )
         with pytest.raises(InfeasibleHeadingAccelerationError):
-            flat_to_attitude_and_thrust(s, vparams)
+            at_point(vparams, [0, 0, 0], [0.06, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0])
 
+    @ZERO_THRUST
     def test_negligible_thrust(self, vparams):
         # free-fall demand at rest: both force rows vanish
-        s = FlatSample(sigma=[0, 0, 0], d2=[0.0, 0.0, -vparams.g])
         with pytest.raises(NegligibleThrustError):
-            flat_to_attitude_and_thrust(s, vparams, psi=0.0)
+            at_point(vparams, [0, 0, 0], [0, 0, 0], [0.0, 0.0, -vparams.g], psi=0.0)
 
     def test_yaw_shift_equivariance(self, vparams):
         rng = np.random.default_rng(6)
-        base = FlatSample(
-            sigma=rng.standard_normal(3),
-            d1=[0.8, 0.1, 0.05],
-            d2=rng.standard_normal(3) * 0.3,
-            d3=rng.standard_normal(3) * 0.2,
+        base = (
+            rng.standard_normal(3),
+            np.array([0.8, 0.1, 0.05]),
+            rng.standard_normal(3) * 0.3,
+            rng.standard_normal(3) * 0.2,
         )
-        u0, v0 = flat_to_attitude_and_thrust(base, vparams)
+        u0 = at_point(vparams, *base)
         for alpha in [0.4, -1.2, 2.9]:
             rot = rotz(alpha)
-            shifted = FlatSample(
-                sigma=rot @ base.sigma, d1=rot @ base.d1,
-                d2=rot @ base.d2, d3=rot @ base.d3,
-            )
-            u1, v1 = flat_to_attitude_and_thrust(shifted, vparams)
-            assert abs(wrap_angle(v1.psi - v0.psi - alpha)) < 1e-9
+            u1 = at_point(vparams, *(rot @ d for d in base))
+            assert abs(wrap_angle(u1.psi - u0.psi - alpha)) < 1e-9
             assert np.allclose(u1.gamma, u0.gamma, atol=1e-9)
             assert u1.f_flap == pytest.approx(u0.f_flap, rel=1e-12)
 
     def test_frequency_scales_with_mass(self, vparams):
         # doubling the mass doubles the required f^2 (quadratic thrust law);
         # zero speed so the specific force demand is mass-independent
-        s = FlatSample(sigma=[0, 0, 0], d2=[0.2, 0.0, 0.1])
-        u1, _ = flat_to_attitude_and_thrust(s, vparams, psi=0.0)
+        rest = ([0, 0, 0], [0, 0, 0], [0.2, 0.0, 0.1])
+        u1 = at_point(vparams, *rest, psi=0.0)
         heavy = VerticalParams(m=2 * vparams.m)
-        u2, _ = flat_to_attitude_and_thrust(s, heavy, psi=0.0)
+        u2 = at_point(heavy, *rest, psi=0.0)
         assert u2.f_flap**2 == pytest.approx(2.0 * u1.f_flap**2, rel=1e-9)
         assert np.allclose(u1.gamma, u2.gamma, atol=1e-12)
 
@@ -237,35 +246,54 @@ class TestFlatToFull:
         assert r2.diagnostics["s_e"] == -1
 
 
+HYPOTHESIS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def forward_flights(draw):
+    """The family of ``smooth_forward_trajectory``: straight flight along a
+    drawn heading with a drawn speed profile (speed >= 0.36 m/s on [0, 1.5])
+    and a mild drawn climb."""
+    heading = draw(st.floats(-math.pi, math.pi))
+    along = [0.0, draw(st.floats(0.45, 0.6)), draw(st.floats(0.04, 0.1)),
+             draw(st.floats(-0.03, 0.0))]
+    climb = [0.0, 0.0, draw(st.floats(-0.05, 0.05)), draw(st.floats(-0.02, 0.02))]
+    coeffs = np.zeros((3, 7))
+    coeffs[0, :4] = np.multiply(math.cos(heading), along)
+    coeffs[1, :4] = np.multiply(math.sin(heading), along)
+    coeffs[2, :4] = climb
+    return single_segment(coeffs, 1.5)
+
+
 class TestRoundTripProperty:
-    def test_vertical_round_trip_random_headings(self, vparams):
-        # feasible flat outputs (azimuth-steady, speed >= 0.45) reintegrate
-        # to within 1e-3 m/s of drift per second
-        rng = np.random.default_rng(12)
-        for trial in range(4):
-            heading = rng.uniform(-math.pi, math.pi)
-            traj = smooth_forward_trajectory(heading=heading)
-            sched = FlatInputSchedule(traj, vparams, min_speed=0.3)
-            dt = 1e-4
-            n = int(round(traj.duration / dt))
-            grid = np.minimum(np.arange(2 * n + 1) * dt / 2, traj.duration)
-            gam, f = sched.tabulate(grid)
-            log = integrate_vertical_tabulated(
-                sched.initial_vertical_state(), vparams, gam, f, dt,
-                rudder_mode="explicit-rudder",
-            )
-            ref = traj.eval_many(log.t[:: 50], 0)
-            dev = np.linalg.norm(log.states[:: 50, 0:3] - ref, axis=1)
-            assert dev.max() < 1e-3 * traj.duration
+    @HYPOTHESIS
+    @given(traj=forward_flights())
+    def test_vertical_round_trip_random_headings(self, traj):
+        # feasible flat outputs (azimuth-steady) reintegrate to within 1e-3 m
+        # of drift per second
+        vparams = VerticalParams()
+        sched = FlatInputSchedule(traj, vparams, min_speed=0.3)
+        dt = 1e-4
+        n = int(round(traj.duration / dt))
+        grid = np.minimum(np.arange(2 * n + 1) * dt / 2, traj.duration)
+        gam, f = sched.tabulate(grid)
+        log = integrate_vertical_tabulated(
+            sched.initial_vertical_state(), vparams, gam, f, dt,
+            rudder_mode="explicit-rudder",
+        )
+        ref = traj.eval_many(log.t[:: 50], 0)
+        dev = np.linalg.norm(log.states[:: 50, 0:3] - ref, axis=1)
+        assert dev.max() < 1e-3 * traj.duration
 
     def test_tabulate_matches_pointwise_inputs(self, vparams, case_a):
+        # a grid and each of its times alone give the same inputs, bit for bit
         sched = FlatInputSchedule(case_a.traj, vparams)
         times = np.linspace(0.0, case_a.traj.duration, 41)
         gam, f = sched.tabulate(times)
         for i, t in enumerate(times):
-            u = sched.inputs(float(t))
-            assert np.allclose(u.gamma, gam[i], atol=1e-12)
-            assert u.f_flap == pytest.approx(float(f[i]), abs=1e-12)
+            one_gamma, one_f = sched.tabulate(np.array([t]))
+            assert np.array_equal(one_gamma[0], gam[i])
+            assert one_f[0] == f[i]
 
     def test_interior_speed_dip_rejected(self, vparams):
         # out-and-back along x dips through zero speed mid-trajectory
@@ -318,8 +346,6 @@ def _assert_fast_path_equals_generic(rudder_mode, lateral_mode, with_rudder):
 # ---------------------------------------------------------------------------
 # one chain over jets: oracles and equivalences
 # ---------------------------------------------------------------------------
-
-HYPOTHESIS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 T_SYM = sp.Symbol("t", real=True)
 DIGITS = 40
@@ -429,11 +455,9 @@ def finite_difference_state(traj, t, vparams, fparams, h=1e-4):
     """The former flat_to_full: body rates and their derivative from a
     5-point stencil of the analytically evaluated rotation R(t)."""
 
-    def rotation_at(t_eval):
-        u, v = flat_to_attitude_and_thrust(traj.flat_sample(t_eval), vparams)
-        return recover_attitude(u.gamma, v.psi)
-
-    rots = [rotation_at(t + k * h) for k in (-2, -1, 0, 1, 2)]
+    # rotation from the reduced attitude and azimuth alone; rates by the stencil
+    stencil = flat_to_full(traj, t + h * np.arange(-2, 3), vparams, fparams)
+    rots = [recover_attitude(g, psi) for g, psi in zip(stencil.gamma, stencil.psi)]
 
     def body_rate(r_mid, r_minus, r_plus):
         w_mat = (r_plus - r_minus) / (2.0 * h) @ r_mid.T
@@ -444,11 +468,10 @@ def finite_difference_state(traj, t, vparams, fparams, h=1e-4):
     omega_dot = (body_rate(rots[3], rots[2], rots[4]) - body_rate(rots[1], rots[0], rots[2])) / (
         2.0 * h
     )
-    inputs, _ = flat_to_attitude_and_thrust(traj.flat_sample(t), vparams)
     tau = fparams.J @ omega_dot + np.cross(omega, fparams.J @ omega)
     v_body = rots[2].T @ traj.eval(t, 1)
     sv = float(np.sign(v_body[2])) * v_body[0] ** 2
-    f2 = inputs.f_flap**2
+    f2 = stencil.f_flap[2] ** 2
     theta_rud = -tau[0] / (fparams.k_tau_x * sv + fparams.k_flap_x * f2)
     theta_ele = -tau[1] / (fparams.k_tau_y * sv + fparams.k_flap_y * f2)
     return rots[2], omega, omega_dot, theta_rud, theta_ele
@@ -521,40 +544,60 @@ class TestBatchedEqualsPerSample:
         gamma, f_flap = sched.tabulate(grid)
         lo = int(np.searchsorted(grid, sched.t_lo))
         for i in sorted({0, 1, lo - 1, lo, 2500, 4095, 4096, 4097, 5000}):
-            u = sched.inputs(float(grid[i]))
-            np.testing.assert_allclose(gamma[i], u.gamma, rtol=0, atol=1e-12)
-            assert f_flap[i] == pytest.approx(u.f_flap, abs=1e-12)
+            one_gamma, one_f = sched.tabulate(grid[i : i + 1])
+            assert np.array_equal(gamma[i], one_gamma[0])
+            assert f_flap[i] == one_f[0]
+
+
+def turning_launch_and_landing():
+    """Rest to rest along the parabola y = 0.2 x^2, so that both ramp windows
+    carry a nonzero azimuth rate: x = 3t^2/4 - t^3/4 on [0, 2]."""
+    x = np.polynomial.Polynomial([0.0, 0.0, 0.75, -0.25])
+    coeffs = np.zeros((3, 7))
+    coeffs[0, :4] = x.coef
+    coeffs[1] = (0.2 * x**2).coef
+    return single_segment(coeffs, 2.0)
 
 
 class TestRampWindow:
     def test_ramp_kinematics_match_closed_form(self, vparams, case_a):
-        # explicit azimuth psi0 + r (t - t0): vv_dot = Rz^T a - r e3 x vv
-        sched = FlatInputSchedule(case_a.traj, vparams)
-        lo = flat_to_vertical(case_a.traj.flat_sample(sched.t_lo), vparams)
-        hi = flat_to_vertical(case_a.traj.flat_sample(sched.t_hi), vparams)
-        for t in (0.0, 0.5 * sched.t_lo, sched.t_hi + 0.5 * (case_a.traj.duration - sched.t_hi)):
-            vert = sched.vertical_state_of(t)
-            sample = case_a.traj.flat_sample(t)
-            if t < sched.t_lo:
-                psi, rate = lo.psi - lo.omega_psi * (sched.t_lo - t), lo.omega_psi
-            else:
-                psi, rate = hi.psi + hi.omega_psi * (t - sched.t_hi), hi.omega_psi
-            assert vert.omega_psi == rate
-            rot_t = rotz(psi).T
-            vv = rot_t @ sample.d1
-            assert abs(wrap_angle(vert.psi - psi)) < 1e-12
-            np.testing.assert_allclose(vert.vv, vv, atol=1e-12)
-            np.testing.assert_allclose(
-                vert.vv_dot, rot_t @ sample.d2 - rate * np.array([-vv[1], vv[0], 0.0]),
-                atol=1e-12,
-            )
-            assert vert.omega_psi_dot == 0.0
+        # explicit azimuth psi0 + r (t - t0): vv_dot = Rz^T a - r e3 x vv.
+        # The schedule returns inputs only, so its frame step is read directly.
+        # Case a's plan is planar (r = 0); the second trajectory turns.
+        for traj in (case_a.traj, turning_launch_and_landing()):
+            sched = FlatInputSchedule(traj, vparams)
+            ends = flat_to_full(traj, np.array([sched.t_lo, sched.t_hi]), vparams, FwavParams())
+            (psi_lo, psi_hi), (rate_lo, rate_hi) = ends.psi, ends.omega_psi
+            for t in (0.0, 0.5 * sched.t_lo, sched.t_hi + 0.5 * (traj.duration - sched.t_hi)):
+                frame = sched._frame(np.array([t]))
+                vv_jet = np.array([j.c[:2, 0] for j in frame.vv])  # (vv, vv_dot / 1!)
+                if t < sched.t_lo:
+                    psi, rate = psi_lo - rate_lo * (sched.t_lo - t), rate_lo
+                else:
+                    psi, rate = psi_hi + rate_hi * (t - sched.t_hi), rate_hi
+                assert frame.rate.c[0, 0] == rate
+                rot_t = rotz(psi).T
+                vv = rot_t @ traj.eval(t, 1)
+                assert abs(wrap_angle(frame.psi[0] - psi)) < 1e-12
+                np.testing.assert_allclose(vv_jet[:, 0], vv, atol=1e-12)
+                np.testing.assert_allclose(
+                    vv_jet[:, 1],
+                    rot_t @ traj.eval(t, 2) - rate * np.array([-vv[1], vv[0], 0.0]),
+                    atol=1e-12,
+                )
+                assert frame.rate.c[1, 0] == 0.0
+            # the replay starts on the ramp's closed form
+            start = sched.initial_vertical_state()
+            psi0 = psi_lo - rate_lo * sched.t_lo
+            assert abs(wrap_angle(start.psi - psi0)) < 1e-12
+            assert start.omega_psi == rate_lo
+            np.testing.assert_allclose(start.vv, rotz(psi0).T @ traj.eval(0.0, 1), atol=1e-12)
 
 
 class TestErrorParity:
     def test_hover_without_azimuth(self, vparams):
         with pytest.raises(DegenerateHeadingError):
-            flat_to_attitude_and_thrust(hover_sample(), vparams)
+            at_point(vparams, HOVER)
         with pytest.raises(DegenerateHeadingError):
             flat_to_full(constant_trajectory([0.0, 0.0, 1.0]), 0.5, vparams, FwavParams())
         # one slow sample in a batch is enough
@@ -566,9 +609,8 @@ class TestErrorParity:
                          FwavParams())
 
     def test_lateral_tilt_beyond_one(self, vparams):
-        s = FlatSample(sigma=[0, 0, 0], d1=[0.06, 0.0, 0.0], d2=[0.0, 1.0, 0.0])
         with pytest.raises(InfeasibleHeadingAccelerationError, match="exceeds 1"):
-            flat_to_attitude_and_thrust(s, vparams)
+            at_point(vparams, [0, 0, 0], [0.06, 0.0, 0.0], [0.0, 1.0, 0.0])
         # the same sample in the middle of a trajectory, batched
         coeffs = np.zeros((3, 7))
         coeffs[0, 1], coeffs[1, 2] = 0.06, 0.5
@@ -576,25 +618,20 @@ class TestErrorParity:
             flat_to_full(single_segment(coeffs, 1.0), np.array([0.0, 0.5]), vparams,
                          FwavParams())
 
+    @ZERO_THRUST
     def test_frequency_floor(self, vparams):
-        s = FlatSample(sigma=[0, 0, 0], d2=[0.0, 0.0, -vparams.g])
         with pytest.raises(NegligibleThrustError):
-            flat_to_attitude_and_thrust(s, vparams, psi=0.0)
+            at_point(vparams, [0, 0, 0], [0, 0, 0], [0.0, 0.0, -vparams.g], psi=0.0)
         coeffs = np.zeros((3, 7))
         coeffs[0, 1], coeffs[2, 2] = 0.06, -vparams.g / 2  # free fall, slow forward drift
         with pytest.raises(NegligibleThrustError):
             flat_to_full(single_segment(coeffs, 1.0), 0.0, vparams, FwavParams())
 
     def test_yaw_demand_without_vane_authority(self, vparams):
-        vert = VerticalFlatState(
-            vv=np.array([0.01, 0.0, 0.0]), psi=0.0, omega_psi=0.0,
-            vv_dot=np.zeros(3), omega_psi_dot=1.0,
-        )
-        with pytest.raises(InfeasibleHeadingAccelerationError, match="authority"):
-            flat_to_attitude_and_thrust(hover_sample(), vparams, vertical=vert)
-        # no demand, no authority: the lateral tilt is zero
-        vert.omega_psi_dot = 0.0
-        u, _ = flat_to_attitude_and_thrust(hover_sample(), vparams, vertical=vert)
+        # below V_EPS the explicit azimuth freezes the frame, so there is no
+        # yaw demand; vvx^2 < V_EPS^2 leaves no authority: the lateral tilt is 0
+        u = at_point(vparams, HOVER, [0.01, 0.0, 0.0], psi=0.0)
+        assert u.vv[0] == 0.01 and u.omega_psi == 0.0
         assert u.gamma[1] == 0.0
 
     def test_vanishing_deflection_gain(self, vparams):

@@ -1,13 +1,16 @@
 """Every import in a flapkit module is used, every private module-level
 name is read somewhere in the package, and importing flapkit loads no
 scipy: only ``plan`` (for ``scipy.optimize.minimize``) and the
-rank-deficiency error path import it, inside the function.
+rank-deficiency error path import it, inside the function.  Every name the
+benchmark tracer wraps by lookup still exists.
 
 ``__init__.py`` is exempt from the unused-import check: its imports are the
 package's re-exports.
 """
 
 import ast
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -22,6 +25,7 @@ import flapkit.planning
 from flapkit.planning import case_library
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flapkit"
+SPANS = SRC.parents[1] / "perfbench" / "spans.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -226,3 +230,19 @@ def test_plan_calls_scipy_optimize_minimize(monkeypatch):
     traj, report = flapkit.planning.plan(cons, weights, opts)
     assert calls and set(calls) == {"L-BFGS-B"}
     assert np.isfinite(report.objective)
+
+
+def test_benchmark_tracer_targets_exist():
+    # perfbench/spans.py wraps (owner, attribute) pairs by lookup, so a name
+    # deleted here would otherwise fail only a traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for owner, attr, *_ in spans.WRAPS:
+        try:
+            inspect.getattr_static(owner, attr)
+        except AttributeError:
+            missing.append(f"{owner.__name__}.{attr}")
+    assert len(spans.WRAPS) >= 20
+    assert missing == []

@@ -230,7 +230,7 @@ def every_family_constraints() -> ConstraintSet:
         ),
         obstacles=[
             Sphere(center=[0.8, 0.3, 0.35], radius=0.3),
-            Sphere(center=[5.0, 5.0, 5.0], radius=0.6, distance_from_origin=True),
+            Sphere(center=[0.0, 0.0, 0.0], radius=0.6),
             CylinderX(center_yz=[0.3, 0.4], radius=0.25),
         ],
         v_h_max=0.6,
@@ -587,22 +587,6 @@ class TestPlan:
             shift = np.array(shift)
             assert np.allclose(plan_positions(shift), base + shift, rtol=0, atol=1e-12)
 
-    def test_origin_referenced_sphere_stays_at_world_origin(self):
-        # planning relative to a start away from the origin must keep the
-        # clearance reference of a distance_from_origin sphere at the origin
-        def coeffs(sphere):
-            cons = ConstraintSet(
-                boundary=BoundaryConditions(
-                    start_pos=[0.5, -0.5, 0.0], end_pos=[-0.5, 0.5, 0.25]
-                ),
-                obstacles=[sphere],
-            )
-            traj, _ = plan(cons, ObjectiveWeights(), PlanOptions(restarts=2))
-            return traj.segments[0].coeffs
-
-        legacy = coeffs(Sphere(center=[3.0, 3.0, 3.0], radius=0.3, distance_from_origin=True))
-        assert np.array_equal(legacy, coeffs(Sphere(center=[0.0, 0.0, 0.0], radius=0.3)))
-
     def test_infeasible_reports_worst_residual(self):
         # sphere fully enclosing both endpoints cannot be escaped
         cons = ConstraintSet(
@@ -833,11 +817,9 @@ def test_seed_sweep_keeps_the_basins(name):
 
 
 class TestObstacles:
-    def test_sphere_distance_and_origin_flag(self):
+    def test_sphere_distance(self):
         s = Sphere(center=[1.0, 0.0, 0.0], radius=0.5)
         assert s.distance(np.array([[2.0, 0, 0]]))[0] == pytest.approx(1.0)
-        legacy = Sphere(center=[1.0, 0.0, 0.0], radius=0.5, distance_from_origin=True)
-        assert legacy.distance(np.array([[2.0, 0, 0]]))[0] == pytest.approx(2.0)
 
     def test_cylinder_distance_ignores_x(self):
         c = CylinderX(center_yz=[1.0, -1.0], radius=0.3)
