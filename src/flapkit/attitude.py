@@ -150,3 +150,25 @@ def split_azimuth(rot: np.ndarray) -> tuple[float, np.ndarray]:
     rz = rot @ r_e.T
     psi = math.atan2(rz[1, 0], rz[0, 0])
     return wrap_angle(psi), gamma
+
+
+def azimuth_of_quat(q, omega) -> tuple[float, tuple[float, float, float], float]:
+    """Azimuth psi, reduced attitude Gamma and inertial yaw rate (R omega)_z
+    of a scalar-first quaternion (normalized here) and a body rate, on floats.
+
+    The same split as ``split_azimuth(quat_to_rot(q))`` without the matrices:
+    Gamma is the third row of R, and since R = Rz(psi) R_e with a tilt R_e
+    about a horizontal axis, q = (cos psi/2, 0, 0, sin psi/2) (x) q_e with
+    q_e free of a z part, so psi = 2 atan2(qz, qw).
+    """
+    qw, qx, qy, qz = q
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    if n == 0.0:
+        raise InvalidInputError("cannot normalize a zero quaternion")
+    qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
+    gx, gy = 2.0 * (qx * qz - qw * qy), 2.0 * (qy * qz + qw * qx)
+    gz = 1.0 - 2.0 * (qx * qx + qy * qy)
+    if gz + 1.0 < ANTIPODAL_TOL:
+        raise DegenerateAttitudeError("reduced attitude antipodal to +Z")
+    wx, wy, wz = omega
+    return wrap_angle(2.0 * math.atan2(qz, qw)), (gx, gy, gz), gx * wx + gy * wy + gz * wz

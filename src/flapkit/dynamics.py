@@ -19,18 +19,18 @@ state vector (``full_rhs``: 16 floats, ``vertical_rhs``: 8) returning a
 tuple of floats.  The state and input dataclasses are views at the API
 boundary: the right-hand sides take a view or a flat vector and convert once
 on entry, and the public force/torque primitives evaluate the same scalar
-terms.  Integration is classical fixed-step RK4 on lists of floats
-(``rk4_flat``), with quaternion renormalization after every full-model step.
+terms.  Integration is classical fixed-step RK4; the full model steps
+``rk4_flat`` on lists of floats and renormalizes the quaternion after each.
 
 The vertical-frame equations are written once, in ``_vertical_law``, on
 floats whose inputs are already checked; ``vertical_rhs`` parses and checks
-its arguments and calls it.  The open-loop replay of a tabulated input
-schedule (``integrate_vertical_tabulated``, ~10^5 steps at dt = 1e-4) has
-its own step: ``rk4_flat`` on ``vertical_rhs`` unrolled on scalars, with the
-table checked a block at a time with numpy, because building stage lists
-and re-checking every stage's inputs were most of its cost.  It keeps every
-floating-point operation of ``rk4_flat``, so both paths log the same
-states bit for bit.
+its arguments and calls it.  Its RK4 step is written once too, in
+``_vertical_steps``: ``rk4_flat`` on ``vertical_rhs`` unrolled on scalars
+over a block of steps, with every floating-point operation kept in order,
+so all drivers log ``rk4_flat``'s states bit for bit.  Inputs are checked
+where they change, not at every stage (stage lists and those checks were
+most of a step's cost): the replay checks its table a block at a time, the
+closed loop its held input once per tick, ``simulate_vertical`` each step's.
 """
 
 from __future__ import annotations
@@ -392,6 +392,12 @@ def vertical_rhs(
     """
     y = state if isinstance(state, (list, tuple)) else _floats(state, VerticalState)
     _, _, _, vvx, vvy, vvz, psi, w = y
+    u = _input_row(inputs)
+    return _vertical_law(params, _explicit_rudder(rudder_mode), vvx, vvy, vvz, psi, w, *u)
+
+
+def _input_row(inputs) -> tuple:
+    """Checked (gx, gy, gz, f_flap, theta_rud) of a VerticalInputs or 5-vector."""
     if isinstance(inputs, VerticalInputs):
         (gx, gy, gz), f, theta_rud = inputs.gamma.tolist(), inputs.f_flap, inputs.theta_rud
     else:
@@ -400,9 +406,7 @@ def vertical_rhs(
         raise InvalidInputError(_NON_UNIT_GAMMA)
     if f < 0:
         raise InvalidInputError(_NEGATIVE_FLAP)
-    return _vertical_law(
-        params, _explicit_rudder(rudder_mode), vvx, vvy, vvz, psi, w, gx, gy, gz, f, theta_rud,
-    )
+    return gx, gy, gz, f, theta_rud
 
 
 def _explicit_rudder(rudder_mode: str) -> bool:
@@ -460,6 +464,47 @@ def rk4_flat(rhs, y: list, dt: float, u0, um, u1, *args) -> list:
         a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
     ]
+
+
+def _vertical_steps(params, explicit, y, rows, dt, states, k0, first=None, radius=math.inf):
+    """``rk4_flat`` on ``vertical_rhs``, unrolled: n steps from the flat state y at row
+    k0 over 2n + 1 checked half-step input rows (gx, gy, gz, f, theta_rud), ``first``
+    the derivative at y and rows[0] if known.  Writes rows k0 + 1.. of ``states`` up to
+    the first non-finite state or position norm beyond ``radius``; returns the last
+    state, its row and whether it stopped there.  Stage states carry no position."""
+    px, py, pz, vvx, vvy, vvz, psi, w = y
+    h, c, law, isfinite, sqrt = 0.5 * dt, dt / 6.0, _vertical_law, math.isfinite, math.sqrt
+    k, last = k0, k0 + len(rows) // 2
+    stage = first or law(params, explicit, vvx, vvy, vvz, psi, w, *rows[0])
+    for k, (gxm, gym, gzm, fm, rudm), (gx, gy, gz, f, rud) in zip(
+            range(k0 + 1, last + 1), rows[1::2], rows[2::2]):
+        dpx1, dpy1, dpz1, a1, b1, c1, d1, e1 = stage
+        dpx2, dpy2, dpz2, a2, b2, c2, d2, e2 = law(
+            params, explicit, vvx + h * a1, vvy + h * b1, vvz + h * c1,
+            psi + h * d1, w + h * e1, gxm, gym, gzm, fm, rudm)
+        dpx3, dpy3, dpz3, a3, b3, c3, d3, e3 = law(
+            params, explicit, vvx + h * a2, vvy + h * b2, vvz + h * c2,
+            psi + h * d2, w + h * e2, gxm, gym, gzm, fm, rudm)
+        dpx4, dpy4, dpz4, a4, b4, c4, d4, e4 = law(
+            params, explicit, vvx + dt * a3, vvy + dt * b3, vvz + dt * c3,
+            psi + dt * d3, w + dt * e3, gx, gy, gz, f, rud)
+        px = px + c * (dpx1 + 2.0 * dpx2 + 2.0 * dpx3 + dpx4)
+        py = py + c * (dpy1 + 2.0 * dpy2 + 2.0 * dpy3 + dpy4)
+        pz = pz + c * (dpz1 + 2.0 * dpz2 + 2.0 * dpz3 + dpz4)
+        vvx = vvx + c * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        vvy = vvy + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        vvz = vvz + c * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        psi = psi + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        w = w + c * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        y = px, py, pz, vvx, vvy, vvz, psi, w
+        states[k] = y
+        # a finite sum has only finite terms; an overflowing one is rechecked
+        if (not isfinite(px + py + pz + vvx + vvy + vvz + psi + w) and not all(map(isfinite, y))
+                or sqrt(px * px + py * py + pz * pz) > radius):
+            return y, k, True
+        if k < last:
+            stage = law(params, explicit, vvx, vvy, vvz, psi, w, gx, gy, gz, f, rud)
+    return y, k, False
 
 
 def _stage_times(k: int, dt: float) -> tuple[float, float, float]:
@@ -571,10 +616,16 @@ def simulate_vertical(
 ) -> VerticalLog:
     """Integrate the vertical-frame model under a reduced-attitude schedule."""
 
-    t, states = _integrate_flat(
-        vertical_rhs, (params, rudder_mode), _floats(state0, VerticalState), dt,
-        _step_count(dt, duration), lambda k: tuple(map(inputs, _stage_times(k, dt))),
-    )
+    n_steps = _step_count(dt, duration)
+    states = np.empty((n_steps + 1, 8))
+    states[0] = y = [float(v) for v in _floats(state0, VerticalState)]
+    for k in range(n_steps):
+        rows = [_input_row(u) for u in tuple(map(inputs, _stage_times(k, dt)))]
+        explicit = _explicit_rudder(rudder_mode)  # after the input checks, as in vertical_rhs
+        y, _, stopped = _vertical_steps(params, explicit, y, rows, dt, states, k)
+        if stopped:
+            raise PropagationError("integration produced non-finite state", step=k + 1)
+    t = np.arange(n_steps + 1) * dt
     applied = np.array([[*u.gamma, u.f_flap] for u in map(inputs, t)])
     return VerticalLog(t, states, applied)
 
@@ -594,12 +645,10 @@ def integrate_vertical_tabulated(
     """RK4 on the vertical model with inputs tabulated at half-step spacing.
 
     ``gamma_grid`` (2*n_steps+1, 3) and ``f_grid`` hold the inputs at times
-    k*dt/2, the exact abscissae RK4 stages use.  The step is ``rk4_flat`` on
-    ``vertical_rhs`` unrolled on scalars: the rudder mode is resolved once,
-    the table is read from the grids and checked with ``vertical_rhs``'s
-    predicates one block of steps at a time (no copy of the whole table),
-    and the stage states carry no position, which no row reads.  Every
-    operation of ``rk4_flat`` is kept in its order, so the log equals
+    k*dt/2, the exact abscissae RK4 stages use.  The rudder mode is resolved
+    once, and the table is read from the grids and checked with
+    ``vertical_rhs``'s predicates one block of steps at a time (no copy of
+    the whole table); ``_vertical_steps`` runs each block.  The log equals
     ``simulate_vertical``'s with the same inputs bit for bit, and an invalid
     sample or a non-finite state raises at the step where
     ``simulate_vertical`` would.
@@ -610,11 +659,8 @@ def integrate_vertical_tabulated(
         raise InvalidInputError("theta_rud_grid needs one sample per half-step input sample")
     explicit = _explicit_rudder(rudder_mode)
     n_steps = (gamma_grid.shape[0] - 1) // 2
-    y = [float(v) for v in _floats(state0, VerticalState)]
     states = np.empty((n_steps + 1, 8))
-    states[0] = y
-    px, py, pz, vvx, vvy, vvz, psi, w = y
-    h, c, law, isfinite = 0.5 * dt, dt / 6.0, _vertical_law, math.isfinite
+    states[0] = y = [float(v) for v in _floats(state0, VerticalState)]
     for start in range(0, n_steps, _TABLE_BLOCK):
         stop = min(start + _TABLE_BLOCK, n_steps)
         lo, hi = 2 * start, 2 * stop + 1
@@ -626,33 +672,9 @@ def integrate_vertical_tabulated(
             # sample j of the block is first read in step start + max(j - 1, 0) // 2
             stop = start + max(int(bad[0]) - 1, 0) // 2
         rows = block[:2 * (stop - start) + 1].tolist()
-        gx, gy, gz, f, rud = rows[0]
-        for k, (gxm, gym, gzm, fm, rudm), end in zip(range(start, stop), rows[1::2], rows[2::2]):
-            dpx1, dpy1, dpz1, a1, b1, c1, d1, e1 = law(
-                params, explicit, vvx, vvy, vvz, psi, w, gx, gy, gz, f, rud)
-            dpx2, dpy2, dpz2, a2, b2, c2, d2, e2 = law(
-                params, explicit, vvx + h * a1, vvy + h * b1, vvz + h * c1,
-                psi + h * d1, w + h * e1, gxm, gym, gzm, fm, rudm)
-            dpx3, dpy3, dpz3, a3, b3, c3, d3, e3 = law(
-                params, explicit, vvx + h * a2, vvy + h * b2, vvz + h * c2,
-                psi + h * d2, w + h * e2, gxm, gym, gzm, fm, rudm)
-            gx, gy, gz, f, rud = end
-            dpx4, dpy4, dpz4, a4, b4, c4, d4, e4 = law(
-                params, explicit, vvx + dt * a3, vvy + dt * b3, vvz + dt * c3,
-                psi + dt * d3, w + dt * e3, gx, gy, gz, f, rud)
-            px = px + c * (dpx1 + 2.0 * dpx2 + 2.0 * dpx3 + dpx4)
-            py = py + c * (dpy1 + 2.0 * dpy2 + 2.0 * dpy3 + dpy4)
-            pz = pz + c * (dpz1 + 2.0 * dpz2 + 2.0 * dpz3 + dpz4)
-            vvx = vvx + c * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            vvy = vvy + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            vvz = vvz + c * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            psi = psi + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            w = w + c * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-            y = px, py, pz, vvx, vvy, vvz, psi, w
-            # a finite sum has only finite terms; an overflowing one is rechecked
-            if not isfinite(px + py + pz + vvx + vvy + vvz + psi + w) and not all(map(isfinite, y)):
-                raise PropagationError("integration produced non-finite state", step=k + 1)
-            states[k + 1] = y
+        y, k, stopped = _vertical_steps(params, explicit, y, rows, dt, states, start)
+        if stopped:
+            raise PropagationError("integration produced non-finite state", step=k)
         if bad.size:
             j = int(bad[0])
             raise InvalidInputError(_NON_UNIT_GAMMA if bad_gamma[j] else _NEGATIVE_FLAP)

@@ -107,8 +107,10 @@ class Jet:
     def sqrt(self) -> "Jet":
         a, s = self.c, np.empty(self.c.shape)
         s[0] = np.sqrt(a[0])
-        for k in range(1, len(a)):
-            s[k] = (a[k] - (s[1:k] * s[k - 1 : 0 : -1]).sum(0)) / (2.0 * s[0])
+        # a zero root divides 0/0 here; callers floor the root before using it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(1, len(a)):
+                s[k] = (a[k] - (s[1:k] * s[k - 1 : 0 : -1]).sum(0)) / (2.0 * s[0])
         return Jet(s)
 
     def xabsx(self) -> "Jet":

@@ -2,11 +2,10 @@
 
 Wires a planned trajectory into the tracking controller against either
 dynamics model.  One loop flies both: the controller ticks every few plant
-steps with zero-order hold in between, and RK4 runs on the flat plant state.
-A small plant adapter supplies what differs between the models: the
-``Measurement`` built from the state, the plant inputs built from the
-controller output, the right-hand side, the post-step projection
-(quaternion renormalization) and the state log.
+steps, and a small plant adapter supplies what differs between the models:
+the ``Measurement`` built from the state, the plant inputs built from the
+controller output, the block of RK4 steps to the next tick with the input
+held (``_vertical_steps``, or ``rk4_flat`` on ``full_rhs``) and the log.
 
 Also here are the certification simulations used by the stability checks:
 
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import UnitQuaternion, quat_to_rot, rotz, split_azimuth, wrap_angle
+from .attitude import UnitQuaternion, azimuth_of_quat, rotz, wrap_angle
 from .control import (
     CONTROL_LOG_HEADER,
     ControllerGains,
@@ -53,6 +52,7 @@ from .dynamics import (
     _stage_times,
     vertical_rhs,
     _renormalize_quat,
+    _vertical_steps,
     _write_csv,
 )
 from .errors import InvalidInputError, PropagationError
@@ -181,11 +181,11 @@ class _VerticalPlant:
     def inputs(self, out):
         return (*out.gamma_cmd, out.f_flap_cmd, 0.0)
 
-    def rhs(self, y, u):
-        return vertical_rhs(y, u, self.params)
-
-    def post_step(self, y):
-        pass
+    def advance(self, y, u, dt, states, k, n, radius):
+        first = vertical_rhs(y, u, self.params)  # checks the held input once
+        rows = [u] * (2 * n + 1)
+        y, k, stopped = _vertical_steps(self.params, False, y, rows, dt, states, k, first, radius)
+        return y, k, k if stopped else None
 
     def log(self, t, states, applied):
         return VerticalLog(t, states, np.array(applied)[:, 0:4])
@@ -200,33 +200,39 @@ class _FullPlant:
         self.hold = (params.hover_frequency, 0.0, 0.0)
 
     def measure(self, y, u) -> Measurement:
-        rot = quat_to_rot(UnitQuaternion.from_array(y[6:10]).normalized())
-        psi, gamma = split_azimuth(rot)
+        psi, gamma, omega_psi = azimuth_of_quat(y[6:10], y[10:13])
         return Measurement(
-            p=y[0:3], v=y[3:6], psi=psi, omega_psi=float((rot @ y[10:13])[2]),
-            gamma=gamma, omega=y[10:13],
+            p=y[0:3], v=y[3:6], psi=psi, omega_psi=omega_psi, gamma=gamma, omega=y[10:13],
         )
 
     def inputs(self, out):
         polarity = DEFLECTION_POLARITY
         return out.f_flap_cmd, polarity * out.theta_rud_cmd, polarity * out.theta_ele_cmd
 
-    def rhs(self, y, u):
-        return full_rhs(y, u, self.params)
-
-    def post_step(self, y):
-        _renormalize_quat(y)
+    def advance(self, y, u, dt, states, k, n, radius):
+        for k in range(k + 1, k + n + 1):
+            try:
+                y = rk4_flat(full_rhs, y, dt, u, u, u, self.params)
+            except PropagationError:
+                return y, k - 1, k  # a non-finite stage: step k is not logged
+            _renormalize_quat(y)
+            states[k] = y
+            if math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) > radius or not all(
+                    map(math.isfinite, y)):
+                return y, k, k
+        return y, k, None
 
     def log(self, t, states, applied):
         return FullLog(t, states)
 
 
 def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopResult:
-    """The closed loop: controller ticks every n_sub plant steps, inputs held
-    in between, RK4 on the flat plant state.
+    """The closed loop: the controller ticks every n_sub plant steps, and the
+    plant advances the block of steps up to the next tick with the input held.
 
-    A non-finite RK4 stage ends the run before the step is logged; a
-    position beyond ``radius`` or a non-finite state ends it after.
+    A non-finite RK4 stage ends the run before its step is logged; a
+    position beyond ``radius`` or a non-finite state ends it after.  A plant's
+    ``advance`` returns the last logged state, its row and the abort row or None.
     """
     u = plant.hold
     states = np.empty((n_steps + 1, len(y)))
@@ -236,31 +242,21 @@ def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopRe
     jump_times, sat_times = [], []
     diverged, abort_time = False, None
 
-    for k in range(n_steps):
+    for k in range(0, n_steps, n_sub):
         t = k * dt
-        if k % n_sub == 0:
-            sigma_r, sigma_r_dot = _reference(traj, t)
-            out = controller.update(sigma_r, sigma_r_dot, plant.measure(y, u))
-            u = plant.inputs(out)
-            control_t.append(t)
-            control_rows.append(out.log_row(t)[1:])
-            if out.jumped:
-                jump_times.append(t)
-            if out.ff_saturated:
-                sat_times.append(t)
-        try:
-            y = rk4_flat(plant.rhs, y, dt, u, u, u)
-        except PropagationError:
-            diverged, abort_time = True, (k + 1) * dt
-            break
-        plant.post_step(y)
-        states[k + 1] = y
-        applied.append(u)
-        if (
-            math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) > radius
-            or not all(map(math.isfinite, y))
-        ):
-            diverged, abort_time = True, (k + 1) * dt
+        sigma_r, sigma_r_dot = _reference(traj, t)
+        out = controller.update(sigma_r, sigma_r_dot, plant.measure(y, u))
+        u = plant.inputs(out)
+        control_t.append(t)
+        control_rows.append(out.log_row(t)[1:])
+        if out.jumped:
+            jump_times.append(t)
+        if out.ff_saturated:
+            sat_times.append(t)
+        y, end, abort = plant.advance(y, u, dt, states, k, min(n_sub, n_steps - k), radius)
+        applied += [u] * (end - k)
+        if abort is not None:
+            diverged, abort_time = True, abort * dt
             break
 
     n = len(applied)

@@ -5,6 +5,7 @@ import pytest
 
 from flapkit.attitude import (
     UnitQuaternion,
+    azimuth_of_quat,
     quat_to_rot,
     recover_attitude,
     reduced_attitude,
@@ -143,6 +144,30 @@ class TestSplitAzimuth:
             psi_out, g_out = split_azimuth(recover_attitude(g, psi))
             assert abs(wrap_angle(psi_out - psi)) < 1e-9
             assert np.allclose(g_out, g, atol=1e-9)
+
+
+class TestAzimuthOfQuat:
+    def test_matches_matrix_split(self):
+        # the float split equals split_azimuth(quat_to_rot(q)) and (R omega)_z
+        # on random non-unit quaternions away from the antipode
+        rng = np.random.default_rng(23)
+        for q in random_unit_quaternions(rng, 300) * rng.uniform(0.5, 2.0, (300, 1)):
+            omega = rng.standard_normal(3)
+            rot = quat_to_rot(UnitQuaternion.from_array(q).normalized())
+            if rot[2, 2] < -0.9:
+                continue
+            psi, gamma, omega_psi = azimuth_of_quat(q.tolist(), omega.tolist())
+            psi_m, gamma_m = split_azimuth(rot)
+            assert abs(wrap_angle(psi - psi_m)) < 1e-12
+            assert -math.pi < psi <= math.pi
+            np.testing.assert_allclose(gamma, gamma_m, rtol=0.0, atol=1e-15)
+            assert omega_psi == pytest.approx((rot @ omega)[2], abs=1e-14)
+
+    def test_degenerate_inputs(self):
+        with pytest.raises(InvalidInputError, match="zero quaternion"):
+            azimuth_of_quat([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        with pytest.raises(DegenerateAttitudeError):
+            azimuth_of_quat([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0])  # upside down
 
 
 class TestWrapAngle:

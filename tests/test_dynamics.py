@@ -17,13 +17,16 @@ from flapkit.dynamics import (
     deflection_torque,
     full_rhs,
     hover_state,
+    _explicit_rudder,
     _integrate_flat,
     integrate_vertical_tabulated,
     matched_vertical_params,
+    rk4_flat,
     simulate_full,
     simulate_vertical,
     thrust_magnitude,
     vertical_rhs,
+    _vertical_steps,
     _write_csv,
 )
 from flapkit.errors import InvalidInputError, PropagationError
@@ -611,6 +614,62 @@ class TestTabulatedErrors:
         assert fast.states.shape == (n + 1, 8)
         assert np.array_equal(fast.t, slow.t)
         assert np.array_equal(fast.states, slow.states)
+
+
+unit_gamma = st.tuples(st.floats(0.0, 1.2), st.floats(-math.pi, math.pi)).map(
+    lambda a: (math.sin(a[0]) * math.cos(a[1]), math.sin(a[0]) * math.sin(a[1]), math.cos(a[0]))
+)
+input_row = st.tuples(unit_gamma, st.floats(0.0, 30.0), st.floats(-0.5, 0.5)).map(
+    lambda r: (*r[0], r[1], r[2])
+)
+
+
+@st.composite
+def input_rows(draw):
+    """2n + 1 half-step input rows of n steps, held or varying."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return [draw(input_row)] * (2 * n + 1)
+    return draw(st.lists(input_row, min_size=2 * n + 1, max_size=2 * n + 1))
+
+
+class TestVerticalSteps:
+    @pytest.mark.parametrize("rudder_mode", ["gamma-proxy", "explicit-rudder"])
+    @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
+    @HYPOTHESIS
+    @given(
+        p=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        vv=st.tuples(component, component, component),
+        psi=st.floats(-4.0, 4.0),
+        w=component,
+        rows=input_rows(),
+        dt=st.sampled_from([1e-4, 1e-3, 5e-3]),
+        given_first=st.booleans(),
+        radius=st.one_of(st.just(math.inf), st.floats(0.0, 6.0)),
+    )
+    def test_equals_rk4_flat_bit_for_bit(
+        self, rudder_mode, lateral_mode, p, vv, psi, w, rows, dt, given_first, radius
+    ):
+        params = VerticalParams(lateral_mode=lateral_mode)
+        y0 = [*p, *vv, psi, w]
+        want = [y0]
+        for k in range(len(rows) // 2):
+            want.append(rk4_flat(vertical_rhs, want[-1], dt, *rows[2 * k : 2 * k + 3], params,
+                                 rudder_mode))
+        # the run stops after the first state beyond the radius
+        beyond = [k for k, (x, y, z, *_) in enumerate(want[1:], 1)
+                  if math.sqrt(x * x + y * y + z * z) > radius]
+        last = beyond[0] if beyond else len(want) - 1
+
+        states = np.full((len(want), 8), np.nan)
+        states[0] = y0
+        first = vertical_rhs(y0, rows[0], params, rudder_mode) if given_first else None
+        y, k, stopped = _vertical_steps(params, _explicit_rudder(rudder_mode), y0, rows, dt,
+                                        states, 0, first, radius)
+        assert (k, stopped) == (last, bool(beyond))
+        assert list(y) == want[last]
+        assert np.array_equal(states[: last + 1], np.array(want[: last + 1]))
+        assert np.isnan(states[last + 1 :]).all()
 
 
 class TestInertia:

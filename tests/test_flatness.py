@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,8 +55,6 @@ def yaw_acceleration(r, vp):
 
 
 HOVER = [0.0, 0.0, 1.0]
-# f^2 = 0 exactly: the sqrt recurrence divides 0/0 above order 0 before the floor raises
-ZERO_THRUST = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 
 
 class TestFlatToVertical:
@@ -131,11 +130,13 @@ class TestFlatToAttitudeAndThrust:
         with pytest.raises(InfeasibleHeadingAccelerationError):
             at_point(vparams, [0, 0, 0], [0.06, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0])
 
-    @ZERO_THRUST
     def test_negligible_thrust(self, vparams):
-        # free-fall demand at rest: both force rows vanish
-        with pytest.raises(NegligibleThrustError):
-            at_point(vparams, [0, 0, 0], [0, 0, 0], [0.0, 0.0, -vparams.g], psi=0.0)
+        # free-fall demand at rest: both force rows vanish, so f^2 = 0 exactly
+        # and the root's recurrence divides 0/0; the floor raises, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NegligibleThrustError, match="at or below the"):
+                at_point(vparams, [0, 0, 0], [0, 0, 0], [0.0, 0.0, -vparams.g], psi=0.0)
 
     def test_yaw_shift_equivariance(self, vparams):
         rng = np.random.default_rng(6)
@@ -618,14 +619,15 @@ class TestErrorParity:
             flat_to_full(single_segment(coeffs, 1.0), np.array([0.0, 0.5]), vparams,
                          FwavParams())
 
-    @ZERO_THRUST
     def test_frequency_floor(self, vparams):
-        with pytest.raises(NegligibleThrustError):
-            at_point(vparams, [0, 0, 0], [0, 0, 0], [0.0, 0.0, -vparams.g], psi=0.0)
         coeffs = np.zeros((3, 7))
         coeffs[0, 1], coeffs[2, 2] = 0.06, -vparams.g / 2  # free fall, slow forward drift
-        with pytest.raises(NegligibleThrustError):
-            flat_to_full(single_segment(coeffs, 1.0), 0.0, vparams, FwavParams())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NegligibleThrustError):
+                at_point(vparams, [0, 0, 0], [0, 0, 0], [0.0, 0.0, -vparams.g], psi=0.0)
+            with pytest.raises(NegligibleThrustError):
+                flat_to_full(single_segment(coeffs, 1.0), 0.0, vparams, FwavParams())
 
     def test_yaw_demand_without_vane_authority(self, vparams):
         # below V_EPS the explicit azimuth freezes the frame, so there is no

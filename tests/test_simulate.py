@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import flapkit.dynamics
 import flapkit.simulate
-from flapkit.attitude import wrap_angle
-from flapkit.control import ControllerGains
+from flapkit.attitude import rotz, wrap_angle
+from flapkit.control import ControllerGains, TrackingController
 from flapkit.dynamics import (
     VerticalInputs,
     VerticalParams,
     VerticalState,
+    rk4_flat,
     simulate_vertical,
+    vertical_rhs,
 )
 from flapkit.errors import InsufficientExcitationError, InvalidInputError
 from flapkit.identify import identify_drag, identify_drag_from_log
@@ -32,6 +35,30 @@ from flapkit.trajectory import constant_trajectory
 @pytest.fixture
 def vparams():
     return VerticalParams()
+
+
+def reference_vertical_flight(traj, n_steps, offset, dt=1e-3, n_sub=10):
+    """The vertical closed loop at its defaults, stepped one RK4 step at a
+    time by ``rk4_flat`` over ``vertical_rhs``: state log, applied inputs
+    (gx, gy, gz, f_flap) and controller log."""
+    vparams = VerticalParams()
+    psi0 = initial_heading(traj)
+    controller = TrackingController(ControllerGains(), vparams, initial_psi_d=psi0)
+    plant = flapkit.simulate._VerticalPlant(vparams)
+    v0 = rotz(psi0).T @ traj.eval(0.0, 1)
+    y = VerticalState(p=traj.eval(0.0) + offset, vv=v0, psi=psi0).as_vector().tolist()
+    u, states, applied, control = plant.hold, [y], [plant.hold], []
+    for k in range(n_steps):
+        if k % n_sub == 0:
+            t = k * dt
+            out = controller.update(traj.eval(t).tolist(), traj.eval(t, 1).tolist(),
+                                    plant.measure(y, u))
+            u = plant.inputs(out)
+            control.append(out.log_row(t)[1:])
+        y = rk4_flat(vertical_rhs, y, dt, u, u, u, vparams)
+        states.append(y)
+        applied.append(u)
+    return np.array(states), np.array(applied)[:, 0:4], np.array(control)
 
 
 class TestClosedLoop:
@@ -69,11 +96,9 @@ class TestClosedLoop:
         assert np.max(np.linalg.norm(err, axis=1)) < 0.6
         assert abs(err[-1, 2]) < 0.05
 
-    @pytest.mark.parametrize(
-        "model, rhs_name", [("vertical", "vertical_rhs"), ("full", "full_rhs")]
-    )
+    @pytest.mark.parametrize("model, rhs_name", [("full", "full_rhs")])
     def test_plant_rhs_looked_up_once_per_stage(self, monkeypatch, model, rhs_name):
-        # the closed loop reads the module global at call time, once per RK4
+        # the full plant reads the module global at call time, once per RK4
         # stage, so a wrapper installed over it sees every evaluation
         calls = {"vertical_rhs": 0, "full_rhs": 0}
 
@@ -93,6 +118,39 @@ class TestClosedLoop:
         steps = len(res.state_log.t) - 1
         assert steps == 250 and not res.diverged
         assert calls == {name: (4 * steps if name == rhs_name else 0) for name in calls}
+
+    def test_vertical_input_checked_once_per_tick(self, monkeypatch):
+        # the held input is checked where it changes: vertical_rhs runs once
+        # per controller tick, and its derivative is the first RK4 stage of
+        # the tick's block; the law runs once per stage
+        calls = {"vertical_rhs": 0, "_vertical_law": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(flapkit.simulate, "vertical_rhs")
+        counting(flapkit.dynamics, "_vertical_law")
+        traj = constant_trajectory([0.0, 0.0, 0.5], T=0.25)
+        res = run_closed_loop(traj, duration=0.25, perturb_pos=(0.0, 0.0, 0.01))
+        steps, ticks = len(res.state_log.t) - 1, len(res.control_t)
+        assert (steps, ticks) == (250, 25) and not res.diverged
+        assert calls == {"vertical_rhs": ticks, "_vertical_law": 4 * steps}
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (0.03, -0.02, 0.04)])
+    def test_block_stepper_flies_like_rk4_flat(self, case_c, offset):
+        # the closed loop's vertical blocks equal a tick followed by
+        # rk4_flat over vertical_rhs at every step, bit for bit
+        res = run_closed_loop(case_c.traj, duration=0.5, perturb_pos=offset)
+        states, inputs, control = reference_vertical_flight(case_c.traj, 500, offset)
+        assert np.array_equal(res.state_log.states, states)
+        assert np.array_equal(res.state_log.inputs, inputs)
+        assert np.array_equal(res.control_rows, control)
 
     def test_unknown_model(self):
         traj = constant_trajectory([0, 0, 0], T=1.0)
