@@ -14,23 +14,18 @@ with sign, and the deflection torque combines a velocity-induced and a
 flapping-induced gain on each axis.  sgn(0) is taken as 0 everywhere so that
 rest states are exact equilibria.
 
-Each model has one implementation, a scalar right-hand side on the flat
-state vector (``full_rhs``: 16 floats, ``vertical_rhs``: 8) returning a
-tuple of floats.  The state and input dataclasses are views at the API
-boundary: the right-hand sides take a view or a flat vector and convert once
-on entry, and the public force/torque primitives evaluate the same scalar
-terms.  Integration is classical fixed-step RK4; the full model steps
-``rk4_flat`` on lists of floats and renormalizes the quaternion after each.
-
-The vertical-frame equations are written once, in ``_vertical_law``, on
-floats whose inputs are already checked; ``vertical_rhs`` parses and checks
-its arguments and calls it.  Its RK4 step is written once too, in
-``_vertical_steps``: ``rk4_flat`` on ``vertical_rhs`` unrolled on scalars
-over a block of steps, with every floating-point operation kept in order,
-so all drivers log ``rk4_flat``'s states bit for bit.  Inputs are checked
-where they change, not at every stage (stage lists and those checks were
-most of a step's cost): the replay checks its table a block at a time, the
-closed loop its held input once per tick, ``simulate_vertical`` each step's.
+Each model's equations are written once, on floats whose arguments are
+already checked: ``_full_law`` and ``_vertical_law``.  The right-hand sides
+``full_rhs`` and ``vertical_rhs`` take a state view or a flat vector, check
+it and call them; the public force/torque primitives evaluate the same scalar
+terms.  Each model's RK4 step is written once too, over a block of steps:
+``_full_steps`` (the quaternion projected onto the unit sphere after each
+step) and ``_vertical_steps``.  Both keep ``rk4_flat``'s floating-point
+operation order, so every driver logs ``rk4_flat``'s states bit for bit.
+Inputs are checked where they change, not at every stage: the replay checks
+its table a block at a time, the closed loop its held input once per tick,
+``simulate_full`` and ``simulate_vertical`` each step's.  The full model's
+stage states keep ``full_rhs``'s state checks.
 """
 
 from __future__ import annotations
@@ -101,15 +96,20 @@ class FwavParams:
     def hover_frequency(self) -> float:
         return math.sqrt(self.m * self.g / self.k_tf)
 
-    def inertia(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """J and J^-1 as row-major 9-tuples.  The inverse is recomputed only
-        when the entries of J change, so an edited J is honoured."""
+    def _constants(self) -> tuple:
+        """What the full model's law reads, in one tuple: m, g, k_tf, the drag,
+        deflection and flapping-torque gains per axis, the three actuator time
+        constants, and J and J^-1 as row-major 9-tuples.  J^-1 is recomputed
+        only when the entries of J change, so an edited J is honoured."""
         j = np.asarray(self.J, dtype=float)
         key = j.tobytes()
         if key != self._inertia[0]:
             inv = np.linalg.inv(j)
             self._inertia = (key, tuple(j.ravel().tolist()), tuple(inv.ravel().tolist()))
-        return self._inertia[1:]
+        return (self.m, self.g, self.k_tf, (self.k_d_x, self.k_d_y, self.k_d_z),
+                (self.k_tau_x, self.k_tau_y, self.k_tau_z),
+                (self.k_flap_x, self.k_flap_y, self.k_flap_z), self.k_flap_c, self.k_rud_c,
+                self.k_ele_c, *self._inertia[1:])
 
 
 @dataclass
@@ -224,6 +224,9 @@ class ActuatorCommands:
     theta_rud_c: float = 0.0
     theta_ele_c: float = 0.0
 
+    def __iter__(self):
+        return iter((self.f_flap_c, self.theta_rud_c, self.theta_ele_c))
+
 
 # ---------------------------------------------------------------------------
 # scalar terms, shared by the right-hand sides and the public primitives;
@@ -240,8 +243,8 @@ def _floats(state, view):
 
 def _attitude(qw, qx, qy, qz, vx, vy, vz):
     """Normalized quaternion, row-major R(q) (body to inertial) and body
-    velocity R^T v.  RK4 stage states carry small quaternion drift, so the
-    model is always evaluated on the unit sphere."""
+    velocity R^T v, as one flat 16-tuple.  RK4 stage states carry small
+    quaternion drift, so the model is always evaluated on the unit sphere."""
     n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     if n == 0.0:
         raise InvalidInputError("cannot normalize a zero quaternion")
@@ -253,29 +256,26 @@ def _attitude(qw, qx, qy, qz, vx, vy, vz):
     r10, r11, r12 = 2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)
     r20, r21, r22 = 2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)
     return (
-        (qw, qx, qy, qz),
-        (r00, r01, r02, r10, r11, r12, r20, r21, r22),
-        (r00 * vx + r10 * vy + r20 * vz, r01 * vx + r11 * vy + r21 * vz,
-         r02 * vx + r12 * vy + r22 * vz),
+        qw, qx, qy, qz, r00, r01, r02, r10, r11, r12, r20, r21, r22,
+        r00 * vx + r10 * vy + r20 * vz, r01 * vx + r11 * vy + r21 * vz,
+        r02 * vx + r12 * vy + r22 * vz,
     )
 
 
-def _drag(params, ux, uy, uz):
-    """Body-frame drag -k_d,i sgn(u_i) u_i^2."""
-    return (
-        -params.k_d_x * (ux * abs(ux)),
-        -params.k_d_y * (uy * abs(uy)),
-        -params.k_d_z * (uz * abs(uz)),
-    )
+def _drag(c, ux, uy, uz):
+    """Body-frame drag -k_d,i sgn(u_i) u_i^2; ``c`` is FwavParams._constants()."""
+    k_x, k_y, k_z = c[3]
+    return -k_x * (ux * abs(ux)), -k_y * (uy * abs(uy)), -k_z * (uz * abs(uz))
 
 
-def _deflection(params, ux, uz, f2, theta_rud, theta_ele):
+def _deflection(c, ux, uz, f2, theta_rud, theta_ele):
     """Body-frame deflection torque; see deflection_torque."""
     sv = 0.0 if uz == 0.0 else math.copysign(ux * ux, uz)
+    (t_x, t_y, t_z), (f_x, f_y, f_z) = c[4], c[5]
     return (
-        -(params.k_tau_x * sv + params.k_flap_x * f2) * theta_rud,
-        -(params.k_tau_y * sv + params.k_flap_y * f2) * theta_ele,
-        -(params.k_tau_z * sv + params.k_flap_z * f2) * theta_rud,
+        -(t_x * sv + f_x * f2) * theta_rud,
+        -(t_y * sv + f_y * f2) * theta_ele,
+        -(t_z * sv + f_z * f2) * theta_rud,
     )
 
 
@@ -293,7 +293,7 @@ def thrust_magnitude(f_flap: float, params: FwavParams | VerticalParams) -> floa
 
 def body_drag(v_body: np.ndarray, params: FwavParams) -> np.ndarray:
     """Componentwise quadratic drag -k_d,i sgn(v_i) v_i^2 in the body frame."""
-    return np.array(_drag(params, *np.asarray(v_body, dtype=float).tolist()))
+    return np.array(_drag(params._constants(), *np.asarray(v_body, dtype=float).tolist()))
 
 
 def deflection_torque(state: FwavState, params: FwavParams) -> np.ndarray:
@@ -304,13 +304,17 @@ def deflection_torque(state: FwavState, params: FwavParams) -> np.ndarray:
     by the elevator.
     """
     y = _floats(state, FwavState)
-    _, _, (ux, _, uz) = _attitude(*y[6:10], *y[3:6])
-    return np.array(_deflection(params, ux, uz, y[13] * y[13], y[14], y[15]))
+    ux, _, uz = _attitude(*y[6:10], *y[3:6])[13:]
+    return np.array(_deflection(params._constants(), ux, uz, y[13] * y[13], y[14], y[15]))
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
+
+
+_NON_UNIT_GAMMA = "reduced attitude input must be unit norm"
+_NEGATIVE_FLAP = "flapping frequency must be non-negative"
 
 
 def full_rhs(state, cmd, params: FwavParams) -> tuple[float, ...]:
@@ -323,29 +327,40 @@ def full_rhs(state, cmd, params: FwavParams) -> tuple[float, ...]:
     for a non-finite state.
     """
     y = state if isinstance(state, (list, tuple)) else _floats(state, FwavState)
-    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, f, theta_rud, theta_ele = y
-    if isinstance(cmd, ActuatorCommands):
-        f_c, rud_c, ele_c = cmd.f_flap_c, cmd.theta_rud_c, cmd.theta_ele_c
-    else:
-        f_c, rud_c, ele_c = cmd
-    if f < 0:
-        raise InvalidInputError("flapping frequency must be non-negative")
-    if not all(map(math.isfinite, y)):
+    f_c, rud_c, ele_c = cmd
+    if _stage_stops(y):
         raise PropagationError("non-finite state", step=-1)
+    return _full_law(params._constants(), y, (f_c, rud_c, ele_c))
 
-    (qw, qx, qy, qz), r, (ux, uy, uz) = _attitude(qw, qx, qy, qz, vx, vy, vz)
+
+def _stage_stops(y) -> bool:
+    """``full_rhs``'s state checks, in its order, on a flat state: raises for a
+    negative flapping frequency, and is True if an entry is non-finite."""
+    if y[13] < 0:
+        raise InvalidInputError(_NEGATIVE_FLAP)
+    # a finite sum has only finite terms; an overflowing one is rechecked
+    return not math.isfinite(sum(y)) and not all(map(math.isfinite, y))
+
+
+def _full_law(c, y, u):
+    """The full-model equations on the floats of a checked flat state y under the
+    command row u = (f_flap_c, theta_rud_c, theta_ele_c), ``c`` from
+    ``FwavParams._constants``; no row reads the position."""
+    m, g, k_tf, _, _, _, k_flap_c, k_rud_c, k_ele_c, j, jinv = c
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, f, theta_rud, theta_ele = y
+    f_c, rud_c, ele_c = u
+    qw, qx, qy, qz, r00, r01, r02, r10, r11, r12, r20, r21, r22, ux, uy, uz = _attitude(
+        qw, qx, qy, qz, vx, vy, vz)
     f2 = f * f
-    fx, fy, fz = _drag(params, ux, uy, uz)
-    fz += params.k_tf * f2
-    m = params.m
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    fx, fy, fz = _drag(c, ux, uy, uz)
+    fz += k_tf * f2
 
     # omega_dot = J^-1 (tau - omega x J omega)
-    (j00, j01, j02, j10, j11, j12, j20, j21, j22), jinv = params.inertia()
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = j
     hx = j00 * wx + j01 * wy + j02 * wz
     hy = j10 * wx + j11 * wy + j12 * wz
     hz = j20 * wx + j21 * wy + j22 * wz
-    tx, ty, tz = _deflection(params, ux, uz, f2, theta_rud, theta_ele)
+    tx, ty, tz = _deflection(c, ux, uz, f2, theta_rud, theta_ele)
     tx -= wy * hz - wz * hy
     ty -= wz * hx - wx * hz
     tz -= wx * hy - wy * hx
@@ -355,7 +370,7 @@ def full_rhs(state, cmd, params: FwavParams) -> tuple[float, ...]:
         vx, vy, vz,
         (r00 * fx + r01 * fy + r02 * fz) / m,
         (r10 * fx + r11 * fy + r12 * fz) / m,
-        (r20 * fx + r21 * fy + r22 * fz) / m - params.g,
+        (r20 * fx + r21 * fy + r22 * fz) / m - g,
         # q_dot = q (x) (0, omega) / 2
         -0.5 * (qx * wx + qy * wy + qz * wz),
         0.5 * (qw * wx + qy * wz - qz * wy),
@@ -364,14 +379,10 @@ def full_rhs(state, cmd, params: FwavParams) -> tuple[float, ...]:
         i00 * tx + i01 * ty + i02 * tz,
         i10 * tx + i11 * ty + i12 * tz,
         i20 * tx + i21 * ty + i22 * tz,
-        (f_c - f) / params.k_flap_c,
-        (rud_c - theta_rud) / params.k_rud_c,
-        (ele_c - theta_ele) / params.k_ele_c,
+        (f_c - f) / k_flap_c,
+        (rud_c - theta_rud) / k_rud_c,
+        (ele_c - theta_ele) / k_ele_c,
     )
-
-
-_NON_UNIT_GAMMA = "reduced attitude input must be unit norm"
-_NEGATIVE_FLAP = "flapping frequency must be non-negative"
 
 
 def vertical_rhs(
@@ -507,6 +518,52 @@ def _vertical_steps(params, explicit, y, rows, dt, states, k0, first=None, radiu
     return y, k, False
 
 
+def _full_steps(params, y, rows, dt, states, k0, first=None, radius=math.inf):
+    """``rk4_flat`` on ``full_rhs``, the quaternion projected onto the unit sphere
+    after each step: n steps from the flat state y at row k0 over 2n + 1 half-step
+    command rows, ``first`` the derivative at y and rows[0] if known.  Stages keep
+    ``full_rhs``'s checks; a non-finite one stops the run before its step is
+    logged, a non-finite state or a position norm beyond ``radius`` after.  Writes
+    rows k0 + 1.. of ``states``; returns the last logged state, its row and the
+    row the run stopped at or None."""
+    c, h, c6, isfinite, sqrt = params._constants(), 0.5 * dt, dt / 6.0, math.isfinite, math.sqrt
+    k, last = k0, k0 + len(rows) // 2
+    if first is None and _stage_stops(y):
+        return y, k, k + 1
+    d1 = first or _full_law(c, y, rows[0])
+    for k, um, u1 in zip(range(k0 + 1, last + 1), rows[1::2], rows[2::2]):
+        d2 = _full_stage(c, y, h, d1, um)
+        d3 = d2 and _full_stage(c, y, h, d2, um)
+        d4 = d3 and _full_stage(c, y, dt, d3, u1)
+        if d4 is None:
+            return y, k - 1, k
+        y = [a + c6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, d1, d2, d3, d4)]
+        n = sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8] + y[9] * y[9])
+        if n > 0:
+            y[6:10] = y[6] / n, y[7] / n, y[8] / n, y[9] / n
+        states[k] = y
+        if (sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) > radius
+                or not isfinite(sum(y)) and not all(map(isfinite, y))):
+            return y, k, k
+        if k < last:
+            if y[13] < 0:
+                raise InvalidInputError(_NEGATIVE_FLAP)
+            d1 = _full_law(c, y, u1)
+    return y, k, None
+
+
+def _full_stage(c, y, h, d, u):
+    """The derivative at the RK4 stage state y + h d under the command row u, or
+    None if that state is not finite; ``full_rhs``'s checks, unrolled on floats."""
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, f, ru, el = y
+    dpx, dpy, dpz, ax, ay, az, dqw, dqx, dqy, dqz, dwx, dwy, dwz, df, dru, dele = d
+    s = (px + h * dpx, py + h * dpy, pz + h * dpz, vx + h * ax, vy + h * ay, vz + h * az,
+         qw + h * dqw, qx + h * dqx, qy + h * dqy, qz + h * dqz, wx + h * dwx, wy + h * dwy,
+         wz + h * dwz, f + h * df, ru + h * dru, el + h * dele)
+    return None if _stage_stops(s) else _full_law(c, s, u)
+
+
 def _stage_times(k: int, dt: float) -> tuple[float, float, float]:
     """Start, midpoint and end times of step k."""
     t = k * dt
@@ -517,35 +574,6 @@ def _step_count(dt: float, duration: float) -> int:
     if dt <= 0 or duration < dt:
         raise InvalidInputError("need dt > 0 and duration >= dt")
     return int(round(duration / dt))
-
-
-def _integrate_flat(rhs, args, y0, dt, n_steps, stage_inputs, post_step=None):
-    """Fixed-step RK4 of rhs(y, u, *args) from t = 0, logging every step.
-
-    ``stage_inputs(k)`` gives the (start, midpoint, end) inputs of step k;
-    ``post_step`` may project the state in place after each step.
-    """
-    y = [float(v) for v in y0]
-    states = np.empty((n_steps + 1, len(y)))
-    states[0] = y
-    for k in range(n_steps):
-        try:
-            y = rk4_flat(rhs, y, dt, *stage_inputs(k), *args)
-        except PropagationError as err:
-            raise PropagationError("integration produced non-finite state", step=k + 1) from err
-        if post_step is not None:
-            post_step(y)
-        if not all(map(math.isfinite, y)):
-            raise PropagationError("integration produced non-finite state", step=k + 1)
-        states[k + 1] = y
-    return np.arange(n_steps + 1) * dt, states
-
-
-def _renormalize_quat(y: list) -> None:
-    """Project the quaternion of a flat full state onto the unit sphere."""
-    n = math.sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8] + y[9] * y[9])
-    if n > 0:
-        y[6:10] = [v / n for v in y[6:10]]
 
 
 @dataclass
@@ -599,11 +627,15 @@ def simulate_full(
 ) -> FullLog:
     """Integrate the full model under a commanded actuator schedule."""
 
-    t, states = _integrate_flat(
-        full_rhs, (params,), _floats(state0, FwavState), dt, _step_count(dt, duration),
-        lambda k: tuple(map(commands, _stage_times(k, dt))), _renormalize_quat,
-    )
-    return FullLog(t, states)
+    n_steps = _step_count(dt, duration)
+    states = np.empty((n_steps + 1, 16))
+    states[0] = y = [float(v) for v in _floats(state0, FwavState)]
+    for k in range(n_steps):
+        rows = [(f, rud, ele) for f, rud, ele in map(commands, _stage_times(k, dt))]
+        y, _, stop = _full_steps(params, y, rows, dt, states, k)
+        if stop is not None:
+            raise PropagationError("integration produced non-finite state", step=k + 1)
+    return FullLog(np.arange(n_steps + 1) * dt, states)
 
 
 def simulate_vertical(
@@ -614,20 +646,24 @@ def simulate_vertical(
     dt: float = 1e-3,
     duration: float = 1.0,
 ) -> VerticalLog:
-    """Integrate the vertical-frame model under a reduced-attitude schedule."""
+    """Integrate the vertical-frame model under a reduced-attitude schedule,
+    read at each step's start, midpoint and end and at the last logged time."""
 
     n_steps = _step_count(dt, duration)
     states = np.empty((n_steps + 1, 8))
     states[0] = y = [float(v) for v in _floats(state0, VerticalState)]
+    applied = []
     for k in range(n_steps):
-        rows = [_input_row(u) for u in tuple(map(inputs, _stage_times(k, dt)))]
+        u = tuple(map(inputs, _stage_times(k, dt)))
+        rows = [_input_row(v) for v in u]
         explicit = _explicit_rudder(rudder_mode)  # after the input checks, as in vertical_rhs
         y, _, stopped = _vertical_steps(params, explicit, y, rows, dt, states, k)
         if stopped:
             raise PropagationError("integration produced non-finite state", step=k + 1)
+        applied.append([*u[0].gamma, u[0].f_flap])  # the step's start is a logged time
     t = np.arange(n_steps + 1) * dt
-    applied = np.array([[*u.gamma, u.f_flap] for u in map(inputs, t)])
-    return VerticalLog(t, states, applied)
+    u = inputs(t[-1])
+    return VerticalLog(t, states, np.array(applied + [[*u.gamma, u.f_flap]]))
 
 
 _TABLE_BLOCK = 1024  # steps of the input table checked at once

@@ -28,6 +28,14 @@ from .trajectory import ObjectiveWeights
 _REPEATED_KEYS = {"sphere", "cylinder_x", "waypoint"}
 
 
+class _Repeated(list):
+    """The values of a repeated key in file order, with the line of each."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines: list[int] = []
+
+
 def parse_kv(text: str) -> dict:
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -42,7 +50,8 @@ def parse_kv(text: str) -> dict:
         except json.JSONDecodeError:
             parsed = value
         if key in _REPEATED_KEYS:
-            out.setdefault(key, []).append(parsed)
+            out.setdefault(key, _Repeated()).append(parsed)
+            out[key].lines.append(lineno)
         elif key in out:
             raise InvalidInputError(f"line {lineno}: duplicate key {key!r}")
         else:
@@ -204,6 +213,12 @@ _SCENARIO_KEYS = {
 }
 
 
+def _numbered(data: dict, key: str):
+    """(line, value) of each value of a repeated key; 0 for a plain list's."""
+    values = data.get(key, [])
+    return zip(getattr(values, "lines", [0] * len(values)), values)
+
+
 def scenario_from_dict(data: dict):
     _check_keys(data, "scenario", _SCENARIO_KEYS)
     boundary = BoundaryConditions(
@@ -217,13 +232,11 @@ def scenario_from_dict(data: dict):
     waypoints = [
         Waypoint(int(w[0]), float(w[1]), w[2:5]) for w in data.get("waypoint", [])
     ]
-    obstacles: list = [
-        Sphere(center=s[0:3], radius=float(s[3])) for s in data.get("sphere", [])
-    ]
-    obstacles += [
-        CylinderX(center_yz=c[0:2], radius=float(c[2]))
-        for c in data.get("cylinder_x", [])
-    ]
+    # mixed obstacle lines keep their file order; plain lists put spheres first
+    shapes = [(n, Sphere(center=s[0:3], radius=float(s[3]))) for n, s in _numbered(data, "sphere")]
+    shapes += [(n, CylinderX(center_yz=c[0:2], radius=float(c[2])))
+               for n, c in _numbered(data, "cylinder_x")]
+    obstacles = [ob for _, ob in sorted(shapes, key=lambda pair: pair[0])]
     cons = ConstraintSet(
         boundary=boundary,
         waypoints=waypoints,

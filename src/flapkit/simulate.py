@@ -49,9 +49,9 @@ from .dynamics import (
     VerticalState,
     full_rhs,
     rk4_flat,
+    _full_steps,
     _stage_times,
     vertical_rhs,
-    _renormalize_quat,
     _vertical_steps,
     _write_csv,
 )
@@ -210,17 +210,11 @@ class _FullPlant:
         return out.f_flap_cmd, polarity * out.theta_rud_cmd, polarity * out.theta_ele_cmd
 
     def advance(self, y, u, dt, states, k, n, radius):
-        for k in range(k + 1, k + n + 1):
-            try:
-                y = rk4_flat(full_rhs, y, dt, u, u, u, self.params)
-            except PropagationError:
-                return y, k - 1, k  # a non-finite stage: step k is not logged
-            _renormalize_quat(y)
-            states[k] = y
-            if math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) > radius or not all(
-                    map(math.isfinite, y)):
-                return y, k, k
-        return y, k, None
+        try:
+            first = full_rhs(y, u, self.params)  # checks the held input once
+        except PropagationError:
+            return y, k, k + 1  # a non-finite stage: step k + 1 is not logged
+        return _full_steps(self.params, y, [u] * (2 * n + 1), dt, states, k, first, radius)
 
     def log(self, t, states, applied):
         return FullLog(t, states)

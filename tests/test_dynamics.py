@@ -18,7 +18,7 @@ from flapkit.dynamics import (
     full_rhs,
     hover_state,
     _explicit_rudder,
-    _integrate_flat,
+    _full_steps,
     integrate_vertical_tabulated,
     matched_vertical_params,
     rk4_flat,
@@ -170,10 +170,13 @@ class TestVerticalRhs:
 
 class TestIntegrate:
     def test_zero_field_constant_state(self):
-        t, y = _integrate_flat(lambda y, u: [0.0] * len(y), (), [1.0, -2.0], 0.01, 50,
-                               lambda k: (None, None, None))
-        assert np.allclose(y, [1.0, -2.0])
-        assert t[-1] == pytest.approx(0.5)
+        # level hover with thrust exactly m g (k_tf = m = 1, g = 4, f = 2) at rest:
+        # every derivative is zero, so every logged state is the start state
+        p = FwavParams(m=1.0, g=4.0, k_tf=1.0)
+        state0 = FwavState(p=np.array([1.0, -2.0, 0.5]), f_flap=2.0)
+        log = simulate_full(state0, p, lambda t: ActuatorCommands(2.0), dt=0.01, duration=0.5)
+        assert np.array_equal(log.states, np.tile(state0.as_vector(), (51, 1)))
+        assert log.t[-1] == pytest.approx(0.5)
 
     def test_free_fall_exact(self):
         # drag off: the velocity field is linear in t, so RK4 is exact
@@ -181,6 +184,34 @@ class TestIntegrate:
         log = simulate_full(FwavState(), p, lambda t: ActuatorCommands(),
                             dt=1e-3, duration=1.0)
         assert log.states[-1, 5] == pytest.approx(-p.g, abs=1e-9)
+        assert log.states[-1, 2] == pytest.approx(-p.g / 2, abs=1e-9)
+
+    def test_simulate_vertical_reads_each_input_once(self, vparams):
+        # inputs is read at each step's start, midpoint and end, and once more
+        # for the last logged row: 3n + 1 calls, and the log is the one of
+        # rk4_flat over vertical_rhs with the inputs read again at every logged time
+        calls = []
+
+        def inputs(t):
+            calls.append(t)
+            a = 0.1 * math.sin(7.0 * t)
+            return VerticalInputs([math.sin(a), 0.0, math.cos(a)],
+                                  vparams.hover_frequency + math.cos(5.0 * t))
+
+        n, dt = 40, 1e-3
+        state0 = VerticalState(vv=np.array([0.3, 0.0, 0.1]), omega_psi=0.2)
+        log = simulate_vertical(state0, vparams, inputs, dt=dt, duration=n * dt)
+        assert len(calls) == 3 * n + 1
+
+        states = [state0.as_vector().tolist()]
+        for k in range(n):
+            u = [inputs(t) for t in (k * dt, k * dt + 0.5 * dt, k * dt + dt)]
+            states.append(rk4_flat(vertical_rhs, states[-1], dt, *u, vparams))
+        t = np.arange(n + 1) * dt
+        applied = [[*u.gamma, u.f_flap] for u in map(inputs, t)]
+        assert np.array_equal(log.t, t)
+        assert np.array_equal(log.states, states)
+        assert np.array_equal(log.inputs, applied)
 
     def test_richardson_fourth_order(self, params):
         # smooth regime: body-velocity components stay positive so every
@@ -670,6 +701,100 @@ class TestVerticalSteps:
         assert list(y) == want[last]
         assert np.array_equal(states[: last + 1], np.array(want[: last + 1]))
         assert np.isnan(states[last + 1 :]).all()
+
+
+def parent_full_steps(params, y0, rows, dt, radius):
+    """The full model's block of steps as first written: ``rk4_flat`` on ``full_rhs`` per
+    step, then the quaternion projected onto the unit sphere.  Returns the logged states,
+    the step the run stopped at (or None) and why: "stage" for a non-finite stage (the
+    step is not logged), "state" for a non-finite state or one beyond ``radius`` (it is)
+    and "invalid" for an InvalidInputError."""
+    want = [list(y0)]
+    for k in range(1, len(rows) // 2 + 1):
+        try:
+            y = rk4_flat(full_rhs, want[-1], dt, *rows[2 * k - 2 : 2 * k + 1], params)
+        except PropagationError:
+            return want, k, "stage"
+        except InvalidInputError:
+            return want, k, "invalid"
+        n = math.sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8] + y[9] * y[9])
+        if n > 0:
+            y[6:10] = [v / n for v in y[6:10]]
+        want.append(y)
+        if math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) > radius or not all(
+                map(math.isfinite, y)):
+            return want, k, "state"
+    return want, None, None
+
+
+def bits(rows) -> np.ndarray:
+    return np.array(rows, dtype=float).view(np.int64)
+
+
+moderate_state = st.tuples(
+    st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+    st.tuples(component, component, component),
+    quaternion,
+    st.tuples(component, component, component),
+    st.floats(0.0, 30.0),
+    st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+).map(lambda s: [*s[0], *s[1], *s[2], *s[3], s[4], *s[5]])
+
+
+@st.composite
+def full_state(draw):
+    """A flat full state; in half of them one position, velocity or rate is
+    large enough that a stage or a step overflows."""
+    y = draw(moderate_state)
+    if draw(st.booleans()):
+        y[draw(st.sampled_from([0, 1, 2, 3, 4, 5, 10, 11, 12]))] = draw(
+            st.sampled_from([1e6, -1e6, 3e154, -1e200, 1.7e308]))
+    return y
+
+
+# negative commanded frequencies drive stage frequencies below zero; NaN poisons a stage
+command_row = st.tuples(
+    st.one_of(st.floats(0.0, 30.0), st.floats(-300.0, 0.0), st.just(math.nan)),
+    st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+)
+
+
+@st.composite
+def command_rows(draw):
+    """2n + 1 half-step command rows of n steps, held or varying."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return [draw(command_row)] * (2 * n + 1)
+    return draw(st.lists(command_row, min_size=2 * n + 1, max_size=2 * n + 1))
+
+
+class TestFullSteps:
+    @HYPOTHESIS
+    @given(
+        y0=full_state(),
+        rows=command_rows(),
+        dt=st.sampled_from([1e-4, 1e-3, 5e-3]),
+        given_first=st.booleans(),
+        radius=st.one_of(st.just(math.inf), st.floats(0.0, 6.0)),
+        margin=st.one_of(st.none(), st.floats(0.0, 0.01)),
+    )
+    def test_equals_rk4_flat_bit_for_bit(self, y0, rows, dt, given_first, radius, margin):
+        params = FwavParams()
+        if margin is not None:  # a radius the flight may cross after a few steps
+            radius = math.sqrt(y0[0] * y0[0] + y0[1] * y0[1] + y0[2] * y0[2]) + margin
+        want, stop, why = parent_full_steps(params, y0, rows, dt, radius)
+        states = np.full((len(rows) // 2 + 1, 16), np.nan)
+        states[0] = y0
+        first = full_rhs(y0, rows[0], params) if given_first else None
+        if why == "invalid":
+            with pytest.raises(InvalidInputError):
+                _full_steps(params, y0, rows, dt, states, 0, first, radius)
+        else:
+            y, k, got = _full_steps(params, y0, rows, dt, states, 0, first, radius)
+            assert (k, got) == (len(want) - 1, stop)
+            assert np.array_equal(bits(y), bits(want[-1]))
+        assert np.array_equal(bits(states[: len(want)]), bits(want))
+        assert np.isnan(states[len(want):]).all()
 
 
 class TestInertia:

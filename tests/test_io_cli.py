@@ -39,6 +39,15 @@ class TestKvFormat:
         data = kvio.parse_kv("sphere = [0,0,0,1]\nsphere = [1,1,1,0.5]\n")
         assert len(data["sphere"]) == 2
 
+    def test_mixed_obstacles_keep_file_order(self):
+        text = "cylinder_x = [0, 1, 0.5]\nsphere = [0, 0, 0, 1]\ncylinder_x = [2, 2, 0.1]\n"
+        cons, _, _ = kvio.scenario_from_dict(kvio.parse_kv(text))
+        assert [type(ob) for ob in cons.obstacles] == [CylinderX, Sphere, CylinderX]
+        assert [ob.radius for ob in cons.obstacles] == [0.5, 1.0, 0.1]
+        # a dict built by hand has no lines: spheres come first
+        cons, _, _ = kvio.scenario_from_dict({"cylinder_x": [[0, 1, 0.5]], "sphere": [[0, 0, 0, 1]]})
+        assert [type(ob) for ob in cons.obstacles] == [Sphere, CylinderX]
+
     def test_duplicate_scalar_key_rejected(self):
         with pytest.raises(InvalidInputError):
             kvio.parse_kv("m = 1\nm = 2\n")
@@ -255,12 +264,11 @@ class TestScenarioFiles:
             Waypoint(data.draw(st.integers(0, segments - 1)), data.draw(FINITE), data.draw(VECTOR))
             for _ in range(data.draw(st.integers(0, 3)))
         ]
-        # the file lists spheres before cylinders, so draw them in that order
-        obstacles = [Sphere(data.draw(VECTOR), data.draw(POSITIVE))
-                     for _ in range(data.draw(st.integers(0, 2)))]
-        obstacles += [CylinderX(data.draw(st.lists(FINITE, min_size=2, max_size=2)),
-                                data.draw(POSITIVE))
-                      for _ in range(data.draw(st.integers(0, 2)))]
+        # spheres and cylinders in any order: the file keeps it
+        obstacles = data.draw(st.lists(st.one_of(
+            st.builds(Sphere, VECTOR, POSITIVE),
+            st.builds(CylinderX, st.lists(FINITE, min_size=2, max_size=2), POSITIVE),
+        ), max_size=4))
         limits = data.draw(st.lists(POSITIVE, min_size=4, max_size=4))
         cons = ConstraintSet(
             boundary=boundary, waypoints=waypoints, obstacles=obstacles,

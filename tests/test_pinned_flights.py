@@ -9,11 +9,20 @@ The table was printed by
 
 run in a checkout of that commit: it plans both cases, flies them, and
 prints ``record()``.
+
+The same command then prints ``record_digests()``: the sha256 of the state
+and control logs of four full-model flights and of one ``simulate_full``
+run, recorded at commit b06346b, where the full plant stepped ``rk4_flat``
+on ``full_rhs``.  These are exact pins, not tolerances.
 """
+
+import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from flapkit.dynamics import ActuatorCommands, FwavParams, hover_state, simulate_full
 from flapkit.simulate import run_closed_loop
 
 TOL = 1e-9
@@ -46,6 +55,49 @@ def record() -> dict:
         cons, opts, weights = case_library(case)
         traj, _ = plan(cons, weights, opts)
         out[key] = summary(run_closed_loop(traj, model=model, perturb_pos=offset))
+    return out
+
+
+# Full-model logs pinned exactly, by the sha256 of their float64 bytes: any
+# drift of the full plant or of its integrator, down to one bit, fails them.
+# (case, start offset) of each closed-loop flight at the defaults
+FULL_FLIGHTS = {
+    "line": ("line", (0.0, 0.0, 0.0)),
+    "line_perturbed": ("line", (0.0, 0.0, 0.02)),
+    "a": ("a", (0.0, 0.0, 0.0)),
+    "a_perturbed": ("a", (0.0, 0.0, -0.03)),
+}
+
+
+def digest(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
+
+
+def flight_digests(result) -> dict:
+    return {"states": digest(result.state_log.states), "control": digest(result.control_rows)}
+
+
+def varying_commands(t: float) -> ActuatorCommands:
+    """A flapping-frequency and deflection schedule that moves every stage."""
+    f0 = FwavParams().hover_frequency
+    return ActuatorCommands(f0 * (1.0 + 0.05 * math.sin(5.0 * t)), 0.02 * math.sin(3.0 * t),
+                            -0.03 * math.cos(4.0 * t))
+
+
+def simulate_varying():
+    params = FwavParams()
+    return simulate_full(hover_state(params), params, varying_commands, dt=1e-3, duration=0.5)
+
+
+def record_digests() -> dict:
+    from flapkit.planning import case_library, plan
+
+    out = {}
+    for key, (case, offset) in FULL_FLIGHTS.items():
+        cons, opts, weights = case_library(case)
+        traj, _ = plan(cons, weights, opts)
+        out[key] = flight_digests(run_closed_loop(traj, model="full", perturb_pos=offset))
+    out["simulate_full_varying"] = {"states": digest(simulate_varying().states)}
     return out
 
 
@@ -113,7 +165,42 @@ def test_flight_matches_recorded_values(request, key):
         np.testing.assert_allclose(got[field], want[field], rtol=0.0, atol=TOL, err_msg=field)
 
 
+DIGESTS = {
+    "a": {
+        "control": "78dfded4af354a4ce4722675f86b96a48d1e2a0bc901e80f7aa23ce9961efdff",
+        "states": "2aae27f5694005b2b903c24ae419ff120ae5e37cc15c7228c94ecff7ab97c35d",
+    },
+    "a_perturbed": {
+        "control": "00576017c7137e395f89383de05696c93fb1a1258e7a94b5fbaad68bf8b4fd07",
+        "states": "98e1ee941b0b6d9435666026f5bf2405e0f36dc8cb7f4e8c3598a000bc2f44f4",
+    },
+    "line": {
+        "control": "ddb5039d58f778c2101620c203aa2378b74a58d332f49fecb7c2dd75dc35d42c",
+        "states": "a755bd87043948f896f0be5ecbea771e97722699bef34c9b0577e7a50e4ba0aa",
+    },
+    "line_perturbed": {
+        "control": "f5e4c7d02e9891302fcf121d6d2a2ed2843a2e61ae2ce256df919a01fa97fa39",
+        "states": "ed88f8121bc97650f8b21326f24a8c278fdd9c81f22d9c933cdef5adc0cb78a5",
+    },
+    "simulate_full_varying": {
+        "states": "2c77c103fdeb9d789e9429ef4f68482b1c7dd165a9021b065850c263ffc2d9f2",
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(FULL_FLIGHTS))
+def test_full_flight_logs_match_recorded_digests(request, key):
+    case, offset = FULL_FLIGHTS[key]
+    traj = request.getfixturevalue(f"case_{case}").traj
+    assert flight_digests(run_closed_loop(traj, model="full", perturb_pos=offset)) == DIGESTS[key]
+
+
+def test_simulate_full_log_matches_recorded_digest():
+    assert {"states": digest(simulate_varying().states)} == DIGESTS["simulate_full_varying"]
+
+
 if __name__ == "__main__":
     import pprint
 
     pprint.pprint(record(), width=100)
+    pprint.pprint(record_digests(), width=100)

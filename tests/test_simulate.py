@@ -5,12 +5,15 @@ import pytest
 
 import flapkit.dynamics
 import flapkit.simulate
-from flapkit.attitude import rotz, wrap_angle
+from flapkit.attitude import UnitQuaternion, rotz, wrap_angle
 from flapkit.control import ControllerGains, TrackingController
 from flapkit.dynamics import (
+    FwavParams,
+    FwavState,
     VerticalInputs,
     VerticalParams,
     VerticalState,
+    full_rhs,
     rk4_flat,
     simulate_vertical,
     vertical_rhs,
@@ -61,6 +64,33 @@ def reference_vertical_flight(traj, n_steps, offset, dt=1e-3, n_sub=10):
     return np.array(states), np.array(applied)[:, 0:4], np.array(control)
 
 
+def reference_full_flight(traj, offset, dt=1e-3, n_sub=10):
+    """The full-model closed loop at its defaults, stepped one RK4 step at a
+    time by ``rk4_flat`` over ``full_rhs`` with the quaternion projected onto
+    the unit sphere after each step: state log and controller log."""
+    fparams = FwavParams()
+    psi0 = initial_heading(traj)
+    controller = TrackingController(ControllerGains(), VerticalParams(), initial_psi_d=psi0)
+    plant = flapkit.simulate._FullPlant(fparams)
+    q0 = UnitQuaternion(math.cos(psi0 / 2), np.array([0.0, 0.0, math.sin(psi0 / 2)]))
+    y = FwavState(p=traj.eval(0.0) + offset, v=traj.eval(0.0, 1), q=q0,
+                  f_flap=fparams.hover_frequency).as_vector().tolist()
+    u, states, control = plant.hold, [y], []
+    for k in range(int(round(traj.duration / dt))):
+        if k % n_sub == 0:
+            t = k * dt
+            out = controller.update(traj.eval(t).tolist(), traj.eval(t, 1).tolist(),
+                                    plant.measure(y, u))
+            u = plant.inputs(out)
+            control.append(out.log_row(t)[1:])
+        y = rk4_flat(full_rhs, y, dt, u, u, u, fparams)
+        n = math.sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8] + y[9] * y[9])
+        if n > 0:
+            y[6:10] = [v / n for v in y[6:10]]
+        states.append(y)
+    return np.array(states), np.array(control)
+
+
 class TestClosedLoop:
     def test_hover_equilibrium_hold(self):
         traj = constant_trajectory([0.4, -0.3, 1.2], T=3.0)
@@ -96,28 +126,42 @@ class TestClosedLoop:
         assert np.max(np.linalg.norm(err, axis=1)) < 0.6
         assert abs(err[-1, 2]) < 0.05
 
-    @pytest.mark.parametrize("model, rhs_name", [("full", "full_rhs")])
-    def test_plant_rhs_looked_up_once_per_stage(self, monkeypatch, model, rhs_name):
-        # the full plant reads the module global at call time, once per RK4
-        # stage, so a wrapper installed over it sees every evaluation
-        calls = {"vertical_rhs": 0, "full_rhs": 0}
+    def test_full_input_checked_once_per_tick(self, monkeypatch):
+        # the full plant checks its held input where it changes: full_rhs,
+        # read from the module global at call time, runs once per controller
+        # tick, and its derivative is the first RK4 stage of the tick's block;
+        # the law runs once per stage
+        calls = {"vertical_rhs": 0, "full_rhs": 0, "_full_law": 0}
 
-        def counting(name):
-            original = getattr(flapkit.simulate, name)
+        def counting(module, name):
+            original = getattr(module, name)
 
-            def wrapper(*args, **kwargs):
+            def wrapper(*args):
                 calls[name] += 1
-                return original(*args, **kwargs)
+                return original(*args)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(flapkit.simulate, name, counting(name))
+        counting(flapkit.simulate, "vertical_rhs")
+        counting(flapkit.simulate, "full_rhs")
+        counting(flapkit.dynamics, "_full_law")
         traj = constant_trajectory([0.0, 0.0, 0.5], T=0.25)
-        res = run_closed_loop(traj, model=model, duration=0.25, perturb_pos=(0.0, 0.0, 0.01))
-        steps = len(res.state_log.t) - 1
-        assert steps == 250 and not res.diverged
-        assert calls == {name: (4 * steps if name == rhs_name else 0) for name in calls}
+        res = run_closed_loop(traj, model="full", duration=0.25, perturb_pos=(0.0, 0.0, 0.01))
+        steps, ticks = len(res.state_log.t) - 1, len(res.control_t)
+        assert (steps, ticks) == (250, 25) and not res.diverged
+        assert calls == {"vertical_rhs": 0, "full_rhs": ticks, "_full_law": 4 * steps}
+
+    @pytest.mark.parametrize("case", ["a", "c", "line"])
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (0.03, -0.02, 0.04)])
+    def test_full_block_stepper_flies_like_rk4_flat(self, request, case, offset):
+        # the closed loop's full-model blocks equal a tick followed by rk4_flat
+        # over full_rhs and the quaternion projection at every step, bit for bit
+        traj = request.getfixturevalue(f"case_{case}").traj
+        res = run_closed_loop(traj, model="full", perturb_pos=offset)
+        states, control = reference_full_flight(traj, offset)
+        assert not res.diverged
+        assert np.array_equal(res.state_log.states, states)
+        assert np.array_equal(res.control_rows, control)
 
     def test_vertical_input_checked_once_per_tick(self, monkeypatch):
         # the held input is checked where it changes: vertical_rhs runs once
