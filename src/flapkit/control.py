@@ -21,6 +21,7 @@ on floats, all state on the ``TrackingController``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,14 +153,6 @@ class TrackingErrors:
     e_v: tuple = (0.0, 0.0, 0.0)
     delta_psi: float = 0.0
     e_omega_psi: float = 0.0
-
-
-def position_errors(p, v, sigma_r, sigma_r_dot, v_d) -> TrackingErrors:
-    """Positional error part: e_p = p_d - p, e_v = v_d - v."""
-    return TrackingErrors(
-        e_p=tuple(a - b for a, b in zip(sigma_r, p)),
-        e_v=tuple(a - b for a, b in zip(v_d, v)),
-    )
 
 
 def desired_velocity(sigma_r_dot, e_p, kp) -> tuple:
@@ -425,19 +418,16 @@ class HybridHeading:
 
 @dataclass
 class Measurement:
-    """Controller inputs at one tick, held as floats and 3-tuples; omega is
-    the body rate (for vertical runs pass [0, 0, omega_psi])."""
+    """Controller inputs at one tick: p, v, gamma and omega are sequences of
+    three floats, read as given; omega is the body rate (for vertical runs
+    pass [0, 0, omega_psi])."""
 
-    p: tuple
-    v: tuple
+    p: Sequence[float]
+    v: Sequence[float]
     psi: float
     omega_psi: float
-    gamma: tuple
-    omega: tuple
-
-    def __post_init__(self):
-        fields = (self.p, self.v, self.gamma, self.omega)
-        self.p, self.v, self.gamma, self.omega = map(_floats, fields)
+    gamma: Sequence[float]
+    omega: Sequence[float]
 
 
 @dataclass
@@ -497,8 +487,9 @@ class TrackingController:
         """One tick on floats: what the control log reads, no monitors."""
         g = self.gains
         kp = g.kp.tolist()
-        v_d = desired_velocity(sigma_r_dot, [a - b for a, b in zip(sigma_r, meas.p)], kp)
-        errors = position_errors(meas.p, meas.v, sigma_r, sigma_r_dot, v_d)
+        e_p = tuple(a - b for a, b in zip(sigma_r, meas.p))  # p_d - p
+        v_d = desired_velocity(sigma_r_dot, e_p, kp)
+        errors = TrackingErrors(e_p, tuple(a - b for a, b in zip(v_d, meas.v)))  # e_v = v_d - v
         _, v_d_dot = self.vd_filter.update(v_d)
         a_d = desired_acceleration(v_d_dot, errors.e_p, errors.e_v, kp, g.kv.tolist())
 

@@ -23,9 +23,11 @@ terms.  Each model's RK4 step is written once too, over a block of steps:
 step) and ``_vertical_steps``.  Both keep ``rk4_flat``'s floating-point
 operation order, so every driver logs ``rk4_flat``'s states bit for bit.
 Inputs are checked where they change, not at every stage: the replay checks
-its table a block at a time, the closed loop its held input once per tick,
-``simulate_full`` and ``simulate_vertical`` each step's.  The full model's
-stage states keep ``full_rhs``'s state checks.
+its table a block at a time and the closed loop its held input once per tick.
+``simulate_full`` and ``simulate_vertical`` read their schedule once at each
+half-step time and run one block over that table (``simulate_vertical`` is
+the replay on it).  The full model's stage states keep ``full_rhs``'s state
+checks.
 """
 
 from __future__ import annotations
@@ -618,6 +620,11 @@ def _write_csv(path, header: str, rows: np.ndarray) -> None:
         fh.writelines(line % tuple(row.tolist()) for row in rows)
 
 
+def _half_steps(dt: float, duration: float) -> list[float]:
+    """The half-step times j dt/2, j = 0..2n, of an n-step run: the RK4 stage times."""
+    return (np.arange(2 * _step_count(dt, duration) + 1) * (0.5 * dt)).tolist()
+
+
 def simulate_full(
     state0: FwavState,
     params: FwavParams,
@@ -625,16 +632,15 @@ def simulate_full(
     dt: float = 1e-3,
     duration: float = 1.0,
 ) -> FullLog:
-    """Integrate the full model under a commanded actuator schedule."""
-
-    n_steps = _step_count(dt, duration)
+    """Integrate the full model under a commanded actuator schedule, read once at
+    each half-step time."""
+    rows = [(f, rud, ele) for f, rud, ele in map(commands, _half_steps(dt, duration))]
+    n_steps = len(rows) // 2
     states = np.empty((n_steps + 1, 16))
     states[0] = y = [float(v) for v in _floats(state0, FwavState)]
-    for k in range(n_steps):
-        rows = [(f, rud, ele) for f, rud, ele in map(commands, _stage_times(k, dt))]
-        y, _, stop = _full_steps(params, y, rows, dt, states, k)
-        if stop is not None:
-            raise PropagationError("integration produced non-finite state", step=k + 1)
+    _, _, stop = _full_steps(params, y, rows, dt, states, 0)
+    if stop is not None:
+        raise PropagationError("integration produced non-finite state", step=stop)
     return FullLog(np.arange(n_steps + 1) * dt, states)
 
 
@@ -646,24 +652,12 @@ def simulate_vertical(
     dt: float = 1e-3,
     duration: float = 1.0,
 ) -> VerticalLog:
-    """Integrate the vertical-frame model under a reduced-attitude schedule,
-    read at each step's start, midpoint and end and at the last logged time."""
-
-    n_steps = _step_count(dt, duration)
-    states = np.empty((n_steps + 1, 8))
-    states[0] = y = [float(v) for v in _floats(state0, VerticalState)]
-    applied = []
-    for k in range(n_steps):
-        u = tuple(map(inputs, _stage_times(k, dt)))
-        rows = [_input_row(v) for v in u]
-        explicit = _explicit_rudder(rudder_mode)  # after the input checks, as in vertical_rhs
-        y, _, stopped = _vertical_steps(params, explicit, y, rows, dt, states, k)
-        if stopped:
-            raise PropagationError("integration produced non-finite state", step=k + 1)
-        applied.append([*u[0].gamma, u[0].f_flap])  # the step's start is a logged time
-    t = np.arange(n_steps + 1) * dt
-    u = inputs(t[-1])
-    return VerticalLog(t, states, np.array(applied + [[*u.gamma, u.f_flap]]))
+    """Integrate the vertical-frame model under a reduced-attitude schedule, read
+    once at each half-step time: ``integrate_vertical_tabulated`` on that table."""
+    table = np.fromiter(((*u.gamma, u.f_flap, u.theta_rud)
+                         for u in map(inputs, _half_steps(dt, duration))), (float, 5))
+    return integrate_vertical_tabulated(state0, params, table[:, 0:3], table[:, 3], dt,
+                                        rudder_mode, table[:, 4])
 
 
 _TABLE_BLOCK = 1024  # steps of the input table checked at once
@@ -684,10 +678,11 @@ def integrate_vertical_tabulated(
     k*dt/2, the exact abscissae RK4 stages use.  The rudder mode is resolved
     once, and the table is read from the grids and checked with
     ``vertical_rhs``'s predicates one block of steps at a time (no copy of
-    the whole table); ``_vertical_steps`` runs each block.  The log equals
-    ``simulate_vertical``'s with the same inputs bit for bit, and an invalid
-    sample or a non-finite state raises at the step where
-    ``simulate_vertical`` would.
+    the whole table); ``_vertical_steps`` runs each block.  The log is
+    ``rk4_flat`` over ``vertical_rhs`` on the same samples bit for bit.  An
+    invalid sample raises InvalidInputError after the steps before the one
+    that first reads it, and a non-finite state raises PropagationError
+    naming its step.
     """
     if gamma_grid.shape[0] != f_grid.shape[0] or gamma_grid.shape[0] % 2 == 0:
         raise InvalidInputError("need an odd number of half-step input samples")

@@ -5,7 +5,8 @@ dynamics model.  One loop flies both: the controller ticks every few plant
 steps, and a small plant adapter supplies what differs between the models:
 the ``Measurement`` built from the state, the plant inputs built from the
 controller output, the block of RK4 steps to the next tick with the input
-held (``_vertical_steps``, or ``rk4_flat`` on ``full_rhs``) and the log.
+held (``_vertical_steps`` or ``_full_steps``) and the log.  The reference is
+evaluated once per flight, at every tick time.
 
 Also here are the certification simulations used by the stability checks:
 
@@ -157,11 +158,6 @@ def run_closed_loop(
                 divergence_radius)
 
 
-def _reference(traj: PiecewiseTrajectory, t: float):
-    t_ref = min(t, traj.duration)
-    return traj.eval(t_ref, 0).tolist(), traj.eval(t_ref, 1).tolist()
-
-
 class _VerticalPlant:
     """Vertical-frame model for the closed loop: inputs (gx, gy, gz, f_flap,
     theta_rud); the log keeps the applied (gx, gy, gz, f_flap)."""
@@ -222,7 +218,8 @@ class _FullPlant:
 
 def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopResult:
     """The closed loop: the controller ticks every n_sub plant steps, and the
-    plant advances the block of steps up to the next tick with the input held.
+    plant advances the block of steps up to the next tick with the input held;
+    the reference is held at its end past its duration.
 
     A non-finite RK4 stage ends the run before its step is logged; a
     position beyond ``radius`` or a non-finite state ends it after.  A plant's
@@ -236,10 +233,11 @@ def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopRe
     jump_times, sat_times = [], []
     diverged, abort_time = False, None
 
-    for k in range(0, n_steps, n_sub):
+    ticks = range(0, n_steps, n_sub)
+    t_ref = np.minimum(np.array(ticks) * dt, traj.duration)
+    for k, sigma_r, sigma_r_dot in zip(ticks, traj.eval_many(t_ref, 0), traj.eval_many(t_ref, 1)):
         t = k * dt
-        sigma_r, sigma_r_dot = _reference(traj, t)
-        out = controller.update(sigma_r, sigma_r_dot, plant.measure(y, u))
+        out = controller.update(sigma_r.tolist(), sigma_r_dot.tolist(), plant.measure(y, u))
         u = plant.inputs(out)
         control_t.append(t)
         control_rows.append(out.log_row(t)[1:])

@@ -18,6 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .dynamics import _write_csv
 from .errors import InvalidInputError, TrajectoryDomainError
 
 DEFAULT_ORDER = 6
@@ -91,17 +92,13 @@ class PolySegment:
     def order(self) -> int:
         return self.coeffs.shape[1] - 1
 
-    def _table(self, order: int) -> tuple[np.ndarray, tuple]:
-        """The order-th derivative's coefficient rows, shape (3, m), and as
-        (x, y, z) float triples from the highest power down; built once."""
-        table = self._tables.get(order)
-        if table is None:
-            rows = _derivative_rows(self.coeffs, order)
-            table = self._tables[order] = (rows, tuple(map(tuple, rows.T[::-1].tolist())))
-        return table
-
     def eval(self, t_local, order: int = 0) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(t_local, self._table(order)[0].T)
+        """The order-th derivative at one local time, shape (3,), or many, (3, N);
+        its coefficient rows are built once per order."""
+        rows = self._tables.get(order)
+        if rows is None:
+            rows = self._tables[order] = _derivative_rows(self.coeffs, order)
+        return np.polynomial.polynomial.polyval(t_local, rows.T)
 
     def snap_integral(self) -> float:
         q = snap_gram_matrix(self.coeffs.shape[1], self.T)
@@ -152,14 +149,9 @@ class PiecewiseTrajectory:
         return idx, t_local
 
     def eval(self, t: float, order: int = 0) -> np.ndarray:
-        """The order-th derivative at one time, by Horner's rule on floats in
-        ``polyval``'s operation order: the bits of ``eval_many``."""
+        """The order-th derivative at one time: the bits of ``eval_many``."""
         idx, t = self.locate(float(t))
-        cols = self.segments[idx]._table(order)[1]
-        x, y, z = (c + t * 0 for c in cols[0])
-        for cx, cy, cz in cols[1:]:
-            x, y, z = cx + x * t, cy + y * t, cz + z * t
-        return np.array((x, y, z))
+        return self.segments[idx].eval(t, order)
 
     def eval_many(self, times: Iterable[float], order: int = 0) -> np.ndarray:
         """Vectorized evaluation at many times, shape (len(times), 3)."""
@@ -238,15 +230,10 @@ class PiecewiseTrajectory:
         return cls(segments)
 
     def to_sampled_csv(self, path, dt: float = 0.01) -> None:
-        times = np.arange(0.0, self.duration + dt / 2, dt)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(SAMPLED_HEADER + "\n")
-            for t in times:
-                t_c = min(float(t), self.duration)
-                cells = [f"{t_c:.12g}"]
-                for order in range(5):
-                    cells += [f"{v:.12g}" for v in self.eval(t_c, order)]
-                fh.write(",".join(cells) + "\n")
+        """Time, then position and derivatives up to snap, every dt."""
+        times = np.minimum(np.arange(0.0, self.duration + dt / 2, dt), self.duration)
+        tables = [self.eval_many(times, order) for order in range(5)]
+        _write_csv(path, SAMPLED_HEADER, np.column_stack([times, *tables]))
 
 
 @dataclass

@@ -6,8 +6,10 @@ is planned and flown once per session and reused across test modules.
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from flapkit.dynamics import rk4_flat, vertical_rhs
 from flapkit.planning import PlanOptions, PlanReport, case_library, plan
 from flapkit.simulate import ClosedLoopResult, run_closed_loop
 from flapkit.trajectory import ObjectiveWeights, PiecewiseTrajectory
@@ -67,3 +69,19 @@ def run_c(case_c) -> ClosedLoopResult:
 @pytest.fixture(scope="session")
 def run_line(case_line) -> ClosedLoopResult:
     return run_closed_loop(case_line.traj, model="vertical")
+
+
+@pytest.fixture(scope="session")
+def rk4_vertical():
+    """The vertical model's reference integration, written out here: ``rk4_flat``
+    over ``vertical_rhs`` from ``state0``, with input sample 2k read at step k's
+    start, 2k + 1 at its midpoint and 2k + 2 at its end.  Returns the state rows."""
+
+    def run(state0, params, samples, dt, rudder_mode="gamma-proxy"):
+        states = [state0.as_vector().tolist()]
+        for k in range(len(samples) // 2):
+            u0, um, u1 = samples[2 * k:2 * k + 3]
+            states.append(rk4_flat(vertical_rhs, states[-1], dt, u0, um, u1, params, rudder_mode))
+        return np.array(states)
+
+    return run

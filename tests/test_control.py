@@ -25,7 +25,6 @@ from flapkit.control import (
     hysteresis_update,
     inner_attitude,
     lyapunov_monitors,
-    position_errors,
 )
 from flapkit.dynamics import VerticalParams
 from flapkit.errors import DegenerateDecompositionError, InvalidInputError
@@ -43,15 +42,26 @@ def vparams():
     return VerticalParams()
 
 
+def tick_errors(p, v, sigma_r, sigma_r_dot) -> TrackingErrors:
+    """The positional errors of a first controller tick at level attitude."""
+    ctrl = TrackingController(ControllerGains(), VerticalParams())
+    meas = Measurement(p=p, v=v, psi=0.0, omega_psi=0.0, gamma=[0.0, 0.0, 1.0],
+                       omega=[0.0, 0.0, 0.0])
+    return ctrl.update(sigma_r, sigma_r_dot, meas).errors
+
+
 class TestErrors:
     def test_on_trajectory_zero(self):
-        e = position_errors([1, 2, 3], [0.1, 0, 0], [1, 2, 3], [0.1, 0, 0], [0.1, 0, 0])
-        assert np.allclose(e.e_p, 0) and np.allclose(e.e_v, 0)
+        # on the reference with its velocity: v_d = sigma_r_dot, so e_v = 0 too
+        e = tick_errors([1, 2, 3], [0.1, 0, 0], [1, 2, 3], [0.1, 0, 0])
+        assert e.e_p == (0, 0, 0) and e.e_v == (0, 0, 0)
 
     def test_sign_convention(self):
-        # vehicle one meter past the reference: e_p = p_d - p = -1
-        e = position_errors([1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0])
-        assert np.allclose(e.e_p, [-1, 0, 0])
+        # vehicle one meter past the reference: e_p = p_d - p = -1, and
+        # e_v = v_d - v with v_d = Kp tanh(e_p)
+        e = tick_errors([1, 0, 0], [0.5, 0, 0], [0, 0, 0], [0, 0, 0])
+        assert e.e_p == (-1, 0, 0)
+        assert e.e_v == (-0.8 * math.tanh(1.0) - 0.5, 0, 0)
 
 
 class TestDesiredVelocity:

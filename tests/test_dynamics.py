@@ -186,10 +186,9 @@ class TestIntegrate:
         assert log.states[-1, 5] == pytest.approx(-p.g, abs=1e-9)
         assert log.states[-1, 2] == pytest.approx(-p.g / 2, abs=1e-9)
 
-    def test_simulate_vertical_reads_each_input_once(self, vparams):
-        # inputs is read at each step's start, midpoint and end, and once more
-        # for the last logged row: 3n + 1 calls, and the log is the one of
-        # rk4_flat over vertical_rhs with the inputs read again at every logged time
+    def test_simulate_vertical_reads_each_input_once(self, vparams, rk4_vertical):
+        # inputs is read once at each half-step time j dt/2, j = 0..2n: 2n + 1
+        # calls, and the log is the one of rk4_flat over vertical_rhs on those samples
         calls = []
 
         def inputs(t):
@@ -201,17 +200,12 @@ class TestIntegrate:
         n, dt = 40, 1e-3
         state0 = VerticalState(vv=np.array([0.3, 0.0, 0.1]), omega_psi=0.2)
         log = simulate_vertical(state0, vparams, inputs, dt=dt, duration=n * dt)
-        assert len(calls) == 3 * n + 1
+        assert calls == [j * dt / 2 for j in range(2 * n + 1)]
 
-        states = [state0.as_vector().tolist()]
-        for k in range(n):
-            u = [inputs(t) for t in (k * dt, k * dt + 0.5 * dt, k * dt + dt)]
-            states.append(rk4_flat(vertical_rhs, states[-1], dt, *u, vparams))
-        t = np.arange(n + 1) * dt
-        applied = [[*u.gamma, u.f_flap] for u in map(inputs, t)]
-        assert np.array_equal(log.t, t)
-        assert np.array_equal(log.states, states)
-        assert np.array_equal(log.inputs, applied)
+        samples = [inputs(t) for t in list(calls)]
+        assert np.array_equal(log.t, np.arange(n + 1) * dt)
+        assert np.array_equal(log.states, rk4_vertical(state0, vparams, samples, dt))
+        assert np.array_equal(log.inputs, [[*u.gamma, u.f_flap] for u in samples[::2]])
 
     def test_richardson_fourth_order(self, params):
         # smooth regime: body-velocity components stay positive so every
@@ -625,9 +619,10 @@ class TestTabulatedErrors:
             integrate_vertical_tabulated(VerticalState(), vparams, gamma, f, 1e-3,
                                          rudder_mode="explicit-rudder", theta_rud_grid=rud)
 
-    def test_rudder_table_read_across_blocks(self, vparams):
-        """A rudder table over three blocks drives the replay exactly as
-        ``simulate_vertical`` fed the same samples."""
+    def test_rudder_table_read_across_blocks(self, vparams, rk4_vertical):
+        """A rudder table over three blocks drives the replay, and
+        ``simulate_vertical`` fed the same samples, exactly as ``rk4_flat``
+        over ``vertical_rhs``."""
         dt, n = 1e-3, 2500
         gamma, f = _hover_table(vparams, n)
         grid = np.arange(2 * n + 1) * dt / 2
@@ -642,9 +637,12 @@ class TestTabulatedErrors:
 
         slow = simulate_vertical(VerticalState(), vparams, inputs, rudder_mode="explicit-rudder",
                                  dt=dt, duration=n * dt)
+        samples = np.column_stack([gamma, f, rud]).tolist()
+        want = rk4_vertical(VerticalState(), vparams, samples, dt, "explicit-rudder")
         assert fast.states.shape == (n + 1, 8)
         assert np.array_equal(fast.t, slow.t)
-        assert np.array_equal(fast.states, slow.states)
+        assert np.array_equal(fast.states, want)
+        assert np.array_equal(slow.states, want)
 
 
 unit_gamma = st.tuples(st.floats(0.0, 1.2), st.floats(-math.pi, math.pi)).map(

@@ -15,8 +15,6 @@ from flapkit.dynamics import (
     VerticalParams,
     integrate_vertical_tabulated,
     simulate_full,
-    simulate_vertical,
-    VerticalInputs,
 )
 from flapkit.errors import (
     DegenerateHeadingError,
@@ -306,17 +304,20 @@ class TestRoundTripProperty:
 
     @pytest.mark.parametrize("rudder_mode", ["explicit-rudder", "gamma-proxy"])
     @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
-    def test_integrator_fast_path_matches_generic(self, rudder_mode, lateral_mode):
-        _assert_fast_path_equals_generic(rudder_mode, lateral_mode, with_rudder=False)
+    def test_integrator_fast_path_matches_generic(self, rk4_vertical, rudder_mode, lateral_mode):
+        _assert_fast_path_equals_generic(rk4_vertical, rudder_mode, lateral_mode,
+                                         with_rudder=False)
 
     @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
-    def test_integrator_fast_path_matches_generic_with_rudder(self, lateral_mode):
-        _assert_fast_path_equals_generic("explicit-rudder", lateral_mode, with_rudder=True)
+    def test_integrator_fast_path_matches_generic_with_rudder(self, rk4_vertical, lateral_mode):
+        _assert_fast_path_equals_generic(rk4_vertical, "explicit-rudder", lateral_mode,
+                                         with_rudder=True)
 
 
-def _assert_fast_path_equals_generic(rudder_mode, lateral_mode, with_rudder):
-    """integrate_vertical_tabulated and simulate_vertical fed the same table
-    give the same log bit for bit."""
+def _assert_fast_path_equals_generic(rk4_vertical, rudder_mode, lateral_mode, with_rudder):
+    """integrate_vertical_tabulated on a tabulated schedule logs the states of
+    rk4_flat over vertical_rhs on the same samples, and their start inputs, bit
+    for bit."""
     vparams = VerticalParams(lateral_mode=lateral_mode)
     traj = smooth_forward_trajectory()
     sched = FlatInputSchedule(traj, vparams, min_speed=0.3)
@@ -331,17 +332,10 @@ def _assert_fast_path_equals_generic(rudder_mode, lateral_mode, with_rudder):
         state0, vparams, gam, f, dt, rudder_mode=rudder_mode,
         theta_rud_grid=rud if with_rudder else None,
     )
-
-    def inputs(t):
-        idx = min(int(round(2 * t / dt)), len(grid) - 1)
-        return VerticalInputs(gamma=gam[idx], f_flap=float(f[idx]), theta_rud=float(rud[idx]))
-
-    slow = simulate_vertical(
-        state0, vparams, inputs, rudder_mode=rudder_mode, dt=dt, duration=0.5,
-    )
-    assert np.array_equal(fast.t, slow.t)
-    assert np.array_equal(fast.states, slow.states)
-    assert np.array_equal(fast.inputs, slow.inputs)
+    samples = np.column_stack([gam, f, rud]).tolist()
+    assert np.array_equal(fast.t, np.arange(n + 1) * dt)
+    assert np.array_equal(fast.states, rk4_vertical(state0, vparams, samples, dt, rudder_mode))
+    assert np.array_equal(fast.inputs, np.column_stack([gam, f])[::2])
 
 
 # ---------------------------------------------------------------------------

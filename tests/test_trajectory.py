@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -208,6 +210,21 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x,y,z,vx,vy,vz,ax,ay,az,jx,jy,jz,sx,sy,sz"
         assert len(lines) == 2 + 4  # header + samples at 0, .25, .5, .75, 1.0
+
+    # sha256 of each planned case's sampled CSV at the default dt, recorded at
+    # commit 46fb866, where every row was written from scalar evaluations
+    SAMPLED_DIGESTS = {
+        "a": "b2d7bac3182c7aed4742b30c4113ecaa8cf7f198a204aa430a6be36012bd3c9c",
+        "b": "1b19c70ffb7c7b96597bde59f7cdcfe1de8256fd05f8ec9a1a291d03532583d2",
+        "c": "65ba609c88b03ff92bd2bd974308df9e37d3efb012ce63aaa8b8d3c37c5b1e09",
+        "line": "e04975af87dcab9bad57feef1aaabf319d5b54687c6950f62a7d7d8febd755d5",
+    }
+
+    @pytest.mark.parametrize("case", sorted(SAMPLED_DIGESTS))
+    def test_sampled_csv_matches_recorded_digest(self, request, tmp_path, case):
+        path = tmp_path / "sampled.csv"
+        request.getfixturevalue(f"case_{case}").traj.to_sampled_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SAMPLED_DIGESTS[case]
 
 
 class TestValidation:
