@@ -34,12 +34,9 @@ from .dynamics import (
     VerticalInputs,
     VerticalParams,
     VerticalState,
-    body_drag,
-    deflection_torque,
     full_rhs,
     simulate_full,
     simulate_vertical,
-    thrust_magnitude,
     vertical_rhs,
 )
 from .flatness import FlatInputSchedule, flat_to_full

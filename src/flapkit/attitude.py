@@ -44,11 +44,6 @@ class UnitQuaternion:
     def identity(cls) -> "UnitQuaternion":
         return cls(1.0, np.zeros(3))
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "UnitQuaternion":
-        arr = np.asarray(arr, dtype=float)
-        return cls(float(arr[0]), arr[1:4].copy())
-
     def as_array(self) -> np.ndarray:
         return np.concatenate(([self.eta], self.epsilon))
 
@@ -60,19 +55,6 @@ class UnitQuaternion:
         if n == 0.0:
             raise InvalidInputError("cannot normalize a zero quaternion")
         return UnitQuaternion(self.eta / n, self.epsilon / n)
-
-    def conjugate(self) -> "UnitQuaternion":
-        return UnitQuaternion(self.eta, -self.epsilon)
-
-    def multiply(self, other: "UnitQuaternion") -> "UnitQuaternion":
-        """Hamilton product self (x) other."""
-        eta = self.eta * other.eta - float(self.epsilon @ other.epsilon)
-        eps = (
-            self.eta * other.epsilon
-            + other.eta * self.epsilon
-            + np.cross(self.epsilon, other.epsilon)
-        )
-        return UnitQuaternion(eta, eps)
 
 
 def skew(v: np.ndarray) -> np.ndarray:

@@ -17,11 +17,12 @@ rest states are exact equilibria.
 Each model's equations are written once, on floats whose arguments are
 already checked: ``_full_law`` and ``_vertical_law``.  The right-hand sides
 ``full_rhs`` and ``vertical_rhs`` take a state view or a flat vector, check
-it and call them; the public force/torque primitives evaluate the same scalar
-terms.  Each model's RK4 step is written once too, over a block of steps:
-``_full_steps`` (the quaternion projected onto the unit sphere after each
-step) and ``_vertical_steps``.  Both keep ``rk4_flat``'s floating-point
-operation order, so every driver logs ``rk4_flat``'s states bit for bit.
+it and call them.  Thrust, drag (``_drag``) and the deflection torque
+(``_deflection``) are terms of the full law, read only through it.  Each
+model's RK4 step is written once too, over a block of steps: ``_full_steps``
+(the quaternion projected onto the unit sphere after each step) and
+``_vertical_steps``.  Both keep ``rk4_flat``'s floating-point operation
+order, so every driver logs ``rk4_flat``'s states bit for bit.
 Inputs are checked where they change, not at every stage: the replay checks
 its table a block at a time and the closed loop its held input once per tick.
 ``simulate_full`` and ``simulate_vertical`` read their schedule once at each
@@ -231,8 +232,8 @@ class ActuatorCommands:
 
 
 # ---------------------------------------------------------------------------
-# scalar terms, shared by the right-hand sides and the public primitives;
-# x * abs(x) is sgn(x) * x**2 with sgn(0) = 0
+# scalar terms of the full model's law; x * abs(x) is sgn(x) * x**2 with
+# sgn(0) = 0
 # ---------------------------------------------------------------------------
 
 
@@ -271,7 +272,10 @@ def _drag(c, ux, uy, uz):
 
 
 def _deflection(c, ux, uz, f2, theta_rud, theta_ele):
-    """Body-frame deflection torque; see deflection_torque."""
+    """Body-frame torque from the rudder/elevator deflections (small-deflection
+    regime): each axis combines a velocity-induced gain sgn(uz) ux^2 and a
+    flapping-induced gain f^2; x/z rows are driven by the rudder, the y row
+    by the elevator."""
     sv = 0.0 if uz == 0.0 else math.copysign(ux * ux, uz)
     (t_x, t_y, t_z), (f_x, f_y, f_z) = c[4], c[5]
     return (
@@ -279,35 +283,6 @@ def _deflection(c, ux, uz, f2, theta_rud, theta_ele):
         -(t_y * sv + f_y * f2) * theta_ele,
         -(t_z * sv + f_z * f2) * theta_rud,
     )
-
-
-# ---------------------------------------------------------------------------
-# force and torque primitives
-# ---------------------------------------------------------------------------
-
-
-def thrust_magnitude(f_flap: float, params: FwavParams | VerticalParams) -> float:
-    """Thrust k_tf * f^2 produced at flapping frequency f."""
-    if f_flap < 0:
-        raise InvalidInputError("flapping frequency must be non-negative")
-    return params.k_tf * (f_flap * f_flap)
-
-
-def body_drag(v_body: np.ndarray, params: FwavParams) -> np.ndarray:
-    """Componentwise quadratic drag -k_d,i sgn(v_i) v_i^2 in the body frame."""
-    return np.array(_drag(params._constants(), *np.asarray(v_body, dtype=float).tolist()))
-
-
-def deflection_torque(state: FwavState, params: FwavParams) -> np.ndarray:
-    """Torque from rudder/elevator deflections (small-deflection regime).
-
-    Each axis combines a velocity-induced gain sgn(vz_b)*vx_b^2 and a
-    flapping-induced gain f^2; x/z rows are driven by the rudder, the y row
-    by the elevator.
-    """
-    y = _floats(state, FwavState)
-    ux, _, uz = _attitude(*y[6:10], *y[3:6])[13:]
-    return np.array(_deflection(params._constants(), ux, uz, y[13] * y[13], y[14], y[15]))
 
 
 # ---------------------------------------------------------------------------
@@ -718,17 +693,3 @@ def _invalid_samples(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of a table: masks of the non-unit reduced attitudes and negative f."""
     gx, gy, gz, f = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
     return np.abs(np.sqrt(gx * gx + gy * gy + gz * gz) - 1.0) > 1e-6, f < 0
-
-
-def hover_state(params: FwavParams) -> FwavState:
-    return FwavState(f_flap=params.hover_frequency)
-
-
-def matched_vertical_params(params: FwavParams, **overrides) -> VerticalParams:
-    """Vertical-frame parameter set matching a full-model parameter set."""
-    base = dict(
-        m=params.m, g=params.g, k_tf=params.k_tf,
-        vk_d_x=params.k_d_x, vk_d_y=params.k_d_y, vk_d_z=params.k_d_z,
-    )
-    base.update(overrides)
-    return VerticalParams(**base)

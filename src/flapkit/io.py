@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import warnings
 
 import numpy as np
 
@@ -77,11 +78,6 @@ def format_kv(pairs, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_kv(path, pairs, comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_kv(pairs, comment))
-
-
 def _check_keys(data: dict, schema: str, known) -> None:
     """Reject any key outside a schema, naming the nearest valid key."""
     for key in data:
@@ -100,15 +96,6 @@ _FWAV_SCALARS = [
     "k_tau_z", "k_flap_x", "k_flap_y", "k_flap_z", "k_flap_c", "k_rud_c",
     "k_ele_c",
 ]
-
-
-def fwav_params_to_pairs(params: FwavParams) -> list:
-    pairs = [(name, getattr(params, name)) for name in _FWAV_SCALARS]
-    for i, row in enumerate("xyz"):
-        for j, col in enumerate("xyz"):
-            if j >= i:
-                pairs.append((f"j{row}{col}", params.J[i, j]))
-    return pairs
 
 
 _J_KEYS = [f"j{row}{col}" for i, row in enumerate("xyz") for col in "xyz"[i:]]
@@ -132,12 +119,6 @@ _VERTICAL_SCALARS = [
 ]
 
 
-def vertical_params_to_pairs(params: VerticalParams) -> list:
-    pairs = [(name, getattr(params, name)) for name in _VERTICAL_SCALARS]
-    pairs.append(("lateral_mode", params.lateral_mode))
-    return pairs
-
-
 def vertical_params_from_dict(data: dict) -> VerticalParams:
     _check_keys(data, "vertical-model parameter", {*_VERTICAL_SCALARS, "lateral_mode"})
     kwargs = {name: float(data[name]) for name in _VERTICAL_SCALARS if name in data}
@@ -151,12 +132,6 @@ _GAIN_SCALARS = [
     "k_ele", "k_omega_x", "k_omega_y", "filter_wn", "filter_zeta",
     "psi_rate_ff_cap", "gamma_yd_limit",
 ]
-
-
-def gains_to_pairs(gains: ControllerGains) -> list:
-    pairs = [("kp", gains.kp), ("kv", gains.kv)]
-    pairs += [(name, getattr(gains, name)) for name in _GAIN_SCALARS]
-    return pairs
 
 
 def gains_from_dict(data: dict) -> ControllerGains:
@@ -267,17 +242,35 @@ def scenario_from_dict(data: dict):
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header cells and the float rows below them; a non-numeric cell, a row
+    of another width or no rows at all raise InvalidInputError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # no rows: checked below
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise InvalidInputError(f"{path}: {err}") from None
+    if rows.size == 0:
+        raise InvalidInputError(f"{path}: no data rows")
     return header, rows
 
 
 def load_state_log(path) -> VerticalLog | FullLog:
-    """Load a state-log CSV, detecting the model by its header."""
+    """Load a state-log CSV, detecting the model by its header; each row needs
+    one cell per header name, and at least the model's 13 (vertical) or 17
+    (full)."""
     header, rows = _read_csv(path)
     if header[:8] == ["t", "px", "py", "pz", "vvx", "vvy", "vvz", "psi"]:
+        width = 13
+    elif header[:8] == ["t", "px", "py", "pz", "vx", "vy", "vz", "qw"]:
+        width = 17
+    else:
+        raise InvalidInputError(f"unrecognized state-log header in {path}")
+    if not width <= rows.shape[1] == len(header):
+        raise InvalidInputError(f"{path}: rows of {rows.shape[1]} cells under {len(header)} "
+                                f"names, where this model's log has {width}")
+    if width == 13:
         return VerticalLog(rows[:, 0], rows[:, 1:9], rows[:, 9:13])
-    if header[:8] == ["t", "px", "py", "pz", "vx", "vy", "vz", "qw"]:
-        return FullLog(rows[:, 0], rows[:, 1:17])
-    raise InvalidInputError(f"unrecognized state-log header in {path}")
+    return FullLog(rows[:, 0], rows[:, 1:17])

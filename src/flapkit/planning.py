@@ -582,11 +582,6 @@ class _PenaltyProblem:
         grad = self.g0 + xh + d @ self.b
         return value, grad.ravel(), excess
 
-    def value_and_grad(self, xi: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
-        """Penalized objective and gradient, evaluated afresh."""
-        value, grad, _ = self.evaluate(xi, rho)
-        return value, grad
-
     def _cached(self, xi: np.ndarray, rho: float) -> tuple[float, np.ndarray, np.ndarray]:
         # rho is part of the key: one point is read at several rho (each
         # stage starts at the point the previous stage returned)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import UnitQuaternion, azimuth_of_quat, rotz, wrap_angle
+from .attitude import azimuth_of_quat, rotz, wrap_angle
 from .control import (
     CONTROL_LOG_HEADER,
     ControllerGains,
@@ -43,11 +43,9 @@ from .control import (
 )
 from .dynamics import (
     FwavParams,
-    FwavState,
     FullLog,
     VerticalLog,
     VerticalParams,
-    VerticalState,
     full_rhs,
     rk4_flat,
     _full_steps,
@@ -143,19 +141,15 @@ def run_closed_loop(
 
     if model == "vertical":
         plant = _VerticalPlant(vparams)
-        state = VerticalState(p=p0, vv=rotz(psi0).T @ v0, psi=psi0)
+        y0 = [*p0.tolist(), *(rotz(psi0).T @ v0).tolist(), psi0, 0.0]
     elif model == "full":
         plant = _FullPlant(fparams or FwavParams())
         half = psi0 / 2.0  # level attitude at the reference heading: pure yaw
-        state = FwavState(
-            p=p0, v=v0,
-            q=UnitQuaternion(math.cos(half), np.array([0.0, 0.0, math.sin(half)])),
-            f_flap=plant.params.hover_frequency,
-        )
+        y0 = [*p0.tolist(), *v0.tolist(), math.cos(half), 0.0, 0.0, math.sin(half),
+              0.0, 0.0, 0.0, plant.params.hover_frequency, 0.0, 0.0]
     else:
         raise InvalidInputError(f"unknown model {model!r}")
-    return _fly(traj, controller, plant, state.as_vector().tolist(), dt, n_steps, n_sub,
-                divergence_radius)
+    return _fly(traj, controller, plant, y0, dt, n_steps, n_sub, divergence_radius)
 
 
 class _VerticalPlant:

@@ -21,8 +21,6 @@ import numpy as np
 from .dynamics import _write_csv
 from .errors import InvalidInputError, TrajectoryDomainError
 
-DEFAULT_ORDER = 6
-
 SAMPLED_HEADER = "t,x,y,z,vx,vy,vz,ax,ay,az,jx,jy,jz,sx,sy,sz"
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -211,23 +209,39 @@ class PiecewiseTrajectory:
 
     @classmethod
     def from_coeff_csv(cls, path) -> "PiecewiseTrajectory":
+        """Read ``to_coeff_csv``'s file: one row (seg, axis, c0..cN, T) for each
+        segment 0..M-1 and axis 0..2, all with one T > 0.  A malformed file
+        raises InvalidInputError naming the file and, for a bad row, its line."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             n = len(header) - 3
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        seg_ids = sorted({int(r[0]) for r in rows})
-        segments = []
-        for s_idx in seg_ids:
-            coeffs = np.zeros((3, n))
-            T = None
-            for r in rows:
-                if int(r[0]) != s_idx:
+            if n < 1 or header[:2] != ["seg", "axis"] or header[-1] != "T":
+                raise InvalidInputError(f"{path}, line 1: not a seg,axis,c0,...,T header")
+            rows = {}
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
                     continue
-                axis = int(r[1])
-                coeffs[axis] = [float(x) for x in r[2 : 2 + n]]
-                T = float(r[-1])
-            segments.append(PolySegment(coeffs, T))
-        return cls(segments)
+                cells = line.strip().split(",")
+                try:
+                    if len(cells) != n + 3:
+                        raise ValueError(f"{len(cells)} cells, the header has {n + 3}")
+                    key, values = (int(cells[0]), int(cells[1])), [float(x) for x in cells[2:]]
+                    if key in rows or key[0] < 0 or key[1] not in (0, 1, 2):
+                        raise ValueError(f"segment {key[0]}, axis {key[1]} again or out of range")
+                    if not all(map(math.isfinite, values)) or values[-1] <= 0:
+                        raise ValueError("a non-finite cell or T <= 0")
+                    if rows and values[-1] != T:
+                        raise ValueError(f"T = {values[-1]!r}, not {T!r} as above")
+                except ValueError as err:
+                    raise InvalidInputError(f"{path}, line {lineno}: {err}") from None
+                rows[key], T = values[:n], values[-1]
+        segments = 1 + max((seg for seg, _ in rows), default=0)
+        missing = next(((seg, axis) for seg in range(segments) for axis in range(3)
+                        if (seg, axis) not in rows), None)
+        if missing is not None:
+            raise InvalidInputError("{}: segment {}, axis {} has no row".format(path, *missing))
+        return cls([PolySegment([rows[seg, axis] for axis in range(3)], T)
+                    for seg in range(segments)])
 
     def to_sampled_csv(self, path, dt: float = 0.01) -> None:
         """Time, then position and derivatives up to snap, every dt."""
@@ -273,14 +287,3 @@ def snap_objective(traj: PiecewiseTrajectory, weights: ObjectiveWeights) -> floa
     if weights.mu_v > 0:
         total += weights.mu_v * sum(seg.speed_integral() for seg in traj.segments)
     return float(total)
-
-
-def single_segment(coeffs_per_axis, T: float) -> PiecewiseTrajectory:
-    """Convenience constructor for a one-segment trajectory."""
-    return PiecewiseTrajectory([PolySegment(np.asarray(coeffs_per_axis, dtype=float), T)])
-
-
-def constant_trajectory(point, T: float = 1.0, order: int = DEFAULT_ORDER) -> PiecewiseTrajectory:
-    coeffs = np.zeros((3, order + 1))
-    coeffs[:, 0] = np.asarray(point, dtype=float)
-    return single_segment(coeffs, T)

@@ -29,7 +29,8 @@ from flapkit.control import (
 from flapkit.dynamics import VerticalParams
 from flapkit.errors import DegenerateDecompositionError, InvalidInputError
 from flapkit.simulate import run_closed_loop, simulate_heading_loop, simulate_ideal_vertical
-from flapkit.trajectory import single_segment
+
+from helpers import single_segment
 
 
 @pytest.fixture

@@ -13,23 +13,20 @@ from flapkit.dynamics import (
     VerticalInputs,
     VerticalParams,
     VerticalState,
-    body_drag,
-    deflection_torque,
     full_rhs,
-    hover_state,
     _explicit_rudder,
     _full_steps,
     integrate_vertical_tabulated,
-    matched_vertical_params,
     rk4_flat,
     simulate_full,
     simulate_vertical,
-    thrust_magnitude,
     vertical_rhs,
     _vertical_steps,
     _write_csv,
 )
 from flapkit.errors import InvalidInputError, PropagationError
+
+from helpers import hamilton
 
 
 @pytest.fixture
@@ -42,53 +39,74 @@ def vparams():
     return VerticalParams()
 
 
+def law(params, **state):
+    """``full_rhs`` at a level ``FwavState(**state)`` under zero commands,
+    checked against ``oracle_full_rhs``.  Thrust, drag and the deflection
+    torque are read through it: the state is level, so R = I, and its body
+    rates are zero, so there is no gyroscopic term."""
+    s = FwavState(**state)
+    derivative = np.array(full_rhs(s, ActuatorCommands(), params))
+    oracle, scales = oracle_full_rhs(s, ActuatorCommands(), params)
+    assert_blocks_close(derivative, oracle, scales, FULL_BLOCKS)
+    return derivative
+
+
+def thrust(f_flap, params):
+    return params.m * (law(params, f_flap=f_flap)[5] + params.g)
+
+
+def drag(v, params):
+    return params.m * (law(params, v=np.asarray(v, dtype=float))[3:6] + [0.0, 0.0, params.g])
+
+
+def torque(params, **state):
+    return params.J @ law(params, **state)[10:13]
+
+
 class TestThrust:
     def test_zero_frequency(self, params):
-        assert thrust_magnitude(0.0, params) == 0.0
+        assert thrust(0.0, params) == 0.0
 
     def test_arithmetic(self):
         p = FwavParams(k_tf=1e-5)
-        assert thrust_magnitude(20.0, p) == pytest.approx(4e-3)
+        assert thrust(20.0, p) == pytest.approx(4e-3)
 
     def test_quadratic_law(self, params):
-        assert thrust_magnitude(10.0, params) * 4 == pytest.approx(
-            thrust_magnitude(20.0, params)
-        )
+        assert thrust(10.0, params) * 4 == pytest.approx(thrust(20.0, params))
 
     def test_negative_frequency_rejected(self, params):
+        state = FwavState().as_vector()
+        state[13] = -1.0
         with pytest.raises(InvalidInputError):
-            thrust_magnitude(-1.0, params)
+            full_rhs(state, (0.0, 0.0, 0.0), params)
 
 
 class TestBodyDrag:
     def test_zero_velocity(self, params):
-        assert np.allclose(body_drag(np.zeros(3), params), 0.0)
+        assert np.allclose(drag(np.zeros(3), params), 0.0)
 
     def test_odd_symmetry(self, params):
         rng = np.random.default_rng(1)
         for _ in range(20):
             v = rng.standard_normal(3)
-            assert np.allclose(body_drag(-v, params), -body_drag(v, params))
+            assert np.allclose(drag(-v, params), -drag(v, params))
 
     def test_arithmetic(self):
         p = FwavParams(k_d_x=0.02)
-        assert np.allclose(body_drag(np.array([3.0, 0, 0]), p), [-0.18, 0, 0])
+        assert np.allclose(drag([3.0, 0, 0], p), [-0.18, 0, 0])
 
 
 class TestDeflectionTorque:
     def test_zero_deflections(self, params):
-        s = FwavState(v=np.array([1.0, 0, 0.5]), f_flap=10.0)
-        assert np.allclose(deflection_torque(s, params), 0.0)
+        assert np.allclose(torque(params, v=np.array([1.0, 0, 0.5]), f_flap=10.0), 0.0)
 
     def test_no_gain_without_flow_or_flapping(self, params):
-        s = FwavState(theta_rud=0.3, theta_ele=-0.2)
-        assert np.allclose(deflection_torque(s, params), 0.0)
+        assert np.allclose(torque(params, theta_rud=0.3, theta_ele=-0.2), 0.0)
 
     def test_rudder_sign_flip_affects_x_and_z_only(self, params):
-        base = FwavState(v=np.array([1.0, 0, 0.2]), f_flap=12.0, theta_rud=0.1, theta_ele=0.05)
-        flipped = FwavState(v=base.v, f_flap=12.0, theta_rud=-0.1, theta_ele=0.05)
-        tau0 = deflection_torque(base, params)
-        tau1 = deflection_torque(flipped, params)
+        v = np.array([1.0, 0, 0.2])
+        tau0 = torque(params, v=v, f_flap=12.0, theta_rud=0.1, theta_ele=0.05)
+        tau1 = torque(params, v=v, f_flap=12.0, theta_rud=-0.1, theta_ele=0.05)
         assert tau1[0] == pytest.approx(-tau0[0])
         assert tau1[2] == pytest.approx(-tau0[2])
         assert tau1[1] == pytest.approx(tau0[1])
@@ -101,7 +119,7 @@ class TestFullRhs:
         assert np.allclose(np.delete(d, [3, 4, 5]), 0.0)
 
     def test_hover_balance(self, params):
-        s = hover_state(params)
+        s = FwavState(f_flap=params.hover_frequency)
         d = full_rhs(s, ActuatorCommands(f_flap_c=s.f_flap), params)
         assert np.allclose(d[3:6], 0.0, atol=1e-12)
         assert np.allclose(d[10:13], 0.0, atol=1e-12)
@@ -277,13 +295,14 @@ class TestModelInvariants:
         cmd = lambda t: ActuatorCommands(f_flap_c=f0)
         full_log = simulate_full(s0, params, cmd, dt=1e-3, duration=2.0)
 
-        vparams = matched_vertical_params(params)
+        vparams = VerticalParams(m=params.m, g=params.g, k_tf=params.k_tf, vk_d_x=params.k_d_x,
+                                 vk_d_y=params.k_d_y, vk_d_z=params.k_d_z)
         t_grid = full_log.t
 
         def inputs(t):
             i = min(int(round(t / 1e-3)), len(t_grid) - 1)
             row = full_log.states[i]
-            rot = quat_to_rot(UnitQuaternion.from_array(row[6:10]))
+            rot = quat_to_rot(UnitQuaternion(row[6], row[7:10]))
             gamma = rot.T @ np.array([0.0, 0.0, 1.0])
             return VerticalInputs(gamma=gamma / np.linalg.norm(gamma), f_flap=max(row[13], 0.0))
 
@@ -297,7 +316,7 @@ class TestModelInvariants:
 
 class TestLogCsv:
     def test_full_header_and_roundtrip(self, tmp_path, params):
-        log = simulate_full(hover_state(params), params,
+        log = simulate_full(FwavState(f_flap=params.hover_frequency), params,
                             lambda t: ActuatorCommands(params.hover_frequency),
                             dt=1e-3, duration=0.05)
         out = tmp_path / "state.csv"
@@ -339,10 +358,9 @@ class TestParamValidation:
 HYPOTHESIS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
-def quat_derivative(q: UnitQuaternion, omega_body: np.ndarray) -> UnitQuaternion:
+def quat_derivative(q: UnitQuaternion, omega_body: np.ndarray) -> np.ndarray:
     """Kinematics qdot = 0.5 * q (x) (0, omega_body).  Not normalized."""
-    d = q.multiply(UnitQuaternion(0.0, np.asarray(omega_body, dtype=float)))
-    return UnitQuaternion(0.5 * d.eta, 0.5 * d.epsilon)
+    return 0.5 * hamilton(q.as_array(), [0.0, *omega_body])
 
 
 def oracle_full_rhs(state, cmd, params):
@@ -370,7 +388,7 @@ def oracle_full_rhs(state, cmd, params):
         (cmd.theta_rud_c - state.theta_rud) / params.k_rud_c,
         (cmd.theta_ele_c - state.theta_ele) / params.k_ele_c,
     ]
-    derivative = np.concatenate([state.v, v_dot, q_dot.as_array(), omega_dot, lags])
+    derivative = np.concatenate([state.v, v_dot, q_dot, omega_dot, lags])
     # size of the terms each block sums, for a relative error measure;
     # l1 norms, so that tiny components do not underflow when squared
     l1 = lambda x: float(np.sum(np.abs(x)))
@@ -508,16 +526,17 @@ class TestScalarCoreOracle:
             oracle, scales, VERTICAL_BLOCKS,
         )
 
-    def test_primitives_share_the_core_terms(self, params):
+    def test_tilted_torque_and_signed_zero_drag(self, params):
         state = FwavState(
             v=np.array([0.7, -0.2, 0.4]), q=UnitQuaternion(0.9, np.array([0.1, -0.3, 0.2])),
             f_flap=14.0, theta_rud=0.1, theta_ele=-0.05,
         )
         oracle, _ = oracle_full_rhs(state, ActuatorCommands(), params)
-        tau = deflection_torque(state, params)
-        omega_dot = np.linalg.solve(params.J, tau)  # omega = 0: no gyroscopic term
+        omega_dot = full_rhs(state, ActuatorCommands(), params)[10:13]
         assert np.allclose(omega_dot, oracle[10:13], rtol=1e-12, atol=0.0)
-        assert np.array_equal(body_drag([0.0, -0.0, 2.0], params), [0.0, 0.0, -params.k_d_z * 4.0])
+        # sgn(-0.0) = 0: a signed zero drags nothing, level and at f = 0
+        v_dot = law(params, v=np.array([0.0, -0.0, 2.0]))[3:6]
+        assert np.array_equal(v_dot, [0.0, 0.0, -params.k_d_z * 4.0 / params.m - params.g])
 
 
 def _flat_or_view(view, flat: bool):

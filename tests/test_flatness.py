@@ -23,7 +23,8 @@ from flapkit.errors import (
     UnrecoverableDeflectionError,
 )
 from flapkit.flatness import FlatInputSchedule, flat_to_full
-from flapkit.trajectory import constant_trajectory, single_segment
+
+from helpers import constant_trajectory, single_segment
 
 
 @pytest.fixture
@@ -224,8 +225,8 @@ class TestFlatToFull:
             return samples[round(t, 6)]
 
         state0 = FwavState(
-            p=r0.p, v=r0.v, q=UnitQuaternion.from_array(r0.quaternion), omega=r0.omega,
-            f_flap=r0.f_flap, theta_rud=r0.theta_rud, theta_ele=r0.theta_ele,
+            p=r0.p, v=r0.v, q=UnitQuaternion(r0.quaternion[0], r0.quaternion[1:]),
+            omega=r0.omega, f_flap=r0.f_flap, theta_rud=r0.theta_rud, theta_ele=r0.theta_ele,
         )
         log = simulate_full(state0, fparams, commands, dt=dt, duration=traj.duration)
         ref = traj.eval_many(log.t, 0)
@@ -264,12 +265,29 @@ def forward_flights(draw):
     return single_segment(coeffs, 1.5)
 
 
+@st.composite
+def feasible_polynomials(draw):
+    """Start-from-rest climbing turns: slow launch (ramp window), then
+    forward flight above the schedule's speed floor."""
+    heading = draw(st.floats(-math.pi, math.pi))
+    along = [0.0, 0.0, draw(st.floats(0.2, 0.4)), draw(st.floats(-0.05, 0.0))]
+    lateral = [0.0, 0.0, 0.0, draw(st.floats(-0.02, 0.02))]
+    climb = [0.0, 0.0, draw(st.floats(-0.05, 0.05)), draw(st.floats(-0.01, 0.01))]
+    c, s = math.cos(heading), math.sin(heading)
+    coeffs = np.zeros((3, 7))
+    coeffs[0, :4] = [c * a - s * b for a, b in zip(along, lateral)]
+    coeffs[1, :4] = [s * a + c * b for a, b in zip(along, lateral)]
+    coeffs[2, :4] = climb
+    return single_segment(coeffs, 1.5)
+
+
 class TestRoundTripProperty:
-    @HYPOTHESIS
-    @given(traj=forward_flights())
+    @settings(HYPOTHESIS, max_examples=50)
+    @given(traj=st.one_of(forward_flights(), feasible_polynomials()))
     def test_vertical_round_trip_random_headings(self, traj):
-        # feasible flat outputs (azimuth-steady) reintegrate to within 1e-3 m
-        # of drift per second
+        # feasible flat outputs reintegrate to within 1e-3 m of drift per
+        # second: straight flights (azimuth-steady) and climbing turns from
+        # rest (through the launch ramp)
         vparams = VerticalParams()
         sched = FlatInputSchedule(traj, vparams, min_speed=0.3)
         dt = 1e-4
@@ -494,22 +512,6 @@ class TestFiniteDifferenceAgreement:
                 1.0, np.linalg.norm(omega_dot))
             assert abs(batch.theta_rud[i] - theta_rud) <= 1e-6
             assert abs(batch.theta_ele[i] - theta_ele) <= 1e-6
-
-
-@st.composite
-def feasible_polynomials(draw):
-    """Start-from-rest climbing turns: slow launch (ramp window), then
-    forward flight above the schedule's speed floor."""
-    heading = draw(st.floats(-math.pi, math.pi))
-    along = [0.0, 0.0, draw(st.floats(0.2, 0.4)), draw(st.floats(-0.05, 0.0))]
-    lateral = [0.0, 0.0, 0.0, draw(st.floats(-0.02, 0.02))]
-    climb = [0.0, 0.0, draw(st.floats(-0.05, 0.05)), draw(st.floats(-0.01, 0.01))]
-    c, s = math.cos(heading), math.sin(heading)
-    coeffs = np.zeros((3, 7))
-    coeffs[0, :4] = [c * a - s * b for a, b in zip(along, lateral)]
-    coeffs[1, :4] = [s * a + c * b for a, b in zip(along, lateral)]
-    coeffs[2, :4] = climb
-    return single_segment(coeffs, 1.5)
 
 
 class TestBatchedEqualsPerSample:

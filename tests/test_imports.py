@@ -1,11 +1,14 @@
-"""Every import in a flapkit module is used, every private module-level
-name is read somewhere in the package, and importing flapkit loads no
+"""Every import in a flapkit module or a test file is used, every private
+module-level name is read somewhere in the package, every public one is read
+by a caller (or is on a short allow-list), and importing flapkit loads no
 scipy: only ``plan`` (for ``scipy.optimize.minimize``) and the
 rank-deficiency error path import it, inside the function.  Every name the
 benchmark tracer wraps by lookup still exists.
 
 ``__init__.py`` is exempt from the unused-import check: its imports are the
-package's re-exports.
+package's re-exports.  For the same reason it is no caller: a public name
+counts as read where a flapkit module, the benchmark or the acceptance suite
+reads it.
 """
 
 import ast
@@ -25,8 +28,19 @@ import flapkit.planning
 from flapkit.planning import case_library
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flapkit"
+TESTS = Path(__file__).resolve().parent
 SPANS = SRC.parents[1] / "perfbench" / "spans.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CALLERS = [*MODULES, *sorted(SPANS.parent.glob("*.py")), TESTS / "test_acceptance.py"]
+
+# public names that no caller reads, and why each stays
+PUBLIC_UNREAD = {
+    "reduced_attitude": "test oracle of flat_to_full's rotation",
+    "recover_attitude": "test oracle of flat_to_full's rotation",
+    "split_azimuth": "test oracle of azimuth_of_quat",
+    "lyapunov_monitors": "the on-demand Lyapunov monitors the README documents",
+    "simulate_full": "the full model's open-loop simulator, pinned by digest",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,14 +58,22 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions, classes and constants defined in
-    ``sources`` (module name -> source) that no module reads: a name counts
-    as read where it is loaded, taken as an attribute or imported."""
-    defined, read = {}, set()
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def unreferenced_names(sources: dict[str, str], readers, kind=is_private) -> list[str]:
+    """Module-level functions, classes and constants of the given kind defined
+    in ``sources`` (module name -> source) that no source in ``readers``
+    reads: a name counts as read where it is loaded, taken as an attribute or
+    imported."""
+    defined, read = [], set()
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
+        for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -59,24 +81,23 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    defined[name] = f"{module}:{node.lineno}"
-        for node in ast.walk(tree):
+            defined += [(name, f"{module}:{node.lineno}") for name in names if kind(name)]
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
-    return [f"{name} ({where})" for name, where in defined.items() if name not in read]
+    return [f"{name} ({where})" for name, where in defined if name not in read]
 
 
 def test_modules_found():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -94,7 +115,15 @@ def test_detects_unused_names():
 
 def test_every_private_name_is_read():
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(sources, sources.values()) == []
+
+
+def test_every_public_name_has_a_caller():
+    sources = {path.name: path.read_text() for path in MODULES}
+    unread = unreferenced_names(sources, [p.read_text() for p in CALLERS], is_public)
+    # an allowed name that gains a caller leaves the list
+    assert sorted(entry.split()[0] for entry in unread) == sorted(PUBLIC_UNREAD), unread
+    assert len(PUBLIC_UNREAD) <= 5
 
 
 def test_detects_unreferenced_private_names():
@@ -110,7 +139,27 @@ def test_detects_unreferenced_private_names():
         ),
         "b.py": "from .a import _Orphan\n",
     }
-    assert unreferenced_private_names(sources) == ["_B (a.py:2)", "_dead (a.py:5)"]
+    assert unreferenced_names(sources, sources.values()) == ["_B (a.py:2)", "_dead (a.py:5)"]
+
+
+def test_detects_unreferenced_public_names():
+    sources = {
+        "a.py": (
+            "LIMIT = 1.0\n"
+            "A, B = 1, 2\n"
+            "_HIDDEN = 0\n"
+            "def used(): return LIMIT + A\n"
+            "def test_only(): return used()\n"
+            "class Base: pass\n"
+            "class Exported(Base): pass\n"
+        ),
+        "b.py": "from .a import Exported\n",
+    }
+    callers = [*sources.values(), "import a\na.used()\n"]
+    tests_only = "from a import B, test_only\n"
+    assert unreferenced_names(sources, callers, is_public) == [
+        "B (a.py:2)", "test_only (a.py:5)"]
+    assert unreferenced_names(sources, [*callers, tests_only], is_public) == []
 
 
 def import_time_modules(source: str) -> list[str]:

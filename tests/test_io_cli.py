@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from flapkit.planning import (
     Waypoint,
     case_library,
 )
-from flapkit.trajectory import ObjectiveWeights, PiecewiseTrajectory, constant_trajectory
+from flapkit.trajectory import ObjectiveWeights, PiecewiseTrajectory
+
+from helpers import constant_trajectory, kv_pairs
 
 
 class TestKvFormat:
@@ -59,7 +62,7 @@ class TestKvFormat:
     def test_round_trip(self, tmp_path):
         pairs = [("alpha", 1.5), ("vec", [1, 2, 3]), ("mode", "fast")]
         path = tmp_path / "f.kv"
-        kvio.dump_kv(path, pairs, comment="round trip")
+        path.write_text(kvio.format_kv(pairs, comment="round trip"))
         data = kvio.load_kv(path)
         assert data == {"alpha": 1.5, "vec": [1, 2, 3], "mode": "fast"}
 
@@ -80,7 +83,7 @@ class TestParamFiles:
     def test_fwav_params_round_trip(self, tmp_path):
         params = FwavParams(m=0.031, k_tau_z=3e-5)
         path = tmp_path / "p.kv"
-        kvio.dump_kv(path, kvio.fwav_params_to_pairs(params))
+        path.write_text(kvio.format_kv(kv_pairs(params)))
         back = kvio.fwav_params_from_dict(kvio.load_kv(path))
         assert back.m == params.m
         assert back.k_tau_z == params.k_tau_z
@@ -89,7 +92,7 @@ class TestParamFiles:
     def test_vertical_params_round_trip(self, tmp_path):
         params = VerticalParams(vk_gamma=17.5, lateral_mode="free")
         path = tmp_path / "v.kv"
-        kvio.dump_kv(path, kvio.vertical_params_to_pairs(params))
+        path.write_text(kvio.format_kv(kv_pairs(params)))
         back = kvio.vertical_params_from_dict(kvio.load_kv(path))
         assert back.vk_gamma == 17.5
         assert back.lateral_mode == "free"
@@ -115,7 +118,7 @@ class TestParamFiles:
                  "vk_flap_x", "kbar_gamma", "kbar_flap_x"], coeffs,
             )),
         )
-        text = kvio.format_kv(kvio.vertical_params_to_pairs(params))
+        text = kvio.format_kv(kv_pairs(params))
         back = kvio.vertical_params_from_dict(kvio.parse_kv(text))
         assert back.lateral_mode == lateral_mode
         for fld in dataclasses.fields(VerticalParams):
@@ -143,8 +146,7 @@ class TestParamFiles:
             **dict(zip(["k_tau_x", "k_tau_y", "k_tau_z", "k_flap_x", "k_flap_y", "k_flap_z"],
                        signed)),
         )
-        back = kvio.fwav_params_from_dict(kvio.parse_kv(
-            kvio.format_kv(kvio.fwav_params_to_pairs(params))))
+        back = kvio.fwav_params_from_dict(kvio.parse_kv(kvio.format_kv(kv_pairs(params))))
         for fld in dataclasses.fields(FwavParams):
             assert_bit_exact(getattr(back, fld.name), getattr(params, fld.name), fld.name)
 
@@ -164,14 +166,14 @@ class TestParamFiles:
             **dict(zip(["k_psi", "k_omega", "k_rud", "k_ele", "k_omega_x", "k_omega_y",
                         "filter_wn", "psi_rate_ff_cap", "gamma_yd_limit"], positive)),
         )
-        back = kvio.gains_from_dict(kvio.parse_kv(kvio.format_kv(kvio.gains_to_pairs(gains))))
+        back = kvio.gains_from_dict(kvio.parse_kv(kvio.format_kv(kv_pairs(gains))))
         for fld in dataclasses.fields(ControllerGains):
             assert_bit_exact(getattr(back, fld.name), getattr(gains, fld.name), fld.name)
 
     def test_gains_round_trip(self, tmp_path):
         gains = ControllerGains(k_psi=0.9, kp=np.array([0.5, 0.6, 0.7]))
         path = tmp_path / "g.kv"
-        kvio.dump_kv(path, kvio.gains_to_pairs(gains))
+        path.write_text(kvio.format_kv(kv_pairs(gains)))
         back = kvio.gains_from_dict(kvio.load_kv(path))
         assert back.k_psi == 0.9
         assert np.allclose(back.kp, [0.5, 0.6, 0.7])
@@ -220,7 +222,7 @@ class TestStrictKeys:
         traj_csv = tmp_path / "hover.csv"
         constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj_csv)
         full_params = tmp_path / "full.kv"
-        kvio.dump_kv(full_params, kvio.fwav_params_to_pairs(FwavParams()))
+        full_params.write_text(kvio.format_kv(kv_pairs(FwavParams())))
         assert main([
             "simulate", "--traj", str(traj_csv), "--model", "vertical",
             "--params", str(full_params),
@@ -428,3 +430,109 @@ class TestCli:
         log = kvio.load_state_log(path)
         assert isinstance(log, VerticalLog)
         assert np.allclose(log.states, run_line.state_log.states, atol=1e-9)
+
+
+def edit_rows(text: str, keep=lambda cells: True, change=lambda cells: cells) -> str:
+    """A CSV's text with its header kept and each body row, split into cells,
+    dropped unless ``keep`` and rewritten by ``change``."""
+    header, *rows = text.splitlines()
+    rows = [",".join(change(r.split(","))) for r in rows if keep(r.split(","))]
+    return "\n".join([header, *rows]) + "\n"
+
+
+class TestMalformedFiles:
+    """A malformed input file exits 1 with one ``error:`` line naming it."""
+
+    def assert_rejected(self, capsys, path, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0], err
+        return err[0]
+
+    @pytest.mark.parametrize("fault,line", [
+        ("no axis-2 row", None),
+        ("segments 0 and 2", None),
+        ("a far segment id", None),
+        ("a float segment id", 2),
+        ("a short row", 3),
+        ("a repeated row", 5),
+        ("an axis out of range", 2),
+        ("a non-finite cell", 4),
+        ("a second T", 4),
+        ("no rows", None),
+    ])
+    def test_trajectory_file(self, tmp_path, capsys, case_line, fault, line):
+        good = tmp_path / "good.csv"
+        case_line.traj.to_coeff_csv(good)
+        text = good.read_text()
+        bad = {
+            "no axis-2 row": edit_rows(text, keep=lambda c: c[1] != "2"),
+            "segments 0 and 2": text + edit_rows(
+                text, change=lambda c: ["2", *c[1:]]).split("\n", 1)[1],
+            "a far segment id": text + edit_rows(
+                text, change=lambda c: ["1000000000000", *c[1:]]).split("\n", 1)[1],
+            "a float segment id": edit_rows(text, change=lambda c: ["0.5", *c[1:]]),
+            "a short row": edit_rows(text, change=lambda c: c[:5] if c[1] == "1" else c),
+            "a repeated row": text + text.splitlines()[1] + "\n",
+            "an axis out of range": edit_rows(text, change=lambda c: [c[0], "3", *c[2:]]),
+            "a non-finite cell": edit_rows(text, change=lambda c: [*c[:3], "nan", *c[4:]]
+                                           if c[1] == "2" else c),
+            "a second T": edit_rows(text, change=lambda c: [*c[:-1], "4"] if c[1] == "2" else c),
+            "no rows": text.splitlines()[0] + "\n",
+        }[fault]
+        path = tmp_path / "bad.csv"
+        path.write_text(bad)
+        where = "bad.csv" + ("" if line is None else f", line {line}:")
+        with pytest.raises(InvalidInputError, match=re.escape(where)):
+            PiecewiseTrajectory.from_coeff_csv(path)
+        self.assert_rejected(capsys, path, [
+            "simulate", "--traj", str(path), "--out-state", str(tmp_path / "s.csv"),
+            "--out-control", str(tmp_path / "c.csv")])
+
+    def test_control_log_as_trajectory(self, tmp_path, capsys, run_line):
+        path = tmp_path / "control.csv"
+        run_line.control_to_csv(path)
+        message = self.assert_rejected(capsys, path, [
+            "simulate", "--traj", str(path), "--out-state", str(tmp_path / "s.csv"),
+            "--out-control", str(tmp_path / "c.csv")])
+        assert "line 1" in message
+
+    def test_rows_in_any_order_parse_bit_identically(self, tmp_path, case_c):
+        path = tmp_path / "traj.csv"
+        case_c.traj.to_coeff_csv(path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *reversed(rows)]) + "\n\n")
+        back = PiecewiseTrajectory.from_coeff_csv(path)
+        assert back.M == case_c.traj.M
+        for s0, s1 in zip(case_c.traj.segments, back.segments):
+            assert_bit_exact(s1.coeffs, s0.coeffs, "coeffs")
+            assert_bit_exact(s1.T, s0.T, "T")
+
+    @pytest.mark.parametrize("fault,message", [
+        ("three-cell rows", "rows of 3 cells"),
+        ("a fourteenth cell", "rows of 14 cells"),
+        ("a ragged row", "number of columns changed"),
+        ("a non-numeric cell", "could not convert"),
+        ("no rows", "no data rows"),
+    ])
+    @pytest.mark.parametrize("command", ["metrics", "identify"])
+    def test_state_log(self, tmp_path, capsys, run_line, fault, message, command):
+        good = tmp_path / "good.csv"
+        run_line.state_log.to_csv(good)
+        text = edit_rows(good.read_text(), keep=lambda c: float(c[0]) < 0.05)
+        bad = {
+            "three-cell rows": edit_rows(text, change=lambda c: c[:3]),
+            "a fourteenth cell": edit_rows(text, change=lambda c: [*c, "0"]),
+            "a ragged row": edit_rows(text, change=lambda c: c[:5] if c[0] == "0.02" else c),
+            "a non-numeric cell": edit_rows(text, change=lambda c: [c[0], "x", *c[2:]]),
+            "no rows": text.splitlines()[0] + "\n",
+        }[fault]
+        path = tmp_path / "bad.csv"
+        path.write_text(bad)
+        with pytest.raises(InvalidInputError, match=message):
+            kvio.load_state_log(path)
+        traj = tmp_path / "traj.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+        argv = (["metrics", "--state", str(path), "--traj", str(traj)] if command == "metrics"
+                else ["identify", "--state", str(path)])
+        assert message in self.assert_rejected(capsys, path, argv)

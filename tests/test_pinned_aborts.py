@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from flapkit.simulate import run_closed_loop
-from flapkit.trajectory import constant_trajectory
+
+from helpers import constant_trajectory
 
 # (model, start position offset, start velocity offset, divergence radius)
 ABORTS = {

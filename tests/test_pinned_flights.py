@@ -26,7 +26,7 @@ import math
 import numpy as np
 import pytest
 
-from flapkit.dynamics import ActuatorCommands, FwavParams, hover_state, simulate_full
+from flapkit.dynamics import ActuatorCommands, FwavParams, FwavState, simulate_full
 from flapkit.simulate import run_closed_loop
 
 TOL = 1e-9
@@ -90,7 +90,8 @@ def varying_commands(t: float) -> ActuatorCommands:
 
 def simulate_varying():
     params = FwavParams()
-    return simulate_full(hover_state(params), params, varying_commands, dt=1e-3, duration=0.5)
+    return simulate_full(FwavState(f_flap=params.hover_frequency), params, varying_commands,
+                         dt=1e-3, duration=0.5)
 
 
 def record_digests() -> dict:

@@ -37,11 +37,9 @@ from flapkit.planning import (
     _relative_to,
     _worst,
 )
-from flapkit.trajectory import (
-    ObjectiveWeights,
-    constant_trajectory,
-    snap_objective,
-)
+from flapkit.trajectory import ObjectiveWeights, snap_objective
+
+from helpers import constant_trajectory, single_segment
 
 
 def rest_to_rest(end, T=3.0, segments=1):
@@ -168,8 +166,6 @@ class TestConstraintResiduals:
         # straight x-line passing through a sphere centered at the midpoint
         coeffs = np.zeros((3, 7))
         coeffs[0, 1] = 1.0  # x = t over [0, 3]
-        from flapkit.trajectory import single_segment
-
         traj = single_segment(coeffs, 3.0)
         cons = ConstraintSet(
             boundary=BoundaryConditions(
@@ -185,8 +181,6 @@ class TestConstraintResiduals:
     def test_speed_aggregates(self):
         coeffs = np.zeros((3, 7))
         coeffs[0, 1] = 2.0  # 2 m/s along x exceeds the 1.5 default
-        from flapkit.trajectory import single_segment
-
         traj = single_segment(coeffs, 3.0)
         cons = ConstraintSet(boundary=BoundaryConditions())
         report = constraint_residuals(traj, cons)
@@ -335,7 +329,7 @@ class TestPenaltyEvaluation:
         for _ in range(6):
             xi = rng.normal(scale=2.0, size=3 * problem.k)
             rho = 10.0 ** rng.integers(0, 5)
-            value, grad = problem.value_and_grad(xi, rho)
+            value, grad, _ = problem.evaluate(xi, rho)
             expected, flags = oracle_value(problem.trajectory(xi), cons, opts, weights, rho)
             # the soft-abs path term exceeds |v| by at most 1e-8 per axis
             assert value == pytest.approx(
@@ -350,9 +344,7 @@ class TestPenaltyEvaluation:
                 up, down = xi.copy(), xi.copy()
                 up[i] += step
                 down[i] -= step
-                fd[i] = (
-                    problem.value_and_grad(up, rho)[0] - problem.value_and_grad(down, rho)[0]
-                ) / (2 * step)
+                fd[i] = (problem.evaluate(up, rho)[0] - problem.evaluate(down, rho)[0]) / (2 * step)
             assert np.allclose(grad, fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd)))
         assert all(active.values()), active
 

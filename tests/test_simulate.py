@@ -32,7 +32,8 @@ from flapkit.simulate import (
     simulate_heading_loop,
     simulate_ideal_vertical,
 )
-from flapkit.trajectory import constant_trajectory
+
+from helpers import constant_trajectory
 
 
 @pytest.fixture

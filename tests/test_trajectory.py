@@ -10,12 +10,12 @@ from flapkit.trajectory import (
     ObjectiveWeights,
     PiecewiseTrajectory,
     PolySegment,
-    constant_trajectory,
     falling_factorial,
-    single_segment,
     snap_gram_matrix,
     snap_objective,
 )
+
+from helpers import constant_trajectory, single_segment
 
 
 def axis_poly(coeffs, T=3.0, order=6):
