@@ -15,9 +15,13 @@ flapping-induced gain on each axis.  sgn(0) is taken as 0 everywhere so that
 rest states are exact equilibria.
 
 Each model's equations are written once, on floats whose arguments are
-already checked: ``_full_law`` and ``_vertical_law``.  The right-hand sides
-``full_rhs`` and ``vertical_rhs`` take a state view or a flat vector, check
-it and call them.  Thrust, drag (``_drag``) and the deflection torque
+already checked: ``_full_law`` and ``_vertical_law``, each reading its
+parameters as one tuple (``FwavParams._constants``,
+``VerticalParams._constants``).  The vertical law reads its input through
+``_vertical_terms``, the terms that depend on the input alone, written once
+for floats and arrays.  The right-hand sides ``full_rhs`` and
+``vertical_rhs`` take a state view or a flat vector, check it and call
+them.  Thrust, drag (``_drag``) and the deflection torque
 (``_deflection``) are terms of the full law, read only through it.  Each
 model's RK4 step is written once too, over a block of steps: ``_full_steps``
 (the quaternion projected onto the unit sphere after each step) and
@@ -25,6 +29,8 @@ model's RK4 step is written once too, over a block of steps: ``_full_steps``
 order, so every driver logs ``rk4_flat``'s states bit for bit.
 Inputs are checked where they change, not at every stage: the replay checks
 its table a block at a time and the closed loop its held input once per tick.
+The vertical input terms are computed there too: once per table row in the
+replay, as arrays, and once per tick in the closed loop.
 ``simulate_full`` and ``simulate_vertical`` read their schedule once at each
 half-step time and run one block over that table (``simulate_vertical`` is
 the replay on it).  The full model's stage states keep ``full_rhs``'s state
@@ -33,6 +39,7 @@ checks.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -187,6 +194,14 @@ class VerticalParams:
     @property
     def hover_frequency(self) -> float:
         return math.sqrt(self.m * self.g / self.k_tf)
+
+    def _constants(self) -> tuple:
+        """What the vertical law reads besides the input terms, in one tuple:
+        m, g, the drag gains per axis, the explicit rudder's and the tilt
+        proxy's velocity yaw gains, the yaw damping and whether the lateral
+        velocity is constrained."""
+        return (self.m, self.g, self.vk_d_x, self.vk_d_y, self.vk_d_z, self.vk_tau_x,
+                self.kbar_gamma, self.vk_damp, self.lateral_mode == "constrained")
 
 
 @dataclass
@@ -380,8 +395,9 @@ def vertical_rhs(
     """
     y = state if isinstance(state, (list, tuple)) else _floats(state, VerticalState)
     _, _, _, vvx, vvy, vvz, psi, w = y
-    u = _input_row(inputs)
-    return _vertical_law(params, _explicit_rudder(rudder_mode), vvx, vvy, vvz, psi, w, *u)
+    explicit = _explicit_rudder(rudder_mode)
+    terms = _vertical_terms(params, explicit, *_input_row(inputs))
+    return _vertical_law(params._constants(), explicit, vvx, vvy, vvz, psi, w, *terms)
 
 
 def _input_row(inputs) -> tuple:
@@ -406,29 +422,37 @@ def _explicit_rudder(rudder_mode: str) -> bool:
     raise InvalidInputError(f"unknown rudder mode {rudder_mode!r}")
 
 
-def _vertical_law(params, explicit, vvx, vvy, vvz, psi, w, gx, gy, gz, f, theta_rud):
-    """The vertical-frame equations on floats, inputs already validated;
-    position is not an argument because no row depends on it."""
-    m = params.m
+def _vertical_terms(params, explicit, gx, gy, gz, f, theta_rud):
+    """The vertical law's input-only terms of the checked input (gx, gy, gz, f,
+    theta_rud), floats or arrays: the thrust's forward and vertical
+    accelerations -k_tf f^2 Gx / m and k_tf f^2 Gz / m, the flapping yaw
+    gain f^2 Gz, the lever of the yaw torque (theta_rud with the explicit
+    rudder, Gy under the tilt proxy) and vk_gamma Gy."""
     f2 = f * f
     thrust = params.k_tf * f2
-    dx, dz = vvx * abs(vvx), vvz * abs(vvz)
-    ax = -thrust * gx / m - params.vk_d_x * dx / m - w * vvy
-    if params.lateral_mode == "constrained":
-        ay = 0.0
-    else:
-        ay = w * vvx - params.vk_d_y * (vvy * abs(vvy)) / m
-    az = thrust * gz / m - params.vk_d_z * dz / m - params.g
     if explicit:
-        w_dot = (
-            -(params.vk_tau_x * dz + params.vk_flap_x * f2 * gz) * theta_rud
-            + params.vk_gamma * gy * dx
-        )
+        yaw, lever = params.vk_flap_x * f2 * gz, theta_rud
     else:
-        w_dot = -(params.kbar_gamma * dz + params.kbar_flap_x * f2 * gz) * gy
-    w_dot -= params.vk_damp * (w * abs(w))
-    c, s = math.cos(psi), math.sin(psi)
-    return c * vvx - s * vvy, s * vvx + c * vvy, vvz, ax, ay, az, w, w_dot
+        yaw, lever = params.kbar_flap_x * f2 * gz, gy
+    return -thrust * gx / params.m, thrust * gz / params.m, yaw, lever, params.vk_gamma * gy
+
+
+def _vertical_law(c, explicit, vvx, vvy, vvz, psi, w, ax_thrust, az_thrust, yaw, lever, gam):
+    """The vertical-frame equations on floats under an input's
+    ``_vertical_terms``, ``c`` from ``VerticalParams._constants``; position is
+    not an argument because no row depends on it."""
+    m, g, d_x, d_y, d_z, tau_x, kbar_gamma, damp, constrained = c
+    dx, dz = vvx * abs(vvx), vvz * abs(vvz)
+    ax = ax_thrust - d_x * dx / m - w * vvy
+    ay = 0.0 if constrained else w * vvx - d_y * (vvy * abs(vvy)) / m
+    az = az_thrust - d_z * dz / m - g
+    if explicit:
+        w_dot = -(tau_x * dz + yaw) * lever + gam * dx
+    else:
+        w_dot = -(kbar_gamma * dz + yaw) * lever
+    w_dot -= damp * (w * abs(w))
+    cos, sin = math.cos(psi), math.sin(psi)
+    return cos * vvx - sin * vvy, sin * vvx + cos * vvy, vvz, ax, ay, az, w, w_dot
 
 
 # ---------------------------------------------------------------------------
@@ -456,43 +480,48 @@ def rk4_flat(rhs, y: list, dt: float, u0, um, u1, *args) -> list:
 
 def _vertical_steps(params, explicit, y, rows, dt, states, k0, first=None, radius=math.inf):
     """``rk4_flat`` on ``vertical_rhs``, unrolled: n steps from the flat state y at row
-    k0 over 2n + 1 checked half-step input rows (gx, gy, gz, f, theta_rud), ``first``
-    the derivative at y and rows[0] if known.  Writes rows k0 + 1.. of ``states`` up to
-    the first non-finite state or position norm beyond ``radius``; returns the last
-    state, its row and whether it stopped there.  Stage states carry no position."""
+    k0 over the ``_vertical_terms`` of 2n + 1 checked half-step input rows, ``first``
+    the derivative at y and rows[0] if known.  Writes rows k0 + 1.. of ``states``, in
+    one slice, up to the first non-finite state or position norm beyond ``radius``;
+    returns the last state, its row and whether it stopped there.  Stage states carry
+    no position."""
     px, py, pz, vvx, vvy, vvz, psi, w = y
-    h, c, law, isfinite, sqrt = 0.5 * dt, dt / 6.0, _vertical_law, math.isfinite, math.sqrt
+    h, c6, law, isfinite, sqrt = 0.5 * dt, dt / 6.0, _vertical_law, math.isfinite, math.sqrt
+    c, out, stopped = params._constants(), [], False
     k, last = k0, k0 + len(rows) // 2
-    stage = first or law(params, explicit, vvx, vvy, vvz, psi, w, *rows[0])
-    for k, (gxm, gym, gzm, fm, rudm), (gx, gy, gz, f, rud) in zip(
+    stage = first or law(c, explicit, vvx, vvy, vvz, psi, w, *rows[0])
+    for k, (txm, tzm, yawm, leverm, gamm), (tx, tz, yaw, lever, gam) in zip(
             range(k0 + 1, last + 1), rows[1::2], rows[2::2]):
         dpx1, dpy1, dpz1, a1, b1, c1, d1, e1 = stage
         dpx2, dpy2, dpz2, a2, b2, c2, d2, e2 = law(
-            params, explicit, vvx + h * a1, vvy + h * b1, vvz + h * c1,
-            psi + h * d1, w + h * e1, gxm, gym, gzm, fm, rudm)
+            c, explicit, vvx + h * a1, vvy + h * b1, vvz + h * c1,
+            psi + h * d1, w + h * e1, txm, tzm, yawm, leverm, gamm)
         dpx3, dpy3, dpz3, a3, b3, c3, d3, e3 = law(
-            params, explicit, vvx + h * a2, vvy + h * b2, vvz + h * c2,
-            psi + h * d2, w + h * e2, gxm, gym, gzm, fm, rudm)
+            c, explicit, vvx + h * a2, vvy + h * b2, vvz + h * c2,
+            psi + h * d2, w + h * e2, txm, tzm, yawm, leverm, gamm)
         dpx4, dpy4, dpz4, a4, b4, c4, d4, e4 = law(
-            params, explicit, vvx + dt * a3, vvy + dt * b3, vvz + dt * c3,
-            psi + dt * d3, w + dt * e3, gx, gy, gz, f, rud)
-        px = px + c * (dpx1 + 2.0 * dpx2 + 2.0 * dpx3 + dpx4)
-        py = py + c * (dpy1 + 2.0 * dpy2 + 2.0 * dpy3 + dpy4)
-        pz = pz + c * (dpz1 + 2.0 * dpz2 + 2.0 * dpz3 + dpz4)
-        vvx = vvx + c * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        vvy = vvy + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        vvz = vvz + c * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        psi = psi + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        w = w + c * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+            c, explicit, vvx + dt * a3, vvy + dt * b3, vvz + dt * c3,
+            psi + dt * d3, w + dt * e3, tx, tz, yaw, lever, gam)
+        px = px + c6 * (dpx1 + 2.0 * dpx2 + 2.0 * dpx3 + dpx4)
+        py = py + c6 * (dpy1 + 2.0 * dpy2 + 2.0 * dpy3 + dpy4)
+        pz = pz + c6 * (dpz1 + 2.0 * dpz2 + 2.0 * dpz3 + dpz4)
+        vvx = vvx + c6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        vvy = vvy + c6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        vvz = vvz + c6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        psi = psi + c6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        w = w + c6 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
         y = px, py, pz, vvx, vvy, vvz, psi, w
-        states[k] = y
+        out.append(y)
         # a finite sum has only finite terms; an overflowing one is rechecked
         if (not isfinite(px + py + pz + vvx + vvy + vvz + psi + w) and not all(map(isfinite, y))
                 or sqrt(px * px + py * py + pz * pz) > radius):
-            return y, k, True
+            stopped = True
+            break
         if k < last:
-            stage = law(params, explicit, vvx, vvy, vvz, psi, w, gx, gy, gz, f, rud)
-    return y, k, False
+            stage = law(c, explicit, vvx, vvy, vvz, psi, w, tx, tz, yaw, lever, gam)
+    if out:
+        states[k0 + 1:k + 1] = out
+    return y, k, stopped
 
 
 def _full_steps(params, y, rows, dt, states, k0, first=None, radius=math.inf):
@@ -595,6 +624,17 @@ def _write_csv(path, header: str, rows: np.ndarray) -> None:
         fh.writelines(line % tuple(row.tolist()) for row in rows)
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """``path`` opened for reading as UTF-8 text; a byte that does not decode
+    raises InvalidInputError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as err:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
 def _half_steps(dt: float, duration: float) -> list[float]:
     """The half-step times j dt/2, j = 0..2n, of an n-step run: the RK4 stage times."""
     return (np.arange(2 * _step_count(dt, duration) + 1) * (0.5 * dt)).tolist()
@@ -653,11 +693,11 @@ def integrate_vertical_tabulated(
     k*dt/2, the exact abscissae RK4 stages use.  The rudder mode is resolved
     once, and the table is read from the grids and checked with
     ``vertical_rhs``'s predicates one block of steps at a time (no copy of
-    the whole table); ``_vertical_steps`` runs each block.  The log is
-    ``rk4_flat`` over ``vertical_rhs`` on the same samples bit for bit.  An
-    invalid sample raises InvalidInputError after the steps before the one
-    that first reads it, and a non-finite state raises PropagationError
-    naming its step.
+    the whole table); ``_vertical_steps`` runs each block on the
+    ``_vertical_terms`` of its rows.  The log is ``rk4_flat`` over
+    ``vertical_rhs`` on the same samples bit for bit.  An invalid sample
+    raises InvalidInputError after the steps before the one that first reads
+    it, and a non-finite state raises PropagationError naming its step.
     """
     if gamma_grid.shape[0] != f_grid.shape[0] or gamma_grid.shape[0] % 2 == 0:
         raise InvalidInputError("need an odd number of half-step input samples")
@@ -677,7 +717,10 @@ def integrate_vertical_tabulated(
         if bad.size:
             # sample j of the block is first read in step start + max(j - 1, 0) // 2
             stop = start + max(int(bad[0]) - 1, 0) // 2
-        rows = block[:2 * (stop - start) + 1].tolist()
+        # float products overflow to inf and NaN silently; the arrays' must too
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _vertical_terms(params, explicit, *block[:2 * (stop - start) + 1].T)
+        rows = list(zip(*(t.tolist() for t in terms)))
         y, k, stopped = _vertical_steps(params, explicit, y, rows, dt, states, start)
         if stopped:
             raise PropagationError("integration produced non-finite state", step=k)

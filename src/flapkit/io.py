@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .control import ControllerGains
-from .dynamics import FullLog, FwavParams, VerticalLog, VerticalParams
+from .dynamics import FullLog, FwavParams, VerticalLog, VerticalParams, _open_text
 from .errors import InvalidInputError
 from .planning import (
     BoundaryConditions,
@@ -61,8 +61,13 @@ def parse_kv(text: str) -> dict:
 
 
 def load_kv(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kv(fh.read())
+    """``parse_kv`` of a file; its errors name the file."""
+    with _open_text(path) as fh:
+        text = fh.read()
+    try:
+        return parse_kv(text)
+    except InvalidInputError as err:
+        raise InvalidInputError(f"{path}, {err}") from None
 
 
 def format_kv(pairs, comment: str | None = None) -> str:
@@ -243,18 +248,44 @@ def scenario_from_dict(data: dict):
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
     """Header cells and the float rows below them; a non-numeric cell, a row
-    of another width or no rows at all raise InvalidInputError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    of another width than the first or no rows at all raise InvalidInputError
+    naming the file and, for a bad row, its line."""
+    with _open_text(path) as fh:
         header = fh.readline().strip().split(",")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # no rows: checked below
                 rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except UnicodeDecodeError:  # a ValueError too: _open_text names it
+            raise
         except ValueError as err:
-            raise InvalidInputError(f"{path}: {err}") from None
+            fh.seek(0)
+            raise InvalidInputError(_row_fault(path, fh) or f"{path}: {err}") from None
     if rows.size == 0:
         raise InvalidInputError(f"{path}: no data rows")
     return header, rows
+
+
+def _row_fault(path, lines) -> str | None:
+    """Where and why the body of a CSV's lines is not a float table, as
+    np.loadtxt reads it: "<path>, line N: ..." of its first non-numeric cell
+    or row of another width than the first, or None."""
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        cells = line.split("#", 1)[0].strip().split(",")
+        if lineno == 1 or cells == [""]:
+            continue
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                return f"{path}, line {lineno}: could not convert {cell.strip()!r} to a float"
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            return (f"{path}, line {lineno}: the number of columns changed from {width} "
+                    f"to {len(cells)}")
+    return None
 
 
 def load_state_log(path) -> VerticalLog | FullLog:

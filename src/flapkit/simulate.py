@@ -52,6 +52,7 @@ from .dynamics import (
     _stage_times,
     vertical_rhs,
     _vertical_steps,
+    _vertical_terms,
     _write_csv,
 )
 from .errors import InvalidInputError, PropagationError
@@ -173,7 +174,7 @@ class _VerticalPlant:
 
     def advance(self, y, u, dt, states, k, n, radius):
         first = vertical_rhs(y, u, self.params)  # checks the held input once
-        rows = [u] * (2 * n + 1)
+        rows = [_vertical_terms(self.params, False, *u)] * (2 * n + 1)
         y, k, stopped = _vertical_steps(self.params, False, y, rows, dt, states, k, first, radius)
         return y, k, k if stopped else None
 

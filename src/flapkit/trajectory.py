@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import _write_csv
+from .dynamics import _open_text, _write_csv
 from .errors import InvalidInputError, TrajectoryDomainError
 
 SAMPLED_HEADER = "t,x,y,z,vx,vy,vz,ax,ay,az,jx,jy,jz,sx,sy,sz"
@@ -212,7 +212,7 @@ class PiecewiseTrajectory:
         """Read ``to_coeff_csv``'s file: one row (seg, axis, c0..cN, T) for each
         segment 0..M-1 and axis 0..2, all with one T > 0.  A malformed file
         raises InvalidInputError naming the file and, for a bad row, its line."""
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             header = fh.readline().strip().split(",")
             n = len(header) - 3
             if n < 1 or header[:2] != ["seg", "axis"] or header[-1] != "T":

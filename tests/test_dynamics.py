@@ -22,6 +22,7 @@ from flapkit.dynamics import (
     simulate_vertical,
     vertical_rhs,
     _vertical_steps,
+    _vertical_terms,
     _write_csv,
 )
 from flapkit.errors import InvalidInputError, PropagationError
@@ -709,15 +710,42 @@ class TestVerticalSteps:
                   if math.sqrt(x * x + y * y + z * z) > radius]
         last = beyond[0] if beyond else len(want) - 1
 
+        # the stepper reads the rows' input terms, computed once per row
+        explicit = _explicit_rudder(rudder_mode)
+        terms = [_vertical_terms(params, explicit, *row) for row in rows]
         states = np.full((len(want), 8), np.nan)
         states[0] = y0
         first = vertical_rhs(y0, rows[0], params, rudder_mode) if given_first else None
-        y, k, stopped = _vertical_steps(params, _explicit_rudder(rudder_mode), y0, rows, dt,
-                                        states, 0, first, radius)
+        y, k, stopped = _vertical_steps(params, explicit, y0, terms, dt, states, 0, first,
+                                        radius)
         assert (k, stopped) == (last, bool(beyond))
         assert list(y) == want[last]
         assert np.array_equal(states[: last + 1], np.array(want[: last + 1]))
         assert np.isnan(states[last + 1 :]).all()
+
+
+signed_cell = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
+term_inputs = st.lists(
+    st.tuples(signed_cell, signed_cell, signed_cell,
+              st.one_of(st.sampled_from([0.0, -0.0, 1e150, 1e200]), st.floats(0.0, 1e200)),
+              signed_cell),
+    min_size=1, max_size=8,
+)
+
+
+class TestVerticalTerms:
+    @pytest.mark.parametrize("rudder_mode", ["gamma-proxy", "explicit-rudder"])
+    @HYPOTHESIS
+    @given(rows=term_inputs)
+    def test_arrays_equal_floats_bit_for_bit(self, rudder_mode, rows):
+        # the replay computes a block's terms as arrays under its errstate, the
+        # closed loop a tick's on floats: the same bits, signed zeros, infinities
+        # and NaNs of an overflowing f included, and no warning from the arrays
+        params, explicit = VerticalParams(), _explicit_rudder(rudder_mode)
+        floats = [_vertical_terms(params, explicit, *row) for row in rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            arrays = _vertical_terms(params, explicit, *np.array(rows).T)
+        assert np.array_equal(bits(np.column_stack(arrays)), bits(floats))
 
 
 def parent_full_steps(params, y0, rows, dt, radius):

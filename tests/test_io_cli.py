@@ -536,3 +536,60 @@ class TestMalformedFiles:
         argv = (["metrics", "--state", str(path), "--traj", str(traj)] if command == "metrics"
                 else ["identify", "--state", str(path)])
         assert message in self.assert_rejected(capsys, path, argv)
+
+    @pytest.mark.parametrize("line,fault", [
+        (4, "a non-numeric cell"),
+        (3, "a short row"),
+    ])
+    def test_state_log_names_the_file_line(self, tmp_path, capsys, run_line, line, fault):
+        # line 3 is blank, so data row k is not file line k + 2: the line named
+        # is the file's, and numpy's usecols hint is not passed on
+        good = tmp_path / "good.csv"
+        run_line.state_log.to_csv(good)
+        header, first, second, *_ = good.read_text().splitlines()
+        bad = {
+            "a non-numeric cell": ",".join(["x", *second.split(",")[1:]]),
+            "a short row": ",".join(second.split(",")[:5]),
+        }[fault]
+        lines = [header, first, bad] if line == 3 else [header, first, "", bad]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match=re.escape(f"bad.csv, line {line}: ")):
+            kvio.load_state_log(path)
+        traj = tmp_path / "traj.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+        message = self.assert_rejected(
+            capsys, path, ["metrics", "--state", str(path), "--traj", str(traj)])
+        assert f", line {line}: " in message and "usecols" not in message
+
+    def test_parameter_file_line_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "params.kv"
+        path.write_text("m = 0.03\nk_tf\n")
+        with pytest.raises(InvalidInputError, match=re.escape("params.kv, line 2: expected")):
+            kvio.load_kv(path)
+        traj = tmp_path / "traj.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+        self.assert_rejected(capsys, path, [
+            "simulate", "--traj", str(traj), "--params", str(path),
+            "--out-state", str(tmp_path / "s.csv"), "--out-control", str(tmp_path / "c.csv")])
+
+    @pytest.mark.parametrize("reader", ["--traj", "--state", "--state late", "--params"])
+    def test_non_utf8_file(self, tmp_path, capsys, run_line, reader):
+        # a binary file, or (late) a state log whose first non-UTF-8 byte comes
+        # after numpy's reader has taken over from the header line
+        path = tmp_path / "binary.dat"
+        binary = bytes(range(128, 256)) * 4
+        if reader == "--state late":
+            run_line.state_log.to_csv(path)
+            binary = path.read_bytes() + binary
+        path.write_bytes(binary)
+        traj = tmp_path / "traj.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+        outs = ["--out-state", str(tmp_path / "s.csv"), "--out-control", str(tmp_path / "c.csv")]
+        argv = {
+            "--traj": ["simulate", "--traj", str(path), *outs],
+            "--state": ["metrics", "--state", str(path), "--traj", str(traj)],
+            "--state late": ["metrics", "--state", str(path), "--traj", str(traj)],
+            "--params": ["simulate", "--traj", str(traj), "--params", str(path), *outs],
+        }[reader]
+        assert "not UTF-8 text" in self.assert_rejected(capsys, path, argv)

@@ -167,8 +167,9 @@ class TestClosedLoop:
     def test_vertical_input_checked_once_per_tick(self, monkeypatch):
         # the held input is checked where it changes: vertical_rhs runs once
         # per controller tick, and its derivative is the first RK4 stage of
-        # the tick's block; the law runs once per stage
-        calls = {"vertical_rhs": 0, "_vertical_law": 0}
+        # the tick's block; the block's input terms are computed once per
+        # tick too, and the law runs once per stage
+        calls = {"vertical_rhs": 0, "_vertical_terms": 0, "_vertical_law": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -180,12 +181,14 @@ class TestClosedLoop:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(flapkit.simulate, "vertical_rhs")
+        counting(flapkit.simulate, "_vertical_terms")
         counting(flapkit.dynamics, "_vertical_law")
         traj = constant_trajectory([0.0, 0.0, 0.5], T=0.25)
         res = run_closed_loop(traj, duration=0.25, perturb_pos=(0.0, 0.0, 0.01))
         steps, ticks = len(res.state_log.t) - 1, len(res.control_t)
         assert (steps, ticks) == (250, 25) and not res.diverged
-        assert calls == {"vertical_rhs": ticks, "_vertical_law": 4 * steps}
+        assert calls == {"vertical_rhs": ticks, "_vertical_terms": ticks,
+                         "_vertical_law": 4 * steps}
 
     @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (0.03, -0.02, 0.04)])
     def test_block_stepper_flies_like_rk4_flat(self, case_c, offset):
