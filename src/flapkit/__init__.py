@@ -2,7 +2,6 @@
 flapping-wing aerial vehicle."""
 
 from .attitude import (
-    UnitQuaternion,
     quat_to_rot,
     recover_attitude,
     reduced_attitude,
@@ -28,12 +27,8 @@ from .control import (
     lyapunov_monitors,
 )
 from .dynamics import (
-    ActuatorCommands,
     FwavParams,
-    FwavState,
-    VerticalInputs,
     VerticalParams,
-    VerticalState,
     full_rhs,
     simulate_full,
     simulate_vertical,

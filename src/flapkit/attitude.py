@@ -2,8 +2,9 @@
 
 Conventions
 -----------
-Quaternions are scalar-first, q = (eta, epsilon) with R(q) mapping body-frame
-vectors into the inertial frame:
+Quaternions are scalar-first rows q = (eta, ex, ey, ez), the column order
+of the full model's state and log, with R(q) mapping body-frame vectors into
+the inertial frame:
 
     R(q) = I + 2*eta*[eps]x + 2*[eps]x^2
 
@@ -16,7 +17,6 @@ is the tilt factor rebuilt from Gamma alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,35 +26,6 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 UNIT_TOL = 1e-6
 ANTIPODAL_TOL = 1e-6
-
-
-@dataclass
-class UnitQuaternion:
-    """Scalar-first unit quaternion (eta, epsilon)."""
-
-    eta: float
-    epsilon: np.ndarray
-
-    def __post_init__(self):
-        self.epsilon = np.asarray(self.epsilon, dtype=float)
-        if self.epsilon.shape != (3,):
-            raise InvalidInputError("quaternion vector part must have shape (3,)")
-
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(1.0, np.zeros(3))
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.eta], self.epsilon))
-
-    def norm(self) -> float:
-        return math.sqrt(self.eta**2 + float(self.epsilon @ self.epsilon))
-
-    def normalized(self) -> "UnitQuaternion":
-        n = self.norm()
-        if n == 0.0:
-            raise InvalidInputError("cannot normalize a zero quaternion")
-        return UnitQuaternion(self.eta / n, self.epsilon / n)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -67,19 +38,23 @@ def skew(v: np.ndarray) -> np.ndarray:
     ])
 
 
-def quat_to_rot(q: UnitQuaternion) -> np.ndarray:
-    """Rotation matrix of a unit quaternion.
+def quat_to_rot(q) -> np.ndarray:
+    """Rotation matrix of a unit quaternion row (eta, ex, ey, ez).
 
-    Raises InvalidInputError when ``q`` deviates from unit norm by more
-    than 1e-6.
+    Raises InvalidInputError when ``q`` is not a 4-row or deviates from unit
+    norm by more than 1e-6.
     """
-    if abs(q.norm() - 1.0) > UNIT_TOL:
-        raise InvalidInputError(f"quaternion norm {q.norm():.8f} is not 1")
-    s = skew(q.epsilon)
-    return np.eye(3) + 2.0 * q.eta * s + 2.0 * (s @ s)
+    q = np.asarray(q, dtype=float)
+    if q.shape != (4,):
+        raise InvalidInputError("quaternion must have shape (4,)")
+    norm = math.sqrt(q[0] ** 2 + float(q[1:] @ q[1:]))
+    if abs(norm - 1.0) > UNIT_TOL:
+        raise InvalidInputError(f"quaternion norm {norm:.8f} is not 1")
+    s = skew(q[1:])
+    return np.eye(3) + 2.0 * q[0] * s + 2.0 * (s @ s)
 
 
-def reduced_attitude(q: UnitQuaternion) -> np.ndarray:
+def reduced_attitude(q) -> np.ndarray:
     """Yaw-invariant reduced attitude Gamma = R(q)^T e3."""
     return quat_to_rot(q).T @ E3
 
@@ -96,8 +71,8 @@ def rotz(psi: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def tilt_quaternion(gamma: np.ndarray, sign: int = 1) -> UnitQuaternion:
-    """Zero-yaw quaternion whose reduced attitude equals ``gamma``.
+def tilt_quaternion(gamma: np.ndarray, sign: int = 1) -> np.ndarray:
+    """Zero-yaw quaternion row whose reduced attitude equals ``gamma``.
 
     Built from the unnormalized pair s_e * [Gamma.e3 + 1, Gamma x e3]; both
     sign choices represent the same rotation.  Raises
@@ -111,8 +86,8 @@ def tilt_quaternion(gamma: np.ndarray, sign: int = 1) -> UnitQuaternion:
     w = float(gamma @ E3) + 1.0
     if w < ANTIPODAL_TOL:
         raise DegenerateAttitudeError("reduced attitude antipodal to +Z")
-    q_er = UnitQuaternion(sign * w, sign * np.array([gamma[1], -gamma[0], 0.0]))  # Gamma x e3
-    return q_er.normalized()
+    eta, eps = sign * w, sign * np.array([gamma[1], -gamma[0], 0.0])  # Gamma x e3
+    return np.concatenate(([eta], eps)) / math.sqrt(eta**2 + float(eps @ eps))
 
 
 def recover_attitude(gamma: np.ndarray, psi: float, sign: int = 1) -> np.ndarray:

@@ -79,8 +79,9 @@ class ControllerGains:
             raise InvalidInputError("filter damping must be in (0, 2]")
 
 
-def _floats(x) -> tuple:
-    """A float or a sequence of floats as a tuple of floats."""
+def _channels(x) -> tuple:
+    """A filter input, a float or a sequence of floats, as a tuple of floats:
+    one per channel."""
     return (float(x),) if isinstance(x, (int, float)) else tuple(map(float, x))
 
 
@@ -104,11 +105,13 @@ class SecondOrderFilter:
     and S = sinh(mu dt)/mu when over-damped, C = cos(|mu| dt) and
     S = sin(|mu| dt)/|mu| when under-damped, C = 1 and S = dt when
     critically damped.  A constant input is a fixed point (x = u, x' = 0),
-    which gives the input column.  ``reset`` snaps the state to the input
-    with zero rate (used at declared jumps of the input).
+    which gives the input column.  The first ``update`` primes the state from
+    its input, a float or a sequence of floats (one channel each); ``reset``
+    snaps the state to the input with zero rate (used at declared jumps of
+    the input).
     """
 
-    def __init__(self, wn: float, zeta: float, dt: float, channels: int = 1):
+    def __init__(self, wn: float, zeta: float, dt: float):
         a = -zeta * wn
         mu2 = wn * wn * (zeta * zeta - 1.0)
         if mu2 > 0.0:
@@ -125,11 +128,11 @@ class SecondOrderFilter:
         a10, a11 = -decay * s * wn * wn, decay * (c + s * a)
         self.ad = ((a00, a01), (a10, a11))
         self.bd = (1.0 - a00, -a10)
-        self.value = self.rate = (0.0,) * channels
+        self.value = self.rate = ()
         self._primed = False
 
     def reset(self, u) -> None:
-        self.value = _floats(u)
+        self.value = _channels(u)
         self.rate = (0.0,) * len(self.value)
         self._primed = True
 
@@ -142,7 +145,7 @@ class SecondOrderFilter:
         b0, b1 = self.bd
         self.value, self.rate = zip(*[
             (x * a00 + r * a01 + w * b0, x * a10 + r * a11 + w * b1)
-            for x, r, w in zip(self.value, self.rate, _floats(u))
+            for x, r, w in zip(self.value, self.rate, _channels(u))
         ])
         return self.value, self.rate
 
@@ -384,7 +387,7 @@ class HybridHeading:
     def __init__(self, gains: ControllerGains, dt: float):
         self.gains = gains
         self.h_psi = 1
-        self._wd_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, dt, 1)
+        self._wd_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, dt)
         self._last_omega_psi_d: float | None = None
 
     def tick(self, delta_psi: float, psi_d_rate: float, omega_psi: float) -> HeadingTick:
@@ -465,23 +468,17 @@ class TrackingController:
         params: VerticalParams,
         rate_hz: float = 100.0,
         initial_psi_d: float = 0.0,
-        psi_d_floor: float = PSI_D_FLOOR,
     ):
         if rate_hz <= 0:
             raise InvalidInputError("controller rate must be positive")
         self.gains = gains
         self.params = params
         self.dt = 1.0 / rate_hz
-        self.psi_d_floor = psi_d_floor
         self.heading = HybridHeading(gains, self.dt)
-        self.vd_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt, 3)
-        self.psid_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt, 1)
+        self.vd_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt)
+        self.psid_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt)
         self.psi_d_cont = initial_psi_d
         self.held = Decomposition(initial_psi_d, params.hover_frequency, 0.0, 1.0)
-
-    @property
-    def h_psi(self) -> int:
-        return self.heading.h_psi
 
     def update(self, sigma_r, sigma_r_dot, meas: Measurement) -> ControllerOutput:
         """One tick on floats: what the control log reads, no monitors."""
@@ -497,7 +494,7 @@ class TrackingController:
         c, s = math.cos(meas.psi), math.sin(meas.psi)
         vx, vy, vz = meas.v
         vv = (c * vx + s * vy, c * vy - s * vx, vz)
-        if math.hypot(a_d[0], a_d[1]) < self.psi_d_floor:
+        if math.hypot(a_d[0], a_d[1]) < PSI_D_FLOOR:
             # horizontal demand too weak to define an azimuth: hold it
             psi_d = self.held.psi_d
         else:

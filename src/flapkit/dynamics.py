@@ -14,13 +14,25 @@ with sign, and the deflection torque combines a velocity-induced and a
 flapping-induced gain on each axis.  sgn(0) is taken as 0 everywhere so that
 rest states are exact equilibria.
 
+States and inputs are rows of floats, in the column order of the logs
+(``FULL_LOG_HEADER`` and ``VERTICAL_LOG_HEADER`` after ``t``):
+
+* a full state is (px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz,
+  fflap, thrud, thele): inertial position and velocity, the scalar-first
+  attitude quaternion, body rates and the three actuator states;
+* a full-model command is (f_flap_c, theta_rud_c, theta_ele_c);
+* a vertical state is (px, py, pz, vvx, vvy, vvz, psi, omegapsi), the
+  velocity in the azimuth frame;
+* a vertical input is (gx, gy, gz, f_flap, theta_rud); theta_rud is read
+  only with the explicit rudder.
+
 Each model's equations are written once, on floats whose arguments are
 already checked: ``_full_law`` and ``_vertical_law``, each reading its
 parameters as one tuple (``FwavParams._constants``,
 ``VerticalParams._constants``).  The vertical law reads its input through
 ``_vertical_terms``, the terms that depend on the input alone, written once
 for floats and arrays.  The right-hand sides ``full_rhs`` and
-``vertical_rhs`` take a state view or a flat vector, check it and call
+``vertical_rhs`` take a state row and an input row, check them and call
 them.  Thrust, drag (``_drag``) and the deflection torque
 (``_deflection``) are terms of the full law, read only through it.  Each
 model's RK4 step is written once too, over a block of steps: ``_full_steps``
@@ -46,7 +58,6 @@ from typing import Callable
 
 import numpy as np
 
-from .attitude import UnitQuaternion
 from .errors import InvalidInputError, PropagationError
 
 FULL_LOG_HEADER = (
@@ -58,7 +69,7 @@ GRAVITY = 9.81
 
 
 # ---------------------------------------------------------------------------
-# parameter and state containers
+# parameters
 # ---------------------------------------------------------------------------
 
 
@@ -123,32 +134,6 @@ class FwavParams:
 
 
 @dataclass
-class FwavState:
-    """Full model state; p, v inertial, omega body frame."""
-
-    p: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    q: UnitQuaternion = field(default_factory=UnitQuaternion.identity)
-    omega: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    f_flap: float = 0.0
-    theta_rud: float = 0.0
-    theta_ele: float = 0.0
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
-        if self.f_flap < 0:
-            raise InvalidInputError("flapping frequency must be non-negative")
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([
-            self.p, self.v, self.q.as_array(), self.omega,
-            [self.f_flap, self.theta_rud, self.theta_ele],
-        ])
-
-
-@dataclass
 class VerticalParams:
     """Coefficients of the simplified vertical-frame model.
 
@@ -204,59 +189,10 @@ class VerticalParams:
                 self.kbar_gamma, self.vk_damp, self.lateral_mode == "constrained")
 
 
-@dataclass
-class VerticalState:
-    """Vertical-frame model state; p inertial, vv in the azimuth frame."""
-
-    p: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    vv: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    psi: float = 0.0
-    omega_psi: float = 0.0
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.vv = np.asarray(self.vv, dtype=float)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.p, self.vv, [self.psi, self.omega_psi]])
-
-
-@dataclass
-class VerticalInputs:
-    """Inputs of the vertical-frame model; theta_rud only matters in
-    explicit-rudder mode."""
-
-    gamma: np.ndarray
-    f_flap: float
-    theta_rud: float = 0.0
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=float)
-
-
-@dataclass
-class ActuatorCommands:
-    """Commanded flapping frequency and deflections of the full model."""
-
-    f_flap_c: float = 0.0
-    theta_rud_c: float = 0.0
-    theta_ele_c: float = 0.0
-
-    def __iter__(self):
-        return iter((self.f_flap_c, self.theta_rud_c, self.theta_ele_c))
-
-
 # ---------------------------------------------------------------------------
 # scalar terms of the full model's law; x * abs(x) is sgn(x) * x**2 with
 # sgn(0) = 0
 # ---------------------------------------------------------------------------
-
-
-def _floats(state, view):
-    """The flat state of a view or of a float sequence."""
-    if isinstance(state, view):
-        state = state.as_vector()
-    return state.tolist() if isinstance(state, np.ndarray) else state
 
 
 def _attitude(qw, qx, qy, qz, vx, vy, vz):
@@ -310,15 +246,15 @@ _NEGATIVE_FLAP = "flapping frequency must be non-negative"
 
 
 def full_rhs(state, cmd, params: FwavParams) -> tuple[float, ...]:
-    """Time derivative of the full state (16 floats incl. quaternion).
+    """Time derivative of the full state row (16 floats incl. quaternion).
 
-    ``state`` is an FwavState or a flat 16-vector; ``cmd`` is an
-    ActuatorCommands or a flat (f_flap_c, theta_rud_c, theta_ele_c).  The
+    ``state`` is a full state row, ``cmd`` a command row (f_flap_c,
+    theta_rud_c, theta_ele_c); an ndarray is read through ``tolist``.  The
     quaternion is normalized before use.  Raises InvalidInputError for a
     negative flapping frequency or a zero quaternion and PropagationError
     for a non-finite state.
     """
-    y = state if isinstance(state, (list, tuple)) else _floats(state, FwavState)
+    y = state.tolist() if isinstance(state, np.ndarray) else state
     f_c, rud_c, ele_c = cmd
     if _stage_stops(y):
         raise PropagationError("non-finite state", step=-1)
@@ -383,17 +319,17 @@ def vertical_rhs(
     params: VerticalParams,
     rudder_mode: str = "gamma-proxy",
 ) -> tuple[float, ...]:
-    """Time derivative of the vertical-frame state (8 floats).
+    """Time derivative of the vertical-frame state row (8 floats).
 
-    ``state`` is a VerticalState or a flat 8-vector; ``inputs`` is a
-    VerticalInputs or a flat (gx, gy, gz, f_flap, theta_rud).  The thrust
+    ``state`` is a vertical state row, ``inputs`` an input row (gx, gy, gz,
+    f_flap, theta_rud); an ndarray state is read through ``tolist``.  The thrust
     enters the forward/vertical rows as -k_tf f^2 Gx and +k_tf f^2 Gz.  In
     "free" lateral mode the lateral row integrates the relaxed
     non-holonomic dynamics vvy_dot = w_psi*vvx - (vk_d_y/m)*sgn*vvy^2; in
     "constrained" mode (default) the lateral velocity is frozen, which is
     the idealization the flatness construction assumes.
     """
-    y = state if isinstance(state, (list, tuple)) else _floats(state, VerticalState)
+    y = state.tolist() if isinstance(state, np.ndarray) else state
     _, _, _, vvx, vvy, vvz, psi, w = y
     explicit = _explicit_rudder(rudder_mode)
     terms = _vertical_terms(params, explicit, *_input_row(inputs))
@@ -401,11 +337,8 @@ def vertical_rhs(
 
 
 def _input_row(inputs) -> tuple:
-    """Checked (gx, gy, gz, f_flap, theta_rud) of a VerticalInputs or 5-vector."""
-    if isinstance(inputs, VerticalInputs):
-        (gx, gy, gz), f, theta_rud = inputs.gamma.tolist(), inputs.f_flap, inputs.theta_rud
-    else:
-        gx, gy, gz, f, theta_rud = inputs
+    """The checked input row (gx, gy, gz, f_flap, theta_rud)."""
+    gx, gy, gz, f, theta_rud = inputs
     if abs(math.sqrt(gx * gx + gy * gy + gz * gz) - 1.0) > 1e-6:
         raise InvalidInputError(_NON_UNIT_GAMMA)
     if f < 0:
@@ -577,8 +510,8 @@ def _stage_times(k: int, dt: float) -> tuple[float, float, float]:
 
 
 def _step_count(dt: float, duration: float) -> int:
-    if dt <= 0 or duration < dt:
-        raise InvalidInputError("need dt > 0 and duration >= dt")
+    if not 0 < dt <= duration < math.inf:
+        raise InvalidInputError("need dt > 0 and a finite duration >= dt")
     return int(round(duration / dt))
 
 
@@ -641,18 +574,19 @@ def _half_steps(dt: float, duration: float) -> list[float]:
 
 
 def simulate_full(
-    state0: FwavState,
+    state0,
     params: FwavParams,
-    commands: Callable[[float], ActuatorCommands],
+    commands: Callable[[float], tuple],
     dt: float = 1e-3,
     duration: float = 1.0,
 ) -> FullLog:
-    """Integrate the full model under a commanded actuator schedule, read once at
-    each half-step time."""
+    """Integrate the full model from the state row ``state0`` under a schedule of
+    command rows (f_flap_c, theta_rud_c, theta_ele_c), read once at each
+    half-step time."""
     rows = [(f, rud, ele) for f, rud, ele in map(commands, _half_steps(dt, duration))]
     n_steps = len(rows) // 2
     states = np.empty((n_steps + 1, 16))
-    states[0] = y = [float(v) for v in _floats(state0, FwavState)]
+    states[0] = y = [float(v) for v in state0]
     _, _, stop = _full_steps(params, y, rows, dt, states, 0)
     if stop is not None:
         raise PropagationError("integration produced non-finite state", step=stop)
@@ -660,17 +594,17 @@ def simulate_full(
 
 
 def simulate_vertical(
-    state0: VerticalState,
+    state0,
     params: VerticalParams,
-    inputs: Callable[[float], VerticalInputs],
+    inputs: Callable[[float], tuple],
     rudder_mode: str = "gamma-proxy",
     dt: float = 1e-3,
     duration: float = 1.0,
 ) -> VerticalLog:
-    """Integrate the vertical-frame model under a reduced-attitude schedule, read
-    once at each half-step time: ``integrate_vertical_tabulated`` on that table."""
-    table = np.fromiter(((*u.gamma, u.f_flap, u.theta_rud)
-                         for u in map(inputs, _half_steps(dt, duration))), (float, 5))
+    """Integrate the vertical-frame model from the state row ``state0`` under a
+    schedule of input rows (gx, gy, gz, f_flap, theta_rud), read once at each
+    half-step time: ``integrate_vertical_tabulated`` on that table."""
+    table = np.fromiter(map(inputs, _half_steps(dt, duration)), (float, 5))
     return integrate_vertical_tabulated(state0, params, table[:, 0:3], table[:, 3], dt,
                                         rudder_mode, table[:, 4])
 
@@ -679,7 +613,7 @@ _TABLE_BLOCK = 1024  # steps of the input table checked at once
 
 
 def integrate_vertical_tabulated(
-    state0: VerticalState,
+    state0,
     params: VerticalParams,
     gamma_grid: np.ndarray,
     f_grid: np.ndarray,
@@ -687,7 +621,8 @@ def integrate_vertical_tabulated(
     rudder_mode: str = "gamma-proxy",
     theta_rud_grid: np.ndarray | None = None,
 ) -> VerticalLog:
-    """RK4 on the vertical model with inputs tabulated at half-step spacing.
+    """RK4 on the vertical model from the state row ``state0`` with inputs
+    tabulated at half-step spacing.
 
     ``gamma_grid`` (2*n_steps+1, 3) and ``f_grid`` hold the inputs at times
     k*dt/2, the exact abscissae RK4 stages use.  The rudder mode is resolved
@@ -706,7 +641,7 @@ def integrate_vertical_tabulated(
     explicit = _explicit_rudder(rudder_mode)
     n_steps = (gamma_grid.shape[0] - 1) // 2
     states = np.empty((n_steps + 1, 8))
-    states[0] = y = [float(v) for v in _floats(state0, VerticalState)]
+    states[0] = y = [float(v) for v in state0]
     for start in range(0, n_steps, _TABLE_BLOCK):
         stop = min(start + _TABLE_BLOCK, n_steps)
         lo, hi = 2 * start, 2 * stop + 1

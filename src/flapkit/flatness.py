@@ -21,6 +21,11 @@ times) for the full state and all three inputs, and
 ``FlatInputSchedule.tabulate`` for the reduced attitude and flapping frequency
 over a replay grid.
 
+States and quaternions are rows of floats in the column order of the logs
+(see ``dynamics``): ``FlatStateResult.quaternion`` and ``flat_to_full``'s
+``prev_q`` are scalar-first (eta, ex, ey, ez), and
+``FlatInputSchedule.initial_vertical_state`` is a vertical state row.
+
 Everything below the azimuth floor ``V_EPS`` is degenerate: the heading is
 not defined by the velocity and the caller must supply it explicitly.
 """
@@ -34,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attitude import ANTIPODAL_TOL
-from .dynamics import FULL_LOG_HEADER, FwavParams, VerticalParams, VerticalState, _write_csv
+from .dynamics import FULL_LOG_HEADER, FwavParams, VerticalParams, _write_csv
 from .errors import (
     DegenerateAttitudeError,
     DegenerateHeadingError,
@@ -45,6 +50,8 @@ from .errors import (
 from .trajectory import PiecewiseTrajectory
 
 V_EPS = 0.05  # m/s, horizontal-speed floor for a defined azimuth
+MIN_SPEED = 0.3  # m/s, speed above which a schedule's azimuth follows the velocity
+_SCAN_DT = 1e-3  # s, grid on which a schedule finds its valid span
 F_EPS = 1.0  # Hz, flapping-frequency validity floor
 _BLOCK = 4096  # samples per chain evaluation in tabulate (bounds its memory)
 
@@ -95,9 +102,7 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.c / other)
+    def __truediv__(self, other: "Jet"):
         a, b = self._pair(other)
         q = np.empty(a.shape)
         for k in range(len(q)):
@@ -246,7 +251,8 @@ def flat_to_full(traj: PiecewiseTrajectory, t, vparams: VerticalParams, fparams:
     of order 4 (sigma derivatives 1-5), so the body rate
     omega = psi' Gamma + 2 vec(conj(q_e) (x) q_e') of the tilt quaternion q_e
     and its derivative are exact.  The tilt-quaternion sign follows the
-    previous quaternion when given (dot-product continuity test), else +1.
+    previous quaternion row ``prev_q`` (eta, ex, ey, ez) when given
+    (dot-product continuity test), else +1.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     taylor = traj.taylor(times, 5)
@@ -291,7 +297,7 @@ def flat_to_full(traj: PiecewiseTrajectory, t, vparams: VerticalParams, fparams:
     gamma = np.stack([gx.c[0], gy.c[0], gz.c[0]], axis=1)
     s_e = np.ones(times.size, dtype=int)
     if prev_q is not None:  # q_e has no z part
-        s_e[np.stack([eta0, e10, e20], axis=1) @ prev_q.as_array()[:3] < 0.0] = -1
+        s_e[np.stack([eta0, e10, e20], axis=1) @ np.asarray(prev_q, dtype=float)[:3] < 0.0] = -1
     fields = dict(
         p=taylor[0], v=vel, gamma=gamma, psi=frame.psi, omega_psi=w.c[0],
         vv=np.stack([j.c[0] for j in frame.vv], axis=1),
@@ -328,7 +334,7 @@ def dump_flat_states(traj: PiecewiseTrajectory, vparams: VerticalParams, fparams
 class FlatInputSchedule:
     """Reduced-attitude/frequency schedule along a flat trajectory.
 
-    The azimuth is defined by the velocity only above ``min_speed``.  On
+    The azimuth is defined by the velocity only above ``MIN_SPEED``.  On
     the slow launch window [0, t_lo) the schedule supplies the azimuth
     explicitly as a constant-rate ramp that back-extrapolates the first
     valid azimuth and azimuth rate, so frame angle and rate are both
@@ -337,19 +343,17 @@ class FlatInputSchedule:
     compensates the yaw damping (zero where the wind vane has no
     authority), which matches what the model can actually do at low speed.
 
-    Interior dips below ``min_speed`` are rejected: there the heading is
+    Interior dips below ``MIN_SPEED`` are rejected: there the heading is
     dynamically significant and no explicit-azimuth policy is faithful.
     """
 
-    def __init__(self, traj: PiecewiseTrajectory, params: VerticalParams,
-                 min_speed: float = 0.3, scan_dt: float = 1e-3):
+    def __init__(self, traj: PiecewiseTrajectory, params: VerticalParams):
         self.traj = traj
         self.params = params
-        self.min_speed = max(min_speed, V_EPS)
-        grid = np.minimum(np.arange(0.0, traj.duration + scan_dt / 2, scan_dt), traj.duration)
+        grid = np.minimum(np.arange(0.0, traj.duration + _SCAN_DT / 2, _SCAN_DT), traj.duration)
         vel = traj.eval_many(grid, 1)
         speed = np.hypot(vel[:, 0], vel[:, 1])
-        valid = speed >= self.min_speed
+        valid = speed >= MIN_SPEED
         if not np.any(valid):
             raise DegenerateHeadingError(
                 "trajectory never reaches the azimuth-defining speed"
@@ -358,7 +362,7 @@ class FlatInputSchedule:
         if not np.all(valid[first : last + 1]):
             bad = grid[first:last + 1][~valid[first:last + 1]]
             raise DegenerateHeadingError(
-                f"horizontal speed dips below {self.min_speed} m/s inside the"
+                f"horizontal speed dips below {MIN_SPEED} m/s inside the"
                 f" valid span (first at t={bad[0]:.3f} s)"
             )
         self.t_lo = float(grid[first])
@@ -379,10 +383,11 @@ class FlatInputSchedule:
         v = _velocity_jet(self.traj.taylor(np.clip(times, 0.0, self.traj.duration), 3, first=1))
         return _frame(v, lead | trail, psi, rate)
 
-    def initial_vertical_state(self) -> VerticalState:
+    def initial_vertical_state(self) -> list[float]:
+        """The vertical state row at t = 0, on the schedule's frame."""
         frame = self._frame(np.array([0.0]))
-        return VerticalState(self.traj.eval(0.0, 0), np.array([j.c[0, 0] for j in frame.vv]),
-                             float(frame.psi[0]), float(frame.rate.c[0, 0]))
+        return [*self.traj.eval(0.0, 0).tolist(), *(float(j.c[0, 0]) for j in frame.vv),
+                float(frame.psi[0]), float(frame.rate.c[0, 0])]
 
     def tabulate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gamma, f_flap) at each of ``times``, shape (N, 3) and (N,); the

@@ -32,14 +32,13 @@ def identify_drag(
     vvx: np.ndarray,
     known_accel: np.ndarray,
     vvx_dot: np.ndarray | None = None,
-    min_speed: float = MIN_FORWARD_SPEED,
 ) -> DragEstimate:
     """Estimate k_d/m from a forward-flight log.
 
     ``known_accel`` is the modeled non-drag part of vvx_dot (thrust plus
     frame coupling).  ``vvx_dot`` defaults to central differences of vvx.
     Raises InsufficientExcitationError when too few samples exceed
-    ``min_speed`` or the regressor is numerically degenerate.
+    ``MIN_FORWARD_SPEED`` or the regressor is numerically degenerate.
     """
     times = np.asarray(times, dtype=float)
     vvx = np.asarray(vvx, dtype=float)
@@ -48,13 +47,13 @@ def identify_drag(
         vvx_dot = np.gradient(vvx, times)
     vvx_dot = np.asarray(vvx_dot, dtype=float)
 
-    mask = np.abs(vvx) > min_speed
+    mask = np.abs(vvx) > MIN_FORWARD_SPEED
     # drop the log edges where the finite difference is one-sided
     mask[0] = mask[-1] = False
     n = int(np.count_nonzero(mask))
     if n < 10:
         raise InsufficientExcitationError(
-            f"only {n} samples exceed {min_speed} m/s forward speed"
+            f"only {n} samples exceed {MIN_FORWARD_SPEED} m/s forward speed"
         )
     phi = -np.sign(vvx[mask]) * vvx[mask] ** 2
     y = vvx_dot[mask] - known_accel[mask]
@@ -71,11 +70,7 @@ def identify_drag(
     )
 
 
-def identify_drag_from_log(
-    log: VerticalLog,
-    params: VerticalParams,
-    min_speed: float = MIN_FORWARD_SPEED,
-) -> DragEstimate:
+def identify_drag_from_log(log: VerticalLog, params: VerticalParams) -> DragEstimate:
     """Run the drag regression on a vertical-model log with applied inputs.
 
     The known part of the forward acceleration is rebuilt from the logged
@@ -87,4 +82,4 @@ def identify_drag_from_log(
     gx = log.inputs[:, 0]
     f2 = log.inputs[:, 3] ** 2
     known = -params.k_tf * f2 * gx / params.m - w * vvy
-    return identify_drag(log.t, vvx, known, min_speed=min_speed)
+    return identify_drag(log.t, vvx, known)

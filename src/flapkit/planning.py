@@ -179,7 +179,6 @@ class PlanOptions:
     rate_margin: float = 0.02
     feas_tol: float = 1e-5
     rho_schedule: tuple = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
-    inner_maxiter: int = 200
 
 
 def sample_times(duration: float, interval: float) -> np.ndarray:
@@ -469,6 +468,7 @@ def constraint_residuals(
 # continued from its point to the tight set
 _STAGE_TOL = {"ftol": 1e-7, "gtol": 1e-5}
 _FINAL_TOL = {"ftol": 1e-14, "gtol": 1e-10}
+INNER_MAXITER = 200  # L-BFGS-B iterations per solve
 
 
 class _PenaltyProblem:
@@ -753,7 +753,7 @@ def plan(
         problem._forget()
         return scipy.optimize.minimize(
             problem.value, xi, args=(rho,), jac=problem.gradient, method="L-BFGS-B",
-            options={"maxiter": opts.inner_maxiter, **tol},
+            options={"maxiter": INNER_MAXITER, **tol},
         ).x
 
     for r_idx in range(max(opts.restarts, 1)):

@@ -66,9 +66,14 @@ from .trajectory import PiecewiseTrajectory
 DEFLECTION_POLARITY = -1.0
 
 
-def initial_heading(traj: PiecewiseTrajectory, scan_dt: float = 1e-2) -> float:
+_HEADING_SCAN_DT = 1e-2  # s, grid on which the start heading is found
+_EPISODE_GAP = 0.5  # s, hysteresis jumps closer than this are one episode
+
+
+def initial_heading(traj: PiecewiseTrajectory) -> float:
     """Azimuth at the first instant the reference moves fast enough."""
-    grid = np.minimum(np.arange(0.0, traj.duration + scan_dt / 2, scan_dt), traj.duration)
+    dt = _HEADING_SCAN_DT
+    grid = np.minimum(np.arange(0.0, traj.duration + dt / 2, dt), traj.duration)
     vel = traj.eval_many(grid, 1)
     speed = np.hypot(vel[:, 0], vel[:, 1])
     idx = np.flatnonzero(speed >= V_EPS)
@@ -93,12 +98,12 @@ class ClosedLoopResult:
         rows = np.column_stack([self.control_t, self.control_rows])
         _write_csv(path, CONTROL_LOG_HEADER, rows)
 
-    def jump_episodes(self, gap: float = 0.5) -> int:
-        """Count hysteresis-jump episodes, merging events closer than gap."""
+    def jump_episodes(self) -> int:
+        """Count hysteresis-jump episodes, merging events closer than 0.5 s."""
         count = 0
         last = -math.inf
         for t in self.jump_times:
-            if t - last > gap:
+            if t - last > _EPISODE_GAP:
                 count += 1
             last = t
         return count
@@ -122,11 +127,21 @@ def run_closed_loop(
     The vehicle starts on the (possibly perturbed) reference with the
     reference heading.  The controller runs at rate_hz with zero-order hold;
     the plant integrates at dt.  A position norm beyond divergence_radius
-    aborts the run and flags the result instead of raising.
+    aborts the run and flags the result instead of raising.  dt and rate_hz
+    must be finite and positive, the duration finite and non-negative and
+    the start offsets finite.
     """
     vparams = vparams or VerticalParams()
     gains = gains or ControllerGains()
     duration = duration if duration is not None else traj.duration
+    if not (0.0 < dt < math.inf and 0.0 < rate_hz < math.inf):
+        raise InvalidInputError(f"need finite dt > 0 and rate > 0, got dt={dt}, rate={rate_hz}")
+    if not 0.0 <= duration < math.inf:
+        raise InvalidInputError(f"need a finite duration >= 0, got {duration}")
+    p0 = traj.eval(0.0) + np.asarray(perturb_pos, dtype=float)
+    v0 = traj.eval(0.0, 1) + np.asarray(perturb_vel, dtype=float)
+    if not (np.isfinite(p0).all() and np.isfinite(v0).all()):
+        raise InvalidInputError("start offsets must be finite")
     sub = 1.0 / (rate_hz * dt)
     if abs(sub - round(sub)) > 1e-9:
         raise InvalidInputError(
@@ -136,8 +151,6 @@ def run_closed_loop(
     n_steps = int(round(duration / dt))
 
     psi0 = initial_heading(traj)
-    p0 = traj.eval(0.0) + np.asarray(perturb_pos, dtype=float)
-    v0 = traj.eval(0.0, 1) + np.asarray(perturb_vel, dtype=float)
     controller = TrackingController(gains, vparams, rate_hz=rate_hz, initial_psi_d=psi0)
 
     if model == "vertical":

@@ -74,11 +74,12 @@ def run_line(case_line) -> ClosedLoopResult:
 @pytest.fixture(scope="session")
 def rk4_vertical():
     """The vertical model's reference integration, written out here: ``rk4_flat``
-    over ``vertical_rhs`` from ``state0``, with input sample 2k read at step k's
-    start, 2k + 1 at its midpoint and 2k + 2 at its end.  Returns the state rows."""
+    over ``vertical_rhs`` from the state row ``state0``, with input row 2k read at
+    step k's start, 2k + 1 at its midpoint and 2k + 2 at its end.  Returns the
+    state rows."""
 
     def run(state0, params, samples, dt, rudder_mode="gamma-proxy"):
-        states = [state0.as_vector().tolist()]
+        states = [[float(v) for v in state0]]
         for k in range(len(samples) // 2):
             u0, um, u1 = samples[2 * k:2 * k + 3]
             states.append(rk4_flat(vertical_rhs, states[-1], dt, u0, um, u1, params, rudder_mode))

@@ -1,5 +1,6 @@
 """Builders the tests share: one-segment trajectories, the kv pairs of a
-parameter or gain set, and the Hamilton product of two quaternions."""
+parameter or gain set, the Hamilton product of two quaternions, and state,
+input and command rows from named fields."""
 
 import dataclasses
 
@@ -37,3 +38,30 @@ def hamilton(p, q) -> np.ndarray:
     (pw, *pv), (qw, *qv) = p, q
     pv, qv = np.asarray(pv, dtype=float), np.asarray(qv, dtype=float)
     return np.concatenate(([pw * qw - pv @ qv], pw * qv + qw * pv + np.cross(pv, qv)))
+
+
+IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)  # scalar-first (eta, ex, ey, ez)
+
+
+def full_row(p=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0), q=IDENTITY_Q, omega=(0.0, 0.0, 0.0),
+             f_flap=0.0, theta_rud=0.0, theta_ele=0.0) -> list:
+    """A full state row (the columns of ``FULL_LOG_HEADER`` after t); the
+    defaults are the level rest state."""
+    return [float(x) for x in (*p, *v, *q, *omega, f_flap, theta_rud, theta_ele)]
+
+
+def vertical_row(p=(0.0, 0.0, 0.0), vv=(0.0, 0.0, 0.0), psi=0.0, omega_psi=0.0) -> list:
+    """A vertical state row (the state columns of ``VERTICAL_LOG_HEADER``);
+    the defaults are the rest state."""
+    return [float(x) for x in (*p, *vv, psi, omega_psi)]
+
+
+def vertical_inputs(gamma, f_flap, theta_rud=0.0) -> tuple:
+    """A vertical input row (gx, gy, gz, f_flap, theta_rud)."""
+    return (*(float(g) for g in gamma), float(f_flap), float(theta_rud))
+
+
+def commands(f_flap_c=0.0, theta_rud_c=0.0, theta_ele_c=0.0) -> tuple:
+    """A full-model command row (f_flap_c, theta_rud_c, theta_ele_c); zero by
+    default."""
+    return float(f_flap_c), float(theta_rud_c), float(theta_ele_c)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from flapkit.control import ControllerGains, heading_stability_margin
-from flapkit.dynamics import VerticalInputs, VerticalParams, VerticalState, \
-    integrate_vertical_tabulated, simulate_vertical
+from flapkit.dynamics import VerticalParams, integrate_vertical_tabulated, simulate_vertical
 from flapkit.flatness import FlatInputSchedule
 from flapkit.identify import identify_drag, identify_drag_from_log
 from flapkit.metrics import compute_metrics, reference_tracking_errors
@@ -212,12 +211,12 @@ class TestAcceptance:
         def inputs(t):
             gx = -tilt(t)
             gz = math.sqrt(1.0 - gx**2)
-            return VerticalInputs(
-                gamma=[gx, 0.0, gz], f_flap=vparams.hover_frequency / math.sqrt(gz)
-            )
+            # the input row (gx, gy, gz, f_flap, theta_rud)
+            return gx, 0.0, gz, vparams.hover_frequency / math.sqrt(gz), 0.0
 
+        # the state row (p, vv, psi, omega_psi): 0.5 m/s forward at the origin
         log = simulate_vertical(
-            VerticalState(vv=np.array([0.5, 0.0, 0.0])), vparams, inputs,
+            [0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0], vparams, inputs,
             dt=1e-2, duration=30.0,
         )
         clean = identify_drag_from_log(log, vparams)

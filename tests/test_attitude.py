@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flapkit.attitude import (
-    UnitQuaternion,
     azimuth_of_quat,
     quat_to_rot,
     recover_attitude,
@@ -20,7 +19,7 @@ from flapkit.errors import (
     InvalidInputError,
 )
 
-from helpers import hamilton
+from helpers import IDENTITY_Q, hamilton
 
 
 def random_unit_quaternions(rng, n):
@@ -30,33 +29,42 @@ def random_unit_quaternions(rng, n):
 
 class TestQuatToRot:
     def test_identity(self):
-        assert np.allclose(quat_to_rot(UnitQuaternion.identity()), np.eye(3))
+        assert np.allclose(quat_to_rot(IDENTITY_Q), np.eye(3))
 
     def test_half_turn_about_x(self):
-        q = UnitQuaternion(0.0, np.array([1.0, 0.0, 0.0]))
+        q = (0.0, 1.0, 0.0, 0.0)
         assert np.allclose(quat_to_rot(q), np.diag([1.0, -1.0, -1.0]))
 
     def test_quarter_turn_about_z_maps_e1_to_e2(self):
-        q = UnitQuaternion(math.cos(math.pi / 4), np.array([0, 0, math.sin(math.pi / 4)]))
+        q = (math.cos(math.pi / 4), 0, 0, math.sin(math.pi / 4))
         r = quat_to_rot(q)
         assert np.allclose(r @ np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), atol=1e-12)
 
     def test_rejects_non_unit(self):
         with pytest.raises(InvalidInputError):
-            quat_to_rot(UnitQuaternion(1.0, np.array([0.1, 0, 0])))
+            quat_to_rot((1.0, 0.1, 0, 0))
+
+    @pytest.mark.parametrize("q", [(1.0, 0.0, 0.0), np.eye(4)[:1], (1.0, 0.0, 0.0, 0.0, 0.0)])
+    def test_rejects_a_row_of_another_shape(self, q):
+        with pytest.raises(InvalidInputError, match=r"shape \(4,\)"):
+            quat_to_rot(q)
+
+    def test_rejects_zero_norm(self):
+        with pytest.raises(InvalidInputError, match="is not 1"):
+            quat_to_rot((0.0, 0.0, 0.0, 0.0))
 
     def test_orthonormal_det_one_random(self):
         # 1e4 random samples: R^T R = I and det R = 1 within 1e-9
         rng = np.random.default_rng(7)
         for arr in random_unit_quaternions(rng, 10_000):
-            r = quat_to_rot(UnitQuaternion(arr[0], arr[1:]))
+            r = quat_to_rot(arr)
             assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-9
             assert abs(np.linalg.det(r) - 1.0) < 1e-9
 
     def test_conjugate_transposes(self):
         rng = np.random.default_rng(3)
         for arr in random_unit_quaternions(rng, 50):
-            q, q_bar = UnitQuaternion(arr[0], arr[1:]), UnitQuaternion(arr[0], -arr[1:])
+            q, q_bar = arr, np.concatenate(([arr[0]], -arr[1:]))
             assert np.allclose(quat_to_rot(q), quat_to_rot(q_bar).T, atol=1e-12)
 
 
@@ -78,11 +86,11 @@ class TestSkew:
 
 class TestReducedAttitude:
     def test_identity(self):
-        assert np.allclose(reduced_attitude(UnitQuaternion.identity()), [0, 0, 1])
+        assert np.allclose(reduced_attitude(IDENTITY_Q), [0, 0, 1])
 
     def test_quarter_turn_about_x(self):
         # oracle: build R explicitly, then Gamma = R^T e3
-        q = UnitQuaternion(math.cos(math.pi / 4), np.array([math.sin(math.pi / 4), 0, 0]))
+        q = (math.cos(math.pi / 4), math.sin(math.pi / 4), 0, 0)
         expected = quat_to_rot(q).T @ np.array([0.0, 0.0, 1.0])
         assert np.allclose(reduced_attitude(q), expected, atol=1e-12)
         assert np.allclose(expected, [0.0, 1.0, 0.0], atol=1e-12)
@@ -90,15 +98,13 @@ class TestReducedAttitude:
     def test_yaw_invariance(self):
         rng = np.random.default_rng(5)
         for arr in random_unit_quaternions(rng, 200):
-            q = UnitQuaternion(arr[0], arr[1:])
-            yaw = UnitQuaternion(
-                math.cos(rng.uniform(-np.pi, np.pi) / 2),
-                np.array([0.0, 0.0, math.sin(rng.uniform(-np.pi, np.pi) / 2)]),
-            ).normalized()
-            yawed = hamilton(yaw.as_array(), arr)
-            q_yawed = UnitQuaternion(yawed[0], yawed[1:]).normalized()
+            yaw = np.array([math.cos(rng.uniform(-np.pi, np.pi) / 2), 0.0, 0.0,
+                            math.sin(rng.uniform(-np.pi, np.pi) / 2)])
+            yaw /= np.linalg.norm(yaw)
+            yawed = hamilton(yaw, arr)
+            q_yawed = yawed / np.linalg.norm(yawed)
             assert np.allclose(
-                reduced_attitude(q_yawed), reduced_attitude(q), atol=1e-9
+                reduced_attitude(q_yawed), reduced_attitude(arr), atol=1e-9
             )
 
 
@@ -135,6 +141,15 @@ class TestRecoverAttitude:
         with pytest.raises(InvalidInputError):
             tilt_quaternion([0, 0, 1], sign=2)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tilt_quaternion_is_a_unit_row(self, sign):
+        g = np.array([0.3, -0.4, math.sqrt(1 - 0.25)])
+        q = tilt_quaternion(g, sign)
+        assert q.shape == (4,)
+        assert math.copysign(1.0, q[0]) == sign and q[3] == 0.0
+        assert abs(np.linalg.norm(q) - 1.0) < 1e-15
+        assert np.allclose(reduced_attitude(q), g, atol=1e-12)
+
 
 class TestSplitAzimuth:
     def test_inverse_of_recover(self):
@@ -156,7 +171,7 @@ class TestAzimuthOfQuat:
         rng = np.random.default_rng(23)
         for q in random_unit_quaternions(rng, 300) * rng.uniform(0.5, 2.0, (300, 1)):
             omega = rng.standard_normal(3)
-            rot = quat_to_rot(UnitQuaternion(q[0], q[1:]).normalized())
+            rot = quat_to_rot(q / math.sqrt(q[0] ** 2 + q[1:] @ q[1:]))
             if rot[2, 2] < -0.9:
                 continue
             psi, gamma, omega_psi = azimuth_of_quat(q.tolist(), omega.tolist())

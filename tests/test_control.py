@@ -26,6 +26,7 @@ from flapkit.control import (
     inner_attitude,
     lyapunov_monitors,
 )
+from flapkit.attitude import wrap_angle
 from flapkit.dynamics import VerticalParams
 from flapkit.errors import DegenerateDecompositionError, InvalidInputError
 from flapkit.simulate import run_closed_loop, simulate_heading_loop, simulate_ideal_vertical
@@ -241,7 +242,7 @@ class _HeadingBlockReference:
     def __init__(self, gains, dt):
         self.gains = gains
         self.h_psi = 1
-        self.wd_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, dt, 1)
+        self.wd_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, dt)
         self.last_omega_psi_d = None
 
     def step(self, delta_psi, psi_d_rate, omega_psi):
@@ -367,7 +368,7 @@ class TestCommandFilter:
         assert abs(rate[0]) < 1e-9
 
     def test_first_update_primes(self):
-        f = SecondOrderFilter(wn=20.0, zeta=1.0, dt=0.01, channels=3)
+        f = SecondOrderFilter(wn=20.0, zeta=1.0, dt=0.01)
         val, rate = f.update([1.0, -2.0, 3.0])
         assert np.allclose(val, [1.0, -2.0, 3.0])
         assert np.allclose(rate, 0.0)
@@ -399,7 +400,7 @@ class TestFloatLawsAgainstArrayForms:
 
     def test_filter_matches_matrix_update(self):
         rng = np.random.default_rng(21)
-        f = SecondOrderFilter(wn=20.0, zeta=1.0, dt=0.01, channels=3)
+        f = SecondOrderFilter(wn=20.0, zeta=1.0, dt=0.01)
         ad, bd = np.array(f.ad), np.array(f.bd)
         state = None
         for k in range(300):
@@ -549,6 +550,27 @@ class TestTrackingControllerTick:
         )
         out = ctrl.update(np.array([1.0, 0, 0]), np.array([0.5, 0, 0]), meas)
         assert abs(out.gamma_yd) <= 0.2 + 1e-12
+
+    def test_degenerate_demand_holds_the_last_decomposition(self, gains, vparams):
+        # on a free-fall reference the filtered demand tends to -g e3, so the
+        # combined acceleration falls to the A_EPS floor: the tick holds the
+        # last decomposition and measures the heading against its azimuth
+        ctrl = TrackingController(gains, vparams, initial_psi_d=0.0)
+        held = []
+        for k in range(100):
+            t = k * ctrl.dt
+            p, v = [0.0, 0.0, -0.5 * vparams.g * t * t], [0.0, 0.0, -vparams.g * t]
+            meas = Measurement(p=p, v=v, psi=0.3, omega_psi=0.0, gamma=[0.0, 0.0, 1.0],
+                               omega=[0.0, 0.0, 0.0])
+            out = ctrl.update(p, v, meas)
+            try:  # on the reference a_d is the filtered v_d rate
+                decompose(ctrl.vd_filter.rate, v, vparams)
+            except DegenerateDecompositionError:
+                held.append(out)
+        assert 10 < len(held) < 100
+        assert {out.f_flap_cmd for out in held} == {ctrl.held.f_flap_cmd}
+        assert 0.0 < ctrl.held.f_flap_cmd < 0.5 * vparams.hover_frequency
+        assert {out.errors.delta_psi for out in held} == {wrap_angle(-0.3)}
 
     def test_log_row_layout(self, gains, vparams):
         ctrl = TrackingController(gains, vparams)

@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flapkit.attitude import UnitQuaternion, quat_to_rot, rotz
+from flapkit.attitude import quat_to_rot, rotz
 from flapkit.dynamics import (
-    ActuatorCommands,
     FwavParams,
-    FwavState,
-    VerticalInputs,
     VerticalParams,
-    VerticalState,
     full_rhs,
     _explicit_rudder,
     _full_steps,
@@ -27,7 +23,7 @@ from flapkit.dynamics import (
 )
 from flapkit.errors import InvalidInputError, PropagationError
 
-from helpers import hamilton
+from helpers import commands, full_row, hamilton, vertical_inputs, vertical_row
 
 
 @pytest.fixture
@@ -41,13 +37,13 @@ def vparams():
 
 
 def law(params, **state):
-    """``full_rhs`` at a level ``FwavState(**state)`` under zero commands,
+    """``full_rhs`` at a level ``full_row(**state)`` under zero commands,
     checked against ``oracle_full_rhs``.  Thrust, drag and the deflection
     torque are read through it: the state is level, so R = I, and its body
     rates are zero, so there is no gyroscopic term."""
-    s = FwavState(**state)
-    derivative = np.array(full_rhs(s, ActuatorCommands(), params))
-    oracle, scales = oracle_full_rhs(s, ActuatorCommands(), params)
+    s = full_row(**state)
+    derivative = np.array(full_rhs(s, commands(), params))
+    oracle, scales = oracle_full_rhs(s, commands(), params)
     assert_blocks_close(derivative, oracle, scales, FULL_BLOCKS)
     return derivative
 
@@ -76,7 +72,7 @@ class TestThrust:
         assert thrust(10.0, params) * 4 == pytest.approx(thrust(20.0, params))
 
     def test_negative_frequency_rejected(self, params):
-        state = FwavState().as_vector()
+        state = full_row()
         state[13] = -1.0
         with pytest.raises(InvalidInputError):
             full_rhs(state, (0.0, 0.0, 0.0), params)
@@ -115,36 +111,36 @@ class TestDeflectionTorque:
 
 class TestFullRhs:
     def test_free_fall(self, params):
-        d = full_rhs(FwavState(), ActuatorCommands(), params)
+        d = full_rhs(full_row(), commands(), params)
         assert np.allclose(d[3:6], [0, 0, -params.g])
         assert np.allclose(np.delete(d, [3, 4, 5]), 0.0)
 
     def test_hover_balance(self, params):
-        s = FwavState(f_flap=params.hover_frequency)
-        d = full_rhs(s, ActuatorCommands(f_flap_c=s.f_flap), params)
+        s = full_row(f_flap=params.hover_frequency)
+        d = full_rhs(s, commands(f_flap_c=params.hover_frequency), params)
         assert np.allclose(d[3:6], 0.0, atol=1e-12)
         assert np.allclose(d[10:13], 0.0, atol=1e-12)
 
     def test_actuator_lag(self):
         p = FwavParams(k_flap_c=0.1)
-        d = full_rhs(FwavState(), ActuatorCommands(f_flap_c=10.0), p)
+        d = full_rhs(full_row(), commands(f_flap_c=10.0), p)
         assert d[13] == pytest.approx(100.0)
 
     def test_nonfinite_state_rejected(self, params):
-        s = FwavState(p=np.array([np.nan, 0, 0]))
+        s = full_row(p=[np.nan, 0, 0])
         with pytest.raises(PropagationError):
-            full_rhs(s, ActuatorCommands(), params)
+            full_rhs(s, commands(), params)
 
 
 class TestVerticalRhs:
     def test_hover_equilibrium(self, vparams):
-        s = VerticalState()
-        u = VerticalInputs(gamma=[0, 0, 1], f_flap=vparams.hover_frequency)
+        s = vertical_row()
+        u = vertical_inputs(gamma=[0, 0, 1], f_flap=vparams.hover_frequency)
         assert np.allclose(vertical_rhs(s, u, vparams), 0.0, atol=1e-12)
 
     def test_lateral_row_self_consistent(self, vparams):
-        s = VerticalState(vv=np.array([0.8, 0.0, 0.0]), omega_psi=0.0)
-        u = VerticalInputs(gamma=[0, 0, 1], f_flap=vparams.hover_frequency)
+        s = vertical_row(vv=[0.8, 0.0, 0.0], omega_psi=0.0)
+        u = vertical_inputs(gamma=[0, 0, 1], f_flap=vparams.hover_frequency)
         d = vertical_rhs(s, u, vparams)
         assert d[4] == 0.0
 
@@ -153,36 +149,36 @@ class TestVerticalRhs:
         p = VerticalParams(vk_damp=0.0)
         gy = 0.05
         gamma = np.array([0.0, gy, math.sqrt(1 - gy**2)])
-        s = VerticalState(vv=np.array([1.0, 0.0, 0.0]))
-        d = vertical_rhs(s, VerticalInputs(gamma=gamma, f_flap=p.hover_frequency), p,
+        s = vertical_row(vv=[1.0, 0.0, 0.0])
+        d = vertical_rhs(s, vertical_inputs(gamma=gamma, f_flap=p.hover_frequency), p,
                          rudder_mode="explicit-rudder")
         assert d[7] > 0.0
 
     def test_gamma_proxy_opposes_lateral_tilt(self, vparams):
         gy = 0.05
         gamma = np.array([0.0, gy, math.sqrt(1 - gy**2)])
-        s = VerticalState(vv=np.array([1.0, 0.0, 0.0]))
-        d = vertical_rhs(s, VerticalInputs(gamma=gamma, f_flap=vparams.hover_frequency),
+        s = vertical_row(vv=[1.0, 0.0, 0.0])
+        d = vertical_rhs(s, vertical_inputs(gamma=gamma, f_flap=vparams.hover_frequency),
                          vparams, rudder_mode="gamma-proxy")
         assert d[7] < 0.0
 
     def test_sgn_mirror_symmetry(self, vparams):
         gx = 0.1
         gz = math.sqrt(1 - gx**2)
-        s_fwd = VerticalState(vv=np.array([0.7, 0.0, 0.0]))
-        s_bwd = VerticalState(vv=np.array([-0.7, 0.0, 0.0]))
-        d_fwd = vertical_rhs(s_fwd, VerticalInputs(gamma=[gx, 0, gz], f_flap=12.0), vparams)
-        d_bwd = vertical_rhs(s_bwd, VerticalInputs(gamma=[-gx, 0, gz], f_flap=12.0), vparams)
+        s_fwd = vertical_row(vv=[0.7, 0.0, 0.0])
+        s_bwd = vertical_row(vv=[-0.7, 0.0, 0.0])
+        d_fwd = vertical_rhs(s_fwd, vertical_inputs(gamma=[gx, 0, gz], f_flap=12.0), vparams)
+        d_bwd = vertical_rhs(s_bwd, vertical_inputs(gamma=[-gx, 0, gz], f_flap=12.0), vparams)
         assert d_bwd[3] == pytest.approx(-d_fwd[3])
 
     def test_non_unit_gamma_rejected(self, vparams):
         with pytest.raises(InvalidInputError):
-            vertical_rhs(VerticalState(), VerticalInputs(gamma=[0, 0, 2.0], f_flap=10.0), vparams)
+            vertical_rhs(vertical_row(), vertical_inputs(gamma=[0, 0, 2.0], f_flap=10.0), vparams)
 
     def test_free_mode_relaxed_lateral_row(self):
         p = VerticalParams(lateral_mode="free")
-        s = VerticalState(vv=np.array([1.0, 0.2, 0.0]), omega_psi=0.3)
-        d = vertical_rhs(s, VerticalInputs(gamma=[0, 0, 1], f_flap=p.hover_frequency), p)
+        s = vertical_row(vv=[1.0, 0.2, 0.0], omega_psi=0.3)
+        d = vertical_rhs(s, vertical_inputs(gamma=[0, 0, 1], f_flap=p.hover_frequency), p)
         expected = 0.3 * 1.0 - p.vk_d_y * 0.04 / p.m
         assert d[4] == pytest.approx(expected)
 
@@ -192,15 +188,15 @@ class TestIntegrate:
         # level hover with thrust exactly m g (k_tf = m = 1, g = 4, f = 2) at rest:
         # every derivative is zero, so every logged state is the start state
         p = FwavParams(m=1.0, g=4.0, k_tf=1.0)
-        state0 = FwavState(p=np.array([1.0, -2.0, 0.5]), f_flap=2.0)
-        log = simulate_full(state0, p, lambda t: ActuatorCommands(2.0), dt=0.01, duration=0.5)
-        assert np.array_equal(log.states, np.tile(state0.as_vector(), (51, 1)))
+        state0 = full_row(p=[1.0, -2.0, 0.5], f_flap=2.0)
+        log = simulate_full(state0, p, lambda t: commands(2.0), dt=0.01, duration=0.5)
+        assert np.array_equal(log.states, np.tile(state0, (51, 1)))
         assert log.t[-1] == pytest.approx(0.5)
 
     def test_free_fall_exact(self):
         # drag off: the velocity field is linear in t, so RK4 is exact
         p = FwavParams(k_d_x=0.0, k_d_y=0.0, k_d_z=0.0)
-        log = simulate_full(FwavState(), p, lambda t: ActuatorCommands(),
+        log = simulate_full(full_row(), p, lambda t: commands(),
                             dt=1e-3, duration=1.0)
         assert log.states[-1, 5] == pytest.approx(-p.g, abs=1e-9)
         assert log.states[-1, 2] == pytest.approx(-p.g / 2, abs=1e-9)
@@ -213,30 +209,30 @@ class TestIntegrate:
         def inputs(t):
             calls.append(t)
             a = 0.1 * math.sin(7.0 * t)
-            return VerticalInputs([math.sin(a), 0.0, math.cos(a)],
-                                  vparams.hover_frequency + math.cos(5.0 * t))
+            return vertical_inputs([math.sin(a), 0.0, math.cos(a)],
+                                   vparams.hover_frequency + math.cos(5.0 * t))
 
         n, dt = 40, 1e-3
-        state0 = VerticalState(vv=np.array([0.3, 0.0, 0.1]), omega_psi=0.2)
+        state0 = vertical_row(vv=[0.3, 0.0, 0.1], omega_psi=0.2)
         log = simulate_vertical(state0, vparams, inputs, dt=dt, duration=n * dt)
         assert calls == [j * dt / 2 for j in range(2 * n + 1)]
 
         samples = [inputs(t) for t in list(calls)]
         assert np.array_equal(log.t, np.arange(n + 1) * dt)
         assert np.array_equal(log.states, rk4_vertical(state0, vparams, samples, dt))
-        assert np.array_equal(log.inputs, [[*u.gamma, u.f_flap] for u in samples[::2]])
+        assert np.array_equal(log.inputs, [u[0:4] for u in samples[::2]])
 
     def test_richardson_fourth_order(self, params):
         # smooth regime: body-velocity components stay positive so every
         # sgn() is constant and the field is C-infinity along the run
-        state0 = FwavState(
-            v=np.array([0.8, 0.6, 0.5]),
-            omega=np.array([0.05, -0.04, 0.03]),
+        state0 = full_row(
+            v=[0.8, 0.6, 0.5],
+            omega=[0.05, -0.04, 0.03],
             f_flap=16.0,
             theta_rud=0.02,
             theta_ele=-0.03,
         )
-        cmd = lambda t: ActuatorCommands(16.0, 0.02, -0.03)
+        cmd = lambda t: commands(16.0, 0.02, -0.03)
 
         def endpoint(dt):
             return simulate_full(state0, params, cmd, dt=dt, duration=0.3).states[-1, :6]
@@ -252,35 +248,45 @@ class TestIntegrate:
 
     def test_nan_abort_names_step(self, params):
         def cmd(t):
-            return ActuatorCommands(f_flap_c=float("nan") if t > 0.05 else 10.0)
+            return commands(f_flap_c=float("nan") if t > 0.05 else 10.0)
 
         with pytest.raises(PropagationError) as err:
-            simulate_full(FwavState(), params, cmd, dt=1e-3, duration=0.2)
+            simulate_full(full_row(), params, cmd, dt=1e-3, duration=0.2)
         assert err.value.step > 0
+
+    def test_non_finite_start_stops_at_step_one(self, params):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(PropagationError) as err:
+                simulate_full(full_row(v=[0.0, bad, 0.0]), params, lambda t: commands(),
+                              dt=1e-3, duration=0.01)
+            assert err.value.step == 1
 
     def test_bad_step_arguments(self, params, vparams):
         with pytest.raises(InvalidInputError):
-            simulate_vertical(VerticalState(), vparams, lambda t: VerticalInputs([0, 0, 1], 10.0),
+            simulate_vertical(vertical_row(), vparams, lambda t: vertical_inputs([0, 0, 1], 10.0),
                               dt=-1e-3, duration=1.0)
         with pytest.raises(InvalidInputError):
-            simulate_full(FwavState(), params, lambda t: ActuatorCommands(),
+            simulate_full(full_row(), params, lambda t: commands(),
                           dt=-1e-3, duration=1.0)
+        for dt, duration in ((math.nan, 1.0), (1e-3, math.nan), (1e-3, math.inf)):
+            with pytest.raises(InvalidInputError, match="finite duration"):
+                simulate_full(full_row(), params, lambda t: commands(), dt=dt, duration=duration)
 
 
 class TestModelInvariants:
     def test_energy_conservation_without_forces(self):
         # zero drag/thrust/torque: ||v||^2/2 + g z conserved over 5 s at dt=1e-3
         p = FwavParams(k_d_x=0.0, k_d_y=0.0, k_d_z=0.0)
-        state0 = FwavState(v=np.array([1.0, -0.5, 2.0]), omega=np.array([0.3, 0.2, -0.1]))
-        log = simulate_full(state0, p, lambda t: ActuatorCommands(), dt=1e-3, duration=5.0)
+        state0 = full_row(v=[1.0, -0.5, 2.0], omega=[0.3, 0.2, -0.1])
+        log = simulate_full(state0, p, lambda t: commands(), dt=1e-3, duration=5.0)
         v = log.states[:, 3:6]
         z = log.states[:, 2]
         energy = 0.5 * np.sum(v**2, axis=1) + p.g * z
         assert np.max(np.abs(energy - energy[0])) < 1e-6
 
     def test_quaternion_norm_after_every_step(self, params):
-        state0 = FwavState(omega=np.array([2.0, -1.0, 0.5]), f_flap=12.0)
-        log = simulate_full(state0, params, lambda t: ActuatorCommands(12.0), dt=1e-3, duration=1.0)
+        state0 = full_row(omega=[2.0, -1.0, 0.5], f_flap=12.0)
+        log = simulate_full(state0, params, lambda t: commands(12.0), dt=1e-3, duration=1.0)
         norms = np.linalg.norm(log.states[:, 6:10], axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
@@ -290,10 +296,10 @@ class TestModelInvariants:
         # model torque-free, so the run exercises only the translational
         # reduction the vertical model makes.
         alpha = 0.1
-        q0 = UnitQuaternion(math.cos(alpha / 2), np.array([0.0, math.sin(alpha / 2), 0.0]))
+        q0 = (math.cos(alpha / 2), 0.0, math.sin(alpha / 2), 0.0)
         f0 = math.sqrt(params.m * params.g / (params.k_tf * math.cos(alpha)))
-        s0 = FwavState(q=q0, f_flap=f0)
-        cmd = lambda t: ActuatorCommands(f_flap_c=f0)
+        s0 = full_row(q=q0, f_flap=f0)
+        cmd = lambda t: commands(f_flap_c=f0)
         full_log = simulate_full(s0, params, cmd, dt=1e-3, duration=2.0)
 
         vparams = VerticalParams(m=params.m, g=params.g, k_tf=params.k_tf, vk_d_x=params.k_d_x,
@@ -303,11 +309,11 @@ class TestModelInvariants:
         def inputs(t):
             i = min(int(round(t / 1e-3)), len(t_grid) - 1)
             row = full_log.states[i]
-            rot = quat_to_rot(UnitQuaternion(row[6], row[7:10]))
+            rot = quat_to_rot(row[6:10])
             gamma = rot.T @ np.array([0.0, 0.0, 1.0])
-            return VerticalInputs(gamma=gamma / np.linalg.norm(gamma), f_flap=max(row[13], 0.0))
+            return vertical_inputs(gamma=gamma / np.linalg.norm(gamma), f_flap=max(row[13], 0.0))
 
-        vert_log = simulate_vertical(VerticalState(), vparams, inputs, dt=1e-3, duration=2.0)
+        vert_log = simulate_vertical(vertical_row(), vparams, inputs, dt=1e-3, duration=2.0)
         p_full = full_log.states[:, 0:3]
         p_vert = vert_log.states[:, 0:3]
         path_len = np.sum(np.linalg.norm(np.diff(p_full, axis=0), axis=1))
@@ -317,8 +323,8 @@ class TestModelInvariants:
 
 class TestLogCsv:
     def test_full_header_and_roundtrip(self, tmp_path, params):
-        log = simulate_full(FwavState(f_flap=params.hover_frequency), params,
-                            lambda t: ActuatorCommands(params.hover_frequency),
+        log = simulate_full(full_row(f_flap=params.hover_frequency), params,
+                            lambda t: commands(params.hover_frequency),
                             dt=1e-3, duration=0.05)
         out = tmp_path / "state.csv"
         log.to_csv(out)
@@ -327,8 +333,8 @@ class TestLogCsv:
         assert len(lines) == len(log.t) + 1
 
     def test_vertical_header(self, tmp_path, vparams):
-        u = VerticalInputs(gamma=[0, 0, 1], f_flap=vparams.hover_frequency)
-        log = simulate_vertical(VerticalState(), vparams, lambda t: u, dt=1e-3, duration=0.05)
+        u = vertical_inputs(gamma=[0, 0, 1], f_flap=vparams.hover_frequency)
+        log = simulate_vertical(vertical_row(), vparams, lambda t: u, dt=1e-3, duration=0.05)
         out = tmp_path / "vert.csv"
         log.to_csv(out)
         assert out.read_text().splitlines()[0] == (
@@ -359,63 +365,67 @@ class TestParamValidation:
 HYPOTHESIS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
-def quat_derivative(q: UnitQuaternion, omega_body: np.ndarray) -> np.ndarray:
+def quat_derivative(q: np.ndarray, omega_body: np.ndarray) -> np.ndarray:
     """Kinematics qdot = 0.5 * q (x) (0, omega_body).  Not normalized."""
-    return 0.5 * hamilton(q.as_array(), [0.0, *omega_body])
+    return 0.5 * hamilton(q, [0.0, *omega_body])
 
 
 def oracle_full_rhs(state, cmd, params):
-    """Full-model derivative through UnitQuaternion, quat_to_rot,
+    """Full-model derivative of a state row through quat_to_rot,
     quat_derivative, np.cross and np.linalg.solve, with sgn = np.sign."""
-    q = state.q.normalized()
+    state = np.asarray(state, dtype=float)
+    v, q, omega = state[3:6], state[6:10], state[10:13]
+    f_flap, theta_rud, theta_ele = state[13:16]
+    q = q / np.linalg.norm(q)
     rot = quat_to_rot(q)
-    v_body = rot.T @ state.v
+    v_body = rot.T @ v
     k = np.array([params.k_d_x, params.k_d_y, params.k_d_z])
     force_body = -k * np.sign(v_body) * v_body**2
-    force_body[2] += params.k_tf * state.f_flap**2
+    force_body[2] += params.k_tf * f_flap**2
     v_dot = np.array([0.0, 0.0, -params.g]) + rot @ force_body / params.m
-    q_dot = quat_derivative(q, state.omega)
+    q_dot = quat_derivative(q, omega)
     sv = float(np.sign(v_body[2])) * v_body[0] ** 2
-    f2 = state.f_flap**2
+    f2 = f_flap**2
     tau = np.array([
-        -(params.k_tau_x * sv + params.k_flap_x * f2) * state.theta_rud,
-        -(params.k_tau_y * sv + params.k_flap_y * f2) * state.theta_ele,
-        -(params.k_tau_z * sv + params.k_flap_z * f2) * state.theta_rud,
+        -(params.k_tau_x * sv + params.k_flap_x * f2) * theta_rud,
+        -(params.k_tau_y * sv + params.k_flap_y * f2) * theta_ele,
+        -(params.k_tau_z * sv + params.k_flap_z * f2) * theta_rud,
     ])
-    j_omega = params.J @ state.omega
-    omega_dot = np.linalg.solve(params.J, tau - np.cross(state.omega, j_omega))
+    j_omega = params.J @ omega
+    omega_dot = np.linalg.solve(params.J, tau - np.cross(omega, j_omega))
+    f_flap_c, theta_rud_c, theta_ele_c = cmd
     lags = [
-        (cmd.f_flap_c - state.f_flap) / params.k_flap_c,
-        (cmd.theta_rud_c - state.theta_rud) / params.k_rud_c,
-        (cmd.theta_ele_c - state.theta_ele) / params.k_ele_c,
+        (f_flap_c - f_flap) / params.k_flap_c,
+        (theta_rud_c - theta_rud) / params.k_rud_c,
+        (theta_ele_c - theta_ele) / params.k_ele_c,
     ]
-    derivative = np.concatenate([state.v, v_dot, q_dot, omega_dot, lags])
+    derivative = np.concatenate([v, v_dot, q_dot, omega_dot, lags])
     # size of the terms each block sums, for a relative error measure;
     # l1 norms, so that tiny components do not underflow when squared
     l1 = lambda x: float(np.sum(np.abs(x)))
     scales = [
-        l1(state.v),
+        l1(v),
         params.g + l1(force_body) / params.m,
-        l1(state.omega),
+        l1(omega),
         np.max(np.sum(np.abs(np.linalg.inv(params.J)), axis=1))
-        * (l1(tau) + l1(state.omega) * l1(j_omega)),
-        max(abs(c) + abs(x) for c, x in zip(
-            (cmd.f_flap_c, cmd.theta_rud_c, cmd.theta_ele_c),
-            (state.f_flap, state.theta_rud, state.theta_ele),
-        )) / min(params.k_flap_c, params.k_rud_c, params.k_ele_c),
+        * (l1(tau) + l1(omega) * l1(j_omega)),
+        max(abs(c) + abs(x) for c, x in zip(cmd, state[13:16]))
+        / min(params.k_flap_c, params.k_rud_c, params.k_ele_c),
     ]
     return derivative, scales
 
 
 def oracle_vertical_rhs(state, inputs, params, rudder_mode):
-    """Vertical-model derivative through rotz and np.sign."""
-    gx, gy, gz = inputs.gamma
+    """Vertical-model derivative of a state and an input row through rotz and
+    np.sign."""
+    gx, gy, gz, f_flap, theta_rud = inputs
     m = params.m
-    f2 = inputs.f_flap**2
-    vvx, vvy, vvz = state.vv
-    w = state.omega_psi
+    f2 = f_flap**2
+    vv = np.asarray(state[3:6], dtype=float)
+    vvx, vvy, vvz = vv
+    psi, w = state[6:8]
     sx, sy, sz, sw = (float(np.sign(x)) for x in (vvx, vvy, vvz, w))
-    p_dot = rotz(state.psi) @ state.vv
+    p_dot = rotz(psi) @ vv
     ax = -params.k_tf * f2 * gx / m - params.vk_d_x * sx * vvx**2 / m - w * vvy
     az = params.k_tf * f2 * gz / m - params.vk_d_z * sz * vvz**2 / m - params.g
     if params.lateral_mode == "constrained":
@@ -424,7 +434,7 @@ def oracle_vertical_rhs(state, inputs, params, rudder_mode):
         ay = w * vvx - params.vk_d_y * sy * vvy**2 / m
     if rudder_mode == "explicit-rudder":
         yaw_terms = [
-            (params.vk_tau_x * sz * vvz**2 + params.vk_flap_x * f2 * gz) * inputs.theta_rud,
+            (params.vk_tau_x * sz * vvz**2 + params.vk_flap_x * f2 * gz) * theta_rud,
             params.vk_gamma * gy * sx * vvx**2,
         ]
         w_dot = -yaw_terms[0] + yaw_terms[1]
@@ -434,7 +444,7 @@ def oracle_vertical_rhs(state, inputs, params, rudder_mode):
     yaw_terms.append(params.vk_damp * sw * w**2)
     w_dot -= yaw_terms[-1]
     derivative = np.concatenate([p_dot, [ax, ay, az], [w, w_dot]])
-    speed = float(np.sum(np.abs(state.vv)))
+    speed = float(np.sum(np.abs(vv)))
     scales = [
         speed,
         (params.k_tf * f2 + max(params.vk_d_x, params.vk_d_y, params.vk_d_z) * speed * speed) / m
@@ -484,17 +494,14 @@ class TestScalarCoreOracle:
     )
     def test_full_rhs_matches_object_path(self, v, q, omega, f, deflections, cmd, J):
         params = FwavParams(J=J)
-        state = FwavState(
-            p=np.array([0.3, -1.0, 2.0]), v=np.array(v),
-            q=UnitQuaternion(q[0], np.array(q[1:])), omega=np.array(omega),
+        state = full_row(
+            p=[0.3, -1.0, 2.0], v=v, q=q, omega=omega,
             f_flap=f, theta_rud=deflections[0], theta_ele=deflections[1],
         )
-        oracle, scales = oracle_full_rhs(state, ActuatorCommands(*cmd), params)
+        oracle, scales = oracle_full_rhs(state, cmd, params)
+        assert_blocks_close(full_rhs(state, cmd, params), oracle, scales, FULL_BLOCKS)
         assert_blocks_close(
-            full_rhs(state, ActuatorCommands(*cmd), params), oracle, scales, FULL_BLOCKS
-        )
-        assert_blocks_close(
-            full_rhs(state.as_vector(), cmd, params), oracle, scales, FULL_BLOCKS
+            full_rhs(np.array(state), cmd, params), oracle, scales, FULL_BLOCKS
         )
 
     @pytest.mark.parametrize("rudder_mode", ["gamma-proxy", "explicit-rudder"])
@@ -515,72 +522,63 @@ class TestScalarCoreOracle:
     ):
         params = VerticalParams(lateral_mode=lateral_mode)
         gamma = np.array(gamma) / np.linalg.norm(gamma)
-        state = VerticalState(p=np.array([1.0, 2.0, -0.5]), vv=np.array(vv), psi=psi, omega_psi=w)
-        inputs = VerticalInputs(gamma=gamma, f_flap=f, theta_rud=theta_rud)
+        state = vertical_row(p=[1.0, 2.0, -0.5], vv=vv, psi=psi, omega_psi=w)
+        inputs = vertical_inputs(gamma=gamma, f_flap=f, theta_rud=theta_rud)
         oracle, scales = oracle_vertical_rhs(state, inputs, params, rudder_mode)
         assert_blocks_close(
             vertical_rhs(state, inputs, params, rudder_mode), oracle, scales, VERTICAL_BLOCKS
         )
-        flat_inputs = (*gamma.tolist(), f, theta_rud)
         assert_blocks_close(
-            vertical_rhs(state.as_vector(), flat_inputs, params, rudder_mode),
+            vertical_rhs(np.array(state), inputs, params, rudder_mode),
             oracle, scales, VERTICAL_BLOCKS,
         )
 
     def test_tilted_torque_and_signed_zero_drag(self, params):
-        state = FwavState(
-            v=np.array([0.7, -0.2, 0.4]), q=UnitQuaternion(0.9, np.array([0.1, -0.3, 0.2])),
+        state = full_row(
+            v=[0.7, -0.2, 0.4], q=(0.9, 0.1, -0.3, 0.2),
             f_flap=14.0, theta_rud=0.1, theta_ele=-0.05,
         )
-        oracle, _ = oracle_full_rhs(state, ActuatorCommands(), params)
-        omega_dot = full_rhs(state, ActuatorCommands(), params)[10:13]
+        oracle, _ = oracle_full_rhs(state, commands(), params)
+        omega_dot = full_rhs(state, commands(), params)[10:13]
         assert np.allclose(omega_dot, oracle[10:13], rtol=1e-12, atol=0.0)
         # sgn(-0.0) = 0: a signed zero drags nothing, level and at f = 0
-        v_dot = law(params, v=np.array([0.0, -0.0, 2.0]))[3:6]
+        v_dot = law(params, v=[0.0, -0.0, 2.0])[3:6]
         assert np.array_equal(v_dot, [0.0, 0.0, -params.k_d_z * 4.0 / params.m - params.g])
 
 
-def _flat_or_view(view, flat: bool):
-    return view.as_vector() if flat else view
+def _row(row, array: bool):
+    """The row as a list, used as given, or as an ndarray, read through tolist."""
+    return np.array(row) if array else row
 
 
 class TestScalarCoreErrors:
-    @pytest.mark.parametrize("flat", [False, True])
-    def test_nonfinite_state(self, params, flat):
+    @pytest.mark.parametrize("array", [False, True])
+    def test_nonfinite_state(self, params, array):
         for bad in (np.nan, np.inf):
-            state = FwavState(v=np.array([0.0, bad, 0.0]))
             with pytest.raises(PropagationError):
-                full_rhs(_flat_or_view(state, flat), ActuatorCommands(), params)
+                full_rhs(_row(full_row(v=[0.0, bad, 0.0]), array), commands(), params)
 
-    @pytest.mark.parametrize("flat", [False, True])
-    def test_negative_flap_frequency(self, params, vparams, flat):
-        state = FwavState(f_flap=5.0)
-        state.f_flap = -1.0
+    @pytest.mark.parametrize("array", [False, True])
+    def test_negative_flap_frequency(self, params, vparams, array):
         with pytest.raises(InvalidInputError):
-            full_rhs(_flat_or_view(state, flat), ActuatorCommands(), params)
-        inputs = VerticalInputs(gamma=[0.0, 0.0, 1.0], f_flap=-1.0)
-        vinputs = (0.0, 0.0, 1.0, -1.0, 0.0) if flat else inputs
+            full_rhs(_row(full_row(f_flap=-1.0), array), commands(), params)
         with pytest.raises(InvalidInputError):
-            vertical_rhs(_flat_or_view(VerticalState(), flat), vinputs, vparams)
+            vertical_rhs(_row(vertical_row(), array), (0.0, 0.0, 1.0, -1.0, 0.0), vparams)
 
-    @pytest.mark.parametrize("flat", [False, True])
-    def test_zero_quaternion(self, params, flat):
-        state = FwavState(q=UnitQuaternion(0.0, np.zeros(3)))
+    @pytest.mark.parametrize("array", [False, True])
+    def test_zero_quaternion(self, params, array):
         with pytest.raises(InvalidInputError):
-            full_rhs(_flat_or_view(state, flat), ActuatorCommands(), params)
+            full_rhs(_row(full_row(q=(0.0, 0.0, 0.0, 0.0)), array), commands(), params)
 
-    @pytest.mark.parametrize("flat", [False, True])
-    def test_non_unit_gamma(self, vparams, flat):
-        inputs = (0.0, 0.0, 1.01, 10.0, 0.0) if flat else VerticalInputs(
-            gamma=[0.0, 0.0, 1.01], f_flap=10.0
-        )
+    @pytest.mark.parametrize("array", [False, True])
+    def test_non_unit_gamma(self, vparams, array):
         with pytest.raises(InvalidInputError):
-            vertical_rhs(_flat_or_view(VerticalState(), flat), inputs, vparams)
+            vertical_rhs(_row(vertical_row(), array), (0.0, 0.0, 1.01, 10.0, 0.0), vparams)
 
     def test_unknown_rudder_mode(self, vparams):
-        u = VerticalInputs(gamma=[0.0, 0.0, 1.0], f_flap=10.0)
+        u = vertical_inputs(gamma=[0.0, 0.0, 1.0], f_flap=10.0)
         with pytest.raises(InvalidInputError):
-            vertical_rhs(VerticalState(), u, vparams, rudder_mode="aileron")
+            vertical_rhs(vertical_row(), u, vparams, rudder_mode="aileron")
 
 
 def _hover_table(vparams, n_steps):
@@ -597,7 +595,7 @@ class TestTabulatedErrors:
 
     def run(self, vparams, gamma, f, rudder_mode="explicit-rudder"):
         return integrate_vertical_tabulated(
-            VerticalState(), vparams, gamma, f, 1e-3, rudder_mode=rudder_mode,
+            vertical_row(), vparams, gamma, f, 1e-3, rudder_mode=rudder_mode,
         )
 
     def test_even_length_table(self, vparams):
@@ -636,7 +634,7 @@ class TestTabulatedErrors:
         gamma, f = _hover_table(vparams, 10)
         rud = np.zeros(len(gamma) + delta)
         with pytest.raises(InvalidInputError, match="theta_rud_grid"):
-            integrate_vertical_tabulated(VerticalState(), vparams, gamma, f, 1e-3,
+            integrate_vertical_tabulated(vertical_row(), vparams, gamma, f, 1e-3,
                                          rudder_mode="explicit-rudder", theta_rud_grid=rud)
 
     def test_rudder_table_read_across_blocks(self, vparams, rk4_vertical):
@@ -648,17 +646,17 @@ class TestTabulatedErrors:
         grid = np.arange(2 * n + 1) * dt / 2
         f = f + 0.5 * np.sin(3.0 * grid)
         rud = 0.05 * np.sin(7.0 * grid)
-        fast = integrate_vertical_tabulated(VerticalState(), vparams, gamma, f, dt,
+        fast = integrate_vertical_tabulated(vertical_row(), vparams, gamma, f, dt,
                                             rudder_mode="explicit-rudder", theta_rud_grid=rud)
 
         def inputs(t):
             idx = min(int(round(2 * t / dt)), len(grid) - 1)
-            return VerticalInputs(gamma=gamma[idx], f_flap=float(f[idx]), theta_rud=float(rud[idx]))
+            return vertical_inputs(gamma=gamma[idx], f_flap=f[idx], theta_rud=rud[idx])
 
-        slow = simulate_vertical(VerticalState(), vparams, inputs, rudder_mode="explicit-rudder",
+        slow = simulate_vertical(vertical_row(), vparams, inputs, rudder_mode="explicit-rudder",
                                  dt=dt, duration=n * dt)
         samples = np.column_stack([gamma, f, rud]).tolist()
-        want = rk4_vertical(VerticalState(), vparams, samples, dt, "explicit-rudder")
+        want = rk4_vertical(vertical_row(), vparams, samples, dt, "explicit-rudder")
         assert fast.states.shape == (n + 1, 8)
         assert np.array_equal(fast.t, slow.t)
         assert np.array_equal(fast.states, want)
@@ -845,19 +843,19 @@ class TestFullSteps:
 class TestInertia:
     def test_changed_inertia_is_honoured(self):
         params = FwavParams()
-        state = FwavState(omega=np.array([1.0, -2.0, 0.5]), f_flap=10.0,
-                          theta_rud=0.1, theta_ele=0.2, v=np.array([0.5, 0.0, 0.3]))
-        before = np.array(full_rhs(state, ActuatorCommands(), params))
+        state = full_row(omega=[1.0, -2.0, 0.5], f_flap=10.0,
+                         theta_rud=0.1, theta_ele=0.2, v=[0.5, 0.0, 0.3])
+        before = np.array(full_rhs(state, commands(), params))
 
         params.J = np.diag([2.0e-4, 6.0e-5, 9.0e-5])  # reassigned
-        after = np.array(full_rhs(state, ActuatorCommands(), params))
-        oracle, _ = oracle_full_rhs(state, ActuatorCommands(), params)
+        after = np.array(full_rhs(state, commands(), params))
+        oracle, _ = oracle_full_rhs(state, commands(), params)
         assert not np.allclose(after[10:13], before[10:13])
         assert np.allclose(after[10:13], oracle[10:13], rtol=1e-12, atol=0.0)
 
         params.J[1, 1] = 3.0e-5  # edited in place
-        edited = np.array(full_rhs(state, ActuatorCommands(), params))
-        oracle, _ = oracle_full_rhs(state, ActuatorCommands(), params)
+        edited = np.array(full_rhs(state, commands(), params))
+        oracle, _ = oracle_full_rhs(state, commands(), params)
         assert not np.allclose(edited[10:13], after[10:13])
         assert np.allclose(edited[10:13], oracle[10:13], rtol=1e-12, atol=0.0)
 

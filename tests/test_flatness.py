@@ -7,11 +7,9 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flapkit.attitude import UnitQuaternion, recover_attitude, rotz, wrap_angle
+from flapkit.attitude import recover_attitude, rotz, wrap_angle
 from flapkit.dynamics import (
-    ActuatorCommands,
     FwavParams,
-    FwavState,
     VerticalParams,
     integrate_vertical_tabulated,
     simulate_full,
@@ -24,7 +22,7 @@ from flapkit.errors import (
 )
 from flapkit.flatness import FlatInputSchedule, flat_to_full
 
-from helpers import constant_trajectory, single_segment
+from helpers import constant_trajectory, full_row, single_segment
 
 
 @pytest.fixture
@@ -217,15 +215,15 @@ class TestFlatToFull:
         grid = np.minimum(np.arange(2 * round(traj.duration / dt) + 1) * dt / 2, traj.duration)
         r = flat_to_full(traj, grid, vparams, fparams)
         samples = {
-            round(t, 6): ActuatorCommands(f, rud, ele)
+            round(t, 6): (f, rud, ele)
             for t, f, rud, ele in zip(grid.tolist(), r.f_flap, r.theta_rud, r.theta_ele)
         }
 
         def commands(t):
             return samples[round(t, 6)]
 
-        state0 = FwavState(
-            p=r0.p, v=r0.v, q=UnitQuaternion(r0.quaternion[0], r0.quaternion[1:]),
+        state0 = full_row(
+            p=r0.p, v=r0.v, q=r0.quaternion,
             omega=r0.omega, f_flap=r0.f_flap, theta_rud=r0.theta_rud, theta_ele=r0.theta_ele,
         )
         log = simulate_full(state0, fparams, commands, dt=dt, duration=traj.duration)
@@ -289,7 +287,7 @@ class TestRoundTripProperty:
         # second: straight flights (azimuth-steady) and climbing turns from
         # rest (through the launch ramp)
         vparams = VerticalParams()
-        sched = FlatInputSchedule(traj, vparams, min_speed=0.3)
+        sched = FlatInputSchedule(traj, vparams)
         dt = 1e-4
         n = int(round(traj.duration / dt))
         grid = np.minimum(np.arange(2 * n + 1) * dt / 2, traj.duration)
@@ -318,7 +316,7 @@ class TestRoundTripProperty:
         coeffs[0] = [0.0, 1.0, -0.5, 0.0, 0.0, 0.0, 0.0]  # x = t - t^2/2 on [0,2]
         traj = single_segment(coeffs, 2.0)
         with pytest.raises(DegenerateHeadingError):
-            FlatInputSchedule(traj, vparams, min_speed=0.3)
+            FlatInputSchedule(traj, vparams)
 
     @pytest.mark.parametrize("rudder_mode", ["explicit-rudder", "gamma-proxy"])
     @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
@@ -338,14 +336,14 @@ def _assert_fast_path_equals_generic(rk4_vertical, rudder_mode, lateral_mode, wi
     for bit."""
     vparams = VerticalParams(lateral_mode=lateral_mode)
     traj = smooth_forward_trajectory()
-    sched = FlatInputSchedule(traj, vparams, min_speed=0.3)
+    sched = FlatInputSchedule(traj, vparams)
     dt = 1e-3
     n = int(round(0.5 / dt))
     grid = np.minimum(np.arange(2 * n + 1) * dt / 2, traj.duration)
     gam, f = sched.tabulate(grid)
     rud = 0.05 * np.sin(7.0 * grid) if with_rudder else np.zeros(len(grid))
     state0 = sched.initial_vertical_state()
-    state0.vv[1] = 0.05  # exercise the lateral row
+    state0[4] = 0.05  # vvy: exercise the lateral row
     fast = integrate_vertical_tabulated(
         state0, vparams, gam, f, dt, rudder_mode=rudder_mode,
         theta_rud_grid=rud if with_rudder else None,
@@ -586,9 +584,11 @@ class TestRampWindow:
             # the replay starts on the ramp's closed form
             start = sched.initial_vertical_state()
             psi0 = psi_lo - rate_lo * sched.t_lo
-            assert abs(wrap_angle(start.psi - psi0)) < 1e-12
-            assert start.omega_psi == rate_lo
-            np.testing.assert_allclose(start.vv, rotz(psi0).T @ traj.eval(0.0, 1), atol=1e-12)
+            p, vv, psi, omega_psi = start[0:3], start[3:6], start[6], start[7]
+            assert p == traj.eval(0.0).tolist()
+            assert abs(wrap_angle(psi - psi0)) < 1e-12
+            assert omega_psi == rate_lo
+            np.testing.assert_allclose(vv, rotz(psi0).T @ traj.eval(0.0, 1), atol=1e-12)
 
 
 class TestErrorParity:

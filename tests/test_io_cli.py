@@ -537,6 +537,15 @@ class TestMalformedFiles:
                 else ["identify", "--state", str(path)])
         assert message in self.assert_rejected(capsys, path, argv)
 
+    def test_state_log_of_unrecognized_header(self, tmp_path, capsys, run_line):
+        path = tmp_path / "control.csv"
+        run_line.control_to_csv(path)
+        traj = tmp_path / "traj.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+        message = self.assert_rejected(
+            capsys, path, ["metrics", "--state", str(path), "--traj", str(traj)])
+        assert "unrecognized state-log header" in message
+
     @pytest.mark.parametrize("line,fault", [
         (4, "a non-numeric cell"),
         (3, "a short row"),
@@ -593,3 +602,32 @@ class TestMalformedFiles:
             "--params": ["simulate", "--traj", str(traj), "--params", str(path), *outs],
         }[reader]
         assert "not UTF-8 text" in self.assert_rejected(capsys, path, argv)
+
+
+class TestClosedLoopArguments:
+    """An invalid closed-loop argument exits 1 with one ``error:`` line, before
+    the flight starts."""
+
+    @pytest.mark.parametrize("args", [
+        ["--dt", "0"], ["--rate", "0"], ["--dt", "nan"], ["--rate", "nan"], ["--dt", "inf"],
+        ["--duration", "nan"], ["--duration", "-1"], ["--duration", "inf"],
+        ["--perturb", "nan,0,0"],
+    ], ids=" ".join)
+    def test_rejected(self, tmp_path, capsys, args):
+        traj = tmp_path / "traj.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+        state = tmp_path / "state.csv"
+        argv = ["simulate", "--traj", str(traj), "--out-state", str(state),
+                "--out-control", str(tmp_path / "control.csv"), *args]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not state.exists()
+
+    def test_zero_duration_flies_no_step(self, tmp_path):
+        traj = tmp_path / "traj.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+        state = tmp_path / "state.csv"
+        assert main(["simulate", "--traj", str(traj), "--out-state", str(state),
+                     "--out-control", str(tmp_path / "control.csv"), "--duration", "0"]) == 0
+        assert len(kvio.load_state_log(state).t) == 1

@@ -13,11 +13,13 @@ prints ``record()``.
 The same command then prints ``record_digests()``: the sha256 of the state
 and control logs of four full-model flights and of one ``simulate_full``
 run, recorded at commit b06346b, where the full plant stepped ``rk4_flat``
-on ``full_rhs``.  These are exact pins, not tolerances.  The ``simulate_full``
-digest was re-recorded, with the same command, when ``simulate_full`` began
-to read its commands once per half-step time j dt/2 (the end of one
-step and the start of the next share the sample at (k + 1) dt, not two
-samples at times one rounding apart): its states moved by at most 6.9e-18.
+on ``full_rhs``, and of two ``simulate_vertical`` runs (one per rudder and
+lateral mode), recorded at commit 57bb71a, before the dataclass state views
+were deleted.  These are exact pins, not tolerances.  The ``simulate_full`` digest was re-recorded, with the
+same command, when ``simulate_full`` began to read its commands once per
+half-step time j dt/2 (the end of one step and the start of the next share
+the sample at (k + 1) dt, not two samples at times one rounding apart): its
+states moved by at most 6.9e-18.
 """
 
 import hashlib
@@ -26,8 +28,10 @@ import math
 import numpy as np
 import pytest
 
-from flapkit.dynamics import ActuatorCommands, FwavParams, FwavState, simulate_full
+from flapkit.dynamics import FwavParams, VerticalParams, simulate_full, simulate_vertical
 from flapkit.simulate import run_closed_loop
+
+from helpers import full_row, vertical_inputs, vertical_row
 
 TOL = 1e-9
 
@@ -81,17 +85,40 @@ def flight_digests(result) -> dict:
     return {"states": digest(result.state_log.states), "control": digest(result.control_rows)}
 
 
-def varying_commands(t: float) -> ActuatorCommands:
-    """A flapping-frequency and deflection schedule that moves every stage."""
+def varying_commands(t: float) -> tuple:
+    """A command row (f_flap_c, theta_rud_c, theta_ele_c) schedule that moves
+    every stage."""
     f0 = FwavParams().hover_frequency
-    return ActuatorCommands(f0 * (1.0 + 0.05 * math.sin(5.0 * t)), 0.02 * math.sin(3.0 * t),
-                            -0.03 * math.cos(4.0 * t))
+    return (f0 * (1.0 + 0.05 * math.sin(5.0 * t)), 0.02 * math.sin(3.0 * t),
+            -0.03 * math.cos(4.0 * t))
 
 
 def simulate_varying():
     params = FwavParams()
-    return simulate_full(FwavState(f_flap=params.hover_frequency), params, varying_commands,
+    return simulate_full(full_row(f_flap=params.hover_frequency), params, varying_commands,
                          dt=1e-3, duration=0.5)
+
+
+# (rudder mode, lateral mode) of each open-loop vertical run
+VERTICAL_RUNS = {
+    "simulate_vertical_explicit_free": ("explicit-rudder", "free"),
+    "simulate_vertical_proxy_constrained": ("gamma-proxy", "constrained"),
+}
+
+
+def varying_vertical_inputs(t: float) -> tuple:
+    """An input row (gx, gy, gz, f_flap, theta_rud) schedule that moves every
+    stage; the reduced attitude is unit by construction."""
+    a, b = 0.08 * math.sin(4.0 * t), 0.03 * math.cos(6.0 * t)
+    f0 = VerticalParams().hover_frequency
+    return vertical_inputs([math.sin(a) * math.cos(b), math.sin(b), math.cos(a) * math.cos(b)],
+                           f0 * (1.0 + 0.05 * math.sin(5.0 * t)), 0.02 * math.sin(3.0 * t))
+
+
+def simulate_vertical_varying(rudder_mode: str, lateral_mode: str):
+    start = vertical_row(vv=[0.5, 0.05, 0.1], psi=0.3, omega_psi=0.2)
+    return simulate_vertical(start, VerticalParams(lateral_mode=lateral_mode),
+                             varying_vertical_inputs, rudder_mode, dt=1e-3, duration=0.5)
 
 
 def record_digests() -> dict:
@@ -103,6 +130,8 @@ def record_digests() -> dict:
         traj, _ = plan(cons, weights, opts)
         out[key] = flight_digests(run_closed_loop(traj, model="full", perturb_pos=offset))
     out["simulate_full_varying"] = {"states": digest(simulate_varying().states)}
+    for key, modes in VERTICAL_RUNS.items():
+        out[key] = {"states": digest(simulate_vertical_varying(*modes).states)}
     return out
 
 
@@ -190,6 +219,12 @@ DIGESTS = {
     "simulate_full_varying": {
         "states": "dcbee80818d06afbad11c7abcb6bd2bc21882d56b07e895e4e9886cfec24435a",
     },
+    "simulate_vertical_explicit_free": {
+        "states": "6eb2ba62742eccc0569a51648300cfa0f810724ee7ae90a7e9f90da6b8c363a0",
+    },
+    "simulate_vertical_proxy_constrained": {
+        "states": "b1b473d48d188add8ef1c426febdd4898ad6c8ad2fe86611d71d8eb4b51c853a",
+    },
 }
 
 
@@ -202,6 +237,12 @@ def test_full_flight_logs_match_recorded_digests(request, key):
 
 def test_simulate_full_log_matches_recorded_digest():
     assert {"states": digest(simulate_varying().states)} == DIGESTS["simulate_full_varying"]
+
+
+@pytest.mark.parametrize("key", sorted(VERTICAL_RUNS))
+def test_simulate_vertical_log_matches_recorded_digest(key):
+    log = simulate_vertical_varying(*VERTICAL_RUNS[key])
+    assert {"states": digest(log.states)} == DIGESTS[key]
 
 
 if __name__ == "__main__":

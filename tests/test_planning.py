@@ -123,6 +123,15 @@ class TestQpOracle:
         with pytest.raises(InvalidInputError):
             solve_qp_equality(cons, ObjectiveWeights(mu_p=1.0, mu_v=0.1), opts)
 
+    def test_more_rows_than_coefficients_names_every_row(self):
+        # a cubic has 4 coefficients per axis; the boundary pins 6 rows
+        cons, opts = rest_to_rest([1.0, 0.0, 0.0])
+        opts.order = 3
+        _, _, labels = build_equality_system(cons, opts)
+        with pytest.raises(RankDeficientConstraintsError, match="more constraints") as err:
+            solve_qp_equality(cons, None, opts)
+        assert len(labels) == 6 and err.value.rows == labels
+
 
 class TestNumpyKernelsMatchScipy:
     """The planner's numpy null space and block-diagonal snap matrix equal
@@ -505,6 +514,19 @@ class TestEqualityProperties:
 
 
 class TestPlan:
+    def test_fully_determined_problem_returns_the_qp_solution(self):
+        # a quintic has 6 coefficients per axis and the boundary pins 6 rows:
+        # the null space is empty, so no restart runs a solver stage
+        cons, opts = rest_to_rest([1.0, 0.0, 0.0])
+        opts.order, opts.restarts = 5, 2
+        assert _PenaltyProblem(cons, ObjectiveWeights(), opts).k == 0
+        traj, report = plan(cons, None, opts)
+        want = solve_qp_equality(cons, None, opts)
+        assert np.array_equal(traj.segments[0].coeffs, want.segments[0].coeffs)
+        assert [(r.index, r.rho, r.xi.size) for r in report.restarts] == [(0, 0.0, 0),
+                                                                           (1, 0.0, 0)]
+        assert report.residuals.max_aggregate == 0.0
+
     def test_qp_equivalence_without_inequalities(self):
         cons = ConstraintSet(
             boundary=BoundaryConditions(end_pos=[0.4, -0.3, 0.2], end_vel=[0.1, 0, 0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,14 +6,11 @@ import pytest
 
 import flapkit.dynamics
 import flapkit.simulate
-from flapkit.attitude import UnitQuaternion, rotz, wrap_angle
+from flapkit.attitude import rotz, wrap_angle
 from flapkit.control import ControllerGains, TrackingController
 from flapkit.dynamics import (
     FwavParams,
-    FwavState,
-    VerticalInputs,
     VerticalParams,
-    VerticalState,
     full_rhs,
     rk4_flat,
     simulate_vertical,
@@ -33,7 +31,7 @@ from flapkit.simulate import (
     simulate_ideal_vertical,
 )
 
-from helpers import constant_trajectory
+from helpers import constant_trajectory, full_row, vertical_inputs, vertical_row
 
 
 @pytest.fixture
@@ -50,7 +48,7 @@ def reference_vertical_flight(traj, n_steps, offset, dt=1e-3, n_sub=10):
     controller = TrackingController(ControllerGains(), vparams, initial_psi_d=psi0)
     plant = flapkit.simulate._VerticalPlant(vparams)
     v0 = rotz(psi0).T @ traj.eval(0.0, 1)
-    y = VerticalState(p=traj.eval(0.0) + offset, vv=v0, psi=psi0).as_vector().tolist()
+    y = vertical_row(p=traj.eval(0.0) + offset, vv=v0, psi=psi0)
     u, states, applied, control = plant.hold, [y], [plant.hold], []
     for k in range(n_steps):
         if k % n_sub == 0:
@@ -73,9 +71,9 @@ def reference_full_flight(traj, offset, dt=1e-3, n_sub=10):
     psi0 = initial_heading(traj)
     controller = TrackingController(ControllerGains(), VerticalParams(), initial_psi_d=psi0)
     plant = flapkit.simulate._FullPlant(fparams)
-    q0 = UnitQuaternion(math.cos(psi0 / 2), np.array([0.0, 0.0, math.sin(psi0 / 2)]))
-    y = FwavState(p=traj.eval(0.0) + offset, v=traj.eval(0.0, 1), q=q0,
-                  f_flap=fparams.hover_frequency).as_vector().tolist()
+    q0 = (math.cos(psi0 / 2), 0.0, 0.0, math.sin(psi0 / 2))
+    y = full_row(p=traj.eval(0.0) + offset, v=traj.eval(0.0, 1), q=q0,
+                 f_flap=fparams.hover_frequency)
     u, states, control = plant.hold, [y], []
     for k in range(int(round(traj.duration / dt))):
         if k % n_sub == 0:
@@ -231,6 +229,9 @@ class TestClosedLoop:
 
     def test_jump_episode_merging(self, case_line, run_line):
         assert run_line.jump_episodes() == 0
+        # jumps closer than 0.5 s are one episode
+        run = dataclasses.replace(run_line, jump_times=[0.0, 0.3, 0.9, 1.0, 1.4, 2.0])
+        assert run.jump_episodes() == 3
 
     def test_control_log_csv(self, tmp_path, run_line):
         path = tmp_path / "control.csv"
@@ -240,6 +241,15 @@ class TestClosedLoop:
             "t,epx,epy,epz,evx,evy,evz,dpsi,hpsi,omegapsid,gammayd,"
             "fflapcmd,thrudcmd,thelecmd,V1,V2"
         )
+
+    def test_full_plant_stops_before_a_non_finite_state(self):
+        # a non-finite state fails full_rhs's check: no step is logged, and the
+        # run stops at row 1
+        plant = flapkit.simulate._FullPlant(FwavParams())
+        y = full_row(p=[math.nan, 0.0, 0.0], f_flap=plant.params.hover_frequency)
+        states = np.full((11, 16), -1.0)
+        assert plant.advance(y, plant.hold, 1e-3, states, 0, 10, math.inf) == (y, 0, 1)
+        assert (states == -1.0).all()
 
     def test_initial_heading_of_line(self, case_line):
         assert initial_heading(case_line.traj) == pytest.approx(0.0, abs=1e-9)
@@ -410,9 +420,10 @@ def forward_flight_log(vparams, duration=30.0, noise=None, seed=0):
     def inputs(t):
         gx = -tilt(t)
         gz = math.sqrt(1.0 - gx**2)
-        return VerticalInputs(gamma=[gx, 0.0, gz], f_flap=vparams.hover_frequency / math.sqrt(gz))
+        return vertical_inputs(gamma=[gx, 0.0, gz],
+                               f_flap=vparams.hover_frequency / math.sqrt(gz))
 
-    state0 = VerticalState(vv=np.array([0.5, 0.0, 0.0]))
+    state0 = vertical_row(vv=[0.5, 0.0, 0.0])
     return simulate_vertical(state0, vparams, inputs, dt=1e-2, duration=duration)
 
 

@@ -46,6 +46,16 @@ class TestEval:
         with pytest.raises(TrajectoryDomainError):
             traj.eval(-0.1)
 
+    @pytest.mark.parametrize("times", [[0.5, 1.5], [-0.1, 0.5], [1.0 + 1e-9]])
+    def test_eval_many_domain_error(self, times):
+        traj = constant_trajectory([0, 0, 0], T=1.0)
+        with pytest.raises(TrajectoryDomainError, match="outside"):
+            traj.eval_many(times)
+        with pytest.raises(TrajectoryDomainError, match="outside"):
+            traj.taylor(np.array(times), 2)
+        # within the 1e-12 rounding margin, a time is clamped to the span
+        assert np.array_equal(traj.eval_many([-1e-13, 1.0 + 1e-13], 1), np.zeros((2, 3)))
+
     def test_junction_resolves_to_later_segment(self):
         seg1 = PolySegment(np.array([[0.0, 1.0], [0, 0], [0, 0]]), T=1.0)
         seg2 = PolySegment(np.array([[1.0, -1.0], [0, 0], [0, 0]]), T=1.0)
