@@ -9,6 +9,7 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -118,33 +119,35 @@ def _parse_perturb(text: str) -> np.ndarray:
     return np.array(parts)
 
 
-def _load_scenario(source: str):
-    if source in CASE_NAMES and not os.path.exists(source):
-        return case_library(source), source
-    data = kvio.load_kv(source)
+def _scenario(data: dict):
+    """The scenario of a parsed kv file and its name; a file that names a
+    published case and nothing else is that case."""
     name = str(data.get("name", "custom"))
     if name in CASE_NAMES and len(data) == 1:
         return case_library(name), name
     return kvio.scenario_from_dict(data), name
 
 
+def _load_scenario(source: str):
+    if source in CASE_NAMES and not os.path.exists(source):
+        return case_library(source), source
+    return kvio.load_kv(source, _scenario)
+
+
+def _params(cls, path):
+    """The parameter or gain dataclass ``cls`` read from the kv file at
+    ``path``, or its defaults without one."""
+    return kvio.load_kv(path, functools.partial(kvio.params_from_dict, cls)) if path else cls()
+
+
 def _fly(args, traj, state_path, control_path):
     """Closed-loop flight of traj under the command's options; writes the
     state and control logs and reports divergence on stderr."""
-    vparams = (
-        kvio.vertical_params_from_dict(kvio.load_kv(args.params))
-        if args.params and args.model == "vertical" else VerticalParams()
-    )
-    fparams = (
-        kvio.fwav_params_from_dict(kvio.load_kv(args.params))
-        if args.params and args.model == "full" else FwavParams()
-    )
-    gains = (
-        kvio.gains_from_dict(kvio.load_kv(args.gains))
-        if args.gains else ControllerGains()
-    )
     result = run_closed_loop(
-        traj, model=args.model, vparams=vparams, fparams=fparams, gains=gains,
+        traj, model=args.model,
+        vparams=_params(VerticalParams, args.model == "vertical" and args.params),
+        fparams=_params(FwavParams, args.model == "full" and args.params),
+        gains=_params(ControllerGains, args.gains),
         dt=args.dt, rate_hz=args.rate, duration=args.duration,
         perturb_pos=_parse_perturb(args.perturb),
     )
@@ -245,11 +248,7 @@ def _dispatch(args) -> int:
         log = kvio.load_state_log(args.state)
         if not isinstance(log, VerticalLog):
             raise _UsageError("identification expects a vertical-model log")
-        params = (
-            kvio.vertical_params_from_dict(kvio.load_kv(args.params))
-            if args.params else VerticalParams()
-        )
-        est = identify_drag_from_log(log, params)
+        est = identify_drag_from_log(log, _params(VerticalParams, args.params))
         print(
             f"k_d/m = {est.k_d_over_m:.6f} 1/m "
             f"(residual {est.residual_norm:.3e}, {est.sample_count} samples)"

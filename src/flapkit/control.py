@@ -469,8 +469,8 @@ class TrackingController:
         rate_hz: float = 100.0,
         initial_psi_d: float = 0.0,
     ):
-        if rate_hz <= 0:
-            raise InvalidInputError("controller rate must be positive")
+        if not 0 < rate_hz < math.inf:
+            raise InvalidInputError("controller rate must be positive and finite")
         self.gains = gains
         self.params = params
         self.dt = 1.0 / rate_hz

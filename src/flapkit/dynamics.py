@@ -244,18 +244,34 @@ def _deflection(c, ux, uz, f2, theta_rud, theta_ele):
 _NON_UNIT_GAMMA = "reduced attitude input must be unit norm"
 _NEGATIVE_FLAP = "flapping frequency must be non-negative"
 
+# the name and the columns of each kind of row
+_FULL_STATE = "full state", FULL_LOG_HEADER.split(",")[1:]
+_FULL_COMMAND = "full-model command", ["f_flap_c", "theta_rud_c", "theta_ele_c"]
+_VERTICAL_STATE = "vertical state", VERTICAL_LOG_HEADER.split(",")[1:9]
+_VERTICAL_INPUT = "vertical input", ["gx", "gy", "gz", "f_flap", "theta_rud"]
+
+
+def _checked(row, layout):
+    """``row`` if it has one entry per column of ``layout``; otherwise raises
+    InvalidInputError naming the layout."""
+    name, columns = layout
+    if len(row) != len(columns):
+        raise InvalidInputError(
+            f"a {name} row is {len(columns)} floats ({', '.join(columns)}), not {len(row)}")
+    return row
+
 
 def full_rhs(state, cmd, params: FwavParams) -> tuple[float, ...]:
     """Time derivative of the full state row (16 floats incl. quaternion).
 
     ``state`` is a full state row, ``cmd`` a command row (f_flap_c,
     theta_rud_c, theta_ele_c); an ndarray is read through ``tolist``.  The
-    quaternion is normalized before use.  Raises InvalidInputError for a
-    negative flapping frequency or a zero quaternion and PropagationError
-    for a non-finite state.
+    quaternion is normalized before use.  Raises InvalidInputError for a row
+    of another length, a negative flapping frequency or a zero quaternion and
+    PropagationError for a non-finite state.
     """
-    y = state.tolist() if isinstance(state, np.ndarray) else state
-    f_c, rud_c, ele_c = cmd
+    y = _checked(state.tolist() if isinstance(state, np.ndarray) else state, _FULL_STATE)
+    f_c, rud_c, ele_c = _checked(cmd, _FULL_COMMAND)
     if _stage_stops(y):
         raise PropagationError("non-finite state", step=-1)
     return _full_law(params._constants(), y, (f_c, rud_c, ele_c))
@@ -330,7 +346,7 @@ def vertical_rhs(
     the idealization the flatness construction assumes.
     """
     y = state.tolist() if isinstance(state, np.ndarray) else state
-    _, _, _, vvx, vvy, vvz, psi, w = y
+    _, _, _, vvx, vvy, vvz, psi, w = _checked(y, _VERTICAL_STATE)
     explicit = _explicit_rudder(rudder_mode)
     terms = _vertical_terms(params, explicit, *_input_row(inputs))
     return _vertical_law(params._constants(), explicit, vvx, vvy, vvz, psi, w, *terms)
@@ -338,7 +354,7 @@ def vertical_rhs(
 
 def _input_row(inputs) -> tuple:
     """The checked input row (gx, gy, gz, f_flap, theta_rud)."""
-    gx, gy, gz, f, theta_rud = inputs
+    gx, gy, gz, f, theta_rud = _checked(inputs, _VERTICAL_INPUT)
     if abs(math.sqrt(gx * gx + gy * gy + gz * gz) - 1.0) > 1e-6:
         raise InvalidInputError(_NON_UNIT_GAMMA)
     if f < 0:
@@ -583,10 +599,10 @@ def simulate_full(
     """Integrate the full model from the state row ``state0`` under a schedule of
     command rows (f_flap_c, theta_rud_c, theta_ele_c), read once at each
     half-step time."""
-    rows = [(f, rud, ele) for f, rud, ele in map(commands, _half_steps(dt, duration))]
+    rows = [tuple(_checked(u, _FULL_COMMAND)) for u in map(commands, _half_steps(dt, duration))]
     n_steps = len(rows) // 2
     states = np.empty((n_steps + 1, 16))
-    states[0] = y = [float(v) for v in state0]
+    states[0] = y = [float(v) for v in _checked(state0, _FULL_STATE)]
     _, _, stop = _full_steps(params, y, rows, dt, states, 0)
     if stop is not None:
         raise PropagationError("integration produced non-finite state", step=stop)
@@ -604,7 +620,8 @@ def simulate_vertical(
     """Integrate the vertical-frame model from the state row ``state0`` under a
     schedule of input rows (gx, gy, gz, f_flap, theta_rud), read once at each
     half-step time: ``integrate_vertical_tabulated`` on that table."""
-    table = np.fromiter(map(inputs, _half_steps(dt, duration)), (float, 5))
+    rows = (_checked(u, _VERTICAL_INPUT) for u in map(inputs, _half_steps(dt, duration)))
+    table = np.fromiter(rows, (float, 5))
     return integrate_vertical_tabulated(state0, params, table[:, 0:3], table[:, 3], dt,
                                         rudder_mode, table[:, 4])
 
@@ -641,7 +658,7 @@ def integrate_vertical_tabulated(
     explicit = _explicit_rudder(rudder_mode)
     n_steps = (gamma_grid.shape[0] - 1) // 2
     states = np.empty((n_steps + 1, 8))
-    states[0] = y = [float(v) for v in state0]
+    states[0] = y = [float(v) for v in _checked(state0, _VERTICAL_STATE)]
     for start in range(0, n_steps, _TABLE_BLOCK):
         stop = min(start + _TABLE_BLOCK, n_steps)
         lo, hi = 2 * start, 2 * stop + 1

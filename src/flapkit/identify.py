@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import VerticalLog, VerticalParams
+from .dynamics import VerticalLog, VerticalParams, _vertical_terms
 from .errors import InsufficientExcitationError
 
 MIN_FORWARD_SPEED = 0.2  # m/s, span filter for usable samples
@@ -73,13 +73,9 @@ def identify_drag(
 def identify_drag_from_log(log: VerticalLog, params: VerticalParams) -> DragEstimate:
     """Run the drag regression on a vertical-model log with applied inputs.
 
-    The known part of the forward acceleration is rebuilt from the logged
-    tilt/frequency inputs and the frame-rate coupling.
+    The known part of the forward acceleration is the model's forward thrust
+    term under the logged tilt/frequency inputs plus the frame-rate coupling.
     """
-    vvx = log.states[:, 3]
-    vvy = log.states[:, 4]
-    w = log.states[:, 7]
-    gx = log.inputs[:, 0]
-    f2 = log.inputs[:, 3] ** 2
-    known = -params.k_tf * f2 * gx / params.m - w * vvy
-    return identify_drag(log.t, vvx, known)
+    _, _, _, vvx, vvy, _, _, w = log.states.T
+    thrust = _vertical_terms(params, False, *log.inputs.T, 0.0)[0]
+    return identify_drag(log.t, vvx, thrust - w * vvy)

@@ -2,19 +2,22 @@
 
 One ``key = value`` pair per line; values are JSON literals (numbers,
 arrays) with bare strings allowed; ``#`` starts a comment.  Repeated keys
-(obstacles, waypoints) collect into lists in declaration order.
+(obstacles, waypoints) collect into lists in declaration order.  The keys
+are the fields of the dataclasses the files fill, and each value is read
+as the type of its field's default (``_read``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import difflib
 import json
 import warnings
 
 import numpy as np
 
-from .control import ControllerGains
-from .dynamics import FullLog, FwavParams, VerticalLog, VerticalParams, _open_text
+from .dynamics import FullLog, VerticalLog, _open_text
 from .errors import InvalidInputError
 from .planning import (
     BoundaryConditions,
@@ -60,14 +63,17 @@ def parse_kv(text: str) -> dict:
     return out
 
 
-def load_kv(path) -> dict:
-    """``parse_kv`` of a file; its errors name the file."""
+def load_kv(path, read=None):
+    """``parse_kv`` of a file, passed to ``read`` if given (``scenario_from_dict``,
+    say); every InvalidInputError either raises names the file."""
     with _open_text(path) as fh:
         text = fh.read()
     try:
-        return parse_kv(text)
+        data = parse_kv(text)
+        return data if read is None else read(data)
     except InvalidInputError as err:
-        raise InvalidInputError(f"{path}, {err}") from None
+        sep = "," if str(err).startswith("line ") else ":"
+        raise InvalidInputError(f"{path}{sep} {err}") from None
 
 
 def format_kv(pairs, comment: str | None = None) -> str:
@@ -92,153 +98,123 @@ def _check_keys(data: dict, schema: str, known) -> None:
             raise InvalidInputError(f"unknown {schema} key {key!r}{hint}")
 
 
+def _read(key: str, raw, default):
+    """The value ``raw`` of ``key`` read as the type of its field's ``default``:
+    a string, a float array of the default's shape, an integer (7 or 7.0, not
+    1.5) or a number.  No number is a string, a bool or NaN; an infinity is
+    left to the dataclass's own checks."""
+    if isinstance(default, str):
+        if isinstance(raw, str):
+            return raw
+        wants = "a string"
+    else:
+        shape, integer = np.shape(default), isinstance(default, int)
+        items = raw if isinstance(raw, list) else [raw]
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+            with contextlib.suppress(OverflowError):  # an integer beyond float range
+                value = np.array(raw, dtype=float)
+                if (value.shape == shape and not np.isnan(value).any()
+                        and (not integer or float(value).is_integer())):
+                    return int(raw) if integer else value if shape else float(value)
+        wants = (f"a list of {shape[0]} numbers" if shape
+                 else "an integer" if integer else "a number")
+    raise InvalidInputError(f"key {key!r} wants {wants}, not {raw!r}")
+
+
+def _defaults(cls) -> dict:
+    """Each field of a dataclass with a default, by name, and that default."""
+    instance = cls()
+    return {fld.name: getattr(instance, fld.name) for fld in dataclasses.fields(cls)}
+
+
 # ---------------------------------------------------------------------------
 # parameter and gain files
 # ---------------------------------------------------------------------------
 
-_FWAV_SCALARS = [
-    "m", "g", "k_tf", "k_d_x", "k_d_y", "k_d_z", "k_tau_x", "k_tau_y",
-    "k_tau_z", "k_flap_x", "k_flap_y", "k_flap_z", "k_flap_c", "k_rud_c",
-    "k_ele_c",
-]
+# the full model's inertia J: one key per entry of its upper triangle
+_J_KEYS = {f"j{row}{col}": (i, j) for i, row in enumerate("xyz")
+           for j, col in enumerate("xyz") if j >= i}
 
 
-_J_KEYS = [f"j{row}{col}" for i, row in enumerate("xyz") for col in "xyz"[i:]]
-
-
-def fwav_params_from_dict(data: dict) -> FwavParams:
-    _check_keys(data, "full-model parameter", {*_FWAV_SCALARS, *_J_KEYS})
-    kwargs = {name: float(data[name]) for name in _FWAV_SCALARS if name in data}
-    j_mat = np.array(FwavParams().J)
-    for i, row in enumerate("xyz"):
-        for j, col in enumerate("xyz"):
-            if j >= i and f"j{row}{col}" in data:
-                j_mat[i, j] = j_mat[j, i] = float(data[f"j{row}{col}"])
-    return FwavParams(J=j_mat, **kwargs)
-
-
-_VERTICAL_SCALARS = [
-    "m", "g", "k_tf", "vk_d_x", "vk_d_y", "vk_d_z", "vk_gamma", "vk_damp",
-    "vk_tau_x", "vk_flap_x", "kbar_gamma", "kbar_flap_x", "l_gamma_min",
-    "l_gamma_max",
-]
-
-
-def vertical_params_from_dict(data: dict) -> VerticalParams:
-    _check_keys(data, "vertical-model parameter", {*_VERTICAL_SCALARS, "lateral_mode"})
-    kwargs = {name: float(data[name]) for name in _VERTICAL_SCALARS if name in data}
-    if "lateral_mode" in data:
-        kwargs["lateral_mode"] = str(data["lateral_mode"])
-    return VerticalParams(**kwargs)
-
-
-_GAIN_SCALARS = [
-    "k_psi", "k_omega", "delta", "l_gamma_min", "l_gamma_max", "k_rud",
-    "k_ele", "k_omega_x", "k_omega_y", "filter_wn", "filter_zeta",
-    "psi_rate_ff_cap", "gamma_yd_limit",
-]
-
-
-def gains_from_dict(data: dict) -> ControllerGains:
-    _check_keys(data, "gain", {*_GAIN_SCALARS, "kp", "kv"})
-    kwargs = {name: float(data[name]) for name in _GAIN_SCALARS if name in data}
-    for vec in ("kp", "kv"):
-        if vec in data:
-            kwargs[vec] = np.asarray(data[vec], dtype=float)
-    return ControllerGains(**kwargs)
+def params_from_dict(cls, data: dict):
+    """The parameter or gain dataclass ``cls`` (``FwavParams``, ``VerticalParams``,
+    ``ControllerGains``) of a parsed kv file: one key per field, each read as the
+    type of its default, and the default where a key is absent.  ``FwavParams``'
+    symmetric J is read from the keys jxx, jxy, ..., jzz instead."""
+    fields = _defaults(cls)
+    inertia = fields.pop("J", None)
+    _check_keys(data, cls.__name__, [*fields, *(_J_KEYS if inertia is not None else ())])
+    kwargs = {key: _read(key, data[key], default)
+              for key, default in fields.items() if key in data}
+    if inertia is not None:
+        for key, (i, j) in _J_KEYS.items():
+            if key in data:
+                inertia[i, j] = inertia[j, i] = _read(key, data[key], 0.0)
+        kwargs["J"] = inertia
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
 # scenario files
 # ---------------------------------------------------------------------------
 
-
-def scenario_to_pairs(
-    cons: ConstraintSet,
-    opts: PlanOptions,
-    weights: ObjectiveWeights,
-    name: str = "custom",
-) -> list:
-    b = cons.boundary
-    pairs = [
-        ("name", name),
-        ("segments", opts.segments),
-        ("order", opts.order),
-        ("segment_duration", opts.T),
-        ("restarts", opts.restarts),
-        ("seed", opts.seed),
-        ("mu_p", weights.mu_p),
-        ("mu_v", weights.mu_v),
-        ("start_pos", b.start_pos), ("start_vel", b.start_vel), ("start_acc", b.start_acc),
-        ("end_pos", b.end_pos), ("end_vel", b.end_vel), ("end_acc", b.end_acc),
-        ("v_h_max", cons.v_h_max),
-        ("v_v_max", cons.v_v_max),
-        ("psi_rate_max", cons.psi_rate_max),
-        ("sample_interval", cons.sample_interval),
-    ]
-    for wp in cons.waypoints:
-        pairs.append(("waypoint", [wp.segment, wp.t_local, *wp.position]))
-    for ob in cons.obstacles:
-        if isinstance(ob, Sphere):
-            pairs.append(("sphere", [*ob.center, ob.radius]))
-        else:
-            pairs.append(("cylinder_x", [*ob.center_yz, ob.radius]))
-    return pairs
-
-
-_SCENARIO_KEYS = {
-    "name", "segments", "order", "segment_duration", "restarts", "seed", "mu_p", "mu_v",
-    "start_pos", "start_vel", "start_acc", "end_pos", "end_vel", "end_acc",
-    "v_h_max", "v_v_max", "psi_rate_max", "sample_interval", *_REPEATED_KEYS,
+# each key of a scenario file but the name and the repeated keys, in file
+# order, and the dataclass field it sets
+_SCENARIO_FIELDS = {
+    "segments": (PlanOptions, "segments"), "order": (PlanOptions, "order"),
+    "segment_duration": (PlanOptions, "T"), "restarts": (PlanOptions, "restarts"),
+    "seed": (PlanOptions, "seed"),
+    "mu_p": (ObjectiveWeights, "mu_p"), "mu_v": (ObjectiveWeights, "mu_v"),
+    **{key: (BoundaryConditions, key) for key in (
+        "start_pos", "start_vel", "start_acc", "end_pos", "end_vel", "end_acc")},
+    **{key: (ConstraintSet, key) for key in (
+        "v_h_max", "v_v_max", "psi_rate_max", "sample_interval")},
 }
 
 
-def _numbered(data: dict, key: str):
-    """(line, value) of each value of a repeated key; 0 for a plain list's."""
+def scenario_to_pairs(cons: ConstraintSet, opts: PlanOptions, weights: ObjectiveWeights,
+                      name: str = "custom") -> list:
+    objects = {PlanOptions: opts, ObjectiveWeights: weights,
+               BoundaryConditions: cons.boundary, ConstraintSet: cons}
+    pairs = [("name", name)]
+    pairs += [(key, getattr(objects[cls], fld)) for key, (cls, fld) in _SCENARIO_FIELDS.items()]
+    pairs += [("waypoint", [wp.segment, wp.t_local, *wp.position]) for wp in cons.waypoints]
+    return pairs + [("sphere", [*ob.center, ob.radius]) if isinstance(ob, Sphere)
+                    else ("cylinder_x", [*ob.center_yz, ob.radius]) for ob in cons.obstacles]
+
+
+def _numbered(data: dict, key: str, width: int):
+    """(line, floats) of each value of a repeated key, ``width`` numbers each;
+    the line is 0 for a plain list's."""
     values = data.get(key, [])
-    return zip(getattr(values, "lines", [0] * len(values)), values)
+    lines = getattr(values, "lines", [0] * len(values))
+    return [(n, _read(key, value, np.zeros(width)).tolist()) for n, value in zip(lines, values)]
 
 
 def scenario_from_dict(data: dict):
-    _check_keys(data, "scenario", _SCENARIO_KEYS)
-    boundary = BoundaryConditions(
-        start_pos=data.get("start_pos", [0, 0, 0]),
-        start_vel=data.get("start_vel", [0, 0, 0]),
-        start_acc=data.get("start_acc", [0, 0, 0]),
-        end_pos=data.get("end_pos", [0, 0, 0]),
-        end_vel=data.get("end_vel", [0, 0, 0]),
-        end_acc=data.get("end_acc", [0, 0, 0]),
-    )
-    waypoints = [
-        Waypoint(int(w[0]), float(w[1]), w[2:5]) for w in data.get("waypoint", [])
-    ]
-    # mixed obstacle lines keep their file order; plain lists put spheres first
-    shapes = [(n, Sphere(center=s[0:3], radius=float(s[3]))) for n, s in _numbered(data, "sphere")]
-    shapes += [(n, CylinderX(center_yz=c[0:2], radius=float(c[2])))
-               for n, c in _numbered(data, "cylinder_x")]
-    obstacles = [ob for _, ob in sorted(shapes, key=lambda pair: pair[0])]
-    cons = ConstraintSet(
-        boundary=boundary,
-        waypoints=waypoints,
-        obstacles=obstacles,
-        v_h_max=float(data.get("v_h_max", 1.5)),
-        v_v_max=float(data.get("v_v_max", 0.5)),
-        psi_rate_max=float(data.get("psi_rate_max", 1.5)),
-        sample_interval=float(data.get("sample_interval", 0.15)),
-    )
-    opts_kwargs: dict = {}
-    for key, target, cast in [
-        ("segments", "segments", int), ("order", "order", int),
-        ("segment_duration", "T", float), ("restarts", "restarts", int),
-        ("seed", "seed", int),
-    ]:
+    """(ConstraintSet, PlanOptions, ObjectiveWeights) of a parsed scenario file;
+    an absent key keeps its field's default."""
+    _check_keys(data, "scenario", {"name", *_SCENARIO_FIELDS, *_REPEATED_KEYS})
+    kwargs: dict = {cls: {} for cls, _ in _SCENARIO_FIELDS.values()}
+    defaults = {cls: _defaults(cls) for cls in kwargs}
+    for key, (cls, fld) in _SCENARIO_FIELDS.items():
         if key in data:
-            opts_kwargs[target] = cast(data[key])
-    opts = PlanOptions(**opts_kwargs)
-    weights = ObjectiveWeights(
-        mu_p=float(data.get("mu_p", 1.0)), mu_v=float(data.get("mu_v", 0.1))
+            kwargs[cls][fld] = _read(key, data[key], defaults[cls][fld])
+    waypoints = []
+    for _, (segment, t_local, *position) in _numbered(data, "waypoint", 5):
+        if not segment.is_integer():
+            raise InvalidInputError(f"key 'waypoint' wants an integral segment, not {segment!r}")
+        waypoints.append(Waypoint(int(segment), t_local, position))
+    # mixed obstacle lines keep their file order; plain lists put spheres first
+    shapes = [(n, Sphere(center=s[0:3], radius=s[3])) for n, s in _numbered(data, "sphere", 4)]
+    shapes += [(n, CylinderX(center_yz=c[0:2], radius=c[2]))
+               for n, c in _numbered(data, "cylinder_x", 3)]
+    cons = ConstraintSet(
+        boundary=BoundaryConditions(**kwargs[BoundaryConditions]), waypoints=waypoints,
+        obstacles=[ob for _, ob in sorted(shapes, key=lambda pair: pair[0])],
+        **kwargs[ConstraintSet],
     )
-    return cons, opts, weights
+    return cons, PlanOptions(**kwargs[PlanOptions]), ObjectiveWeights(**kwargs[ObjectiveWeights])
 
 
 # ---------------------------------------------------------------------------

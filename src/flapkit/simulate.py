@@ -91,8 +91,12 @@ class ClosedLoopResult:
     control_rows: np.ndarray
     jump_times: list[float]
     ff_sat_times: list[float]
-    diverged: bool
     abort_time: float | None = None
+
+    @property
+    def diverged(self) -> bool:
+        """Whether the run was aborted before its end."""
+        return self.abort_time is not None
 
     def control_to_csv(self, path) -> None:
         rows = np.column_stack([self.control_t, self.control_rows])
@@ -239,7 +243,7 @@ def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopRe
     applied = [u]
     control_t, control_rows = [], []
     jump_times, sat_times = [], []
-    diverged, abort_time = False, None
+    abort_time = None
 
     ticks = range(0, n_steps, n_sub)
     t_ref = np.minimum(np.array(ticks) * dt, traj.duration)
@@ -256,7 +260,7 @@ def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopRe
         y, end, abort = plant.advance(y, u, dt, states, k, min(n_sub, n_steps - k), radius)
         applied += [u] * (end - k)
         if abort is not None:
-            diverged, abort_time = True, abort * dt
+            abort_time = abort * dt
             break
 
     n = len(applied)
@@ -266,7 +270,6 @@ def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopRe
         control_rows=np.array(control_rows),
         jump_times=jump_times,
         ff_sat_times=sat_times,
-        diverged=diverged,
         abort_time=abort_time,
     )
 

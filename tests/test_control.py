@@ -572,6 +572,11 @@ class TestTrackingControllerTick:
         assert 0.0 < ctrl.held.f_flap_cmd < 0.5 * vparams.hover_frequency
         assert {out.errors.delta_psi for out in held} == {wrap_angle(-0.3)}
 
+    @pytest.mark.parametrize("rate_hz", [0.0, -100.0, math.nan, math.inf])
+    def test_rate_must_be_positive_and_finite(self, gains, vparams, rate_hz):
+        with pytest.raises(InvalidInputError, match="controller rate"):
+            TrackingController(gains, vparams, rate_hz=rate_hz)
+
     def test_log_row_layout(self, gains, vparams):
         ctrl = TrackingController(gains, vparams)
         meas = Measurement(

@@ -581,6 +581,54 @@ class TestScalarCoreErrors:
             vertical_rhs(vertical_row(), u, vparams, rudder_mode="aileron")
 
 
+class TestRowLengths:
+    """A state or input row of another length than its layout raises
+    InvalidInputError naming the layout, at each entry point."""
+
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_full_rhs(self, params, cut):
+        with pytest.raises(InvalidInputError, match="full state row is 16 floats"):
+            full_rhs(_resize(full_row(), cut), commands(), params)
+        with pytest.raises(InvalidInputError, match="command row is 3 floats"):
+            full_rhs(full_row(), _resize(commands(), cut), params)
+
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_vertical_rhs(self, vparams, cut):
+        u = vertical_inputs(gamma=[0.0, 0.0, 1.0], f_flap=10.0)
+        with pytest.raises(InvalidInputError, match="vertical state row is 8 floats"):
+            vertical_rhs(_resize(vertical_row(), cut), u, vparams)
+        with pytest.raises(InvalidInputError, match="vertical input row is 5 floats"):
+            vertical_rhs(vertical_row(), _resize(u, cut), vparams)
+
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_simulate_full(self, params, cut):
+        with pytest.raises(InvalidInputError, match="full state row is 16 floats"):
+            simulate_full(_resize(full_row(), cut), params, lambda t: commands(), 1e-3, 0.01)
+        with pytest.raises(InvalidInputError, match="command row is 3 floats"):
+            simulate_full(full_row(), params, lambda t: _resize(commands(), cut), 1e-3, 0.01)
+
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_simulate_vertical(self, vparams, cut):
+        u = vertical_inputs(gamma=[0.0, 0.0, 1.0], f_flap=vparams.hover_frequency)
+        with pytest.raises(InvalidInputError, match="vertical state row is 8 floats"):
+            simulate_vertical(_resize(vertical_row(), cut), vparams, lambda t: u, dt=1e-3,
+                              duration=0.01)
+        with pytest.raises(InvalidInputError, match="vertical input row is 5 floats"):
+            simulate_vertical(vertical_row(), vparams, lambda t: _resize(u, cut), dt=1e-3,
+                              duration=0.01)
+
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_integrate_vertical_tabulated(self, vparams, cut):
+        gamma, f = _hover_table(vparams, 10)
+        with pytest.raises(InvalidInputError, match="vertical state row is 8 floats"):
+            integrate_vertical_tabulated(_resize(vertical_row(), cut), vparams, gamma, f, 1e-3)
+
+
+def _resize(row, cut: int) -> list:
+    """``row`` one entry short (cut -1) or with a zero more (cut 1)."""
+    return list(row)[:cut] if cut < 0 else [*row, 0.0]
+
+
 def _hover_table(vparams, n_steps):
     """Half-step input table of n_steps steps holding the hover inputs."""
     gamma = np.tile([0.0, 0.0, 1.0], (2 * n_steps + 1, 1))

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestParamFiles:
         params = FwavParams(m=0.031, k_tau_z=3e-5)
         path = tmp_path / "p.kv"
         path.write_text(kvio.format_kv(kv_pairs(params)))
-        back = kvio.fwav_params_from_dict(kvio.load_kv(path))
+        back = kvio.params_from_dict(FwavParams, kvio.load_kv(path))
         assert back.m == params.m
         assert back.k_tau_z == params.k_tau_z
         assert np.allclose(back.J, params.J)
@@ -93,7 +94,7 @@ class TestParamFiles:
         params = VerticalParams(vk_gamma=17.5, lateral_mode="free")
         path = tmp_path / "v.kv"
         path.write_text(kvio.format_kv(kv_pairs(params)))
-        back = kvio.vertical_params_from_dict(kvio.load_kv(path))
+        back = kvio.params_from_dict(VerticalParams, kvio.load_kv(path))
         assert back.vk_gamma == 17.5
         assert back.lateral_mode == "free"
 
@@ -119,7 +120,7 @@ class TestParamFiles:
             )),
         )
         text = kvio.format_kv(kv_pairs(params))
-        back = kvio.vertical_params_from_dict(kvio.parse_kv(text))
+        back = kvio.params_from_dict(VerticalParams, kvio.parse_kv(text))
         assert back.lateral_mode == lateral_mode
         for fld in dataclasses.fields(VerticalParams):
             if fld.name != "lateral_mode":
@@ -146,7 +147,7 @@ class TestParamFiles:
             **dict(zip(["k_tau_x", "k_tau_y", "k_tau_z", "k_flap_x", "k_flap_y", "k_flap_z"],
                        signed)),
         )
-        back = kvio.fwav_params_from_dict(kvio.parse_kv(kvio.format_kv(kv_pairs(params))))
+        back = kvio.params_from_dict(FwavParams, kvio.parse_kv(kvio.format_kv(kv_pairs(params))))
         for fld in dataclasses.fields(FwavParams):
             assert_bit_exact(getattr(back, fld.name), getattr(params, fld.name), fld.name)
 
@@ -166,7 +167,8 @@ class TestParamFiles:
             **dict(zip(["k_psi", "k_omega", "k_rud", "k_ele", "k_omega_x", "k_omega_y",
                         "filter_wn", "psi_rate_ff_cap", "gamma_yd_limit"], positive)),
         )
-        back = kvio.gains_from_dict(kvio.parse_kv(kvio.format_kv(kv_pairs(gains))))
+        text = kvio.format_kv(kv_pairs(gains))
+        back = kvio.params_from_dict(ControllerGains, kvio.parse_kv(text))
         for fld in dataclasses.fields(ControllerGains):
             assert_bit_exact(getattr(back, fld.name), getattr(gains, fld.name), fld.name)
 
@@ -174,42 +176,61 @@ class TestParamFiles:
         gains = ControllerGains(k_psi=0.9, kp=np.array([0.5, 0.6, 0.7]))
         path = tmp_path / "g.kv"
         path.write_text(kvio.format_kv(kv_pairs(gains)))
-        back = kvio.gains_from_dict(kvio.load_kv(path))
+        back = kvio.params_from_dict(ControllerGains, kvio.load_kv(path))
         assert back.k_psi == 0.9
         assert np.allclose(back.kp, [0.5, 0.6, 0.7])
 
     def test_shipped_defaults_load(self):
+        # each shipped file names every key of its schema, in the schema's
+        # order, and holds the dataclass defaults to the bit
         from importlib import resources
 
-        for name, loader in [
-            ("default_full_params.kv", kvio.fwav_params_from_dict),
-            ("default_vertical_params.kv", kvio.vertical_params_from_dict),
-            ("default_gains.kv", kvio.gains_from_dict),
+        for name, cls in [
+            ("default_full_params.kv", FwavParams),
+            ("default_vertical_params.kv", VerticalParams),
+            ("default_gains.kv", ControllerGains),
         ]:
             text = resources.files("flapkit").joinpath(f"data/{name}").read_text()
-            loader(kvio.parse_kv(text))
+            data, defaults = kvio.parse_kv(text), cls()
+            assert list(data) == [key for key, _ in kv_pairs(defaults)], name
+            back = kvio.params_from_dict(cls, data)
+            for fld in dataclasses.fields(cls):
+                want, got = getattr(defaults, fld.name), getattr(back, fld.name)
+                if isinstance(want, str):
+                    assert got == want, fld.name
+                else:
+                    assert_bit_exact(got, want, f"{name}: {fld.name}")
 
 
 class TestStrictKeys:
+    # each parameter and gain file goes through the one reader; the ids keep
+    # the names of the per-file readers it replaced
+    READERS = {
+        "fwav_params_from_dict": partial(kvio.params_from_dict, FwavParams),
+        "vertical_params_from_dict": partial(kvio.params_from_dict, VerticalParams),
+        "gains_from_dict": partial(kvio.params_from_dict, ControllerGains),
+        "scenario_from_dict": kvio.scenario_from_dict,
+    }
+
     @pytest.mark.parametrize("loader,typo,nearest", [
-        (kvio.fwav_params_from_dict, "k_tau_xx", "k_tau_x"),
-        (kvio.fwav_params_from_dict, "jzzz", "jzz"),
-        (kvio.vertical_params_from_dict, "vk_gama", "vk_gamma"),
-        (kvio.vertical_params_from_dict, "lateral_mod", "lateral_mode"),
-        (kvio.gains_from_dict, "k_omga", "k_omega"),
-        (kvio.scenario_from_dict, "segmnets", "segments"),
-        (kvio.scenario_from_dict, "v_hmax", "v_h_max"),
+        ("fwav_params_from_dict", "k_tau_xx", "k_tau_x"),
+        ("fwav_params_from_dict", "jzzz", "jzz"),
+        ("vertical_params_from_dict", "vk_gama", "vk_gamma"),
+        ("vertical_params_from_dict", "lateral_mod", "lateral_mode"),
+        ("gains_from_dict", "k_omga", "k_omega"),
+        ("scenario_from_dict", "segmnets", "segments"),
+        ("scenario_from_dict", "v_hmax", "v_h_max"),
     ])
     def test_typo_names_the_nearest_key(self, loader, typo, nearest):
         with pytest.raises(InvalidInputError, match=f"{typo!r}.*{nearest!r}"):
-            loader({typo: 1.0})
+            self.READERS[loader]({typo: 1.0})
 
     def test_key_of_another_schema_rejected(self):
         from importlib import resources
 
         text = resources.files("flapkit").joinpath("data/default_full_params.kv").read_text()
         with pytest.raises(InvalidInputError, match="'k_d_x'.*'vk_d_x'"):
-            kvio.vertical_params_from_dict(kvio.parse_kv(text))
+            kvio.params_from_dict(VerticalParams, kvio.parse_kv(text))
 
     def test_scenario_name_accepted(self):
         kvio.scenario_from_dict({"name": "custom", "segments": 1})
@@ -247,6 +268,14 @@ class TestScenarioFiles:
         for w1, w2 in zip(cons.waypoints, cons2.waypoints):
             assert w1.segment == w2.segment
             assert np.allclose(w1.position, w2.position)
+
+    def test_values_read_as_their_field_types(self):
+        # an integral float is an integer; an infinity is left to the
+        # dataclass checks, which allow an unbounded heading rate
+        cons, opts, _ = kvio.scenario_from_dict(
+            kvio.parse_kv("segments = 2.0\nseed = 7\npsi_rate_max = Infinity\n"))
+        assert (opts.segments, opts.seed) == (2, 7) and type(opts.segments) is int
+        assert cons.psi_rate_max == np.inf
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -581,6 +610,36 @@ class TestMalformedFiles:
         self.assert_rejected(capsys, path, [
             "simulate", "--traj", str(traj), "--params", str(path),
             "--out-state", str(tmp_path / "s.csv"), "--out-control", str(tmp_path / "c.csv")])
+
+    @pytest.mark.parametrize("option,line,key", [
+        ("--params", "m = abc", "m"),
+        ("--params", "m = nan", "m"),
+        ("--gains", "kp = [1, 2]", "kp"),
+        ("--gains", "k_psi = [1]", "k_psi"),
+        ("--scenario", "start_pos = [0, 0]", "start_pos"),
+        ("--scenario", "waypoint = [0, 1]", "waypoint"),
+        ("--scenario", "sphere = [0, 0]", "sphere"),
+        ("--scenario", "segments = 1.5", "segments"),
+        ("--scenario", "waypoint = [0.5, 1, 0, 0, 0]", "waypoint"),
+        ("--scenario", "waypoint = [0, 1, 0, 0, 0, 2]", "waypoint"),
+        ("--scenario", "v_h_max = NaN", "v_h_max"),
+        ("--scenario", "segmnets = 3", "segmnets"),
+    ])
+    def test_kv_value(self, tmp_path, capsys, option, line, key):
+        # a value that is not of its field's type, not finite where a number
+        # must be, or of another width than its key's, flies or plans nothing
+        path = tmp_path / "bad.kv"
+        path.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        if option == "--scenario":
+            argv = ["plan", "--scenario", str(path), "--out", str(out)]
+        else:
+            traj = tmp_path / "traj.csv"
+            constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+            argv = ["simulate", "--traj", str(traj), option, str(path), "--out-state", str(out),
+                    "--out-control", str(tmp_path / "control.csv")]
+        assert f"{key!r}" in self.assert_rejected(capsys, path, argv)
+        assert not out.exists()
 
     @pytest.mark.parametrize("reader", ["--traj", "--state", "--state late", "--params"])
     def test_non_utf8_file(self, tmp_path, capsys, run_line, reader):
