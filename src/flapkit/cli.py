@@ -43,7 +43,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing reads it and
+    changes nothing in it."""
     parser = _Parser(prog="flapkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

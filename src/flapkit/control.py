@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attitude import wrap_angle
-from .dynamics import VerticalParams
+from .dynamics import VerticalParams, _require_finite
 from .errors import DegenerateDecompositionError, InvalidInputError
 
 A_EPS = 0.1  # m/s^2, decomposition floor on the combined acceleration demand
@@ -65,6 +65,7 @@ class ControllerGains:
     def __post_init__(self):
         self.kp = np.asarray(self.kp, dtype=float)
         self.kv = np.asarray(self.kv, dtype=float)
+        _require_finite(self)
         if np.any(self.kp <= 0) or np.any(self.kv <= 0):
             raise InvalidInputError("Kp/Kv diagonal entries must be positive")
         if min(self.k_psi, self.k_omega, self.k_rud, self.k_ele,

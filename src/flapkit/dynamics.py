@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -71,6 +71,15 @@ GRAVITY = 9.81
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
+
+
+def _require_finite(params) -> None:
+    """Raise InvalidInputError naming the first numeric field of the dataclass
+    ``params`` with a NaN or an infinity in it."""
+    for fld in fields(params):
+        value = getattr(params, fld.name)
+        if not isinstance(value, str) and not np.isfinite(value).all():
+            raise InvalidInputError(f"{fld.name} must be finite, not {np.asarray(value).tolist()}")
 
 
 @dataclass
@@ -103,6 +112,7 @@ class FwavParams:
 
     def __post_init__(self):
         self.J = np.asarray(self.J, dtype=float)
+        _require_finite(self)
         if min(self.m, self.g, self.k_tf, self.k_flap_c, self.k_rud_c, self.k_ele_c) <= 0:
             raise InvalidInputError("m, g, k_tf and time constants must be positive")
         if self.J.shape != (3, 3) or not np.allclose(self.J, self.J.T, atol=1e-12):
@@ -163,6 +173,7 @@ class VerticalParams:
     lateral_mode: str = "constrained"
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.m, self.g, self.k_tf) <= 0:
             raise InvalidInputError("m, g, k_tf must be positive")
         if not 0 < self.l_gamma_min <= self.l_gamma_max:
@@ -560,17 +571,37 @@ class VerticalLog:
         return self.states[:, 0:3]
 
     def to_csv(self, path) -> None:
+        """The log as CSV; the input columns are held cells of ``_write_csv``,
+        formatted once per run of rows that hold the same input."""
         rows = np.column_stack([self.t, self.states, self.inputs])
-        _write_csv(path, VERTICAL_LOG_HEADER, rows)
+        _write_csv(path, VERTICAL_LOG_HEADER, rows, held=self.inputs.shape[1])
 
 
-def _write_csv(path, header: str, rows: np.ndarray) -> None:
-    """Header line, then one line per row with every cell as %.12g."""
-    rows = np.asarray(rows)
-    line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+def _write_csv(path, header: str, rows: np.ndarray, held: int = 0) -> None:
+    """Header line, then one line per row with every cell as %.12g.
+
+    The last ``held`` columns are held cells: where consecutive rows repeat
+    them bit for bit, they are formatted once per run of such rows, and each
+    row of the run is its leading cells plus that cached text.  The bytes are
+    those of one %.12g per cell.  A table whose runs are shorter than two rows
+    on average is written one row at a time."""
+    rows = np.ascontiguousarray(rows)
+    n, width = rows.shape
+    line = ",".join(["%.12g"] * width) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(line % tuple(row.tolist()) for row in rows)
+        if held:
+            # each row's held cells as one item of raw bytes
+            bits = rows[:, width - held:].view(np.dtype((np.void, held * rows.itemsize)))[:, 0]
+            changed = bits[1:] != bits[:-1]
+        if not held or 2 * (np.count_nonzero(changed) + 1) > n:
+            fh.writelines(line % tuple(row.tolist()) for row in rows)
+            return
+        lead = "%.12g," * (width - held)
+        starts = (np.flatnonzero(changed) + 1).tolist()
+        for a, b in zip([0, *starts], [*starts, n]):
+            run = lead + line[len(lead):] % tuple(rows[a, width - held:].tolist())
+            fh.writelines(run % tuple(row) for row in rows[a:b, :width - held].tolist())
 
 
 @contextlib.contextmanager

@@ -195,8 +195,10 @@ class _VerticalPlant:
         y, k, stopped = _vertical_steps(self.params, False, y, rows, dt, states, k, first, radius)
         return y, k, k if stopped else None
 
-    def log(self, t, states, applied):
-        return VerticalLog(t, states, np.array(applied)[:, 0:4])
+    def log(self, t, states, held, counts):
+        """The state log with its applied (gx, gy, gz, f_flap): input row i of
+        ``held`` repeated ``counts[i]`` times, one per logged state it led to."""
+        return VerticalLog(t, states, np.repeat(np.array(held)[:, 0:4], counts, axis=0))
 
 
 class _FullPlant:
@@ -224,7 +226,7 @@ class _FullPlant:
             return y, k, k + 1  # a non-finite stage: step k + 1 is not logged
         return _full_steps(self.params, y, [u] * (2 * n + 1), dt, states, k, first, radius)
 
-    def log(self, t, states, applied):
+    def log(self, t, states, held, counts):
         return FullLog(t, states)
 
 
@@ -236,11 +238,13 @@ def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopRe
     A non-finite RK4 stage ends the run before its step is logged; a
     position beyond ``radius`` or a non-finite state ends it after.  A plant's
     ``advance`` returns the last logged state, its row and the abort row or None.
+    The applied inputs are kept once per tick, with the number of logged steps
+    each was held, for the plant's ``log`` to repeat.
     """
     u = plant.hold
     states = np.empty((n_steps + 1, len(y)))
     states[0] = y
-    applied = [u]
+    held, counts = [u], [1]  # each applied input and the logged steps it was held
     control_t, control_rows = [], []
     jump_times, sat_times = [], []
     abort_time = None
@@ -258,14 +262,15 @@ def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopRe
         if out.ff_saturated:
             sat_times.append(t)
         y, end, abort = plant.advance(y, u, dt, states, k, min(n_sub, n_steps - k), radius)
-        applied += [u] * (end - k)
+        held.append(u)
+        counts.append(end - k)
         if abort is not None:
             abort_time = abort * dt
             break
 
-    n = len(applied)
+    n = sum(counts)
     return ClosedLoopResult(
-        state_log=plant.log(np.arange(n) * dt, states[:n], applied),
+        state_log=plant.log(np.arange(n) * dt, states[:n], held, counts),
         control_t=np.array(control_t),
         control_rows=np.array(control_rows),
         jump_times=jump_times,

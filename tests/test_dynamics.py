@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flapkit.attitude import quat_to_rot, rotz
+from flapkit.control import ControllerGains
 from flapkit.dynamics import (
     FwavParams,
     VerticalParams,
@@ -341,6 +343,24 @@ class TestLogCsv:
             "t,px,py,pz,vvx,vvy,vvz,psi,omegapsi,gx,gy,gz,fflap"
         )
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(lead=st.integers(0, 4), held=st.integers(1, 4), data=st.data())
+    def test_held_cells_written_as_one_format_per_row(self, tmp_path_factory, lead, held, data):
+        # runs of rows that repeat their held cells, drawn from few values so
+        # that neighbouring runs often differ only in their bits (-0.0 against
+        # 0.0, the sign of a NaN), beside leading cells of any value
+        special = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                                   5e-324, 2.5e-310, 1e300, 1.0])
+        runs = data.draw(st.lists(st.tuples(st.lists(special, min_size=held, max_size=held),
+                                            st.integers(1, 6)), max_size=12))
+        cell = st.one_of(special, st.floats())
+        rows = np.array([data.draw(st.lists(cell, min_size=lead, max_size=lead)) + tail
+                         for tail, count in runs for _ in range(count)]).reshape(-1, lead + held)
+        path = tmp_path_factory.mktemp("csv")
+        _write_csv(path / "held.csv", "h", rows, held=held)
+        _write_csv(path / "plain.csv", "h", rows)
+        assert (path / "held.csv").read_bytes() == (path / "plain.csv").read_bytes()
+
 
 class TestParamValidation:
     def test_negative_mass_rejected(self):
@@ -356,6 +376,20 @@ class TestParamValidation:
     def test_gain_bounds_ordering(self):
         with pytest.raises(InvalidInputError):
             VerticalParams(l_gamma_min=2.0, l_gamma_max=1.0)
+
+    @pytest.mark.parametrize("cls", [FwavParams, VerticalParams, ControllerGains])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, cls, bad):
+        for fld in dataclasses.fields(cls):
+            value = getattr(cls(), fld.name)
+            if isinstance(value, str):
+                continue
+            if isinstance(value, np.ndarray):
+                value.flat[-1] = bad
+            else:
+                value = bad
+            with pytest.raises(InvalidInputError, match=f"^{fld.name} must be finite, not "):
+                cls(**{fld.name: value})
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flapkit.cli
 from flapkit import io as kvio
 from flapkit.cli import main
 from flapkit.control import ControllerGains
-from flapkit.dynamics import FwavParams, VerticalLog, VerticalParams
+from flapkit.dynamics import FullLog, FwavParams, VerticalLog, VerticalParams
 from flapkit.errors import InvalidInputError
 from flapkit.planning import (
     BoundaryConditions,
@@ -20,7 +21,10 @@ from flapkit.planning import (
     Sphere,
     Waypoint,
     case_library,
+    plan,
 )
+from flapkit.metrics import compute_metrics
+from flapkit.simulate import run_closed_loop
 from flapkit.trajectory import ObjectiveWeights, PiecewiseTrajectory
 
 from helpers import constant_trajectory, kv_pairs
@@ -390,6 +394,74 @@ class TestCli:
         assert main(["plan", "--scenario", str(scenario), "--out", str(tmp_path / "t.csv")]) == 1
         assert "leaves no sample" in capsys.readouterr().err
 
+    def test_plan_restarts_and_seed(self, tmp_path, monkeypatch):
+        seen = []
+
+        def planner(cons, weights, opts):
+            seen.append((opts.restarts, opts.seed))
+            return plan(cons, weights, opts)
+
+        monkeypatch.setattr(flapkit.cli, "run_planner", planner)
+        out = tmp_path / "c.csv"
+        assert main(["plan", "--scenario", "c", "--restarts", "2", "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert seen == [(2, 7)]
+        cons, opts, weights = case_library("c")
+        opts.restarts, opts.seed = 2, 7
+        plan(cons, weights, opts)[0].to_coeff_csv(tmp_path / "want.csv")
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_infeasible_plan_exits_2(self, tmp_path, capsys):
+        # 1.5 m at 0.05 m/s does not fit in the scenario's 4 s
+        scenario = tmp_path / "slow.kv"
+        scenario.write_text("end_pos = [1.5, 0, 0]\nv_h_max = 0.05\nrestarts = 1\n")
+        out = tmp_path / "t.csv"
+        assert main(["plan", "--scenario", str(scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("infeasible: "), err
+        assert not out.exists()
+
+    def test_diverged_flight_exits_3(self, tmp_path, capsys):
+        # a start 150 m off the reference is beyond the 100 m divergence radius
+        traj = tmp_path / "traj.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+        state = tmp_path / "state.csv"
+        assert main(["simulate", "--traj", str(traj), "--out-state", str(state),
+                     "--out-control", str(tmp_path / "control.csv"),
+                     "--perturb=150,0,0"]) == 3
+        assert capsys.readouterr().err == "diverged at t=0.001 s\n"
+        assert len(kvio.load_state_log(state).t) == 2
+
+    def test_metrics_of_full_model_log(self, tmp_path, capsys, case_line):
+        traj = tmp_path / "line.csv"
+        case_line.traj.to_coeff_csv(traj)
+        state, metrics = tmp_path / "state.csv", tmp_path / "metrics.csv"
+        assert main(["simulate", "--traj", str(traj), "--model", "full", "--out-state",
+                     str(state), "--out-control", str(tmp_path / "control.csv")]) == 0
+        assert isinstance(kvio.load_state_log(state), FullLog)
+        assert main(["metrics", "--state", str(state), "--traj", str(traj), "--case", "line",
+                     "--out", str(metrics)]) == 0
+        log = run_closed_loop(PiecewiseTrajectory.from_coeff_csv(traj), model="full").state_log
+        want = compute_metrics(log.positions, log.t, case_line.traj, case="line").row()
+        got = [float(x) for x in metrics.read_text().splitlines()[1].split(",")[1:]]
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_parser_keeps_no_options_between_calls(self, tmp_path):
+        # the parser is built once per process: a default simulate after a
+        # full-model, perturbed one flies the vertical model from the reference
+        traj = tmp_path / "traj.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+        logs = []
+        for options in (["--model", "full", "--perturb=0,0,0.02"], []):
+            state = tmp_path / f"state{len(logs)}.csv"
+            assert main(["simulate", "--traj", str(traj), "--out-state", str(state),
+                         "--out-control", str(tmp_path / "control.csv"),
+                         "--duration", "0.05", *options]) == 0
+            logs.append(kvio.load_state_log(state))
+        assert isinstance(logs[0], FullLog) and isinstance(logs[1], VerticalLog)
+        assert logs[0].positions[0].tolist() == [0.0, 0.0, 1.02]
+        assert logs[1].positions[0].tolist() == [0.0, 0.0, 1.0]
+
     def test_track_with_perturbation_smoke(self, tmp_path):
         out_dir = tmp_path / "run"
         code = main([
@@ -639,6 +711,27 @@ class TestMalformedFiles:
             argv = ["simulate", "--traj", str(traj), option, str(path), "--out-state", str(out),
                     "--out-control", str(tmp_path / "control.csv")]
         assert f"{key!r}" in self.assert_rejected(capsys, path, argv)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,line,field", [
+        ("--params", "m = Infinity", "m"),
+        ("--params", "jxx = Infinity", "J"),
+        ("--params", "k_flap_c = Infinity", "k_flap_c"),
+        ("--gains", "filter_wn = Infinity", "filter_wn"),
+        ("--gains", "kp = [Infinity, 1, 1]", "kp"),
+    ])
+    def test_non_finite_coefficient(self, tmp_path, capsys, option, line, field):
+        # only scenario limits may be infinite; an infinite coefficient would
+        # fly a NaN state or a frozen actuator
+        path = tmp_path / "bad.kv"
+        path.write_text(line + "\n")
+        traj = tmp_path / "traj.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+        out = tmp_path / "state.csv"
+        message = self.assert_rejected(capsys, path, [
+            "simulate", "--traj", str(traj), "--model", "full", option, str(path),
+            "--out-state", str(out), "--out-control", str(tmp_path / "control.csv")])
+        assert f": {field} must be finite, not " in message
         assert not out.exists()
 
     @pytest.mark.parametrize("reader", ["--traj", "--state", "--state late", "--params"])

@@ -696,9 +696,10 @@ class TestPlannedCases:
         )
 
 
-# case a's planar detour over the sphere; the sideways swerve basin is at
-# 549.0655 and its flat inputs demand |Gamma_y| > 1
-CASE_A_PLANAR_BELOW = 549.063
+# case a's planar detour over the sphere sits at 549.06204; the sideways
+# swerve basin is at 549.0655 and its flat inputs demand |Gamma_y| > 1, and
+# smaller swerves end at 549.06284 and above
+CASE_A_PLANAR_BELOW = 549.0625
 CASE_B_OBJECTIVE = 3.0547072
 
 
