@@ -26,10 +26,13 @@ States and inputs are rows of floats, in the column order of the logs
 * a vertical input is (gx, gy, gz, f_flap, theta_rud); theta_rud is read
   only with the explicit rudder.
 
-Each model's equations are written once, on floats whose arguments are
-already checked: ``_full_law`` and ``_vertical_law``, each reading its
-parameters as one tuple (``FwavParams._constants``,
-``VerticalParams._constants``).  The vertical law reads its input through
+Each model's equations are written once, on arguments that are already
+checked, each reading its parameters as one tuple
+(``FwavParams._constants``, ``VerticalParams._constants``): ``_full_law`` on
+floats, and the vertical model in two texts, its dynamic rows
+``_vertical_dynamics`` (the rates of vvx, vvy, vvz and w, on floats or
+arrays) and its kinematic rows ``_vertical_kinematics`` (psi_dot = w and
+p_dot = R_z(psi) vv).  The vertical rows read their input through
 ``_vertical_terms``, the terms that depend on the input alone, written once
 for floats and arrays.  The right-hand sides ``full_rhs`` and
 ``vertical_rhs`` take a state row and an input row, check them and call
@@ -37,8 +40,13 @@ them.  Thrust, drag (``_drag``) and the deflection torque
 (``_deflection``) are terms of the full law, read only through it.  Each
 model's RK4 step is written once too, over a block of steps: ``_full_steps``
 (the quaternion projected onto the unit sphere after each step) and
-``_vertical_steps``.  Both keep ``rk4_flat``'s floating-point operation
-order, so every driver logs ``rk4_flat``'s states bit for bit.
+``_vertical_steps`` (the pose computed inline at every step) for the
+closed loop, one block per controller tick, and ``_vertical_replay`` for
+the replay, one block per 1,024 table steps.  The replay's float loop steps
+only (vvx, vvy, vvz, w), because no dynamic row reads the azimuth or the
+position; one array pass per block then recovers them from the stage
+states.  All keep ``rk4_flat``'s floating-point operation order, so every
+driver logs ``rk4_flat``'s states bit for bit.
 Inputs are checked where they change, not at every stage: the replay checks
 its table a block at a time and the closed loop its held input once per tick.
 The vertical input terms are computed there too: once per table row in the
@@ -360,7 +368,9 @@ def vertical_rhs(
     _, _, _, vvx, vvy, vvz, psi, w = _checked(y, _VERTICAL_STATE)
     explicit = _explicit_rudder(rudder_mode)
     terms = _vertical_terms(params, explicit, *_input_row(inputs))
-    return _vertical_law(params._constants(), explicit, vvx, vvy, vvz, psi, w, *terms)
+    ax, ay, az, w_dot = _vertical_dynamics(params._constants(), explicit, vvx, vvy, vvz, w, *terms)
+    return (*_vertical_kinematics(math.cos(psi), math.sin(psi), vvx, vvy, vvz),
+            ax, ay, az, w, w_dot)
 
 
 def _input_row(inputs) -> tuple:
@@ -397,10 +407,12 @@ def _vertical_terms(params, explicit, gx, gy, gz, f, theta_rud):
     return -thrust * gx / params.m, thrust * gz / params.m, yaw, lever, params.vk_gamma * gy
 
 
-def _vertical_law(c, explicit, vvx, vvy, vvz, psi, w, ax_thrust, az_thrust, yaw, lever, gam):
-    """The vertical-frame equations on floats under an input's
-    ``_vertical_terms``, ``c`` from ``VerticalParams._constants``; position is
-    not an argument because no row depends on it."""
+def _vertical_dynamics(c, explicit, vvx, vvy, vvz, w, ax_thrust, az_thrust, yaw, lever, gam):
+    """The vertical model's dynamic rows, the rates of (vvx, vvy, vvz, w) under
+    an input's ``_vertical_terms``, ``c`` from ``VerticalParams._constants``.
+    Neither the azimuth nor the position is an argument, because no dynamic
+    row reads them.  Arithmetic and ``abs`` only, so floats and arrays run the
+    same text to the same bits."""
     m, g, d_x, d_y, d_z, tau_x, kbar_gamma, damp, constrained = c
     dx, dz = vvx * abs(vvx), vvz * abs(vvz)
     ax = ax_thrust - d_x * dx / m - w * vvy
@@ -410,9 +422,13 @@ def _vertical_law(c, explicit, vvx, vvy, vvz, psi, w, ax_thrust, az_thrust, yaw,
         w_dot = -(tau_x * dz + yaw) * lever + gam * dx
     else:
         w_dot = -(kbar_gamma * dz + yaw) * lever
-    w_dot -= damp * (w * abs(w))
-    cos, sin = math.cos(psi), math.sin(psi)
-    return cos * vvx - sin * vvy, sin * vvx + cos * vvy, vvz, ax, ay, az, w, w_dot
+    return ax, ay, az, w_dot - damp * (w * abs(w))
+
+
+def _vertical_kinematics(cos, sin, vvx, vvy, vvz):
+    """The vertical model's position rows R_z(psi) vv from cos psi and sin psi,
+    floats or arrays; the azimuth row is psi_dot = w."""
+    return cos * vvx - sin * vvy, sin * vvx + cos * vvy, vvz
 
 
 # ---------------------------------------------------------------------------
@@ -439,36 +455,52 @@ def rk4_flat(rhs, y: list, dt: float, u0, um, u1, *args) -> list:
 
 
 def _vertical_steps(params, explicit, y, rows, dt, states, k0, first=None, radius=math.inf):
-    """``rk4_flat`` on ``vertical_rhs``, unrolled: n steps from the flat state y at row
-    k0 over the ``_vertical_terms`` of 2n + 1 checked half-step input rows, ``first``
-    the derivative at y and rows[0] if known.  Writes rows k0 + 1.. of ``states``, in
-    one slice, up to the first non-finite state or position norm beyond ``radius``;
-    returns the last state, its row and whether it stopped there.  Stage states carry
-    no position."""
+    """``rk4_flat`` on ``vertical_rhs``, unrolled, the pose computed inline at every
+    step: n steps from the flat state y at row k0 over the ``_vertical_terms`` of
+    2n + 1 checked half-step input rows, ``first`` the derivative at y and rows[0]
+    if known.  Writes rows k0 + 1.. of ``states``, in one slice, up to the first
+    non-finite state or position norm beyond ``radius``; returns the last state, its
+    row and whether it stopped there.  An infinite stage azimuth makes its step's
+    position NaN, as ``np.cos`` would.  The closed loop's stepper: its blocks are a
+    controller tick long, too short for ``_vertical_replay``'s array pass to pay."""
     px, py, pz, vvx, vvy, vvz, psi, w = y
-    h, c6, law, isfinite, sqrt = 0.5 * dt, dt / 6.0, _vertical_law, math.isfinite, math.sqrt
+    h, c6, dyn, cos, sin = 0.5 * dt, dt / 6.0, _vertical_dynamics, math.cos, math.sin
+    isfinite, sqrt = math.isfinite, math.sqrt
     c, out, stopped = params._constants(), [], False
     k, last = k0, k0 + len(rows) // 2
-    stage = first or law(c, explicit, vvx, vvy, vvz, psi, w, *rows[0])
+    stage = first[3:6] + first[7:] if first else dyn(c, explicit, vvx, vvy, vvz, w, *rows[0])
     for k, (txm, tzm, yawm, leverm, gamm), (tx, tz, yaw, lever, gam) in zip(
             range(k0 + 1, last + 1), rows[1::2], rows[2::2]):
-        dpx1, dpy1, dpz1, a1, b1, c1, d1, e1 = stage
-        dpx2, dpy2, dpz2, a2, b2, c2, d2, e2 = law(
-            c, explicit, vvx + h * a1, vvy + h * b1, vvz + h * c1,
-            psi + h * d1, w + h * e1, txm, tzm, yawm, leverm, gamm)
-        dpx3, dpy3, dpz3, a3, b3, c3, d3, e3 = law(
-            c, explicit, vvx + h * a2, vvy + h * b2, vvz + h * c2,
-            psi + h * d2, w + h * e2, txm, tzm, yawm, leverm, gamm)
-        dpx4, dpy4, dpz4, a4, b4, c4, d4, e4 = law(
-            c, explicit, vvx + dt * a3, vvy + dt * b3, vvz + dt * c3,
-            psi + dt * d3, w + dt * e3, tx, tz, yaw, lever, gam)
-        px = px + c6 * (dpx1 + 2.0 * dpx2 + 2.0 * dpx3 + dpx4)
-        py = py + c6 * (dpy1 + 2.0 * dpy2 + 2.0 * dpy3 + dpy4)
-        pz = pz + c6 * (dpz1 + 2.0 * dpz2 + 2.0 * dpz3 + dpz4)
+        a1, b1, c1, e1 = stage
+        # no more than three names an assignment: CPython builds no tuple for those
+        vx2, vy2, vz2 = vvx + h * a1, vvy + h * b1, vvz + h * c1
+        w2 = w + h * e1
+        a2, b2, c2, e2 = dyn(c, explicit, vx2, vy2, vz2, w2, txm, tzm, yawm, leverm, gamm)
+        vx3, vy3, vz3 = vvx + h * a2, vvy + h * b2, vvz + h * c2
+        w3 = w + h * e2
+        a3, b3, c3, e3 = dyn(c, explicit, vx3, vy3, vz3, w3, txm, tzm, yawm, leverm, gamm)
+        vx4, vy4, vz4 = vvx + dt * a3, vvy + dt * b3, vvz + dt * c3
+        w4 = w + dt * e3
+        a4, b4, c4, e4 = dyn(c, explicit, vx4, vy4, vz4, w4, tx, tz, yaw, lever, gam)
+        # _vertical_kinematics, inline, at the stage azimuths psi, psi + h w, psi + h w2
+        # and psi + dt w3
+        psi2, psi3, psi4 = psi + h * w, psi + h * w2, psi + dt * w3
+        try:
+            cos1, sin1 = cos(psi), sin(psi)
+            cos2, sin2 = cos(psi2), sin(psi2)
+            cos3, sin3 = cos(psi3), sin(psi3)
+            cos4, sin4 = cos(psi4), sin(psi4)
+        except ValueError:  # math.cos of an infinity
+            cos1 = sin1 = cos2 = sin2 = cos3 = sin3 = cos4 = sin4 = math.nan
+        px = px + c6 * ((cos1 * vvx - sin1 * vvy) + 2.0 * (cos2 * vx2 - sin2 * vy2)
+                        + 2.0 * (cos3 * vx3 - sin3 * vy3) + (cos4 * vx4 - sin4 * vy4))
+        py = py + c6 * ((sin1 * vvx + cos1 * vvy) + 2.0 * (sin2 * vx2 + cos2 * vy2)
+                        + 2.0 * (sin3 * vx3 + cos3 * vy3) + (sin4 * vx4 + cos4 * vy4))
+        pz = pz + c6 * (vvz + 2.0 * vz2 + 2.0 * vz3 + vz4)
         vvx = vvx + c6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         vvy = vvy + c6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         vvz = vvz + c6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        psi = psi + c6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        psi = psi + c6 * (w + 2.0 * w2 + 2.0 * w3 + w4)
         w = w + c6 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
         y = px, py, pz, vvx, vvy, vvz, psi, w
         out.append(y)
@@ -478,10 +510,66 @@ def _vertical_steps(params, explicit, y, rows, dt, states, k0, first=None, radiu
             stopped = True
             break
         if k < last:
-            stage = law(c, explicit, vvx, vvy, vvz, psi, w, tx, tz, yaw, lever, gam)
+            stage = dyn(c, explicit, vvx, vvy, vvz, w, tx, tz, yaw, lever, gam)
     if out:
         states[k0 + 1:k + 1] = out
     return y, k, stopped
+
+
+def _vertical_replay(c, explicit, y, terms, dt) -> np.ndarray:
+    """``rk4_flat`` on ``vertical_rhs`` over one table block, in two passes: n steps
+    from the flat state y over ``terms``, the ``_vertical_terms`` arrays of 2n + 1
+    checked half-step input rows.  Returns the n state rows after y, up to and past
+    a non-finite one.
+
+    The float loop steps only (vvx, vvy, vvz, w), the states that feed back: no
+    dynamic row reads the pose.  One array pass then replays its RK4 stage states
+    through the same ``_vertical_dynamics`` text, takes the stage azimuths' cosines
+    and sines, and sums the azimuth and position increments in step order with
+    ``np.cumsum`` (``np.add.accumulate`` adds in sequence), so every row is
+    ``rk4_flat``'s bit for bit.  Run under an errstate that ignores overflow and
+    invalid operations, which floats do silently."""
+    h, c6, dyn = 0.5 * dt, dt / 6.0, _vertical_dynamics
+    vvx, vvy, vvz, w = y[3], y[4], y[5], y[7]
+    dynamic, rows = [vvx, vvy, vvz, w], list(zip(*(t.tolist() for t in terms)))
+    for (t1, z1, yaw1, lever1, gam1), (tm, zm, yawm, leverm, gamm), (t2, z2, yaw2, lever2, gam2) \
+            in zip(rows[0::2], rows[1::2], rows[2::2]):
+        a1, b1, c1, e1 = dyn(c, explicit, vvx, vvy, vvz, w, t1, z1, yaw1, lever1, gam1)
+        a2, b2, c2, e2 = dyn(c, explicit, vvx + h * a1, vvy + h * b1, vvz + h * c1,
+                             w + h * e1, tm, zm, yawm, leverm, gamm)
+        a3, b3, c3, e3 = dyn(c, explicit, vvx + h * a2, vvy + h * b2, vvz + h * c2,
+                             w + h * e2, tm, zm, yawm, leverm, gamm)
+        a4, b4, c4, e4 = dyn(c, explicit, vvx + dt * a3, vvy + dt * b3, vvz + dt * c3,
+                             w + dt * e3, t2, z2, yaw2, lever2, gam2)
+        vvx = vvx + c6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        vvy = vvy + c6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        vvz = vvz + c6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        w = w + c6 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        dynamic += vvx, vvy, vvz, w  # one flat list: np.array reads it 3x faster
+
+    v = np.array(dynamic).reshape(-1, 4)
+    n = len(v) - 1
+    vx1, vy1, vz1, w1 = v[:-1].T
+    a1, b1, c1, e1 = dyn(c, explicit, vx1, vy1, vz1, w1, *(t[0:2 * n:2] for t in terms))
+    mid = [t[1::2] for t in terms]
+    vx2, vy2, vz2, w2 = vx1 + h * a1, vy1 + h * b1, vz1 + h * c1, w1 + h * e1
+    a2, b2, c2, e2 = dyn(c, explicit, vx2, vy2, vz2, w2, *mid)
+    vx3, vy3, vz3, w3 = vx1 + h * a2, vy1 + h * b2, vz1 + h * c2, w1 + h * e2
+    a3, b3, c3, e3 = dyn(c, explicit, vx3, vy3, vz3, w3, *mid)
+    vx4, vy4, vz4, w4 = vx1 + dt * a3, vy1 + dt * b3, vz1 + dt * c3, w1 + dt * e3
+    out = np.empty((n + 1, 8))
+    out[0] = y
+    out[1:, 3:6], out[1:, 7] = v[1:, 0:3], v[1:, 3]
+    out[1:, 6] = c6 * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+    psi = np.cumsum(out[:, 6], out=out[:, 6])[:-1]
+    stage_psi = np.stack([psi, psi + h * w1, psi + h * w2, psi + dt * w3])
+    dp = _vertical_kinematics(np.cos(stage_psi), np.sin(stage_psi),
+                              np.stack([vx1, vx2, vx3, vx4]), np.stack([vy1, vy2, vy3, vy4]),
+                              np.stack([vz1, vz2, vz3, vz4]))
+    for col, d in enumerate(dp):
+        out[1:, col] = c6 * (d[0] + 2.0 * d[1] + 2.0 * d[2] + d[3])
+        np.cumsum(out[:, col], out=out[:, col])
+    return out[1:]
 
 
 def _full_steps(params, y, rows, dt, states, k0, first=None, radius=math.inf):
@@ -672,24 +760,33 @@ def integrate_vertical_tabulated(
     """RK4 on the vertical model from the state row ``state0`` with inputs
     tabulated at half-step spacing.
 
-    ``gamma_grid`` (2*n_steps+1, 3) and ``f_grid`` hold the inputs at times
-    k*dt/2, the exact abscissae RK4 stages use.  The rudder mode is resolved
+    ``gamma_grid`` (2*n_steps+1, 3), ``f_grid`` and ``theta_rud_grid``
+    (2*n_steps+1,) hold the inputs at times k*dt/2, the exact abscissae RK4
+    stages use; dt must be positive and finite.  The rudder mode is resolved
     once, and the table is read from the grids and checked with
     ``vertical_rhs``'s predicates one block of steps at a time (no copy of
-    the whole table); ``_vertical_steps`` runs each block on the
+    the whole table); ``_vertical_replay`` runs each block on the
     ``_vertical_terms`` of its rows.  The log is ``rk4_flat`` over
     ``vertical_rhs`` on the same samples bit for bit.  An invalid sample
     raises InvalidInputError after the steps before the one that first reads
     it, and a non-finite state raises PropagationError naming its step.
     """
-    if gamma_grid.shape[0] != f_grid.shape[0] or gamma_grid.shape[0] % 2 == 0:
+    shape = np.shape(gamma_grid)
+    if len(shape) != 2 or shape[1] != 3:
+        raise InvalidInputError(f"gamma_grid must be (2 n_steps + 1, 3), not {shape}")
+    if np.shape(f_grid) != shape[:1]:
+        raise InvalidInputError(
+            f"f_grid needs one sample per row of gamma_grid: {np.shape(f_grid)}, not {shape[:1]}")
+    if shape[0] % 2 == 0:
         raise InvalidInputError("need an odd number of half-step input samples")
-    if theta_rud_grid is not None and np.shape(theta_rud_grid)[:1] != gamma_grid.shape[:1]:
+    if theta_rud_grid is not None and np.shape(theta_rud_grid) != shape[:1]:
         raise InvalidInputError("theta_rud_grid needs one sample per half-step input sample")
-    explicit = _explicit_rudder(rudder_mode)
-    n_steps = (gamma_grid.shape[0] - 1) // 2
+    if not 0 < dt < math.inf:
+        raise InvalidInputError(f"dt must be positive and finite, not {dt}")
+    explicit, c = _explicit_rudder(rudder_mode), params._constants()
+    n_steps = (shape[0] - 1) // 2
     states = np.empty((n_steps + 1, 8))
-    states[0] = y = [float(v) for v in _checked(state0, _VERTICAL_STATE)]
+    states[0] = [float(v) for v in _checked(state0, _VERTICAL_STATE)]
     for start in range(0, n_steps, _TABLE_BLOCK):
         stop = min(start + _TABLE_BLOCK, n_steps)
         lo, hi = 2 * start, 2 * stop + 1
@@ -703,10 +800,12 @@ def integrate_vertical_tabulated(
         # float products overflow to inf and NaN silently; the arrays' must too
         with np.errstate(over="ignore", invalid="ignore"):
             terms = _vertical_terms(params, explicit, *block[:2 * (stop - start) + 1].T)
-        rows = list(zip(*(t.tolist() for t in terms)))
-        y, k, stopped = _vertical_steps(params, explicit, y, rows, dt, states, start)
-        if stopped:
-            raise PropagationError("integration produced non-finite state", step=k)
+            rows = _vertical_replay(c, explicit, states[start].tolist(), terms, dt)
+        states[start + 1:stop + 1] = rows
+        non_finite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if non_finite.size:
+            raise PropagationError("integration produced non-finite state",
+                                   step=start + 1 + int(non_finite[0]))
         if bad.size:
             j = int(bad[0])
             raise InvalidInputError(_NON_UNIT_GAMMA if bad_gamma[j] else _NEGATIVE_FLAP)

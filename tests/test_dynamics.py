@@ -19,6 +19,8 @@ from flapkit.dynamics import (
     simulate_full,
     simulate_vertical,
     vertical_rhs,
+    _vertical_dynamics,
+    _vertical_kinematics,
     _vertical_steps,
     _vertical_terms,
     _write_csv,
@@ -719,6 +721,66 @@ class TestTabulatedErrors:
             integrate_vertical_tabulated(vertical_row(), vparams, gamma, f, 1e-3,
                                          rudder_mode="explicit-rudder", theta_rud_grid=rud)
 
+    @pytest.mark.parametrize("shape", [(21, 2), (21, 4), (21,), (21, 3, 1)])
+    def test_gamma_grid_shape_is_named(self, vparams, shape):
+        _, f = _hover_table(vparams, 10)
+        with pytest.raises(InvalidInputError, match="gamma_grid"):
+            self.run(vparams, np.ones(shape), f)
+
+    @pytest.mark.parametrize("shape", [(21, 1), (20,), ()])
+    def test_f_grid_shape_is_named(self, vparams, shape):
+        gamma, _ = _hover_table(vparams, 10)
+        with pytest.raises(InvalidInputError, match="f_grid"):
+            self.run(vparams, gamma, np.full(shape, vparams.hover_frequency))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.0, -1e-3, math.nan, math.inf])
+    def test_step_is_named(self, vparams, dt):
+        gamma, f = _hover_table(vparams, 10)
+        with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
+            integrate_vertical_tabulated(vertical_row(), vparams, gamma, f, dt)
+
+    def test_overflowing_stage_azimuth_names_the_step(self, vparams):
+        # the yaw damping of w = 1e100 overflows, so step 1's last RK4 stage has an
+        # infinite azimuth: its position is NaN, not a math.cos domain error
+        gamma, f = _hover_table(vparams, 10)
+        state0 = vertical_row(vv=(0.1, 0.0, 0.0), omega_psi=1e100)
+        with pytest.raises(PropagationError) as err:
+            integrate_vertical_tabulated(state0, vparams, gamma, f, 1e-3)
+        assert err.value.step == 1
+
+    @pytest.mark.parametrize("pose", [dict(p=(math.inf, 0.0, 0.0)), dict(p=(0.0, math.nan, 0.0)),
+                                      dict(psi=math.nan), dict(psi=-math.inf)])
+    def test_non_finite_start_pose_names_step_one(self, vparams, pose):
+        # the dynamic states stay finite; the array pass finds the pose
+        gamma, f = _hover_table(vparams, 10)
+        with pytest.raises(PropagationError) as err:
+            integrate_vertical_tabulated(vertical_row(**pose), vparams, gamma, f, 1e-3)
+        assert err.value.step == 1
+
+    @pytest.mark.parametrize("k, bad", [(1030, 2100), (1500, 3500), (2046, 4096)])
+    def test_non_finite_state_in_mid_block_names_the_step(self, vparams, k, bad):
+        # an overflowing f at sample 2k + 1 of the second block makes state k + 1
+        # non-finite; a negative f later in the same block must not hide it
+        gamma, _ = _hover_table(vparams, 2500)
+        f = np.where(np.arange(len(gamma)) == 2 * k + 1, 1e200, 14.0)
+        f[bad] = -1.0
+        with pytest.raises(PropagationError) as err:
+            self.run(vparams, gamma, f)
+        samples = np.column_stack([gamma, f, np.zeros(len(f))])[:2 * k + 3].tolist()
+        assert err.value.step == first_non_finite_step(vertical_row(), vparams, samples, 1e-3) \
+            == k + 1
+
+    def test_diverging_state_names_the_step(self, vparams):
+        # at 5 km/s the RK4 stages of the quadratic drag overshoot until the
+        # state overflows a few steps in, with no input at fault
+        gamma, f = _hover_table(vparams, self.N_STEPS)
+        state0 = vertical_row(vv=(5000.0, 0.0, 0.0))
+        samples = np.column_stack([gamma, f, np.zeros(len(f))]).tolist()
+        with pytest.raises(PropagationError) as err:
+            integrate_vertical_tabulated(state0, vparams, gamma, f, 1e-3,
+                                         rudder_mode="explicit-rudder")
+        assert err.value.step == first_non_finite_step(state0, vparams, samples, 1e-3) == 4
+
     def test_rudder_table_read_across_blocks(self, vparams, rk4_vertical):
         """A rudder table over three blocks drives the replay, and
         ``simulate_vertical`` fed the same samples, exactly as ``rk4_flat``
@@ -762,6 +824,38 @@ def input_rows(draw):
     return draw(st.lists(input_row, min_size=2 * n + 1, max_size=2 * n + 1))
 
 
+def first_non_finite_step(state0, params, samples, dt, rudder_mode="explicit-rudder"):
+    """The step of the first non-finite state of ``rk4_flat`` over ``vertical_rhs``
+    on the half-step input rows ``samples``, or None."""
+    y = [float(v) for v in state0]
+    for k in range(len(samples) // 2):
+        y = rk4_flat(vertical_rhs, y, dt, *samples[2 * k:2 * k + 3], params, rudder_mode)
+        if not all(map(math.isfinite, y)):
+            return k + 1
+    return None
+
+
+class TestTabulatedReplay:
+    @pytest.mark.parametrize("rudder_mode", ["gamma-proxy", "explicit-rudder"])
+    @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
+    def test_three_blocks_equal_rk4_flat(self, rk4_vertical, rudder_mode, lateral_mode):
+        # the float loop carries (vvx, vvy, vvz, w) across the blocks and each
+        # block's array pass sums the azimuth and the position from the block's
+        # start pose: every row is rk4_flat's over vertical_rhs, bit for bit
+        vparams = VerticalParams(lateral_mode=lateral_mode)
+        dt, n = 1e-3, 2 * 1024 + 300
+        grid = np.arange(2 * n + 1) * dt / 2
+        gx, gy = 0.2 * np.sin(2.0 * grid), 0.15 * np.cos(3.0 * grid)
+        gamma = np.column_stack([gx, gy, np.sqrt(1.0 - gx * gx - gy * gy)])
+        f = vparams.hover_frequency + 0.5 * np.sin(5.0 * grid)
+        rud = 0.05 * np.sin(7.0 * grid)
+        state0 = vertical_row(p=(0.3, -0.2, 1.0), vv=(0.8, 0.05, -0.1), psi=2.5, omega_psi=-0.4)
+        log = integrate_vertical_tabulated(state0, vparams, gamma, f, dt, rudder_mode, rud)
+        samples = np.column_stack([gamma, f, rud]).tolist()
+        assert np.array_equal(log.states, rk4_vertical(state0, vparams, samples, dt, rudder_mode))
+        assert np.isfinite(log.states).all() and np.ptp(log.states[:, 6]) > 0.1
+
+
 class TestVerticalSteps:
     @pytest.mark.parametrize("rudder_mode", ["gamma-proxy", "explicit-rudder"])
     @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
@@ -803,6 +897,16 @@ class TestVerticalSteps:
         assert np.array_equal(states[: last + 1], np.array(want[: last + 1]))
         assert np.isnan(states[last + 1 :]).all()
 
+    def test_overflowing_stage_azimuth_stops_the_step(self, vparams):
+        # the closed loop's inline pose: step 1's last stage azimuth is infinite,
+        # so that step's position is NaN and the run stops there, as the replay's
+        y0 = vertical_row(vv=(0.1, 0.0, 0.0), omega_psi=1e100)
+        rows = [_vertical_terms(vparams, False, 0.0, 0.0, 1.0, vparams.hover_frequency, 0.0)] * 21
+        states = np.full((11, 8), np.nan)
+        y, k, stopped = _vertical_steps(vparams, False, y0, rows, 1e-3, states, 0)
+        assert (k, stopped) == (1, True)
+        assert math.isnan(y[0]) and math.isnan(y[1])
+
 
 signed_cell = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
 term_inputs = st.lists(
@@ -826,6 +930,45 @@ class TestVerticalTerms:
         with np.errstate(over="ignore", invalid="ignore"):
             arrays = _vertical_terms(params, explicit, *np.array(rows).T)
         assert np.array_equal(bits(np.column_stack(arrays)), bits(floats))
+
+
+wild_cell = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                      st.floats(-4.0, 4.0), st.floats(-1e200, 1e200))
+dynamic_inputs = st.lists(st.tuples(*[wild_cell] * 9), min_size=1, max_size=8)
+azimuth = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]),
+                    st.floats(-10.0, 10.0), st.floats(-1e300, 1e300))
+
+
+class TestVerticalDynamics:
+    @pytest.mark.parametrize("rudder_mode", ["gamma-proxy", "explicit-rudder"])
+    @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
+    @HYPOTHESIS
+    @given(rows=dynamic_inputs)
+    def test_arrays_equal_floats_bit_for_bit(self, rudder_mode, lateral_mode, rows):
+        # the replay's float loop and its array pass run the same dynamic rows on
+        # (vvx, vvy, vvz, w) and an input's five terms: the same bits, signed
+        # zeros, infinities and NaNs included, and no warning under its errstate
+        c = VerticalParams(lateral_mode=lateral_mode)._constants()
+        explicit = _explicit_rudder(rudder_mode)
+        floats = [_vertical_dynamics(c, explicit, *row) for row in rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            arrays = _vertical_dynamics(c, explicit, *np.array(rows).T)
+        columns = np.column_stack(np.broadcast_arrays(*arrays))  # ay is 0.0 if constrained
+        assert np.array_equal(nan_bits(columns), nan_bits(floats))
+
+    @HYPOTHESIS
+    @given(psi=st.lists(azimuth, min_size=1, max_size=8),
+           vv=st.lists(st.tuples(wild_cell, wild_cell, wild_cell), min_size=8, max_size=8))
+    def test_array_kinematics_equal_float_kinematics(self, psi, vv):
+        # the array pass takes np.cos and np.sin of the stage azimuths where
+        # vertical_rhs takes math.cos and math.sin: the replay is rk4_flat's bit
+        # for bit only while they agree on every finite azimuth
+        vv = vv[:len(psi)]
+        floats = [_vertical_kinematics(math.cos(a), math.sin(a), *v) for a, v in zip(psi, vv)]
+        a = np.array(psi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            arrays = _vertical_kinematics(np.cos(a), np.sin(a), *np.array(vv).T)
+        assert np.array_equal(nan_bits(np.column_stack(arrays)), nan_bits(floats))
 
 
 def parent_full_steps(params, y0, rows, dt, radius):
@@ -854,6 +997,13 @@ def parent_full_steps(params, y0, rows, dt, radius):
 
 def bits(rows) -> np.ndarray:
     return np.array(rows, dtype=float).view(np.int64)
+
+
+def nan_bits(rows) -> np.ndarray:
+    """``bits`` with every NaN made one NaN: which of two NaN operands' sign an
+    operation keeps is the hardware's choice, and a NaN state ends a run."""
+    rows = np.array(rows, dtype=float)
+    return bits(np.where(np.isnan(rows), math.nan, rows))
 
 
 moderate_state = st.tuples(

@@ -12,6 +12,7 @@ from flapkit.dynamics import (
     FwavParams,
     VerticalParams,
     full_rhs,
+    integrate_vertical_tabulated,
     rk4_flat,
     simulate_vertical,
     vertical_rhs,
@@ -166,8 +167,8 @@ class TestClosedLoop:
         # the held input is checked where it changes: vertical_rhs runs once
         # per controller tick, and its derivative is the first RK4 stage of
         # the tick's block; the block's input terms are computed once per
-        # tick too, and the law runs once per stage
-        calls = {"vertical_rhs": 0, "_vertical_terms": 0, "_vertical_law": 0}
+        # tick too, and the dynamic rows run once per stage
+        calls = {"vertical_rhs": 0, "_vertical_terms": 0, "_vertical_dynamics": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -180,13 +181,47 @@ class TestClosedLoop:
 
         counting(flapkit.simulate, "vertical_rhs")
         counting(flapkit.simulate, "_vertical_terms")
-        counting(flapkit.dynamics, "_vertical_law")
+        counting(flapkit.dynamics, "_vertical_dynamics")
         traj = constant_trajectory([0.0, 0.0, 0.5], T=0.25)
         res = run_closed_loop(traj, duration=0.25, perturb_pos=(0.0, 0.0, 0.01))
         steps, ticks = len(res.state_log.t) - 1, len(res.control_t)
         assert (steps, ticks) == (250, 25) and not res.diverged
         assert calls == {"vertical_rhs": ticks, "_vertical_terms": ticks,
-                         "_vertical_law": 4 * steps}
+                         "_vertical_dynamics": 4 * steps}
+
+    def test_replay_steps_only_dynamic_rows_on_floats(self, monkeypatch, vparams):
+        # the replay's float loop runs the dynamic rows once per stage and no
+        # trigonometric function; each table block's array pass replays the
+        # first three stages and runs the kinematics once
+        calls = dict.fromkeys(["dynamics floats", "dynamics arrays", "kinematics floats",
+                               "kinematics arrays", "trig"], 0)
+
+        def counting(name, key, arg):
+            original = getattr(flapkit.dynamics, name)
+
+            def wrapper(*args):
+                calls[f"{key} {'arrays' if isinstance(args[arg], np.ndarray) else 'floats'}"] += 1
+                return original(*args)
+
+            monkeypatch.setattr(flapkit.dynamics, name, wrapper)
+
+        def trig(original):
+            def wrapper(x):
+                calls["trig"] += 1
+                return original(x)
+            return wrapper
+
+        counting("_vertical_dynamics", "dynamics", 2)
+        counting("_vertical_kinematics", "kinematics", 0)
+        monkeypatch.setattr(math, "cos", trig(math.cos))
+        monkeypatch.setattr(math, "sin", trig(math.sin))
+        steps, blocks = 2500, 3  # table blocks of 1,024 steps
+        gamma = np.tile([0.0, 0.0, 1.0], (2 * steps + 1, 1))
+        f = np.full(2 * steps + 1, vparams.hover_frequency)
+        log = integrate_vertical_tabulated(vertical_row(), vparams, gamma, f, 1e-3)
+        assert len(log.t) == steps + 1
+        assert calls == {"dynamics floats": 4 * steps, "dynamics arrays": 3 * blocks,
+                         "kinematics floats": 0, "kinematics arrays": blocks, "trig": 0}
 
     @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (0.03, -0.02, 0.04)])
     def test_block_stepper_flies_like_rk4_flat(self, case_c, offset):
