@@ -40,13 +40,13 @@ them.  Thrust, drag (``_drag``) and the deflection torque
 (``_deflection``) are terms of the full law, read only through it.  Each
 model's RK4 step is written once too, over a block of steps: ``_full_steps``
 (the quaternion projected onto the unit sphere after each step) and
-``_vertical_steps`` (the pose computed inline at every step) for the
-closed loop, one block per controller tick, and ``_vertical_replay`` for
-the replay, one block per 1,024 table steps.  The replay's float loop steps
-only (vvx, vvy, vvz, w), because no dynamic row reads the azimuth or the
-position; one array pass per block then recovers them from the stage
-states.  All keep ``rk4_flat``'s floating-point operation order, so every
-driver logs ``rk4_flat``'s states bit for bit.
+``_vertical_steps`` (one held gamma-proxy input, the pose inline at every
+step) for the closed loop, one block per controller tick, and
+``_vertical_replay`` for the replay, one block per 1,024 table steps.  The
+replay's float loop steps only (vvx, vvy, vvz, w), because no dynamic row
+reads the azimuth or the position; one array pass per block then recovers
+them from the stage states.  All keep ``rk4_flat``'s floating-point
+operation order, so every driver logs ``rk4_flat``'s states bit for bit.
 Inputs are checked where they change, not at every stage: the replay checks
 its table a block at a time and the closed loop its held input once per tick.
 The vertical input terms are computed there too: once per table row in the
@@ -157,8 +157,8 @@ class VerticalParams:
 
     ``vk_tau_x``/``vk_flap_x`` drive the explicit rudder yaw torque;
     ``kbar_gamma``/``kbar_flap_x`` are the lumped gains of the tilt-proxy
-    yaw torque, whose effective control gain is bounded by
-    [l_gamma_min, l_gamma_max].  ``lateral_mode`` selects how the frame's
+    yaw torque, whose control-gain bounds are the controller's
+    (``ControllerGains``).  ``lateral_mode`` selects how the frame's
     lateral velocity is treated: "constrained" enforces vv_y == const (the
     non-holonomic idealization the flatness map relies on) while "free"
     integrates the relaxed lateral dynamics.
@@ -176,16 +176,12 @@ class VerticalParams:
     vk_flap_x: float = 0.02
     kbar_gamma: float = 0.5
     kbar_flap_x: float = 0.06
-    l_gamma_min: float = 5.0
-    l_gamma_max: float = 25.0
     lateral_mode: str = "constrained"
 
     def __post_init__(self):
         _require_finite(self)
         if min(self.m, self.g, self.k_tf) <= 0:
             raise InvalidInputError("m, g, k_tf must be positive")
-        if not 0 < self.l_gamma_min <= self.l_gamma_max:
-            raise InvalidInputError("need 0 < l_gamma_min <= l_gamma_max")
         coeffs = (
             self.vk_d_x, self.vk_d_y, self.vk_d_z, self.vk_gamma, self.vk_damp,
             self.vk_tau_x, self.vk_flap_x, self.kbar_gamma, self.kbar_flap_x,
@@ -362,10 +358,15 @@ def vertical_rhs(
     "free" lateral mode the lateral row integrates the relaxed
     non-holonomic dynamics vvy_dot = w_psi*vvx - (vk_d_y/m)*sgn*vvy^2; in
     "constrained" mode (default) the lateral velocity is frozen, which is
-    the idealization the flatness construction assumes.
+    the idealization the flatness construction assumes.  Raises
+    InvalidInputError for a row of another length or an invalid input and
+    PropagationError for a non-finite state.
     """
     y = state.tolist() if isinstance(state, np.ndarray) else state
     _, _, _, vvx, vvy, vvz, psi, w = _checked(y, _VERTICAL_STATE)
+    # a finite sum has only finite terms; an overflowing one is rechecked
+    if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
+        raise PropagationError("non-finite state", step=-1)
     explicit = _explicit_rudder(rudder_mode)
     terms = _vertical_terms(params, explicit, *_input_row(inputs))
     ax, ay, az, w_dot = _vertical_dynamics(params._constants(), explicit, vvx, vvy, vvz, w, *terms)
@@ -454,34 +455,34 @@ def rk4_flat(rhs, y: list, dt: float, u0, um, u1, *args) -> list:
     ]
 
 
-def _vertical_steps(params, explicit, y, rows, dt, states, k0, first=None, radius=math.inf):
-    """``rk4_flat`` on ``vertical_rhs``, unrolled, the pose computed inline at every
-    step: n steps from the flat state y at row k0 over the ``_vertical_terms`` of
-    2n + 1 checked half-step input rows, ``first`` the derivative at y and rows[0]
-    if known.  Writes rows k0 + 1.. of ``states``, in one slice, up to the first
-    non-finite state or position norm beyond ``radius``; returns the last state, its
-    row and whether it stopped there.  An infinite stage azimuth makes its step's
-    position NaN, as ``np.cos`` would.  The closed loop's stepper: its blocks are a
+def _vertical_steps(params, y, terms, first, n, dt, states, k0, radius):
+    """``rk4_flat`` on ``vertical_rhs`` under one held gamma-proxy input, unrolled,
+    the pose computed inline at every step: n steps from the flat state y at row k0,
+    ``terms`` the input's ``_vertical_terms`` and ``first`` the derivative at y.
+    Writes rows k0 + 1.. of ``states``, in one slice, up to the first non-finite
+    state or position norm beyond ``radius``; returns the last state, its row and
+    whether it stopped there.  An infinite stage azimuth makes its step's position
+    NaN, as ``np.cos`` would.  The closed loop's stepper: its blocks are a
     controller tick long, too short for ``_vertical_replay``'s array pass to pay."""
     px, py, pz, vvx, vvy, vvz, psi, w = y
+    tx, tz, yaw, lever, gam = terms
     h, c6, dyn, cos, sin = 0.5 * dt, dt / 6.0, _vertical_dynamics, math.cos, math.sin
     isfinite, sqrt = math.isfinite, math.sqrt
     c, out, stopped = params._constants(), [], False
-    k, last = k0, k0 + len(rows) // 2
-    stage = first[3:6] + first[7:] if first else dyn(c, explicit, vvx, vvy, vvz, w, *rows[0])
-    for k, (txm, tzm, yawm, leverm, gamm), (tx, tz, yaw, lever, gam) in zip(
-            range(k0 + 1, last + 1), rows[1::2], rows[2::2]):
+    k, last = k0, k0 + n
+    stage = first[3:6] + first[7:]
+    for k in range(k0 + 1, last + 1):
         a1, b1, c1, e1 = stage
         # no more than three names an assignment: CPython builds no tuple for those
         vx2, vy2, vz2 = vvx + h * a1, vvy + h * b1, vvz + h * c1
         w2 = w + h * e1
-        a2, b2, c2, e2 = dyn(c, explicit, vx2, vy2, vz2, w2, txm, tzm, yawm, leverm, gamm)
+        a2, b2, c2, e2 = dyn(c, False, vx2, vy2, vz2, w2, tx, tz, yaw, lever, gam)
         vx3, vy3, vz3 = vvx + h * a2, vvy + h * b2, vvz + h * c2
         w3 = w + h * e2
-        a3, b3, c3, e3 = dyn(c, explicit, vx3, vy3, vz3, w3, txm, tzm, yawm, leverm, gamm)
+        a3, b3, c3, e3 = dyn(c, False, vx3, vy3, vz3, w3, tx, tz, yaw, lever, gam)
         vx4, vy4, vz4 = vvx + dt * a3, vvy + dt * b3, vvz + dt * c3
         w4 = w + dt * e3
-        a4, b4, c4, e4 = dyn(c, explicit, vx4, vy4, vz4, w4, tx, tz, yaw, lever, gam)
+        a4, b4, c4, e4 = dyn(c, False, vx4, vy4, vz4, w4, tx, tz, yaw, lever, gam)
         # _vertical_kinematics, inline, at the stage azimuths psi, psi + h w, psi + h w2
         # and psi + dt w3
         psi2, psi3, psi4 = psi + h * w, psi + h * w2, psi + dt * w3
@@ -510,7 +511,7 @@ def _vertical_steps(params, explicit, y, rows, dt, states, k0, first=None, radiu
             stopped = True
             break
         if k < last:
-            stage = dyn(c, explicit, vvx, vvy, vvz, w, tx, tz, yaw, lever, gam)
+            stage = dyn(c, False, vvx, vvy, vvz, w, tx, tz, yaw, lever, gam)
     if out:
         states[k0 + 1:k + 1] = out
     return y, k, stopped

@@ -22,9 +22,9 @@ times) for the full state and all three inputs, and
 over a replay grid.
 
 States and quaternions are rows of floats in the column order of the logs
-(see ``dynamics``): ``FlatStateResult.quaternion`` and ``flat_to_full``'s
-``prev_q`` are scalar-first (eta, ex, ey, ez), and
-``FlatInputSchedule.initial_vertical_state`` is a vertical state row.
+(see ``dynamics``): ``FlatStateResult.quaternion`` is scalar-first (eta, ex,
+ey, ez), and ``FlatInputSchedule.initial_vertical_state`` is a vertical
+state row.
 
 Everything below the azimuth floor ``V_EPS`` is degenerate: the heading is
 not defined by the velocity and the caller must supply it explicitly.
@@ -240,19 +240,17 @@ class FlatStateResult:
     f_flap: float
     theta_rud: float
     theta_ele: float
-    diagnostics: dict
 
 
 def flat_to_full(traj: PiecewiseTrajectory, t, vparams: VerticalParams, fparams: FwavParams,
-                 psi: float | None = None, prev_q=None) -> FlatStateResult:
+                 psi: float | None = None) -> FlatStateResult:
     """Full state and all three inputs of a flat trajectory at t.
 
     ``t`` is one time or an array of times.  The chain runs on velocity jets
     of order 4 (sigma derivatives 1-5), so the body rate
     omega = psi' Gamma + 2 vec(conj(q_e) (x) q_e') of the tilt quaternion q_e
-    and its derivative are exact.  The tilt-quaternion sign follows the
-    previous quaternion row ``prev_q`` (eta, ex, ey, ez) when given
-    (dot-product continuity test), else +1.
+    and its derivative are exact.  The tilt quaternion's scalar part is
+    positive.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     taylor = traj.taylor(times, 5)
@@ -294,22 +292,17 @@ def flat_to_full(traj: PiecewiseTrajectory, t, vparams: VerticalParams, fparams:
     if np.any(np.abs(gain_x) < 1e-12) or np.any(np.abs(gain_y) < 1e-12):
         raise UnrecoverableDeflectionError("deflection torque gain vanished")
 
-    gamma = np.stack([gx.c[0], gy.c[0], gz.c[0]], axis=1)
-    s_e = np.ones(times.size, dtype=int)
-    if prev_q is not None:  # q_e has no z part
-        s_e[np.stack([eta0, e10, e20], axis=1) @ np.asarray(prev_q, dtype=float)[:3] < 0.0] = -1
     fields = dict(
-        p=taylor[0], v=vel, gamma=gamma, psi=frame.psi, omega_psi=w.c[0],
+        p=taylor[0], v=vel, gamma=np.stack([gx.c[0], gy.c[0], gz.c[0]], axis=1),
+        psi=frame.psi, omega_psi=w.c[0],
         vv=np.stack([j.c[0] for j in frame.vv], axis=1),
         vv_dot=np.stack([j.d().c[0] for j in frame.vv], axis=1),
         quaternion=q, rotation=rot, omega=om, omega_dot=om_dot, f_flap=np.sqrt(f2.c[0]),
         theta_rud=-tau[:, 0] / gain_x, theta_ele=-tau[:, 1] / gain_y,
-        s_e=s_e, f_squared=f2.c[0], one_minus_gamma_y_sq=1.0 - gamma[:, 1] ** 2,
     )
     if np.ndim(t) == 0:
         fields = {key: value[0] for key, value in fields.items()}
-    diagnostics = {key: fields.pop(key) for key in ("s_e", "f_squared", "one_minus_gamma_y_sq")}
-    return FlatStateResult(**fields, diagnostics=diagnostics)
+    return FlatStateResult(**fields)
 
 
 def dump_flat_states(traj: PiecewiseTrajectory, vparams: VerticalParams, fparams: FwavParams,

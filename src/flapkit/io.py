@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .dynamics import FullLog, VerticalLog, _open_text
+from .dynamics import FULL_LOG_HEADER, VERTICAL_LOG_HEADER, FullLog, VerticalLog, _open_text
 from .errors import InvalidInputError
 from .planning import (
     BoundaryConditions,
@@ -265,19 +265,19 @@ def _row_fault(path, lines) -> str | None:
 
 
 def load_state_log(path) -> VerticalLog | FullLog:
-    """Load a state-log CSV, detecting the model by its header; each row needs
-    one cell per header name, and at least the model's 13 (vertical) or 17
-    (full)."""
+    """Load a state-log CSV, detecting the model by the first 8 names of its
+    header; each row needs one cell per header name, and at least one per
+    name of the model's log (``VERTICAL_LOG_HEADER`` or ``FULL_LOG_HEADER``)."""
     header, rows = _read_csv(path)
-    if header[:8] == ["t", "px", "py", "pz", "vvx", "vvy", "vvz", "psi"]:
-        width = 13
-    elif header[:8] == ["t", "px", "py", "pz", "vx", "vy", "vz", "qw"]:
-        width = 17
-    else:
+    vertical, full = VERTICAL_LOG_HEADER.split(","), FULL_LOG_HEADER.split(",")
+    names = vertical if header[:8] == vertical[:8] else full if header[:8] == full[:8] else None
+    if names is None:
         raise InvalidInputError(f"unrecognized state-log header in {path}")
+    width = len(names)
     if not width <= rows.shape[1] == len(header):
         raise InvalidInputError(f"{path}: rows of {rows.shape[1]} cells under {len(header)} "
                                 f"names, where this model's log has {width}")
-    if width == 13:
-        return VerticalLog(rows[:, 0], rows[:, 1:9], rows[:, 9:13])
-    return FullLog(rows[:, 0], rows[:, 1:17])
+    if names is full:
+        return FullLog(rows[:, 0], rows[:, 1:width])
+    inputs = names.index("gx")  # the states end where the applied inputs begin
+    return VerticalLog(rows[:, 0], rows[:, 1:inputs], rows[:, inputs:width])

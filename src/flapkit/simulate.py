@@ -11,10 +11,9 @@ evaluated once per flight, at every tick time.
 Also here are the certification simulations used by the stability checks:
 
 * the ideal vertical loop, where the acceleration expectation is enforced
-  exactly (the premise of the positional stability claim) and the heading
-  runs the hybrid law, and
-* the hybrid heading loop alone, for jump-decrease checks at hysteresis
-  flips.
+  exactly (the premise of the positional stability claim); its heading,
+  which the positional states do not read, is the heading loop's, and
+* the hybrid heading loop, for jump-decrease checks at hysteresis flips.
 
 Both run the controller's own heading tick (``HybridHeading``), positional
 law and candidate functions V1 and V2, with the unclipped lateral-tilt
@@ -191,8 +190,8 @@ class _VerticalPlant:
 
     def advance(self, y, u, dt, states, k, n, radius):
         first = vertical_rhs(y, u, self.params)  # checks the held input once
-        rows = [_vertical_terms(self.params, False, *u)] * (2 * n + 1)
-        y, k, stopped = _vertical_steps(self.params, False, y, rows, dt, states, k, first, radius)
+        terms = _vertical_terms(self.params, False, *u)
+        y, k, stopped = _vertical_steps(self.params, y, terms, first, n, dt, states, k, radius)
         return y, k, k if stopped else None
 
     def log(self, t, states, held, counts):
@@ -334,21 +333,15 @@ def simulate_ideal_vertical(
     the controller's heading tick against the lumped yaw gain with the
     unclipped lateral tilt applied directly.  The reference defaults to
     hovering at the origin with a fixed desired azimuth; otherwise pass a
-    callable t -> (sigma_r, sigma_r_dot, sigma_r_ddot).  The positional
-    subsystem does not depend on the heading.
+    callable t -> (sigma_r, sigma_r_dot, sigma_r_ddot).  Neither subsystem
+    reads the other: the positional states are stepped here, and the
+    heading is ``simulate_heading_loop`` over the same steps.
     """
-    if l_gain is None:
-        l_gain = math.sqrt(gains.l_gamma_min * gains.l_gamma_max)
     if reference is None:
         reference = lambda t: ((0.0, 0.0, 0.0),) * 3
-    n_sub = max(int(round(1.0 / (rate_hz * dt))), 1)
     n_steps = int(round(duration / dt))
 
-    heading = HybridHeading(gains, 1.0 / rate_hz)
-    gamma_yd = 0.0
-    jump_count = 0
-
-    y = [float(x) for x in (*p0, *v0, psi0, omega0)]
+    y = [float(x) for x in (*p0, *v0)]
     last = [None, None, None]  # t, y, law: the next step's first stage reuses a record's law
 
     def law(t, y):
@@ -357,33 +350,29 @@ def simulate_ideal_vertical(
         return last[2]
 
     def rhs(y, t):
-        a_d = law(t, y)[2]
-        return [*y[3:6], *a_d, y[7], -l_gain * gamma_yd]
+        return [*y[3:6], *law(t, y)[2]]
 
-    eps, evs, v1s, psis, omegas = [], [], [], [], []
+    eps, evs, v1s = [], [], []
 
     def record(t, y):
         e_p, e_v, _, v1 = law(t, y)
         eps.append(e_p)
         evs.append(e_v)
         v1s.append(v1)
-        psis.append(y[6])
-        omegas.append(y[7])
 
     record(0.0, y)
     for k in range(n_steps):
-        if k % n_sub == 0:
-            tick = heading.tick(wrap_angle(psi_d - y[6]), 0.0, y[7])
-            jump_count += tick.jumped
-            gamma_yd = tick.gamma_yd
         y = rk4_flat(rhs, y, dt, *_stage_times(k, dt))
         record((k + 1) * dt, y)
         if stop_when_ep_below is not None and np.linalg.norm(eps[-1]) < stop_when_ep_below:
             break
 
+    t = np.arange(len(eps)) * dt
+    heading = simulate_heading_loop(gains, lambda t: psi_d, l_gain, psi0, omega0, dt, rate_hz,
+                                    (len(t) - 1) * dt)
     return IdealVerticalResult(
-        t=np.arange(len(eps)) * dt, e_p=np.array(eps), e_v=np.array(evs), V1=np.array(v1s),
-        psi=np.array(psis), omega_psi=np.array(omegas), jump_count=jump_count,
+        t=t, e_p=np.array(eps), e_v=np.array(evs), V1=np.array(v1s), psi=heading.psi,
+        omega_psi=heading.omega_psi, jump_count=len(heading.jumps),
     )
 
 

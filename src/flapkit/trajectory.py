@@ -26,14 +26,6 @@ SAMPLED_HEADER = "t,x,y,z,vx,vy,vz,ax,ay,az,jx,jy,jz,sx,sy,sz"
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def falling_factorial(i: int, r: int) -> float:
-    """i * (i-1) * ... * (i-r+1); the t^i derivative coefficient."""
-    out = 1.0
-    for k in range(r):
-        out *= i - k
-    return out
-
-
 def _derivative_rows(coeffs: np.ndarray, order: int) -> np.ndarray:
     """Coefficients of the order-th derivative, ascending powers along the
     last axis: coeffs[..., order:] scaled by i (i-1) ... (i-order+1).  Past
@@ -50,7 +42,7 @@ def derivative_row(n_coeffs: int, t: float, order: int) -> np.ndarray:
     """Row r with r @ c = d^order/dt^order sum_i c_i t^i."""
     row = np.zeros(n_coeffs)
     for i in range(order, n_coeffs):
-        row[i] = falling_factorial(i, order) * t ** (i - order)
+        row[i] = math.perm(i, order) * t ** (i - order)
     return row
 
 
@@ -61,7 +53,7 @@ def snap_gram_matrix(n_coeffs: int, T: float) -> np.ndarray:
         for k in range(4, n_coeffs):
             power = i + k - 7
             q[i, k] = (
-                falling_factorial(i, 4) * falling_factorial(k, 4) * T**power / power
+                math.perm(i, 4) * math.perm(k, 4) * T**power / power
             )
     return q
 
@@ -133,23 +125,10 @@ class PiecewiseTrajectory:
         self.T = self.segments[0].T
         self.duration = self.M * self.T
 
-    def locate(self, t: float) -> tuple[int, float]:
-        """Segment index and local time; junctions resolve to the later
-        segment at local time 0."""
-        duration, T, last = self.duration, self.T, self.M - 1
-        if t < -1e-12 or t > duration + 1e-12:
-            raise TrajectoryDomainError(f"t={t:.6f} outside [0, {duration:.6f}]")
-        t = min(max(t, 0.0), duration)
-        idx = min(int(t / T), last)
-        t_local = t - idx * T
-        if idx < last and abs(t_local - T) < 1e-12:
-            return idx + 1, 0.0
-        return idx, t_local
-
     def eval(self, t: float, order: int = 0) -> np.ndarray:
-        """The order-th derivative at one time: the bits of ``eval_many``."""
-        idx, t = self.locate(float(t))
-        return self.segments[idx].eval(t, order)
+        """The order-th derivative at one time, shape (3,): ``eval_many``'s row."""
+        return self._per_segment(np.array([float(t)]), lambda seg, t: seg.eval(t, order).T,
+                                 (3,))[0]
 
     def eval_many(self, times: Iterable[float], order: int = 0) -> np.ndarray:
         """Vectorized evaluation at many times, shape (len(times), 3)."""

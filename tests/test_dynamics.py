@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flapkit.attitude import quat_to_rot, rotz
-from flapkit.control import ControllerGains
+from flapkit.control import ControllerGains, decompose
 from flapkit.dynamics import (
     FwavParams,
     VerticalParams,
@@ -26,8 +26,9 @@ from flapkit.dynamics import (
     _write_csv,
 )
 from flapkit.errors import InvalidInputError, PropagationError
+from flapkit.flatness import FlatInputSchedule
 
-from helpers import commands, full_row, hamilton, vertical_inputs, vertical_row
+from helpers import commands, full_row, hamilton, single_segment, vertical_inputs, vertical_row
 
 
 @pytest.fixture
@@ -185,6 +186,24 @@ class TestVerticalRhs:
         d = vertical_rhs(s, vertical_inputs(gamma=[0, 0, 1], f_flap=p.hover_frequency), p)
         expected = 0.3 * 1.0 - p.vk_d_y * 0.04 / p.m
         assert d[4] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("entry", range(8))
+    def test_non_finite_state_rejected(self, vparams, entry, bad):
+        # as full_rhs: a non-finite entry anywhere, the pose included, stops it
+        s = vertical_row(vv=[0.5, 0.1, 0.0], omega_psi=0.3)
+        s[entry] = bad
+        u = vertical_inputs(gamma=[0, 0, 1], f_flap=vparams.hover_frequency)
+        for state in (s, np.array(s)):
+            with pytest.raises(PropagationError, match=r"^non-finite state \(step -1\)$") as err:
+                vertical_rhs(state, u, vparams)
+            assert err.value.step == -1
+
+    def test_overflowing_sum_of_finite_state_accepted(self, vparams):
+        # the entries' sum overflows, so each entry is rechecked: all are finite
+        s = vertical_row(p=[1e308, 1e308, 0.0], vv=[0.5, 0.0, 0.0])
+        d = vertical_rhs(s, vertical_inputs(gamma=[0, 0, 1], f_flap=10.0), vparams)
+        assert all(map(math.isfinite, d))
 
 
 class TestIntegrate:
@@ -375,10 +394,6 @@ class TestParamValidation:
         with pytest.raises(InvalidInputError):
             FwavParams(J=J)
 
-    def test_gain_bounds_ordering(self):
-        with pytest.raises(InvalidInputError):
-            VerticalParams(l_gamma_min=2.0, l_gamma_max=1.0)
-
     @pytest.mark.parametrize("cls", [FwavParams, VerticalParams, ControllerGains])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_rejected(self, cls, bad):
@@ -392,6 +407,49 @@ class TestParamValidation:
                 value = bad
             with pytest.raises(InvalidInputError, match=f"^{fld.name} must be finite, not "):
                 cls(**{fld.name: value})
+
+
+def perturbed(params):
+    """(field name, a copy of ``params`` with that numeric field scaled by 1.25)
+    for each numeric field."""
+    for fld in dataclasses.fields(params):
+        value = getattr(params, fld.name)
+        if not isinstance(value, str):
+            yield fld.name, dataclasses.replace(params, **{fld.name: value * 1.25})
+
+
+def vertical_model_outputs(params: VerticalParams) -> list:
+    """What the vertical model's readers make of ``params``: ``vertical_rhs`` in
+    every rudder and lateral mode, ``decompose`` and ``FlatInputSchedule.tabulate``
+    on a climbing turn."""
+    state = vertical_row(p=[0.1, -0.2, 0.3], vv=[0.8, 0.3, -0.2], psi=0.3, omega_psi=0.4)
+    u = vertical_inputs(gamma=[0.1, 0.2, math.sqrt(0.95)], f_flap=12.0, theta_rud=0.1)
+    out = [vertical_rhs(state, u, dataclasses.replace(params, lateral_mode=lateral), rudder)
+           for rudder in ("gamma-proxy", "explicit-rudder") for lateral in ("constrained", "free")]
+    out.append(dataclasses.astuple(decompose([0.5, -0.3, 0.2], [0.8, 0.3, -0.2], params)))
+    turn = single_segment([[0.0, 1.0, 0.2], [0.0, 0.5, -0.3], [0.0, 0.1, 0.05]], 2.0)
+    out += FlatInputSchedule(turn, params).tabulate(np.linspace(0.0, 2.0, 9))
+    return [np.asarray(x).tolist() for x in out]
+
+
+class TestEveryModelSettingIsRead:
+    """A model coefficient that no equation reads does nothing when a file sets
+    it: each numeric field, scaled, changes what the model computes."""
+
+    def test_vertical_params(self):
+        base = vertical_model_outputs(VerticalParams())
+        unread = [name for name, params in perturbed(VerticalParams())
+                  if vertical_model_outputs(params) == base]
+        assert unread == []
+
+    def test_fwav_params(self, params):
+        state = full_row(p=[0.1, -0.2, 0.3], v=[0.8, 0.3, -0.2], q=[0.9, 0.1, -0.2, 0.3],
+                         omega=[0.4, -0.5, 0.6], f_flap=12.0, theta_rud=0.1, theta_ele=-0.2)
+        cmd = commands(f_flap_c=15.0, theta_rud_c=-0.1, theta_ele_c=0.2)
+        base = full_rhs(state, cmd, params)
+        unread = [name for name, changed in perturbed(params)
+                  if full_rhs(state, cmd, changed) == base]
+        assert unread == []
 
 
 # ---------------------------------------------------------------------------
@@ -815,21 +873,16 @@ input_row = st.tuples(unit_gamma, st.floats(0.0, 30.0), st.floats(-0.5, 0.5)).ma
 )
 
 
-@st.composite
-def input_rows(draw):
-    """2n + 1 half-step input rows of n steps, held or varying."""
-    n = draw(st.integers(1, 6))
-    if draw(st.booleans()):
-        return [draw(input_row)] * (2 * n + 1)
-    return draw(st.lists(input_row, min_size=2 * n + 1, max_size=2 * n + 1))
-
-
 def first_non_finite_step(state0, params, samples, dt, rudder_mode="explicit-rudder"):
     """The step of the first non-finite state of ``rk4_flat`` over ``vertical_rhs``
-    on the half-step input rows ``samples``, or None."""
+    on the half-step input rows ``samples``, or None; a step with a non-finite RK4
+    stage, which ``vertical_rhs`` rejects, is that step."""
     y = [float(v) for v in state0]
     for k in range(len(samples) // 2):
-        y = rk4_flat(vertical_rhs, y, dt, *samples[2 * k:2 * k + 3], params, rudder_mode)
+        try:
+            y = rk4_flat(vertical_rhs, y, dt, *samples[2 * k:2 * k + 3], params, rudder_mode)
+        except PropagationError:
+            return k + 1
         if not all(map(math.isfinite, y)):
             return k + 1
     return None
@@ -857,7 +910,6 @@ class TestTabulatedReplay:
 
 
 class TestVerticalSteps:
-    @pytest.mark.parametrize("rudder_mode", ["gamma-proxy", "explicit-rudder"])
     @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
     @HYPOTHESIS
     @given(
@@ -865,33 +917,28 @@ class TestVerticalSteps:
         vv=st.tuples(component, component, component),
         psi=st.floats(-4.0, 4.0),
         w=component,
-        rows=input_rows(),
+        row=input_row,
+        n=st.integers(1, 6),
         dt=st.sampled_from([1e-4, 1e-3, 5e-3]),
-        given_first=st.booleans(),
         radius=st.one_of(st.just(math.inf), st.floats(0.0, 6.0)),
     )
-    def test_equals_rk4_flat_bit_for_bit(
-        self, rudder_mode, lateral_mode, p, vv, psi, w, rows, dt, given_first, radius
-    ):
+    def test_equals_rk4_flat_bit_for_bit(self, lateral_mode, p, vv, psi, w, row, n, dt, radius):
+        # the closed loop's block: one gamma-proxy input held over n steps
         params = VerticalParams(lateral_mode=lateral_mode)
         y0 = [*p, *vv, psi, w]
         want = [y0]
-        for k in range(len(rows) // 2):
-            want.append(rk4_flat(vertical_rhs, want[-1], dt, *rows[2 * k : 2 * k + 3], params,
-                                 rudder_mode))
+        for _ in range(n):
+            want.append(rk4_flat(vertical_rhs, want[-1], dt, row, row, row, params))
         # the run stops after the first state beyond the radius
         beyond = [k for k, (x, y, z, *_) in enumerate(want[1:], 1)
                   if math.sqrt(x * x + y * y + z * z) > radius]
-        last = beyond[0] if beyond else len(want) - 1
+        last = beyond[0] if beyond else n
 
-        # the stepper reads the rows' input terms, computed once per row
-        explicit = _explicit_rudder(rudder_mode)
-        terms = [_vertical_terms(params, explicit, *row) for row in rows]
-        states = np.full((len(want), 8), np.nan)
+        # the stepper reads the input's terms and the derivative at y0, computed once
+        states = np.full((n + 1, 8), np.nan)
         states[0] = y0
-        first = vertical_rhs(y0, rows[0], params, rudder_mode) if given_first else None
-        y, k, stopped = _vertical_steps(params, explicit, y0, terms, dt, states, 0, first,
-                                        radius)
+        y, k, stopped = _vertical_steps(params, y0, _vertical_terms(params, False, *row),
+                                        vertical_rhs(y0, row, params), n, dt, states, 0, radius)
         assert (k, stopped) == (last, bool(beyond))
         assert list(y) == want[last]
         assert np.array_equal(states[: last + 1], np.array(want[: last + 1]))
@@ -901,9 +948,11 @@ class TestVerticalSteps:
         # the closed loop's inline pose: step 1's last stage azimuth is infinite,
         # so that step's position is NaN and the run stops there, as the replay's
         y0 = vertical_row(vv=(0.1, 0.0, 0.0), omega_psi=1e100)
-        rows = [_vertical_terms(vparams, False, 0.0, 0.0, 1.0, vparams.hover_frequency, 0.0)] * 21
+        u = (0.0, 0.0, 1.0, vparams.hover_frequency, 0.0)
         states = np.full((11, 8), np.nan)
-        y, k, stopped = _vertical_steps(vparams, False, y0, rows, 1e-3, states, 0)
+        y, k, stopped = _vertical_steps(vparams, y0, _vertical_terms(vparams, False, *u),
+                                        vertical_rhs(y0, u, vparams), 10, 1e-3, states, 0,
+                                        math.inf)
         assert (k, stopped) == (1, True)
         assert math.isnan(y[0]) and math.isnan(y[1])
 

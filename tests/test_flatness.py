@@ -231,18 +231,6 @@ class TestFlatToFull:
         dev = np.linalg.norm(log.states[:, 0:3] - ref, axis=1)
         assert dev.max() < 0.02
 
-    def test_quaternion_sign_continuity(self, vparams):
-        traj = smooth_forward_trajectory()
-        r = flat_to_full(traj, 0.5, vparams, FwavParams())
-        # a previous quaternion near the negated tilt selects s_e = -1
-        from flapkit.attitude import tilt_quaternion
-
-        q_prev = tilt_quaternion(r.gamma, -1)
-        r2 = flat_to_full(
-            traj, 0.5, vparams, FwavParams(), prev_q=q_prev
-        )
-        assert r2.diagnostics["s_e"] == -1
-
 
 HYPOTHESIS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 

@@ -27,6 +27,8 @@ import scipy.optimize
 import flapkit.planning
 from flapkit.planning import case_library
 
+from helpers import single_segment
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "flapkit"
 TESTS = Path(__file__).resolve().parent
 SPANS = SRC.parents[1] / "perfbench" / "spans.py"
@@ -281,12 +283,18 @@ def test_plan_calls_scipy_optimize_minimize(monkeypatch):
     assert np.isfinite(report.objective)
 
 
-def test_benchmark_tracer_targets_exist():
-    # perfbench/spans.py wraps (owner, attribute) pairs by lookup, so a name
-    # deleted here would otherwise fail only a traced benchmark run
+def load_spans():
+    """The benchmark's ``perfbench/spans.py``, loaded from this checkout."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_tracer_targets_exist():
+    # perfbench/spans.py wraps (owner, attribute) pairs by lookup, so a name
+    # deleted here would otherwise fail only a traced benchmark run
+    spans = load_spans()
     missing = []
     for owner, attr, *_ in spans.WRAPS:
         try:
@@ -295,3 +303,13 @@ def test_benchmark_tracer_targets_exist():
             missing.append(f"{owner.__name__}.{attr}")
     assert len(spans.WRAPS) >= 20
     assert missing == []
+
+
+def test_scalar_eval_is_one_traced_span():
+    # the tracer wraps eval and eval_many under one span name: a scalar eval
+    # that went through eval_many would count twice in trajectory.eval_calls
+    tracer = load_spans().Tracer()
+    traj = single_segment([[0.0, 1.0], [0.0, 2.0], [1.0, 0.0]], 2.0)
+    with tracer.installed(), tracer.operation("probe"):
+        traj.eval(0.5)
+    assert [tracer.names[i] for i in tracer.name] == ["probe", "trajectory.eval"]

@@ -106,7 +106,7 @@ class TestParamFiles:
     @given(
         positive=st.lists(
             st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-            min_size=5, max_size=5,
+            min_size=3, max_size=3,
         ),
         coeffs=st.lists(
             st.floats(min_value=0.0, allow_infinity=False), min_size=9, max_size=9,
@@ -114,10 +114,9 @@ class TestParamFiles:
         lateral_mode=st.sampled_from(["constrained", "free"]),
     )
     def test_vertical_params_kv_round_trip_bit_exact(self, positive, coeffs, lateral_mode):
-        m, g, k_tf, l_a, l_b = positive
+        m, g, k_tf = positive
         params = VerticalParams(
-            m=m, g=g, k_tf=k_tf, l_gamma_min=min(l_a, l_b), l_gamma_max=max(l_a, l_b),
-            lateral_mode=lateral_mode,
+            m=m, g=g, k_tf=k_tf, lateral_mode=lateral_mode,
             **dict(zip(
                 ["vk_d_x", "vk_d_y", "vk_d_z", "vk_gamma", "vk_damp", "vk_tau_x",
                  "vk_flap_x", "kbar_gamma", "kbar_flap_x"], coeffs,
@@ -711,6 +710,20 @@ class TestMalformedFiles:
             argv = ["simulate", "--traj", str(traj), option, str(path), "--out-state", str(out),
                     "--out-control", str(tmp_path / "control.csv")]
         assert f"{key!r}" in self.assert_rejected(capsys, path, argv)
+        assert not out.exists()
+
+    def test_vertical_params_set_no_yaw_gain_bounds(self, tmp_path, capsys):
+        # the bounds of the heading term's gain are the controller's: a vertical
+        # parameter file that sets one is rejected, not silently flown without it
+        path = tmp_path / "vertical.kv"
+        path.write_text("vk_gamma = 20.0\nl_gamma_min = 5.0\n")
+        traj = tmp_path / "traj.csv"
+        constant_trajectory([0.0, 0.0, 1.0]).to_coeff_csv(traj)
+        out = tmp_path / "state.csv"
+        message = self.assert_rejected(capsys, path, [
+            "simulate", "--traj", str(traj), "--model", "vertical", "--params", str(path),
+            "--out-state", str(out), "--out-control", str(tmp_path / "control.csv")])
+        assert "'l_gamma_min'" in message
         assert not out.exists()
 
     @pytest.mark.parametrize("option,line,field", [
