@@ -13,8 +13,14 @@ precomputed once per plan: positions, velocities and accelerations at all
 samples come from one matrix product, the snap term is a quadratic in xi,
 and the gradient is assembled from the per-sample derivatives with one
 more product.  One evaluation builds the gradient block of a constraint
-family only when one of its samples is active, and L-BFGS reads the value
-and the gradient at a point from one cached evaluation.
+family only for the points where one of its samples is active.
+
+The restarts run in lockstep, one L-BFGS-B per restart.  Each restart's
+solver is scipy's L-BFGS-B routine driven through its reverse-communication
+interface, step for step as ``scipy.optimize.minimize`` drives it, so each
+restart takes the iterate path it would take alone; each round evaluates
+the points that every unfinished restart waits on in one call, stacked on
+a leading restart axis.
 
 The planner works in coordinates relative to the start position, so a
 translated scenario presents the solver with the same numbers and yields
@@ -65,7 +71,7 @@ _FLIP = np.array([[1.0], [-1.0]])
 
 
 def _offsets(pos: np.ndarray, ref: np.ndarray, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of positions (3, m) from ``ref`` over ``axes`` (both
+    """Offsets of positions (..., 3, m) from ``ref`` over ``axes`` (both
     (..., 3, 1)), and their lengths."""
     delta = (pos - ref) * axes
     return delta, np.sqrt((delta * delta).sum(axis=-2))
@@ -179,6 +185,26 @@ class PlanOptions:
     rate_margin: float = 0.02
     feas_tol: float = 1e-5
     rho_schedule: tuple = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise InvalidInputError naming the first field out of range; the
+        fields stay mutable, so ``plan`` checks them again."""
+        if self.restarts < 1:
+            raise InvalidInputError(f"restarts must be at least 1, not {self.restarts}")
+        if self.segments < 1:
+            raise InvalidInputError(f"segments must be at least 1, not {self.segments}")
+        for name, label in (("T", "T (the segment duration)"), ("feas_tol", "feas_tol")):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidInputError(f"{label} must be positive and finite, not {value!r}")
+        rho = np.asarray(self.rho_schedule, dtype=float)
+        if not (rho.ndim == 1 and rho.size and np.all(rho > 0) and np.all(np.diff(rho) > 0)):
+            raise InvalidInputError(
+                f"rho_schedule must be a non-empty increasing run of positive numbers, "
+                f"not {self.rho_schedule!r}")
 
 
 def sample_times(duration: float, interval: float) -> np.ndarray:
@@ -397,28 +423,36 @@ class _SampledLaw:
         self.ob_radius = np.reshape([ob.radius + obstacle_margin for ob in obstacles], (-1, 1))
 
     def excess(self, pos: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> tuple:
-        """The rectified excess table of samples (3, m), rows horizontal
-        speed, vertical speed, azimuth rate, then one per obstacle, and what
-        the gradient reads: h = |v_xy|, u = h^2, the floored denominator,
-        the rate, the offsets (obstacles, 3, m) and the distances floored
-        at 1e-9 (both None without obstacles)."""
-        vx, vy, vz = vel
-        table = np.empty((self.rows, vx.size))
+        """The rectified excess table of samples (..., 3, m), shape
+        (..., rows, m) with rows horizontal speed, vertical speed, azimuth
+        rate, then one per obstacle, and what the gradient reads: h = |v_xy|,
+        u = h^2, the floored denominator, the rate (each (..., m)), the
+        offsets (..., obstacles, 3, m) and the distances floored at 1e-9
+        (both None without obstacles)."""
+        vx, vy, vz = (vel[..., i, :] for i in range(3))
+        table = np.empty((*vx.shape[:-1], self.rows, vx.shape[-1]))
         h = np.hypot(vx, vy)
         u = h * h
         den = np.maximum(u, SPEED_FLOOR**2)
-        rate = (vx * acc[1] - vy * acc[0]) / den
-        table[0] = h
-        np.abs(vz, out=table[1])
-        np.abs(rate, out=table[2])
-        table[:3] -= self.limits
+        rate = (vx * acc[..., 1, :] - vy * acc[..., 0, :]) / den
+        table[..., 0, :] = h
+        np.abs(vz, out=table[..., 1, :])
+        np.abs(rate, out=table[..., 2, :])
+        table[..., :3, :] -= self.limits
         delta = dist = None
         if self.rows > 3:
-            delta, dist = _offsets(pos, self.ob_ref, self.ob_axes)
+            delta, dist = _offsets(pos[..., None, :, :], self.ob_ref, self.ob_axes)
             dist = np.maximum(dist, 1e-9)
-            np.subtract(self.ob_radius, dist, out=table[3:])
+            np.subtract(self.ob_radius, dist, out=table[..., 3:, :])
         np.maximum(table, 0.0, out=table)
         return table, h, u, den, rate, delta, dist
+
+
+def _rows(mask: np.ndarray):
+    """Index of the rows where ``mask`` holds: a slice when it holds for
+    all (a view, no copy), None when for none."""
+    live = np.count_nonzero(mask)
+    return slice(None) if live == mask.size else mask if live else None
 
 
 def _worst(excess: np.ndarray, times: np.ndarray) -> tuple[float, float]:
@@ -521,8 +555,6 @@ class _PenaltyProblem:
         self.b = phi @ z_basis
         self.bt = np.ascontiguousarray(self.b.T)
         self.s0 = c0 @ phi.T
-        # one-entry cache of evaluate(): (point bytes, rho) and the result
-        self._key = self._last = None
 
     def _basis(self, times: np.ndarray, order: int) -> np.ndarray:
         total = self.opts.segments * self.n
@@ -545,82 +577,114 @@ class _PenaltyProblem:
         ]
         return PiecewiseTrajectory(segs)
 
-    def evaluate(self, xi: np.ndarray, rho: float) -> tuple[float, np.ndarray, np.ndarray]:
+    def evaluate(self, xi: np.ndarray, rho) -> tuple[list, np.ndarray, np.ndarray]:
         """Objective + rho * penalty, its gradient, and the law's excess
-        table.  A family's gradient block, zero where no sample is active,
-        is built only when one is."""
-        x = xi.reshape(3, self.k)
+        table at each row of xi (R, 3k), row r at stage rho[r]: a list of R
+        values, gradients (R, 3k) and tables (R, rows, m).  A family's
+        gradient block, zero where no sample is active, is built only for
+        the rows where one is.
+
+        Rows do not mix: the products run one BLAS call per row, as they
+        would on that row alone, so row r is bit for bit the one-row call."""
+        x = xi.reshape(len(xi), 3, self.k)
+        rho = np.asarray(rho, dtype=float)
         m = self.tau.size
         s = self.s0 + x @ self.bt
-        pos, vel, acc = s[:, :m], s[:, m : 2 * m], s[:, 2 * m : 3 * m]
+        pos, vel, acc = s[..., :m], s[..., m : 2 * m], s[..., 2 * m : 3 * m]
         excess, h, u, den, rate, delta, dist = self.law.excess(pos, vel, acc)
-        live_h, live_v, live_r = map(np.count_nonzero, excess[:3])
+        live = excess.any(axis=-1)
         # d = d(penalty)/dS, scaled by rho before the path-length columns
         d = np.zeros(s.shape)
-        if live_v:
-            d[2, m : 2 * m] = np.copysign(2.0 * excess[1], vel[2])
-        if live_h or live_r:
-            w_h = 2.0 * excess[0] / np.maximum(h, 1e-12)
-            w = np.copysign(2.0 * excess[2], rate) / den
+        rows = _rows(live[:, 1])
+        if rows is not None:
+            d[rows, 2, m : 2 * m] = np.copysign(2.0 * excess[rows, 1], vel[rows, 2])
+        rows = _rows(live[:, 0] | live[:, 2])
+        if rows is not None:
+            e, h, u, den, rate, v, a = (arr[rows] for arr in (excess, h, u, den, rate, vel, acc))
+            w_h = 2.0 * e[:, 0] / np.maximum(h, 1e-12)
+            w = np.copysign(2.0 * e[:, 2], rate) / den
             # the rate's speed dependence vanishes where the floor holds
             w_h -= 2.0 * w * rate * (u > SPEED_FLOOR**2)
-            d[:2, m : 2 * m] = w_h * vel[:2] + w * (acc[1::-1] * _FLIP)
-            d[:2, 2 * m : 3 * m] = -w * (vel[1::-1] * _FLIP)
-        g = excess[3:]
-        if np.count_nonzero(g):
-            d[:, :m] = ((-2.0 * g / dist)[:, None, :] * delta).sum(axis=0)
+            w_h, w = w_h[:, None], w[:, None]
+            d[rows, :2, m : 2 * m] = w_h * v[:, :2] + w * (a[:, 1::-1] * _FLIP)
+            d[rows, :2, 2 * m : 3 * m] = -w * (v[:, 1::-1] * _FLIP)
+        rows = _rows(live[:, 3:].any(axis=-1))
+        if rows is not None:
+            g = excess[rows, 3:]
+            d[rows, :, :m] = ((-2.0 * g / dist[rows])[..., None, :] * delta[rows]).sum(axis=1)
 
         xh = x @ self.h
-        value = self.f0 + float(np.vdot(self.g0 + 0.5 * xh, x))
-        value += rho * float(np.vdot(excess, excess))
-        d *= rho
+        q = self.g0 + 0.5 * xh
+        values = [
+            self.f0 + float(np.vdot(q_r, x_r)) + rho_r * float(np.vdot(e_r, e_r))
+            for q_r, x_r, e_r, rho_r in zip(q, x, excess, rho.tolist())
+        ]
+        d *= rho[:, None, None]
         if self.mu_v:
-            v = s[:, 3 * m :]
+            v = s[..., 3 * m :]
             soft = np.sqrt(v * v + _SOFTABS_EPS**2)
-            value += float(np.vdot(soft, self.v_weights))
-            d[:, 3 * m :] = v / soft * self.v_weights
+            values = [
+                value + float(np.vdot(soft_r, self.v_weights))
+                for value, soft_r in zip(values, soft)
+            ]
+            d[..., 3 * m :] = v / soft * self.v_weights
         grad = self.g0 + xh + d @ self.b
-        return value, grad.ravel(), excess
+        return values, grad.reshape(len(x), -1), excess
 
-    def _cached(self, xi: np.ndarray, rho: float) -> tuple[float, np.ndarray, np.ndarray]:
-        # rho is part of the key: one point is read at several rho (each
-        # stage starts at the point the previous stage returned)
-        key = (xi.tobytes(), rho)
-        if key != self._key:
-            self._key, self._last = key, self.evaluate(xi, rho)
-        return self._last
 
-    def _forget(self) -> None:
-        self._key = self._last = None
+# L-BFGS-B as ``scipy.optimize.minimize(method="L-BFGS-B")`` runs it: its
+# default memory, line-search limit and no bounds
+_MAXCOR = 10
+_MAXLS = 20
 
-    def value(self, xi: np.ndarray, rho: float) -> float:
-        """Penalized objective, the L-BFGS inner problem.  ``value`` and
-        ``gradient`` read one cached evaluation per (point, rho)."""
-        return self._cached(xi, rho)[0]
 
-    def gradient(self, xi: np.ndarray, rho: float) -> np.ndarray:
-        """Gradient of ``value``, from the same cached evaluation."""
-        return self._cached(xi, rho)[1]
+def _lbfgsb(x0: np.ndarray, rho: float, tight: bool, solves: list):
+    """One L-BFGS-B solve of the stage-rho problem from x0, to the tight
+    tolerances or the stage's, driven through scipy's reverse-communication
+    routine ``setulb`` step for step as ``scipy.optimize.minimize`` drives
+    it: x0 is evaluated first, a point is evaluated again only when it
+    moved, and the solve stops at ``INNER_MAXITER`` iterations.
 
-    def worst_excess(self, xi: np.ndarray) -> float:
-        """Worst per-sample excess, 0 when no sample exceeds.  The excess
-        does not depend on rho, so a cached evaluation at xi is read."""
-        if self._key is not None and self._key[0] == xi.tobytes():
-            excess = self._last[2]
+    A generator: it yields each point to evaluate as (point, rho), is sent
+    back (value, gradient, excess) there, and returns the end point and the
+    excess there (None when the end point was not the last one evaluated).
+    It appends (rho, tight, iterations, evaluations, status) to ``solves``,
+    the status as scipy's: 0 converged, 1 at the iteration limit, 2 stopped
+    otherwise."""
+    from scipy.optimize._lbfgsb import setulb
+
+    tol = _FINAL_TOL if tight else _STAGE_TOL
+    x = np.array(x0, dtype=np.float64)
+    n = x.size
+    at = x.copy()
+    value, grad, excess = yield x, rho
+    nfev, nit = 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    low, high, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * _MAXCOR * n + 5 * n + 11 * _MAXCOR**2 + 8 * _MAXCOR)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = tol["ftol"] / np.finfo(float).eps
+    while True:
+        g = g.astype(np.float64)  # a fresh copy per call, as scipy hands it
+        setulb(_MAXCOR, x, low, high, nbd, f, g, factr, tol["gtol"], wa, iwa, task,
+               lsave, isave, dsave, _MAXLS, ln_task)
+        if task[0] == 3:  # FG: the value and gradient at x
+            if not (x == at).all():  # np.array_equal, as scipy tests it
+                at = x.copy()
+                value, grad, excess = yield x, rho
+                nfev += 1
+            f, g = value, grad
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            nit += 1
+            if nit >= INNER_MAXITER:
+                task[:] = 5, 504  # STOP: iteration limit
         else:
-            excess = self.evaluate(xi, 0.0)[2]
-        return _worst(excess, self.tau)[0]
-
-    def restart_result(self, index: int, xi: np.ndarray, rho: float) -> "RestartResult":
-        """The restart's objective, worst excess and its time (0 when no
-        sample exceeds), and its first-order measures at stage rho."""
-        value, grad_f, excess = self.evaluate(xi, 0.0)
-        grad_q = self.evaluate(xi, rho)[1]
-        worst, worst_t = _worst(excess, self.tau)
-        stationarity = float(np.linalg.norm(grad_q)) / max(1.0, float(np.linalg.norm(grad_f)))
-        return RestartResult(
-            index, value, worst, worst_t, rho, stationarity, 2.0 * rho * worst**2, xi.copy()
-        )
+            break
+    status = 0 if task[0] == 4 else 1 if nit >= INNER_MAXITER else 2
+    solves.append((rho, tight, nit, nfev, status))
+    return x, excess if (x == at).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +708,39 @@ class RestartResult:
     stationarity: float
     complementarity: float
     xi: np.ndarray  # reduced coordinates of the start-relative problem
+    # one (rho, tight, iterations, evaluations, status) per inner solve, in
+    # order; the status is scipy's: 0 converged, 1 at the iteration limit
+    solves: list
+
+
+def _restart(problem: _PenaltyProblem, opts: PlanOptions, index: int, xi: np.ndarray):
+    """One restart from xi: the rho schedule with inexact stages, then the
+    end point's first-order measures.  A generator of (point, rho) to
+    evaluate, sent back (value, gradient, excess) there; returns the
+    RestartResult."""
+    solves: list = []
+
+    def worst(xi, excess):
+        # the excess does not depend on rho: a solve that ended at its last
+        # evaluated point hands its excess on
+        if excess is None:
+            excess = (yield xi, 0.0)[2]
+        return _worst(excess, problem.tau)[0]
+
+    rho = 0.0
+    for stage, rho in enumerate(opts.rho_schedule if xi.size else ()):
+        xi, excess = yield from _lbfgsb(xi, rho, False, solves)
+        last = stage == len(opts.rho_schedule) - 1
+        if last or (yield from worst(xi, excess)) <= opts.feas_tol:
+            xi, excess = yield from _lbfgsb(xi, rho, True, solves)
+            if (yield from worst(xi, excess)) <= opts.feas_tol:
+                break
+    value, grad_f, excess = yield xi, 0.0
+    grad_q = (yield xi, rho)[1]
+    max_excess, worst_t = _worst(excess, problem.tau)
+    stationarity = float(np.linalg.norm(grad_q)) / max(1.0, float(np.linalg.norm(grad_f)))
+    return RestartResult(index, value, max_excess, worst_t, rho, stationarity,
+                         2.0 * rho * max_excess**2, xi.copy(), solves)
 
 
 @dataclass
@@ -729,15 +826,16 @@ def plan(
     stage whose point is feasible, or the last stage, is then continued to
     the tight tolerance, and the restart ends there if the finished point is
     feasible; so every restart reports a tightly solved point of the stage
-    it stopped at.  Returns the feasible restart with the lowest objective
-    (ties broken by restart index) or raises PlanInfeasibleError with the
-    worst residual and its sample time.
+    it stopped at.  The restarts run in lockstep, one L-BFGS-B per restart,
+    with one penalty evaluation per round for the points they all wait on.
+    Returns the feasible restart with the lowest objective (ties broken by
+    restart index) or raises PlanInfeasibleError with the worst residual
+    and its sample time.  Raises InvalidInputError for options out of range.
     """
-    import scipy.optimize  # minimize is looked up at each solve, so a wrapper on it is called
-
     t_start = time.perf_counter()
     weights = weights or ObjectiveWeights()
     opts = opts or PlanOptions()
+    opts.validate()
 
     if not sample_times(opts.segments * opts.T, cons.sample_interval).size:
         raise InvalidInputError(f"sample interval {cons.sample_interval:g} s leaves no sample "
@@ -745,35 +843,28 @@ def plan(
     origin = cons.boundary.start_pos
     local = _relative_to(cons, origin)
     problem = _PenaltyProblem(local, weights, opts)
-    results: list[RestartResult] = []
 
-    def solve(xi, rho, tol):
-        # a solve evaluates every point it visits, its start included, so
-        # the solver's nfev counts the evaluations it cost
-        problem._forget()
-        return scipy.optimize.minimize(
-            problem.value, xi, args=(rho,), jac=problem.gradient, method="L-BFGS-B",
-            options={"maxiter": INNER_MAXITER, **tol},
-        ).x
-
-    for r_idx in range(max(opts.restarts, 1)):
+    def start(index):
         if problem.k == 0:
-            xi = np.zeros(0)
-        elif r_idx == 0:
-            xi = np.zeros(3 * problem.k)
-        else:
-            rng = np.random.default_rng([opts.seed, r_idx])
-            xi = _initial_guess(rng, local, opts, problem.z)
+            return np.zeros(0)
+        if index == 0:
+            return np.zeros(3 * problem.k)
+        return _initial_guess(np.random.default_rng([opts.seed, index]), local, opts, problem.z)
 
-        rho = 0.0
-        for stage, rho in enumerate(opts.rho_schedule if xi.size else ()):
-            xi = solve(xi, rho, _STAGE_TOL)
-            last = stage == len(opts.rho_schedule) - 1
-            if last or problem.worst_excess(xi) <= opts.feas_tol:
-                xi = solve(xi, rho, _FINAL_TOL)
-                if problem.worst_excess(xi) <= opts.feas_tol:
-                    break
-        results.append(problem.restart_result(r_idx, xi, rho))
+    # the restarts in lockstep: each round evaluates the point every
+    # unfinished restart waits on, in one call
+    runs = [_restart(problem, opts, index, start(index)) for index in range(opts.restarts)]
+    waiting = {index: next(run) for index, run in enumerate(runs)}
+    results: list = [None] * len(runs)
+    while waiting:
+        points, rhos = zip(*waiting.values())
+        values, grads, excess = problem.evaluate(np.stack(points), rhos)
+        for row, index in enumerate(list(waiting)):
+            try:
+                waiting[index] = runs[index].send((values[row], grads[row], excess[row]))
+            except StopIteration as done:
+                results[index] = done.value
+                del waiting[index]
 
     feasible = [r for r in results if r.max_excess <= opts.feas_tol]
     if not feasible:

@@ -1,11 +1,23 @@
 """Builders the tests share: one-segment trajectories, the kv pairs of a
-parameter or gain set, the Hamilton product of two quaternions, and state,
-input and command rows from named fields."""
+parameter or gain set, the Hamilton product of two quaternions, state,
+input and command rows from named fields, and the planner's sequential
+restart chain as an oracle."""
 
 import dataclasses
 
 import numpy as np
+import scipy.optimize
 
+from flapkit.planning import (
+    INNER_MAXITER,
+    RestartResult,
+    _FINAL_TOL,
+    _STAGE_TOL,
+    _PenaltyProblem,
+    _initial_guess,
+    _relative_to,
+    _worst,
+)
 from flapkit.trajectory import PiecewiseTrajectory, PolySegment
 
 
@@ -65,3 +77,71 @@ def commands(f_flap_c=0.0, theta_rud_c=0.0, theta_ele_c=0.0) -> tuple:
     """A full-model command row (f_flap_c, theta_rud_c, theta_ele_c); zero by
     default."""
     return float(f_flap_c), float(theta_rud_c), float(theta_ele_c)
+
+
+def evaluate_one(problem, xi, rho) -> tuple:
+    """(value, gradient, excess table) of a penalty problem at one point:
+    the one-row call of its batched ``evaluate``."""
+    values, grads, excess = problem.evaluate(xi[None], [rho])
+    return values[0], grads[0], excess[0]
+
+
+def sequential_restarts(cons, weights, opts) -> list:
+    """Oracle of ``plan``'s restarts: each restart run alone, one after
+    another, every inner solve a ``scipy.optimize.minimize`` L-BFGS-B call
+    on the one-row penalty evaluation; the solve records come from scipy's
+    own result.  ``plan`` drives the same L-BFGS-B routine for all restarts
+    in lockstep, so its restarts must equal these bit for bit."""
+    local = _relative_to(cons, cons.boundary.start_pos)
+    problem = _PenaltyProblem(local, weights, opts)
+
+    def evaluate(xi, rho):
+        return evaluate_one(problem, xi, rho)
+
+    def solve(xi, rho, tight, solves):
+        res = scipy.optimize.minimize(
+            lambda x: evaluate(x, rho)[:2], xi, jac=True, method="L-BFGS-B",
+            options={"maxiter": INNER_MAXITER, **(_FINAL_TOL if tight else _STAGE_TOL)},
+        )
+        solves.append((rho, tight, res.nit, res.nfev, res.status))
+        return res.x
+
+    def worst(xi):
+        return _worst(evaluate(xi, 0.0)[2], problem.tau)[0]
+
+    results = []
+    for index in range(opts.restarts):
+        if problem.k == 0:
+            xi = np.zeros(0)
+        elif index == 0:
+            xi = np.zeros(3 * problem.k)
+        else:
+            rng = np.random.default_rng([opts.seed, index])
+            xi = _initial_guess(rng, local, opts, problem.z)
+        rho, solves = 0.0, []
+        for stage, rho in enumerate(opts.rho_schedule if xi.size else ()):
+            xi = solve(xi, rho, False, solves)
+            last = stage == len(opts.rho_schedule) - 1
+            if last or worst(xi) <= opts.feas_tol:
+                xi = solve(xi, rho, True, solves)
+                if worst(xi) <= opts.feas_tol:
+                    break
+        value, grad_f, excess = evaluate(xi, 0.0)
+        grad_q = evaluate(xi, rho)[1]
+        max_excess, worst_t = _worst(excess, problem.tau)
+        stationarity = float(np.linalg.norm(grad_q)) / max(1.0, float(np.linalg.norm(grad_f)))
+        results.append(RestartResult(index, value, max_excess, worst_t, rho, stationarity,
+                                     2.0 * rho * max_excess**2, xi.copy(), solves))
+    return results
+
+
+def assert_same_restarts(got: list, want: list) -> None:
+    """Restart results equal bit for bit, field by field."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for fld in dataclasses.fields(RestartResult):
+            a, b = getattr(g, fld.name), getattr(w, fld.name)
+            if fld.name == "xi":
+                assert a.tobytes() == b.tobytes(), (g.index, fld.name)
+            else:
+                assert a == b, (g.index, fld.name, a, b)

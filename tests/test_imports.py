@@ -1,9 +1,10 @@
 """Every import in a flapkit module or a test file is used, every private
 module-level name is read somewhere in the package, every public one is read
 by a caller (or is on a short allow-list), and importing flapkit loads no
-scipy: only ``plan`` (for ``scipy.optimize.minimize``) and the
-rank-deficiency error path import it, inside the function.  Every name the
-benchmark tracer wraps by lookup still exists.
+scipy: only the planner's L-BFGS-B solve (for scipy's reverse-communication
+routine ``scipy.optimize._lbfgsb.setulb``, whose integer-task protocol
+dates from scipy 1.15) and the rank-deficiency error path import it, inside
+the function.  Every name the benchmark tracer wraps by lookup still exists.
 
 ``__init__.py`` is exempt from the unused-import check: its imports are the
 package's re-exports.  For the same reason it is no caller: a public name
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
+import scipy.optimize._lbfgsb
 
 import flapkit.planning
 from flapkit.planning import case_library
@@ -268,18 +269,22 @@ def test_plan_imports_scipy_optimize(tmp_path):
     assert "scipy.optimize" in scipy_modules_after(code, tmp_path)
 
 
-def test_plan_calls_scipy_optimize_minimize(monkeypatch):
-    calls = []
-    minimize = scipy.optimize.minimize
+def test_plan_drives_scipy_setulb(monkeypatch):
+    # every step of every inner solve is one call of scipy's L-BFGS-B
+    # routine: one per evaluation request (the start's included), one per
+    # iteration, and the one that ends the solve
+    calls = [0]
+    setulb = scipy.optimize._lbfgsb.setulb
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return minimize(*args, **kwargs)
+    def counting(*args):
+        calls[0] += 1
+        return setulb(*args)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", counting)
+    monkeypatch.setattr(scipy.optimize._lbfgsb, "setulb", counting)
     cons, opts, weights = case_library("line")
     traj, report = flapkit.planning.plan(cons, weights, opts)
-    assert calls and set(calls) == {"L-BFGS-B"}
+    solves = [s for r in report.restarts for s in r.solves]
+    assert solves and calls[0] == sum(nfev + nit + 1 for _, _, nit, nfev, _ in solves)
     assert np.isfinite(report.objective)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flapkit.cli
+import flapkit.planning
 from flapkit import io as kvio
 from flapkit.cli import main
 from flapkit.control import ControllerGains
@@ -796,3 +797,36 @@ class TestClosedLoopArguments:
         assert main(["simulate", "--traj", str(traj), "--out-state", str(state),
                      "--out-control", str(tmp_path / "control.csv"), "--duration", "0"]) == 0
         assert len(kvio.load_state_log(state).t) == 1
+
+
+class TestPlanOptionArguments:
+    """A planner option out of range exits 1 with one ``error:`` line that
+    names it, before any restart runs and before any file is written."""
+
+    @pytest.mark.parametrize("line, field", [
+        ("restarts = 0", "restarts"), ("restarts = -5", "restarts"),
+        ("segments = 0", "segments"), ("segments = -2", "segments"),
+        ("segment_duration = 0", "T"), ("segment_duration = -3", "T"),
+        ("segment_duration = Infinity", "T"),
+    ], ids=lambda v: v.replace(" ", ""))
+    def test_scenario_file(self, tmp_path, capsys, line, field):
+        scenario = tmp_path / "bad.kv"
+        scenario.write_text(f"end_pos = [1, 0, 0]\n{line}\n")
+        out = tmp_path / "t.csv"
+        assert main(["plan", "--scenario", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {scenario}: {field} "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("restarts", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["plan", "track"])
+    def test_restarts_flag(self, tmp_path, capsys, monkeypatch, command, restarts):
+        planned = []
+        monkeypatch.setattr(flapkit.planning, "_restart", lambda *args: planned.append(args))
+        out = tmp_path / "out"
+        argv = (["plan", "--scenario", "line", "--out", str(out)] if command == "plan"
+                else ["track", "--case", "line", "--out-dir", str(out)])
+        assert main([*argv, "--restarts", restarts]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: restarts must be at least 1, not {restarts}"]
+        assert planned == [] and not out.exists()
