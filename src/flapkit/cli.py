@@ -9,6 +9,7 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import re
@@ -143,6 +144,12 @@ def _params(cls, path):
     return kvio.load_kv(path, functools.partial(kvio.params_from_dict, cls)) if path else cls()
 
 
+def _planner_flags(opts, args):
+    """The scenario's planner options with the --restarts and --seed given."""
+    flags = {key: getattr(args, key) for key in ("restarts", "seed")}
+    return dataclasses.replace(opts, **{k: v for k, v in flags.items() if v is not None})
+
+
 def _fly(args, traj, state_path, control_path):
     """Closed-loop flight of traj under the command's options; writes the
     state and control logs and reports divergence on stderr."""
@@ -195,11 +202,7 @@ def _dispatch(args) -> int:
 
     if args.command == "plan":
         (cons, opts, weights), _ = _load_scenario(args.scenario)
-        if args.restarts is not None:
-            opts.restarts = args.restarts
-        if args.seed is not None:
-            opts.seed = args.seed
-        traj, report = run_planner(cons, weights, opts)
+        traj, report = run_planner(cons, weights, _planner_flags(opts, args))
         traj.to_coeff_csv(args.out)
         if args.sampled:
             traj.to_sampled_csv(args.sampled)
@@ -213,10 +216,7 @@ def _dispatch(args) -> int:
 
     if args.command == "track":
         (cons, opts, weights), name = _load_scenario(args.case)
-        if args.restarts is not None:
-            opts.restarts = args.restarts
-        opts.seed = args.seed
-        traj, report = run_planner(cons, weights, opts)
+        traj, report = run_planner(cons, weights, _planner_flags(opts, args))
         os.makedirs(args.out_dir, exist_ok=True)
         traj.to_coeff_csv(os.path.join(args.out_dir, "traj.csv"))
         result = _fly(

@@ -12,8 +12,8 @@ Every map from xi to what the penalized objective reads is linear and is
 precomputed once per plan: positions, velocities and accelerations at all
 samples come from one matrix product, the snap term is a quadratic in xi,
 and the gradient is assembled from the per-sample derivatives with one
-more product.  One evaluation builds the gradient block of a constraint
-family only for the points where one of its samples is active.
+more product.  Each constraint family's gradient block is written for every
+point, zero where none of its samples is active.
 
 The restarts run in lockstep, one L-BFGS-B per restart.  Each restart's
 solver is scipy's L-BFGS-B routine driven through its reverse-communication
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from .errors import (
     RankDeficientConstraintsError,
 )
 from .trajectory import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     ObjectiveWeights,
     PiecewiseTrajectory,
     PolySegment,
@@ -68,6 +71,20 @@ _FLIP = np.array([[1.0], [-1.0]])
 # ---------------------------------------------------------------------------
 # constraint data
 # ---------------------------------------------------------------------------
+
+
+def _finite(name: str, value) -> np.ndarray:
+    """``value`` as a float array; InvalidInputError naming ``name`` when an
+    entry is not finite."""
+    array = np.asarray(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise InvalidInputError(f"{name} must be finite, not {array.tolist()!r}")
+    return array
+
+
+def _check_radius(value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidInputError(f"obstacle radius must be positive and finite, not {value!r}")
 
 
 def _offsets(pos: np.ndarray, ref: np.ndarray, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,9 +110,8 @@ class Sphere(_Obstacle):
     axes = np.array([1.0, 1.0, 1.0])
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        if self.radius <= 0:
-            raise InvalidInputError("obstacle radius must be positive")
+        self.center = _finite("sphere center", self.center)
+        _check_radius(self.radius)
 
     @property
     def reference(self) -> np.ndarray:
@@ -112,9 +128,8 @@ class CylinderX(_Obstacle):
     axes = np.array([0.0, 1.0, 1.0])
 
     def __post_init__(self):
-        self.center_yz = np.asarray(self.center_yz, dtype=float)
-        if self.radius <= 0:
-            raise InvalidInputError("obstacle radius must be positive")
+        self.center_yz = _finite("cylinder center_yz", self.center_yz)
+        _check_radius(self.radius)
 
     @property
     def reference(self) -> np.ndarray:
@@ -137,7 +152,7 @@ class BoundaryConditions:
         for name in (
             "start_pos", "start_vel", "start_acc", "end_pos", "end_vel", "end_acc"
         ):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            setattr(self, name, _finite(name, getattr(self, name)))
 
 
 @dataclass
@@ -149,7 +164,8 @@ class Waypoint:
     position: np.ndarray
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
+        _finite("waypoint t_local", self.t_local)
+        self.position = _finite("waypoint position", self.position)
 
 
 @dataclass
@@ -163,48 +179,54 @@ class ConstraintSet:
     sample_interval: float = 0.15
 
     def __post_init__(self):
-        if min(self.v_h_max, self.v_v_max, self.psi_rate_max) <= 0:
-            raise InvalidInputError("kinodynamic limits must be positive")
-        if self.sample_interval <= 0:
-            raise InvalidInputError("sample interval must be positive")
+        # NaN fails each test and an infinity passes: an infinite limit lifts it
+        for name in ("v_h_max", "v_v_max", "psi_rate_max", "sample_interval"):
+            if not getattr(self, name) > 0:
+                raise InvalidInputError(f"{name} must be positive, not {getattr(self, name)!r}")
 
 
-@dataclass
+# The penalty method's constants.  Obstacles are inflated and limits
+# tightened by the margins, so that a penalty solve converged to _FEAS_TOL on
+# the margined problem leaves the raw sampled residuals identically zero
+# (margins exceed _FEAS_TOL by three orders of magnitude) and covers
+# inter-sample dips; each restart runs the rho schedule in turn.
+_OBSTACLE_MARGIN = 0.05
+_SPEED_MARGIN = 0.01
+_RATE_MARGIN = 0.02
+_FEAS_TOL = 1e-5
+_RHO_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
+
+# L-BFGS tolerances: a rho stage that cannot end its restart stops early
+# (the next stage moves its point anyway); the stage that ends a restart is
+# continued from its point to the tight set
+_STAGE_TOL = {"ftol": 1e-7, "gtol": 1e-5}
+_FINAL_TOL = {"ftol": 1e-14, "gtol": 1e-10}
+INNER_MAXITER = 200  # L-BFGS-B iterations per solve
+
+
+@dataclass(frozen=True)
 class PlanOptions:
+    """The planner's settings: the scenario file's planning keys."""
+
     segments: int = 1
     order: int = 6
     T: float = 3.0
     restarts: int = 16
     seed: int = 0
-    # Planning margins: obstacles are inflated and limits tightened so that a
-    # penalty solve converged to feas_tol on the margined problem leaves the
-    # raw sampled residuals identically zero (margins exceed feas_tol by
-    # three orders of magnitude) and covers inter-sample dips.
-    obstacle_margin: float = 0.05
-    speed_margin: float = 0.01
-    rate_margin: float = 0.02
-    feas_tol: float = 1e-5
-    rho_schedule: tuple = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
+    # the largest sampled excess of a feasible restart, not a setting
+    feas_tol: ClassVar[float] = _FEAS_TOL
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise InvalidInputError naming the first field out of range; the
-        fields stay mutable, so ``plan`` checks them again."""
+        """Raise InvalidInputError naming the first field out of range."""
         if self.restarts < 1:
             raise InvalidInputError(f"restarts must be at least 1, not {self.restarts}")
         if self.segments < 1:
             raise InvalidInputError(f"segments must be at least 1, not {self.segments}")
-        for name, label in (("T", "T (the segment duration)"), ("feas_tol", "feas_tol")):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidInputError(f"{label} must be positive and finite, not {value!r}")
-        rho = np.asarray(self.rho_schedule, dtype=float)
-        if not (rho.ndim == 1 and rho.size and np.all(rho > 0) and np.all(np.diff(rho) > 0)):
+        if not (math.isfinite(self.T) and self.T > 0):
             raise InvalidInputError(
-                f"rho_schedule must be a non-empty increasing run of positive numbers, "
-                f"not {self.rho_schedule!r}")
+                f"T (the segment duration) must be positive and finite, not {self.T!r}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, not {self.seed}")
 
 
 def sample_times(duration: float, interval: float) -> np.ndarray:
@@ -448,13 +470,6 @@ class _SampledLaw:
         return table, h, u, den, rate, delta, dist
 
 
-def _rows(mask: np.ndarray):
-    """Index of the rows where ``mask`` holds: a slice when it holds for
-    all (a view, no copy), None when for none."""
-    live = np.count_nonzero(mask)
-    return slice(None) if live == mask.size else mask if live else None
-
-
 def _worst(excess: np.ndarray, times: np.ndarray) -> tuple[float, float]:
     """The largest excess and its sample time, (0, 0) when none exceeds."""
     i = int(excess.argmax()) if excess.size else 0
@@ -497,14 +512,6 @@ def constraint_residuals(
 # ---------------------------------------------------------------------------
 
 
-# L-BFGS tolerances: a rho stage that cannot end its restart stops early
-# (the next stage moves its point anyway); the stage that ends a restart is
-# continued from its point to the tight set
-_STAGE_TOL = {"ftol": 1e-7, "gtol": 1e-5}
-_FINAL_TOL = {"ftol": 1e-14, "gtol": 1e-10}
-INNER_MAXITER = 200  # L-BFGS-B iterations per solve
-
-
 class _PenaltyProblem:
     """Snap objective plus rho-weighted squared rectified penalties in the
     reduced coordinates of the equality null space.
@@ -529,7 +536,7 @@ class _PenaltyProblem:
         self.k = z_basis.shape[1]
         self.n = opts.order + 1
 
-        self.law = _SampledLaw(cons, opts.speed_margin, opts.rate_margin, opts.obstacle_margin)
+        self.law = _SampledLaw(cons, _SPEED_MARGIN, _RATE_MARGIN, _OBSTACLE_MARGIN)
 
         mu_p = weights.mu_p
         q_blk = _snap_block(opts)
@@ -545,12 +552,11 @@ class _PenaltyProblem:
         rows = [self._basis(self.tau, order) for order in range(3)]
         self.mu_v = weights.mu_v
         if self.mu_v:
-            nodes, wts = np.polynomial.legendre.leggauss(32)
             v_nodes = np.concatenate(
-                [s * opts.T + 0.5 * opts.T * (nodes + 1.0) for s in range(opts.segments)]
+                [s * opts.T + 0.5 * opts.T * (_GL_NODES + 1.0) for s in range(opts.segments)]
             )
             rows.append(self._basis(v_nodes, 1))
-            self.v_weights = self.mu_v * np.tile(0.5 * opts.T * wts, (3, opts.segments))
+            self.v_weights = self.mu_v * np.tile(0.5 * opts.T * _GL_WEIGHTS, (3, opts.segments))
         phi = np.vstack(rows)
         self.b = phi @ z_basis
         self.bt = np.ascontiguousarray(self.b.T)
@@ -580,9 +586,7 @@ class _PenaltyProblem:
     def evaluate(self, xi: np.ndarray, rho) -> tuple[list, np.ndarray, np.ndarray]:
         """Objective + rho * penalty, its gradient, and the law's excess
         table at each row of xi (R, 3k), row r at stage rho[r]: a list of R
-        values, gradients (R, 3k) and tables (R, rows, m).  A family's
-        gradient block, zero where no sample is active, is built only for
-        the rows where one is.
+        values, gradients (R, 3k) and tables (R, rows, m).
 
         Rows do not mix: the products run one BLAS call per row, as they
         would on that row alone, so row r is bit for bit the one-row call."""
@@ -592,26 +596,18 @@ class _PenaltyProblem:
         s = self.s0 + x @ self.bt
         pos, vel, acc = s[..., :m], s[..., m : 2 * m], s[..., 2 * m : 3 * m]
         excess, h, u, den, rate, delta, dist = self.law.excess(pos, vel, acc)
-        live = excess.any(axis=-1)
         # d = d(penalty)/dS, scaled by rho before the path-length columns
         d = np.zeros(s.shape)
-        rows = _rows(live[:, 1])
-        if rows is not None:
-            d[rows, 2, m : 2 * m] = np.copysign(2.0 * excess[rows, 1], vel[rows, 2])
-        rows = _rows(live[:, 0] | live[:, 2])
-        if rows is not None:
-            e, h, u, den, rate, v, a = (arr[rows] for arr in (excess, h, u, den, rate, vel, acc))
-            w_h = 2.0 * e[:, 0] / np.maximum(h, 1e-12)
-            w = np.copysign(2.0 * e[:, 2], rate) / den
-            # the rate's speed dependence vanishes where the floor holds
-            w_h -= 2.0 * w * rate * (u > SPEED_FLOOR**2)
-            w_h, w = w_h[:, None], w[:, None]
-            d[rows, :2, m : 2 * m] = w_h * v[:, :2] + w * (a[:, 1::-1] * _FLIP)
-            d[rows, :2, 2 * m : 3 * m] = -w * (v[:, 1::-1] * _FLIP)
-        rows = _rows(live[:, 3:].any(axis=-1))
-        if rows is not None:
-            g = excess[rows, 3:]
-            d[rows, :, :m] = ((-2.0 * g / dist[rows])[..., None, :] * delta[rows]).sum(axis=1)
+        d[:, 2, m : 2 * m] = np.copysign(2.0 * excess[:, 1], vel[:, 2])
+        w_h = 2.0 * excess[:, 0] / np.maximum(h, 1e-12)
+        w = np.copysign(2.0 * excess[:, 2], rate) / den
+        # the rate's speed dependence vanishes where the floor holds
+        w_h -= 2.0 * w * rate * (u > SPEED_FLOOR**2)
+        w_h, w = w_h[:, None], w[:, None]
+        d[:, :2, m : 2 * m] = w_h * vel[:, :2] + w * (acc[:, 1::-1] * _FLIP)
+        d[:, :2, 2 * m : 3 * m] = -w * (vel[:, 1::-1] * _FLIP)
+        if delta is not None:
+            d[:, :, :m] = ((-2.0 * excess[:, 3:] / dist)[..., None, :] * delta).sum(axis=1)
 
         xh = x @ self.h
         q = self.g0 + 0.5 * xh
@@ -713,7 +709,7 @@ class RestartResult:
     solves: list
 
 
-def _restart(problem: _PenaltyProblem, opts: PlanOptions, index: int, xi: np.ndarray):
+def _restart(problem: _PenaltyProblem, index: int, xi: np.ndarray):
     """One restart from xi: the rho schedule with inexact stages, then the
     end point's first-order measures.  A generator of (point, rho) to
     evaluate, sent back (value, gradient, excess) there; returns the
@@ -728,12 +724,12 @@ def _restart(problem: _PenaltyProblem, opts: PlanOptions, index: int, xi: np.nda
         return _worst(excess, problem.tau)[0]
 
     rho = 0.0
-    for stage, rho in enumerate(opts.rho_schedule if xi.size else ()):
+    for stage, rho in enumerate(_RHO_SCHEDULE if xi.size else ()):
         xi, excess = yield from _lbfgsb(xi, rho, False, solves)
-        last = stage == len(opts.rho_schedule) - 1
-        if last or (yield from worst(xi, excess)) <= opts.feas_tol:
+        last = stage == len(_RHO_SCHEDULE) - 1
+        if last or (yield from worst(xi, excess)) <= _FEAS_TOL:
             xi, excess = yield from _lbfgsb(xi, rho, True, solves)
-            if (yield from worst(xi, excess)) <= opts.feas_tol:
+            if (yield from worst(xi, excess)) <= _FEAS_TOL:
                 break
     value, grad_f, excess = yield xi, 0.0
     grad_q = (yield xi, rho)[1]
@@ -830,12 +826,11 @@ def plan(
     with one penalty evaluation per round for the points they all wait on.
     Returns the feasible restart with the lowest objective (ties broken by
     restart index) or raises PlanInfeasibleError with the worst residual
-    and its sample time.  Raises InvalidInputError for options out of range.
+    and its sample time.
     """
     t_start = time.perf_counter()
     weights = weights or ObjectiveWeights()
     opts = opts or PlanOptions()
-    opts.validate()
 
     if not sample_times(opts.segments * opts.T, cons.sample_interval).size:
         raise InvalidInputError(f"sample interval {cons.sample_interval:g} s leaves no sample "
@@ -853,7 +848,7 @@ def plan(
 
     # the restarts in lockstep: each round evaluates the point every
     # unfinished restart waits on, in one call
-    runs = [_restart(problem, opts, index, start(index)) for index in range(opts.restarts)]
+    runs = [_restart(problem, index, start(index)) for index in range(opts.restarts)]
     waiting = {index: next(run) for index, run in enumerate(runs)}
     results: list = [None] * len(runs)
     while waiting:
@@ -866,7 +861,7 @@ def plan(
                 results[index] = done.value
                 del waiting[index]
 
-    feasible = [r for r in results if r.max_excess <= opts.feas_tol]
+    feasible = [r for r in results if r.max_excess <= _FEAS_TOL]
     if not feasible:
         worst_restart = min(results, key=lambda r: r.max_excess)
         raise PlanInfeasibleError(

@@ -11,7 +11,9 @@ import scipy.optimize
 from flapkit.planning import (
     INNER_MAXITER,
     RestartResult,
+    _FEAS_TOL,
     _FINAL_TOL,
+    _RHO_SCHEDULE,
     _STAGE_TOL,
     _PenaltyProblem,
     _initial_guess,
@@ -119,12 +121,12 @@ def sequential_restarts(cons, weights, opts) -> list:
             rng = np.random.default_rng([opts.seed, index])
             xi = _initial_guess(rng, local, opts, problem.z)
         rho, solves = 0.0, []
-        for stage, rho in enumerate(opts.rho_schedule if xi.size else ()):
+        for stage, rho in enumerate(_RHO_SCHEDULE if xi.size else ()):
             xi = solve(xi, rho, False, solves)
-            last = stage == len(opts.rho_schedule) - 1
-            if last or worst(xi) <= opts.feas_tol:
+            last = stage == len(_RHO_SCHEDULE) - 1
+            if last or worst(xi) <= _FEAS_TOL:
                 xi = solve(xi, rho, True, solves)
-                if worst(xi) <= opts.feas_tol:
+                if worst(xi) <= _FEAS_TOL:
                     break
         value, grad_f, excess = evaluate(xi, 0.0)
         grad_q = evaluate(xi, rho)[1]

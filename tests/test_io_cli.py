@@ -407,7 +407,7 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert seen == [(2, 7)]
         cons, opts, weights = case_library("c")
-        opts.restarts, opts.seed = 2, 7
+        opts = dataclasses.replace(opts, restarts=2, seed=7)
         plan(cons, weights, opts)[0].to_coeff_csv(tmp_path / "want.csv")
         assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -807,16 +807,18 @@ class TestPlanOptionArguments:
         ("restarts = 0", "restarts"), ("restarts = -5", "restarts"),
         ("segments = 0", "segments"), ("segments = -2", "segments"),
         ("segment_duration = 0", "T"), ("segment_duration = -3", "T"),
-        ("segment_duration = Infinity", "T"),
+        ("segment_duration = Infinity", "T"), ("seed = -2", "seed"),
     ], ids=lambda v: v.replace(" ", ""))
-    def test_scenario_file(self, tmp_path, capsys, line, field):
+    def test_scenario_file(self, tmp_path, capsys, monkeypatch, line, field):
+        planned = []
+        monkeypatch.setattr(flapkit.planning, "_restart", lambda *args: planned.append(args))
         scenario = tmp_path / "bad.kv"
         scenario.write_text(f"end_pos = [1, 0, 0]\n{line}\n")
         out = tmp_path / "t.csv"
         assert main(["plan", "--scenario", str(scenario), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {scenario}: {field} "), err
-        assert not out.exists()
+        assert planned == [] and not out.exists()
 
     @pytest.mark.parametrize("restarts", ["0", "-5"])
     @pytest.mark.parametrize("command", ["plan", "track"])
@@ -830,3 +832,61 @@ class TestPlanOptionArguments:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: restarts must be at least 1, not {restarts}"]
         assert planned == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["plan", "track"])
+    def test_negative_seed_flag(self, tmp_path, capsys, monkeypatch, command):
+        planned = []
+        monkeypatch.setattr(flapkit.planning, "_restart", lambda *args: planned.append(args))
+        out = tmp_path / "out"
+        argv = (["plan", "--scenario", "line", "--out", str(out)] if command == "plan"
+                else ["track", "--case", "line", "--out-dir", str(out)])
+        assert main([*argv, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed must be non-negative, not -1"]
+        assert planned == [] and not out.exists()
+
+
+class TestScenarioGeometry:
+    """Scenario geometry must be finite: a non-finite entry exits 1 with one
+    ``error:`` line naming its field, before any restart runs and before any
+    file is written.  Only the limits may be infinite."""
+
+    @pytest.mark.parametrize("line, field", [
+        ("end_pos = [Infinity, 0, 0]", "end_pos"),
+        ("start_vel = [0, -Infinity, 0]", "start_vel"),
+        ("waypoint = [0, 1.0, Infinity, 0, 0]", "waypoint position"),
+        ("waypoint = [0, Infinity, 1, 0, 0]", "waypoint t_local"),
+        ("sphere = [0.5, 0.5, 0.5, Infinity]", "obstacle radius"),
+        ("sphere = [0.5, -Infinity, 0.5, 0.3]", "sphere center"),
+        ("cylinder_x = [Infinity, 0, 0.3]", "cylinder center_yz"),
+    ], ids=lambda v: v.replace(" ", ""))
+    def test_non_finite_entry_exits_1(self, tmp_path, capsys, monkeypatch, line, field):
+        planned = []
+        monkeypatch.setattr(flapkit.planning, "_restart", lambda *args: planned.append(args))
+        scenario = tmp_path / "bad.kv"
+        scenario.write_text(f"restarts = 2\n{line}\n")
+        out = tmp_path / "t.csv"
+        assert main(["plan", "--scenario", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {scenario}: {field} must be"), err
+        assert planned == [] and not out.exists()
+
+    def test_infinite_limits_plan(self, tmp_path, capsys):
+        scenario = tmp_path / "free.kv"
+        scenario.write_text("end_pos = [1, 0, 0]\nrestarts = 2\nv_h_max = Infinity\n"
+                            "v_v_max = Infinity\npsi_rate_max = Infinity\n")
+        out = tmp_path / "t.csv"
+        assert main(["plan", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert "objective" in capsys.readouterr().out and out.exists()
+
+
+def test_every_planner_setting_has_a_scenario_key():
+    # a dataclass field a scenario file cannot set is a setting no caller
+    # sets: PlanOptions, ObjectiveWeights, BoundaryConditions and the scalar
+    # limits of ConstraintSet are each the file's keys
+    settings = [(cls, fld.name) for cls in (PlanOptions, ObjectiveWeights, BoundaryConditions)
+                for fld in dataclasses.fields(cls)]
+    settings += [(ConstraintSet, name) for name, value in kvio._defaults(ConstraintSet).items()
+                 if isinstance(value, float)]
+    keyed = set(kvio._SCENARIO_FIELDS.values())
+    assert [f"{cls.__name__}.{name}" for cls, name in settings if (cls, name) not in keyed] == []

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import dataclasses
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,12 @@ from flapkit.planning import (
     sample_times,
     solve_qp_equality,
     solve_qp_equality_full,
+    _FEAS_TOL,
     _FINAL_TOL,
+    _OBSTACLE_MARGIN,
+    _RATE_MARGIN,
+    _RHO_SCHEDULE,
+    _SPEED_MARGIN,
     _STAGE_TOL,
     _PenaltyProblem,
     _SampledLaw,
@@ -136,7 +142,7 @@ class TestQpOracle:
     def test_more_rows_than_coefficients_names_every_row(self):
         # a cubic has 4 coefficients per axis; the boundary pins 6 rows
         cons, opts = rest_to_rest([1.0, 0.0, 0.0])
-        opts.order = 3
+        opts = replace(opts, order=3)
         _, _, labels = build_equality_system(cons, opts)
         with pytest.raises(RankDeficientConstraintsError, match="more constraints") as err:
             solve_qp_equality(cons, None, opts)
@@ -258,7 +264,7 @@ def rec(x):
     return np.maximum(x, 0.0)
 
 
-def oracle_excess(traj, cons, opts):
+def oracle_excess(traj, cons):
     """Rectified residuals recomputed from the trajectory at the sample
     times with the margined limits, one array per family; the azimuth rate
     is split where the speed floor holds and where it does not."""
@@ -266,22 +272,22 @@ def oracle_excess(traj, cons, opts):
     pos, vel, acc = (traj.eval_many(tau, order) for order in range(3))
     rate = np.abs(azimuth_rate(vel, acc))
     floored = np.hypot(vel[:, 0], vel[:, 1]) < SPEED_FLOOR
-    rate_excess = rec(rate - (cons.psi_rate_max - opts.rate_margin))
+    rate_excess = rec(rate - (cons.psi_rate_max - _RATE_MARGIN))
     excess = {
-        "h_speed": rec(np.hypot(vel[:, 0], vel[:, 1]) - (cons.v_h_max - opts.speed_margin)),
-        "v_speed": rec(np.abs(vel[:, 2]) - (cons.v_v_max - opts.speed_margin)),
+        "h_speed": rec(np.hypot(vel[:, 0], vel[:, 1]) - (cons.v_h_max - _SPEED_MARGIN)),
+        "v_speed": rec(np.abs(vel[:, 2]) - (cons.v_v_max - _SPEED_MARGIN)),
         "rate_floored": rate_excess * floored,
         "rate_unfloored": rate_excess * ~floored,
     }
     for j, ob in enumerate(cons.obstacles):
-        excess[f"obstacle{j}"] = rec(ob.radius + opts.obstacle_margin - ob.distance(pos))
+        excess[f"obstacle{j}"] = rec(ob.radius + _OBSTACLE_MARGIN - ob.distance(pos))
     return excess
 
 
-def oracle_value(traj, cons, opts, weights, rho):
+def oracle_value(traj, cons, weights, rho):
     """Penalized objective recomputed from the trajectory at the sample
     times with the margined limits, and the per-family activity."""
-    excess = oracle_excess(traj, cons, opts)
+    excess = oracle_excess(traj, cons)
     penalty = sum(float(e @ e) for e in excess.values())
     value = snap_objective(traj, weights) + rho * penalty
     return value, {name: bool(np.any(e > 0)) for name, e in excess.items()}
@@ -362,7 +368,7 @@ class TestPenaltyEvaluation:
             xi = rng.normal(scale=2.0, size=3 * problem.k)
             rho = 10.0 ** rng.integers(0, 5)
             value, grad, _ = evaluate_one(problem, xi, rho)
-            expected, flags = oracle_value(problem.trajectory(xi), cons, opts, weights, rho)
+            expected, flags = oracle_value(problem.trajectory(xi), cons, weights, rho)
             # the soft-abs path term exceeds |v| by at most 1e-8 per axis
             assert value == pytest.approx(
                 expected, rel=1e-12, abs=3 * segments * opts.T * mu_v * 1e-8 + 1e-12
@@ -376,9 +382,9 @@ class TestPenaltyEvaluation:
 
     @pytest.mark.parametrize("live", LIVE_SETS, ids=live_set_id)
     def test_families_active_in_turn(self, live):
-        # evaluate() builds a family's gradient block only where one of
-        # its samples is active: each family, and each obstacle, inactive
-        # in turn; one family alone active; none active
+        # evaluate() writes every family's gradient block, zero where none
+        # of its samples is active: each family, and each obstacle,
+        # inactive in turn; one family alone active; none active
         cons = live_families_constraints(live)
         opts = PlanOptions(segments=2, T=1.0)
         weights = ObjectiveWeights(mu_p=1.0, mu_v=0.0)
@@ -392,7 +398,7 @@ class TestPenaltyEvaluation:
             rho = 10.0 ** rng.integers(0, 5)
             drawn.append((xi, rho))
             traj = problem.trajectory(xi)
-            expected, flags = oracle_value(traj, cons, opts, weights, rho)
+            expected, flags = oracle_value(traj, cons, weights, rho)
             active = {"rate" if name.startswith("rate") else name for name, f in flags.items() if f}
             if active != live:
                 continue
@@ -400,7 +406,7 @@ class TestPenaltyEvaluation:
             value, grad, excess = evaluate_one(problem, xi, rho)
             assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
-            oracle = oracle_excess(traj, cons, opts)
+            oracle = oracle_excess(traj, cons)
             rows = [oracle["h_speed"], oracle["v_speed"]]
             rows.append(oracle["rate_floored"] + oracle["rate_unfloored"])
             rows += [oracle[f"obstacle{j}"] for j in range(len(cons.obstacles))]
@@ -411,8 +417,8 @@ class TestPenaltyEvaluation:
             fd = central_differences(problem, xi, rho)
             assert np.allclose(grad, fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd)))
             # beside points drawn before it, whose live families differ, its
-            # row of one batch is this evaluation: each block is written
-            # only for the rows where its family is live
+            # row of one batch is this evaluation: each row's blocks are its
+            # own, zero where its family is not live
             assert_rows_are_one_row_calls(problem, *zip(*drawn[-6:]))
             if checked == 3:
                 break
@@ -452,18 +458,21 @@ class TestOneLaw:
 
     @pytest.mark.parametrize("segments", [1, 2])
     def test_penalty_rows_are_the_report(self, segments):
-        # with zero margins the penalty's excess table, sampled through
-        # S0 + X B^T, sums to the report's fields, sampled by Horner's rule
+        # the penalty's excess table, sampled through S0 + X B^T, sums to
+        # the report's fields, sampled by Horner's rule, on the constraint
+        # set with the margins applied
         cons = every_family_constraints()
-        opts = PlanOptions(
-            segments=segments, T=1.0, speed_margin=0.0, rate_margin=0.0, obstacle_margin=0.0
+        margined = replace(
+            cons, v_h_max=cons.v_h_max - _SPEED_MARGIN, v_v_max=cons.v_v_max - _SPEED_MARGIN,
+            psi_rate_max=cons.psi_rate_max - _RATE_MARGIN,
+            obstacles=[replace(ob, radius=ob.radius + _OBSTACLE_MARGIN) for ob in cons.obstacles],
         )
-        problem = _PenaltyProblem(cons, ObjectiveWeights(), opts)
+        problem = _PenaltyProblem(cons, ObjectiveWeights(), PlanOptions(segments=segments, T=1.0))
         rng = np.random.default_rng(segments)
         for _ in range(8):
             xi = rng.normal(scale=rng.choice([0.3, 1.0, 3.0]), size=3 * problem.k)
             sums = evaluate_one(problem, xi, 0.0)[2].sum(axis=1)
-            report = constraint_residuals(problem.trajectory(xi), cons)
+            report = constraint_residuals(problem.trajectory(xi), margined)
             fields = [report.h_speed, report.v_speed, report.psi_rate, *report.obstacles]
             assert fields == pytest.approx(sums.tolist(), rel=1e-12, abs=1e-12)
 
@@ -547,7 +556,7 @@ class TestPlan:
         # a quintic has 6 coefficients per axis and the boundary pins 6 rows:
         # the null space is empty, so no restart runs a solver stage
         cons, opts = rest_to_rest([1.0, 0.0, 0.0])
-        opts.order, opts.restarts = 5, 2
+        opts = replace(opts, order=5, restarts=2)
         assert _PenaltyProblem(cons, ObjectiveWeights(), opts).k == 0
         traj, report = plan(cons, None, opts)
         want = solve_qp_equality(cons, None, opts)
@@ -636,28 +645,39 @@ class TestPlan:
             boundary=BoundaryConditions(end_pos=[0.2, 0.0, 0.0]),
             obstacles=[Sphere(center=[0.1, 0.0, 0.0], radius=2.0)],
         )
-        opts = PlanOptions(restarts=2, seed=0, rho_schedule=(1e2, 1e3))
+        opts = PlanOptions(restarts=2, seed=0)
         with pytest.raises(PlanInfeasibleError) as err:
             plan(cons, ObjectiveWeights(), opts)
         assert err.value.worst_residual > 0.1
 
 
+OUT_OF_RANGE = [
+    ("restarts", 0), ("restarts", -5), ("segments", 0), ("segments", -2),
+    ("T", 0.0), ("T", -1.0), ("T", math.inf), ("T", math.nan), ("seed", -1),
+]
+
+
 class TestPlanOptions:
-    @pytest.mark.parametrize("field, value", [
-        ("restarts", 0), ("restarts", -5), ("segments", 0), ("segments", -2),
-        ("T", 0.0), ("T", -1.0), ("T", math.inf), ("T", math.nan),
-        ("feas_tol", 0.0), ("feas_tol", -1e-5), ("feas_tol", math.inf), ("feas_tol", math.nan),
-        ("rho_schedule", ()), ("rho_schedule", (1e3, 1e2)), ("rho_schedule", (1e2, 1e2)),
-        ("rho_schedule", (0.0, 1e2)), ("rho_schedule", (-1.0,)),
-    ], ids=str)
+    @pytest.mark.parametrize("field, value", OUT_OF_RANGE, ids=str)
     def test_rejects_a_field_out_of_range(self, field, value):
         with pytest.raises(InvalidInputError, match=f"^{field}"):
             PlanOptions(**{field: value})
-        # the fields stay mutable: plan checks them before it plans
-        cons, opts = rest_to_rest([1.0, 0.0, 0.0])
-        setattr(opts, field, value)
+
+    @pytest.mark.parametrize("field, value", OUT_OF_RANGE, ids=str)
+    def test_frozen_so_checked_once(self, field, value):
+        # a field cannot be set past the checks; a replaced copy runs them
+        opts = PlanOptions()
+        with pytest.raises(FrozenInstanceError):
+            setattr(opts, field, value)
         with pytest.raises(InvalidInputError, match=f"^{field}"):
-            plan(cons, None, opts)
+            replace(opts, **{field: value})
+
+    def test_fields_are_the_settings(self):
+        # the penalty's tuning is constants; the feasibility tolerance stays
+        # readable on the class
+        assert [fld.name for fld in dataclasses.fields(PlanOptions)] == [
+            "segments", "order", "T", "restarts", "seed"]
+        assert PlanOptions.feas_tol == PlanOptions().feas_tol == _FEAS_TOL
 
 
 class TestCaseLibrary:
@@ -763,8 +783,7 @@ def check_case_plan(name, traj, report):
 
 def plan_case(name, seed):
     cons, opts, weights = case_library(name)
-    opts.seed = seed
-    return plan(cons, weights, opts)
+    return plan(cons, weights, replace(opts, seed=seed))
 
 
 @pytest.fixture(scope="module")
@@ -804,7 +823,7 @@ class TestInexactStages:
         problem = _PenaltyProblem(_relative_to(cons, cons.boundary.start_pos), weights, opts)
         _, report = recorded_plans[name]
         for r in report.restarts:
-            assert r.rho in opts.rho_schedule
+            assert r.rho in _RHO_SCHEDULE
             _, grad_f, _ = evaluate_one(problem, r.xi, 0.0)
             _, grad_q, _ = evaluate_one(problem, r.xi, r.rho)
             assert r.stationarity == pytest.approx(
@@ -848,7 +867,7 @@ class TestInexactStages:
         monkeypatch.setattr(flapkit.planning, "_restart",
                             lambda *args: counted(restart(*args), restart_points))
         cons, opts, weights = case_library("a")
-        opts.restarts = 4
+        opts = replace(opts, restarts=4)
         _, report = plan(cons, weights, opts)
         assert len(nfevs) >= 2 * opts.restarts
         assert solve_points == nfevs
@@ -874,7 +893,7 @@ def check_lockstep_against_oracle(name, seed):
     """Every restart of ``plan`` equals the sequential oracle's bit for
     bit: end point, objective, first-order measures and solve records."""
     cons, opts, weights = case_library(name)
-    opts.seed = seed
+    opts = replace(opts, seed=seed)
     want = sequential_restarts(cons, weights, opts)
     try:
         got = plan(cons, weights, opts)[1].restarts
@@ -905,8 +924,41 @@ def test_seed_sweep_keeps_the_basins(name):
     for seed in range(20):
         traj, report = plan_case(name, seed)
         check_case_plan(name, traj, report)
-        feasible = sum(r.max_excess <= PlanOptions().feas_tol for r in report.restarts)
+        feasible = sum(r.max_excess <= _FEAS_TOL for r in report.restarts)
         assert feasible >= 8, (seed, feasible)
+
+
+# a geometry entry or limit the constraint classes reject, and the name
+# their message starts with: the other arguments are valid
+NON_FINITE = [
+    (BoundaryConditions, "end_pos", [math.inf, 0.0, 0.0], "end_pos"),
+    (BoundaryConditions, "start_vel", [0.0, math.nan, 0.0], "start_vel"),
+    (Waypoint, "position", [0.0, 1.0, math.inf], "waypoint position"),
+    (Waypoint, "t_local", math.nan, "waypoint t_local"),
+    (Sphere, "center", [0.5, -math.inf, 0.5], "sphere center"),
+    (Sphere, "center", [0.5, 0.5, math.nan], "sphere center"),
+    (Sphere, "radius", math.inf, "obstacle radius"),
+    (Sphere, "radius", math.nan, "obstacle radius"),
+    (CylinderX, "center_yz", [math.nan, 0.0], "cylinder center_yz"),
+    (CylinderX, "radius", math.nan, "obstacle radius"),
+    (ConstraintSet, "v_h_max", math.nan, "v_h_max"),
+    (ConstraintSet, "v_v_max", math.nan, "v_v_max"),
+    (ConstraintSet, "psi_rate_max", math.nan, "psi_rate_max"),
+    (ConstraintSet, "sample_interval", math.nan, "sample_interval"),
+]
+VALID = {
+    Waypoint: {"segment": 0, "t_local": 1.0, "position": [0.0, 1.0, 0.0]},
+    Sphere: {"center": [0.5, 0.5, 0.5], "radius": 0.3},
+    CylinderX: {"center_yz": [0.5, 0.5], "radius": 0.3},
+}
+
+
+class TestFiniteGeometry:
+    @pytest.mark.parametrize("cls, field, value, name", NON_FINITE,
+                             ids=[f"{c.__name__}.{f}={v}" for c, f, v, _ in NON_FINITE])
+    def test_rejects_by_field_name(self, cls, field, value, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+            cls(**{**VALID.get(cls, {}), field: value})
 
 
 class TestObstacles:
