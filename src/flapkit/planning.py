@@ -20,7 +20,10 @@ solver is scipy's L-BFGS-B routine driven through its reverse-communication
 interface, step for step as ``scipy.optimize.minimize`` drives it, so each
 restart takes the iterate path it would take alone; each round evaluates
 the points that every unfinished restart waits on in one call, stacked on
-a leading restart axis.
+a leading restart axis.  The routine comes from scipy's compiled
+``_lbfgsb`` extension, loaded on its own: importing it through
+``scipy.optimize`` would import all of that package (~0.6 s and ~37 MB in
+a fresh process) for one function.
 
 The planner works in coordinates relative to the start position, so a
 translated scenario presents the solver with the same numbers and yields
@@ -36,7 +39,12 @@ raw constraint set in the caller's coordinates.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -512,6 +520,13 @@ def constraint_residuals(
 # ---------------------------------------------------------------------------
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The inner product of each row of ``a`` (R, ...) with the same row of
+    ``b`` (R or 1, ...): one stacked vector-vector product, each row the
+    dot ``np.vdot`` takes of the flattened rows."""
+    return (a.reshape(len(a), 1, -1) @ b.reshape(len(b), -1, 1))[:, 0, 0]
+
+
 class _PenaltyProblem:
     """Snap objective plus rho-weighted squared rectified penalties in the
     reduced coordinates of the equality null space.
@@ -556,7 +571,7 @@ class _PenaltyProblem:
                 [s * opts.T + 0.5 * opts.T * (_GL_NODES + 1.0) for s in range(opts.segments)]
             )
             rows.append(self._basis(v_nodes, 1))
-            self.v_weights = self.mu_v * np.tile(0.5 * opts.T * _GL_WEIGHTS, (3, opts.segments))
+            self.v_weights = self.mu_v * np.tile(0.5 * opts.T * _GL_WEIGHTS, (1, 3, opts.segments))
         phi = np.vstack(rows)
         self.b = phi @ z_basis
         self.bt = np.ascontiguousarray(self.b.T)
@@ -586,10 +601,12 @@ class _PenaltyProblem:
     def evaluate(self, xi: np.ndarray, rho) -> tuple[list, np.ndarray, np.ndarray]:
         """Objective + rho * penalty, its gradient, and the law's excess
         table at each row of xi (R, 3k), row r at stage rho[r]: a list of R
-        values, gradients (R, 3k) and tables (R, rows, m).
+        values (Python floats), gradients (R, 3k) and tables (R, rows, m).
 
         Rows do not mix: the products run one BLAS call per row, as they
-        would on that row alone, so row r is bit for bit the one-row call."""
+        would on that row alone, so row r is bit for bit the one-row call.
+        The values' inner products are one stacked product per term, each
+        row the dot ``np.vdot`` takes."""
         x = xi.reshape(len(xi), 3, self.k)
         rho = np.asarray(rho, dtype=float)
         m = self.tau.size
@@ -611,21 +628,15 @@ class _PenaltyProblem:
 
         xh = x @ self.h
         q = self.g0 + 0.5 * xh
-        values = [
-            self.f0 + float(np.vdot(q_r, x_r)) + rho_r * float(np.vdot(e_r, e_r))
-            for q_r, x_r, e_r, rho_r in zip(q, x, excess, rho.tolist())
-        ]
+        values = self.f0 + _row_dots(q, x) + rho * _row_dots(excess, excess)
         d *= rho[:, None, None]
         if self.mu_v:
             v = s[..., 3 * m :]
             soft = np.sqrt(v * v + _SOFTABS_EPS**2)
-            values = [
-                value + float(np.vdot(soft_r, self.v_weights))
-                for value, soft_r in zip(values, soft)
-            ]
+            values += _row_dots(soft, self.v_weights)
             d[..., 3 * m :] = v / soft * self.v_weights
         grad = self.g0 + xh + d @ self.b
-        return values, grad.reshape(len(x), -1), excess
+        return values.tolist(), grad.reshape(len(x), -1), excess
 
 
 # L-BFGS-B as ``scipy.optimize.minimize(method="L-BFGS-B")`` runs it: its
@@ -633,13 +644,44 @@ class _PenaltyProblem:
 _MAXCOR = 10
 _MAXLS = 20
 
+def _lbfgsb_spec():
+    """The spec of scipy's L-BFGS-B extension file in the installed scipy's
+    ``optimize/`` directory, named ``flapkit._lbfgsb`` (the init symbol
+    follows the name's last part); None when no extension file is found
+    there."""
+    import scipy
+
+    optimize = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    found = importlib.machinery.PathFinder.find_spec("_lbfgsb", [optimize])
+    if found is None:
+        return None
+    return importlib.util.spec_from_file_location("flapkit._lbfgsb", found.origin)
+
+
+@functools.cache
+def _setulb():
+    """scipy's reverse-communication L-BFGS-B routine ``setulb``, loaded
+    once per process from the extension file alone, so ``scipy.optimize``
+    is not imported; by the normal import when the file is not found."""
+    spec = _lbfgsb_spec()
+    if spec is None:
+        from scipy.optimize._lbfgsb import setulb
+
+        return setulb
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.setulb
+
 
 def _lbfgsb(x0: np.ndarray, rho: float, tight: bool, solves: list):
     """One L-BFGS-B solve of the stage-rho problem from x0, to the tight
     tolerances or the stage's, driven through scipy's reverse-communication
-    routine ``setulb`` step for step as ``scipy.optimize.minimize`` drives
-    it: x0 is evaluated first, a point is evaluated again only when it
-    moved, and the solve stops at ``INNER_MAXITER`` iterations.
+    routine ``setulb`` (see ``_setulb``) step for step as
+    ``scipy.optimize.minimize`` drives it: x0 is evaluated first, a point is
+    evaluated again only when it moved, and the solve stops at
+    ``INNER_MAXITER`` iterations.  "Moved" is scipy's ``np.array_equal``
+    test, made on the point's float list: a NaN entry counts as moved, and
+    -0.0 against 0.0 does not.
 
     A generator: it yields each point to evaluate as (point, rho), is sent
     back (value, gradient, excess) there, and returns the end point and the
@@ -647,12 +689,11 @@ def _lbfgsb(x0: np.ndarray, rho: float, tight: bool, solves: list):
     It appends (rho, tight, iterations, evaluations, status) to ``solves``,
     the status as scipy's: 0 converged, 1 at the iteration limit, 2 stopped
     otherwise."""
-    from scipy.optimize._lbfgsb import setulb
-
+    setulb = _setulb()
     tol = _FINAL_TOL if tight else _STAGE_TOL
     x = np.array(x0, dtype=np.float64)
     n = x.size
-    at = x.copy()
+    at = x.tolist()
     value, grad, excess = yield x, rho
     nfev, nit = 1, 0
     f, g = np.array(0.0), np.zeros(n)
@@ -667,8 +708,9 @@ def _lbfgsb(x0: np.ndarray, rho: float, tight: bool, solves: list):
         setulb(_MAXCOR, x, low, high, nbd, f, g, factr, tol["gtol"], wa, iwa, task,
                lsave, isave, dsave, _MAXLS, ln_task)
         if task[0] == 3:  # FG: the value and gradient at x
-            if not (x == at).all():  # np.array_equal, as scipy tests it
-                at = x.copy()
+            point = x.tolist()
+            if point != at:  # fresh floats: NaN != NaN, as in np.array_equal
+                at = point
                 value, grad, excess = yield x, rho
                 nfev += 1
             f, g = value, grad
@@ -680,7 +722,7 @@ def _lbfgsb(x0: np.ndarray, rho: float, tight: bool, solves: list):
             break
     status = 0 if task[0] == 4 else 1 if nit >= INNER_MAXITER else 2
     solves.append((rho, tight, nit, nfev, status))
-    return x, excess if (x == at).all() else None
+    return x, excess if x.tolist() == at else None
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +851,19 @@ def _relative_to(cons: ConstraintSet, origin: np.ndarray) -> ConstraintSet:
     )
 
 
+@contextlib.contextmanager
+def _in_float64_range():
+    """Raise InvalidInputError for a floating-point overflow, invalid
+    operation or division by zero inside, instead of a RuntimeWarning and a
+    non-finite plan: finite scenario numbers can still be too large for
+    float64, as a coordinate of 1e200 is to square."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            yield
+        except FloatingPointError as err:
+            raise InvalidInputError(f"scenario too large for float64 arithmetic ({err})") from None
+
+
 def plan(
     cons: ConstraintSet,
     weights: ObjectiveWeights | None = None,
@@ -826,7 +881,8 @@ def plan(
     with one penalty evaluation per round for the points they all wait on.
     Returns the feasible restart with the lowest objective (ties broken by
     restart index) or raises PlanInfeasibleError with the worst residual
-    and its sample time.
+    and its sample time.  A scenario too large for float64 arithmetic
+    raises InvalidInputError (see ``_in_float64_range``).
     """
     t_start = time.perf_counter()
     weights = weights or ObjectiveWeights()
@@ -835,46 +891,48 @@ def plan(
     if not sample_times(opts.segments * opts.T, cons.sample_interval).size:
         raise InvalidInputError(f"sample interval {cons.sample_interval:g} s leaves no sample "
                                 f"inside (0, {opts.segments * opts.T:g} s) to enforce limits at")
-    origin = cons.boundary.start_pos
-    local = _relative_to(cons, origin)
-    problem = _PenaltyProblem(local, weights, opts)
+    with _in_float64_range():
+        origin = cons.boundary.start_pos
+        local = _relative_to(cons, origin)
+        problem = _PenaltyProblem(local, weights, opts)
 
-    def start(index):
-        if problem.k == 0:
-            return np.zeros(0)
-        if index == 0:
-            return np.zeros(3 * problem.k)
-        return _initial_guess(np.random.default_rng([opts.seed, index]), local, opts, problem.z)
+        def start(index):
+            if problem.k == 0:
+                return np.zeros(0)
+            if index == 0:
+                return np.zeros(3 * problem.k)
+            rng = np.random.default_rng([opts.seed, index])
+            return _initial_guess(rng, local, opts, problem.z)
 
-    # the restarts in lockstep: each round evaluates the point every
-    # unfinished restart waits on, in one call
-    runs = [_restart(problem, index, start(index)) for index in range(opts.restarts)]
-    waiting = {index: next(run) for index, run in enumerate(runs)}
-    results: list = [None] * len(runs)
-    while waiting:
-        points, rhos = zip(*waiting.values())
-        values, grads, excess = problem.evaluate(np.stack(points), rhos)
-        for row, index in enumerate(list(waiting)):
-            try:
-                waiting[index] = runs[index].send((values[row], grads[row], excess[row]))
-            except StopIteration as done:
-                results[index] = done.value
-                del waiting[index]
+        # the restarts in lockstep: each round evaluates the point every
+        # unfinished restart waits on, in one call
+        runs = [_restart(problem, index, start(index)) for index in range(opts.restarts)]
+        waiting = {index: next(run) for index, run in enumerate(runs)}
+        results: list = [None] * len(runs)
+        while waiting:
+            points, rhos = zip(*waiting.values())
+            values, grads, excess = problem.evaluate(np.stack(points), rhos)
+            for row, index in enumerate(list(waiting)):
+                try:
+                    waiting[index] = runs[index].send((values[row], grads[row], excess[row]))
+                except StopIteration as done:
+                    results[index] = done.value
+                    del waiting[index]
 
-    feasible = [r for r in results if r.max_excess <= _FEAS_TOL]
-    if not feasible:
-        worst_restart = min(results, key=lambda r: r.max_excess)
-        raise PlanInfeasibleError(
-            "no restart reached the residual tolerance",
-            worst_restart.max_excess,
-            worst_restart.worst_time,
-        )
-    best = min(feasible, key=lambda r: (r.objective, r.index))
-    traj = problem.trajectory(best.xi, origin)
+        feasible = [r for r in results if r.max_excess <= _FEAS_TOL]
+        if not feasible:
+            worst_restart = min(results, key=lambda r: r.max_excess)
+            raise PlanInfeasibleError(
+                "no restart reached the residual tolerance",
+                worst_restart.max_excess,
+                worst_restart.worst_time,
+            )
+        best = min(feasible, key=lambda r: (r.objective, r.index))
+        traj = problem.trajectory(best.xi, origin)
 
-    residuals = constraint_residuals(traj, cons)
-    dense_times = sample_times(traj.duration, cons.sample_interval / 10.0)
-    residuals_dense = constraint_residuals(traj, cons, times=dense_times)
+        residuals = constraint_residuals(traj, cons)
+        dense_times = sample_times(traj.duration, cons.sample_interval / 10.0)
+        residuals_dense = constraint_residuals(traj, cons, times=dense_times)
     report = PlanReport(
         objective=best.objective,
         restart_index=best.index,

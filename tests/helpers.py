@@ -1,9 +1,10 @@
 """Builders the tests share: one-segment trajectories, the kv pairs of a
 parameter or gain set, the Hamilton product of two quaternions, state,
-input and command rows from named fields, and the planner's sequential
-restart chain as an oracle."""
+input and command rows from named fields, and the planner's oracles: the
+per-row penalty values and the sequential restart chain."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import scipy.optimize
@@ -14,6 +15,7 @@ from flapkit.planning import (
     _FEAS_TOL,
     _FINAL_TOL,
     _RHO_SCHEDULE,
+    _SOFTABS_EPS,
     _STAGE_TOL,
     _PenaltyProblem,
     _initial_guess,
@@ -88,6 +90,28 @@ def evaluate_one(problem, xi, rho) -> tuple:
     return values[0], grads[0], excess[0]
 
 
+def vdot_values(problem, xi, rho) -> list:
+    """Oracle of the values of a penalty problem's ``evaluate`` at the rows
+    of xi (R, 3k), row r at stage rho[r]: each row's snap, penalty and
+    path-length inner products one ``np.vdot`` each, summed as Python
+    floats, on the samples and excess table ``evaluate`` computes."""
+    x = xi.reshape(len(xi), 3, problem.k)
+    m = problem.tau.size
+    s = problem.s0 + x @ problem.bt
+    excess = problem.law.excess(s[..., :m], s[..., m : 2 * m], s[..., 2 * m : 3 * m])[0]
+    q = problem.g0 + 0.5 * (x @ problem.h)
+    values = [
+        problem.f0 + float(np.vdot(q_r, x_r)) + rho_r * float(np.vdot(e_r, e_r))
+        for q_r, x_r, e_r, rho_r in zip(q, x, excess, rho)
+    ]
+    if problem.mu_v:
+        v = s[..., 3 * m :]
+        soft = np.sqrt(v * v + _SOFTABS_EPS**2)
+        values = [value + float(np.vdot(soft_r, problem.v_weights))
+                  for value, soft_r in zip(values, soft)]
+    return values
+
+
 def sequential_restarts(cons, weights, opts) -> list:
     """Oracle of ``plan``'s restarts: each restart run alone, one after
     another, every inner solve a ``scipy.optimize.minimize`` L-BFGS-B call
@@ -147,3 +171,14 @@ def assert_same_restarts(got: list, want: list) -> None:
                 assert a.tobytes() == b.tobytes(), (g.index, fld.name)
             else:
                 assert a == b, (g.index, fld.name, a, b)
+
+
+def restarts_digest(restarts: list) -> str:
+    """sha256 over every field of each restart result, bit for bit: the xi
+    bytes and the exact repr of the rest."""
+    digest = hashlib.sha256()
+    for result in restarts:
+        for fld in dataclasses.fields(RestartResult):
+            value = getattr(result, fld.name)
+            digest.update(value.tobytes() if fld.name == "xi" else repr(value).encode())
+    return digest.hexdigest()

@@ -1,10 +1,14 @@
 """Every import in a flapkit module or a test file is used, every private
 module-level name is read somewhere in the package, every public one is read
 by a caller (or is on a short allow-list), and importing flapkit loads no
-scipy: only the planner's L-BFGS-B solve (for scipy's reverse-communication
-routine ``scipy.optimize._lbfgsb.setulb``, whose integer-task protocol
-dates from scipy 1.15) and the rank-deficiency error path import it, inside
-the function.  Every name the benchmark tracer wraps by lookup still exists.
+scipy: only the planner's L-BFGS-B solve and the rank-deficiency error path
+import it, inside the function.  The solve needs scipy's reverse-communication
+routine ``setulb`` (its integer-task protocol dates from scipy 1.15) and
+loads it from scipy's ``optimize/_lbfgsb`` extension file alone, so a
+``plan`` or ``track`` never loads ``scipy.optimize``; these tests guard that
+private file layout, the fallback to the normal import, and scipy's own
+``scipy.optimize._lbfgsb`` beside it.  Every name the benchmark tracer wraps
+by lookup still exists.
 
 ``__init__.py`` is exempt from the unused-import check: its imports are the
 package's re-exports.  For the same reason it is no caller: a public name
@@ -13,6 +17,7 @@ reads it.
 """
 
 import ast
+import importlib.machinery
 import importlib.util
 import inspect
 import json
@@ -28,7 +33,7 @@ import scipy.optimize._lbfgsb
 import flapkit.planning
 from flapkit.planning import case_library
 
-from helpers import single_segment
+from helpers import restarts_digest, single_segment
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flapkit"
 TESTS = Path(__file__).resolve().parent
@@ -258,15 +263,75 @@ def test_flat_replay_loads_no_scipy(tmp_path, case_a):
     assert scipy_modules_after(code, tmp_path) == []
 
 
-def test_plan_imports_scipy_optimize(tmp_path):
+def test_plan_and_track_load_no_scipy_optimize(tmp_path):
     code = (
-        "import sys\n"
+        "from flapkit.cli import main\n"
         "from flapkit.planning import case_library, plan\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
         "cons, opts, weights = case_library('line')\n"
         "plan(cons, weights, opts)\n"
+        "assert main(['track', '--case', 'c', '--out-dir', 'out']) == 0\n"
     )
-    assert "scipy.optimize" in scipy_modules_after(code, tmp_path)
+    modules = scipy_modules_after(code, tmp_path)
+    assert "scipy" in modules  # the package, to find its optimize/ directory
+    assert [m for m in modules if m.split(".")[:2] == ["scipy", "optimize"]] == []
+    assert (tmp_path / "out").is_dir()
+
+
+def test_lbfgsb_extension_is_scipys_file():
+    # the planner reads scipy's private file layout: the extension it loads
+    # is the file scipy.optimize._lbfgsb is, and it holds setulb
+    spec = flapkit.planning._lbfgsb_spec()
+    assert spec is not None and spec.name == "flapkit._lbfgsb"
+    assert isinstance(spec.loader, importlib.machinery.ExtensionFileLoader)
+    assert Path(spec.origin).parent == Path(scipy.__file__).parent / "optimize"
+    assert spec.origin == scipy.optimize._lbfgsb.__file__
+    setulb = flapkit.planning._setulb()
+    assert callable(setulb) and setulb.__module__ == "flapkit._lbfgsb"
+
+
+def test_scipy_optimize_lbfgsb_imports_after_a_plan(tmp_path):
+    # the private module leaves scipy.optimize._lbfgsb to scipy: imported
+    # after a plan, its setulb resolves and minimize's L-BFGS-B runs
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from flapkit.planning import _setulb, case_library, plan\n"
+        "cons, opts, weights = case_library('line')\n"
+        "plan(cons, weights, opts)\n"
+        "assert _setulb().__module__ == 'flapkit._lbfgsb'\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "import scipy.optimize._lbfgsb\n"
+        "assert callable(scipy.optimize._lbfgsb.setulb)\n"
+        "res = scipy.optimize.minimize(lambda x: float(((x - 1.0) ** 2).sum()), np.zeros(3),\n"
+        "                              method='L-BFGS-B')\n"
+        "assert res.success and np.allclose(res.x, 1.0), res\n"
+    )
+    assert "scipy.optimize._lbfgsb" in scipy_modules_after(code, tmp_path)
+
+
+def test_fallback_plans_are_the_direct_plans(tmp_path):
+    # where no extension file is found, the planner imports setulb through
+    # scipy.optimize: the restarts are the direct path's, bit for bit
+    assert flapkit.planning._setulb().__module__ == "flapkit._lbfgsb"
+    want = {}
+    for name in ("a", "line"):
+        cons, opts, weights = case_library(name)
+        want[name] = restarts_digest(flapkit.planning.plan(cons, weights, opts)[1].restarts)
+    code = (
+        "import sys\n"
+        "import flapkit.planning as planning\n"
+        "planning._lbfgsb_spec = lambda: None\n"
+        "restarts = {}\n"
+        "for name in ('a', 'line'):\n"
+        "    cons, opts, weights = planning.case_library(name)\n"
+        "    restarts[name] = planning.plan(cons, weights, opts)[1].restarts\n"
+        "assert planning._setulb() is sys.modules['scipy.optimize._lbfgsb'].setulb\n"
+        f"sys.path.insert(0, {str(TESTS)!r})\n"
+        "from helpers import restarts_digest\n"
+        "got = {name: restarts_digest(r) for name, r in restarts.items()}\n"
+        f"assert got == {want!r}, got\n"
+    )
+    assert "scipy.optimize._lbfgsb" in scipy_modules_after(code, tmp_path)
 
 
 def test_plan_drives_scipy_setulb(monkeypatch):
@@ -274,13 +339,13 @@ def test_plan_drives_scipy_setulb(monkeypatch):
     # routine: one per evaluation request (the start's included), one per
     # iteration, and the one that ends the solve
     calls = [0]
-    setulb = scipy.optimize._lbfgsb.setulb
+    setulb = flapkit.planning._setulb()
 
     def counting(*args):
         calls[0] += 1
         return setulb(*args)
 
-    monkeypatch.setattr(scipy.optimize._lbfgsb, "setulb", counting)
+    monkeypatch.setattr(flapkit.planning, "_setulb", lambda: counting)
     cons, opts, weights = case_library("line")
     traj, report = flapkit.planning.plan(cons, weights, opts)
     solves = [s for r in report.restarts for s in r.solves]

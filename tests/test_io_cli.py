@@ -871,6 +871,21 @@ class TestScenarioGeometry:
         assert len(err) == 1 and err[0].startswith(f"error: {scenario}: {field} must be"), err
         assert planned == [] and not out.exists()
 
+    @pytest.mark.parametrize("line", ["end_pos = [1e308, 0, 0]", "sphere = [1e200, 0, 0, 0.3]"],
+                             ids=["end_pos", "sphere"])
+    def test_too_large_for_float64_exits_1(self, tmp_path, capsys, line):
+        # finite, but the equality QP (end_pos) or a squared obstacle offset
+        # (sphere) overflows; warnings are errors here, so a RuntimeWarning
+        # on the way would end the call in a traceback instead
+        scenario = tmp_path / "huge.kv"
+        scenario.write_text(f"restarts = 2\n{line}\n")
+        out = tmp_path / "t.csv"
+        assert main(["plan", "--scenario", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: scenario too large for float64 arithmetic ("), err
+        assert not out.exists()
+
     def test_infinite_limits_plan(self, tmp_path, capsys):
         scenario = tmp_path / "free.kv"
         scenario.write_text("end_pos = [1, 0, 0]\nrestarts = 2\nv_h_max = Infinity\n"

@@ -52,6 +52,7 @@ from helpers import (
     evaluate_one,
     sequential_restarts,
     single_segment,
+    vdot_values,
 )
 
 
@@ -451,6 +452,23 @@ class TestPenaltyEvaluation:
         # exponent -1 stands for rho = 0, the stage-free reads of a restart
         rhos = [0.0 if e < 0 else 10.0**e for e in rho_exponents[:rows]]
         assert_rows_are_one_row_calls(problem, points, rhos)
+
+    @pytest.mark.parametrize("rows", [1, 5, 16])
+    @pytest.mark.parametrize("mu_v", [0.0, 0.1])
+    @pytest.mark.parametrize("name", ["a", "b", "c", "line"])
+    def test_values_are_the_per_row_vdots(self, name, mu_v, rows):
+        # each term's inner products are one stacked product over the rows:
+        # every value is the per-row np.vdot sum's, bit for bit, as a float
+        cons, opts, weights = case_library(name)
+        weights = replace(weights, mu_v=mu_v)
+        problem = _PenaltyProblem(_relative_to(cons, cons.boundary.start_pos), weights, opts)
+        rng = np.random.default_rng(rows)
+        scales = rng.choice([0.01, 0.3, 1.0, 3.0], size=(rows, 1))
+        xi = scales * rng.normal(size=(rows, 3 * problem.k))
+        rhos = [0.0 if e < 0 else 10.0**e for e in rng.integers(-1, 9, size=rows)]
+        values = problem.evaluate(xi, rhos)[0]
+        assert [type(value) for value in values] == [float] * rows
+        assert np.array(values).tobytes() == np.array(vdot_values(problem, xi, rhos)).tobytes()
 
 
 class TestOneLaw:
@@ -885,7 +903,53 @@ class TestInexactStages:
         assert case_a.report.stationarity < 1e-9
 
 
-SETULB = ("plan drives scipy.optimize._lbfgsb.setulb step for step as scipy.optimize.minimize "
+class TestMovedPoint:
+    """A solve evaluates a point L-BFGS-B asks for only when it moved, by
+    scipy's ``np.array_equal`` test: a NaN entry counts as moved, and -0.0
+    against 0.0 does not."""
+
+    @staticmethod
+    def solve(monkeypatch, steps):
+        """One ``_lbfgsb`` solve from (0, 1) under a stand-in routine that, at
+        each step, sets x[0] to the step's value (None leaves it) and asks
+        for the value and gradient, then reports convergence.  Returns the
+        points evaluated, the solve record and the end excess, each excess
+        sent being its point's index."""
+        steps = iter(steps)
+
+        def setulb(m, x, low, high, nbd, f, g, factr, pgtol, wa, iwa, task, *rest):
+            step = next(steps, "converged")
+            if step == "converged":
+                task[0] = 4
+                return
+            if step is not None:
+                x[0] = step
+            task[0] = 3
+
+        monkeypatch.setattr(flapkit.planning, "_setulb", lambda: setulb)
+        solves = []
+        run = flapkit.planning._lbfgsb(np.array([0.0, 1.0]), 1.0, False, solves)
+        evaluated = [next(run)[0].tolist()]
+        try:
+            while True:
+                evaluated.append(run.send((0.0, np.zeros(2), len(evaluated) - 1))[0].tolist())
+        except StopIteration as done:
+            return evaluated, solves[-1], done.value[1]
+
+    @pytest.mark.parametrize("steps, evaluated, end_excess", [
+        ([-0.0], 1, 0),  # -0.0 == 0.0: not moved, and the end is the start
+        ([0.5, None, 0.5], 2, 1),  # asked again at the same point
+        ([math.nan, None], 3, None),  # NaN != NaN: moved each time, end too
+        ([-0.0, math.nan, None, 0.0], 4, 3),
+    ])
+    def test_moved_is_array_equal(self, monkeypatch, steps, evaluated, end_excess):
+        points, record, excess = self.solve(monkeypatch, steps)
+        assert len(points) == evaluated
+        assert record == (1.0, False, 0, evaluated, 0)
+        assert excess == end_excess
+
+
+SETULB = ("plan drives scipy's L-BFGS-B routine setulb step for step as scipy.optimize.minimize "
           "does; a scipy that changed setulb's protocol breaks that")
 
 
