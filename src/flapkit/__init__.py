@@ -1,15 +1,7 @@
 """flapkit: minimum-snap planning and closed-loop tracking for a
 flapping-wing aerial vehicle."""
 
-from .attitude import (
-    quat_to_rot,
-    recover_attitude,
-    reduced_attitude,
-    rotz,
-    skew,
-    split_azimuth,
-    wrap_angle,
-)
+from .attitude import rotz, wrap_angle
 from .control import (
     ControllerGains,
     Measurement,
@@ -24,13 +16,11 @@ from .control import (
     heading_stability_margin,
     hysteresis_update,
     inner_attitude,
-    lyapunov_monitors,
 )
 from .dynamics import (
     FwavParams,
     VerticalParams,
     full_rhs,
-    simulate_full,
     simulate_vertical,
     vertical_rhs,
 )

@@ -329,42 +329,6 @@ def candidate_v2(delta_psi, e_omega_psi, h_psi, gains: ControllerGains):
 
 
 @dataclass
-class LyapunovReport:
-    V1: float
-    V1_dot_expected: float
-    V2: float
-    flow_bound: float
-    jump_delta: float
-
-
-def lyapunov_monitors(
-    errors: TrackingErrors,
-    h_psi: int,
-    gains: ControllerGains,
-    psi_d_dot: float = 0.0,
-    omega_psi: float = 0.0,
-) -> LyapunovReport:
-    """Numeric stability monitors for the two candidate functions, on
-    demand (the tick logs V1 and V2 alone).  jump_delta is the worst-case
-    candidate change of a logic jump evaluated at the hysteresis boundary.
-    """
-    e_p, e_v = errors.e_p, errors.e_v
-    v1 = candidate_v1(e_p, e_v, gains)
-    v1_dot = -sum(e * math.tanh(e) for e in e_p) - sum(e * math.tanh(e) for e in e_v)
-    v2 = candidate_v2(errors.delta_psi, errors.e_omega_psi, h_psi, gains)
-    c = math.cos(errors.delta_psi)
-    flow_bound = -0.5 * (1.0 - c) ** 2 - errors.e_omega_psi**2
-
-    root = math.sqrt(1.0 - gains.delta**2)
-    jump_delta = (
-        2.0 * gains.k_psi / gains.k_omega * math.sqrt(1.0 + root)
-        * abs(psi_d_dot) * abs(omega_psi)
-        - 2.0 / gains.k_psi * math.sqrt(1.0 - root)
-    )
-    return LyapunovReport(v1, v1_dot, v2, flow_bound, jump_delta)
-
-
-@dataclass
 class HeadingTick:
     """One tick of the hybrid heading law; gamma_yd is unclipped."""
 
@@ -482,7 +446,7 @@ class TrackingController:
         self.held = Decomposition(initial_psi_d, params.hover_frequency, 0.0, 1.0)
 
     def update(self, sigma_r, sigma_r_dot, meas: Measurement) -> ControllerOutput:
-        """One tick on floats: what the control log reads, no monitors."""
+        """One tick on floats: what the control log reads."""
         g = self.gains
         kp = g.kp.tolist()
         e_p = tuple(a - b for a, b in zip(sigma_r, meas.p))  # p_d - p

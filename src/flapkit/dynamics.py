@@ -39,9 +39,9 @@ for floats and arrays.  The right-hand sides ``full_rhs`` and
 them.  Thrust, drag (``_drag``) and the deflection torque
 (``_deflection``) are terms of the full law, read only through it.  Each
 model's RK4 step is written once too, over a block of steps: ``_full_steps``
-(the quaternion projected onto the unit sphere after each step) and
-``_vertical_steps`` (one held gamma-proxy input, the pose inline at every
-step) for the closed loop, one block per controller tick, and
+(one held command, the quaternion projected onto the unit sphere after each
+step) and ``_vertical_steps`` (one held gamma-proxy input, the pose inline at
+every step) for the closed loop, one block per controller tick, and
 ``_vertical_replay`` for the replay, one block per 1,024 table steps.  The
 replay's float loop steps only (vvx, vvy, vvz, w), because no dynamic row
 reads the azimuth or the position; one array pass per block then recovers
@@ -51,10 +51,9 @@ Inputs are checked where they change, not at every stage: the replay checks
 its table a block at a time and the closed loop its held input once per tick.
 The vertical input terms are computed there too: once per table row in the
 replay, as arrays, and once per tick in the closed loop.
-``simulate_full`` and ``simulate_vertical`` read their schedule once at each
-half-step time and run one block over that table (``simulate_vertical`` is
-the replay on it).  The full model's stage states keep ``full_rhs``'s state
-checks.
+``simulate_vertical`` reads its schedule once at each half-step time and
+runs the replay on that table.  The full model's stage states keep
+``full_rhs``'s state checks.
 """
 
 from __future__ import annotations
@@ -573,30 +572,27 @@ def _vertical_replay(c, explicit, y, terms, dt) -> np.ndarray:
     return out[1:]
 
 
-def _full_steps(params, y, rows, dt, states, k0, first=None, radius=math.inf):
-    """``rk4_flat`` on ``full_rhs``, the quaternion projected onto the unit sphere
-    after each step: n steps from the flat state y at row k0 over 2n + 1 half-step
-    command rows, ``first`` the derivative at y and rows[0] if known.  Stages keep
-    ``full_rhs``'s checks; a non-finite one stops the run before its step is
-    logged, a non-finite state or a position norm beyond ``radius`` after.  Writes
-    rows k0 + 1.. of ``states``; returns the last logged state, its row and the
-    row the run stopped at or None."""
+def _full_steps(params, y, u, n, dt, states, k0, first, radius):
+    """``rk4_flat`` on ``full_rhs`` under one held command row u, the quaternion
+    projected onto the unit sphere after each step: n steps from the flat state y
+    at row k0, ``first`` the derivative at y.  Stages keep ``full_rhs``'s checks; a
+    non-finite one stops the run before its step is logged, a non-finite state or
+    a position norm beyond ``radius`` after.  Writes rows k0 + 1.. of ``states``;
+    returns the last logged state, its row and the row the run stopped at or
+    None.  The closed loop's stepper, one block per controller tick."""
     c, h, c6, isfinite, sqrt = params._constants(), 0.5 * dt, dt / 6.0, math.isfinite, math.sqrt
-    k, last = k0, k0 + len(rows) // 2
-    if first is None and _stage_stops(y):
-        return y, k, k + 1
-    d1 = first or _full_law(c, y, rows[0])
-    for k, um, u1 in zip(range(k0 + 1, last + 1), rows[1::2], rows[2::2]):
-        d2 = _full_stage(c, y, h, d1, um)
-        d3 = d2 and _full_stage(c, y, h, d2, um)
-        d4 = d3 and _full_stage(c, y, dt, d3, u1)
+    k, last, d1 = k0, k0 + n, first
+    for k in range(k0 + 1, last + 1):
+        d2 = _full_stage(c, y, h, d1, u)
+        d3 = d2 and _full_stage(c, y, h, d2, u)
+        d4 = d3 and _full_stage(c, y, dt, d3, u)
         if d4 is None:
             return y, k - 1, k
         y = [a + c6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(y, d1, d2, d3, d4)]
-        n = sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8] + y[9] * y[9])
-        if n > 0:
-            y[6:10] = y[6] / n, y[7] / n, y[8] / n, y[9] / n
+        norm = sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8] + y[9] * y[9])
+        if norm > 0:
+            y[6:10] = y[6] / norm, y[7] / norm, y[8] / norm, y[9] / norm
         states[k] = y
         if (sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) > radius
                 or not isfinite(sum(y)) and not all(map(isfinite, y))):
@@ -604,7 +600,7 @@ def _full_steps(params, y, rows, dt, states, k0, first=None, radius=math.inf):
         if k < last:
             if y[13] < 0:
                 raise InvalidInputError(_NEGATIVE_FLAP)
-            d1 = _full_law(c, y, u1)
+            d1 = _full_law(c, y, u)
     return y, k, None
 
 
@@ -707,26 +703,6 @@ def _open_text(path):
 def _half_steps(dt: float, duration: float) -> list[float]:
     """The half-step times j dt/2, j = 0..2n, of an n-step run: the RK4 stage times."""
     return (np.arange(2 * _step_count(dt, duration) + 1) * (0.5 * dt)).tolist()
-
-
-def simulate_full(
-    state0,
-    params: FwavParams,
-    commands: Callable[[float], tuple],
-    dt: float = 1e-3,
-    duration: float = 1.0,
-) -> FullLog:
-    """Integrate the full model from the state row ``state0`` under a schedule of
-    command rows (f_flap_c, theta_rud_c, theta_ele_c), read once at each
-    half-step time."""
-    rows = [tuple(_checked(u, _FULL_COMMAND)) for u in map(commands, _half_steps(dt, duration))]
-    n_steps = len(rows) // 2
-    states = np.empty((n_steps + 1, 16))
-    states[0] = y = [float(v) for v in _checked(state0, _FULL_STATE)]
-    _, _, stop = _full_steps(params, y, rows, dt, states, 0)
-    if stop is not None:
-        raise PropagationError("integration produced non-finite state", step=stop)
-    return FullLog(np.arange(n_steps + 1) * dt, states)
 
 
 def simulate_vertical(

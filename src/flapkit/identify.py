@@ -24,7 +24,6 @@ class DragEstimate:
     k_d_over_m: float
     residual_norm: float
     sample_count: int
-    regressor_rms: float
 
 
 def identify_drag(
@@ -65,9 +64,7 @@ def identify_drag(
         )
     k = float(phi @ y) / denom
     residual = float(np.linalg.norm(y - k * phi))
-    return DragEstimate(
-        k_d_over_m=k, residual_norm=residual, sample_count=n, regressor_rms=rms
-    )
+    return DragEstimate(k_d_over_m=k, residual_norm=residual, sample_count=n)
 
 
 def identify_drag_from_log(log: VerticalLog, params: VerticalParams) -> DragEstimate:

@@ -230,6 +230,8 @@ class PlanOptions:
             raise InvalidInputError(f"restarts must be at least 1, not {self.restarts}")
         if self.segments < 1:
             raise InvalidInputError(f"segments must be at least 1, not {self.segments}")
+        if self.order < 0:
+            raise InvalidInputError(f"order must be non-negative, not {self.order}")
         if not (math.isfinite(self.T) and self.T > 0):
             raise InvalidInputError(
                 f"T (the segment duration) must be positive and finite, not {self.T!r}")
@@ -345,6 +347,20 @@ def _solve_kkt(q_mat: np.ndarray, a_mat: np.ndarray, b: np.ndarray) -> tuple[np.
     return sol[:n], residual
 
 
+@contextlib.contextmanager
+def _in_float64_range():
+    """Raise InvalidInputError for a floating-point overflow, invalid
+    operation or division by zero inside, instead of a RuntimeWarning and a
+    non-finite result: finite scenario numbers can still be too large for
+    float64, as a coordinate of 1e200 is to square.  ``plan`` runs under it,
+    and so do the QP oracle and the residual report, which it decorates."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            yield
+        except FloatingPointError as err:
+            raise InvalidInputError(f"scenario too large for float64 arithmetic ({err})") from None
+
+
 def solve_qp_equality(
     cons: ConstraintSet,
     weights: ObjectiveWeights | None = None,
@@ -360,6 +376,7 @@ def solve_qp_equality(
     return traj
 
 
+@_in_float64_range()
 def solve_qp_equality_full(
     cons: ConstraintSet,
     weights: ObjectiveWeights | None = None,
@@ -486,6 +503,7 @@ def _worst(excess: np.ndarray, times: np.ndarray) -> tuple[float, float]:
     return 0.0, 0.0
 
 
+@_in_float64_range()
 def constraint_residuals(
     traj: PiecewiseTrajectory,
     cons: ConstraintSet,
@@ -849,19 +867,6 @@ def _relative_to(cons: ConstraintSet, origin: np.ndarray) -> ConstraintSet:
             for ob in cons.obstacles
         ],
     )
-
-
-@contextlib.contextmanager
-def _in_float64_range():
-    """Raise InvalidInputError for a floating-point overflow, invalid
-    operation or division by zero inside, instead of a RuntimeWarning and a
-    non-finite plan: finite scenario numbers can still be too large for
-    float64, as a coordinate of 1e200 is to square."""
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        try:
-            yield
-        except FloatingPointError as err:
-            raise InvalidInputError(f"scenario too large for float64 arithmetic ({err})") from None
 
 
 def plan(

@@ -223,7 +223,7 @@ class _FullPlant:
             first = full_rhs(y, u, self.params)  # checks the held input once
         except PropagationError:
             return y, k, k + 1  # a non-finite stage: step k + 1 is not logged
-        return _full_steps(self.params, y, [u] * (2 * n + 1), dt, states, k, first, radius)
+        return _full_steps(self.params, y, u, n, dt, states, k, first, radius)
 
     def log(self, t, states, held, counts):
         return FullLog(t, states)

@@ -1,14 +1,21 @@
-"""Builders the tests share: one-segment trajectories, the kv pairs of a
-parameter or gain set, the Hamilton product of two quaternions, state,
-input and command rows from named fields, and the planner's oracles: the
-per-row penalty values and the sequential restart chain."""
+"""Builders and oracles the tests share: one-segment trajectories, the kv
+pairs of a parameter or gain set, the Hamilton product of two quaternions,
+the attitude maps in matrix form (R(q), the reduced attitude, the tilt
+factor and the azimuth split), state, input and command rows from named
+fields, the full model's RK4 steps on ``full_rhs`` and its open-loop
+simulator ``simulate_full``, and the planner's oracles: the per-row penalty
+values and the sequential restart chain."""
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import scipy.optimize
 
+from flapkit.attitude import ANTIPODAL_TOL, rotz, wrap_angle
+from flapkit.dynamics import FullLog, _half_steps, full_rhs, rk4_flat
+from flapkit.errors import DegenerateAttitudeError, InvalidInputError, PropagationError
 from flapkit.planning import (
     INNER_MAXITER,
     RestartResult,
@@ -57,6 +64,78 @@ def hamilton(p, q) -> np.ndarray:
 
 
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)  # scalar-first (eta, ex, ey, ez)
+E3 = np.array([0.0, 0.0, 1.0])
+UNIT_TOL = 1e-6
+
+
+def skew(v: np.ndarray) -> np.ndarray:
+    """Skew-symmetric matrix such that skew(v) @ w == cross(v, w)."""
+    v = np.asarray(v, dtype=float)
+    return np.array([
+        [0.0, -v[2], v[1]],
+        [v[2], 0.0, -v[0]],
+        [-v[1], v[0], 0.0],
+    ])
+
+
+def quat_to_rot(q) -> np.ndarray:
+    """Rotation matrix R(q) = I + 2 eta [eps]x + 2 [eps]x^2 of a unit quaternion
+    row (eta, ex, ey, ez), mapping body-frame vectors into the inertial frame.
+
+    Raises InvalidInputError when ``q`` is not a 4-row or deviates from unit
+    norm by more than 1e-6.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape != (4,):
+        raise InvalidInputError("quaternion must have shape (4,)")
+    norm = math.sqrt(q[0] ** 2 + float(q[1:] @ q[1:]))
+    if abs(norm - 1.0) > UNIT_TOL:
+        raise InvalidInputError(f"quaternion norm {norm:.8f} is not 1")
+    s = skew(q[1:])
+    return np.eye(3) + 2.0 * q[0] * s + 2.0 * (s @ s)
+
+
+def reduced_attitude(q) -> np.ndarray:
+    """Yaw-invariant reduced attitude Gamma = R(q)^T e3."""
+    return quat_to_rot(q).T @ E3
+
+
+def tilt_quaternion(gamma: np.ndarray, sign: int = 1) -> np.ndarray:
+    """Zero-yaw quaternion row whose reduced attitude equals ``gamma``.
+
+    Built from the unnormalized pair s_e * [Gamma.e3 + 1, Gamma x e3]; both
+    sign choices represent the same rotation.  Raises
+    DegenerateAttitudeError when Gamma is antipodal to e3.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if abs(np.linalg.norm(gamma) - 1.0) > UNIT_TOL:
+        raise InvalidInputError("reduced attitude must be a unit vector")
+    if sign not in (1, -1):
+        raise InvalidInputError("sign must be +1 or -1")
+    w = float(gamma @ E3) + 1.0
+    if w < ANTIPODAL_TOL:
+        raise DegenerateAttitudeError("reduced attitude antipodal to +Z")
+    eta, eps = sign * w, sign * np.array([gamma[1], -gamma[0], 0.0])  # Gamma x e3
+    return np.concatenate(([eta], eps)) / math.sqrt(eta**2 + float(eps @ eps))
+
+
+def recover_attitude(gamma: np.ndarray, psi: float, sign: int = 1) -> np.ndarray:
+    """Full rotation matrix R = Rz(psi) * R(q_e) from reduced attitude and azimuth."""
+    q_e = tilt_quaternion(gamma, sign)
+    return rotz(psi) @ quat_to_rot(q_e)
+
+
+def split_azimuth(rot: np.ndarray) -> tuple[float, np.ndarray]:
+    """Split R into (psi, gamma) such that recover_attitude(gamma, psi) == R.
+
+    Inverse of recover_attitude for non-antipodal attitudes.
+    """
+    rot = np.asarray(rot, dtype=float)
+    gamma = rot.T @ E3
+    r_e = quat_to_rot(tilt_quaternion(gamma))
+    rz = rot @ r_e.T
+    psi = math.atan2(rz[1, 0], rz[0, 0])
+    return wrap_angle(psi), gamma
 
 
 def full_row(p=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0), q=IDENTITY_Q, omega=(0.0, 0.0, 0.0),
@@ -81,6 +160,46 @@ def commands(f_flap_c=0.0, theta_rud_c=0.0, theta_ele_c=0.0) -> tuple:
     """A full-model command row (f_flap_c, theta_rud_c, theta_ele_c); zero by
     default."""
     return float(f_flap_c), float(theta_rud_c), float(theta_ele_c)
+
+
+def full_steps(params, y0, rows, dt, radius=math.inf):
+    """The full model's RK4 steps from the state row y0 over 2n + 1 half-step
+    command rows: ``rk4_flat`` on ``full_rhs`` per step, then the quaternion
+    projected onto the unit sphere.  Returns the logged states, the step the
+    run stopped at (or None) and why: "stage" for a non-finite stage (the step
+    is not logged), "state" for a non-finite state or one beyond ``radius``
+    (it is), or the InvalidInputError a stage raised."""
+    want = [list(y0)]
+    for k in range(1, len(rows) // 2 + 1):
+        try:
+            y = rk4_flat(full_rhs, want[-1], dt, *rows[2 * k - 2 : 2 * k + 1], params)
+        except PropagationError:
+            return want, k, "stage"
+        except InvalidInputError as err:
+            return want, k, err
+        n = math.sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8] + y[9] * y[9])
+        if n > 0:
+            y[6:10] = [v / n for v in y[6:10]]
+        want.append(y)
+        if math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) > radius or not all(
+                map(math.isfinite, y)):
+            return want, k, "state"
+    return want, None, None
+
+
+def simulate_full(state0, params, commands, dt: float = 1e-3, duration: float = 1.0) -> FullLog:
+    """Open-loop run of the full model from the state row ``state0`` under a
+    schedule of command rows (f_flap_c, theta_rud_c, theta_ele_c), read once
+    at each half-step time: ``full_steps`` over that table.  Raises what a
+    stage's ``full_rhs`` raises, and PropagationError naming the step of a
+    non-finite stage or state."""
+    rows = [commands(t) for t in _half_steps(dt, duration)]
+    want, stop, why = full_steps(params, state0, rows, dt)
+    if isinstance(why, InvalidInputError):
+        raise why
+    if stop is not None:
+        raise PropagationError("integration produced non-finite state", step=stop)
+    return FullLog(np.arange(len(want)) * dt, np.array(want))
 
 
 def evaluate_one(problem, xi, rho) -> tuple:

@@ -3,23 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from flapkit.attitude import (
-    azimuth_of_quat,
-    quat_to_rot,
-    recover_attitude,
-    reduced_attitude,
-    rotz,
-    skew,
-    split_azimuth,
-    tilt_quaternion,
-    wrap_angle,
-)
+from flapkit.attitude import azimuth_of_quat, rotz, wrap_angle
 from flapkit.errors import (
     DegenerateAttitudeError,
     InvalidInputError,
 )
 
-from helpers import IDENTITY_Q, hamilton
+from helpers import (
+    IDENTITY_Q,
+    hamilton,
+    quat_to_rot,
+    recover_attitude,
+    reduced_attitude,
+    skew,
+    split_azimuth,
+    tilt_quaternion,
+)
 
 
 def random_unit_quaternions(rng, n):

@@ -6,7 +6,6 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import flapkit.control
 from flapkit.control import (
     OMEGA_PSI_D_JUMP,
     ControllerGains,
@@ -15,6 +14,8 @@ from flapkit.control import (
     SecondOrderFilter,
     TrackingController,
     TrackingErrors,
+    candidate_v1,
+    candidate_v2,
     compose_reduced_attitude,
     decompose,
     desired_acceleration,
@@ -24,14 +25,11 @@ from flapkit.control import (
     heading_stability_margin,
     hysteresis_update,
     inner_attitude,
-    lyapunov_monitors,
 )
 from flapkit.attitude import wrap_angle
 from flapkit.dynamics import VerticalParams
 from flapkit.errors import DegenerateDecompositionError, InvalidInputError
-from flapkit.simulate import run_closed_loop, simulate_heading_loop, simulate_ideal_vertical
-
-from helpers import single_segment
+from flapkit.simulate import simulate_ideal_vertical
 
 
 @pytest.fixture
@@ -427,7 +425,7 @@ class TestFloatLawsAgainstArrayForms:
                 vdd + gains.kv / gains.kp * np.tanh(e_p) + gains.kv * np.tanh(e_v),
                 **self.TOL,
             )
-            assert lyapunov_monitors(TrackingErrors(e_p.tolist(), e_v.tolist()), 1, gains).V1 \
+            assert candidate_v1(e_p.tolist(), e_v.tolist(), gains) \
                 == pytest.approx(0.5 * e_p @ (e_p / gains.kp) + 0.5 * e_v @ (e_v / gains.kv),
                                  rel=1e-14)
 
@@ -494,15 +492,14 @@ class TestHeadingMargin:
 
 class TestLyapunovMonitors:
     def test_zero_errors_zero_candidates(self, gains):
-        rep = lyapunov_monitors(TrackingErrors(), 1, gains)
-        assert rep.V1 == 0.0
-        assert rep.V2 == pytest.approx(0.0)
+        assert candidate_v1((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), gains) == 0.0
+        assert candidate_v2(0.0, 0.0, 1, gains) == pytest.approx(0.0)
 
     def test_v1_positive_definite(self, gains):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            e = TrackingErrors(e_p=rng.standard_normal(3), e_v=rng.standard_normal(3))
-            assert lyapunov_monitors(e, 1, gains).V1 > 0.0
+            e_p, e_v = rng.standard_normal((2, 3)).tolist()
+            assert candidate_v1(e_p, e_v, gains) > 0.0
 
     def test_v1_rate_matches_expected_in_ideal_loop(self, gains):
         # finite-difference oracle at dt = 1e-4 against the closed form;
@@ -517,15 +514,6 @@ class TestLyapunovMonitors:
             for ep, ev in zip(res.e_p, res.e_v)
         ])
         assert np.max(np.abs(v1_dot_fd[1:-1] - expected[1:-1])) < 1e-3
-
-    def test_flow_bound_nonpositive(self, gains):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            e = TrackingErrors(
-                delta_psi=rng.uniform(-math.pi, math.pi),
-                e_omega_psi=rng.standard_normal(),
-            )
-            assert lyapunov_monitors(e, 1, gains).flow_bound <= 0.0
 
 
 class TestTrackingControllerTick:
@@ -588,22 +576,8 @@ class TestTrackingControllerTick:
         assert len(row) == 16
         assert row[0] == 1.25
 
-    def test_flight_loops_skip_the_stability_monitors(self, monkeypatch, gains, vparams):
-        # the tick logs V1 and V2 through the candidate functions alone; the
-        # full monitors are computed on demand, never in a flight loop
-        monitors = flapkit.control.lyapunov_monitors
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("lyapunov_monitors called in a flight loop")
-
-        monkeypatch.setattr(flapkit.control, "lyapunov_monitors", forbidden)
-        coeffs = np.zeros((3, 7))
-        coeffs[:, 1] = [0.4, 0.3, 0.05]  # a straight, slowly climbing line
-        res = run_closed_loop(single_segment(coeffs, 2.0), perturb_pos=(0.05, -0.1, 0.02))
-        assert len(res.control_rows) == 200 and not res.diverged
-        simulate_heading_loop(gains, lambda t: 2.5, psi0=-0.5, omega0=3.0, duration=1.0)
-        simulate_ideal_vertical(gains, p0=[0.1, 0.0, 0.0], v0=[0, 0, 0], psi0=3.0, duration=1.0)
-
+    def test_logged_candidates_are_those_at_the_tick_errors(self, gains, vparams):
+        # the tick logs V1 and V2 as the candidate functions at its own errors
         ctrl = TrackingController(gains, vparams)
         meas = Measurement(
             p=[0.1, -0.2, 0.05], v=[0.3, 0.1, 0.0], psi=2.5, omega_psi=-1.0,
@@ -611,5 +585,7 @@ class TestTrackingControllerTick:
         )
         for sigma_r in ([1.0, 0.0, 0.0], [0.9, 0.2, 0.1], [-0.5, -0.5, 0.0]):
             out = ctrl.update(sigma_r, [0.5, 0.0, 0.0], meas)
-            rep = monitors(out.errors, out.h_psi, gains)
-            assert (out.V1, out.V2) == (rep.V1, rep.V2)
+            e = out.errors
+            assert (out.V1, out.V2) == (
+                candidate_v1(e.e_p, e.e_v, gains),
+                candidate_v2(e.delta_psi, e.e_omega_psi, out.h_psi, gains))

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flapkit.attitude import quat_to_rot, rotz
+from flapkit.attitude import rotz
 from flapkit.control import ControllerGains, decompose
 from flapkit.dynamics import (
     FwavParams,
@@ -16,7 +17,6 @@ from flapkit.dynamics import (
     _full_steps,
     integrate_vertical_tabulated,
     rk4_flat,
-    simulate_full,
     simulate_vertical,
     vertical_rhs,
     _vertical_dynamics,
@@ -28,7 +28,17 @@ from flapkit.dynamics import (
 from flapkit.errors import InvalidInputError, PropagationError
 from flapkit.flatness import FlatInputSchedule
 
-from helpers import commands, full_row, hamilton, single_segment, vertical_inputs, vertical_row
+from helpers import (
+    commands,
+    full_row,
+    full_steps,
+    hamilton,
+    quat_to_rot,
+    simulate_full,
+    single_segment,
+    vertical_inputs,
+    vertical_row,
+)
 
 
 @pytest.fixture
@@ -1020,30 +1030,6 @@ class TestVerticalDynamics:
         assert np.array_equal(nan_bits(np.column_stack(arrays)), nan_bits(floats))
 
 
-def parent_full_steps(params, y0, rows, dt, radius):
-    """The full model's block of steps as first written: ``rk4_flat`` on ``full_rhs`` per
-    step, then the quaternion projected onto the unit sphere.  Returns the logged states,
-    the step the run stopped at (or None) and why: "stage" for a non-finite stage (the
-    step is not logged), "state" for a non-finite state or one beyond ``radius`` (it is)
-    and "invalid" for an InvalidInputError."""
-    want = [list(y0)]
-    for k in range(1, len(rows) // 2 + 1):
-        try:
-            y = rk4_flat(full_rhs, want[-1], dt, *rows[2 * k - 2 : 2 * k + 1], params)
-        except PropagationError:
-            return want, k, "stage"
-        except InvalidInputError:
-            return want, k, "invalid"
-        n = math.sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8] + y[9] * y[9])
-        if n > 0:
-            y[6:10] = [v / n for v in y[6:10]]
-        want.append(y)
-        if math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) > radius or not all(
-                map(math.isfinite, y)):
-            return want, k, "state"
-    return want, None, None
-
-
 def bits(rows) -> np.ndarray:
     return np.array(rows, dtype=float).view(np.int64)
 
@@ -1083,38 +1069,31 @@ command_row = st.tuples(
 )
 
 
-@st.composite
-def command_rows(draw):
-    """2n + 1 half-step command rows of n steps, held or varying."""
-    n = draw(st.integers(1, 6))
-    if draw(st.booleans()):
-        return [draw(command_row)] * (2 * n + 1)
-    return draw(st.lists(command_row, min_size=2 * n + 1, max_size=2 * n + 1))
-
-
 class TestFullSteps:
     @HYPOTHESIS
     @given(
         y0=full_state(),
-        rows=command_rows(),
+        u=command_row,
+        n=st.integers(1, 6),
         dt=st.sampled_from([1e-4, 1e-3, 5e-3]),
-        given_first=st.booleans(),
         radius=st.one_of(st.just(math.inf), st.floats(0.0, 6.0)),
         margin=st.one_of(st.none(), st.floats(0.0, 0.01)),
     )
-    def test_equals_rk4_flat_bit_for_bit(self, y0, rows, dt, given_first, radius, margin):
+    def test_equals_rk4_flat_bit_for_bit(self, y0, u, n, dt, radius, margin):
+        # the closed loop's block: one command row held over n steps
         params = FwavParams()
         if margin is not None:  # a radius the flight may cross after a few steps
             radius = math.sqrt(y0[0] * y0[0] + y0[1] * y0[1] + y0[2] * y0[2]) + margin
-        want, stop, why = parent_full_steps(params, y0, rows, dt, radius)
-        states = np.full((len(rows) // 2 + 1, 16), np.nan)
+        want, stop, why = full_steps(params, y0, [u] * (2 * n + 1), dt, radius)
+        states = np.full((n + 1, 16), np.nan)
         states[0] = y0
-        first = full_rhs(y0, rows[0], params) if given_first else None
-        if why == "invalid":
-            with pytest.raises(InvalidInputError):
-                _full_steps(params, y0, rows, dt, states, 0, first, radius)
+        # the stepper reads the derivative at y0, computed once
+        first = full_rhs(y0, u, params)
+        if isinstance(why, InvalidInputError):
+            with pytest.raises(InvalidInputError, match=re.escape(str(why))):
+                _full_steps(params, y0, u, n, dt, states, 0, first, radius)
         else:
-            y, k, got = _full_steps(params, y0, rows, dt, states, 0, first, radius)
+            y, k, got = _full_steps(params, y0, u, n, dt, states, 0, first, radius)
             assert (k, got) == (len(want) - 1, stop)
             assert np.array_equal(bits(y), bits(want[-1]))
         assert np.array_equal(bits(states[: len(want)]), bits(want))

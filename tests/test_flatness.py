@@ -7,13 +7,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flapkit.attitude import recover_attitude, rotz, wrap_angle
-from flapkit.dynamics import (
-    FwavParams,
-    VerticalParams,
-    integrate_vertical_tabulated,
-    simulate_full,
-)
+from flapkit.attitude import rotz, wrap_angle
+from flapkit.dynamics import FwavParams, VerticalParams, integrate_vertical_tabulated
 from flapkit.errors import (
     DegenerateHeadingError,
     InfeasibleHeadingAccelerationError,
@@ -22,7 +17,7 @@ from flapkit.errors import (
 )
 from flapkit.flatness import FlatInputSchedule, flat_to_full
 
-from helpers import constant_trajectory, full_row, single_segment
+from helpers import constant_trajectory, full_row, recover_attitude, simulate_full, single_segment
 
 
 @pytest.fixture
@@ -372,7 +367,7 @@ def symbolic_flat_state(coeffs, t0, vp):
     sympy; the values of those functions and their derivatives at t0 come
     from the stage before (40 digits).  The rotation is
     R(t) = Rz(psi(t)) Re(Gamma(t)) with Re the tilt factor of
-    ``attitude.recover_attitude``, and omega = vee(R^T R').
+    ``helpers.recover_attitude``, and omega = vee(R^T R').
     """
     fn = lambda name: sp.Function(name)(T_SYM)  # noqa: E731
     d = lambda f: f.diff(T_SYM)  # noqa: E731

@@ -1,8 +1,8 @@
 """Every import in a flapkit module or a test file is used, every private
 module-level name is read somewhere in the package, every public one is read
-by a caller (or is on a short allow-list), and importing flapkit loads no
-scipy: only the planner's L-BFGS-B solve and the rank-deficiency error path
-import it, inside the function.  The solve needs scipy's reverse-communication
+by a caller, and importing flapkit loads no scipy: only the planner's
+L-BFGS-B solve and the rank-deficiency error path import it, inside the
+function.  The solve needs scipy's reverse-communication
 routine ``setulb`` (its integer-task protocol dates from scipy 1.15) and
 loads it from scipy's ``optimize/_lbfgsb`` extension file alone, so a
 ``plan`` or ``track`` never loads ``scipy.optimize``; these tests guard that
@@ -13,7 +13,8 @@ by lookup still exists.
 ``__init__.py`` is exempt from the unused-import check: its imports are the
 package's re-exports.  For the same reason it is no caller: a public name
 counts as read where a flapkit module, the benchmark or the acceptance suite
-reads it.
+reads it.  A name only the other tests read is a test helper, and lives in
+``tests/helpers.py``.
 """
 
 import ast
@@ -40,15 +41,6 @@ TESTS = Path(__file__).resolve().parent
 SPANS = SRC.parents[1] / "perfbench" / "spans.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 CALLERS = [*MODULES, *sorted(SPANS.parent.glob("*.py")), TESTS / "test_acceptance.py"]
-
-# public names that no caller reads, and why each stays
-PUBLIC_UNREAD = {
-    "reduced_attitude": "test oracle of flat_to_full's rotation",
-    "recover_attitude": "test oracle of flat_to_full's rotation",
-    "split_azimuth": "test oracle of azimuth_of_quat",
-    "lyapunov_monitors": "the on-demand Lyapunov monitors the README documents",
-    "simulate_full": "the full model's open-loop simulator, pinned by digest",
-}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -128,10 +120,7 @@ def test_every_private_name_is_read():
 
 def test_every_public_name_has_a_caller():
     sources = {path.name: path.read_text() for path in MODULES}
-    unread = unreferenced_names(sources, [p.read_text() for p in CALLERS], is_public)
-    # an allowed name that gains a caller leaves the list
-    assert sorted(entry.split()[0] for entry in unread) == sorted(PUBLIC_UNREAD), unread
-    assert len(PUBLIC_UNREAD) <= 5
+    assert unreferenced_names(sources, [p.read_text() for p in CALLERS], is_public) == []
 
 
 def test_detects_unreferenced_private_names():

@@ -805,7 +805,7 @@ class TestPlanOptionArguments:
 
     @pytest.mark.parametrize("line, field", [
         ("restarts = 0", "restarts"), ("restarts = -5", "restarts"),
-        ("segments = 0", "segments"), ("segments = -2", "segments"),
+        ("segments = 0", "segments"), ("segments = -2", "segments"), ("order = -5", "order"),
         ("segment_duration = 0", "T"), ("segment_duration = -3", "T"),
         ("segment_duration = Infinity", "T"), ("seed = -2", "seed"),
     ], ids=lambda v: v.replace(" ", ""))

@@ -19,7 +19,10 @@ were deleted.  These are exact pins, not tolerances.  The ``simulate_full`` dige
 same command, when ``simulate_full`` began to read its commands once per
 half-step time j dt/2 (the end of one step and the start of the next share
 the sample at (k + 1) dt, not two samples at times one rounding apart): its
-states moved by at most 6.9e-18.
+states moved by at most 6.9e-18.  ``simulate_full`` is now the tests' own
+oracle, ``helpers.simulate_full`` (``rk4_flat`` on ``full_rhs``, then the
+quaternion projection, over that half-step table); the package flies the
+full model only in the closed loop, which the four flight digests pin.
 """
 
 import hashlib
@@ -28,10 +31,10 @@ import math
 import numpy as np
 import pytest
 
-from flapkit.dynamics import FwavParams, VerticalParams, simulate_full, simulate_vertical
+from flapkit.dynamics import FwavParams, VerticalParams, simulate_vertical
 from flapkit.simulate import run_closed_loop
 
-from helpers import full_row, vertical_inputs, vertical_row
+from helpers import full_row, simulate_full, vertical_inputs, vertical_row
 
 TOL = 1e-9
 

@@ -149,6 +149,13 @@ class TestQpOracle:
             solve_qp_equality(cons, None, opts)
         assert len(labels) == 6 and err.value.rows == labels
 
+    def test_too_large_for_float64_is_invalid_input(self):
+        # finite, but the KKT refinement step overflows: a named error, not a
+        # RuntimeWarning and all-NaN coefficients
+        cons = ConstraintSet(boundary=BoundaryConditions(end_pos=[1e308, 0, 0]))
+        with pytest.raises(InvalidInputError, match="^scenario too large for float64"):
+            solve_qp_equality(cons)
+
 
 class TestNumpyKernelsMatchScipy:
     """The planner's numpy null space and block-diagonal snap matrix equal
@@ -212,6 +219,13 @@ class TestConstraintResiduals:
         report = constraint_residuals(traj, cons)
         assert report.h_speed == pytest.approx(19 * 0.5)
         assert report.v_speed == 0.0
+
+    def test_too_large_for_float64_is_invalid_input(self, case_line):
+        # a squared obstacle offset overflows: a named error, not a
+        # RuntimeWarning and a zero obstacle residual
+        cons = replace(case_line.cons, obstacles=[Sphere(center=[1e200, 0.0, 0.0], radius=0.3)])
+        with pytest.raises(InvalidInputError, match="^scenario too large for float64"):
+            constraint_residuals(case_line.traj, cons)
 
 
 def azimuth_rate(vel, acc, floor=SPEED_FLOOR):
@@ -671,7 +685,7 @@ class TestPlan:
 
 OUT_OF_RANGE = [
     ("restarts", 0), ("restarts", -5), ("segments", 0), ("segments", -2),
-    ("T", 0.0), ("T", -1.0), ("T", math.inf), ("T", math.nan), ("seed", -1),
+    ("order", -5), ("T", 0.0), ("T", -1.0), ("T", math.inf), ("T", math.nan), ("seed", -1),
 ]
 
 

@@ -345,11 +345,10 @@ class TestHeadingLoop:
 
         from flapkit.attitude import wrap_angle
         from flapkit.control import (
-            TrackingErrors,
+            candidate_v2,
             gamma_y_command,
             heading_rate_command,
             hysteresis_update,
-            lyapunov_monitors,
         )
 
         def run(k_omega):
@@ -368,8 +367,7 @@ class TestHeadingLoop:
                 wd_dot = g.k_psi * h * s * (-w) / (2.0 * root)
                 e = wd - w
                 gy = gamma_y_command(e, dpsi, h, wd_dot, g)
-                v2s.append(lyapunov_monitors(
-                    TrackingErrors(delta_psi=dpsi, e_omega_psi=e), h, g).V2)
+                v2s.append(candidate_v2(dpsi, e, h, g))
                 dpsis.append(dpsi)
                 errs.append(e)
                 w += dt * (-l_gain * gy)
