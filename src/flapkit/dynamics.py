@@ -23,8 +23,8 @@ States and inputs are rows of floats, in the column order of the logs
 * a full-model command is (f_flap_c, theta_rud_c, theta_ele_c);
 * a vertical state is (px, py, pz, vvx, vvy, vvz, psi, omegapsi), the
   velocity in the azimuth frame;
-* a vertical input is (gx, gy, gz, f_flap, theta_rud); theta_rud is read
-  only with the explicit rudder.
+* a vertical input is (gx, gy, gz, fflap), the log's input columns: the
+  reduced attitude and the flapping frequency.
 
 Each model's equations are written once, on arguments that are already
 checked, each reading its parameters as one tuple
@@ -85,7 +85,7 @@ def _require_finite(params) -> None:
     ``params`` with a NaN or an infinity in it."""
     for fld in fields(params):
         value = getattr(params, fld.name)
-        if not isinstance(value, str) and not np.isfinite(value).all():
+        if not np.isfinite(value).all():
             raise InvalidInputError(f"{fld.name} must be finite, not {np.asarray(value).tolist()}")
 
 
@@ -154,41 +154,31 @@ class FwavParams:
 class VerticalParams:
     """Coefficients of the simplified vertical-frame model.
 
-    ``vk_tau_x``/``vk_flap_x`` drive the explicit rudder yaw torque;
+    The frame's lateral velocity is frozen (vv_y == const), the
+    non-holonomic idealization the flatness map relies on.  ``vk_gamma`` is
+    the wind vane's velocity yaw gain, the law the flatness map inverts;
     ``kbar_gamma``/``kbar_flap_x`` are the lumped gains of the tilt-proxy
     yaw torque, whose control-gain bounds are the controller's
-    (``ControllerGains``).  ``lateral_mode`` selects how the frame's
-    lateral velocity is treated: "constrained" enforces vv_y == const (the
-    non-holonomic idealization the flatness map relies on) while "free"
-    integrates the relaxed lateral dynamics.
+    (``ControllerGains``).
     """
 
     m: float = 0.029
     g: float = GRAVITY
     k_tf: float = 1.25e-3
     vk_d_x: float = 0.0174
-    vk_d_y: float = 0.030
     vk_d_z: float = 0.004
     vk_gamma: float = 20.0
     vk_damp: float = 0.4
-    vk_tau_x: float = 0.5
-    vk_flap_x: float = 0.02
     kbar_gamma: float = 0.5
     kbar_flap_x: float = 0.06
-    lateral_mode: str = "constrained"
 
     def __post_init__(self):
         _require_finite(self)
         if min(self.m, self.g, self.k_tf) <= 0:
             raise InvalidInputError("m, g, k_tf must be positive")
-        coeffs = (
-            self.vk_d_x, self.vk_d_y, self.vk_d_z, self.vk_gamma, self.vk_damp,
-            self.vk_tau_x, self.vk_flap_x, self.kbar_gamma, self.kbar_flap_x,
-        )
-        if min(coeffs) < 0:
+        if min(self.vk_d_x, self.vk_d_z, self.vk_gamma, self.vk_damp, self.kbar_gamma,
+               self.kbar_flap_x) < 0:
             raise InvalidInputError("model coefficients must be non-negative")
-        if self.lateral_mode not in ("constrained", "free"):
-            raise InvalidInputError("lateral_mode must be 'constrained' or 'free'")
 
     @property
     def hover_frequency(self) -> float:
@@ -196,11 +186,9 @@ class VerticalParams:
 
     def _constants(self) -> tuple:
         """What the vertical law reads besides the input terms, in one tuple:
-        m, g, the drag gains per axis, the explicit rudder's and the tilt
-        proxy's velocity yaw gains, the yaw damping and whether the lateral
-        velocity is constrained."""
-        return (self.m, self.g, self.vk_d_x, self.vk_d_y, self.vk_d_z, self.vk_tau_x,
-                self.kbar_gamma, self.vk_damp, self.lateral_mode == "constrained")
+        m, g, the forward and vertical drag gains, the tilt proxy's velocity
+        yaw gain and the yaw damping."""
+        return self.m, self.g, self.vk_d_x, self.vk_d_z, self.kbar_gamma, self.vk_damp
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +250,7 @@ _NEGATIVE_FLAP = "flapping frequency must be non-negative"
 _FULL_STATE = "full state", FULL_LOG_HEADER.split(",")[1:]
 _FULL_COMMAND = "full-model command", ["f_flap_c", "theta_rud_c", "theta_ele_c"]
 _VERTICAL_STATE = "vertical state", VERTICAL_LOG_HEADER.split(",")[1:9]
-_VERTICAL_INPUT = "vertical input", ["gx", "gy", "gz", "f_flap", "theta_rud"]
+_VERTICAL_INPUT = "vertical input", VERTICAL_LOG_HEADER.split(",")[9:]
 
 
 def _checked(row, layout):
@@ -352,14 +340,13 @@ def vertical_rhs(
     """Time derivative of the vertical-frame state row (8 floats).
 
     ``state`` is a vertical state row, ``inputs`` an input row (gx, gy, gz,
-    f_flap, theta_rud); an ndarray state is read through ``tolist``.  The thrust
-    enters the forward/vertical rows as -k_tf f^2 Gx and +k_tf f^2 Gz.  In
-    "free" lateral mode the lateral row integrates the relaxed
-    non-holonomic dynamics vvy_dot = w_psi*vvx - (vk_d_y/m)*sgn*vvy^2; in
-    "constrained" mode (default) the lateral velocity is frozen, which is
-    the idealization the flatness construction assumes.  Raises
-    InvalidInputError for a row of another length or an invalid input and
-    PropagationError for a non-finite state.
+    fflap); an ndarray state is read through ``tolist``.  The thrust enters
+    the forward/vertical rows as -k_tf f^2 Gx and +k_tf f^2 Gz, and the
+    lateral velocity is frozen, the idealization the flatness construction
+    assumes.  The yaw law is the tilt proxy's by default; ``rudder_mode``
+    "explicit-rudder" is the wind vane the flatness map inverts, the rudder
+    at neutral.  Raises InvalidInputError for a row of another length or an
+    invalid input and PropagationError for a non-finite state.
     """
     y = state.tolist() if isinstance(state, np.ndarray) else state
     _, _, _, vvx, vvy, vvz, psi, w = _checked(y, _VERTICAL_STATE)
@@ -374,17 +361,18 @@ def vertical_rhs(
 
 
 def _input_row(inputs) -> tuple:
-    """The checked input row (gx, gy, gz, f_flap, theta_rud)."""
-    gx, gy, gz, f, theta_rud = _checked(inputs, _VERTICAL_INPUT)
+    """The checked input row (gx, gy, gz, fflap)."""
+    gx, gy, gz, f = _checked(inputs, _VERTICAL_INPUT)
     if abs(math.sqrt(gx * gx + gy * gy + gz * gz) - 1.0) > 1e-6:
         raise InvalidInputError(_NON_UNIT_GAMMA)
     if f < 0:
         raise InvalidInputError(_NEGATIVE_FLAP)
-    return gx, gy, gz, f, theta_rud
+    return gx, gy, gz, f
 
 
 def _explicit_rudder(rudder_mode: str) -> bool:
-    """True for "explicit-rudder", False for "gamma-proxy"."""
+    """True for "explicit-rudder" (the wind vane, rudder at neutral), False for
+    "gamma-proxy"."""
     if rudder_mode == "explicit-rudder":
         return True
     if rudder_mode == "gamma-proxy":
@@ -392,37 +380,33 @@ def _explicit_rudder(rudder_mode: str) -> bool:
     raise InvalidInputError(f"unknown rudder mode {rudder_mode!r}")
 
 
-def _vertical_terms(params, explicit, gx, gy, gz, f, theta_rud):
-    """The vertical law's input-only terms of the checked input (gx, gy, gz, f,
-    theta_rud), floats or arrays: the thrust's forward and vertical
-    accelerations -k_tf f^2 Gx / m and k_tf f^2 Gz / m, the flapping yaw
-    gain f^2 Gz, the lever of the yaw torque (theta_rud with the explicit
-    rudder, Gy under the tilt proxy) and vk_gamma Gy."""
+def _vertical_terms(params, explicit, gx, gy, gz, f):
+    """The vertical law's input-only terms of the checked input (gx, gy, gz, f),
+    floats or arrays: the thrust's forward and vertical accelerations
+    -k_tf f^2 Gx / m and k_tf f^2 Gz / m, the yaw gain (vk_gamma Gy for the
+    wind vane, the flapping gain kbar_flap_x f^2 Gz under the tilt proxy)
+    and Gy."""
     f2 = f * f
     thrust = params.k_tf * f2
-    if explicit:
-        yaw, lever = params.vk_flap_x * f2 * gz, theta_rud
-    else:
-        yaw, lever = params.kbar_flap_x * f2 * gz, gy
-    return -thrust * gx / params.m, thrust * gz / params.m, yaw, lever, params.vk_gamma * gy
+    yaw = params.vk_gamma * gy if explicit else params.kbar_flap_x * f2 * gz
+    return -thrust * gx / params.m, thrust * gz / params.m, yaw, gy
 
 
-def _vertical_dynamics(c, explicit, vvx, vvy, vvz, w, ax_thrust, az_thrust, yaw, lever, gam):
+def _vertical_dynamics(c, explicit, vvx, vvy, vvz, w, ax_thrust, az_thrust, yaw, gy):
     """The vertical model's dynamic rows, the rates of (vvx, vvy, vvz, w) under
-    an input's ``_vertical_terms``, ``c`` from ``VerticalParams._constants``.
-    Neither the azimuth nor the position is an argument, because no dynamic
-    row reads them.  Arithmetic and ``abs`` only, so floats and arrays run the
-    same text to the same bits."""
-    m, g, d_x, d_y, d_z, tau_x, kbar_gamma, damp, constrained = c
+    an input's ``_vertical_terms``, ``c`` from ``VerticalParams._constants``:
+    the lateral velocity is frozen, and the yaw rate follows the wind vane
+    vk_gamma Gy vvx|vvx| or the tilt proxy -(kbar_gamma vvz|vvz| +
+    kbar_flap_x f^2 Gz) Gy, both damped by vk_damp w|w|.  Neither the azimuth
+    nor the position is an argument, because no dynamic row reads them.
+    Arithmetic and ``abs`` only, so floats and arrays run the same text to
+    the same bits."""
+    m, g, d_x, d_z, kbar_gamma, damp = c
     dx, dz = vvx * abs(vvx), vvz * abs(vvz)
     ax = ax_thrust - d_x * dx / m - w * vvy
-    ay = 0.0 if constrained else w * vvx - d_y * (vvy * abs(vvy)) / m
     az = az_thrust - d_z * dz / m - g
-    if explicit:
-        w_dot = -(tau_x * dz + yaw) * lever + gam * dx
-    else:
-        w_dot = -(kbar_gamma * dz + yaw) * lever
-    return ax, ay, az, w_dot - damp * (w * abs(w))
+    w_dot = yaw * dx if explicit else -(kbar_gamma * dz + yaw) * gy
+    return ax, 0.0, az, w_dot - damp * (w * abs(w))
 
 
 def _vertical_kinematics(cos, sin, vvx, vvy, vvz):
@@ -464,7 +448,7 @@ def _vertical_steps(params, y, terms, first, n, dt, states, k0, radius):
     NaN, as ``np.cos`` would.  The closed loop's stepper: its blocks are a
     controller tick long, too short for ``_vertical_replay``'s array pass to pay."""
     px, py, pz, vvx, vvy, vvz, psi, w = y
-    tx, tz, yaw, lever, gam = terms
+    tx, tz, yaw, gy = terms
     h, c6, dyn, cos, sin = 0.5 * dt, dt / 6.0, _vertical_dynamics, math.cos, math.sin
     isfinite, sqrt = math.isfinite, math.sqrt
     c, out, stopped = params._constants(), [], False
@@ -475,13 +459,13 @@ def _vertical_steps(params, y, terms, first, n, dt, states, k0, radius):
         # no more than three names an assignment: CPython builds no tuple for those
         vx2, vy2, vz2 = vvx + h * a1, vvy + h * b1, vvz + h * c1
         w2 = w + h * e1
-        a2, b2, c2, e2 = dyn(c, False, vx2, vy2, vz2, w2, tx, tz, yaw, lever, gam)
+        a2, b2, c2, e2 = dyn(c, False, vx2, vy2, vz2, w2, tx, tz, yaw, gy)
         vx3, vy3, vz3 = vvx + h * a2, vvy + h * b2, vvz + h * c2
         w3 = w + h * e2
-        a3, b3, c3, e3 = dyn(c, False, vx3, vy3, vz3, w3, tx, tz, yaw, lever, gam)
+        a3, b3, c3, e3 = dyn(c, False, vx3, vy3, vz3, w3, tx, tz, yaw, gy)
         vx4, vy4, vz4 = vvx + dt * a3, vvy + dt * b3, vvz + dt * c3
         w4 = w + dt * e3
-        a4, b4, c4, e4 = dyn(c, False, vx4, vy4, vz4, w4, tx, tz, yaw, lever, gam)
+        a4, b4, c4, e4 = dyn(c, False, vx4, vy4, vz4, w4, tx, tz, yaw, gy)
         # _vertical_kinematics, inline, at the stage azimuths psi, psi + h w, psi + h w2
         # and psi + dt w3
         psi2, psi3, psi4 = psi + h * w, psi + h * w2, psi + dt * w3
@@ -510,7 +494,7 @@ def _vertical_steps(params, y, terms, first, n, dt, states, k0, radius):
             stopped = True
             break
         if k < last:
-            stage = dyn(c, False, vvx, vvy, vvz, w, tx, tz, yaw, lever, gam)
+            stage = dyn(c, False, vvx, vvy, vvz, w, tx, tz, yaw, gy)
     if out:
         states[k0 + 1:k + 1] = out
     return y, k, stopped
@@ -532,15 +516,15 @@ def _vertical_replay(c, explicit, y, terms, dt) -> np.ndarray:
     h, c6, dyn = 0.5 * dt, dt / 6.0, _vertical_dynamics
     vvx, vvy, vvz, w = y[3], y[4], y[5], y[7]
     dynamic, rows = [vvx, vvy, vvz, w], list(zip(*(t.tolist() for t in terms)))
-    for (t1, z1, yaw1, lever1, gam1), (tm, zm, yawm, leverm, gamm), (t2, z2, yaw2, lever2, gam2) \
+    for (t1, z1, yaw1, gy1), (tm, zm, yawm, gym), (t2, z2, yaw2, gy2) \
             in zip(rows[0::2], rows[1::2], rows[2::2]):
-        a1, b1, c1, e1 = dyn(c, explicit, vvx, vvy, vvz, w, t1, z1, yaw1, lever1, gam1)
+        a1, b1, c1, e1 = dyn(c, explicit, vvx, vvy, vvz, w, t1, z1, yaw1, gy1)
         a2, b2, c2, e2 = dyn(c, explicit, vvx + h * a1, vvy + h * b1, vvz + h * c1,
-                             w + h * e1, tm, zm, yawm, leverm, gamm)
+                             w + h * e1, tm, zm, yawm, gym)
         a3, b3, c3, e3 = dyn(c, explicit, vvx + h * a2, vvy + h * b2, vvz + h * c2,
-                             w + h * e2, tm, zm, yawm, leverm, gamm)
+                             w + h * e2, tm, zm, yawm, gym)
         a4, b4, c4, e4 = dyn(c, explicit, vvx + dt * a3, vvy + dt * b3, vvz + dt * c3,
-                             w + dt * e3, t2, z2, yaw2, lever2, gam2)
+                             w + dt * e3, t2, z2, yaw2, gy2)
         vvx = vvx + c6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         vvy = vvy + c6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         vvz = vvz + c6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
@@ -714,12 +698,12 @@ def simulate_vertical(
     duration: float = 1.0,
 ) -> VerticalLog:
     """Integrate the vertical-frame model from the state row ``state0`` under a
-    schedule of input rows (gx, gy, gz, f_flap, theta_rud), read once at each
-    half-step time: ``integrate_vertical_tabulated`` on that table."""
+    schedule of input rows (gx, gy, gz, fflap), read once at each half-step
+    time: ``integrate_vertical_tabulated`` on that table."""
     rows = (_checked(u, _VERTICAL_INPUT) for u in map(inputs, _half_steps(dt, duration)))
-    table = np.fromiter(rows, (float, 5))
+    table = np.fromiter(rows, (float, 4))
     return integrate_vertical_tabulated(state0, params, table[:, 0:3], table[:, 3], dt,
-                                        rudder_mode, table[:, 4])
+                                        rudder_mode)
 
 
 _TABLE_BLOCK = 1024  # steps of the input table checked at once
@@ -732,21 +716,20 @@ def integrate_vertical_tabulated(
     f_grid: np.ndarray,
     dt: float,
     rudder_mode: str = "gamma-proxy",
-    theta_rud_grid: np.ndarray | None = None,
 ) -> VerticalLog:
     """RK4 on the vertical model from the state row ``state0`` with inputs
     tabulated at half-step spacing.
 
-    ``gamma_grid`` (2*n_steps+1, 3), ``f_grid`` and ``theta_rud_grid``
-    (2*n_steps+1,) hold the inputs at times k*dt/2, the exact abscissae RK4
-    stages use; dt must be positive and finite.  The rudder mode is resolved
-    once, and the table is read from the grids and checked with
-    ``vertical_rhs``'s predicates one block of steps at a time (no copy of
-    the whole table); ``_vertical_replay`` runs each block on the
-    ``_vertical_terms`` of its rows.  The log is ``rk4_flat`` over
-    ``vertical_rhs`` on the same samples bit for bit.  An invalid sample
-    raises InvalidInputError after the steps before the one that first reads
-    it, and a non-finite state raises PropagationError naming its step.
+    ``gamma_grid`` (2*n_steps+1, 3) and ``f_grid`` (2*n_steps+1,) hold the
+    inputs at times k*dt/2, the exact abscissae RK4 stages use; dt must be
+    positive and finite.  The rudder mode is resolved once, and the table is
+    read from the grids and checked with ``vertical_rhs``'s predicates one
+    block of steps at a time (no copy of the whole table);
+    ``_vertical_replay`` runs each block on the ``_vertical_terms`` of its
+    rows.  The log is ``rk4_flat`` over ``vertical_rhs`` on the same samples
+    bit for bit.  An invalid sample raises InvalidInputError after the steps
+    before the one that first reads it, and a non-finite state raises
+    PropagationError naming its step.
     """
     shape = np.shape(gamma_grid)
     if len(shape) != 2 or shape[1] != 3:
@@ -756,8 +739,6 @@ def integrate_vertical_tabulated(
             f"f_grid needs one sample per row of gamma_grid: {np.shape(f_grid)}, not {shape[:1]}")
     if shape[0] % 2 == 0:
         raise InvalidInputError("need an odd number of half-step input samples")
-    if theta_rud_grid is not None and np.shape(theta_rud_grid) != shape[:1]:
-        raise InvalidInputError("theta_rud_grid needs one sample per half-step input sample")
     if not 0 < dt < math.inf:
         raise InvalidInputError(f"dt must be positive and finite, not {dt}")
     explicit, c = _explicit_rudder(rudder_mode), params._constants()
@@ -767,8 +748,7 @@ def integrate_vertical_tabulated(
     for start in range(0, n_steps, _TABLE_BLOCK):
         stop = min(start + _TABLE_BLOCK, n_steps)
         lo, hi = 2 * start, 2 * stop + 1
-        rud = np.zeros(hi - lo) if theta_rud_grid is None else theta_rud_grid[lo:hi]
-        block = np.column_stack([gamma_grid[lo:hi], f_grid[lo:hi], rud]).astype(float)
+        block = np.column_stack([gamma_grid[lo:hi], f_grid[lo:hi]]).astype(float)
         bad_gamma, bad_f = _invalid_samples(block)
         bad = np.flatnonzero(bad_gamma | bad_f)
         if bad.size:
@@ -791,7 +771,7 @@ def integrate_vertical_tabulated(
 
 
 def _invalid_samples(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``vertical_rhs``'s input checks on the rows (gx, gy, gz, f, theta_rud)
-    of a table: masks of the non-unit reduced attitudes and negative f."""
+    """``vertical_rhs``'s input checks on the rows (gx, gy, gz, fflap) of a
+    table: masks of the non-unit reduced attitudes and negative fflap."""
     gx, gy, gz, f = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
     return np.abs(np.sqrt(gx * gx + gy * gy + gz * gz) - 1.0) > 1e-6, f < 0

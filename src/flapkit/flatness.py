@@ -232,7 +232,6 @@ class FlatStateResult:
     psi: float
     omega_psi: float
     vv: np.ndarray
-    vv_dot: np.ndarray
     quaternion: np.ndarray  # scalar-first yaw(psi) (x) tilt(Gamma)
     rotation: np.ndarray
     omega: np.ndarray  # body frame
@@ -296,7 +295,6 @@ def flat_to_full(traj: PiecewiseTrajectory, t, vparams: VerticalParams, fparams:
         p=taylor[0], v=vel, gamma=np.stack([gx.c[0], gy.c[0], gz.c[0]], axis=1),
         psi=frame.psi, omega_psi=w.c[0],
         vv=np.stack([j.c[0] for j in frame.vv], axis=1),
-        vv_dot=np.stack([j.d().c[0] for j in frame.vv], axis=1),
         quaternion=q, rotation=rot, omega=om, omega_dot=om_dot, f_flap=np.sqrt(f2.c[0]),
         theta_rud=-tau[:, 0] / gain_x, theta_ele=-tau[:, 1] / gain_y,
     )

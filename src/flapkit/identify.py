@@ -74,5 +74,5 @@ def identify_drag_from_log(log: VerticalLog, params: VerticalParams) -> DragEsti
     term under the logged tilt/frequency inputs plus the frame-rate coupling.
     """
     _, _, _, vvx, vvy, _, _, w = log.states.T
-    thrust = _vertical_terms(params, False, *log.inputs.T, 0.0)[0]
+    thrust = _vertical_terms(params, False, *log.inputs.T)[0]
     return identify_drag(log.t, vvx, thrust - w * vvy)

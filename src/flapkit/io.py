@@ -100,24 +100,18 @@ def _check_keys(data: dict, schema: str, known) -> None:
 
 def _read(key: str, raw, default):
     """The value ``raw`` of ``key`` read as the type of its field's ``default``:
-    a string, a float array of the default's shape, an integer (7 or 7.0, not
-    1.5) or a number.  No number is a string, a bool or NaN; an infinity is
-    left to the dataclass's own checks."""
-    if isinstance(default, str):
-        if isinstance(raw, str):
-            return raw
-        wants = "a string"
-    else:
-        shape, integer = np.shape(default), isinstance(default, int)
-        items = raw if isinstance(raw, list) else [raw]
-        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
-            with contextlib.suppress(OverflowError):  # an integer beyond float range
-                value = np.array(raw, dtype=float)
-                if (value.shape == shape and not np.isnan(value).any()
-                        and (not integer or float(value).is_integer())):
-                    return int(raw) if integer else value if shape else float(value)
-        wants = (f"a list of {shape[0]} numbers" if shape
-                 else "an integer" if integer else "a number")
+    a float array of the default's shape, an integer (7 or 7.0, not 1.5) or a
+    number.  No number is a string, a bool or NaN; an infinity is left to the
+    dataclass's own checks."""
+    shape, integer = np.shape(default), isinstance(default, int)
+    items = raw if isinstance(raw, list) else [raw]
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            value = np.array(raw, dtype=float)
+            if (value.shape == shape and not np.isnan(value).any()
+                    and (not integer or float(value).is_integer())):
+                return int(raw) if integer else value if shape else float(value)
+    wants = f"a list of {shape[0]} numbers" if shape else "an integer" if integer else "a number"
     raise InvalidInputError(f"key {key!r} wants {wants}, not {raw!r}")
 
 

@@ -112,6 +112,15 @@ class ClosedLoopResult:
         return count
 
 
+def _check_steps(dt: float, rate_hz: float, duration: float) -> None:
+    """Raise InvalidInputError unless dt and rate_hz are finite and positive and
+    the duration is finite and non-negative: the step settings of every loop."""
+    if not (0.0 < dt < math.inf and 0.0 < rate_hz < math.inf):
+        raise InvalidInputError(f"need finite dt > 0 and rate > 0, got dt={dt}, rate={rate_hz}")
+    if not 0.0 <= duration < math.inf:
+        raise InvalidInputError(f"need a finite duration >= 0, got {duration}")
+
+
 def run_closed_loop(
     traj: PiecewiseTrajectory,
     model: str = "vertical",
@@ -137,10 +146,7 @@ def run_closed_loop(
     vparams = vparams or VerticalParams()
     gains = gains or ControllerGains()
     duration = duration if duration is not None else traj.duration
-    if not (0.0 < dt < math.inf and 0.0 < rate_hz < math.inf):
-        raise InvalidInputError(f"need finite dt > 0 and rate > 0, got dt={dt}, rate={rate_hz}")
-    if not 0.0 <= duration < math.inf:
-        raise InvalidInputError(f"need a finite duration >= 0, got {duration}")
+    _check_steps(dt, rate_hz, duration)
     p0 = traj.eval(0.0) + np.asarray(perturb_pos, dtype=float)
     v0 = traj.eval(0.0, 1) + np.asarray(perturb_vel, dtype=float)
     if not (np.isfinite(p0).all() and np.isfinite(v0).all()):
@@ -170,12 +176,12 @@ def run_closed_loop(
 
 
 class _VerticalPlant:
-    """Vertical-frame model for the closed loop: inputs (gx, gy, gz, f_flap,
-    theta_rud); the log keeps the applied (gx, gy, gz, f_flap)."""
+    """Vertical-frame model for the closed loop under the tilt proxy: inputs
+    (gx, gy, gz, fflap), the log's input columns."""
 
     def __init__(self, params: VerticalParams):
         self.params = params
-        self.hold = (0.0, 0.0, 1.0, params.hover_frequency, 0.0)
+        self.hold = (0.0, 0.0, 1.0, params.hover_frequency)
 
     def measure(self, y, u) -> Measurement:
         # inertial velocity R_z(psi) vv
@@ -186,7 +192,7 @@ class _VerticalPlant:
         )
 
     def inputs(self, out):
-        return (*out.gamma_cmd, out.f_flap_cmd, 0.0)
+        return (*out.gamma_cmd, out.f_flap_cmd)
 
     def advance(self, y, u, dt, states, k, n, radius):
         first = vertical_rhs(y, u, self.params)  # checks the held input once
@@ -195,9 +201,9 @@ class _VerticalPlant:
         return y, k, k if stopped else None
 
     def log(self, t, states, held, counts):
-        """The state log with its applied (gx, gy, gz, f_flap): input row i of
-        ``held`` repeated ``counts[i]`` times, one per logged state it led to."""
-        return VerticalLog(t, states, np.repeat(np.array(held)[:, 0:4], counts, axis=0))
+        """The state log with its applied inputs: input row i of ``held``
+        repeated ``counts[i]`` times, one per logged state it led to."""
+        return VerticalLog(t, states, np.repeat(np.array(held), counts, axis=0))
 
 
 class _FullPlant:
@@ -335,8 +341,10 @@ def simulate_ideal_vertical(
     hovering at the origin with a fixed desired azimuth; otherwise pass a
     callable t -> (sigma_r, sigma_r_dot, sigma_r_ddot).  Neither subsystem
     reads the other: the positional states are stepped here, and the
-    heading is ``simulate_heading_loop`` over the same steps.
+    heading is ``simulate_heading_loop`` over the same steps.  dt and rate_hz
+    must be finite and positive and the duration finite and non-negative.
     """
+    _check_steps(dt, rate_hz, duration)
     if reference is None:
         reference = lambda t: ((0.0, 0.0, 0.0),) * 3
     n_steps = int(round(duration / dt))
@@ -417,8 +425,11 @@ def simulate_heading_loop(
 
     Every tick passes psi_d' = 0 to ``HybridHeading.tick``, and V2 is
     evaluated with psi_d' = 0 too: the loop certifies a constant reference.
-    A moving ``psi_d_fn`` is flown without its rate feedforward.
+    A moving ``psi_d_fn`` is flown without its rate feedforward.  dt and
+    rate_hz must be finite and positive and the duration finite and
+    non-negative.
     """
+    _check_steps(dt, rate_hz, duration)
     if l_gain is None:
         l_gain = math.sqrt(gains.l_gamma_min * gains.l_gamma_max)
     n_sub = max(int(round(1.0 / (rate_hz * dt))), 1)

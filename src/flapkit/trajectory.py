@@ -146,11 +146,13 @@ class PiecewiseTrajectory:
 
     def _per_segment(self, times: np.ndarray, fn, shape: tuple) -> np.ndarray:
         """fn(segment, local times) on the samples of each segment, stacked
-        along a leading sample axis of an array of the given trailing shape."""
+        along a leading sample axis of an array of the given trailing shape.  A
+        time outside the span by more than 1e-12, or NaN, raises
+        TrajectoryDomainError."""
         out = np.empty((times.size, *shape))
         if times.size == 0:
             return out
-        if np.min(times) < -1e-12 or np.max(times) > self.duration + 1e-12:
+        if not (np.min(times) >= -1e-12 and np.max(times) <= self.duration + 1e-12):
             raise TrajectoryDomainError("evaluation times outside [0, M*T]")
         clipped = np.clip(times, 0.0, self.duration)
         seg_idx = np.minimum((clipped / self.T).astype(int), self.M - 1)

@@ -151,9 +151,9 @@ def vertical_row(p=(0.0, 0.0, 0.0), vv=(0.0, 0.0, 0.0), psi=0.0, omega_psi=0.0) 
     return [float(x) for x in (*p, *vv, psi, omega_psi)]
 
 
-def vertical_inputs(gamma, f_flap, theta_rud=0.0) -> tuple:
-    """A vertical input row (gx, gy, gz, f_flap, theta_rud)."""
-    return (*(float(g) for g in gamma), float(f_flap), float(theta_rud))
+def vertical_inputs(gamma, f_flap) -> tuple:
+    """A vertical input row (the input columns of ``VERTICAL_LOG_HEADER``)."""
+    return (*(float(g) for g in gamma), float(f_flap))
 
 
 def commands(f_flap_c=0.0, theta_rud_c=0.0, theta_ele_c=0.0) -> tuple:

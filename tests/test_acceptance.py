@@ -211,8 +211,8 @@ class TestAcceptance:
         def inputs(t):
             gx = -tilt(t)
             gz = math.sqrt(1.0 - gx**2)
-            # the input row (gx, gy, gz, f_flap, theta_rud)
-            return gx, 0.0, gz, vparams.hover_frequency / math.sqrt(gz), 0.0
+            # the input row (gx, gy, gz, fflap)
+            return gx, 0.0, gz, vparams.hover_frequency / math.sqrt(gz)
 
         # the state row (p, vv, psi, omega_psi): 0.5 m/s forward at the origin
         log = simulate_vertical(

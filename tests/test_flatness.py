@@ -302,39 +302,24 @@ class TestRoundTripProperty:
             FlatInputSchedule(traj, vparams)
 
     @pytest.mark.parametrize("rudder_mode", ["explicit-rudder", "gamma-proxy"])
-    @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
-    def test_integrator_fast_path_matches_generic(self, rk4_vertical, rudder_mode, lateral_mode):
-        _assert_fast_path_equals_generic(rk4_vertical, rudder_mode, lateral_mode,
-                                         with_rudder=False)
-
-    @pytest.mark.parametrize("lateral_mode", ["constrained", "free"])
-    def test_integrator_fast_path_matches_generic_with_rudder(self, rk4_vertical, lateral_mode):
-        _assert_fast_path_equals_generic(rk4_vertical, "explicit-rudder", lateral_mode,
-                                         with_rudder=True)
-
-
-def _assert_fast_path_equals_generic(rk4_vertical, rudder_mode, lateral_mode, with_rudder):
-    """integrate_vertical_tabulated on a tabulated schedule logs the states of
-    rk4_flat over vertical_rhs on the same samples, and their start inputs, bit
-    for bit."""
-    vparams = VerticalParams(lateral_mode=lateral_mode)
-    traj = smooth_forward_trajectory()
-    sched = FlatInputSchedule(traj, vparams)
-    dt = 1e-3
-    n = int(round(0.5 / dt))
-    grid = np.minimum(np.arange(2 * n + 1) * dt / 2, traj.duration)
-    gam, f = sched.tabulate(grid)
-    rud = 0.05 * np.sin(7.0 * grid) if with_rudder else np.zeros(len(grid))
-    state0 = sched.initial_vertical_state()
-    state0[4] = 0.05  # vvy: exercise the lateral row
-    fast = integrate_vertical_tabulated(
-        state0, vparams, gam, f, dt, rudder_mode=rudder_mode,
-        theta_rud_grid=rud if with_rudder else None,
-    )
-    samples = np.column_stack([gam, f, rud]).tolist()
-    assert np.array_equal(fast.t, np.arange(n + 1) * dt)
-    assert np.array_equal(fast.states, rk4_vertical(state0, vparams, samples, dt, rudder_mode))
-    assert np.array_equal(fast.inputs, np.column_stack([gam, f])[::2])
+    def test_integrator_fast_path_matches_generic(self, rk4_vertical, rudder_mode):
+        """integrate_vertical_tabulated on a tabulated schedule logs the states of
+        rk4_flat over vertical_rhs on the same samples, and their start inputs,
+        bit for bit."""
+        vparams = VerticalParams()
+        traj = smooth_forward_trajectory()
+        sched = FlatInputSchedule(traj, vparams)
+        dt = 1e-3
+        n = int(round(0.5 / dt))
+        grid = np.minimum(np.arange(2 * n + 1) * dt / 2, traj.duration)
+        gam, f = sched.tabulate(grid)
+        state0 = sched.initial_vertical_state()
+        state0[4] = 0.05  # vvy: exercise the frame coupling of the forward row
+        fast = integrate_vertical_tabulated(state0, vparams, gam, f, dt, rudder_mode=rudder_mode)
+        samples = np.column_stack([gam, f]).tolist()
+        assert np.array_equal(fast.t, np.arange(n + 1) * dt)
+        assert np.array_equal(fast.states, rk4_vertical(state0, vparams, samples, dt, rudder_mode))
+        assert np.array_equal(fast.inputs, np.column_stack([gam, f])[::2])
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +491,7 @@ class TestBatchedEqualsPerSample:
         batch = flat_to_full(traj, times, vparams, fparams, psi=psi)
         for i, t in enumerate(times):
             one = flat_to_full(traj, float(t), vparams, fparams, psi=psi)
-            for key in ("p", "v", "gamma", "psi", "omega_psi", "vv", "vv_dot", "quaternion",
+            for key in ("p", "v", "gamma", "psi", "omega_psi", "vv", "quaternion",
                         "rotation", "omega", "omega_dot", "f_flap", "theta_rud", "theta_ele"):
                 np.testing.assert_allclose(
                     getattr(batch, key)[i], getattr(one, key), rtol=1e-13, atol=1e-13,

@@ -13,16 +13,24 @@ prints ``record()``.
 The same command then prints ``record_digests()``: the sha256 of the state
 and control logs of four full-model flights and of one ``simulate_full``
 run, recorded at commit b06346b, where the full plant stepped ``rk4_flat``
-on ``full_rhs``, and of two ``simulate_vertical`` runs (one per rudder and
-lateral mode), recorded at commit 57bb71a, before the dataclass state views
-were deleted.  These are exact pins, not tolerances.  The ``simulate_full`` digest was re-recorded, with the
-same command, when ``simulate_full`` began to read its commands once per
-half-step time j dt/2 (the end of one step and the start of the next share
-the sample at (k + 1) dt, not two samples at times one rounding apart): its
-states moved by at most 6.9e-18.  ``simulate_full`` is now the tests' own
-oracle, ``helpers.simulate_full`` (``rk4_flat`` on ``full_rhs``, then the
-quaternion projection, over that half-step table); the package flies the
-full model only in the closed loop, which the four flight digests pin.
+on ``full_rhs``, and of two ``simulate_vertical`` runs (one per rudder
+mode), recorded at commit 57bb71a, before the dataclass state views were
+deleted.  These are exact pins, not tolerances.  The ``simulate_full``
+digest was re-recorded, with the same command, when ``simulate_full`` began
+to read its commands once per half-step time j dt/2 (the end of one step and
+the start of the next share the sample at (k + 1) dt, not two samples at
+times one rounding apart): its states moved by at most 6.9e-18.
+``simulate_full`` is now the tests' own oracle, ``helpers.simulate_full``
+(``rk4_flat`` on ``full_rhs``, then the quaternion projection, over that
+half-step table); the package flies the full model only in the closed loop,
+which the four flight digests pin.
+
+The explicit-rudder run's digest was re-recorded at 57bb71a, by the same
+``simulate_vertical`` run written for that commit's dataclass views, when
+the rudder deflection left the input row and the model kept one lateral
+law: there the run had flown a rudder schedule 0.02 sin(3 t) under the
+"free" lateral law, and it was re-recorded with the rudder at +0.0 and the
+lateral velocity frozen, the law the wind vane now is.
 """
 
 import hashlib
@@ -102,26 +110,26 @@ def simulate_varying():
                          dt=1e-3, duration=0.5)
 
 
-# (rudder mode, lateral mode) of each open-loop vertical run
+# the rudder mode of each open-loop vertical run
 VERTICAL_RUNS = {
-    "simulate_vertical_explicit_free": ("explicit-rudder", "free"),
-    "simulate_vertical_proxy_constrained": ("gamma-proxy", "constrained"),
+    "simulate_vertical_explicit": "explicit-rudder",
+    "simulate_vertical_proxy_constrained": "gamma-proxy",
 }
 
 
 def varying_vertical_inputs(t: float) -> tuple:
-    """An input row (gx, gy, gz, f_flap, theta_rud) schedule that moves every
-    stage; the reduced attitude is unit by construction."""
+    """An input row (gx, gy, gz, fflap) schedule that moves every stage; the
+    reduced attitude is unit by construction."""
     a, b = 0.08 * math.sin(4.0 * t), 0.03 * math.cos(6.0 * t)
     f0 = VerticalParams().hover_frequency
     return vertical_inputs([math.sin(a) * math.cos(b), math.sin(b), math.cos(a) * math.cos(b)],
-                           f0 * (1.0 + 0.05 * math.sin(5.0 * t)), 0.02 * math.sin(3.0 * t))
+                           f0 * (1.0 + 0.05 * math.sin(5.0 * t)))
 
 
-def simulate_vertical_varying(rudder_mode: str, lateral_mode: str):
+def simulate_vertical_varying(rudder_mode: str):
     start = vertical_row(vv=[0.5, 0.05, 0.1], psi=0.3, omega_psi=0.2)
-    return simulate_vertical(start, VerticalParams(lateral_mode=lateral_mode),
-                             varying_vertical_inputs, rudder_mode, dt=1e-3, duration=0.5)
+    return simulate_vertical(start, VerticalParams(), varying_vertical_inputs, rudder_mode,
+                             dt=1e-3, duration=0.5)
 
 
 def record_digests() -> dict:
@@ -133,8 +141,8 @@ def record_digests() -> dict:
         traj, _ = plan(cons, weights, opts)
         out[key] = flight_digests(run_closed_loop(traj, model="full", perturb_pos=offset))
     out["simulate_full_varying"] = {"states": digest(simulate_varying().states)}
-    for key, modes in VERTICAL_RUNS.items():
-        out[key] = {"states": digest(simulate_vertical_varying(*modes).states)}
+    for key, mode in VERTICAL_RUNS.items():
+        out[key] = {"states": digest(simulate_vertical_varying(mode).states)}
     return out
 
 
@@ -222,8 +230,8 @@ DIGESTS = {
     "simulate_full_varying": {
         "states": "dcbee80818d06afbad11c7abcb6bd2bc21882d56b07e895e4e9886cfec24435a",
     },
-    "simulate_vertical_explicit_free": {
-        "states": "6eb2ba62742eccc0569a51648300cfa0f810724ee7ae90a7e9f90da6b8c363a0",
+    "simulate_vertical_explicit": {
+        "states": "eb5f7dc88648ad6a53285f73808c8dd35518f1d02fbab45aa90833dbcd146262",
     },
     "simulate_vertical_proxy_constrained": {
         "states": "b1b473d48d188add8ef1c426febdd4898ad6c8ad2fe86611d71d8eb4b51c853a",
@@ -244,7 +252,7 @@ def test_simulate_full_log_matches_recorded_digest():
 
 @pytest.mark.parametrize("key", sorted(VERTICAL_RUNS))
 def test_simulate_vertical_log_matches_recorded_digest(key):
-    log = simulate_vertical_varying(*VERTICAL_RUNS[key])
+    log = simulate_vertical_varying(VERTICAL_RUNS[key])
     assert {"states": digest(log.states)} == DIGESTS[key]
 
 

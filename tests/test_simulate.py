@@ -43,7 +43,7 @@ def vparams():
 def reference_vertical_flight(traj, n_steps, offset, dt=1e-3, n_sub=10):
     """The vertical closed loop at its defaults, stepped one RK4 step at a
     time by ``rk4_flat`` over ``vertical_rhs``: state log, applied inputs
-    (gx, gy, gz, f_flap) and controller log."""
+    (gx, gy, gz, fflap) and controller log."""
     vparams = VerticalParams()
     psi0 = initial_heading(traj)
     controller = TrackingController(ControllerGains(), vparams, initial_psi_d=psi0)
@@ -61,7 +61,7 @@ def reference_vertical_flight(traj, n_steps, offset, dt=1e-3, n_sub=10):
         y = rk4_flat(vertical_rhs, y, dt, u, u, u, vparams)
         states.append(y)
         applied.append(u)
-    return np.array(states), np.array(applied)[:, 0:4], np.array(control)
+    return np.array(states), np.array(applied), np.array(control)
 
 
 def reference_full_flight(traj, offset, dt=1e-3, n_sub=10):
@@ -288,6 +288,28 @@ class TestClosedLoop:
 
     def test_initial_heading_of_line(self, case_line):
         assert initial_heading(case_line.traj) == pytest.approx(0.0, abs=1e-9)
+
+
+STEP_SETTINGS = [dict(dt=math.nan), dict(dt=0.0), dict(dt=-1e-3), dict(dt=math.inf),
+                 dict(rate_hz=0.0), dict(rate_hz=-1.0), dict(rate_hz=math.nan),
+                 dict(rate_hz=math.inf), dict(duration=math.inf), dict(duration=-1.0),
+                 dict(duration=math.nan)]
+
+
+@pytest.mark.parametrize("setting", STEP_SETTINGS, ids=lambda d: "{}={}".format(*next(iter(d.items()))))
+@pytest.mark.parametrize("loop", ["closed", "ideal", "heading"])
+def test_invalid_step_settings_rejected(loop, setting):
+    # every loop takes dt and rate_hz finite and positive and the duration finite
+    # and non-negative, and names a bad one with InvalidInputError
+    gains = ControllerGains()
+    flight = {
+        "closed": lambda **kw: run_closed_loop(constant_trajectory([0, 0, 1], T=1.0), **kw),
+        "ideal": lambda **kw: simulate_ideal_vertical(gains, [0.1, 0, 0], [0, 0, 0], **kw),
+        "heading": lambda **kw: simulate_heading_loop(gains, lambda t: 0.5, **kw),
+    }[loop]
+    kwargs = {"dt": 1e-3, "rate_hz": 100.0, "duration": 0.1, **setting}
+    with pytest.raises(InvalidInputError, match="need"):
+        flight(**kwargs)
 
 
 class TestIdealVertical:

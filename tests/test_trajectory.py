@@ -46,7 +46,8 @@ class TestEval:
         with pytest.raises(TrajectoryDomainError):
             traj.eval(-0.1)
 
-    @pytest.mark.parametrize("times", [[0.5, 1.5], [-0.1, 0.5], [1.0 + 1e-9]])
+    @pytest.mark.parametrize("times", [[0.5, 1.5], [-0.1, 0.5], [1.0 + 1e-9], [math.nan],
+                                       [0.5, math.nan, 0.2]])
     def test_eval_many_domain_error(self, times):
         traj = constant_trajectory([0, 0, 0], T=1.0)
         with pytest.raises(TrajectoryDomainError, match="outside"):
