@@ -3,7 +3,7 @@
 Subcommands: ``cases`` (dump a published scenario), ``plan``, ``simulate``,
 ``track`` (plan + simulate + metrics), ``metrics``, ``identify``.  Exit
 codes: 0 success, 1 usage error, 2 planner infeasibility, 3 closed-loop
-divergence.
+divergence.  ``simulate`` and ``track`` check every flight setting first.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from . import io as kvio
 from .control import ControllerGains
-from .dynamics import FwavParams, VerticalLog, VerticalParams
-from .errors import FlapkitError, PlanInfeasibleError
+from .dynamics import FwavParams, VerticalLog, VerticalParams, _schedule
+from .errors import FlapkitError, InvalidInputError, PlanInfeasibleError
 from .identify import identify_drag_from_log
 from .metrics import compute_metrics
 from .planning import case_library, plan as run_planner
@@ -116,6 +116,8 @@ def _parse_perturb(text: str) -> np.ndarray:
         parts = [float(x) for x in text.split(",")]
     except ValueError:
         raise _UsageError(f"--perturb wants numbers, got {text!r}") from None
+    if not np.isfinite(parts).all():
+        raise InvalidInputError(f"--perturb wants finite numbers, got {text!r}")
     if len(parts) == 1:
         return np.array([parts[0], 0.0, 0.0])
     if len(parts) != 3:
@@ -150,17 +152,24 @@ def _planner_flags(opts, args):
     return dataclasses.replace(opts, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _fly(args, traj, state_path, control_path):
-    """Closed-loop flight of traj under the command's options; writes the
-    state and control logs and reports divergence on stderr."""
-    result = run_closed_loop(
-        traj, model=args.model,
+def _flight_settings(args) -> dict:
+    """``run_closed_loop``'s keyword arguments from the command's options, every
+    file read and the steps checked: a rejected setting plans and writes nothing."""
+    _schedule(args.dt, 0.0 if args.duration is None else args.duration, args.rate)
+    return dict(
+        model=args.model,
         vparams=_params(VerticalParams, args.model == "vertical" and args.params),
         fparams=_params(FwavParams, args.model == "full" and args.params),
         gains=_params(ControllerGains, args.gains),
         dt=args.dt, rate_hz=args.rate, duration=args.duration,
         perturb_pos=_parse_perturb(args.perturb),
     )
+
+
+def _fly(traj, settings, state_path, control_path):
+    """Closed-loop flight of traj under ``_flight_settings``; writes the state
+    and control logs and reports divergence on stderr."""
+    result = run_closed_loop(traj, **settings)
     result.state_log.to_csv(state_path)
     result.control_to_csv(control_path)
     if result.diverged:
@@ -210,17 +219,19 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "simulate":
+        settings = _flight_settings(args)
         traj = PiecewiseTrajectory.from_coeff_csv(args.traj)
-        result = _fly(args, traj, args.out_state, args.out_control)
+        result = _fly(traj, settings, args.out_state, args.out_control)
         return EXIT_DIVERGED if result.diverged else EXIT_OK
 
     if args.command == "track":
         (cons, opts, weights), name = _load_scenario(args.case)
-        traj, report = run_planner(cons, weights, _planner_flags(opts, args))
+        opts, settings = _planner_flags(opts, args), _flight_settings(args)
+        traj, report = run_planner(cons, weights, opts)
         os.makedirs(args.out_dir, exist_ok=True)
         traj.to_coeff_csv(os.path.join(args.out_dir, "traj.csv"))
         result = _fly(
-            args, traj, os.path.join(args.out_dir, "state.csv"),
+            traj, settings, os.path.join(args.out_dir, "state.csv"),
             os.path.join(args.out_dir, "control.csv"),
         )
         if result.diverged:

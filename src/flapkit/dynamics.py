@@ -53,7 +53,8 @@ The vertical input terms are computed there too: once per table row in the
 replay, as arrays, and once per tick in the closed loop.
 ``simulate_vertical`` reads its schedule once at each half-step time and
 runs the replay on that table.  The full model's stage states keep
-``full_rhs``'s state checks.
+``full_rhs``'s state checks.  Every fixed-step simulator, here and in
+``simulate``, takes its steps and controller ticks from ``_schedule``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from typing import Callable
 
 import numpy as np
 
+from .attitude import _attitude
 from .errors import InvalidInputError, PropagationError
 
 FULL_LOG_HEADER = (
@@ -195,27 +197,6 @@ class VerticalParams:
 # scalar terms of the full model's law; x * abs(x) is sgn(x) * x**2 with
 # sgn(0) = 0
 # ---------------------------------------------------------------------------
-
-
-def _attitude(qw, qx, qy, qz, vx, vy, vz):
-    """Normalized quaternion, row-major R(q) (body to inertial) and body
-    velocity R^T v, as one flat 16-tuple.  RK4 stage states carry small
-    quaternion drift, so the model is always evaluated on the unit sphere."""
-    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    if n == 0.0:
-        raise InvalidInputError("cannot normalize a zero quaternion")
-    qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
-    xx, yy, zz = qx * qx, qy * qy, qz * qz
-    xy, xz, yz = qx * qy, qx * qz, qy * qz
-    wx, wy, wz = qw * qx, qw * qy, qw * qz
-    r00, r01, r02 = 1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)
-    r10, r11, r12 = 2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)
-    r20, r21, r22 = 2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)
-    return (
-        qw, qx, qy, qz, r00, r01, r02, r10, r11, r12, r20, r21, r22,
-        r00 * vx + r10 * vy + r20 * vz, r01 * vx + r11 * vy + r21 * vz,
-        r02 * vx + r12 * vy + r22 * vz,
-    )
 
 
 def _drag(c, ux, uy, uz):
@@ -599,16 +580,24 @@ def _full_stage(c, y, h, d, u):
     return None if _stage_stops(s) else _full_law(c, s, u)
 
 
-def _stage_times(k: int, dt: float) -> tuple[float, float, float]:
-    """Start, midpoint and end times of step k."""
-    t = k * dt
-    return t, t + 0.5 * dt, t + dt
-
-
-def _step_count(dt: float, duration: float) -> int:
-    if not 0 < dt <= duration < math.inf:
-        raise InvalidInputError("need dt > 0 and a finite duration >= dt")
-    return int(round(duration / dt))
+def _schedule(dt: float, duration: float, rate_hz: float | None = None) -> tuple[int, int]:
+    """(n_steps, n_sub) of a fixed-step run: round(duration / dt) steps, and the
+    steps per controller tick, 1 without a rate.  dt and a given rate must be
+    finite and positive, dt must divide the period 1 / rate_hz (a whole number
+    of steps, at least one, to 1e-9) and the duration must be finite and
+    non-negative; the first that fails raises InvalidInputError ("need ...")."""
+    if not (0.0 < dt < math.inf and (rate_hz is None or 0.0 < rate_hz < math.inf)):
+        need = "dt > 0" if rate_hz is None else "dt > 0 and rate > 0"
+        rate = "" if rate_hz is None else f", rate={rate_hz}"
+        raise InvalidInputError(f"need finite {need}, got dt={dt}{rate}")
+    ticks = 1.0 if rate_hz is None else rate_hz * dt  # controller ticks per step
+    sub = 1.0 / ticks if ticks > 0.0 else math.inf  # steps per tick; ticks may underflow
+    n_sub = round(sub) if sub < math.inf else 0
+    if n_sub < 1 or abs(sub - n_sub) > 1e-9:
+        raise InvalidInputError(f"need dt={dt} to divide the controller period {1.0 / rate_hz}")
+    if not 0.0 <= duration < math.inf:
+        raise InvalidInputError(f"need a finite duration >= 0, got {duration}")
+    return round(duration / dt), n_sub
 
 
 @dataclass
@@ -686,7 +675,7 @@ def _open_text(path):
 
 def _half_steps(dt: float, duration: float) -> list[float]:
     """The half-step times j dt/2, j = 0..2n, of an n-step run: the RK4 stage times."""
-    return (np.arange(2 * _step_count(dt, duration) + 1) * (0.5 * dt)).tolist()
+    return (np.arange(2 * _schedule(dt, duration)[0] + 1) * (0.5 * dt)).tolist()
 
 
 def simulate_vertical(
@@ -739,8 +728,7 @@ def integrate_vertical_tabulated(
             f"f_grid needs one sample per row of gamma_grid: {np.shape(f_grid)}, not {shape[:1]}")
     if shape[0] % 2 == 0:
         raise InvalidInputError("need an odd number of half-step input samples")
-    if not 0 < dt < math.inf:
-        raise InvalidInputError(f"dt must be positive and finite, not {dt}")
+    _schedule(dt, 0.0)  # the step check; the table sets the step count
     explicit, c = _explicit_rudder(rudder_mode), params._constants()
     n_steps = (shape[0] - 1) // 2
     states = np.empty((n_steps + 1, 8))

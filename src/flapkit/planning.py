@@ -59,6 +59,7 @@ from .errors import (
 from .trajectory import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _locate,
     ObjectiveWeights,
     PiecewiseTrajectory,
     PolySegment,
@@ -596,14 +597,10 @@ class _PenaltyProblem:
         self.s0 = c0 @ phi.T
 
     def _basis(self, times: np.ndarray, order: int) -> np.ndarray:
-        total = self.opts.segments * self.n
-        out = np.zeros((times.size, total))
-        for i, t in enumerate(times):
-            seg = min(int(t / self.opts.T), self.opts.segments - 1)
-            t_local = t - seg * self.opts.T
-            out[i, seg * self.n : (seg + 1) * self.n] = derivative_row(
-                self.n, t_local, order
-            )
+        out = np.zeros((times.size, self.opts.segments * self.n))
+        seg_idx, t_local = _locate(times, self.opts.segments, self.opts.T)
+        for i, (seg, t) in enumerate(zip(seg_idx, t_local)):
+            out[i, seg * self.n : (seg + 1) * self.n] = derivative_row(self.n, t, order)
         return out
 
     def trajectory(self, xi: np.ndarray, origin=(0.0, 0.0, 0.0)) -> PiecewiseTrajectory:

@@ -48,7 +48,7 @@ from .dynamics import (
     full_rhs,
     rk4_flat,
     _full_steps,
-    _stage_times,
+    _schedule,
     vertical_rhs,
     _vertical_steps,
     _vertical_terms,
@@ -112,15 +112,6 @@ class ClosedLoopResult:
         return count
 
 
-def _check_steps(dt: float, rate_hz: float, duration: float) -> None:
-    """Raise InvalidInputError unless dt and rate_hz are finite and positive and
-    the duration is finite and non-negative: the step settings of every loop."""
-    if not (0.0 < dt < math.inf and 0.0 < rate_hz < math.inf):
-        raise InvalidInputError(f"need finite dt > 0 and rate > 0, got dt={dt}, rate={rate_hz}")
-    if not 0.0 <= duration < math.inf:
-        raise InvalidInputError(f"need a finite duration >= 0, got {duration}")
-
-
 def run_closed_loop(
     traj: PiecewiseTrajectory,
     model: str = "vertical",
@@ -139,25 +130,16 @@ def run_closed_loop(
     The vehicle starts on the (possibly perturbed) reference with the
     reference heading.  The controller runs at rate_hz with zero-order hold;
     the plant integrates at dt.  A position norm beyond divergence_radius
-    aborts the run and flags the result instead of raising.  dt and rate_hz
-    must be finite and positive, the duration finite and non-negative and
-    the start offsets finite.
+    aborts the run and flags the result instead of raising.  The steps and
+    ticks are ``_schedule``'s, and the start offsets must be finite.
     """
     vparams = vparams or VerticalParams()
     gains = gains or ControllerGains()
-    duration = duration if duration is not None else traj.duration
-    _check_steps(dt, rate_hz, duration)
+    n_steps, n_sub = _schedule(dt, traj.duration if duration is None else duration, rate_hz)
     p0 = traj.eval(0.0) + np.asarray(perturb_pos, dtype=float)
     v0 = traj.eval(0.0, 1) + np.asarray(perturb_vel, dtype=float)
     if not (np.isfinite(p0).all() and np.isfinite(v0).all()):
         raise InvalidInputError("start offsets must be finite")
-    sub = 1.0 / (rate_hz * dt)
-    if abs(sub - round(sub)) > 1e-9:
-        raise InvalidInputError(
-            f"dt={dt} must divide the controller period {1.0 / rate_hz}"
-        )
-    n_sub = max(int(round(sub)), 1)
-    n_steps = int(round(duration / dt))
 
     psi0 = initial_heading(traj)
     controller = TrackingController(gains, vparams, rate_hz=rate_hz, initial_psi_d=psi0)
@@ -341,13 +323,12 @@ def simulate_ideal_vertical(
     hovering at the origin with a fixed desired azimuth; otherwise pass a
     callable t -> (sigma_r, sigma_r_dot, sigma_r_ddot).  Neither subsystem
     reads the other: the positional states are stepped here, and the
-    heading is ``simulate_heading_loop`` over the same steps.  dt and rate_hz
-    must be finite and positive and the duration finite and non-negative.
+    heading is ``simulate_heading_loop`` over the same steps, both on
+    ``_schedule``'s steps and ticks.
     """
-    _check_steps(dt, rate_hz, duration)
+    n_steps, _ = _schedule(dt, duration, rate_hz)
     if reference is None:
         reference = lambda t: ((0.0, 0.0, 0.0),) * 3
-    n_steps = int(round(duration / dt))
 
     y = [float(x) for x in (*p0, *v0)]
     last = [None, None, None]  # t, y, law: the next step's first stage reuses a record's law
@@ -370,7 +351,8 @@ def simulate_ideal_vertical(
 
     record(0.0, y)
     for k in range(n_steps):
-        y = rk4_flat(rhs, y, dt, *_stage_times(k, dt))
+        t = k * dt
+        y = rk4_flat(rhs, y, dt, t, t + 0.5 * dt, t + dt)
         record((k + 1) * dt, y)
         if stop_when_ep_below is not None and np.linalg.norm(eps[-1]) < stop_when_ep_below:
             break
@@ -425,15 +407,12 @@ def simulate_heading_loop(
 
     Every tick passes psi_d' = 0 to ``HybridHeading.tick``, and V2 is
     evaluated with psi_d' = 0 too: the loop certifies a constant reference.
-    A moving ``psi_d_fn`` is flown without its rate feedforward.  dt and
-    rate_hz must be finite and positive and the duration finite and
-    non-negative.
+    A moving ``psi_d_fn`` is flown without its rate feedforward.  The
+    steps and ticks are ``_schedule``'s.
     """
-    _check_steps(dt, rate_hz, duration)
+    n_steps, n_sub = _schedule(dt, duration, rate_hz)
     if l_gain is None:
         l_gain = math.sqrt(gains.l_gamma_min * gains.l_gamma_max)
-    n_sub = max(int(round(1.0 / (rate_hz * dt))), 1)
-    n_steps = int(round(duration / dt))
 
     heading = HybridHeading(gains, 1.0 / rate_hz)
     gamma_yd = 0.0

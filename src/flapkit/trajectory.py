@@ -58,6 +58,19 @@ def snap_gram_matrix(n_coeffs: int, T: float) -> np.ndarray:
     return q
 
 
+def _locate(times: np.ndarray, M: int, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Segment index and local time of each of ``times`` (clipped to [0, M*T]) on
+    M segments of duration T: floor(t/T), the last segment at the end, and a
+    time within 1e-12 below a junction the later segment at local time 0."""
+    clipped = np.clip(times, 0.0, M * T)
+    seg_idx = np.minimum((clipped / T).astype(int), M - 1)
+    t_local = clipped - seg_idx * T
+    at_junction = (seg_idx < M - 1) & (np.abs(t_local - T) < 1e-12)
+    seg_idx[at_junction] += 1
+    t_local[at_junction] = 0.0
+    return seg_idx, t_local
+
+
 @dataclass
 class PolySegment:
     """One polynomial segment: coeffs shape (3, N+1), ascending powers, local
@@ -154,12 +167,7 @@ class PiecewiseTrajectory:
             return out
         if not (np.min(times) >= -1e-12 and np.max(times) <= self.duration + 1e-12):
             raise TrajectoryDomainError("evaluation times outside [0, M*T]")
-        clipped = np.clip(times, 0.0, self.duration)
-        seg_idx = np.minimum((clipped / self.T).astype(int), self.M - 1)
-        t_local = clipped - seg_idx * self.T
-        at_junction = (seg_idx < self.M - 1) & (np.abs(t_local - self.T) < 1e-12)
-        seg_idx[at_junction] += 1
-        t_local[at_junction] = 0.0
+        seg_idx, t_local = _locate(times, self.M, self.T)
         segments = np.unique(seg_idx)
         for s in segments:
             mask = seg_idx == s if len(segments) > 1 else slice(None)

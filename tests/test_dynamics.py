@@ -295,9 +295,21 @@ class TestIntegrate:
         with pytest.raises(InvalidInputError):
             simulate_full(full_row(), params, lambda t: commands(),
                           dt=-1e-3, duration=1.0)
-        for dt, duration in ((math.nan, 1.0), (1e-3, math.nan), (1e-3, math.inf)):
-            with pytest.raises(InvalidInputError, match="finite duration"):
+        for dt, duration, message in ((math.nan, 1.0, "need finite dt > 0, got dt=nan"),
+                                      (1e-3, math.nan, "need a finite duration >= 0, got nan"),
+                                      (1e-3, math.inf, "need a finite duration >= 0, got inf")):
+            with pytest.raises(InvalidInputError, match=message):
                 simulate_full(full_row(), params, lambda t: commands(), dt=dt, duration=duration)
+
+    @pytest.mark.parametrize("duration", [0.0, 4e-4])
+    def test_duration_under_one_step_logs_the_start(self, vparams, duration):
+        # the duration is rounded to whole steps, as the loops round theirs
+        state0 = vertical_row(vv=(0.5, 0.0, 0.1))
+        log = simulate_vertical(state0, vparams, lambda t: vertical_inputs([0, 0, 1], 10.0),
+                                dt=1e-3, duration=duration)
+        assert log.t.tolist() == [0.0]
+        assert log.states.tolist() == [state0]
+        assert log.inputs.tolist() == [[0.0, 0.0, 1.0, 10.0]]
 
 
 class TestModelInvariants:
@@ -775,7 +787,7 @@ class TestTabulatedErrors:
     @pytest.mark.parametrize("dt", [0.0, -0.0, -1e-3, math.nan, math.inf])
     def test_step_is_named(self, vparams, dt):
         gamma, f = _hover_table(vparams, 10)
-        with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
+        with pytest.raises(InvalidInputError, match=re.escape(f"need finite dt > 0, got dt={dt}")):
             integrate_vertical_tabulated(vertical_row(), vparams, gamma, f, dt)
 
     def test_overflowing_stage_azimuth_names_the_step(self, vparams):

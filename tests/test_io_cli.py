@@ -789,7 +789,7 @@ class TestClosedLoopArguments:
     @pytest.mark.parametrize("args", [
         ["--dt", "0"], ["--rate", "0"], ["--dt", "nan"], ["--rate", "nan"], ["--dt", "inf"],
         ["--duration", "nan"], ["--duration", "-1"], ["--duration", "inf"],
-        ["--perturb", "nan,0,0"],
+        ["--perturb", "nan,0,0"], ["--dt", "3e-3"], ["--rate", "1e12"],
     ], ids=" ".join)
     def test_rejected(self, tmp_path, capsys, args):
         traj = tmp_path / "traj.csv"
@@ -801,6 +801,22 @@ class TestClosedLoopArguments:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not state.exists()
+
+    @pytest.mark.parametrize("args", [["--params", "old.kv"], ["--dt", "3e-3"],
+                                      ["--perturb", "nan,0,0"]], ids=" ".join)
+    def test_track_plans_nothing(self, tmp_path, capsys, monkeypatch, args):
+        # track reads and checks its flight settings before it plans: a parameter
+        # file of an older schema, a step that does not divide the 10 ms
+        # controller period and a NaN start offset each cost no plan and leave
+        # no output directory
+        planned = []
+        monkeypatch.setattr(flapkit.planning, "_restart", lambda *args: planned.append(args))
+        (tmp_path / "old.kv").write_text("vk_d_y = 0.03\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["track", "--case", "line", "--out-dir", "t", *args]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert planned == [] and not (tmp_path / "t").exists()
 
     def test_zero_duration_flies_no_step(self, tmp_path):
         traj = tmp_path / "traj.csv"

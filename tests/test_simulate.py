@@ -293,14 +293,18 @@ class TestClosedLoop:
 STEP_SETTINGS = [dict(dt=math.nan), dict(dt=0.0), dict(dt=-1e-3), dict(dt=math.inf),
                  dict(rate_hz=0.0), dict(rate_hz=-1.0), dict(rate_hz=math.nan),
                  dict(rate_hz=math.inf), dict(duration=math.inf), dict(duration=-1.0),
-                 dict(duration=math.nan)]
+                 dict(duration=math.nan),
+                 # a 3 ms step does not divide the 10 ms period of a 100 Hz tick, and a
+                 # 1 ps period is shorter than a step
+                 dict(dt=3e-3), dict(rate_hz=1e12)]
 
 
 @pytest.mark.parametrize("setting", STEP_SETTINGS, ids=lambda d: "{}={}".format(*next(iter(d.items()))))
 @pytest.mark.parametrize("loop", ["closed", "ideal", "heading"])
 def test_invalid_step_settings_rejected(loop, setting):
-    # every loop takes dt and rate_hz finite and positive and the duration finite
-    # and non-negative, and names a bad one with InvalidInputError
+    # every loop takes dt and rate_hz finite and positive, dt dividing the
+    # controller period, and the duration finite and non-negative, and names a
+    # bad one with InvalidInputError
     gains = ControllerGains()
     flight = {
         "closed": lambda **kw: run_closed_loop(constant_trajectory([0, 0, 1], T=1.0), **kw),
