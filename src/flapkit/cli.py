@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``cases`` (dump a published scenario), ``plan``, ``simulate``,
-``track`` (plan + simulate + metrics), ``metrics``, ``identify``.  Exit
+``track`` (plan + simulate + metrics), ``metrics``, ``identify``.  A case
+name of ``cases`` and ``track`` is always the published case.  Exit
 codes: 0 success, 1 usage error, 2 planner infeasibility, 3 closed-loop
 divergence.  ``simulate`` and ``track`` check every flight setting first.
 """
@@ -135,7 +136,8 @@ def _scenario(data: dict):
 
 
 def _load_scenario(source: str):
-    if source in CASE_NAMES and not os.path.exists(source):
+    """The scenario of ``plan --scenario``: a file, or else a case name."""
+    if source in CASE_NAMES and not os.path.isfile(source):
         return case_library(source), source
     return kvio.load_kv(source, _scenario)
 
@@ -197,7 +199,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "cases":
-        (cons, opts, weights), name = _load_scenario(args.name)
+        (cons, opts, weights), name = case_library(args.name), args.name
         text = kvio.format_kv(
             kvio.scenario_to_pairs(cons, opts, weights, name),
             comment=f"published demonstration case {name}",
@@ -225,7 +227,7 @@ def _dispatch(args) -> int:
         return EXIT_DIVERGED if result.diverged else EXIT_OK
 
     if args.command == "track":
-        (cons, opts, weights), name = _load_scenario(args.case)
+        (cons, opts, weights), name = case_library(args.case), args.case
         opts, settings = _planner_flags(opts, args), _flight_settings(args)
         traj, report = run_planner(cons, weights, opts)
         os.makedirs(args.out_dir, exist_ok=True)

@@ -8,11 +8,11 @@ omega_psid_dot) come from second-order low-pass command filters; the
 omega_psid filter is reset whenever the hysteresis logic jumps or the command
 jumps, so neither differentiates into a spike.
 
-``HybridHeading.tick`` is the hybrid heading law: the controller and both
-certification simulations in ``simulate`` run it, so the certified law is
-the flown law.  Those simulations also take the positional law
-(``desired_velocity``, ``desired_acceleration``) and the candidate functions
-(``candidate_v1``, ``candidate_v2``) from here.
+``HybridHeading.tick`` is the hybrid heading law: the controller and the
+heading loop in ``simulate`` run it, so the certified law is the flown law.
+The ideal vertical loop there takes the positional law (``desired_velocity``,
+``desired_acceleration``) and ``candidate_v1`` from here, and the heading
+loop ``candidate_v2``.
 
 The controller is a deterministic state machine: one ``update`` per tick
 on floats, all state on the ``TrackingController``.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attitude import wrap_angle
-from .dynamics import VerticalParams, _require_finite
+from .dynamics import VerticalParams, _require_finite, _vertical_kinematics
 from .errors import DegenerateDecompositionError, InvalidInputError
 
 A_EPS = 0.1  # m/s^2, decomposition floor on the combined acceleration demand
@@ -455,10 +455,8 @@ class TrackingController:
         _, v_d_dot = self.vd_filter.update(v_d)
         a_d = desired_acceleration(v_d_dot, errors.e_p, errors.e_v, kp, g.kv.tolist())
 
-        # measured velocity in the vertical frame: R_z(psi)^T v
-        c, s = math.cos(meas.psi), math.sin(meas.psi)
-        vx, vy, vz = meas.v
-        vv = (c * vx + s * vy, c * vy - s * vx, vz)
+        # measured velocity in the vertical frame: R_z(psi)^T v = R_z(-psi) v
+        vv = _vertical_kinematics(math.cos(meas.psi), -math.sin(meas.psi), *meas.v)
         if math.hypot(a_d[0], a_d[1]) < PSI_D_FLOOR:
             # horizontal demand too weak to define an azimuth: hold it
             psi_d = self.held.psi_d

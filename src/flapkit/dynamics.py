@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -82,13 +83,20 @@ GRAVITY = 9.81
 # ---------------------------------------------------------------------------
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """``value`` as a float array; InvalidInputError naming ``name`` when an
+    entry is not finite."""
+    array = np.asarray(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise InvalidInputError(f"{name} must be finite, not {array.tolist()!r}")
+    return array
+
+
 def _require_finite(params) -> None:
     """Raise InvalidInputError naming the first numeric field of the dataclass
     ``params`` with a NaN or an infinity in it."""
     for fld in fields(params):
-        value = getattr(params, fld.name)
-        if not np.isfinite(value).all():
-            raise InvalidInputError(f"{fld.name} must be finite, not {np.asarray(value).tolist()}")
+        _finite(fld.name, getattr(params, fld.name))
 
 
 @dataclass
@@ -344,11 +352,18 @@ def vertical_rhs(
 def _input_row(inputs) -> tuple:
     """The checked input row (gx, gy, gz, fflap)."""
     gx, gy, gz, f = _checked(inputs, _VERTICAL_INPUT)
-    if abs(math.sqrt(gx * gx + gy * gy + gz * gz) - 1.0) > 1e-6:
-        raise InvalidInputError(_NON_UNIT_GAMMA)
-    if f < 0:
-        raise InvalidInputError(_NEGATIVE_FLAP)
+    bad_gamma, bad_f = _input_faults(gx, gy, gz, f)
+    if bad_gamma or bad_f:
+        raise InvalidInputError(_NON_UNIT_GAMMA if bad_gamma else _NEGATIVE_FLAP)
     return gx, gy, gz, f
+
+
+def _input_faults(gx, gy, gz, f):
+    """The vertical input check, on floats or the columns of a table: whether
+    the reduced attitude is not unit norm to 1e-6 and whether fflap is
+    negative, NaN failing both."""
+    n = (gx * gx + gy * gy + gz * gz) ** 0.5
+    return (abs(n - 1.0) > 1e-6) | (n != n), (f < 0) | (f != f)
 
 
 def _explicit_rudder(rudder_mode: str) -> bool:
@@ -392,7 +407,14 @@ def _vertical_dynamics(c, explicit, vvx, vvy, vvz, w, ax_thrust, az_thrust, yaw,
 
 def _vertical_kinematics(cos, sin, vvx, vvy, vvz):
     """The vertical model's position rows R_z(psi) vv from cos psi and sin psi,
-    floats or arrays; the azimuth row is psi_dot = w."""
+    on floats, arrays or jets; the azimuth row is psi_dot = w.  With -sin it
+    is R_z(psi)^T, the vertical-frame velocity of an inertial one: the
+    controller tick, the vertical plant's measurement and the flatness frame
+    read it.  Three copies stay written out: ``_vertical_steps``' inline pose
+    (the closed loop's hot loop), ``run_closed_loop``'s start state
+    ``rotz(psi0).T @ v0`` (a matrix product that rounds differently, which
+    moves case a's ill-conditioned flight) and ``metrics.error_components``
+    (one more full-length temporary)."""
     return cos * vvx - sin * vvy, sin * vvx + cos * vvy, vvz
 
 
@@ -585,7 +607,8 @@ def _schedule(dt: float, duration: float, rate_hz: float | None = None) -> tuple
     steps per controller tick, 1 without a rate.  dt and a given rate must be
     finite and positive, dt must divide the period 1 / rate_hz (a whole number
     of steps, at least one, to 1e-9) and the duration must be finite and
-    non-negative; the first that fails raises InvalidInputError ("need ...")."""
+    non-negative, with at most sys.maxsize steps; the first that fails raises
+    InvalidInputError ("need ...")."""
     if not (0.0 < dt < math.inf and (rate_hz is None or 0.0 < rate_hz < math.inf)):
         need = "dt > 0" if rate_hz is None else "dt > 0 and rate > 0"
         rate = "" if rate_hz is None else f", rate={rate_hz}"
@@ -597,6 +620,8 @@ def _schedule(dt: float, duration: float, rate_hz: float | None = None) -> tuple
         raise InvalidInputError(f"need dt={dt} to divide the controller period {1.0 / rate_hz}")
     if not 0.0 <= duration < math.inf:
         raise InvalidInputError(f"need a finite duration >= 0, got {duration}")
+    if not duration / dt <= sys.maxsize:
+        raise InvalidInputError(f"need at most {sys.maxsize} steps, got {duration / dt}")
     return round(duration / dt), n_sub
 
 
@@ -712,8 +737,8 @@ def integrate_vertical_tabulated(
     ``gamma_grid`` (2*n_steps+1, 3) and ``f_grid`` (2*n_steps+1,) hold the
     inputs at times k*dt/2, the exact abscissae RK4 stages use; dt must be
     positive and finite.  The rudder mode is resolved once, and the table is
-    read from the grids and checked with ``vertical_rhs``'s predicates one
-    block of steps at a time (no copy of the whole table);
+    read from the grids and checked with ``vertical_rhs``'s ``_input_faults``
+    one block of steps at a time (no copy of the whole table);
     ``_vertical_replay`` runs each block on the ``_vertical_terms`` of its
     rows.  The log is ``rk4_flat`` over ``vertical_rhs`` on the same samples
     bit for bit.  An invalid sample raises InvalidInputError after the steps
@@ -737,7 +762,7 @@ def integrate_vertical_tabulated(
         stop = min(start + _TABLE_BLOCK, n_steps)
         lo, hi = 2 * start, 2 * stop + 1
         block = np.column_stack([gamma_grid[lo:hi], f_grid[lo:hi]]).astype(float)
-        bad_gamma, bad_f = _invalid_samples(block)
+        bad_gamma, bad_f = _input_faults(*block.T)
         bad = np.flatnonzero(bad_gamma | bad_f)
         if bad.size:
             # sample j of the block is first read in step start + max(j - 1, 0) // 2
@@ -757,9 +782,3 @@ def integrate_vertical_tabulated(
     applied = np.column_stack([gamma_grid[::2], f_grid[::2]])
     return VerticalLog(np.arange(n_steps + 1) * dt, states, applied)
 
-
-def _invalid_samples(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``vertical_rhs``'s input checks on the rows (gx, gy, gz, fflap) of a
-    table: masks of the non-unit reduced attitudes and negative fflap."""
-    gx, gy, gz, f = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
-    return np.abs(np.sqrt(gx * gx + gy * gy + gz * gz) - 1.0) > 1e-6, f < 0

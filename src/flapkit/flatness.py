@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attitude import ANTIPODAL_TOL
-from .dynamics import FULL_LOG_HEADER, FwavParams, VerticalParams, _write_csv
+from .dynamics import FULL_LOG_HEADER, FwavParams, VerticalParams, _vertical_kinematics, _write_csv
 from .errors import (
     DegenerateAttitudeError,
     DegenerateHeadingError,
@@ -148,11 +148,11 @@ def _index(mask: np.ndarray):
 
 
 class _Frame(NamedTuple):
-    """Frame step of the chain: wrapped azimuth, then jets of vv and of the
-    azimuth rate, one order below the velocity jets."""
+    """Frame step of the chain: wrapped azimuth, then jets of vv = R_z(psi)^T v
+    and of the azimuth rate, one order below the velocity jets."""
 
     psi: np.ndarray
-    vv: list[Jet]
+    vv: tuple[Jet, Jet, Jet]
     rate: Jet
 
 
@@ -181,7 +181,7 @@ def _frame(v: list[Jet], explicit, psi, rate) -> _Frame:
         z = np.exp(1j * psi[ramp]) * (1j * rate[ramp]) ** k / np.cumprod(np.maximum(k, 1), axis=0)
         c[:, ramp], s[:, ramp] = z.real, z.imag
     c, s = Jet(c), Jet(s)
-    return _Frame(_wrap(ang), [c * vx + s * vy, c * vy - s * vx, Jet(vz.c[:-1])], Jet(w))
+    return _Frame(_wrap(ang), _vertical_kinematics(c, -s, vx, vy, Jet(vz.c[:-1])), Jet(w))
 
 
 def _flat_frame(v: list[Jet], psi: float | None) -> _Frame:

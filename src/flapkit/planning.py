@@ -51,11 +51,13 @@ from typing import ClassVar
 
 import numpy as np
 
+from .dynamics import _finite
 from .errors import (
     InvalidInputError,
     PlanInfeasibleError,
     RankDeficientConstraintsError,
 )
+from .flatness import V_EPS
 from .trajectory import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -67,10 +69,6 @@ from .trajectory import (
     snap_gram_matrix,
 )
 
-# horizontal-speed floor used when evaluating the azimuth rate; below it the
-# heading is undefined and the rate is computed against the floor instead
-SPEED_FLOOR = 0.05
-
 _SOFTABS_EPS = 1e-8
 
 # (x, y) -> (y, -x) after a row swap: rotates horizontal vectors by -90 deg
@@ -80,15 +78,6 @@ _FLIP = np.array([[1.0], [-1.0]])
 # ---------------------------------------------------------------------------
 # constraint data
 # ---------------------------------------------------------------------------
-
-
-def _finite(name: str, value) -> np.ndarray:
-    """``value`` as a float array; InvalidInputError naming ``name`` when an
-    entry is not finite."""
-    array = np.asarray(value, dtype=float)
-    if not np.isfinite(array).all():
-        raise InvalidInputError(f"{name} must be finite, not {array.tolist()!r}")
-    return array
 
 
 def _check_radius(value: float) -> None:
@@ -474,14 +463,15 @@ class _SampledLaw:
         """The rectified excess table of samples (..., 3, m), shape
         (..., rows, m) with rows horizontal speed, vertical speed, azimuth
         rate, then one per obstacle, and what the gradient reads: h = |v_xy|,
-        u = h^2, the floored denominator, the rate (each (..., m)), the
+        u = h^2, the denominator floored at ``V_EPS``^2 (below the azimuth
+        floor the heading is undefined), the rate (each (..., m)), the
         offsets (..., obstacles, 3, m) and the distances floored at 1e-9
         (both None without obstacles)."""
         vx, vy, vz = (vel[..., i, :] for i in range(3))
         table = np.empty((*vx.shape[:-1], self.rows, vx.shape[-1]))
         h = np.hypot(vx, vy)
         u = h * h
-        den = np.maximum(u, SPEED_FLOOR**2)
+        den = np.maximum(u, V_EPS**2)
         rate = (vx * acc[..., 1, :] - vy * acc[..., 0, :]) / den
         table[..., 0, :] = h
         np.abs(vz, out=table[..., 1, :])
@@ -634,7 +624,7 @@ class _PenaltyProblem:
         w_h = 2.0 * excess[:, 0] / np.maximum(h, 1e-12)
         w = np.copysign(2.0 * excess[:, 2], rate) / den
         # the rate's speed dependence vanishes where the floor holds
-        w_h -= 2.0 * w * rate * (u > SPEED_FLOOR**2)
+        w_h -= 2.0 * w * rate * (u > V_EPS**2)
         w_h, w = w_h[:, None], w[:, None]
         d[:, :2, m : 2 * m] = w_h * vel[:, :2] + w * (acc[:, 1::-1] * _FLIP)
         d[:, :2, 2 * m : 3 * m] = -w * (vel[:, 1::-1] * _FLIP)

@@ -8,16 +8,15 @@ controller output, the block of RK4 steps to the next tick with the input
 held (``_vertical_steps`` or ``_full_steps``) and the log.  The reference is
 evaluated once per flight, at every tick time.
 
-Also here are the certification simulations used by the stability checks:
+Also here are the certification simulations used by the stability checks,
+each on the controller's own law with the ideal inner loop:
 
-* the ideal vertical loop, where the acceleration expectation is enforced
-  exactly (the premise of the positional stability claim); its heading,
-  which the positional states do not read, is the heading loop's, and
-* the hybrid heading loop, for jump-decrease checks at hysteresis flips.
-
-Both run the controller's own heading tick (``HybridHeading``), positional
-law and candidate functions V1 and V2, with the unclipped lateral-tilt
-command applied directly (the ideal inner loop).
+* the ideal vertical loop, the positional law and V1 under the exactly
+  enforced acceleration expectation (the premise of the positional
+  stability claim), and
+* the hybrid heading loop, the heading tick (``HybridHeading``) and V2 with
+  the unclipped lateral-tilt command applied directly, for jump-decrease
+  checks at hysteresis flips.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from .dynamics import (
     _full_steps,
     _schedule,
     vertical_rhs,
+    _vertical_kinematics,
     _vertical_steps,
     _vertical_terms,
     _write_csv,
@@ -166,11 +166,9 @@ class _VerticalPlant:
         self.hold = (0.0, 0.0, 1.0, params.hover_frequency)
 
     def measure(self, y, u) -> Measurement:
-        # inertial velocity R_z(psi) vv
-        c, s = math.cos(y[6]), math.sin(y[6])
+        v = _vertical_kinematics(math.cos(y[6]), math.sin(y[6]), *y[3:6])  # R_z(psi) vv
         return Measurement(
-            p=y[0:3], v=(c * y[3] - s * y[4], s * y[3] + c * y[4], y[5]), psi=y[6],
-            omega_psi=y[7], gamma=u[0:3], omega=(0.0, 0.0, y[7]),
+            p=y[0:3], v=v, psi=y[6], omega_psi=y[7], gamma=u[0:3], omega=(0.0, 0.0, y[7]),
         )
 
     def inputs(self, out):
@@ -294,39 +292,29 @@ class IdealVerticalResult:
     e_p: np.ndarray
     e_v: np.ndarray
     V1: np.ndarray
-    psi: np.ndarray
-    omega_psi: np.ndarray
-    jump_count: int
 
 
 def simulate_ideal_vertical(
     gains: ControllerGains,
     p0,
     v0,
-    psi0: float = 0.0,
-    omega0: float = 0.0,
-    psi_d: float = 0.0,
-    l_gain: float | None = None,
     reference=None,
     dt: float = 2e-3,
-    rate_hz: float = 100.0,
     duration: float = 20.0,
     stop_when_ep_below: float | None = None,
 ) -> IdealVerticalResult:
-    """Vertical-model closed loop with the ideal inner loop.
+    """Positional subsystem of the vertical model with the ideal inner loop.
 
-    Positional subsystem evolves under the exactly-enforced acceleration
-    expectation (analytic desired-velocity derivative, no filter), so the
-    V1 decrease holds to integration accuracy; the heading subsystem runs
-    the controller's heading tick against the lumped yaw gain with the
-    unclipped lateral tilt applied directly.  The reference defaults to
-    hovering at the origin with a fixed desired azimuth; otherwise pass a
-    callable t -> (sigma_r, sigma_r_dot, sigma_r_ddot).  Neither subsystem
-    reads the other: the positional states are stepped here, and the
-    heading is ``simulate_heading_loop`` over the same steps, both on
-    ``_schedule``'s steps and ticks.
+    The positions and velocities evolve under the exactly-enforced
+    acceleration expectation (analytic desired-velocity derivative, no
+    filter), so the V1 decrease holds to integration accuracy.  The
+    acceleration is enforced at every RK4 stage, so there is no controller
+    tick; the steps are ``_schedule``'s.  The reference defaults to hovering
+    at the origin; otherwise pass a callable t -> (sigma_r, sigma_r_dot,
+    sigma_r_ddot).  The heading, which the positional states do not read,
+    is ``simulate_heading_loop``'s.
     """
-    n_steps, _ = _schedule(dt, duration, rate_hz)
+    n_steps, _ = _schedule(dt, duration)
     if reference is None:
         reference = lambda t: ((0.0, 0.0, 0.0),) * 3
 
@@ -357,12 +345,8 @@ def simulate_ideal_vertical(
         if stop_when_ep_below is not None and np.linalg.norm(eps[-1]) < stop_when_ep_below:
             break
 
-    t = np.arange(len(eps)) * dt
-    heading = simulate_heading_loop(gains, lambda t: psi_d, l_gain, psi0, omega0, dt, rate_hz,
-                                    (len(t) - 1) * dt)
     return IdealVerticalResult(
-        t=t, e_p=np.array(eps), e_v=np.array(evs), V1=np.array(v1s), psi=heading.psi,
-        omega_psi=heading.omega_psi, jump_count=len(heading.jumps),
+        t=np.arange(len(eps)) * dt, e_p=np.array(eps), e_v=np.array(evs), V1=np.array(v1s),
     )
 
 

@@ -191,6 +191,15 @@ class TestVerticalRhs:
         with pytest.raises(InvalidInputError):
             vertical_rhs(vertical_row(), vertical_inputs(gamma=[0, 0, 2.0], f_flap=10.0), vparams)
 
+    @pytest.mark.parametrize("entry, match", [(0, "unit norm"), (3, "non-negative")])
+    def test_nan_input_rejected(self, vparams, entry, match):
+        # a NaN fails the input check, as a non-unit attitude or a negative
+        # frequency does, instead of flowing into the rates
+        u = [0.0, 0.0, 1.0, 10.0]
+        u[entry] = math.nan
+        with pytest.raises(InvalidInputError, match=match):
+            vertical_rhs(vertical_row(), u, vparams)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("entry", range(8))
     def test_non_finite_state_rejected(self, vparams, entry, bad):
@@ -762,6 +771,21 @@ class TestTabulatedErrors:
         f[2 * 1024 + 500] = -1.0
         with pytest.raises(InvalidInputError, match="non-negative"):
             self.run(vparams, gamma, f)
+
+    def test_nan_sample_after_first_block(self, vparams):
+        # a NaN sample is an input error, not a non-finite state at its step
+        gamma, f = _hover_table(vparams, self.N_STEPS)
+        f[2 * 1024 + 500] = math.nan
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            self.run(vparams, gamma, f)
+        gamma, f = _hover_table(vparams, self.N_STEPS)
+        gamma[2 * 1024 + 101, 1] = math.nan
+        with pytest.raises(InvalidInputError, match="unit norm"):
+            self.run(vparams, gamma, f)
+
+    def test_nan_schedule_rejected(self, vparams):
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            simulate_vertical(vertical_row(), vparams, lambda t: (0.0, 0.0, 1.0, math.nan))
 
     def test_overflowing_f_names_the_step(self, vparams):
         # samples up to 2k are flyable; step k reads sample 2k + 1 first

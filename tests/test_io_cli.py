@@ -790,6 +790,8 @@ class TestClosedLoopArguments:
         ["--dt", "0"], ["--rate", "0"], ["--dt", "nan"], ["--rate", "nan"], ["--dt", "inf"],
         ["--duration", "nan"], ["--duration", "-1"], ["--duration", "inf"],
         ["--perturb", "nan,0,0"], ["--dt", "3e-3"], ["--rate", "1e12"],
+        # one tick per step, but 3e300 steps
+        ["--dt", "1e-300", "--rate", "1e300"],
     ], ids=" ".join)
     def test_rejected(self, tmp_path, capsys, args):
         traj = tmp_path / "traj.csv"
@@ -817,6 +819,18 @@ class TestClosedLoopArguments:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert planned == [] and not (tmp_path / "t").exists()
+
+    def test_case_name_beside_a_directory_of_that_name(self, tmp_path, monkeypatch, capsys):
+        # a case name is the published case: track's --out-dir named like the
+        # case does not shadow it on the second run, nor for cases
+        (tmp_path / "line").mkdir()
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            assert main(["track", "--case", "line", "--out-dir", "line"]) == 0
+        assert (tmp_path / "line" / "summary.txt").exists()
+        capsys.readouterr()
+        assert main(["cases", "line"]) == 0
+        assert "name = line" in capsys.readouterr().out
 
     def test_zero_duration_flies_no_step(self, tmp_path):
         traj = tmp_path / "traj.csv"

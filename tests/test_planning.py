@@ -15,10 +15,9 @@ from flapkit.errors import (
     PlanInfeasibleError,
     RankDeficientConstraintsError,
 )
-from flapkit.flatness import FlatInputSchedule
+from flapkit.flatness import V_EPS, FlatInputSchedule
 from flapkit.planning import (
     INNER_MAXITER,
-    SPEED_FLOOR,
     BoundaryConditions,
     ConstraintSet,
     CylinderX,
@@ -228,7 +227,7 @@ class TestConstraintResiduals:
             constraint_residuals(case_line.traj, cons)
 
 
-def azimuth_rate(vel, acc, floor=SPEED_FLOOR):
+def azimuth_rate(vel, acc, floor=V_EPS):
     """Oracle: rate of the horizontal velocity azimuth, with the squared
     horizontal speed floored at floor^2 where the heading is undefined."""
     vel = np.atleast_2d(vel)
@@ -286,7 +285,7 @@ def oracle_excess(traj, cons):
     tau = sample_times(traj.duration, cons.sample_interval)
     pos, vel, acc = (traj.eval_many(tau, order) for order in range(3))
     rate = np.abs(azimuth_rate(vel, acc))
-    floored = np.hypot(vel[:, 0], vel[:, 1]) < SPEED_FLOOR
+    floored = np.hypot(vel[:, 0], vel[:, 1]) < V_EPS
     rate_excess = rec(rate - (cons.psi_rate_max - _RATE_MARGIN))
     excess = {
         "h_speed": rec(np.hypot(vel[:, 0], vel[:, 1]) - (cons.v_h_max - _SPEED_MARGIN)),

@@ -291,29 +291,45 @@ class TestClosedLoop:
 
 
 STEP_SETTINGS = [dict(dt=math.nan), dict(dt=0.0), dict(dt=-1e-3), dict(dt=math.inf),
-                 dict(rate_hz=0.0), dict(rate_hz=-1.0), dict(rate_hz=math.nan),
-                 dict(rate_hz=math.inf), dict(duration=math.inf), dict(duration=-1.0),
-                 dict(duration=math.nan),
+                 dict(duration=math.inf), dict(duration=-1.0), dict(duration=math.nan)]
+RATE_SETTINGS = [dict(rate_hz=0.0), dict(rate_hz=-1.0), dict(rate_hz=math.nan),
+                 dict(rate_hz=math.inf),
                  # a 3 ms step does not divide the 10 ms period of a 100 Hz tick, and a
                  # 1 ps period is shorter than a step
                  dict(dt=3e-3), dict(rate_hz=1e12)]
 
 
-@pytest.mark.parametrize("setting", STEP_SETTINGS, ids=lambda d: "{}={}".format(*next(iter(d.items()))))
-@pytest.mark.parametrize("loop", ["closed", "ideal", "heading"])
+def _loop_settings(loops, settings):
+    return [pytest.param(loop, setting, id="{}-{}={}".format(loop, *next(iter(setting.items()))))
+            for loop in loops for setting in settings]
+
+
+@pytest.mark.parametrize("loop, setting", [
+    *_loop_settings(["closed", "heading"], STEP_SETTINGS + RATE_SETTINGS),
+    # the ideal loop has no controller tick, so no rate
+    *_loop_settings(["ideal"], STEP_SETTINGS),
+])
 def test_invalid_step_settings_rejected(loop, setting):
-    # every loop takes dt and rate_hz finite and positive, dt dividing the
-    # controller period, and the duration finite and non-negative, and names a
-    # bad one with InvalidInputError
+    # every loop takes dt (and a ticking loop rate_hz) finite and positive, dt
+    # dividing the controller period, and the duration finite and
+    # non-negative, and names a bad one with InvalidInputError
     gains = ControllerGains()
-    flight = {
+    flight = {  # the ticking loops at their default 100 Hz
         "closed": lambda **kw: run_closed_loop(constant_trajectory([0, 0, 1], T=1.0), **kw),
         "ideal": lambda **kw: simulate_ideal_vertical(gains, [0.1, 0, 0], [0, 0, 0], **kw),
         "heading": lambda **kw: simulate_heading_loop(gains, lambda t: 0.5, **kw),
     }[loop]
-    kwargs = {"dt": 1e-3, "rate_hz": 100.0, "duration": 0.1, **setting}
     with pytest.raises(InvalidInputError, match="need"):
-        flight(**kwargs)
+        flight(**{"dt": 1e-3, "duration": 0.1, **setting})
+
+
+def test_overflowing_step_count_rejected():
+    # a step count past sys.maxsize, infinite or finite, is a "need" error,
+    # not an OverflowError or an allocation of that many rows
+    with pytest.raises(InvalidInputError, match="need at most"):
+        flapkit.dynamics._schedule(1e-320, 1.0)
+    with pytest.raises(InvalidInputError, match="need at most"):
+        run_closed_loop(constant_trajectory([0, 0, 1], T=1.0), dt=1e-300, rate_hz=1e300)
 
 
 class TestIdealVertical:
@@ -327,17 +343,19 @@ class TestIdealVertical:
         assert res.t[-1] < 20.0
 
     def test_heading_jumps_and_converges(self):
+        # the positional loop next to the heading loop it does not read:
         # psi0 = 3.0 starts deep on the wrong side (a jump at the first
         # tick); omega0 = 12 then spins the heading through the antipode
         # again, which is a second, mid-run jump
         res = simulate_ideal_vertical(
-            ControllerGains(), p0=[0.2, -0.1, 0.05], v0=[0, 0, 0],
-            psi0=3.0, omega0=12.0, duration=10.0,
+            ControllerGains(), p0=[0.2, -0.1, 0.05], v0=[0, 0, 0], duration=10.0,
         )
-        assert res.jump_count == 2
-        assert res.psi.max() > math.pi  # through the antipode mid-run
-        assert abs(wrap_angle(res.psi[-1])) < 1e-3
-        assert abs(res.omega_psi[-1]) < 1e-3
+        heading = simulate_heading_loop(ControllerGains(), lambda t: 0.0, None, 3.0, 12.0,
+                                        dt=2e-3, duration=10.0)
+        assert len(heading.jumps) == 2
+        assert heading.psi.max() > math.pi  # through the antipode mid-run
+        assert abs(wrap_angle(heading.psi[-1])) < 1e-3
+        assert abs(heading.omega_psi[-1]) < 1e-3
         assert np.all(np.diff(res.V1) <= 1e-6)
 
     def test_recorded_law_reused_by_the_next_stage(self, monkeypatch):
