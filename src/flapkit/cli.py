@@ -3,8 +3,9 @@
 Subcommands: ``cases`` (dump a published scenario), ``plan``, ``simulate``,
 ``track`` (plan + simulate + metrics), ``metrics``, ``identify``.  A case
 name of ``cases`` and ``track`` is always the published case.  Exit
-codes: 0 success, 1 usage error, 2 planner infeasibility, 3 closed-loop
-divergence.  ``simulate`` and ``track`` check every flight setting first.
+codes: 0 success, 1 usage error (a flight too large for memory too), 2
+planner infeasibility, 3 closed-loop divergence.  ``simulate`` and
+``track`` check every flight setting first.
 """
 
 from __future__ import annotations
@@ -194,6 +195,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (FlapkitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as err:  # a flight's logs are allocated for every step up front
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_USAGE
 
 

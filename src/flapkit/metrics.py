@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .flatness import V_EPS
+from .flatness import _BLOCK, V_EPS
 from .trajectory import PiecewiseTrajectory
 
 METRICS_HEADER = (
@@ -70,21 +69,35 @@ def error_components(
     times: np.ndarray,
     traj: PiecewiseTrajectory,
 ) -> np.ndarray:
-    """Per-sample (along, cross, altitude) error components, shape (n, 3)."""
+    """Per-sample (along, cross, altitude) error components, shape (n, 3).
+
+    The log runs through in blocks of ``_BLOCK`` samples, so the reference
+    tables and the heading split take memory for one block, not for the whole
+    log; every operation is per sample, so the blocks change no value."""
     times = np.asarray(times, dtype=float)
-    t_ref = np.minimum(times, traj.duration)
-    ref_pos = traj.eval_many(t_ref, 0)
-    ref_vel = traj.eval_many(t_ref, 1)
-    err = ref_pos - np.asarray(positions, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    if times.ndim != 1 or positions.shape != (times.size, 3):
+        raise InvalidInputError(
+            f"positions of shape {positions.shape} do not match "
+            f"{times.shape} log times: want ({times.size}, 3)"
+        )
+    comps = np.empty((times.size, 3))
+    for lo in range(0, times.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        t_ref = np.minimum(times[block], traj.duration)
+        ref_pos = traj.eval_many(t_ref, 0)
+        ref_vel = traj.eval_many(t_ref, 1)
+        err = ref_pos - positions[block]
 
-    h_speed = np.hypot(ref_vel[:, 0], ref_vel[:, 1])
-    live = h_speed >= V_EPS
-    ux = np.where(live, ref_vel[:, 0] / np.where(live, h_speed, 1.0), 1.0)
-    uy = np.where(live, ref_vel[:, 1] / np.where(live, h_speed, 1.0), 0.0)
+        h_speed = np.hypot(ref_vel[:, 0], ref_vel[:, 1])
+        live = h_speed >= V_EPS
+        ux = np.where(live, ref_vel[:, 0] / np.where(live, h_speed, 1.0), 1.0)
+        uy = np.where(live, ref_vel[:, 1] / np.where(live, h_speed, 1.0), 0.0)
 
-    along = err[:, 0] * ux + err[:, 1] * uy
-    cross = -err[:, 0] * uy + err[:, 1] * ux
-    return np.column_stack([along, cross, err[:, 2]])
+        comps[block, 0] = err[:, 0] * ux + err[:, 1] * uy
+        comps[block, 1] = -err[:, 0] * uy + err[:, 1] * ux
+        comps[block, 2] = err[:, 2]
+    return comps
 
 
 def compute_metrics(
@@ -93,6 +106,10 @@ def compute_metrics(
     traj: PiecewiseTrajectory,
     case: str = "run",
 ) -> MetricsReport:
+    """MAX and RMS of each of ``error_components``' three channels over a log
+    of positions, shape (n, 3), at ``times``, shape (n,), against ``traj``;
+    a time past ``traj.duration`` reads the trajectory's end.  An empty log
+    raises InvalidInputError."""
     if len(times) == 0:
         raise InvalidInputError("empty log")
     comps = error_components(positions, times, traj)
@@ -108,6 +125,8 @@ def compute_metrics(
 
 def reference_tracking_errors() -> dict[str, MetricsReport]:
     """Published real-flight MAX/RMS baselines, keyed by case name."""
+    from importlib import resources  # on first use: it is not needed to import flapkit
+
     text = resources.files("flapkit").joinpath(
         "data/reference_tracking_errors.csv"
     ).read_text(encoding="utf-8")

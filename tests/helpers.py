@@ -3,8 +3,9 @@ pairs of a parameter or gain set, the Hamilton product of two quaternions,
 the attitude maps in matrix form (R(q), the reduced attitude, the tilt
 factor and the azimuth split), state, input and command rows from named
 fields, the full model's RK4 steps on ``full_rhs`` and its open-loop
-simulator ``simulate_full``, and the planner's oracles: the per-row penalty
-values and the sequential restart chain."""
+simulator ``simulate_full``, the planner's oracles: the per-row penalty
+values and the sequential restart chain, and the tracking-error split over a
+whole log in one pass."""
 
 import dataclasses
 import hashlib
@@ -16,6 +17,7 @@ import scipy.optimize
 from flapkit.attitude import ANTIPODAL_TOL, rotz, wrap_angle
 from flapkit.dynamics import FullLog, _half_steps, full_rhs, rk4_flat
 from flapkit.errors import DegenerateAttitudeError, InvalidInputError, PropagationError
+from flapkit.flatness import V_EPS
 from flapkit.planning import (
     INNER_MAXITER,
     RestartResult,
@@ -301,3 +303,23 @@ def restarts_digest(restarts: list) -> str:
             value = getattr(result, fld.name)
             digest.update(value.tobytes() if fld.name == "xi" else repr(value).encode())
     return digest.hexdigest()
+
+
+def error_components_oracle(positions, times, traj) -> np.ndarray:
+    """``metrics.error_components`` in one pass over the whole log, every
+    temporary as long as the log: the (along, cross, altitude) split that the
+    blocked pass must reproduce bit for bit."""
+    times = np.asarray(times, dtype=float)
+    t_ref = np.minimum(times, traj.duration)
+    ref_pos = traj.eval_many(t_ref, 0)
+    ref_vel = traj.eval_many(t_ref, 1)
+    err = ref_pos - np.asarray(positions, dtype=float)
+
+    h_speed = np.hypot(ref_vel[:, 0], ref_vel[:, 1])
+    live = h_speed >= V_EPS
+    ux = np.where(live, ref_vel[:, 0] / np.where(live, h_speed, 1.0), 1.0)
+    uy = np.where(live, ref_vel[:, 1] / np.where(live, h_speed, 1.0), 0.0)
+
+    along = err[:, 0] * ux + err[:, 1] * uy
+    cross = -err[:, 0] * uy + err[:, 1] * ux
+    return np.column_stack([along, cross, err[:, 2]])

@@ -431,6 +431,23 @@ class TestCli:
         assert capsys.readouterr().err == "diverged at t=0.001 s\n"
         assert len(kvio.load_state_log(state).t) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    def test_flight_too_large_for_memory_exits_1(self, tmp_path, capsys, case_line, command):
+        # 3e13 steps of 1e-13 s: numpy refuses the 1.7 PiB state table at
+        # once, without touching memory, and the run ends in one error line
+        traj = tmp_path / "traj.csv"
+        case_line.traj.to_coeff_csv(traj)
+        args = {
+            "simulate": ["simulate", "--traj", str(traj), "--out-state",
+                         str(tmp_path / "state.csv"), "--out-control", str(tmp_path / "c.csv")],
+            "track": ["track", "--case", "line", "--restarts", "1", "--out-dir", str(tmp_path)],
+        }[command]
+        assert main([*args, "--dt", "1e-13", "--rate", "1e13"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: "), err
+        assert not (tmp_path / "state.csv").exists()
+
     def test_metrics_of_full_model_log(self, tmp_path, capsys, case_line):
         traj = tmp_path / "line.csv"
         case_line.traj.to_coeff_csv(traj)

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import flapkit.dynamics
 import flapkit.simulate
@@ -18,6 +21,7 @@ from flapkit.dynamics import (
     vertical_rhs,
 )
 from flapkit.errors import InsufficientExcitationError, InvalidInputError
+from flapkit.flatness import _BLOCK
 from flapkit.identify import identify_drag, identify_drag_from_log
 from flapkit.metrics import (
     ChannelStats,
@@ -31,8 +35,15 @@ from flapkit.simulate import (
     simulate_heading_loop,
     simulate_ideal_vertical,
 )
+from flapkit.trajectory import PiecewiseTrajectory, PolySegment
 
-from helpers import constant_trajectory, full_row, vertical_inputs, vertical_row
+from helpers import (
+    constant_trajectory,
+    error_components_oracle,
+    full_row,
+    vertical_inputs,
+    vertical_row,
+)
 
 
 @pytest.fixture
@@ -441,6 +452,15 @@ class TestHeadingLoop:
         assert abs(res.delta_psi[-1]) < 0.01
 
 
+# three 1 s segments: a turn from rest, whose horizontal speed crosses V_EPS,
+# a hover and a vertical climb, both split on the inertial axes
+HOVER_TURN_CLIMB = PiecewiseTrajectory([
+    PolySegment([[0.0, 0.0, 0.3, -0.1], [0.0, 0.0, 0.1, 0.05], [1.0, 0.0, 0.0, 0.0]], 1.0),
+    PolySegment([[0.2, 0.0, 0.0, 0.0], [0.15, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], 1.0),
+    PolySegment([[0.2, 0.0, 0.0, 0.0], [0.15, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, 0.0]], 1.0),
+])
+
+
 class TestMetrics:
     def test_zero_error_log(self, case_line):
         traj = case_line.traj
@@ -477,6 +497,65 @@ class TestMetrics:
         comps = error_components(pos, t, traj)
         assert np.allclose(comps[:, 0], -0.3)
         assert np.allclose(comps[:, 1], 0.4)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 3 * _BLOCK + 5), seed=st.integers(0, 2**32 - 1),
+           ordered=st.booleans())
+    @example(n=3 * _BLOCK + 5, seed=0, ordered=True)
+    @example(n=_BLOCK, seed=1, ordered=False)
+    @example(n=_BLOCK + 1, seed=2, ordered=True)
+    def test_blocked_split_is_the_one_pass_split(self, n, seed, ordered):
+        # the blocks change no bit of the split or of the report: logs over
+        # several blocks, samples on and within 1e-13 of segment junctions,
+        # past the end, at rest (the inertial-axes fallback) and on the path
+        traj = HOVER_TURN_CLIMB
+        rng = np.random.default_rng(seed)
+        junctions = np.arange(traj.M + 1) * traj.T
+        times = np.select(
+            [rng.random(n) < 0.2, rng.random(n) < 0.1],
+            [rng.choice(junctions, n) + rng.choice([-1e-13, 0.0, 1e-13], n),
+             traj.duration + rng.random(n)],
+            rng.uniform(0.0, traj.duration, n),
+        ).clip(0.0)
+        if ordered:
+            times.sort()
+        pos = traj.eval_many(np.minimum(times, traj.duration), 0)
+        pos += rng.normal(0.0, 0.1, (n, 3)) * (rng.random((n, 1)) < 0.8)
+        got = error_components(pos, times, traj)
+        want = error_components_oracle(pos, times, traj)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        row = []
+        for col in want.T:
+            row += [float(np.max(np.abs(col))), float(math.sqrt(np.mean(col**2)))]
+        assert compute_metrics(pos, times, traj).row() == row
+
+    def test_memory_bounded_by_the_block(self, case_b):
+        # a 60,001-sample log, the flat replay's case b: the pass holds the
+        # (n, 3) split and a block's temporaries, not ten log-long arrays
+        traj = case_b.traj
+        t = np.linspace(0.0, traj.duration, 60_001)
+        pos = traj.eval_many(t, 0) + [0.01, -0.02, 0.005]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            compute_metrics(pos, t, traj, case="b")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6, f"{peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("shape", [(99, 3), (101, 3), (100, 2), (100,), (3, 100)])
+    def test_positions_must_match_the_times(self, case_line, shape):
+        traj = case_line.traj
+        t = np.linspace(0, traj.duration, 100)
+        with pytest.raises(InvalidInputError, match=r"want \(100, 3\)"):
+            error_components(np.zeros(shape), t, traj)
+        with pytest.raises(InvalidInputError, match=r"want \(100, 3\)"):
+            compute_metrics(np.zeros(shape), t, traj)
+
+    def test_times_must_be_one_axis(self, case_line):
+        with pytest.raises(InvalidInputError, match="do not match"):
+            error_components(np.zeros((4, 3)), np.zeros((4, 1)), case_line.traj)
 
     def test_rms_le_max_enforced(self):
         with pytest.raises(InvalidInputError):

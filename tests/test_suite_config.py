@@ -1,6 +1,7 @@
 """The test suite's own configuration: under its warnings-as-errors filter a
 failing property test still reports its falsifying example and the run goes
-on to the next test, while a warning raised by a test stays an error."""
+on to the next test, while a warning raised by a test stays an error; and a
+misspelt marker fails collection rather than run its test in tier-1."""
 
 import shutil
 import subprocess
@@ -17,6 +18,15 @@ from hypothesis import given, settings, strategies as st
 @given(st.integers())
 def test_fails(x):
     assert x < 10
+"""
+
+MISSPELT_MARKER = """
+import pytest
+
+
+@pytest.mark.slwo
+def test_sweep():
+    pass
 """
 
 WARNING = """
@@ -43,3 +53,16 @@ def test_failing_property_test_reports_and_the_run_goes_on(tmp_path):
     assert "Falsifying example: test_fails(" in out
     assert "DeprecationWarning: deprecated here" in out
     assert "2 failed, 1 passed" in out
+
+
+def test_misspelt_marker_fails_collection(tmp_path):
+    shutil.copy(PYPROJECT, tmp_path / "pyproject.toml")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a_marked.py").write_text(MISSPELT_MARKER)
+    (tests / "test_b_pass.py").write_text("def test_passes():\n    pass\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 2, out  # interrupted: collection errors
+    assert "ERROR tests/test_a_marked.py" in out and "slwo" in out
