@@ -652,11 +652,13 @@ _MAXLS = 20
 def _lbfgsb_spec():
     """The spec of scipy's L-BFGS-B extension file in the installed scipy's
     ``optimize/`` directory, named ``flapkit._lbfgsb`` (the init symbol
-    follows the name's last part); None when no extension file is found
-    there."""
-    import scipy
-
-    optimize = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    follows the name's last part); None when scipy or the extension file is
+    not found.  The directory is found without importing scipy, whose
+    package init loads modules the planner never calls."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    optimize = os.path.join(scipy.submodule_search_locations[0], "optimize")
     found = importlib.machinery.PathFinder.find_spec("_lbfgsb", [optimize])
     if found is None:
         return None

@@ -329,24 +329,23 @@ def simulate_ideal_vertical(
     def rhs(y, t):
         return [*y[3:6], *law(t, y)[2]]
 
-    eps, evs, v1s = [], [], []
+    rows = n_steps + 1  # trimmed at the stop row
+    e_p, e_v, v1 = np.empty((rows, 3)), np.empty((rows, 3)), np.empty(rows)
 
-    def record(t, y):
-        e_p, e_v, _, v1 = law(t, y)
-        eps.append(e_p)
-        evs.append(e_v)
-        v1s.append(v1)
+    def record(k, y):
+        e_p[k], e_v[k], _, v1[k] = law(k * dt, y)
 
-    record(0.0, y)
+    record(0, y)
     for k in range(n_steps):
         t = k * dt
         y = rk4_flat(rhs, y, dt, t, t + 0.5 * dt, t + dt)
-        record((k + 1) * dt, y)
-        if stop_when_ep_below is not None and np.linalg.norm(eps[-1]) < stop_when_ep_below:
+        record(k + 1, y)
+        if stop_when_ep_below is not None and np.linalg.norm(e_p[k + 1]) < stop_when_ep_below:
+            rows = k + 2
             break
 
     return IdealVerticalResult(
-        t=np.arange(len(eps)) * dt, e_p=np.array(eps), e_v=np.array(evs), V1=np.array(v1s),
+        t=np.arange(rows) * dt, e_p=e_p[:rows], e_v=e_v[:rows], V1=v1[:rows],
     )
 
 
@@ -401,7 +400,10 @@ def simulate_heading_loop(
     heading = HybridHeading(gains, 1.0 / rate_hz)
     gamma_yd = 0.0
     psi, w = float(psi0), float(omega0)
-    psis, ws, dpsis, hs = [psi], [w], [wrap_angle(psi_d_fn(0.0) - psi)], [heading.h_psi]
+    # the log, one row per step: psi, omega_psi, delta_psi and h
+    psis, ws, dpsis = np.empty(n_steps + 1), np.empty(n_steps + 1), np.empty(n_steps + 1)
+    hs = np.empty(n_steps + 1, dtype=int)
+    psis[0], ws[0], dpsis[0], hs[0] = psi, w, wrap_angle(psi_d_fn(0.0) - psi), heading.h_psi
     jumps: list[HeadingJumpEvent] = []
 
     def v2_of(h, delta_psi, omega_psi):  # on floats at a jump, on the arrays of the log
@@ -425,13 +427,10 @@ def simulate_heading_loop(
         # flow: psi' = w, w' = -l * gamma_yd (zero-order-hold input)
         psi, w = rk4_flat(_heading_flow, [psi, w], dt, gamma_yd, gamma_yd, gamma_yd, l_gain)
 
-        psis.append(psi)
-        ws.append(w)
-        dpsis.append(wrap_angle(psi_d_fn((k + 1) * dt) - psi))
-        hs.append(heading.h_psi)
+        psis[k + 1], ws[k + 1], hs[k + 1] = psi, w, heading.h_psi
+        dpsis[k + 1] = wrap_angle(psi_d_fn((k + 1) * dt) - psi)
 
-    omega_psi, delta_psi = np.array(ws), np.array(dpsis)
     return HeadingLoopResult(
-        t=np.arange(n_steps + 1) * dt, psi=np.array(psis), omega_psi=omega_psi,
-        delta_psi=delta_psi, V2=v2_of(np.array(hs), delta_psi, omega_psi), jumps=jumps,
+        t=np.arange(n_steps + 1) * dt, psi=psis, omega_psi=ws,
+        delta_psi=dpsis, V2=v2_of(hs, dpsis, ws), jumps=jumps,
     )

@@ -168,7 +168,7 @@ class PiecewiseTrajectory:
         if not (np.min(times) >= -1e-12 and np.max(times) <= self.duration + 1e-12):
             raise TrajectoryDomainError("evaluation times outside [0, M*T]")
         seg_idx, t_local = _locate(times, self.M, self.T)
-        segments = np.unique(seg_idx)
+        segments = np.flatnonzero(np.bincount(seg_idx.ravel(), minlength=self.M))
         for s in segments:
             mask = seg_idx == s if len(segments) > 1 else slice(None)
             out[mask] = fn(self.segments[s], t_local[mask])

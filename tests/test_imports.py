@@ -1,14 +1,15 @@
 """Every import in a flapkit module or a test file is used, every private
 module-level name is read somewhere in the package, every public one is read
-by a caller, and importing flapkit loads no scipy: only the planner's
-L-BFGS-B solve and the rank-deficiency error path import it, inside the
-function.  The solve needs scipy's reverse-communication
-routine ``setulb`` (its integer-task protocol dates from scipy 1.15) and
-loads it from scipy's ``optimize/_lbfgsb`` extension file alone, so a
-``plan`` or ``track`` never loads ``scipy.optimize``; these tests guard that
-private file layout, the fallback to the normal import, and scipy's own
-``scipy.optimize._lbfgsb`` beside it.  Every name the benchmark tracer wraps
-by lookup still exists.
+by a caller, and importing flapkit loads no scipy: only the rank-deficiency
+error path and the planner's fallback import it, inside the function.  The
+planner's L-BFGS-B solve needs scipy's reverse-communication routine
+``setulb`` (its integer-task protocol dates from scipy 1.15) and loads it
+from scipy's ``optimize/_lbfgsb`` extension file alone, found from scipy's
+spec without importing the package, so a ``plan`` or ``track`` loads no scipy
+module; these tests guard that private file layout, the fallback to the
+normal import, and scipy's own ``scipy.optimize._lbfgsb`` beside it.  No
+command or replay loads ``numpy.ma`` either.  Every name the benchmark
+tracer wraps by lookup still exists.
 
 ``__init__.py`` is exempt from the unused-import check: its imports are the
 package's re-exports.  For the same reason it is no caller: a public name
@@ -209,13 +210,16 @@ def test_detects_import_time_modules():
         "scipy.linalg", "importlib.resources", "scipy.optimize"]
 
 
-def scipy_modules_after(code: str, cwd) -> list[str]:
-    """The scipy modules in ``sys.modules`` after ``code`` runs in a fresh
+def modules_after(code: str, cwd) -> list[str]:
+    """The modules that enter ``sys.modules`` from ``import flapkit.cli`` on,
+    that import's own included, when it and then ``code`` run in a fresh
     interpreter with this checkout's ``src`` first on the path."""
-    probe = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules "
-        "if m == 'scipy' or m.startswith('scipy.'))))\n"
+    probe = (
+        "import json, sys\n"
+        "_start = set(sys.modules)\n"
+        "import flapkit.cli\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(set(sys.modules) - _start)))\n"
     )
     path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -225,57 +229,81 @@ def scipy_modules_after(code: str, cwd) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def in_package(modules: list[str], package: str) -> list[str]:
+    """The modules of ``modules`` that are ``package`` or one of its submodules."""
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
+SIMULATE_AND_METRICS = (
+    "from flapkit.cli import main\n"
+    "for model in ('vertical', 'full'):\n"
+    "    assert main(['simulate', '--traj', 'traj.csv', '--model', model,\n"
+    "                 '--out-state', 's.csv', '--out-control', 'c.csv']) == 0\n"
+    "    assert main(['metrics', '--state', 's.csv', '--traj', 'traj.csv',\n"
+    "                 '--case', 'line', '--out', 'm.csv']) == 0\n"
+)
+FLAT_REPLAY = (
+    "import numpy as np\n"
+    "from flapkit import FlatInputSchedule, FwavParams, PiecewiseTrajectory, VerticalParams\n"
+    "from flapkit.dynamics import integrate_vertical_tabulated\n"
+    "from flapkit.flatness import dump_flat_states\n"
+    "traj = PiecewiseTrajectory.from_coeff_csv('traj.csv')\n"
+    "vp, dt = VerticalParams(), 1e-3\n"
+    "n = int(round(traj.duration / dt))\n"
+    "grid = np.minimum(np.arange(2 * n + 1) * dt / 2, traj.duration)\n"
+    "sched = FlatInputSchedule(traj, vp)\n"
+    "gamma, f = sched.tabulate(grid)\n"
+    "log = integrate_vertical_tabulated(sched.initial_vertical_state(), vp, gamma, f, dt,\n"
+    "                                   rudder_mode='explicit-rudder')\n"
+    "assert np.all(np.isfinite(log.states))\n"
+    "assert dump_flat_states(traj, vp, FwavParams(), 'flat.csv') > 0\n"
+)
+PLAN_AND_TRACK = (
+    "from flapkit.cli import main\n"
+    "from flapkit.planning import case_library, plan\n"
+    "cons, opts, weights = case_library('line')\n"
+    "plan(cons, weights, opts)\n"
+    "assert main(['track', '--case', 'c', '--out-dir', 'out']) == 0\n"
+)
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
-    assert scipy_modules_after("import flapkit.cli", tmp_path) == []
+    assert in_package(modules_after("", tmp_path), "scipy") == []
 
 
 def test_simulate_and_metrics_load_no_scipy(tmp_path, case_line):
     case_line.traj.to_coeff_csv(tmp_path / "traj.csv")
-    code = (
-        "from flapkit.cli import main\n"
-        "for model in ('vertical', 'full'):\n"
-        "    assert main(['simulate', '--traj', 'traj.csv', '--model', model,\n"
-        "                 '--out-state', 's.csv', '--out-control', 'c.csv']) == 0\n"
-        "    assert main(['metrics', '--state', 's.csv', '--traj', 'traj.csv',\n"
-        "                 '--case', 'line', '--out', 'm.csv']) == 0\n"
-    )
-    assert scipy_modules_after(code, tmp_path) == []
+    assert in_package(modules_after(SIMULATE_AND_METRICS, tmp_path), "scipy") == []
     assert (tmp_path / "m.csv").is_file()
 
 
 def test_flat_replay_loads_no_scipy(tmp_path, case_a):
     case_a.traj.to_coeff_csv(tmp_path / "traj.csv")
-    code = (
-        "import numpy as np\n"
-        "from flapkit import FlatInputSchedule, FwavParams, PiecewiseTrajectory, VerticalParams\n"
-        "from flapkit.dynamics import integrate_vertical_tabulated\n"
-        "from flapkit.flatness import dump_flat_states\n"
-        "traj = PiecewiseTrajectory.from_coeff_csv('traj.csv')\n"
-        "vp, dt = VerticalParams(), 1e-3\n"
-        "n = int(round(traj.duration / dt))\n"
-        "grid = np.minimum(np.arange(2 * n + 1) * dt / 2, traj.duration)\n"
-        "sched = FlatInputSchedule(traj, vp)\n"
-        "gamma, f = sched.tabulate(grid)\n"
-        "log = integrate_vertical_tabulated(sched.initial_vertical_state(), vp, gamma, f, dt,\n"
-        "                                   rudder_mode='explicit-rudder')\n"
-        "assert np.all(np.isfinite(log.states))\n"
-        "assert dump_flat_states(traj, vp, FwavParams(), 'flat.csv') > 0\n"
-    )
-    assert scipy_modules_after(code, tmp_path) == []
+    assert in_package(modules_after(FLAT_REPLAY, tmp_path), "scipy") == []
 
 
 def test_plan_and_track_load_no_scipy_optimize(tmp_path):
-    code = (
-        "from flapkit.cli import main\n"
-        "from flapkit.planning import case_library, plan\n"
-        "cons, opts, weights = case_library('line')\n"
-        "plan(cons, weights, opts)\n"
-        "assert main(['track', '--case', 'c', '--out-dir', 'out']) == 0\n"
-    )
-    modules = scipy_modules_after(code, tmp_path)
-    assert "scipy" in modules  # the package, to find its optimize/ directory
-    assert [m for m in modules if m.split(".")[:2] == ["scipy", "optimize"]] == []
+    # the L-BFGS-B extension file is found without importing scipy
+    assert in_package(modules_after(PLAN_AND_TRACK, tmp_path), "scipy") == []
     assert (tmp_path / "out").is_dir()
+
+
+def test_a_run_loads_only_what_it_calls(tmp_path):
+    # plan, simulate on both models, metrics, track and the replay API on
+    # one interpreter: no scipy package and no numpy.ma, but the planner's
+    # own L-BFGS-B extension; numpy.random enters for the restarts' draws,
+    # so no exact list is asserted
+    cli_plan = (
+        "from flapkit.cli import main\n"
+        "assert main(['cases', 'line', '--out', 'line.scn']) == 0\n"
+        "assert main(['plan', '--scenario', 'line.scn', '--out', 'traj.csv']) == 0\n"
+    )
+    modules = modules_after(cli_plan + PLAN_AND_TRACK + SIMULATE_AND_METRICS + FLAT_REPLAY,
+                            tmp_path)
+    assert in_package(modules, "scipy") == []
+    assert in_package(modules, "numpy.ma") == []
+    assert "flapkit._lbfgsb" in modules
+    assert (tmp_path / "m.csv").is_file() and (tmp_path / "flat.csv").is_file()
 
 
 def test_lbfgsb_extension_is_scipys_file():
@@ -307,7 +335,7 @@ def test_scipy_optimize_lbfgsb_imports_after_a_plan(tmp_path):
         "                              method='L-BFGS-B')\n"
         "assert res.success and np.allclose(res.x, 1.0), res\n"
     )
-    assert "scipy.optimize._lbfgsb" in scipy_modules_after(code, tmp_path)
+    assert "scipy.optimize._lbfgsb" in modules_after(code, tmp_path)
 
 
 def test_fallback_plans_are_the_direct_plans(tmp_path):
@@ -332,7 +360,42 @@ def test_fallback_plans_are_the_direct_plans(tmp_path):
         "got = {name: restarts_digest(r) for name, r in restarts.items()}\n"
         f"assert got == {want!r}, got\n"
     )
-    assert "scipy.optimize._lbfgsb" in scipy_modules_after(code, tmp_path)
+    assert "scipy.optimize._lbfgsb" in modules_after(code, tmp_path)
+
+
+def test_extension_file_miss_plans_through_scipy_optimize(tmp_path):
+    # where the path finder finds no _lbfgsb file in scipy's optimize/
+    # directory, setulb is scipy.optimize._lbfgsb's and case line's plan is
+    # the direct path's, bit for bit
+    cons, opts, weights = case_library("line")
+    traj, report = flapkit.planning.plan(cons, weights, opts)
+    want = [restarts_digest(report.restarts), [s.coeffs.tobytes() for s in traj.segments]]
+    code = (
+        "import importlib.machinery, sys\n"
+        "import flapkit.planning as planning\n"
+        "find_spec = importlib.machinery.PathFinder.find_spec\n"
+        "importlib.machinery.PathFinder.find_spec = classmethod(\n"
+        "    lambda cls, name, path=None, target=None:\n"
+        "    None if name == '_lbfgsb' else find_spec(name, path, target))\n"
+        "assert planning._lbfgsb_spec() is None\n"
+        "cons, opts, weights = planning.case_library('line')\n"
+        "traj, report = planning.plan(cons, weights, opts)\n"
+        "assert planning._setulb() is sys.modules['scipy.optimize._lbfgsb'].setulb\n"
+        f"sys.path.insert(0, {str(TESTS)!r})\n"
+        "from helpers import restarts_digest\n"
+        "got = [restarts_digest(report.restarts), [s.coeffs.tobytes() for s in traj.segments]]\n"
+        f"assert got == {want!r}, got\n"
+    )
+    modules = modules_after(code, tmp_path)
+    assert "scipy.optimize._lbfgsb" in modules and "flapkit._lbfgsb" not in modules
+
+
+def test_no_scipy_finds_no_extension_file(monkeypatch):
+    # without scipy on the path the spec is None, as for a missed file
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *a: None if name == "scipy" else find_spec(name, *a))
+    assert flapkit.planning._lbfgsb_spec() is None
 
 
 def test_plan_drives_scipy_setulb(monkeypatch):

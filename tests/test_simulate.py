@@ -343,6 +343,22 @@ def test_overflowing_step_count_rejected():
         run_closed_loop(constant_trajectory([0, 0, 1], T=1.0), dt=1e-300, rate_hz=1e300)
 
 
+@pytest.mark.parametrize("loop", ["ideal", "heading"])
+def test_certification_loop_too_large_for_memory_fails_at_once(loop):
+    # 3e13 steps of 1e-13 s: each loop allocates its log before the first
+    # step, so numpy refuses the hundreds of TiB at once, without touching
+    # memory, and no step runs
+    gains = ControllerGains()
+    flight = {
+        "ideal": lambda: simulate_ideal_vertical(gains, [0.1, 0, 0], [0, 0, 0], dt=1e-13,
+                                                 duration=3.0),
+        "heading": lambda: simulate_heading_loop(gains, lambda t: 0.5, dt=1e-13, rate_hz=1e13,
+                                                 duration=3.0),
+    }[loop]
+    with pytest.raises(MemoryError):
+        flight()
+
+
 class TestIdealVertical:
     def test_v1_monotone_and_converges(self):
         res = simulate_ideal_vertical(
