@@ -36,13 +36,15 @@ p_dot = R_z(psi) vv).  The vertical rows read their input through
 ``_vertical_terms``, the terms that depend on the input alone, written once
 for floats and arrays.  The right-hand sides ``full_rhs`` and
 ``vertical_rhs`` take a state row and an input row, check them and call
-them.  Thrust, drag (``_drag``) and the deflection torque
-(``_deflection``) are terms of the full law, read only through it.  Each
-model's RK4 step is written once too, over a block of steps: ``_full_steps``
-(one held command, the quaternion projected onto the unit sphere after each
-step) and ``_vertical_steps`` (one held gamma-proxy input, the pose inline at
-every step) for the closed loop, one block per controller tick, and
-``_vertical_replay`` for the replay, one block per 1,024 table steps.  The
+them.  Thrust, drag and the deflection torque are computed inside the full
+law, with no helper call per stage.  Each model's RK4 step is written once
+too, over a block of steps: ``_full_steps`` (one held command, the RK4 sum
+written out one state at a time and the quaternion projected onto the unit
+sphere on its four floats after each step) and ``_vertical_steps`` (one held
+gamma-proxy input, the pose inline at every step) for the closed loop, one
+block per controller tick, each writing its block's rows into the log in one
+slice, and ``_vertical_replay`` for the replay, one block per 1,024 table
+steps.  The
 replay's float loop steps only (vvx, vvy, vvz, w), because no dynamic row
 reads the azimuth or the position; one array pass per block then recovers
 them from the stage states.  All keep ``rk4_flat``'s floating-point
@@ -202,32 +204,6 @@ class VerticalParams:
 
 
 # ---------------------------------------------------------------------------
-# scalar terms of the full model's law; x * abs(x) is sgn(x) * x**2 with
-# sgn(0) = 0
-# ---------------------------------------------------------------------------
-
-
-def _drag(c, ux, uy, uz):
-    """Body-frame drag -k_d,i sgn(u_i) u_i^2; ``c`` is FwavParams._constants()."""
-    k_x, k_y, k_z = c[3]
-    return -k_x * (ux * abs(ux)), -k_y * (uy * abs(uy)), -k_z * (uz * abs(uz))
-
-
-def _deflection(c, ux, uz, f2, theta_rud, theta_ele):
-    """Body-frame torque from the rudder/elevator deflections (small-deflection
-    regime): each axis combines a velocity-induced gain sgn(uz) ux^2 and a
-    flapping-induced gain f^2; x/z rows are driven by the rudder, the y row
-    by the elevator."""
-    sv = 0.0 if uz == 0.0 else math.copysign(ux * ux, uz)
-    (t_x, t_y, t_z), (f_x, f_y, f_z) = c[4], c[5]
-    return (
-        -(t_x * sv + f_x * f2) * theta_rud,
-        -(t_y * sv + f_y * f2) * theta_ele,
-        -(t_z * sv + f_z * f2) * theta_rud,
-    )
-
-
-# ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
 
@@ -280,25 +256,33 @@ def _stage_stops(y) -> bool:
 def _full_law(c, y, u):
     """The full-model equations on the floats of a checked flat state y under the
     command row u = (f_flap_c, theta_rud_c, theta_ele_c), ``c`` from
-    ``FwavParams._constants``; no row reads the position."""
-    m, g, k_tf, _, _, _, k_flap_c, k_rud_c, k_ele_c, j, jinv = c
+    ``FwavParams._constants``; no row reads the position.
+
+    In the body frame, u the body velocity: thrust k_tf f^2 on z, drag
+    -k_d,i sgn(u_i) u_i^2 on each axis, and the deflection torque of the
+    small-deflection regime, a velocity-induced gain sgn(u_z) u_x^2 plus a
+    flapping-induced gain f^2 on each axis, the x and z rows driven by the
+    rudder and the y row by the elevator.  x * abs(x) is sgn(x) x^2 with
+    sgn(0) = 0, so rest states are exact equilibria."""
+    m, g, k_tf, (d_x, d_y, d_z), (t_x, t_y, t_z), (f_x, f_y, f_z), k_flap_c, k_rud_c, \
+        k_ele_c, j, jinv = c
     _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, f, theta_rud, theta_ele = y
     f_c, rud_c, ele_c = u
     qw, qx, qy, qz, r00, r01, r02, r10, r11, r12, r20, r21, r22, ux, uy, uz = _attitude(
         qw, qx, qy, qz, vx, vy, vz)
     f2 = f * f
-    fx, fy, fz = _drag(c, ux, uy, uz)
-    fz += k_tf * f2
+    fx, fy = -d_x * (ux * abs(ux)), -d_y * (uy * abs(uy))
+    fz = -d_z * (uz * abs(uz)) + k_tf * f2
 
     # omega_dot = J^-1 (tau - omega x J omega)
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = j
     hx = j00 * wx + j01 * wy + j02 * wz
     hy = j10 * wx + j11 * wy + j12 * wz
     hz = j20 * wx + j21 * wy + j22 * wz
-    tx, ty, tz = _deflection(c, ux, uz, f2, theta_rud, theta_ele)
-    tx -= wy * hz - wz * hy
-    ty -= wz * hx - wx * hz
-    tz -= wx * hy - wy * hx
+    sv = 0.0 if uz == 0.0 else math.copysign(ux * ux, uz)
+    tx = -(t_x * sv + f_x * f2) * theta_rud - (wy * hz - wz * hy)
+    ty = -(t_y * sv + f_y * f2) * theta_ele - (wz * hx - wx * hz)
+    tz = -(t_z * sv + f_z * f2) * theta_rud - (wx * hy - wy * hx)
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = jinv
 
     return (
@@ -564,31 +548,66 @@ def _full_steps(params, y, u, n, dt, states, k0, first, radius):
     projected onto the unit sphere after each step: n steps from the flat state y
     at row k0, ``first`` the derivative at y.  Stages keep ``full_rhs``'s checks; a
     non-finite one stops the run before its step is logged, a non-finite state or
-    a position norm beyond ``radius`` after.  Writes rows k0 + 1.. of ``states``;
-    returns the last logged state, its row and the row the run stopped at or
-    None.  The closed loop's stepper, one block per controller tick."""
-    c, h, c6, isfinite, sqrt = params._constants(), 0.5 * dt, dt / 6.0, math.isfinite, math.sqrt
-    k, last, d1 = k0, k0 + n, first
-    for k in range(k0 + 1, last + 1):
-        d2 = _full_stage(c, y, h, d1, u)
-        d3 = d2 and _full_stage(c, y, h, d2, u)
-        d4 = d3 and _full_stage(c, y, dt, d3, u)
-        if d4 is None:
-            return y, k - 1, k
-        y = [a + c6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, d1, d2, d3, d4)]
-        norm = sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8] + y[9] * y[9])
-        if norm > 0:
-            y[6:10] = y[6] / norm, y[7] / norm, y[8] / norm, y[9] / norm
-        states[k] = y
-        if (sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) > radius
-                or not isfinite(sum(y)) and not all(map(isfinite, y))):
-            return y, k, k
-        if k < last:
-            if y[13] < 0:
-                raise InvalidInputError(_NEGATIVE_FLAP)
-            d1 = _full_law(c, y, u)
-    return y, k, None
+    a position norm beyond ``radius`` after.  Each step's RK4 sum is written out
+    one state at a time and its quaternion projected on its four floats; the
+    block's rows are kept in a list and written into rows k0 + 1.. of ``states``
+    in one slice on every exit, a raised InvalidInputError included.  Returns the
+    last logged state, its row and the row the run stopped at or None.  The
+    closed loop's stepper, one block per controller tick."""
+    c, h, c6, stage = params._constants(), 0.5 * dt, dt / 6.0, _full_stage
+    isfinite, sqrt = math.isfinite, math.sqrt
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, f, ru, el = y
+    out, k, last, d1, stop = [], k0, k0 + n, first, None
+    try:
+        for k in range(k0 + 1, last + 1):
+            d2 = stage(c, y, h, d1, u)
+            d3 = d2 and stage(c, y, h, d2, u)
+            d4 = d3 and stage(c, y, dt, d3, u)
+            if d4 is None:
+                k, stop = k - 1, k
+                break
+            vx1, vy1, vz1, ax1, ay1, az1, dqw1, dqx1, dqy1, dqz1, dwx1, dwy1, dwz1, df1, dru1, \
+                del1 = d1
+            vx2, vy2, vz2, ax2, ay2, az2, dqw2, dqx2, dqy2, dqz2, dwx2, dwy2, dwz2, df2, dru2, \
+                del2 = d2
+            vx3, vy3, vz3, ax3, ay3, az3, dqw3, dqx3, dqy3, dqz3, dwx3, dwy3, dwz3, df3, dru3, \
+                del3 = d3
+            vx4, vy4, vz4, ax4, ay4, az4, dqw4, dqx4, dqy4, dqz4, dwx4, dwy4, dwz4, df4, dru4, \
+                del4 = d4
+            px = px + c6 * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
+            py = py + c6 * (vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4)
+            pz = pz + c6 * (vz1 + 2.0 * vz2 + 2.0 * vz3 + vz4)
+            vx = vx + c6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+            vy = vy + c6 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+            vz = vz + c6 * (az1 + 2.0 * az2 + 2.0 * az3 + az4)
+            qw = qw + c6 * (dqw1 + 2.0 * dqw2 + 2.0 * dqw3 + dqw4)
+            qx = qx + c6 * (dqx1 + 2.0 * dqx2 + 2.0 * dqx3 + dqx4)
+            qy = qy + c6 * (dqy1 + 2.0 * dqy2 + 2.0 * dqy3 + dqy4)
+            qz = qz + c6 * (dqz1 + 2.0 * dqz2 + 2.0 * dqz3 + dqz4)
+            wx = wx + c6 * (dwx1 + 2.0 * dwx2 + 2.0 * dwx3 + dwx4)
+            wy = wy + c6 * (dwy1 + 2.0 * dwy2 + 2.0 * dwy3 + dwy4)
+            wz = wz + c6 * (dwz1 + 2.0 * dwz2 + 2.0 * dwz3 + dwz4)
+            f = f + c6 * (df1 + 2.0 * df2 + 2.0 * df3 + df4)
+            ru = ru + c6 * (dru1 + 2.0 * dru2 + 2.0 * dru3 + dru4)
+            el = el + c6 * (del1 + 2.0 * del2 + 2.0 * del3 + del4)
+            norm = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+            if norm > 0:
+                qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
+            y = px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, f, ru, el
+            out.append(y)
+            # a finite sum has only finite terms; an overflowing one is rechecked
+            if (sqrt(px * px + py * py + pz * pz) > radius
+                    or not isfinite(sum(y)) and not all(map(isfinite, y))):
+                stop = k
+                break
+            if k < last:
+                if f < 0:
+                    raise InvalidInputError(_NEGATIVE_FLAP)
+                d1 = _full_law(c, y, u)
+    finally:
+        if out:
+            states[k0 + 1:k0 + 1 + len(out)] = out
+    return y, k, stop
 
 
 def _full_stage(c, y, h, d, u):

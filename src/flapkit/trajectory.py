@@ -139,18 +139,25 @@ class PiecewiseTrajectory:
         self.duration = self.M * self.T
 
     def eval(self, t: float, order: int = 0) -> np.ndarray:
-        """The order-th derivative at one time, shape (3,): ``eval_many``'s row."""
-        return self._per_segment(np.array([float(t)]), lambda seg, t: seg.eval(t, order).T,
-                                 (3,))[0]
+        """The order-th derivative at one time, shape (3,): ``eval_many``'s row,
+        bit for bit, from the one segment ``_locate`` picks.  A time outside
+        the span by more than 1e-12, or NaN, raises TrajectoryDomainError."""
+        t = float(t)
+        if not -1e-12 <= t <= self.duration + 1e-12:
+            raise TrajectoryDomainError("evaluation times outside [0, M*T]")
+        (s,), (t_local,) = _locate(np.array([t]), self.M, self.T)
+        return self.segments[s].eval(t_local, order)
 
     def eval_many(self, times: Iterable[float], order: int = 0) -> np.ndarray:
-        """Vectorized evaluation at many times, shape (len(times), 3)."""
-        times = np.asarray(list(times) if not isinstance(times, np.ndarray) else times,
-                           dtype=float)
+        """Vectorized evaluation at a 1-D sequence of times, shape (len(times), 3)."""
+        try:
+            times = np.asarray(times, dtype=float)
+        except TypeError:  # a generator or another one-pass iterable
+            times = np.asarray(list(times), dtype=float)
         return self._per_segment(times, lambda seg, t: seg.eval(t, order).T, (3,))
 
     def taylor(self, times: np.ndarray, order: int, first: int = 0) -> np.ndarray:
-        """sigma^(k)(t)/k! for k = first..order at many times, shape
+        """sigma^(k)(t)/k! for k = first..order at N times on one axis, shape
         (order+1-first, N, 3)."""
         ks = range(first, order + 1)
         return self._per_segment(np.asarray(times, dtype=float), lambda seg, t: np.stack(
@@ -159,9 +166,12 @@ class PiecewiseTrajectory:
 
     def _per_segment(self, times: np.ndarray, fn, shape: tuple) -> np.ndarray:
         """fn(segment, local times) on the samples of each segment, stacked
-        along a leading sample axis of an array of the given trailing shape.  A
-        time outside the span by more than 1e-12, or NaN, raises
+        along a leading sample axis of an array of the given trailing shape.
+        ``times`` of another shape than one axis raises InvalidInputError
+        naming it; a time outside the span by more than 1e-12, or NaN, raises
         TrajectoryDomainError."""
+        if times.ndim != 1:
+            raise InvalidInputError(f"need one axis of evaluation times, not shape {times.shape}")
         out = np.empty((times.size, *shape))
         if times.size == 0:
             return out

@@ -4,12 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flapkit.attitude import rotz
 from flapkit.control import ControllerGains, decompose
 from flapkit.dynamics import (
+    FULL_LOG_HEADER,
     FwavParams,
     VerticalParams,
     full_rhs,
@@ -1070,12 +1071,34 @@ command_row = st.tuples(
 )
 
 
+REST = [0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def rest_with(**entries):
+    """``REST``, level at 0.5 m, with the given entries (by log column) set."""
+    y = list(REST)
+    for name, value in entries.items():
+        y[FULL_LOG_HEADER.split(",").index(name) - 1] = value
+    return y
+
+
 class TestFullSteps:
+    # blocks of the CLI's tick (10 steps at dt = 1e-3) that end after their first
+    # step by each exit, so one row reaches the log on every path: the radius, a
+    # non-finite state (drag so stiff that the RK4 sum overflows), a non-finite
+    # stage in step 2, and a stage with a negative frequency in step 2
+    @example(y0=REST, u=(0.0, 0.0, 0.0), n=10, dt=1e-3, radius=0.25, margin=None)
+    @example(y0=rest_with(vx=3e22), u=(0.0, 0.0, 0.0), n=10, dt=1e-3, radius=math.inf,
+             margin=None)
+    @example(y0=rest_with(vx=8e5), u=(0.0, 0.0, 0.0), n=10, dt=1e-3, radius=math.inf,
+             margin=None)
+    @example(y0=rest_with(fflap=4.0), u=(-300.0, 0.0, 0.0), n=10, dt=1e-3, radius=math.inf,
+             margin=None)
     @HYPOTHESIS
     @given(
         y0=full_state(),
         u=command_row,
-        n=st.integers(1, 6),
+        n=st.integers(1, 10),
         dt=st.sampled_from([1e-4, 1e-3, 5e-3]),
         radius=st.one_of(st.just(math.inf), st.floats(0.0, 6.0)),
         margin=st.one_of(st.none(), st.floats(0.0, 0.01)),

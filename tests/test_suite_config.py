@@ -61,8 +61,11 @@ def test_misspelt_marker_fails_collection(tmp_path):
     tests.mkdir()
     (tests / "test_a_marked.py").write_text(MISSPELT_MARKER)
     (tests / "test_b_pass.py").write_text("def test_passes():\n    pass\n")
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
-    out = proc.stdout + proc.stderr
-    assert proc.returncode == 2, out  # interrupted: collection errors
-    assert "ERROR tests/test_a_marked.py" in out and "slwo" in out
+    # also with the unknown-mark warning ignored: the warnings-as-errors filter
+    # alone then lets the test run
+    for flags in [], ["-W", "ignore::pytest.PytestUnknownMarkWarning"]:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               *flags], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        out = proc.stdout + proc.stderr
+        assert proc.returncode == 2, (flags, out)  # interrupted: collection errors
+        assert "ERROR tests/test_a_marked.py" in out and "slwo" in out

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,23 @@ class TestEval:
             traj.taylor(np.array(times), 2)
         # within the 1e-12 rounding margin, a time is clamped to the span
         assert np.array_equal(traj.eval_many([-1e-13, 1.0 + 1e-13], 1), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("segments", [1, 3])
+    @pytest.mark.parametrize("times", [0.5, np.array(0.5), np.array([[0.25], [0.75]]),
+                                       np.array([[0.25, 0.75]]), np.zeros((0, 2)),
+                                       [[0.25], [0.75]]])
+    def test_times_of_another_shape_than_one_axis_rejected(self, segments, times):
+        traj = PiecewiseTrajectory([PolySegment(np.ones((3, 4)), 1.0)] * segments)
+        shape = re.escape(str(np.shape(times)))
+        with pytest.raises(InvalidInputError, match=f"one axis.*{shape}"):
+            traj.eval_many(times)
+        with pytest.raises(InvalidInputError, match=f"one axis.*{shape}"):
+            traj.taylor(times, 2)
+        # the same times on one axis evaluate
+        flat = np.ravel(times)
+        assert traj.eval_many(flat, 1).shape == (flat.size, 3)
+        assert np.array_equal(traj.eval_many(iter(flat.tolist()), 1), traj.eval_many(flat, 1))
+        assert traj.taylor(flat, 2).shape == (3, flat.size, 3)
 
     def test_junction_resolves_to_later_segment(self):
         seg1 = PolySegment(np.array([[0.0, 1.0], [0, 0], [0, 0]]), T=1.0)
