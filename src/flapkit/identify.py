@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import VerticalLog, VerticalParams, _vertical_terms
-from .errors import InsufficientExcitationError
+from .errors import InsufficientExcitationError, InvalidInputError
 
 MIN_FORWARD_SPEED = 0.2  # m/s, span filter for usable samples
 
@@ -36,15 +36,29 @@ def identify_drag(
 
     ``known_accel`` is the modeled non-drag part of vvx_dot (thrust plus
     frame coupling).  ``vvx_dot`` defaults to central differences of vvx.
-    Raises InsufficientExcitationError when too few samples exceed
+    Raises InvalidInputError unless the arrays are one axis each, of one
+    length of at least 2, with strictly increasing times, and
+    InsufficientExcitationError when too few samples exceed
     ``MIN_FORWARD_SPEED`` or the regressor is numerically degenerate.
     """
     times = np.asarray(times, dtype=float)
     vvx = np.asarray(vvx, dtype=float)
     known_accel = np.asarray(known_accel, dtype=float)
+    given = {"times": times, "vvx": vvx, "known_accel": known_accel}
+    if vvx_dot is not None:
+        given["vvx_dot"] = vvx_dot = np.asarray(vvx_dot, dtype=float)
+    shapes = {name: array.shape for name, array in given.items()}
+    if len(set(shapes.values())) > 1 or times.ndim != 1:
+        raise InvalidInputError(f"need one axis of samples per array, of one length, got {shapes}")
+    if times.size < 2:
+        raise InvalidInputError(f"need at least 2 samples, got {times.size}")
+    steps = np.diff(times)
+    if not np.all(steps > 0.0):  # a NaN time fails too
+        k = int(np.argmin(steps > 0.0))
+        raise InvalidInputError(f"need strictly increasing times: t[{k + 1}] = "
+                                f"{float(times[k + 1])!r} follows t[{k}] = {float(times[k])!r}")
     if vvx_dot is None:
         vvx_dot = np.gradient(vvx, times)
-    vvx_dot = np.asarray(vvx_dot, dtype=float)
 
     mask = np.abs(vvx) > MIN_FORWARD_SPEED
     # drop the log edges where the finite difference is one-sided

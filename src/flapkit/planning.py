@@ -45,6 +45,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -230,7 +231,11 @@ class PlanOptions:
 
 
 def sample_times(duration: float, interval: float) -> np.ndarray:
-    """Sample instants k*interval strictly inside (0, duration)."""
+    """Sample instants k*interval strictly inside (0, duration).  Raises
+    InvalidInputError where duration / interval is not at most sys.maxsize."""
+    if not duration / interval <= sys.maxsize:
+        raise InvalidInputError(f"need at most {sys.maxsize} samples, got {duration / interval} "
+                                f"from a {interval:g} s interval over {duration:g} s")
     n = int(math.ceil(duration / interval)) + 1
     times = interval * np.arange(1, n)
     return times[times < duration - 1e-9]

@@ -381,6 +381,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "k_d/m" in out
 
+    @pytest.mark.parametrize("fault,message", [
+        ("one row", "need at least 2 samples, got 1"),
+        ("a repeated time", "t[19] = 0.018 follows t[18] = 0.018"),
+    ])
+    def test_identify_from_a_degenerate_log_exits_1(self, tmp_path, capsys, run_line, fault,
+                                                    message):
+        path = tmp_path / "state.csv"
+        run_line.state_log.to_csv(path)
+        text = path.read_text()
+        path.write_text(edit_rows(text, keep=lambda c: c[0] == "0") if fault == "one row" else
+                        edit_rows(text, change=lambda c: ["0.018", *c[1:]] if c[0] == "0.019"
+                                  else c))
+        assert main(["identify", "--state", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert captured.out == ""
+
     def test_scenario_file_input(self, tmp_path):
         scen = tmp_path / "scen.kv"
         assert main(["cases", "line", "--out", str(scen)]) == 0
@@ -392,6 +410,16 @@ class TestCli:
         scenario.write_text("end_pos = [1, 0, 0]\nsample_interval = 5.0\nrestarts = 2\n")
         assert main(["plan", "--scenario", str(scenario), "--out", str(tmp_path / "t.csv")]) == 1
         assert "leaves no sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval,count", [("1e-300", "3e+300"), ("5e-324", "inf")])
+    def test_plan_with_too_many_samples_exits_1(self, tmp_path, capsys, interval, count):
+        scenario = tmp_path / "dense.kv"
+        scenario.write_text(f"end_pos = [1, 0, 0]\nsample_interval = {interval}\n")
+        assert main(["plan", "--scenario", str(scenario), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: need at most "), err
+        assert f"samples, got {count} from a" in err[0]
+        assert not (tmp_path / "t.csv").exists()
 
     def test_plan_restarts_and_seed(self, tmp_path, monkeypatch):
         seen = []

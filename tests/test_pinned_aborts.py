@@ -10,11 +10,13 @@ its last row:
 * ``full_stage``: a non-finite RK4 stage of the full model ends the run in
   the middle of a block, and its step is not logged.
 
-The table was printed by
+The table was printed at that commit by the file's own recorder.  The
+recording command is now
 
-    PYTHONPATH=src python tests/test_pinned_aborts.py
+    PYTHONPATH=src python tests/pins.py record OUT.npz
 
-run in a checkout of that commit.
+which prints the table under ``# test_pinned_aborts.py PINNED``, from the
+flights ``pins.fly_abort`` flies.
 """
 
 import math
@@ -22,38 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from flapkit.simulate import run_closed_loop
-
-from helpers import constant_trajectory
-
-# (model, start position offset, start velocity offset, divergence radius)
-ABORTS = {
-    "vertical_radius": ("vertical", (0.95, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),
-    "vertical_non_finite": ("vertical", (0.0, 0.0, 0.0), (3000.0, 0.0, 0.0), math.inf),
-    "full_stage": ("full", (0.0, 0.0, 0.0), (1e6, 0.0, 0.0), math.inf),
-}
-
-
-def fly(key):
-    model, pos, vel, radius = ABORTS[key]
-    return run_closed_loop(constant_trajectory([0.0, 0.0, 0.0], T=1.0), model=model,
-                           duration=1.0, perturb_pos=pos, perturb_vel=vel,
-                           divergence_radius=radius)
-
-
-def summary(result) -> dict:
-    return {
-        "diverged": result.diverged,
-        "abort_time": result.abort_time,
-        "rows": len(result.state_log.t),
-        "ticks": len(result.control_t),
-        "last_row": result.state_log.states[-1].tolist(),
-    }
-
-
-def record() -> dict:
-    return {key: summary(fly(key)) for key in ABORTS}
-
+from pins import ABORTS, abort_summary, fly_abort
 
 inf = math.inf
 PINNED = {
@@ -87,12 +58,6 @@ PINNED = {
 
 @pytest.mark.parametrize("key", sorted(ABORTS))
 def test_abort_matches_recorded_values(key):
-    got, want = summary(fly(key)), dict(PINNED[key])
+    got, want = abort_summary(fly_abort(key)), dict(PINNED[key])
     np.testing.assert_array_equal(got.pop("last_row"), want.pop("last_row"))
     assert got == want
-
-
-if __name__ == "__main__":
-    import pprint
-
-    pprint.pprint(record(), width=100)

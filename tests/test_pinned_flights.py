@@ -3,20 +3,16 @@
 arrays.  The tick now runs on floats (tanh, the filter products and the
 3-element sums round differently), which moves these flights by ~1e-12.
 
-The table was printed by
+The ``PINNED`` table was printed at that commit by the file's own
+recorder, which planned both cases and flew them.
 
-    PYTHONPATH=src python tests/test_pinned_flights.py
-
-run in a checkout of that commit: it plans both cases, flies them, and
-prints ``record()``.
-
-The same command then prints ``record_digests()``: the sha256 of the state
+That recorder also printed ``DIGESTS``: the sha256 of the state
 and control logs of four full-model flights and of one ``simulate_full``
 run, recorded at commit b06346b, where the full plant stepped ``rk4_flat``
 on ``full_rhs``, and of two ``simulate_vertical`` runs (one per rudder
 mode), recorded at commit 57bb71a, before the dataclass state views were
 deleted.  These are exact pins, not tolerances.  The ``simulate_full``
-digest was re-recorded, with the same command, when ``simulate_full`` began
+digest was re-recorded, with that recorder, when ``simulate_full`` began
 to read its commands once per half-step time j dt/2 (the end of one step and
 the start of the next share the sample at (k + 1) dt, not two samples at
 times one rounding apart): its states moved by at most 6.9e-18.
@@ -31,119 +27,33 @@ the rudder deflection left the input row and the model kept one lateral
 law: there the run had flown a rudder schedule 0.02 sin(3 t) under the
 "free" lateral law, and it was re-recorded with the rudder at +0.0 and the
 lateral velocity frozen, the law the wind vane now is.
-"""
 
-import hashlib
-import math
+The recording command is now
+
+    PYTHONPATH=src python tests/pins.py record OUT.npz
+
+which prints both tables, under ``# test_pinned_flights.py PINNED`` and
+``# test_pinned_flights.py DIGESTS``, from the flights and runs ``pins``
+builds.
+"""
 
 import numpy as np
 import pytest
 
-from flapkit.dynamics import FwavParams, VerticalParams, simulate_vertical
-from flapkit.simulate import run_closed_loop
-
-from helpers import full_row, simulate_full, vertical_inputs, vertical_row
+from pins import (
+    FLIGHTS,
+    FULL_FLIGHTS,
+    VERTICAL_RUNS,
+    digest,
+    fixture_plans,
+    flight_summary,
+    fly,
+    fly_full,
+    simulate_varying,
+    simulate_vertical_varying,
+)
 
 TOL = 1e-9
-
-# (case, model, start offset); the controller and plant run at their defaults
-FLIGHTS = {
-    "c_vertical": ("c", "vertical", (0.03, -0.02, 0.04)),
-    "line_full": ("line", "full", (0.0, 0.0, 0.02)),
-}
-
-
-def summary(result) -> dict:
-    """Final state, max |x| and RMS of every control-log column, and the
-    discrete-event counts of one flight."""
-    rows = result.control_rows
-    return {
-        "final_state": result.state_log.states[-1].tolist(),
-        "control_max_abs": np.max(np.abs(rows), axis=0).tolist(),
-        "control_rms": np.sqrt(np.mean(rows**2, axis=0)).tolist(),
-        "jumps": len(result.jump_times),
-        "ff_saturations": len(result.ff_sat_times),
-    }
-
-
-def record() -> dict:
-    from flapkit.planning import case_library, plan
-
-    out = {}
-    for key, (case, model, offset) in FLIGHTS.items():
-        cons, opts, weights = case_library(case)
-        traj, _ = plan(cons, weights, opts)
-        out[key] = summary(run_closed_loop(traj, model=model, perturb_pos=offset))
-    return out
-
-
-# Full-model logs pinned exactly, by the sha256 of their float64 bytes: any
-# drift of the full plant or of its integrator, down to one bit, fails them.
-# (case, start offset) of each closed-loop flight at the defaults
-FULL_FLIGHTS = {
-    "line": ("line", (0.0, 0.0, 0.0)),
-    "line_perturbed": ("line", (0.0, 0.0, 0.02)),
-    "a": ("a", (0.0, 0.0, 0.0)),
-    "a_perturbed": ("a", (0.0, 0.0, -0.03)),
-}
-
-
-def digest(array) -> str:
-    return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
-
-
-def flight_digests(result) -> dict:
-    return {"states": digest(result.state_log.states), "control": digest(result.control_rows)}
-
-
-def varying_commands(t: float) -> tuple:
-    """A command row (f_flap_c, theta_rud_c, theta_ele_c) schedule that moves
-    every stage."""
-    f0 = FwavParams().hover_frequency
-    return (f0 * (1.0 + 0.05 * math.sin(5.0 * t)), 0.02 * math.sin(3.0 * t),
-            -0.03 * math.cos(4.0 * t))
-
-
-def simulate_varying():
-    params = FwavParams()
-    return simulate_full(full_row(f_flap=params.hover_frequency), params, varying_commands,
-                         dt=1e-3, duration=0.5)
-
-
-# the rudder mode of each open-loop vertical run
-VERTICAL_RUNS = {
-    "simulate_vertical_explicit": "explicit-rudder",
-    "simulate_vertical_proxy_constrained": "gamma-proxy",
-}
-
-
-def varying_vertical_inputs(t: float) -> tuple:
-    """An input row (gx, gy, gz, fflap) schedule that moves every stage; the
-    reduced attitude is unit by construction."""
-    a, b = 0.08 * math.sin(4.0 * t), 0.03 * math.cos(6.0 * t)
-    f0 = VerticalParams().hover_frequency
-    return vertical_inputs([math.sin(a) * math.cos(b), math.sin(b), math.cos(a) * math.cos(b)],
-                           f0 * (1.0 + 0.05 * math.sin(5.0 * t)))
-
-
-def simulate_vertical_varying(rudder_mode: str):
-    start = vertical_row(vv=[0.5, 0.05, 0.1], psi=0.3, omega_psi=0.2)
-    return simulate_vertical(start, VerticalParams(), varying_vertical_inputs, rudder_mode,
-                             dt=1e-3, duration=0.5)
-
-
-def record_digests() -> dict:
-    from flapkit.planning import case_library, plan
-
-    out = {}
-    for key, (case, offset) in FULL_FLIGHTS.items():
-        cons, opts, weights = case_library(case)
-        traj, _ = plan(cons, weights, opts)
-        out[key] = flight_digests(run_closed_loop(traj, model="full", perturb_pos=offset))
-    out["simulate_full_varying"] = {"states": digest(simulate_varying().states)}
-    for key, mode in VERTICAL_RUNS.items():
-        out[key] = {"states": digest(simulate_vertical_varying(mode).states)}
-    return out
 
 
 PINNED = {
@@ -200,9 +110,7 @@ PINNED = {
 
 @pytest.mark.parametrize("key", sorted(FLIGHTS))
 def test_flight_matches_recorded_values(request, key):
-    case, model, offset = FLIGHTS[key]
-    traj = request.getfixturevalue(f"case_{case}").traj
-    got = summary(run_closed_loop(traj, model=model, perturb_pos=offset))
+    got = flight_summary(fly(fixture_plans(request), key))
     want = PINNED[key]
     assert got["jumps"] == want["jumps"]
     assert got["ff_saturations"] == want["ff_saturations"]
@@ -241,9 +149,8 @@ DIGESTS = {
 
 @pytest.mark.parametrize("key", sorted(FULL_FLIGHTS))
 def test_full_flight_logs_match_recorded_digests(request, key):
-    case, offset = FULL_FLIGHTS[key]
-    traj = request.getfixturevalue(f"case_{case}").traj
-    assert flight_digests(run_closed_loop(traj, model="full", perturb_pos=offset)) == DIGESTS[key]
+    logs = fly_full(fixture_plans(request), key)
+    assert {field: digest(log) for field, log in logs.items()} == DIGESTS[key]
 
 
 def test_simulate_full_log_matches_recorded_digest():
@@ -254,10 +161,3 @@ def test_simulate_full_log_matches_recorded_digest():
 def test_simulate_vertical_log_matches_recorded_digest(key):
     log = simulate_vertical_varying(VERTICAL_RUNS[key])
     assert {"states": digest(log.states)} == DIGESTS[key]
-
-
-if __name__ == "__main__":
-    import pprint
-
-    pprint.pprint(record(), width=100)
-    pprint.pprint(record_digests(), width=100)

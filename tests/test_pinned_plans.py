@@ -4,38 +4,23 @@ stage with ``jac=True``).  The penalty evaluation may be restructured, but
 only in ways that leave every plan's objective, winning restart and
 coefficients where they were.
 
-The table was printed by
+The table was printed at that commit by the file's own recorder, which
+planned the four cases at their default options (seed 0).  The recording
+command is now
 
-    PYTHONPATH=src python tests/test_pinned_plans.py
+    PYTHONPATH=src python tests/pins.py record OUT.npz
 
-run in a checkout of that commit: it plans the four cases at their default
-options (seed 0) and prints ``record()``.  The tests read the session
-fixtures, so they add no planning time.
+which prints this table under ``# test_pinned_plans.py PINNED``, built by
+``pins.plan_summary``.  The tests read the session fixtures, so they add no
+planning time.
 """
 
 import numpy as np
 import pytest
 
+from pins import CASES, plan_summary
+
 RTOL = 1e-12
-CASES = ("a", "b", "c", "line")
-
-
-def summary(traj, report) -> dict:
-    return {
-        "objective": report.objective,
-        "restart_index": report.restart_index,
-        "coeffs": np.stack([seg.coeffs for seg in traj.segments]).tolist(),
-    }
-
-
-def record() -> dict:
-    from flapkit.planning import case_library, plan
-
-    out = {}
-    for case in CASES:
-        cons, opts, weights = case_library(case)
-        out[case] = summary(*plan(cons, weights, opts))
-    return out
 
 
 PINNED = {"a": {"coeffs": [[[0.0, 8.220053272150366e-15, -1.4159707972884034e-16, 0.9382925279693859,
@@ -92,7 +77,7 @@ PINNED = {"a": {"coeffs": [[[0.0, 8.220053272150366e-15, -1.4159707972884034e-16
 @pytest.mark.parametrize("case", CASES)
 def test_plan_matches_recorded_values(request, case):
     planned = request.getfixturevalue(f"case_{case}")
-    got = summary(planned.traj, planned.report)
+    got = plan_summary(planned.traj, planned.report)
     want = PINNED[case]
     assert got["restart_index"] == want["restart_index"]
     assert got["objective"] == pytest.approx(want["objective"], rel=RTOL, abs=0.0)
@@ -102,9 +87,3 @@ def test_plan_matches_recorded_values(request, case):
     np.testing.assert_allclose(
         got["coeffs"], coeffs, rtol=RTOL, atol=RTOL * np.max(np.abs(coeffs))
     )
-
-
-if __name__ == "__main__":
-    import pprint
-
-    pprint.pprint(record(), width=100, compact=True)

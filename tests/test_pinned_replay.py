@@ -5,46 +5,18 @@ but only in ways that keep every floating-point operation of that step.
 
 The replay takes the first 0.5 s of case a's plan at the acceptance-04
 settings: the inputs tabulated on the half-step grid of dt = 1e-4 and
-reintegrated with the explicit rudder.  The table was printed by
+reintegrated with the explicit rudder.  The table was printed at that
+commit by the file's own recorder, which planned case a.  The recording
+command is now
 
-    PYTHONPATH=src python tests/test_pinned_replay.py
+    PYTHONPATH=src python tests/pins.py record OUT.npz
 
-run in a checkout of that commit: it plans case a and prints ``record()``.
-The test reads the session fixture, so it adds no planning time.
+which prints the table under ``# test_pinned_replay.py PINNED``, built by
+``pins.replay_summary``.  The test reads the session fixture, so it adds no
+planning time.
 """
 
-import numpy as np
-
-from flapkit.dynamics import VerticalParams, integrate_vertical_tabulated
-from flapkit.flatness import FlatInputSchedule
-
-DT = 1e-4
-DURATION = 0.5
-
-
-def summary(traj) -> dict:
-    """Final state and max |x| of every state column of the replay."""
-    vparams = VerticalParams()
-    n_steps = int(round(DURATION / DT))
-    grid = np.arange(2 * n_steps + 1) * DT / 2
-    sched = FlatInputSchedule(traj, vparams)
-    gamma, f_flap = sched.tabulate(grid)
-    log = integrate_vertical_tabulated(
-        sched.initial_vertical_state(), vparams, gamma, f_flap, DT,
-        rudder_mode="explicit-rudder",
-    )
-    return {
-        "final_state": log.states[-1].tolist(),
-        "max_abs": np.max(np.abs(log.states), axis=0).tolist(),
-    }
-
-
-def record() -> dict:
-    from flapkit.planning import case_library, plan
-
-    cons, opts, weights = case_library("a")
-    traj, _ = plan(cons, weights, opts)
-    return summary(traj)
+from pins import replay_summary
 
 
 PINNED = {
@@ -62,10 +34,4 @@ PINNED = {
 
 
 def test_replay_matches_recorded_values(case_a):
-    assert summary(case_a.traj) == PINNED
-
-
-if __name__ == "__main__":
-    import pprint
-
-    pprint.pprint(record(), width=100)
+    assert replay_summary(case_a.traj) == PINNED

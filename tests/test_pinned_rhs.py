@@ -7,50 +7,27 @@ would move both sides of those comparisons; this table does not move.
 Every row is evaluated in both rudder modes: the tilt proxy and the wind
 vane ("explicit-rudder", the rudder at neutral).  The rows include signed
 zeros in the state and the input, azimuths far from [-pi, pi] and a zero
-flapping frequency.  The table was printed by
-
-    PYTHONPATH=src python tests/test_pinned_rhs.py
-
-run in a checkout of that commit.  There an input row carried a fifth
+flapping frequency.  The table was printed at that commit by the file's own
+recorder.  There an input row carried a fifth
 float, the rudder deflection theta_rud, and the model had a second lateral
 law, "free".  The gamma-proxy rows read no theta_rud and are those of the
 frozen lateral law as first recorded.  The explicit-rudder rows were
-re-recorded with the same command in a checkout of 07bf3c3, with every
+re-recorded with that recorder in a checkout of 07bf3c3, with every
 row's theta_rud set to +0.0, when the rudder deflection left the input row:
 the wind vane is that law with the rudder at neutral.
-"""
 
-import math
+The recording command is now
+
+    PYTHONPATH=src python tests/pins.py record OUT.npz
+
+which prints the table under ``# test_pinned_rhs.py PINNED``, from the rows
+``pins.RHS_ROWS`` in the modes ``pins.RHS_MODES``.
+"""
 
 import numpy as np
 import pytest
 
-from flapkit.dynamics import VerticalParams, vertical_rhs
-
-
-def unit(gx, gy) -> tuple:
-    """A unit reduced attitude with the given gx and gy and gz > 0."""
-    return gx, gy, math.sqrt(1.0 - gx * gx - gy * gy)
-
-
-# (state row, input row (gx, gy, gz, fflap))
-ROWS = [
-    ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], (0.0, 0.0, 1.0, 15.08)),
-    ([-0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0], (-0.0, -0.0, 1.0, 0.0)),
-    ([0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0], (0.0, -0.0, 1.0, 12.0)),
-    ([0.3, -0.2, 1.1, 0.8, -0.15, 0.4, 0.7, -1.3], (*unit(0.2, -0.3), 14.0)),
-    ([-1.0, 2.0, -0.5, -1.2, 0.35, -0.9, -2.9, 2.4], (*unit(-0.4, 0.1), 18.5)),
-    ([0.0, 0.0, 0.0, 2.5, -0.0, -3.0, 40.0, 0.0], (*unit(-0.0, 0.35), 9.0)),
-    ([5.0, -5.0, 2.0, -0.0, 1.5, 0.0, -1e3, -0.0], (*unit(0.6, -0.0), 0.0)),
-    ([0.0, 0.0, 0.0, 0.05, 0.02, -0.01, math.pi / 2, 6.0], (*unit(0.1, 0.5), 22.0)),
-]
-
-MODES = ["gamma-proxy", "explicit-rudder"]
-
-
-def record() -> dict:
-    return {mode: [list(vertical_rhs(state, u, VerticalParams(), mode)) for state, u in ROWS]
-            for mode in MODES}
+from pins import RHS_MODES, rhs_rows
 
 
 def bits(rows) -> np.ndarray:
@@ -97,13 +74,7 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", RHS_MODES)
 def test_vertical_rhs_matches_recorded_values(mode):
     # compared as bits, so that a signed zero must keep its sign
-    assert np.array_equal(bits(record()[mode]), bits(PINNED[mode]))
-
-
-if __name__ == "__main__":
-    import pprint
-
-    pprint.pprint(record(), width=100)
+    assert np.array_equal(bits(rhs_rows(mode)), bits(PINNED[mode]))

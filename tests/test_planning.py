@@ -77,6 +77,17 @@ class TestSampleTimes:
         assert np.all(tau > 0.0)
         assert np.all(tau < 1.0)
 
+    @pytest.mark.parametrize("interval", [1e-300, 5e-324])
+    def test_count_beyond_sys_maxsize_rejected(self, interval):
+        with pytest.raises(InvalidInputError, match="need at most .* samples"):
+            sample_times(3.0, interval)
+
+    @pytest.mark.parametrize("interval", [1e-300, 5e-324])
+    def test_plan_of_a_count_beyond_sys_maxsize_rejected(self, interval):
+        cons, opts, weights = case_library("line")
+        with pytest.raises(InvalidInputError, match="need at most .* samples"):
+            plan(dataclasses.replace(cons, sample_interval=interval), weights, opts)
+
 
 class TestQpOracle:
     def test_rest_to_rest_boundary_exact(self):

@@ -629,3 +629,23 @@ class TestIdentifyDrag:
         vvx = np.full_like(t, 0.21)  # barely above the gate, almost constant
         with pytest.raises(InsufficientExcitationError):
             identify_drag(t, vvx * 0.0, np.zeros_like(t))
+
+    @pytest.mark.parametrize("times,vvx,known,vvx_dot,message", [
+        pytest.param(np.arange(5.0), np.ones(40), np.zeros(40), None, "of one length",
+                     id="lengths differ"),
+        pytest.param(np.arange(40.0), np.ones(40), np.zeros(40), np.zeros(39), "of one length",
+                     id="vvx_dot length differs"),
+        pytest.param(np.zeros((2, 20)), np.ones((2, 20)), np.zeros((2, 20)), None, "one axis",
+                     id="two axes"),
+        pytest.param([0.0], [1.0], [0.0], None, "at least 2 samples, got 1", id="one sample"),
+        pytest.param([], [], [], None, "at least 2 samples, got 0", id="no sample"),
+        pytest.param([0.0, 0.1, 0.1, 0.2], np.ones(4), np.zeros(4), None,
+                     r"t\[2\] = 0.1 follows t\[1\] = 0.1", id="a repeated time"),
+        pytest.param([0.0, 0.2, 0.1], np.ones(3), np.zeros(3), None,
+                     r"t\[2\] = 0.1 follows t\[1\] = 0.2", id="a decreasing time"),
+        pytest.param([0.0, math.nan, 0.2], np.ones(3), np.zeros(3), np.zeros(3),
+                     r"t\[1\] = nan follows", id="a NaN time"),
+    ])
+    def test_degenerate_samples_rejected(self, times, vvx, known, vvx_dot, message):
+        with pytest.raises(InvalidInputError, match=message):
+            identify_drag(times, vvx, known, vvx_dot=vvx_dot)
