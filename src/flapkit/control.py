@@ -106,10 +106,10 @@ class SecondOrderFilter:
     and S = sinh(mu dt)/mu when over-damped, C = cos(|mu| dt) and
     S = sin(|mu| dt)/|mu| when under-damped, C = 1 and S = dt when
     critically damped.  A constant input is a fixed point (x = u, x' = 0),
-    which gives the input column.  The first ``update`` primes the state from
-    its input, a float or a sequence of floats (one channel each); ``reset``
-    snaps the state to the input with zero rate (used at declared jumps of
-    the input).
+    which gives the input column.  The input is one channel, a float, or
+    three, a sequence of three floats; the first ``update`` primes the state
+    from it, and ``reset`` snaps the state to the input with zero rate (used
+    at declared jumps of the input).
     """
 
     def __init__(self, wn: float, zeta: float, dt: float):
@@ -138,16 +138,24 @@ class SecondOrderFilter:
         self._primed = True
 
     def update(self, u) -> tuple[tuple, tuple]:
-        """Advance one tick; returns (filtered values, filtered derivatives)."""
+        """Advance one tick; returns (filtered values, filtered derivatives),
+        a tuple of one float or of three."""
         if not self._primed:
             self.reset(u)
             return self.value, self.rate
         (a00, a01), (a10, a11) = self.ad
         b0, b1 = self.bd
-        self.value, self.rate = zip(*[
-            (x * a00 + r * a01 + w * b0, x * a10 + r * a11 + w * b1)
-            for x, r, w in zip(self.value, self.rate, _channels(u))
-        ])
+        if isinstance(u, (int, float)):
+            (x,), (r,) = self.value, self.rate
+            self.value = (x * a00 + r * a01 + u * b0,)
+            self.rate = (x * a10 + r * a11 + u * b1,)
+        else:
+            (x0, x1, x2), (r0, r1, r2) = self.value, self.rate
+            w0, w1, w2 = u
+            self.value = (x0 * a00 + r0 * a01 + w0 * b0, x1 * a00 + r1 * a01 + w1 * b0,
+                          x2 * a00 + r2 * a01 + w2 * b0)
+            self.rate = (x0 * a10 + r0 * a11 + w0 * b1, x1 * a10 + r1 * a11 + w1 * b1,
+                         x2 * a10 + r2 * a11 + w2 * b1)
         return self.value, self.rate
 
 
@@ -160,15 +168,27 @@ class TrackingErrors:
 
 
 def desired_velocity(sigma_r_dot, e_p, kp) -> tuple:
-    """v_d = reference velocity plus tanh-saturated position feedback."""
-    return tuple(s + k * math.tanh(e) for s, e, k in zip(sigma_r_dot, e_p, kp))
+    """v_d = reference velocity plus tanh-saturated position feedback, over
+    three channels."""
+    s0, s1, s2 = sigma_r_dot
+    e0, e1, e2 = e_p
+    k0, k1, k2 = kp
+    tanh = math.tanh
+    return s0 + k0 * tanh(e0), s1 + k1 * tanh(e1), s2 + k2 * tanh(e2)
 
 
 def desired_acceleration(v_d_dot, e_p, e_v, kp, kv) -> tuple:
-    """a_d = vdot_d + Kv Kp^-1 tanh(e_p) + Kv tanh(e_v)."""
-    return tuple(
-        a + k_v / k_p * math.tanh(ep) + k_v * math.tanh(ev)
-        for a, ep, ev, k_p, k_v in zip(v_d_dot, e_p, e_v, kp, kv)
+    """a_d = vdot_d + Kv Kp^-1 tanh(e_p) + Kv tanh(e_v), over three channels."""
+    a0, a1, a2 = v_d_dot
+    p0, p1, p2 = e_p
+    v0, v1, v2 = e_v
+    kp0, kp1, kp2 = kp
+    kv0, kv1, kv2 = kv
+    tanh = math.tanh
+    return (
+        a0 + kv0 / kp0 * tanh(p0) + kv0 * tanh(v0),
+        a1 + kv1 / kp1 * tanh(p1) + kv1 * tanh(v1),
+        a2 + kv2 / kp2 * tanh(p2) + kv2 * tanh(v2),
     )
 
 
@@ -309,9 +329,18 @@ def heading_stability_margin(gains: ControllerGains) -> HeadingMargin:
 
 def candidate_v1(e_p, e_v, gains: ControllerGains) -> float:
     """Positional candidate V1 = 1/2 e_p' Kp^-1 e_p + 1/2 e_v' Kv^-1 e_v."""
+    return _candidate_v1(e_p, e_v, gains.kp.tolist(), gains.kv.tolist())
+
+
+def _candidate_v1(e_p, e_v, kp, kv) -> float:
+    """``candidate_v1`` over three channels, the diagonals as floats."""
+    p0, p1, p2 = e_p
+    v0, v1, v2 = e_v
+    kp0, kp1, kp2 = kp
+    kv0, kv1, kv2 = kv
     return (
-        0.5 * sum(e * (e / k) for e, k in zip(e_p, gains.kp.tolist()))
-        + 0.5 * sum(e * (e / k) for e, k in zip(e_v, gains.kv.tolist()))
+        0.5 * (p0 * (p0 / kp0) + p1 * (p1 / kp1) + p2 * (p2 / kp2))
+        + 0.5 * (v0 * (v0 / kv0) + v1 * (v1 / kv1) + v2 * (v2 / kv2))
     )
 
 
@@ -365,13 +394,10 @@ class HybridHeading:
         omega_psi_d = heading_rate_command(
             delta_psi, psi_d_rate, h, g.k_psi, g.psi_rate_ff_cap
         )
-        command_jumped = (
-            self._last_omega_psi_d is not None
-            and abs(omega_psi_d - self._last_omega_psi_d) > OMEGA_PSI_D_JUMP
-        )
-        if jumped or command_jumped:
+        last = self._last_omega_psi_d
+        if jumped or (last is not None and abs(omega_psi_d - last) > OMEGA_PSI_D_JUMP):
             self._wd_filter.reset(omega_psi_d)
-        _, (wd_rate,) = self._wd_filter.update(omega_psi_d)
+        (wd_rate,) = self._wd_filter.update(omega_psi_d)[1]
         self._last_omega_psi_d = omega_psi_d
 
         e_omega_psi = omega_psi_d - omega_psi
@@ -425,7 +451,8 @@ class ControllerOutput:
 class TrackingController:
     """One-tick-at-a-time cascaded controller around the vertical frame; its
     memory is the heading law, the desired-velocity and azimuth command
-    filters, the unwrap-tracked azimuth command and the held decomposition."""
+    filters, the unwrap-tracked azimuth command and the held decomposition.
+    The Kp and Kv diagonals are read once, at construction."""
 
     def __init__(
         self,
@@ -444,61 +471,57 @@ class TrackingController:
         self.psid_filter = SecondOrderFilter(gains.filter_wn, gains.filter_zeta, self.dt)
         self.psi_d_cont = initial_psi_d
         self.held = Decomposition(initial_psi_d, params.hover_frequency, 0.0, 1.0)
+        self._kp, self._kv = gains.kp.tolist(), gains.kv.tolist()
 
     def update(self, sigma_r, sigma_r_dot, meas: Measurement) -> ControllerOutput:
         """One tick on floats: what the control log reads."""
         g = self.gains
-        kp = g.kp.tolist()
-        e_p = tuple(a - b for a, b in zip(sigma_r, meas.p))  # p_d - p
+        kp, kv = self._kp, self._kv
+        r0, r1, r2 = sigma_r
+        p0, p1, p2 = meas.p
+        e_p = r0 - p0, r1 - p1, r2 - p2  # p_d - p
         v_d = desired_velocity(sigma_r_dot, e_p, kp)
-        errors = TrackingErrors(e_p, tuple(a - b for a, b in zip(v_d, meas.v)))  # e_v = v_d - v
-        _, v_d_dot = self.vd_filter.update(v_d)
-        a_d = desired_acceleration(v_d_dot, errors.e_p, errors.e_v, kp, g.kv.tolist())
+        d0, d1, d2 = v_d
+        vx, vy, vz = meas.v
+        e_v = d0 - vx, d1 - vy, d2 - vz  # v_d - v
+        a_d = desired_acceleration(self.vd_filter.update(v_d)[1], e_p, e_v, kp, kv)
 
+        psi = meas.psi
         # measured velocity in the vertical frame: R_z(psi)^T v = R_z(-psi) v
-        vv = _vertical_kinematics(math.cos(meas.psi), -math.sin(meas.psi), *meas.v)
+        vv = _vertical_kinematics(math.cos(psi), -math.sin(psi), vx, vy, vz)
         if math.hypot(a_d[0], a_d[1]) < PSI_D_FLOOR:
             # horizontal demand too weak to define an azimuth: hold it
             psi_d = self.held.psi_d
         else:
             psi_d = math.atan2(a_d[1], a_d[0])
-        delta_psi = wrap_angle(psi_d - meas.psi)
+        delta_psi = wrap_angle(psi_d - psi)
         try:
             # signed along-frame projection of the horizontal demand: a
             # misaligned frame tilts only as far as it helps, and a reversed
             # frame tilts backward instead of pushing the wrong way
-            gate = math.cos(delta_psi)
-            dec = decompose(a_d, vv, self.params, forward_gate=gate)
-            dec = Decomposition(psi_d, dec.f_flap_cmd, dec.gamma_xd, dec.gamma_zd)
+            dec = decompose(a_d, vv, self.params, math.cos(delta_psi))
+            dec.psi_d = psi_d
             self.held = dec
         except DegenerateDecompositionError:
             dec = self.held
-            delta_psi = wrap_angle(dec.psi_d - meas.psi)
+            delta_psi = wrap_angle(dec.psi_d - psi)
 
         # continuous (unwrap-tracked) psi_d into the derivative filter
         self.psi_d_cont += wrap_angle(dec.psi_d - self.psi_d_cont)
-        _, (psi_d_rate,) = self.psid_filter.update(self.psi_d_cont)
-        ff_saturated = abs(psi_d_rate) > g.psi_rate_ff_cap
+        (psi_d_rate,) = self.psid_filter.update(self.psi_d_cont)[1]
         heading = self.heading.tick(delta_psi, psi_d_rate, meas.omega_psi)
+        e_omega_psi, h = heading.e_omega_psi, heading.h_psi
 
-        errors.delta_psi = delta_psi
-        errors.e_omega_psi = heading.e_omega_psi
-
-        gamma_yd = min(max(heading.gamma_yd, -g.gamma_yd_limit), g.gamma_yd_limit)
+        limit = g.gamma_yd_limit
+        gamma_yd = min(max(heading.gamma_yd, -limit), limit)
         gamma_p = compose_reduced_attitude(dec.gamma_xd, gamma_yd, dec.gamma_zd)
         theta_rud, theta_ele = inner_attitude(gamma_p, meas.gamma, meas.omega, g)
 
+        # the fields in their order: by keyword, the two constructions cost
+        # the tick ~0.6 us more
         return ControllerOutput(
-            gamma_cmd=gamma_p,
-            gamma_yd=gamma_yd,
-            f_flap_cmd=dec.f_flap_cmd,
-            theta_rud_cmd=theta_rud,
-            theta_ele_cmd=theta_ele,
-            errors=errors,
-            V1=candidate_v1(errors.e_p, errors.e_v, g),
-            V2=candidate_v2(delta_psi, heading.e_omega_psi, heading.h_psi, g),
-            h_psi=heading.h_psi,
-            omega_psi_d=heading.omega_psi_d,
-            jumped=heading.jumped,
-            ff_saturated=ff_saturated,
+            gamma_p, gamma_yd, dec.f_flap_cmd, theta_rud, theta_ele,
+            TrackingErrors(e_p, e_v, delta_psi, e_omega_psi),
+            _candidate_v1(e_p, e_v, kp, kv), candidate_v2(delta_psi, e_omega_psi, h, g),
+            h, heading.omega_psi_d, heading.jumped, abs(psi_d_rate) > g.psi_rate_ff_cap,
         )

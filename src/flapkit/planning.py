@@ -307,6 +307,17 @@ def _dependent_rows(a_mat: np.ndarray, labels: list[str]) -> list[str]:
     return [labels[i] for i in sorted(piv[rank:])]
 
 
+def _in_normalised_time(a_mat: np.ndarray, opts: PlanOptions) -> np.ndarray:
+    """A copy of the equality rows in normalised time tau = t/T: each
+    segment's column i times T^-i.  In t the rows at t = T grow like
+    T^order, so a rank decision relative to the largest singular value drops
+    the rows at t = 0 from order ~26 on; in tau every boundary row is of
+    order one.  For the rank decision and the naming of dependent rows only:
+    the QP solves the rows as they are."""
+    n = opts.order + 1
+    return a_mat * np.tile((1.0 / opts.T) ** np.arange(n), opts.segments)
+
+
 def _snap_block(opts: PlanOptions) -> np.ndarray:
     q_seg = snap_gram_matrix(opts.order + 1, opts.T)
     n = q_seg.shape[0]
@@ -385,10 +396,10 @@ def solve_qp_equality_full(
         raise RankDeficientConstraintsError(
             "more constraints than coefficients", labels
         )
-    rank = np.linalg.matrix_rank(a_mat)
-    if rank < a_mat.shape[0]:
+    scaled = _in_normalised_time(a_mat, opts)
+    if np.linalg.matrix_rank(scaled) < a_mat.shape[0]:
         raise RankDeficientConstraintsError(
-            "linearly dependent constraint rows", _dependent_rows(a_mat, labels)
+            "linearly dependent constraint rows", _dependent_rows(scaled, labels)
         )
     q_blk = _snap_block(opts)
     n = opts.order + 1

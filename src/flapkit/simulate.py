@@ -67,6 +67,7 @@ DEFLECTION_POLARITY = -1.0
 
 _HEADING_SCAN_DT = 1e-2  # s, grid on which the start heading is found
 _EPISODE_GAP = 0.5  # s, hysteresis jumps closer than this are one episode
+_CONTROL_COLUMNS = CONTROL_LOG_HEADER.count(",") + 1  # t and the log row
 
 
 def initial_heading(traj: PiecewiseTrajectory) -> float:
@@ -166,10 +167,10 @@ class _VerticalPlant:
         self.hold = (0.0, 0.0, 1.0, params.hover_frequency)
 
     def measure(self, y, u) -> Measurement:
-        v = _vertical_kinematics(math.cos(y[6]), math.sin(y[6]), *y[3:6])  # R_z(psi) vv
-        return Measurement(
-            p=y[0:3], v=v, psi=y[6], omega_psi=y[7], gamma=u[0:3], omega=(0.0, 0.0, y[7]),
-        )
+        psi, w = y[6], y[7]
+        v = _vertical_kinematics(math.cos(psi), math.sin(psi), y[3], y[4], y[5])  # R_z(psi) vv
+        # p, v, psi, omega_psi, gamma, omega: by position, a third of the keyword cost
+        return Measurement(y[0:3], v, psi, w, u[0:3], (0.0, 0.0, w))
 
     def inputs(self, out):
         return (*out.gamma_cmd, out.f_flap_cmd)
@@ -195,10 +196,9 @@ class _FullPlant:
         self.hold = (params.hover_frequency, 0.0, 0.0)
 
     def measure(self, y, u) -> Measurement:
-        psi, gamma, omega_psi = azimuth_of_quat(y[6:10], y[10:13])
-        return Measurement(
-            p=y[0:3], v=y[3:6], psi=psi, omega_psi=omega_psi, gamma=gamma, omega=y[10:13],
-        )
+        omega = y[10:13]
+        psi, gamma, omega_psi = azimuth_of_quat(y[6:10], omega)
+        return Measurement(y[0:3], y[3:6], psi, omega_psi, gamma, omega)
 
     def inputs(self, out):
         polarity = DEFLECTION_POLARITY
@@ -224,24 +224,25 @@ def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopRe
     position beyond ``radius`` or a non-finite state ends it after.  A plant's
     ``advance`` returns the last logged state, its row and the abort row or None.
     The applied inputs are kept once per tick, with the number of logged steps
-    each was held, for the plant's ``log`` to repeat.
+    each was held, for the plant's ``log`` to repeat, and each tick's control
+    log row whole, its time the first column.
     """
     u = plant.hold
     states = np.empty((n_steps + 1, len(y)))
     states[0] = y
     held, counts = [u], [1]  # each applied input and the logged steps it was held
-    control_t, control_rows = [], []
+    rows = []
     jump_times, sat_times = [], []
     abort_time = None
 
     ticks = range(0, n_steps, n_sub)
     t_ref = np.minimum(np.array(ticks) * dt, traj.duration)
-    for k, sigma_r, sigma_r_dot in zip(ticks, traj.eval_many(t_ref, 0), traj.eval_many(t_ref, 1)):
+    refs = traj.eval_many(t_ref, 0).tolist(), traj.eval_many(t_ref, 1).tolist()
+    for k, sigma_r, sigma_r_dot in zip(ticks, *refs):
         t = k * dt
-        out = controller.update(sigma_r.tolist(), sigma_r_dot.tolist(), plant.measure(y, u))
+        out = controller.update(sigma_r, sigma_r_dot, plant.measure(y, u))
         u = plant.inputs(out)
-        control_t.append(t)
-        control_rows.append(out.log_row(t)[1:])
+        rows.append(out.log_row(t))
         if out.jumped:
             jump_times.append(t)
         if out.ff_saturated:
@@ -254,10 +255,11 @@ def _fly(traj, controller, plant, y, dt, n_steps, n_sub, radius) -> ClosedLoopRe
             break
 
     n = sum(counts)
+    control = np.array(rows).reshape(-1, _CONTROL_COLUMNS)
     return ClosedLoopResult(
         state_log=plant.log(np.arange(n) * dt, states[:n], held, counts),
-        control_t=np.array(control_t),
-        control_rows=np.array(control_rows),
+        control_t=control[:, 0],
+        control_rows=control[:, 1:],
         jump_times=jump_times,
         ff_sat_times=sat_times,
         abort_time=abort_time,

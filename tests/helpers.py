@@ -4,8 +4,9 @@ the attitude maps in matrix form (R(q), the reduced attitude, the tilt
 factor and the azimuth split), state, input and command rows from named
 fields, the full model's RK4 steps on ``full_rhs`` and its open-loop
 simulator ``simulate_full``, the planner's oracles: the per-row penalty
-values and the sequential restart chain, and the tracking-error split over a
-whole log in one pass."""
+values and the sequential restart chain, the tracking-error split over a
+whole log in one pass, and the controller tick in its generic-channel form
+(``TickOracle``), which records the branches it takes."""
 
 import dataclasses
 import hashlib
@@ -15,8 +16,32 @@ import numpy as np
 import scipy.optimize
 
 from flapkit.attitude import ANTIPODAL_TOL, rotz, wrap_angle
-from flapkit.dynamics import FullLog, _half_steps, full_rhs, rk4_flat
-from flapkit.errors import DegenerateAttitudeError, InvalidInputError, PropagationError
+from flapkit.control import (
+    OMEGA_PSI_D_JUMP,
+    PSI_D_FLOOR,
+    ControllerOutput,
+    Decomposition,
+    HeadingTick,
+    HybridHeading,
+    SecondOrderFilter,
+    TrackingController,
+    TrackingErrors,
+    _channels,
+    candidate_v2,
+    compose_reduced_attitude,
+    decompose,
+    gamma_y_command,
+    heading_rate_command,
+    hysteresis_update,
+    inner_attitude,
+)
+from flapkit.dynamics import FullLog, _half_steps, _vertical_kinematics, full_rhs, rk4_flat
+from flapkit.errors import (
+    DegenerateAttitudeError,
+    DegenerateDecompositionError,
+    InvalidInputError,
+    PropagationError,
+)
 from flapkit.flatness import V_EPS
 from flapkit.planning import (
     INNER_MAXITER,
@@ -323,3 +348,170 @@ def error_components_oracle(positions, times, traj) -> np.ndarray:
     along = err[:, 0] * ux + err[:, 1] * uy
     cross = -err[:, 0] * uy + err[:, 1] * ux
     return np.column_stack([along, cross, err[:, 2]])
+
+
+# --- the controller tick in its generic-channel form: the filters over any
+# number of channels through ``zip``, the positional laws and V1 through
+# generator expressions, the gains read on every tick, and a fresh
+# ``Decomposition`` for the azimuth.  The tick must match it bit for bit.
+
+
+class FilterOracle(SecondOrderFilter):
+    """``SecondOrderFilter`` with its update over any number of channels."""
+
+    def update(self, u) -> tuple[tuple, tuple]:
+        if not self._primed:
+            self.reset(u)
+            return self.value, self.rate
+        (a00, a01), (a10, a11) = self.ad
+        b0, b1 = self.bd
+        self.value, self.rate = zip(*[
+            (x * a00 + r * a01 + w * b0, x * a10 + r * a11 + w * b1)
+            for x, r, w in zip(self.value, self.rate, _channels(u))
+        ])
+        return self.value, self.rate
+
+
+def desired_velocity_oracle(sigma_r_dot, e_p, kp) -> tuple:
+    return tuple(s + k * math.tanh(e) for s, e, k in zip(sigma_r_dot, e_p, kp))
+
+
+def desired_acceleration_oracle(v_d_dot, e_p, e_v, kp, kv) -> tuple:
+    return tuple(
+        a + k_v / k_p * math.tanh(ep) + k_v * math.tanh(ev)
+        for a, ep, ev, k_p, k_v in zip(v_d_dot, e_p, e_v, kp, kv)
+    )
+
+
+def candidate_v1_oracle(e_p, e_v, gains) -> float:
+    return (
+        0.5 * sum(e * (e / k) for e, k in zip(e_p, gains.kp.tolist()))
+        + 0.5 * sum(e * (e / k) for e, k in zip(e_v, gains.kv.tolist()))
+    )
+
+
+class HeadingOracle(HybridHeading):
+    """``HybridHeading`` on ``FilterOracle``; ``branches`` collects "jump"
+    and "command_jump" as its ticks take them."""
+
+    def __init__(self, gains, dt):
+        super().__init__(gains, dt)
+        self._wd_filter = FilterOracle(gains.filter_wn, gains.filter_zeta, dt)
+        self.branches = set()
+
+    def tick(self, delta_psi: float, psi_d_rate: float, omega_psi: float) -> HeadingTick:
+        g = self.gains
+        h_before = self.h_psi
+        h = hysteresis_update(h_before, delta_psi, g.delta)
+        jumped = h != h_before and math.cos(delta_psi) <= 0.0
+        self.h_psi = h
+
+        omega_psi_d = heading_rate_command(
+            delta_psi, psi_d_rate, h, g.k_psi, g.psi_rate_ff_cap
+        )
+        command_jumped = (
+            self._last_omega_psi_d is not None
+            and abs(omega_psi_d - self._last_omega_psi_d) > OMEGA_PSI_D_JUMP
+        )
+        if jumped:
+            self.branches.add("jump")
+        if command_jumped:
+            self.branches.add("command_jump")
+        if jumped or command_jumped:
+            self._wd_filter.reset(omega_psi_d)
+        _, (wd_rate,) = self._wd_filter.update(omega_psi_d)
+        self._last_omega_psi_d = omega_psi_d
+
+        e_omega_psi = omega_psi_d - omega_psi
+        gamma_yd = gamma_y_command(e_omega_psi, delta_psi, h, wd_rate, g)
+        return HeadingTick(h_before, h, jumped, omega_psi_d, e_omega_psi, gamma_yd)
+
+
+class TickOracle(TrackingController):
+    """``TrackingController`` with the generic-channel tick, on
+    ``FilterOracle`` and ``HeadingOracle``.  ``branches`` collects the
+    branches its ticks take: "prime" (the first tick), "psi_d_hold" (a
+    horizontal demand below PSI_D_FLOOR), "degenerate" (a decomposition
+    hold), "clip" (gamma_yd clipped at its limit) and the heading's."""
+
+    def __init__(self, gains, params, rate_hz: float = 100.0, initial_psi_d: float = 0.0):
+        super().__init__(gains, params, rate_hz, initial_psi_d)
+        self.heading = HeadingOracle(gains, self.dt)
+        self.vd_filter = FilterOracle(gains.filter_wn, gains.filter_zeta, self.dt)
+        self.psid_filter = FilterOracle(gains.filter_wn, gains.filter_zeta, self.dt)
+        self.branches = self.heading.branches
+
+    def update(self, sigma_r, sigma_r_dot, meas) -> ControllerOutput:
+        if not self.vd_filter._primed:
+            self.branches.add("prime")
+        g = self.gains
+        kp = g.kp.tolist()
+        e_p = tuple(a - b for a, b in zip(sigma_r, meas.p))  # p_d - p
+        v_d = desired_velocity_oracle(sigma_r_dot, e_p, kp)
+        errors = TrackingErrors(e_p, tuple(a - b for a, b in zip(v_d, meas.v)))
+        _, v_d_dot = self.vd_filter.update(v_d)
+        a_d = desired_acceleration_oracle(v_d_dot, errors.e_p, errors.e_v, kp, g.kv.tolist())
+
+        vv = _vertical_kinematics(math.cos(meas.psi), -math.sin(meas.psi), *meas.v)
+        if math.hypot(a_d[0], a_d[1]) < PSI_D_FLOOR:
+            self.branches.add("psi_d_hold")
+            psi_d = self.held.psi_d
+        else:
+            psi_d = math.atan2(a_d[1], a_d[0])
+        delta_psi = wrap_angle(psi_d - meas.psi)
+        try:
+            gate = math.cos(delta_psi)
+            dec = decompose(a_d, vv, self.params, forward_gate=gate)
+            dec = Decomposition(psi_d, dec.f_flap_cmd, dec.gamma_xd, dec.gamma_zd)
+            self.held = dec
+        except DegenerateDecompositionError:
+            self.branches.add("degenerate")
+            dec = self.held
+            delta_psi = wrap_angle(dec.psi_d - meas.psi)
+
+        self.psi_d_cont += wrap_angle(dec.psi_d - self.psi_d_cont)
+        _, (psi_d_rate,) = self.psid_filter.update(self.psi_d_cont)
+        ff_saturated = abs(psi_d_rate) > g.psi_rate_ff_cap
+        heading = self.heading.tick(delta_psi, psi_d_rate, meas.omega_psi)
+
+        errors.delta_psi = delta_psi
+        errors.e_omega_psi = heading.e_omega_psi
+
+        gamma_yd = min(max(heading.gamma_yd, -g.gamma_yd_limit), g.gamma_yd_limit)
+        if gamma_yd != heading.gamma_yd:
+            self.branches.add("clip")
+        gamma_p = compose_reduced_attitude(dec.gamma_xd, gamma_yd, dec.gamma_zd)
+        theta_rud, theta_ele = inner_attitude(gamma_p, meas.gamma, meas.omega, g)
+
+        return ControllerOutput(
+            gamma_cmd=gamma_p,
+            gamma_yd=gamma_yd,
+            f_flap_cmd=dec.f_flap_cmd,
+            theta_rud_cmd=theta_rud,
+            theta_ele_cmd=theta_ele,
+            errors=errors,
+            V1=candidate_v1_oracle(errors.e_p, errors.e_v, g),
+            V2=candidate_v2(delta_psi, heading.e_omega_psi, heading.h_psi, g),
+            h_psi=heading.h_psi,
+            omega_psi_d=heading.omega_psi_d,
+            jumped=heading.jumped,
+            ff_saturated=ff_saturated,
+        )
+
+
+def controller_state(ctrl) -> dict:
+    """The memory of a ``TrackingController`` (or ``TickOracle``): the heading
+    law's h, last command and filter, the two command filters, the unwrap-
+    tracked azimuth command and the held decomposition."""
+    def filt(f):
+        return f._primed, f.value, f.rate
+
+    return {
+        "h_psi": ctrl.heading.h_psi,
+        "last_omega_psi_d": ctrl.heading._last_omega_psi_d,
+        "wd_filter": filt(ctrl.heading._wd_filter),
+        "vd_filter": filt(ctrl.vd_filter),
+        "psid_filter": filt(ctrl.psid_filter),
+        "psi_d_cont": ctrl.psi_d_cont,
+        "held": dataclasses.astuple(ctrl.held),
+    }

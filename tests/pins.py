@@ -1,9 +1,10 @@
 """Every pinned value of the suite, built in one place, and the command that
 records them all and reports how far each one moved.
 
-The pin files ``tests/test_pinned_{plans,flights,replay,aborts,rhs}.py`` hold
-literal tables recorded at a named commit.  Their tests rebuild each pin with
-the builders below and check it against the table.  A builder that needs a
+The pin files ``tests/test_pinned_{plans,flights,replay,aborts,rhs}.py`` and
+``tests/test_trajectory.py``'s ``SAMPLED_DIGESTS`` hold literal tables
+recorded at a named commit.  Their tests rebuild each pin with the builders
+below and check it against the table.  A builder that needs a
 plan takes ``planned(case)``, a callable that returns the planned case (its
 ``traj`` and ``report``): the tests pass the session fixtures
 (``fixture_plans``), the command plans each case once (``planned_once``).
@@ -11,7 +12,8 @@ plan takes ``planned(case)``, a callable that returns the planned case (its
     PYTHONPATH=src python tests/pins.py record OUT.npz
 
 builds every pin and writes its arrays to ``OUT.npz`` as float64, named
-``<file>/<pin>/<field>`` (``plans/a/coeffs``, ``flights/line/states``, ...).
+``<file>/<pin>/<field>`` (``plans/a/coeffs``, ``flights/line/states``, ...;
+a sampled CSV is ``sampled/<case>/csv``, its bytes one entry each).
 It prints the literal tables the pin files hold, each under a ``# <file>
 <TABLE>`` line, in the ``pprint`` layout the files were recorded in: to
 re-record a pin, paste its table.
@@ -30,8 +32,10 @@ import argparse
 import functools
 import hashlib
 import math
+import os
 import pprint
 import sys
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -238,6 +242,23 @@ def rhs_rows(mode: str) -> list:
     return [list(vertical_rhs(state, u, VerticalParams(), mode)) for state, u in RHS_ROWS]
 
 
+# --- test_trajectory.py: each plan's sampled CSV, by digest
+
+def sampled_csv(traj) -> np.ndarray:
+    """The bytes of a plan's sampled CSV at the default dt, one entry each."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sampled.csv")
+        traj.to_sampled_csv(path)
+        with open(path, "rb") as fh:
+            return np.frombuffer(fh.read(), dtype=np.uint8)
+
+
+def csv_digest(csv) -> str:
+    """The sha256 of a CSV's bytes, given as ``sampled_csv`` returns them or
+    as their float64 recording."""
+    return hashlib.sha256(np.asarray(csv, dtype=np.uint8).tobytes()).hexdigest()
+
+
 # --- every pin at once
 
 def build(planned) -> dict:
@@ -260,6 +281,7 @@ def build(planned) -> dict:
         "replay": {"a": replay_summary(planned("a").traj)},
         "aborts": aborts,
         "rhs": {mode: {"xdot": rhs_rows(mode)} for mode in RHS_MODES},
+        "sampled": {case: {"csv": sampled_csv(planned(case).traj)} for case in CASES},
     }
 
 
@@ -285,6 +307,8 @@ def tables(values: dict) -> dict:
             key: {field: value for field, value in pin.items() if field != "states"}
             for key, pin in values["aborts"].items()},
         "test_pinned_rhs.py PINNED": {mode: pin["xdot"] for mode, pin in values["rhs"].items()},
+        "test_trajectory.py SAMPLED_DIGESTS": {
+            case: csv_digest(pin["csv"]) for case, pin in values["sampled"].items()},
     }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,8 @@ from flapkit.attitude import wrap_angle
 from flapkit.dynamics import VerticalParams
 from flapkit.errors import DegenerateDecompositionError, InvalidInputError
 from flapkit.simulate import simulate_ideal_vertical
+
+from helpers import TickOracle, controller_state
 
 
 @pytest.fixture
@@ -589,3 +592,98 @@ class TestTrackingControllerTick:
             assert (out.V1, out.V2) == (
                 candidate_v1(e.e_p, e.e_v, gains),
                 candidate_v2(e.delta_psi, e.e_omega_psi, out.h_psi, gains))
+
+
+def _bits(value):
+    """A value with every float as its hex form, nested: equal images, equal
+    bits (a signed zero included) and equal types of number."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    return value
+
+
+# the desired-velocity filter's first rate per unit step of its input: a step
+# of the reference's vertical speed by _FALL demands about -g, a decomposition
+# hold, and one of its horizontal speed by _LIVE / _STEP a horizontal
+# acceleration that still names an azimuth
+_STEP = SecondOrderFilter(20.0, 1.0, 0.01).bd[1]
+_FALL = -VerticalParams().g / _STEP
+_LIVE = 0.07
+_ZERO = (0.0, 0.0, 0.0)
+_COORD = st.floats(-2.0, 2.0)
+_OFFSET = st.just(_ZERO) | st.tuples(*[st.floats(-0.5, 0.5)] * 3)
+_PSI = st.floats(-math.pi, math.pi) | st.floats(-10.0, 10.0)
+_RATE = st.floats(-15.0, 15.0)
+_GAMMA_XY = st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))
+_VEC = st.tuples(_COORD, _COORD, _COORD)
+# (sigma_r, sigma_r_dot, p - sigma_r, v - sigma_r_dot, psi, omega_psi, gamma's
+# x and y, omega)
+_CTRL_TICK = st.tuples(_VEC, st.just(_ZERO) | _VEC, _OFFSET, _OFFSET, _PSI, _RATE, _GAMMA_XY,
+                       _VEC)
+# a start at rest, then the fall step on the reference within 0.5 %, with a
+# horizontal step that may name an azimuth through the hold
+_HORIZONTAL_STEP = st.floats(-_LIVE / _STEP, _LIVE / _STEP)
+_FALL_START = st.tuples(
+    st.tuples(st.just(_ZERO), st.just(_ZERO), st.just(_ZERO), st.just(_ZERO), _PSI, _RATE,
+              _GAMMA_XY, _VEC),
+    st.tuples(st.just(_ZERO), st.tuples(_HORIZONTAL_STEP, _HORIZONTAL_STEP,
+                                        st.floats(1.005 * _FALL, 0.995 * _FALL)),
+              st.just(_ZERO), st.just(_ZERO), _PSI, _RATE, _GAMMA_XY, _VEC),
+)
+# Kp and Kv diagonals of three different entries each
+_DIAGONAL = st.tuples(*[st.floats(0.3, 5.0)] * 3)
+_CTRL_TICKS = st.lists(_CTRL_TICK, min_size=1, max_size=30) | st.builds(
+    lambda start, tail: [*start, *tail], _FALL_START, st.lists(_CTRL_TICK, max_size=28))
+# hover at rest (the first tick primes, a zero horizontal demand holds psi_d),
+# the fall step (a decomposition hold whose demand names psi_d = 0, not the
+# held one), the heading crossing the antipode (a hysteresis jump and a
+# command jump) and a fast yaw (gamma_yd clipped)
+_CRAFTED_CTRL = [
+    (_ZERO, _ZERO, _ZERO, _ZERO, 0.0, 0.0, (0.0, 0.0), _ZERO),
+    (_ZERO, (_LIVE / _STEP, 0.0, _FALL), _ZERO, _ZERO, 0.0, 0.0, (0.0, 0.0), _ZERO),
+    (_ZERO, _ZERO, _ZERO, _ZERO, -(math.pi - 0.2), 0.0, (0.0, 0.0), _ZERO),
+    (_ZERO, _ZERO, _ZERO, _ZERO, math.pi - 0.2, 0.0, (0.1, 0.0), _ZERO),
+    (_ZERO, _ZERO, _ZERO, _ZERO, math.pi - 0.2, 12.0, (0.1, -0.05), (0.2, 0.0, 12.0)),
+]
+
+
+def _tick_inputs(tick) -> tuple:
+    """(sigma_r, sigma_r_dot, Measurement) of one drawn tick."""
+    sigma_r, sigma_r_dot, dp, dv, psi, omega_psi, (gx, gy), omega = tick
+    meas = Measurement(
+        p=[a + b for a, b in zip(sigma_r, dp)], v=[a + b for a, b in zip(sigma_r_dot, dv)],
+        psi=psi, omega_psi=omega_psi, gamma=(gx, gy, math.sqrt(1.0 - gx * gx - gy * gy)),
+        omega=omega,
+    )
+    return list(sigma_r), list(sigma_r_dot), meas
+
+
+class TestTickOracle:
+    """The tick against ``helpers.TickOracle``, its generic-channel form:
+    every output field, the log row and the controller's memory, bit for
+    bit, over tick sequences that take each of its branches."""
+
+    def test_crafted_ticks_take_every_branch(self, gains, vparams):
+        oracle = TickOracle(gains, vparams, initial_psi_d=0.5)
+        for tick in _CRAFTED_CTRL:
+            oracle.update(*_tick_inputs(tick))
+        assert oracle.branches == {
+            "prime", "psi_d_hold", "degenerate", "jump", "command_jump", "clip"}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(ticks=_CTRL_TICKS, psi0=st.floats(-math.pi, math.pi), kp=_DIAGONAL, kv=_DIAGONAL)
+    @example(ticks=_CRAFTED_CTRL, psi0=0.5, kp=(0.8, 0.8, 0.8), kv=(2.0, 2.0, 4.0))
+    def test_tick_matches_oracle_bit_for_bit(self, ticks, psi0, kp, kv):
+        gains, vparams = ControllerGains(kp=kp, kv=kv), VerticalParams()
+        ctrl = TrackingController(gains, vparams, initial_psi_d=psi0)
+        oracle = TickOracle(gains, vparams, initial_psi_d=psi0)
+        for k, tick in enumerate(ticks):
+            inputs = _tick_inputs(tick)
+            got, want = ctrl.update(*inputs), oracle.update(*inputs)
+            assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want)), k
+            assert _bits(got.log_row(k * 0.01)) == _bits(want.log_row(k * 0.01)), k
+            assert _bits(controller_state(ctrl)) == _bits(controller_state(oracle)), k

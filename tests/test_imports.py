@@ -33,6 +33,7 @@ import pytest
 import scipy.optimize._lbfgsb
 
 import flapkit.planning
+import flapkit.simulate
 from flapkit.planning import case_library
 
 from helpers import restarts_digest, single_segment
@@ -447,3 +448,21 @@ def test_scalar_eval_is_one_traced_span():
     with tracer.installed(), tracer.operation("probe"):
         traj.eval(0.5)
     assert [tracer.names[i] for i in tracer.name] == ["probe", "trajectory.eval"]
+
+
+@pytest.mark.parametrize("model, rhs", [("vertical", "dynamics.vertical_rhs"),
+                                        ("full", "dynamics.full_rhs")])
+def test_traced_flight_span_counts(case_line, model, rhs):
+    # the per-layer metrics count what the wrapped names are called: a tick
+    # per controller tick, one plant RHS per tick (the held input's check and
+    # first stage), and five reference reads per flight (the start's position
+    # and velocity, the start heading's scan and the two tick tables)
+    tracer = load_spans().Tracer()
+    with tracer.installed(), tracer.operation("flight"):
+        res = flapkit.simulate.run_closed_loop(case_line.traj, model=model)
+    ticks = len(res.control_t)
+    assert ticks == 300 and not res.diverged
+    counts = {}
+    for i in tracer.name:
+        counts[tracer.names[i]] = counts.get(tracer.names[i], 0) + 1
+    assert counts == {"flight": 1, "control.tick": ticks, rhs: ticks, "trajectory.eval": 5}

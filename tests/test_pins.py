@@ -66,6 +66,9 @@ def test_printed_tables_read_back_as_the_written_arrays(request):
         check(value, f"replay/a/{field}")
     for mode, rows in read["test_pinned_rhs.py PINNED"].items():
         check(rows, f"rhs/{mode}/xdot")
+    for case, value in read["test_trajectory.py SAMPLED_DIGESTS"].items():
+        assert value == pins.csv_digest(arrays[f"sampled/{case}/csv"]), case
+        checked.add(f"sampled/{case}/csv")
     # only the aborts' state logs are written and not printed
     assert set(arrays) - checked == {f"aborts/{key}/states" for key in pins.ABORTS}
     assert np.isinf(arrays["aborts/vertical_non_finite/last_row"]).any()
@@ -88,7 +91,7 @@ def test_compare_with_itself_moves_no_pin(request, tmp_path):
     a, b = recorded_twice(request, tmp_path)
     moves = pins.compare(pins.load(a), pins.load(b))
     assert set(moves) == {name.rpartition("/")[0] for name in pins.arrays(built(request))}
-    assert len(moves) == 19 and moved(moves) == {}
+    assert len(moves) == 23 and moved(moves) == {}
 
 
 def perturb_one_flight(path) -> float:
@@ -134,7 +137,7 @@ def test_compare_command_prints_one_line_per_pin(request, tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    assert len(lines) == 19
+    assert len(lines) == 23
     changed = [line for line in lines if not line.endswith(": same")]
     assert changed == ["flights/a_perturbed: changed; states max |move| by column "
                        + " ".join(["0", "0", "1e-09", *["0"] * 13])]

@@ -138,12 +138,25 @@ class TestQpOracle:
             assert snap_objective(other, weights) >= best - 1e-9
 
     def test_rank_deficiency_names_rows(self):
-        cons, opts = rest_to_rest([1.0, 0.0, 0.0])
-        # waypoint duplicating the start-position boundary row
-        cons.waypoints.append(Waypoint(0, 0.0, [0.0, 0.0, 0.0]))
-        with pytest.raises(RankDeficientConstraintsError) as err:
-            solve_qp_equality(cons, None, opts)
-        assert any("waypoint0" in row for row in err.value.rows)
+        # a waypoint duplicating the start-position boundary row, then one
+        # duplicating the end-position row
+        for t_local, end, row in [(0.0, [0.0, 0.0, 0.0], "waypoint0:seg0@0"),
+                                  (3.0, [1.0, 0.0, 0.0], "waypoint0:seg0@3")]:
+            cons, opts = rest_to_rest([1.0, 0.0, 0.0])
+            cons.waypoints.append(Waypoint(0, t_local, end))
+            with pytest.raises(RankDeficientConstraintsError) as err:
+                solve_qp_equality(cons, None, opts)
+            assert err.value.rows == [row]
+
+    @pytest.mark.parametrize("order", range(26, 41))
+    def test_high_order_rest_to_rest_solves(self, order):
+        # in t the rows at t = T grow like T^order, and a rank decided
+        # relative to the largest singular value dropped the start rows from
+        # order 26 on; in normalised time the six boundary rows are
+        # independent at every order
+        cons, opts, _ = case_library("line")
+        traj, _ = solve_qp_equality_full(cons, None, replace(opts, order=order))
+        assert constraint_residuals(traj, cons).max_equality <= 1e-15
 
     def test_rejects_velocity_weight(self):
         cons, opts = rest_to_rest([1.0, 0.0, 0.0])

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import re
 
@@ -17,6 +16,7 @@ from flapkit.trajectory import (
 )
 
 from helpers import constant_trajectory, single_segment
+from pins import csv_digest, sampled_csv
 
 
 def axis_poly(coeffs, T=3.0, order=6):
@@ -239,7 +239,9 @@ class TestCsv:
         assert len(lines) == 2 + 4  # header + samples at 0, .25, .5, .75, 1.0
 
     # sha256 of each planned case's sampled CSV at the default dt, recorded at
-    # commit 46fb866, where every row was written from scalar evaluations
+    # commit 46fb866, where every row was written from scalar evaluations;
+    # ``tests/pins.py record`` prints it under
+    # ``# test_trajectory.py SAMPLED_DIGESTS``, built by ``pins.sampled_csv``
     SAMPLED_DIGESTS = {
         "a": "b2d7bac3182c7aed4742b30c4113ecaa8cf7f198a204aa430a6be36012bd3c9c",
         "b": "1b19c70ffb7c7b96597bde59f7cdcfe1de8256fd05f8ec9a1a291d03532583d2",
@@ -248,10 +250,9 @@ class TestCsv:
     }
 
     @pytest.mark.parametrize("case", sorted(SAMPLED_DIGESTS))
-    def test_sampled_csv_matches_recorded_digest(self, request, tmp_path, case):
-        path = tmp_path / "sampled.csv"
-        request.getfixturevalue(f"case_{case}").traj.to_sampled_csv(path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SAMPLED_DIGESTS[case]
+    def test_sampled_csv_matches_recorded_digest(self, request, case):
+        csv = sampled_csv(request.getfixturevalue(f"case_{case}").traj)
+        assert csv_digest(csv) == self.SAMPLED_DIGESTS[case]
 
 
 class TestValidation:
