@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
 
 def _sim_args(p) -> None:
     p.add_argument("--model", choices=("vertical", "full"), default="vertical")
-    p.add_argument("--params", help="parameter file (model-matching)")
+    p.add_argument("--params", help="--model's parameters (full ones also set the design model)")
     p.add_argument("--gains", help="controller gain file")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--rate", type=float, default=100.0)
@@ -160,9 +160,7 @@ def _flight_settings(args) -> dict:
     file read and the steps checked: a rejected setting plans and writes nothing."""
     _schedule(args.dt, 0.0 if args.duration is None else args.duration, args.rate)
     return dict(
-        model=args.model,
-        vparams=_params(VerticalParams, args.model == "vertical" and args.params),
-        fparams=_params(FwavParams, args.model == "full" and args.params),
+        params=_params(FwavParams if args.model == "full" else VerticalParams, args.params),
         gains=_params(ControllerGains, args.gains),
         dt=args.dt, rate_hz=args.rate, duration=args.duration,
         perturb_pos=_parse_perturb(args.perturb),

@@ -296,15 +296,15 @@ def build_equality_system(
 
 
 def _dependent_rows(a_mat: np.ndarray, labels: list[str]) -> list[str]:
-    """Labels of rows outside a maximal independent set (QR pivoting:
-    numpy has no column-pivoted QR, and LAPACK's pivot order names the rows)."""
-    import scipy.linalg
-
-    _, r, piv = scipy.linalg.qr(a_mat.T, pivoting=True, mode="economic")
-    diag = np.abs(np.diag(r))
-    tol = max(a_mat.shape) * np.finfo(float).eps * (diag[0] if diag.size else 1.0)
-    rank = int(np.sum(diag > tol))
-    return [labels[i] for i in sorted(piv[rank:])]
+    """Labels of rows outside a maximal independent set taken greedily in row
+    order: a row is kept if it raises the rank of the rows kept before it."""
+    kept, dependent = [], []
+    for i, label in enumerate(labels):
+        if np.linalg.matrix_rank(a_mat[kept + [i]]) > len(kept):
+            kept.append(i)
+        else:
+            dependent.append(label)
+    return dependent
 
 
 def _in_normalised_time(a_mat: np.ndarray, opts: PlanOptions) -> np.ndarray:

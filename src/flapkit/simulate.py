@@ -115,9 +115,7 @@ class ClosedLoopResult:
 
 def run_closed_loop(
     traj: PiecewiseTrajectory,
-    model: str = "vertical",
-    vparams: VerticalParams | None = None,
-    fparams: FwavParams | None = None,
+    params: VerticalParams | FwavParams | None = None,
     gains: ControllerGains | None = None,
     dt: float = 1e-3,
     rate_hz: float = 100.0,
@@ -132,9 +130,11 @@ def run_closed_loop(
     reference heading.  The controller runs at rate_hz with zero-order hold;
     the plant integrates at dt.  A position norm beyond divergence_radius
     aborts the run and flags the result instead of raising.  The steps and
-    ticks are ``_schedule``'s, and the start offsets must be finite.
+    ticks are ``_schedule``'s, and the start offsets must be finite.  The type
+    of ``params`` picks the plant, vertical (default) or full; the controller
+    inverts the plant's ``design``, the vertical law on the plant's coefficients.
     """
-    vparams = vparams or VerticalParams()
+    params = VerticalParams() if params is None else params
     gains = gains or ControllerGains()
     n_steps, n_sub = _schedule(dt, traj.duration if duration is None else duration, rate_hz)
     p0 = traj.eval(0.0) + np.asarray(perturb_pos, dtype=float)
@@ -143,18 +143,17 @@ def run_closed_loop(
         raise InvalidInputError("start offsets must be finite")
 
     psi0 = initial_heading(traj)
-    controller = TrackingController(gains, vparams, rate_hz=rate_hz, initial_psi_d=psi0)
-
-    if model == "vertical":
-        plant = _VerticalPlant(vparams)
+    if isinstance(params, VerticalParams):
+        plant = _VerticalPlant(params)
         y0 = [*p0.tolist(), *(rotz(psi0).T @ v0).tolist(), psi0, 0.0]
-    elif model == "full":
-        plant = _FullPlant(fparams or FwavParams())
+    elif isinstance(params, FwavParams):
+        plant = _FullPlant(params)
         half = psi0 / 2.0  # level attitude at the reference heading: pure yaw
         y0 = [*p0.tolist(), *v0.tolist(), math.cos(half), 0.0, 0.0, math.sin(half),
-              0.0, 0.0, 0.0, plant.params.hover_frequency, 0.0, 0.0]
+              0.0, 0.0, 0.0, params.hover_frequency, 0.0, 0.0]
     else:
-        raise InvalidInputError(f"unknown model {model!r}")
+        raise InvalidInputError(f"no plant for params of type {type(params).__name__}")
+    controller = TrackingController(gains, plant.design, rate_hz=rate_hz, initial_psi_d=psi0)
     return _fly(traj, controller, plant, y0, dt, n_steps, n_sub, divergence_radius)
 
 
@@ -163,7 +162,7 @@ class _VerticalPlant:
     (gx, gy, gz, fflap), the log's input columns."""
 
     def __init__(self, params: VerticalParams):
-        self.params = params
+        self.params = self.design = params
         self.hold = (0.0, 0.0, 1.0, params.hover_frequency)
 
     def measure(self, y, u) -> Measurement:
@@ -194,6 +193,9 @@ class _FullPlant:
     def __init__(self, params: FwavParams):
         self.params = params
         self.hold = (params.hover_frequency, 0.0, 0.0)
+        # the controller reads m, g, k_tf and vk_d_x; the yaw gains keep defaults
+        self.design = VerticalParams(m=params.m, g=params.g, k_tf=params.k_tf,
+                                     vk_d_x=params.k_d_x, vk_d_z=params.k_d_z)
 
     def measure(self, y, u) -> Measurement:
         omega = y[10:13]

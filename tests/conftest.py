@@ -53,22 +53,22 @@ def case_line() -> PlannedCase:
 
 @pytest.fixture(scope="session")
 def run_a(case_a) -> ClosedLoopResult:
-    return run_closed_loop(case_a.traj, model="vertical")
+    return run_closed_loop(case_a.traj)
 
 
 @pytest.fixture(scope="session")
 def run_b(case_b) -> ClosedLoopResult:
-    return run_closed_loop(case_b.traj, model="vertical")
+    return run_closed_loop(case_b.traj)
 
 
 @pytest.fixture(scope="session")
 def run_c(case_c) -> ClosedLoopResult:
-    return run_closed_loop(case_c.traj, model="vertical")
+    return run_closed_loop(case_c.traj)
 
 
 @pytest.fixture(scope="session")
 def run_line(case_line) -> ClosedLoopResult:
-    return run_closed_loop(case_line.traj, model="vertical")
+    return run_closed_loop(case_line.traj)
 
 
 @pytest.fixture(scope="session")

@@ -35,7 +35,15 @@ from flapkit.control import (
     hysteresis_update,
     inner_attitude,
 )
-from flapkit.dynamics import FullLog, _half_steps, _vertical_kinematics, full_rhs, rk4_flat
+from flapkit.dynamics import (
+    FullLog,
+    FwavParams,
+    VerticalParams,
+    _half_steps,
+    _vertical_kinematics,
+    full_rhs,
+    rk4_flat,
+)
 from flapkit.errors import (
     DegenerateAttitudeError,
     DegenerateDecompositionError,
@@ -69,6 +77,10 @@ def constant_trajectory(point, T: float = 1.0, order: int = 6) -> PiecewiseTraje
     coeffs = np.zeros((3, order + 1))
     coeffs[:, 0] = np.asarray(point, dtype=float)
     return single_segment(coeffs, T)
+
+
+# the parameter set whose type picks ``run_closed_loop``'s plant, by model name
+MODEL_PARAMS = {"vertical": VerticalParams, "full": FwavParams}
 
 
 def kv_pairs(params) -> list:

@@ -51,7 +51,14 @@ from flapkit.flatness import FlatInputSchedule
 from flapkit.planning import case_library, plan
 from flapkit.simulate import run_closed_loop
 
-from helpers import constant_trajectory, full_row, simulate_full, vertical_inputs, vertical_row
+from helpers import (
+    MODEL_PARAMS,
+    constant_trajectory,
+    full_row,
+    simulate_full,
+    vertical_inputs,
+    vertical_row,
+)
 
 
 def digest(array) -> str:
@@ -97,7 +104,7 @@ FLIGHTS = {
 
 def fly(planned, key):
     case, model, offset = FLIGHTS[key]
-    return run_closed_loop(planned(case).traj, model=model, perturb_pos=offset)
+    return run_closed_loop(planned(case).traj, MODEL_PARAMS[model](), perturb_pos=offset)
 
 
 def flight_summary(result) -> dict:
@@ -126,7 +133,7 @@ FULL_FLIGHTS = {
 def fly_full(planned, key) -> dict:
     """The state and control logs of one full-model flight."""
     case, offset = FULL_FLIGHTS[key]
-    result = run_closed_loop(planned(case).traj, model="full", perturb_pos=offset)
+    result = run_closed_loop(planned(case).traj, FwavParams(), perturb_pos=offset)
     return {"states": result.state_log.states, "control": result.control_rows}
 
 
@@ -201,7 +208,7 @@ ABORTS = {
 
 def fly_abort(key):
     model, pos, vel, radius = ABORTS[key]
-    return run_closed_loop(constant_trajectory([0.0, 0.0, 0.0], T=1.0), model=model,
+    return run_closed_loop(constant_trajectory([0.0, 0.0, 0.0], T=1.0), MODEL_PARAMS[model](),
                            duration=1.0, perturb_pos=pos, perturb_vel=vel,
                            divergence_radius=radius)
 

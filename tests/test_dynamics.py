@@ -369,6 +369,15 @@ class TestModelInvariants:
         deviation = np.max(np.linalg.norm(p_full - p_vert, axis=1))
         assert deviation <= 0.05 * max(path_len, 1e-9)
 
+    def test_default_models_share_coefficients(self):
+        # a full-model flight's design model is the vertical law on the
+        # plant's m, g, k_tf and x/z drag: at the defaults these are the
+        # vertical model's own, bit for bit, so default flights do not move
+        full, vert = FwavParams(), VerticalParams()
+        shared = [(full.m, vert.m), (full.g, vert.g), (full.k_tf, vert.k_tf),
+                  (full.k_d_x, vert.vk_d_x), (full.k_d_z, vert.vk_d_z)]
+        assert all(np.float64(a).tobytes() == np.float64(b).tobytes() for a, b in shared)
+
 
 class TestLogCsv:
     def test_full_header_and_roundtrip(self, tmp_path, params):

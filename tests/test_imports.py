@@ -1,12 +1,13 @@
 """Every import in a flapkit module or a test file is used, every private
 module-level name is read somewhere in the package, every public one is read
-by a caller, and importing flapkit loads no scipy: only the rank-deficiency
-error path and the planner's fallback import it, inside the function.  The
-planner's L-BFGS-B solve needs scipy's reverse-communication routine
-``setulb`` (its integer-task protocol dates from scipy 1.15) and loads it
-from scipy's ``optimize/_lbfgsb`` extension file alone, found from scipy's
-spec without importing the package, so a ``plan`` or ``track`` loads no scipy
-module; these tests guard that private file layout, the fallback to the
+by a caller, and importing flapkit loads no scipy: only the planner's
+fallback imports it, inside the function, and a rank-deficient equality QP
+names its dependent rows with numpy alone.  The planner's L-BFGS-B solve
+needs scipy's reverse-communication routine ``setulb`` (its integer-task
+protocol dates from scipy 1.15) and loads it from scipy's
+``optimize/_lbfgsb`` extension file alone, found from scipy's spec without
+importing the package, so a ``plan``, a ``track`` or a rank-deficient
+equality QP loads no scipy module; these tests guard that private file layout, the fallback to the
 normal import, and scipy's own ``scipy.optimize._lbfgsb`` beside it.  No
 command or replay loads ``numpy.ma`` either.  Every name the benchmark
 tracer wraps by lookup still exists.
@@ -36,7 +37,7 @@ import flapkit.planning
 import flapkit.simulate
 from flapkit.planning import case_library
 
-from helpers import restarts_digest, single_segment
+from helpers import MODEL_PARAMS, restarts_digest, single_segment
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flapkit"
 TESTS = Path(__file__).resolve().parent
@@ -283,6 +284,23 @@ def test_flat_replay_loads_no_scipy(tmp_path, case_a):
     assert in_package(modules_after(FLAT_REPLAY, tmp_path), "scipy") == []
 
 
+def test_rank_deficient_equality_qp_loads_no_scipy(tmp_path):
+    # the dependent rows are named by a greedy rank rule in numpy
+    code = (
+        "from flapkit.errors import RankDeficientConstraintsError\n"
+        "from flapkit.planning import BoundaryConditions, ConstraintSet, PlanOptions, Waypoint\n"
+        "from flapkit.planning import solve_qp_equality\n"
+        "cons = ConstraintSet(boundary=BoundaryConditions(end_pos=[1.0, 0.0, 0.0]),\n"
+        "                     waypoints=[Waypoint(0, 0.0, [0.0, 0.0, 0.0])])\n"
+        "try:\n"
+        "    solve_qp_equality(cons, None, PlanOptions(T=3.0))\n"
+        "    raise AssertionError('no rank deficiency')\n"
+        "except RankDeficientConstraintsError as err:\n"
+        "    assert err.rows == ['waypoint0:seg0@0'], err.rows\n"
+    )
+    assert in_package(modules_after(code, tmp_path), "scipy") == []
+
+
 def test_plan_and_track_load_no_scipy_optimize(tmp_path):
     # the L-BFGS-B extension file is found without importing scipy
     assert in_package(modules_after(PLAN_AND_TRACK, tmp_path), "scipy") == []
@@ -459,7 +477,7 @@ def test_traced_flight_span_counts(case_line, model, rhs):
     # and velocity, the start heading's scan and the two tick tables)
     tracer = load_spans().Tracer()
     with tracer.installed(), tracer.operation("flight"):
-        res = flapkit.simulate.run_closed_loop(case_line.traj, model=model)
+        res = flapkit.simulate.run_closed_loop(case_line.traj, MODEL_PARAMS[model]())
     ticks = len(res.control_t)
     assert ticks == 300 and not res.diverged
     counts = {}

@@ -485,10 +485,25 @@ class TestCli:
         assert isinstance(kvio.load_state_log(state), FullLog)
         assert main(["metrics", "--state", str(state), "--traj", str(traj), "--case", "line",
                      "--out", str(metrics)]) == 0
-        log = run_closed_loop(PiecewiseTrajectory.from_coeff_csv(traj), model="full").state_log
+        log = run_closed_loop(PiecewiseTrajectory.from_coeff_csv(traj), FwavParams()).state_log
         want = compute_metrics(log.positions, log.t, case_line.traj, case="line").row()
         got = [float(x) for x in metrics.read_text().splitlines()[1].split(",")[1:]]
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_full_model_params_set_the_design_model(self, tmp_path, case_line):
+        # a 10 % heavier vehicle: with the default design model (m = 0.029)
+        # line flew at 0.112 m altitude RMS; on the plant's own m it flies at
+        # 0.0097 m, as the defaults do (0.0104 m), inside the published 0.052 m
+        traj, state, metrics = tmp_path / "line.csv", tmp_path / "s.csv", tmp_path / "m.csv"
+        case_line.traj.to_coeff_csv(traj)
+        heavy = tmp_path / "heavy.kv"
+        heavy.write_text(kvio.format_kv(kv_pairs(FwavParams(m=0.032))))
+        assert main(["simulate", "--traj", str(traj), "--model", "full", "--params", str(heavy),
+                     "--out-state", str(state), "--out-control", str(tmp_path / "c.csv")]) == 0
+        assert main(["metrics", "--state", str(state), "--traj", str(traj), "--case", "line",
+                     "--out", str(metrics)]) == 0
+        header, row = metrics.read_text().splitlines()
+        assert float(row.split(",")[header.split(",").index("alt_rms")]) <= 0.011
 
     def test_parser_keeps_no_options_between_calls(self, tmp_path):
         # the parser is built once per process: a default simulate after a

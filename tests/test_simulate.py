@@ -105,7 +105,7 @@ def reference_full_flight(traj, offset, dt=1e-3, n_sub=10):
 class TestClosedLoop:
     def test_hover_equilibrium_hold(self):
         traj = constant_trajectory([0.4, -0.3, 1.2], T=3.0)
-        res = run_closed_loop(traj, model="vertical", duration=3.0)
+        res = run_closed_loop(traj, duration=3.0)
         e_p = np.linalg.norm(res.control_rows[:, 0:3], axis=1)
         assert np.max(e_p) < 1e-6
         assert not res.diverged
@@ -119,8 +119,7 @@ class TestClosedLoop:
 
     def test_divergence_flagged(self):
         traj = constant_trajectory([0.0, 0.0, 0.0], T=1.0)
-        res = run_closed_loop(traj, model="vertical", perturb_pos=(150.0, 0.0, 0.0),
-                              duration=1.0)
+        res = run_closed_loop(traj, perturb_pos=(150.0, 0.0, 0.0), duration=1.0)
         assert res.diverged
         assert res.abort_time is not None
 
@@ -130,7 +129,7 @@ class TestClosedLoop:
         # run must stay bounded with the altitude channel converging
         traj = constant_trajectory([0.0, 0.0, 0.5], T=6.0)
         res = run_closed_loop(
-            traj, model="full", duration=6.0, perturb_pos=(0.1, 0.05, -0.1)
+            traj, FwavParams(), duration=6.0, perturb_pos=(0.1, 0.05, -0.1)
         )
         err = traj.eval_many(res.state_log.t, 0) - res.state_log.states[:, 0:3]
         assert not res.diverged
@@ -157,7 +156,7 @@ class TestClosedLoop:
         counting(flapkit.simulate, "full_rhs")
         counting(flapkit.dynamics, "_full_law")
         traj = constant_trajectory([0.0, 0.0, 0.5], T=0.25)
-        res = run_closed_loop(traj, model="full", duration=0.25, perturb_pos=(0.0, 0.0, 0.01))
+        res = run_closed_loop(traj, FwavParams(), duration=0.25, perturb_pos=(0.0, 0.0, 0.01))
         steps, ticks = len(res.state_log.t) - 1, len(res.control_t)
         assert (steps, ticks) == (250, 25) and not res.diverged
         assert calls == {"vertical_rhs": 0, "full_rhs": ticks, "_full_law": 4 * steps}
@@ -168,7 +167,7 @@ class TestClosedLoop:
         # the closed loop's full-model blocks equal a tick followed by rk4_flat
         # over full_rhs and the quaternion projection at every step, bit for bit
         traj = request.getfixturevalue(f"case_{case}").traj
-        res = run_closed_loop(traj, model="full", perturb_pos=offset)
+        res = run_closed_loop(traj, FwavParams(), perturb_pos=offset)
         states, control = reference_full_flight(traj, offset)
         assert not res.diverged
         assert np.array_equal(res.state_log.states, states)
@@ -244,10 +243,19 @@ class TestClosedLoop:
         assert np.array_equal(res.state_log.inputs, inputs)
         assert np.array_equal(res.control_rows, control)
 
+    def test_full_plant_design_model_is_its_own(self):
+        # the controller inverts the plant's mass, thrust and x/z drag; the
+        # default full model's design model is the default vertical model
+        plant = flapkit.simulate._FullPlant(FwavParams(m=0.032, k_tf=1.3e-3, k_d_x=0.02))
+        assert (plant.design.m, plant.design.k_tf, plant.design.vk_d_x) == (0.032, 1.3e-3, 0.02)
+        assert plant.design.hover_frequency == plant.params.hover_frequency
+        assert flapkit.simulate._FullPlant(FwavParams()).design == VerticalParams()
+
     def test_unknown_model(self):
+        # the type of params picks the plant: any other type is named
         traj = constant_trajectory([0, 0, 0], T=1.0)
-        with pytest.raises(InvalidInputError):
-            run_closed_loop(traj, model="planar")
+        with pytest.raises(InvalidInputError, match="of type ControllerGains"):
+            run_closed_loop(traj, ControllerGains())
 
     def test_perturbed_case_a_errors_decay(self, case_a):
         # positional transient decays monotonically under the ideal loop
