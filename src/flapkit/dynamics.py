@@ -32,23 +32,27 @@ checked, each reading its parameters as one tuple
 floats, and the vertical model in two texts, its dynamic rows
 ``_vertical_dynamics`` (the rates of vvx, vvy, vvz and w, on floats or
 arrays) and its kinematic rows ``_vertical_kinematics`` (psi_dot = w and
-p_dot = R_z(psi) vv).  The vertical rows read their input through
-``_vertical_terms``, the terms that depend on the input alone, written once
-for floats and arrays.  The right-hand sides ``full_rhs`` and
-``vertical_rhs`` take a state row and an input row, check them and call
-them.  Thrust, drag and the deflection torque are computed inside the full
-law, with no helper call per stage.  Each model's RK4 step is written once
-too, over a block of steps: ``_full_steps`` (one held command, the RK4 sum
+p_dot = R_z(psi) vv).  Where a call per stage would cost a hot loop its
+time, a text is copied out, written in its order and held to ``rk4_flat``
+bit for bit by oracle tests; each docstring names its copies: the dynamic
+rows in ``_vertical_replay``'s float loop, the kinematic rows in three
+places.  The vertical rows read their input through ``_vertical_terms``, the
+terms that depend on the input alone, written once for floats and arrays.
+The right-hand sides ``full_rhs`` and ``vertical_rhs`` take a state row and
+an input row, check them and call them.  Thrust, drag and the deflection
+torque are computed inside the full law, with no helper call per stage.
+Each model's RK4 step is written once too, over a block of steps: ``_full_steps`` (one held command, the RK4 sum
 written out one state at a time and the quaternion projected onto the unit
 sphere on its four floats after each step) and ``_vertical_steps`` (one held
 gamma-proxy input, the pose inline at every step) for the closed loop, one
 block per controller tick, each writing its block's rows into the log in one
 slice, and ``_vertical_replay`` for the replay, one block per 1,024 table
-steps.  The
-replay's float loop steps only (vvx, vvy, vvz, w), because no dynamic row
-reads the azimuth or the position; one array pass per block then recovers
-them from the stage states.  All keep ``rk4_flat``'s floating-point
-operation order, so every driver logs ``rk4_flat``'s states bit for bit.
+steps.  The replay's float loop steps only (vvx, vvy, vvz, w), on its own
+copy of the dynamic rows, because no dynamic row reads the azimuth or the
+position; one array pass per block then recovers them from the stage states
+through ``_vertical_dynamics`` and ``_vertical_kinematics``.  All keep
+``rk4_flat``'s floating-point operation order, so every driver logs
+``rk4_flat``'s states bit for bit.
 Inputs are checked where they change, not at every stage: the replay checks
 its table a block at a time and the closed loop its held input once per tick.
 The vertical input terms are computed there too: once per table row in the
@@ -380,7 +384,12 @@ def _vertical_dynamics(c, explicit, vvx, vvy, vvz, w, ax_thrust, az_thrust, yaw,
     kbar_flap_x f^2 Gz) Gy, both damped by vk_damp w|w|.  Neither the azimuth
     nor the position is an argument, because no dynamic row reads them.
     Arithmetic and ``abs`` only, so floats and arrays run the same text to
-    the same bits."""
+    the same bits.  ``vertical_rhs``, ``_vertical_steps`` and the replay's
+    array pass call it.  One copy stays written out, the same expressions in
+    the same order: ``_vertical_replay``'s float loop (the replay's hot loop),
+    which ``TestTabulatedReplay``, ``test_input_table_read_across_blocks`` and
+    the pinned replays hold to ``rk4_flat`` over ``vertical_rhs`` bit for
+    bit."""
     m, g, d_x, d_z, kbar_gamma, damp = c
     dx, dz = vvx * abs(vvx), vvz * abs(vvz)
     ax = ax_thrust - d_x * dx / m - w * vvy
@@ -494,26 +503,48 @@ def _vertical_replay(c, explicit, y, terms, dt) -> np.ndarray:
     a non-finite one.
 
     The float loop steps only (vvx, vvy, vvz, w), the states that feed back: no
-    dynamic row reads the pose.  One array pass then replays its RK4 stage states
-    through the same ``_vertical_dynamics`` text, takes the stage azimuths' cosines
-    and sines, and sums the azimuth and position increments in step order with
-    ``np.cumsum`` (``np.add.accumulate`` adds in sequence), so every row is
-    ``rk4_flat``'s bit for bit.  Run under an errstate that ignores overflow and
-    invalid operations, which floats do silently."""
+    dynamic row reads the pose.  It runs a written-out copy of
+    ``_vertical_dynamics`` at each stage, its expressions in its order, for both
+    rudder modes, since four calls per step cost the replay about a quarter of
+    its time.  vvy's row is the literal 0.0, so vvy is carried, not summed.
+    ``TestTabulatedReplay`` checks the copy against ``rk4_flat`` over
+    ``vertical_rhs`` bit for bit, signed zeros included.  One array pass then
+    replays the RK4 stage states through ``_vertical_dynamics`` itself, takes
+    the stage azimuths' cosines and sines, and sums the azimuth and position
+    increments in step order with ``np.cumsum`` (``np.add.accumulate`` adds in
+    sequence), so every row is ``rk4_flat``'s bit for bit.  Run under an
+    errstate that ignores overflow and invalid operations, which floats do
+    silently."""
     h, c6, dyn = 0.5 * dt, dt / 6.0, _vertical_dynamics
+    m, g, d_x, d_z, kbar_gamma, damp = c
     vvx, vvy, vvz, w = y[3], y[4], y[5], y[7]
+    # vvy's row is 0.0, so each later stage reads vvy + h * 0.0 and each step ends
+    # at vvy + c6 * 0.0: vvy + 0.0, which turns a -0.0 start into 0.0
+    vy = vvy + 0.0
     dynamic, rows = [vvx, vvy, vvz, w], list(zip(*(t.tolist() for t in terms)))
     for (t1, z1, yaw1, gy1), (tm, zm, yawm, gym), (t2, z2, yaw2, gy2) \
             in zip(rows[0::2], rows[1::2], rows[2::2]):
-        a1, b1, c1, e1 = dyn(c, explicit, vvx, vvy, vvz, w, t1, z1, yaw1, gy1)
-        a2, b2, c2, e2 = dyn(c, explicit, vvx + h * a1, vvy + h * b1, vvz + h * c1,
-                             w + h * e1, tm, zm, yawm, gym)
-        a3, b3, c3, e3 = dyn(c, explicit, vvx + h * a2, vvy + h * b2, vvz + h * c2,
-                             w + h * e2, tm, zm, yawm, gym)
-        a4, b4, c4, e4 = dyn(c, explicit, vvx + dt * a3, vvy + dt * b3, vvz + dt * c3,
-                             w + dt * e3, t2, z2, yaw2, gy2)
-        vvx = vvx + c6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        vvy = vvy + c6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        # _vertical_dynamics at the four stages, written out in its operation order
+        dx, dz = vvx * abs(vvx), vvz * abs(vvz)
+        a1 = t1 - d_x * dx / m - w * vvy
+        c1 = z1 - d_z * dz / m - g
+        e1 = (yaw1 * dx if explicit else -(kbar_gamma * dz + yaw1) * gy1) - damp * (w * abs(w))
+        vx2, vz2, w2 = vvx + h * a1, vvz + h * c1, w + h * e1
+        dx, dz = vx2 * abs(vx2), vz2 * abs(vz2)
+        a2 = tm - d_x * dx / m - w2 * vy
+        c2 = zm - d_z * dz / m - g
+        e2 = (yawm * dx if explicit else -(kbar_gamma * dz + yawm) * gym) - damp * (w2 * abs(w2))
+        vx3, vz3, w3 = vvx + h * a2, vvz + h * c2, w + h * e2
+        dx, dz = vx3 * abs(vx3), vz3 * abs(vz3)
+        a3 = tm - d_x * dx / m - w3 * vy
+        c3 = zm - d_z * dz / m - g
+        e3 = (yawm * dx if explicit else -(kbar_gamma * dz + yawm) * gym) - damp * (w3 * abs(w3))
+        vx4, vz4, w4 = vvx + dt * a3, vvz + dt * c3, w + dt * e3
+        dx, dz = vx4 * abs(vx4), vz4 * abs(vz4)
+        a4 = t2 - d_x * dx / m - w4 * vy
+        c4 = z2 - d_z * dz / m - g
+        e4 = (yaw2 * dx if explicit else -(kbar_gamma * dz + yaw2) * gy2) - damp * (w4 * abs(w4))
+        vvx, vvy = vvx + c6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4), vy
         vvz = vvz + c6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
         w = w + c6 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
         dynamic += vvx, vvy, vvz, w  # one flat list: np.array reads it 3x faster

@@ -31,7 +31,9 @@ class ChannelStats:
     rms: float
 
     def __post_init__(self):
-        if self.rms > self.max + 1e-12:
+        # the RMS of a constant channel can round up past its max by an ulp of
+        # the max, so the tolerance scales with it
+        if self.rms > self.max + 1e-12 * max(1.0, self.max):
             raise InvalidInputError("rms cannot exceed max")
 
 

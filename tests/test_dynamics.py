@@ -932,6 +932,54 @@ class TestTabulatedReplay:
         assert np.array_equal(log.states, rk4_vertical(state0, vparams, samples, dt, rudder_mode))
         assert np.isfinite(log.states).all() and np.ptp(log.states[:, 6]) > 0.1
 
+    @settings(HYPOTHESIS, max_examples=50)
+    @given(
+        vvy=st.sampled_from([-0.0, 0.0, 1e-23, -1e-23]),
+        # per velocity and yaw rate: a signed zero, near zero or away from it
+        scales=st.tuples(*[st.sampled_from([0.0, 1e-3, 20.0])] * 3),
+        rudder_mode=st.sampled_from(["gamma-proxy", "explicit-rudder"]),
+        n=st.sampled_from([1, 1023, 1024, 1025, 2049]),
+        # (column, start value): quadratic drag or damping that overshoots and
+        # overflows within a few steps, or at once
+        fast=st.sampled_from([None, None, None, (3, 5e3), (3, -1e160), (5, 3e4), (7, -1e5),
+                              (7, 1e200)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a -0.0 lateral velocity, which the first step makes 0.0, across a block edge
+    @example(vvy=-0.0, scales=(0.0, 0.0, 1e-3), rudder_mode="explicit-rudder", n=1025, fast=None,
+             seed=0)
+    def test_random_replays_equal_rk4_flat_bit_for_bit(self, rk4_vertical, vvy, scales,
+                                                       rudder_mode, n, fast, seed):
+        # the float loop's written-out dynamic rows against rk4_flat over
+        # vertical_rhs, compared as bit patterns, which np.array_equal is not for
+        # -0.0: a signed-zero or tiny lateral velocity, forward and vertical
+        # velocities and a yaw rate that change sign, over block edges; an
+        # overflowing start stops at rk4_flat's step.  The seed draws the
+        # continuous values, so every example flies a table of its own
+        rng, params, dt = np.random.default_rng(seed), VerticalParams(), 1e-3
+        vvx, vvz, w = (scale * rng.uniform(-1.0, 1.0) if scale else rng.choice([0.0, -0.0])
+                       for scale in scales)
+        state0 = vertical_row(p=rng.uniform(-3.0, 3.0, 3), vv=(vvx, vvy, vvz),
+                              psi=rng.uniform(-4.0, 4.0), omega_psi=w)
+        if fast:
+            state0[fast[0]] = fast[1]
+        # smooth unit-norm attitude and flapping tables, each starting at its zero phase
+        (ax, ay, af), (kx, ky, kf) = rng.uniform(-0.3, 0.3, 3), rng.uniform(0.5, 20.0, 3)
+        t = np.arange(2 * n + 1) * dt / 2
+        gx, gy = ax * np.sin(kx * t), ay * np.sin(ky * t)
+        gamma = np.column_stack([gx, gy, np.sqrt(1.0 - gx * gx - gy * gy)])
+        f = params.hover_frequency * (1.0 + af * np.sin(kf * t))
+        samples = np.column_stack([gamma, f]).tolist()
+        step = first_non_finite_step(state0, params, samples, dt, rudder_mode) if fast else None
+        if step is None:
+            log = integrate_vertical_tabulated(state0, params, gamma, f, dt, rudder_mode)
+            want = rk4_vertical(state0, params, samples, dt, rudder_mode)
+            assert np.array_equal(bits(log.states), bits(want))
+        else:
+            with pytest.raises(PropagationError) as err:
+                integrate_vertical_tabulated(state0, params, gamma, f, dt, rudder_mode)
+            assert err.value.step == step
+
 
 class TestVerticalSteps:
     @HYPOTHESIS
@@ -1015,9 +1063,11 @@ class TestVerticalDynamics:
     @HYPOTHESIS
     @given(rows=dynamic_inputs)
     def test_arrays_equal_floats_bit_for_bit(self, rudder_mode, rows):
-        # the replay's float loop and its array pass run the same dynamic rows on
-        # (vvx, vvy, vvz, w) and an input's four terms: the same bits, signed
-        # zeros, infinities and NaNs included, and no warning under its errstate
+        # the closed loop's floats and the replay's array pass run the same
+        # dynamic rows on (vvx, vvy, vvz, w) and an input's four terms: the same
+        # bits, signed zeros, infinities and NaNs included, and no warning under
+        # its errstate.  The replay's float loop runs a written-out copy, which
+        # TestTabulatedReplay holds to rk4_flat over vertical_rhs bit for bit
         c = VerticalParams()._constants()
         explicit = _explicit_rudder(rudder_mode)
         floats = [_vertical_dynamics(c, explicit, *row) for row in rows]

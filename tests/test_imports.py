@@ -33,8 +33,11 @@ import numpy as np
 import pytest
 import scipy.optimize._lbfgsb
 
+import flapkit.dynamics
 import flapkit.planning
 import flapkit.simulate
+from flapkit.dynamics import VerticalParams
+from flapkit.flatness import FlatInputSchedule
 from flapkit.planning import case_library
 
 from helpers import MODEL_PARAMS, restarts_digest, single_segment
@@ -484,3 +487,23 @@ def test_traced_flight_span_counts(case_line, model, rhs):
     for i in tracer.name:
         counts[tracer.names[i]] = counts.get(tracer.names[i], 0) + 1
     assert counts == {"flight": 1, "control.tick": ticks, rhs: ticks, "trajectory.eval": 5}
+
+
+def test_traced_replay_span_counts(case_a):
+    # flat-replay's per-layer metrics: one tabulation and one replay span per
+    # replayed window, the replay's steps its table's and no plant RHS call,
+    # so dynamics.tabulated_step_us is the time of one replay step
+    n, dt, params = 300, 1e-3, VerticalParams()
+    sched = FlatInputSchedule(case_a.traj, params)
+    state0 = sched.initial_vertical_state()
+    tracer = load_spans().Tracer()
+    with tracer.installed(), tracer.operation("replay"):
+        gamma, f = sched.tabulate(np.arange(2 * n + 1) * dt / 2)
+        flapkit.dynamics.integrate_vertical_tabulated(state0, params, gamma, f, dt,
+                                                      rudder_mode="explicit-rudder")
+    counts = {}
+    for i in tracer.name:
+        counts[tracer.names[i]] = counts.get(tracer.names[i], 0) + 1
+    assert counts == {"replay": 1, "flatness.tabulate": 1, "dynamics.tabulated": 1}
+    [replay] = [k for k, i in enumerate(tracer.name) if tracer.names[i] == "dynamics.tabulated"]
+    assert tracer.info == {replay: {"steps": n}}

@@ -490,6 +490,18 @@ class TestCli:
         got = [float(x) for x in metrics.read_text().splitlines()[1].split(",")[1:]]
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
+    def test_metrics_of_a_large_constant_error(self, tmp_path, capsys, case_line):
+        # the RMS of a constant 65 km altitude error rounds one ulp past its MAX
+        # (1.5e-11 m): the rms <= max check forgives 1e-12 of the MAX
+        traj, state = tmp_path / "line.csv", tmp_path / "state.csv"
+        case_line.traj.to_coeff_csv(traj)
+        states = np.zeros((44, 8))
+        states[:, 2] = -65378.8816186  # line flies at z = 0
+        VerticalLog(np.arange(44) * 1e-3, states, np.tile([0.0, 0.0, 1.0, 14.0], (44, 1))) \
+            .to_csv(state)
+        assert main(["metrics", "--state", str(state), "--traj", str(traj), "--case", "line"]) == 0
+        assert "altitude     MAX 65378.882 m  RMS 65378.882 m" in capsys.readouterr().out
+
     def test_full_model_params_set_the_design_model(self, tmp_path, case_line):
         # a 10 % heavier vehicle: with the default design model (m = 0.029)
         # line flew at 0.112 m altitude RMS; on the plant's own m it flies at

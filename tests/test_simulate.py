@@ -200,9 +200,10 @@ class TestClosedLoop:
                          "_vertical_dynamics": 4 * steps}
 
     def test_replay_steps_only_dynamic_rows_on_floats(self, monkeypatch, vparams):
-        # the replay's float loop runs the dynamic rows once per stage and no
-        # trigonometric function; each table block's array pass replays the
-        # first three stages and runs the kinematics once
+        # the replay's float loop runs its own written-out copy of the dynamic
+        # rows, so no float call of _vertical_dynamics, and no trigonometric
+        # function; each table block's array pass replays the first three
+        # stages through _vertical_dynamics and runs the kinematics once
         calls = dict.fromkeys(["dynamics floats", "dynamics arrays", "kinematics floats",
                                "kinematics arrays", "trig"], 0)
 
@@ -230,7 +231,7 @@ class TestClosedLoop:
         f = np.full(2 * steps + 1, vparams.hover_frequency)
         log = integrate_vertical_tabulated(vertical_row(), vparams, gamma, f, 1e-3)
         assert len(log.t) == steps + 1
-        assert calls == {"dynamics floats": 4 * steps, "dynamics arrays": 3 * blocks,
+        assert calls == {"dynamics floats": 0, "dynamics arrays": 3 * blocks,
                          "kinematics floats": 0, "kinematics arrays": blocks, "trig": 0}
 
     @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (0.03, -0.02, 0.04)])
@@ -582,8 +583,12 @@ class TestMetrics:
             error_components(np.zeros((4, 3)), np.zeros((4, 1)), case_line.traj)
 
     def test_rms_le_max_enforced(self):
+        # the check forgives rounding, 1e-12 of the MAX (or 1e-12 below 1), and no more
         with pytest.raises(InvalidInputError):
             ChannelStats(max=0.1, rms=0.2)
+        with pytest.raises(InvalidInputError):
+            ChannelStats(1.0, 1.001)
+        ChannelStats(65378.8816186, 65378.881618600004)
 
     def test_reference_table_values(self):
         ref = reference_tracking_errors()
